@@ -3,7 +3,7 @@
 One subcommand per evaluation; every command validates the corpus first and
 every run is deterministic, so rerunning with the same manifest produces
 byte-identical reports. Exit codes: 0 success, 1 validation or floor
-failure, 2 runtime error.
+failure, 2 runtime or usage error.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--floor",
             action="append",
+            type=_floor,
             default=[],
             metavar="NAME=VALUE",
             help="fail (exit 1) when a report metric drops below VALUE",
@@ -95,6 +96,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _floor(item: str) -> tuple[str, float]:
+    """A --floor NAME=VALUE pair; a malformed one is a usage error."""
+    name, _, value = item.partition("=")
+    try:
+        if name:
+            return name, float(value)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected NAME=VALUE with a numeric VALUE, got {item!r}")
+
+
 def _load_validated(manifest: str) -> Corpus:
     from .corpus import FileError, validate_corpus
 
@@ -138,11 +150,7 @@ def _emit(args, name: str, text: str, flat: dict[str, float], run_line: str, ext
         )
         for fname, content in extra.items():
             (args.out / fname).write_text(content, encoding="utf-8")
-    floors = {}
-    for item in args.floor:
-        key, _, value = item.partition("=")
-        floors[key] = float(value)
-    failures = reports.check_floors(flat, floors)
+    failures = reports.check_floors(flat, dict(args.floor))
     for failure in failures:
         print(failure, file=sys.stderr)
     return 1 if failures else 0

@@ -4,14 +4,18 @@ Partitions are collections of disjoint mention sets; both sides must cover
 the same mention universe (mentions are given, not predicted). Degenerate
 0/0 ratios score 0, so a linkless prediction scored against a gold partition
 that has links comes out 0/0/0 under MUC.
+
+CEAF and BLANC work from the contingency counts |g & p| of the gold and
+predicted clusters that share a mention. CEAF's optimal alignment splits into the
+connected components of that overlap graph: similarity is zero between
+clusters that share no mention and never negative, so the best global
+alignment is exactly the sum of the best alignments of the components.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
+import math
+from collections import Counter
 
 from .metrics import PRF, prf
 
@@ -26,106 +30,162 @@ def _as_partition(clusters) -> Partition:
     return out
 
 
-def _check_universe(gold: Partition, pred: Partition) -> None:
-    gold_mentions = {m for c in gold for m in c}
-    pred_mentions = {m for c in pred for m in c}
-    if gold_mentions != pred_mentions:
+def _partitions(gold_clusters, pred_clusters) -> tuple[Partition, Partition]:
+    """Both sides as partitions, checked to cover the same mentions."""
+    gold, pred = _as_partition(gold_clusters), _as_partition(pred_clusters)
+    if {m for c in gold for m in c} != {m for c in pred for m in c}:
         raise ValueError("gold and predicted partitions cover different mentions")
+    return gold, pred
 
 
-def _ratio(num: float, den: float) -> float:
-    return num / den if den else 0.0
+def _overlaps(gold: Partition, pred: Partition) -> Counter:
+    """|gold[i] & pred[j]| keyed by (i, j), for the pairs that share a mention."""
+    owner = {m: j for j, c in enumerate(pred) for m in c}
+    return Counter((i, owner[m]) for i, c in enumerate(gold) for m in c)
+
+
+def _scores(hit: int, n_pred: int, n_gold: int) -> PRF:
+    """Precision, recall and F1 of `hit` matches; a 0/0 ratio scores 0."""
+    p = hit / n_pred if n_pred else 0.0
+    r = hit / n_gold if n_gold else 0.0
+    return PRF(p, r, 2 * p * r / (p + r) if p + r else 0.0)
 
 
 def muc(gold_clusters, pred_clusters) -> PRF:
     """Link-based metric: recall error counts the partitions of each gold
-    cluster under the prediction, and symmetrically for precision."""
-    gold, pred = _as_partition(gold_clusters), _as_partition(pred_clusters)
-    _check_universe(gold, pred)
+    cluster under the prediction, and symmetrically for precision.
 
-    def vilain(a: Partition, b: Partition) -> tuple[int, int]:
-        owner = {m: i for i, c in enumerate(b) for m in c}
-        num = den = 0
-        for cluster in a:
-            parts = {owner[m] for m in cluster}
-            num += len(cluster) - len(parts)
-            den += len(cluster) - 1
-        return num, den
+    A cluster of size k split into q parts keeps k - q of its k - 1 links;
+    summed over either side, the parts are the nonzero overlaps."""
+    gold, pred = _partitions(gold_clusters, pred_clusters)
+    n = sum(len(c) for c in gold)
+    kept = n - len(_overlaps(gold, pred))
+    return _scores(kept, n - len(pred), n - len(gold))
 
-    r_num, r_den = vilain(gold, pred)
-    p_num, p_den = vilain(pred, gold)
-    p, r = _ratio(p_num, p_den), _ratio(r_num, r_den)
-    f1 = 2 * p * r / (p + r) if p + r else 0.0
-    return PRF(p, r, f1)
+
+def _components(pairs, n_gold: int, n_pred: int) -> list[tuple[list[int], list[int]]]:
+    """(gold indices, pred indices) of each connected component of the
+    bipartite graph whose edges are `pairs`, found with union-find."""
+    parent = list(range(n_gold + n_pred))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in pairs:
+        parent[find(i)] = find(n_gold + j)
+    groups: dict[int, tuple[list[int], list[int]]] = {}
+    for i in range(n_gold):
+        groups.setdefault(find(i), ([], []))[0].append(i)
+    for j in range(n_pred):
+        groups.setdefault(find(n_gold + j), ([], []))[1].append(j)
+    return list(groups.values())
+
+
+def _best_assignment(weights: list[list[float]]) -> list[float]:
+    """Weights picked by a maximum-weight one-to-one assignment between the
+    rows and columns of a non-negative matrix: the Hungarian method with
+    potentials (Kuhn 1955; Munkres 1957), O(n^2 m) for n <= m after
+    transposing. Every row of the shorter side gets a column."""
+    if len(weights) > len(weights[0]):
+        weights = [list(column) for column in zip(*weights)]
+    n, m = len(weights), len(weights[0])
+    u, v = [0.0] * (n + 1), [0.0] * (m + 1)
+    row_of = [0] * (m + 1)  # 1-based row assigned to column j; column 0 is a sentinel
+    way = [0] * (m + 1)
+    for i in range(1, n + 1):
+        row_of[0], j0 = i, 0
+        minv, used = [math.inf] * (m + 1), [False] * (m + 1)
+        while row_of[j0]:
+            used[j0] = True
+            i0, delta, j1 = row_of[j0], math.inf, 0
+            row, ui = weights[i0 - 1], u[i0]
+            for j in range(1, m + 1):
+                if not used[j]:
+                    reduced = -row[j - 1] - ui - v[j]
+                    if reduced < minv[j]:
+                        minv[j], way[j] = reduced, j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            for j in range(m + 1):
+                if used[j]:
+                    u[row_of[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+        while j0:
+            row_of[j0] = row_of[way[j0]]
+            j0 = way[j0]
+    return [weights[row_of[j] - 1][j - 1] for j in range(1, m + 1) if row_of[j]]
 
 
 def _ceaf(gold: Partition, pred: Partition, similarity) -> tuple[float, float, float]:
-    """(best total similarity, self-sim of pred, self-sim of gold)."""
-    if not gold or not pred:
-        return 0.0, sum(similarity(c, c) for c in pred), sum(similarity(c, c) for c in gold)
-    cost = np.zeros((len(gold), len(pred)))
-    for i, g in enumerate(gold):
-        for j, p in enumerate(pred):
-            cost[i, j] = similarity(g, p)
-    rows, cols = linear_sum_assignment(-cost)
-    best = float(cost[rows, cols].sum())
-    return best, sum(similarity(c, c) for c in pred), sum(similarity(c, c) for c in gold)
+    """(best total similarity, self-sim of pred, self-sim of gold).
+
+    `similarity(n, a, b)` scores clusters of sizes a and b sharing n mentions.
+    """
+    self_sim = lambda side: sum(similarity(len(c), len(c), len(c)) for c in side)
+    sim = {
+        (i, j): similarity(n, len(gold[i]), len(pred[j]))
+        for (i, j), n in _overlaps(gold, pred).items()
+    }
+    picked = []
+    for rows, cols in _components(sim, len(gold), len(pred)):
+        if len(rows) == 1 or len(cols) == 1:
+            # every pair of a one-sided component shares a mention
+            picked.append(max(sim[i, j] for i in rows for j in cols))
+            continue
+        picked.extend(_best_assignment([[sim.get((i, j), 0.0) for j in cols] for i in rows]))
+    return math.fsum(picked), self_sim(pred), self_sim(gold)
 
 
-def _overlap(a: frozenset, b: frozenset) -> float:
-    return float(len(a & b))
+def _overlap(n: int, a: int, b: int) -> float:
+    return float(n)
 
 
-def _phi4(a: frozenset, b: frozenset) -> float:
-    return 2.0 * len(a & b) / (len(a) + len(b))
+def _phi4(n: int, a: int, b: int) -> float:
+    return 2.0 * n / (a + b)
 
 
 def ceaf_m(gold_clusters, pred_clusters) -> PRF:
     """Mention-based CEAF: optimal one-to-one cluster alignment, overlap similarity."""
-    gold, pred = _as_partition(gold_clusters), _as_partition(pred_clusters)
-    _check_universe(gold, pred)
+    gold, pred = _partitions(gold_clusters, pred_clusters)
     best, p_den, r_den = _ceaf(gold, pred, _overlap)
     return prf(best, p_den, best, r_den)
 
 
 def ceaf_e(gold_clusters, pred_clusters) -> PRF:
     """Entity-based CEAF: optimal alignment under the normalized phi4 similarity."""
-    gold, pred = _as_partition(gold_clusters), _as_partition(pred_clusters)
-    _check_universe(gold, pred)
+    gold, pred = _partitions(gold_clusters, pred_clusters)
     best, p_den, r_den = _ceaf(gold, pred, _phi4)
     return prf(best, p_den, best, r_den)
 
 
-def _links(partition: Partition) -> set[frozenset]:
-    out = set()
-    for cluster in partition:
-        for a, b in combinations(sorted(cluster, key=repr), 2):
-            out.add(frozenset((a, b)))
-    return out
+def _pairs(n: int) -> int:
+    return n * (n - 1) // 2
 
 
 def blanc(gold_clusters, pred_clusters) -> PRF:
     """Averaged coreference-link and non-coreference-link scores.
 
     When neither side has coreference links the non-coreference component
-    stands alone, and vice versa.
+    stands alone, and vice versa. Link counts come from cluster sizes: a
+    cluster of size k holds C(k, 2) links, and the links both sides share
+    are the C(n, 2) within each gold-pred overlap of size n.
     """
-    gold, pred = _as_partition(gold_clusters), _as_partition(pred_clusters)
-    _check_universe(gold, pred)
-    mentions = sorted({m for c in gold for m in c}, key=repr)
-    all_pairs = {frozenset((a, b)) for a, b in combinations(mentions, 2)}
-
-    gold_coref, pred_coref = _links(gold), _links(pred)
+    gold, pred = _partitions(gold_clusters, pred_clusters)
+    all_pairs = _pairs(sum(len(c) for c in gold))
+    gold_coref = sum(_pairs(len(c)) for c in gold)
+    pred_coref = sum(_pairs(len(c)) for c in pred)
+    both_coref = sum(_pairs(n) for n in _overlaps(gold, pred).values())
     gold_non, pred_non = all_pairs - gold_coref, all_pairs - pred_coref
+    both_non = all_pairs - gold_coref - pred_coref + both_coref
 
-    def component(gold_set: set, pred_set: set) -> PRF:
-        hit = len(gold_set & pred_set)
-        p, r = _ratio(hit, len(pred_set)), _ratio(hit, len(gold_set))
-        f1 = 2 * p * r / (p + r) if p + r else 0.0
-        return PRF(p, r, f1)
-
-    coref = component(gold_coref, pred_coref)
-    non = component(gold_non, pred_non)
+    coref = _scores(both_coref, pred_coref, gold_coref)
+    non = _scores(both_non, pred_non, gold_non)
     if not gold_coref and not pred_coref:
         return non if all_pairs else PRF(1.0, 1.0, 1.0)
     if not gold_non and not pred_non:

@@ -165,6 +165,8 @@ class ArgumentLayer:
 
     def __post_init__(self) -> None:
         spans = tuple(self.spans)
+        if any(len(c) == 0 for c in self.clusters):
+            raise ValueError(f"{self.subsection_id}: empty cluster")
         clusters = canonical_partition(self.clusters)
         names = tuple(self.cluster_names)
         if names and len(names) != len(self.clusters):

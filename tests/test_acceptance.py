@@ -31,7 +31,7 @@ from statreason.reports import coref_report
 from statreason.rules import build_dependency_tree, parse_program, parse_rule, print_rule
 
 from generators import random_clause, random_partition, random_program
-from test_coref_metrics import brute_force_ceaf, overlap, phi4
+from oracles import brute_force_ceaf, overlap, phi4
 
 SARA_MANIFEST = os.environ.get("STATREASON_SARA_MANIFEST")
 needs_sara = pytest.mark.skipif(

@@ -1,6 +1,8 @@
 import shutil
 from pathlib import Path
 
+import pytest
+
 from statreason.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures" / "corpus"
@@ -35,6 +37,16 @@ class TestValidate:
         assert main(["validate", "--manifest", str(root / "manifest.txt")]) == 1
         err = capsys.readouterr().err
         assert "spans.txt" in err and "7200" in err
+
+    def test_empty_labelled_cluster_fails_with_file_and_line(self, tmp_path, capsys):
+        root = tmp_path / "corpus"
+        shutil.copytree(FIXTURES, root)
+        coref = root / "coref.txt"
+        text = coref.read_text(encoding="utf-8")
+        assert text.startswith("§1(d)(iv) clusters=[Tax:[0], Taxinc:[1]]")
+        coref.write_text(text.replace("Taxinc:[1]]", "Taxinc:[1], A:[]]", 1), encoding="utf-8")
+        assert main(["validate", "--manifest", str(root / "manifest.txt")]) == 1
+        assert f"{coref}:1: §1(d)(iv): empty cluster" in capsys.readouterr().err.splitlines()
 
     def test_eval_commands_enforce_validation(self, tmp_path, capsys):
         root = tmp_path / "corpus"
@@ -77,6 +89,15 @@ class TestEvalCommands:
             "--floor", "unified=0.99",
         ]) == 1
         assert "floor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("floor", ["foo", "x=abc", "=0.5", "x="])
+    def test_malformed_floor_is_usage_error(self, floor, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval-inst", "--manifest", MANIFEST, "--floor", floor])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument --floor: expected NAME=VALUE with a numeric VALUE, got {floor!r}" in err
 
     def test_unknown_baseline_is_runtime_error(self, capsys):
         assert main(["eval-coref", "--manifest", MANIFEST, "--baseline", "wat"]) == 2

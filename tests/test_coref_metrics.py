@@ -1,37 +1,22 @@
 import random
-from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from statreason.coref_metrics import blanc, ceaf_e, ceaf_m, muc, COREF_METRICS
 
 from generators import random_partition
-
-
-def brute_force_ceaf(gold, pred, similarity):
-    """Best one-to-one cluster alignment by exhaustive permutation."""
-    gold = [frozenset(c) for c in gold]
-    pred = [frozenset(c) for c in pred]
-    if len(gold) <= len(pred):
-        small, large, flip = gold, pred, False
-    else:
-        small, large, flip = pred, gold, True
-    best = 0.0
-    for perm in permutations(range(len(large)), len(small)):
-        total = sum(
-            similarity(small[i], large[j]) if not flip else similarity(large[j], small[i])
-            for i, j in enumerate(perm)
-        )
-        best = max(best, total)
-    return best
-
-
-def overlap(a, b):
-    return len(a & b)
-
-
-def phi4(a, b):
-    return 2 * len(a & b) / (len(a) + len(b))
+from oracles import (
+    brute_force_ceaf,
+    oracle_ceaf_e,
+    oracle_ceaf_m,
+    overlap,
+    pairwise_blanc,
+    phi4,
+    subset_ceaf,
+    vilain_muc,
+)
 
 
 GOLD = [(0, 3), (1,), (2,), (4,), (5,), (6,), (7,)]  # one two-mention argument
@@ -127,3 +112,70 @@ def test_all_metrics_perfect_on_random_partitions():
         clusters = random_partition(rng, rng.randrange(2, 15), ensure_link=True)
         for name, fn in COREF_METRICS.items():
             assert fn(clusters, clusters).as_tuple() == (1.0, 1.0, 1.0), name
+
+
+def _group(mentions, labels):
+    groups: dict[int, list] = {}
+    for mention, label in zip(mentions, labels):
+        groups.setdefault(label, []).append(mention)
+    return [tuple(c) for c in groups.values()]
+
+
+@st.composite
+def block_universes(draw):
+    """Gold and predicted partitions of a universe made of several blocks
+    (subsections), each partitioned at random on both sides, plus one block
+    whose two sides cross, so some overlap component is 2 x 2, 3 x 2 or 2 x 3."""
+    gold, pred = [], []
+    for b in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 3))
+        mentions = [(f"s{b}", i, i + 1) for i in range(n)]
+        labels = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+        gold += _group(mentions, draw(labels))
+        pred += _group(mentions, draw(labels))
+    n, width = draw(st.integers(4, 6)), draw(st.integers(2, 3))
+    mentions = [("cross", i, i + 1) for i in range(n)]
+    runs, stripes = _group(mentions, [i // width for i in range(n)]), _group(mentions, [i % 2 for i in range(n)])
+    if draw(st.booleans()):
+        runs, stripes = stripes, runs
+    return draw(st.permutations(gold + runs)), draw(st.permutations(pred + stripes))
+
+
+def assert_matches_oracles(gold, pred):
+    for fn, oracle in (
+        (muc, vilain_muc), (ceaf_m, oracle_ceaf_m), (ceaf_e, oracle_ceaf_e), (blanc, pairwise_blanc)
+    ):
+        assert fn(gold, pred).as_tuple() == pytest.approx(oracle(gold, pred), abs=1e-12, rel=0)
+
+
+class TestDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(block_universes())
+    def test_block_universes_match_oracles(self, universe):
+        assert_matches_oracles(*universe)
+
+    @pytest.mark.parametrize(
+        "gold, pred",
+        [
+            ([], []),
+            ([(0,)], [(0,)]),
+            ([(i,) for i in range(6)], [(i,) for i in range(6)]),
+            ([(i,) for i in range(6)], [tuple(range(6))]),
+            ([tuple(range(6))], [tuple(range(6))]),
+            ([tuple(range(6))], [(i,) for i in range(6)]),
+            ([(0, 1), (2, 3)], [(0, 2), (1, 3)]),
+        ],
+        ids=["empty", "single", "singletons", "singletons-vs-one", "one", "one-vs-singletons", "cross"],
+    )
+    def test_edge_cases_match_oracles(self, gold, pred):
+        assert_matches_oracles(gold, pred)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_subset_oracle_matches_permutation_oracle(self, seed):
+        rng = random.Random(seed)
+        n = rng.randrange(1, 8)
+        gold, pred = random_partition(rng, n), random_partition(rng, n)
+        for similarity in (overlap, phi4):
+            assert subset_ceaf(gold, pred, similarity) == pytest.approx(
+                brute_force_ceaf(gold, pred, similarity)
+            )
