@@ -8,6 +8,7 @@ lowercases; the word list is closed on purpose so scores stay reproducible.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -125,15 +126,63 @@ class ConstantBaselineParams:
     majority_string: str
 
 
+def _scale(y: int) -> Fraction:
+    """The tolerance band half-width around a target: 10% of it, at least $5000."""
+    return max(Fraction(abs(y)) / 10, Fraction(5000))
+
+
 def hinge_loss(targets: list[int], constant: int) -> Fraction:
     """Total numerical hinge loss of one constant against integer targets."""
     total = Fraction(0)
     for y in targets:
-        scale = max(Fraction(abs(y)) / 10, Fraction(5000))
-        delta = Fraction(abs(y - constant)) / scale
+        delta = Fraction(abs(y - constant)) / _scale(y)
         if delta > 1:
             total += delta - 1
     return total
+
+
+def hinge_losses(targets: list[int], candidates: list[int]) -> Iterator[Fraction]:
+    """`hinge_loss(targets, c)` for every c of the ascending `candidates`, in
+    one sweep, yielded one at a time so no list of losses is kept.
+
+    Target y with scale s adds y/s - 1 - c/s below y - s, nothing in between
+    and c/s - y/s - 1 above y + s (each piece is 0 at its breakpoint), so the
+    loss is an intercept plus a slope times c that changes only where c
+    passes a breakpoint. Both are kept as exact fractions.
+    """
+    scaled = [(y, _scale(y)) for y in targets]
+    # Start with every target's left piece active; drop it at y - s and
+    # add the right piece at y + s.
+    intercept = sum((y / s - 1 for y, s in scaled), Fraction(0))
+    slope = -sum((1 / s for _, s in scaled), Fraction(0))
+    events = sorted(
+        [(y - s, -(y / s - 1), 1 / s) for y, s in scaled]
+        + [(y + s, -(y / s + 1), 1 / s) for y, s in scaled]
+    )
+    i = 0
+    for c in candidates:
+        while i < len(events) and events[i][0] <= c:
+            intercept += events[i][1]
+            slope += events[i][2]
+            i += 1
+        yield intercept + slope * c
+
+
+def constant_candidates(targets: list[int]) -> list[int]:
+    """Ascending candidate constants: 0; each target and each breakpoint
+    y_i +- s_i, rounded both ways, where not negative; and a coarse grid
+    over [0, 2 max]."""
+    candidates = {0}
+    for y in targets:
+        scale = _scale(y)
+        for point in (Fraction(y), y - scale, y + scale):
+            for rounded in (int(point), int(point) + 1):
+                if rounded >= 0:
+                    candidates.add(rounded)
+    top = 2 * max(targets)
+    step = max(1, top // 200)
+    candidates.update(range(0, top + 1, step))
+    return sorted(candidates)
 
 
 def fit_constant_baseline(train_cases: list[Case]) -> ConstantBaselineParams:
@@ -142,7 +191,7 @@ def fit_constant_baseline(train_cases: list[Case]) -> ConstantBaselineParams:
     The dollar constant minimizes the hinge loss exactly: the objective is
     convex piecewise linear, so the integer minimizer is found among the
     breakpoints y_i +- max(0.1 y_i, 5000) (rounded both ways) plus a coarse
-    grid; ties break toward the smallest constant.
+    grid (`constant_candidates`); ties break toward the smallest constant.
     """
     if not train_cases:
         raise ValueError("empty training set")
@@ -164,17 +213,8 @@ def fit_constant_baseline(train_cases: list[Case]) -> ConstantBaselineParams:
 
     constant = 0
     if dollars:
-        candidates = {0}
-        for y in dollars:
-            scale = max(Fraction(abs(y)) / 10, Fraction(5000))
-            for point in (Fraction(y), y - scale, y + scale):
-                for rounded in (int(point), int(point) + 1):
-                    if rounded >= 0:
-                        candidates.add(rounded)
-        top = 2 * max(dollars)
-        step = max(1, top // 200)
-        candidates.update(range(0, top + 1, step))
-        constant = min(sorted(candidates), key=lambda c: (hinge_loss(dollars, c), c))
+        candidates = constant_candidates(dollars)
+        constant = min(zip(hinge_losses(dollars, candidates), candidates))[1]
     return ConstantBaselineParams(majority_truth, constant, majority_string)
 
 

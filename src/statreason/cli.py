@@ -85,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-structure", action="store_true", help="ignore dependency trees")
     p.add_argument("--with-silver", action="store_true", help="add silver cases to the training fit")
     p.add_argument("--insert-gold", action="store_true", help="ground text with gold values (teacher forcing)")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(handler=cmd_eval_inst)
 
     p = sub.add_parser("import-sara", help="convert a distributed dataset tree to canonical format")
@@ -306,7 +305,7 @@ def cmd_eval_inst(args) -> int:
             train += list(corpus.silver)
         params = baselines.fit_constant_baseline(train)
         resolver = baselines.ConstantResolver(params)
-    results, report = evaluate_run(resolver, corpus, args.split, config, jobs=args.jobs)
+    results, report = evaluate_run(resolver, corpus, args.split, config)
 
     run_line = _run_line(
         corpus,
@@ -318,7 +317,6 @@ def cmd_eval_inst(args) -> int:
         structure=config.use_structure,
         silver=args.with_silver,
         insert_gold=config.insert_gold,
-        jobs=args.jobs,
     )
     dump_lines = [run_line]
     for result in results:

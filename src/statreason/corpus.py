@@ -111,14 +111,6 @@ class Corpus:
             return self.cases
         return tuple(c for c in self.cases if c.split == split)
 
-    def layer_of(self, subsection_id: str) -> ArgumentLayer:
-        layer = self.layers.get(subsection_id)
-        if layer is None:
-            from .model import empty_layer
-
-            return empty_layer(subsection_id)
-        return layer
-
 
 # ---------------------------------------------------------------------------
 # Loaders

@@ -8,16 +8,23 @@ instantiated directly, operator nodes combine their children's results, and
 a subsection above a body absorbs the body's values (mapped back through the
 reference bindings) before being instantiated itself. Every node is resolved
 exactly once; there is no backtracking.
+
+Values are validated where they enter: case inputs when records are parsed,
+and resolver answers in `instantiate_single`. Every map the engine builds
+after that holds only values taken from those, so it is built unchecked
+(`ValueMap._of`) instead of re-validating each value at every node.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from .model import ArgumentLayer, Case, TRUTH_KEY, Value, ValueMap, empty_layer
+from .model import ArgumentLayer, Case, TRUTH_KEY, Value, ValueMap, check_value, layer_of
 from .records import write_value
 from .rules import (
+    DepTree,
     OpNode,
     Program,
     SubsectionNode,
@@ -38,6 +45,11 @@ class EngineConfig:
             raise ValueError("depth_cap must be >= 1")
         if not 0.0 < self.truth_threshold < 1.0:
             raise ValueError("truth_threshold must be in (0, 1)")
+
+    @property
+    def tree_depth_cap(self) -> int:
+        """The depth cap dependency trees are unrolled to."""
+        return self.depth_cap if self.use_structure else 1
 
 
 @dataclass(frozen=True)
@@ -66,24 +78,27 @@ class EngineError(RuntimeError):
     pass
 
 
-def value_surface(value: Value) -> str:
-    """How a value reads when spliced into statute text."""
+def value_surface(value: Value, threshold: float = 0.5) -> str:
+    """How a value reads when spliced into statute text; a truth score reads
+    "true" from `threshold` up."""
     if isinstance(value, str):
         return value
     if isinstance(value, tuple):
-        return ", ".join(value_surface(v) for v in value)
+        return ", ".join(value_surface(v, threshold) for v in value)
     if isinstance(value, float):
-        return "true" if value >= 0.5 else "false"
+        return "true" if value >= threshold else "false"
     return write_value(value)
 
 
-def insert_values(text: str, layer: ArgumentLayer, values: ValueMap) -> str:
+def insert_values(
+    text: str, layer: ArgumentLayer, values: Mapping[str, Value], threshold: float = 0.5
+) -> str:
     """Replace every mention span of every valued argument with the value's
     surface form; unvalued arguments stay verbatim."""
     replacements: list[tuple[int, int, str]] = []
-    for name, cluster in layer.named_clusters():
+    for name, cluster in layer.labelled_clusters:
         if name in values and name != TRUTH_KEY:
-            surface = value_surface(values[name])
+            surface = value_surface(values[name], threshold)
             for i in cluster:
                 span = layer.spans[i]
                 replacements.append((span.start, span.end, surface))
@@ -115,33 +130,39 @@ def instantiate_single(
     for the truth score of the fully grounded text.
 
     Arguments already present in `inputs` are never re-predicted. Returns
-    inputs plus predictions, always including "@truth".
+    inputs plus predictions, always including "@truth". A resolver's answer
+    may be any mapping; each value taken from it is validated here, and an
+    invalid one raises ValueError.
     """
     diagnostics = diagnostics or RunDiagnostics()
+    if not isinstance(inputs, ValueMap):
+        inputs = ValueMap(inputs)
+    threshold = config.truth_threshold
     predictions = dict(inputs)
     grounding = dict(inputs)
 
-    for name, _cluster in layer.named_clusters():
+    for name, _cluster in layer.labelled_clusters:
         if name in predictions or name == TRUTH_KEY:
             continue
-        grounded = insert_values(text, layer, ValueMap(grounding))
+        grounded = insert_values(text, layer, grounding, threshold)
         request = ResolveRequest(
-            layer.subsection_id, grounded, text, layer, ValueMap(predictions), (name,), case
+            layer.subsection_id, grounded, text, layer, ValueMap._of(dict(predictions)), (name,), case
         )
         try:
             answer = resolver.resolve(request)
         except Exception as exc:
             raise EngineError(f"resolver failed on argument {name!r} of {layer.subsection_id}: {exc}") from exc
         if name in answer:
-            predictions[name] = answer[name]
-            grounding[name] = answer[name]
+            value = check_value(answer[name])
+            predictions[name] = value
+            grounding[name] = value
             if config.insert_gold and name in case.expected:
                 grounding[name] = case.expected[name]
         else:
             diagnostics.note(f"{case.id}: no value for {name!r} of {layer.subsection_id}")
 
-    grounded = insert_values(text, layer, ValueMap(grounding))
-    request = ResolveRequest(layer.subsection_id, grounded, text, layer, ValueMap(predictions), (), case)
+    grounded = insert_values(text, layer, grounding, threshold)
+    request = ResolveRequest(layer.subsection_id, grounded, text, layer, ValueMap._of(dict(predictions)), (), case)
     try:
         answer = resolver.resolve(request)
     except Exception as exc:
@@ -150,8 +171,8 @@ def instantiate_single(
     if truth is None:
         diagnostics.note(f"{case.id}: resolver gave no @truth for {layer.subsection_id}; defaulting to 0.0")
         truth = 0.0
-    predictions[TRUTH_KEY] = float(truth)
-    return ValueMap(predictions)
+    predictions[TRUTH_KEY] = check_value(float(truth))
+    return ValueMap._of(predictions)
 
 
 def do_operation(kind: str, children: list[ValueMap]) -> ValueMap:
@@ -166,13 +187,13 @@ def do_operation(kind: str, children: list[ValueMap]) -> ValueMap:
         if len(children) != 1:
             raise EngineError(f"NOT takes exactly 1 child, got {len(children)}")
         child_truth = float(children[0].get(TRUTH_KEY, 0.0))
-        return ValueMap({TRUTH_KEY: 1.0 - child_truth})
+        return ValueMap._of({TRUTH_KEY: 1.0 - child_truth})
     if len(children) < 2:
         raise EngineError(f"{kind} takes at least 2 children, got {len(children)}")
     truths = [float(c.get(TRUTH_KEY, 0.0)) for c in children]
     if kind == "OR":
         winner = max(range(len(children)), key=lambda i: (truths[i], -i))
-        return children[winner].merged({TRUTH_KEY: truths[winner]})
+        return children[winner].merged(ValueMap._of({TRUTH_KEY: truths[winner]}))
     if kind == "AND":
         # Lower-truth children win conflicts, so merge in descending-truth
         # order and let later (lower) children overwrite.
@@ -183,7 +204,7 @@ def do_operation(kind: str, children: list[ValueMap]) -> ValueMap:
                 if name != TRUTH_KEY:
                     merged[name] = value
         merged[TRUTH_KEY] = min(truths)
-        return ValueMap(merged)
+        return ValueMap._of(merged)
     raise EngineError(f"unknown operator {kind!r}")
 
 
@@ -192,7 +213,7 @@ def _translate(result: ValueMap, bindings: tuple[tuple[str, str], ...]) -> Value
     pairs = [(var, result[param]) for param, var in bindings if param in result]
     out = dict(pairs)
     out[TRUTH_KEY] = result.get(TRUTH_KEY, 0.0)
-    return ValueMap(out)
+    return ValueMap._of(out)
 
 
 def instantiate_full(
@@ -203,13 +224,18 @@ def instantiate_full(
     case: Case,
     config: EngineConfig = EngineConfig(),
     diagnostics: RunDiagnostics | None = None,
+    tree: DepTree | None = None,
 ) -> ValueMap:
-    """Instantiate a case's query subsection over its dependency tree."""
+    """Instantiate a case's query subsection over its dependency tree.
+
+    `tree` is the query's unpopulated tree at `config.tree_depth_cap`, for
+    callers that share one across cases; by default it is built here.
+    """
     diagnostics = diagnostics or RunDiagnostics()
     if case.query not in program:
         raise EngineError(f"case {case.id}: query {case.query} has no rule")
-    depth_cap = 1 if not config.use_structure else config.depth_cap
-    tree = build_dependency_tree(program, case.query, depth_cap)
+    if tree is None:
+        tree = build_dependency_tree(program, case.query, config.tree_depth_cap)
     tree = populate_values(tree, case.inputs)
 
     def text_of(sid: str) -> str:
@@ -217,9 +243,6 @@ def instantiate_full(
             return subsections[sid]
         diagnostics.note(f"{case.id}: no text for {sid}; grounding over empty text")
         return ""
-
-    def layer_of(sid: str) -> ArgumentLayer:
-        return layers.get(sid) or empty_layer(sid)
 
     def resolve(node) -> ValueMap:
         if isinstance(node, OpNode):
@@ -230,7 +253,7 @@ def instantiate_full(
             absorbed = resolve(node.child).without(TRUTH_KEY)
             known = known.merged(absorbed)
         result = instantiate_single(
-            resolver, layer_of(node.id), known, text_of(node.id), case, config, diagnostics
+            resolver, layer_of(layers, node.id), known, text_of(node.id), case, config, diagnostics
         )
         if node.depth == 1:
             return result
@@ -255,39 +278,27 @@ def run_cases(
     corpus,
     split: str = "test",
     config: EngineConfig = EngineConfig(),
-    jobs: int = 1,
 ) -> tuple[list[CaseResult], RunDiagnostics]:
-    """Instantiate every case of a split; per-case errors are recorded and the
-    run continues. Results keep corpus order regardless of `jobs`."""
+    """Instantiate every case of a split in corpus order; per-case errors are
+    recorded and the run continues. Each query's tree is built once and
+    shared by its cases, which only populate it with their own inputs."""
+    program = corpus.program
     texts = {s.id: s.text for s in corpus.subsections.values()}
-    cases = corpus.cases_of(split)
-
-    def one(case: Case) -> tuple[CaseResult, RunDiagnostics]:
-        local = RunDiagnostics()
-        try:
-            predicted = instantiate_full(
-                resolver, corpus.program, corpus.layers, texts, case, config, local
-            )
-            return CaseResult(case, predicted), local
-        except EngineError as exc:
-            return CaseResult(case, ValueMap(), error=str(exc)), local
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(one, cases))
-    else:
-        outcomes = [one(case) for case in cases]
-
-    # Merge per-case diagnostics in corpus order so reports stay stable.
+    trees: dict[str, DepTree] = {}
     diagnostics = RunDiagnostics()
     results = []
-    for result, local in outcomes:
-        results.append(result)
-        diagnostics.notes.extend(local.notes)
-        if result.error:
-            diagnostics.note(f"{result.case.id}: {result.error}")
+    for case in corpus.cases_of(split):
+        tree = trees.get(case.query)
+        if tree is None and case.query in program:
+            tree = trees[case.query] = build_dependency_tree(program, case.query, config.tree_depth_cap)
+        try:
+            predicted = instantiate_full(
+                resolver, program, corpus.layers, texts, case, config, diagnostics, tree
+            )
+            results.append(CaseResult(case, predicted))
+        except EngineError as exc:
+            results.append(CaseResult(case, ValueMap(), error=str(exc)))
+            diagnostics.note(f"{case.id}: {exc}")
     return results, diagnostics
 
 
@@ -296,10 +307,9 @@ def evaluate_run(
     corpus,
     split: str = "test",
     config: EngineConfig = EngineConfig(),
-    jobs: int = 1,
 ):
     """Run a resolver over a split and score it: (results, report)."""
     from .reports import instantiation_report
 
-    results, diagnostics = run_cases(resolver, corpus, split, config, jobs)
+    results, diagnostics = run_cases(resolver, corpus, split, config)
     return results, instantiation_report(results, config, diagnostics)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import datetime
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 TRUTH_KEY = "@truth"
 
@@ -39,6 +39,9 @@ _KIND_NAMES = {str: "text", int: "number", float: "truth", datetime.date: "date"
 
 def value_kind(value: Value) -> str:
     """Classify a value: text, number, truth, date, money or list."""
+    kind = _KIND_NAMES.get(type(value))  # exact types; bool is not a key
+    if kind is not None:
+        return kind
     if isinstance(value, bool):
         raise ValueError("booleans are not values; encode truth as a score in [0, 1]")
     if isinstance(value, tuple):
@@ -83,8 +86,24 @@ class ValueMap(Mapping):
             items[name] = value
         object.__setattr__(self, "_items", items)
 
+    @classmethod
+    def _of(cls, items: dict[str, Value]) -> "ValueMap":
+        """A map over `items`, taken as is and unchecked. Only for dicts whose
+        values all come from maps that were already validated."""
+        vm = object.__new__(cls)
+        object.__setattr__(vm, "_items", items)
+        return vm
+
     def __getitem__(self, key: str) -> Value:
         return self._items[key]
+
+    # The Mapping defaults go through __getitem__ and KeyError; these are
+    # the same lookups straight on the dict, for the engine's hot path.
+    def __contains__(self, key: object) -> bool:
+        return key in self._items
+
+    def get(self, key: str, default=None):
+        return self._items.get(key, default)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._items)
@@ -109,10 +128,10 @@ class ValueMap(Mapping):
         items = dict(self._items)
         for name, value in other.items():
             items.setdefault(name, value)
-        return ValueMap(items.items())
+        return ValueMap._of(items) if isinstance(other, ValueMap) else ValueMap(items)
 
     def without(self, *names: str) -> "ValueMap":
-        return ValueMap((k, v) for k, v in self._items.items() if k not in names)
+        return ValueMap._of({k: v for k, v in self._items.items() if k not in names})
 
 
 def truth_of(values: Mapping[str, Value]) -> float | None:
@@ -156,12 +175,17 @@ class ArgumentLayer:
     `clusters` is an exact partition of span indices; `cluster_names`
     optionally labels each cluster with the argument name used by the
     subsection's rule, which is what lets value maps reach mention spans.
+    `labelled_clusters` is derived: the labelled (name, cluster) pairs in
+    order of first mention.
     """
 
     subsection_id: str
     spans: tuple[Span, ...]
     clusters: tuple[tuple[int, ...], ...]
     cluster_names: tuple[str | None, ...] = ()
+    labelled_clusters: tuple[tuple[str, tuple[int, ...]], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         spans = tuple(self.spans)
@@ -190,13 +214,13 @@ class ArgumentLayer:
         labelled = [n for n in names if n is not None]
         if len(labelled) != len(set(labelled)):
             raise ValueError(f"{self.subsection_id}: duplicate cluster names")
+        # Clusters are already sorted by first member, so this is mention order.
+        pairs = tuple((n, c) for n, c in zip(names, clusters) if n is not None)
+        object.__setattr__(self, "labelled_clusters", pairs)
 
     def named_clusters(self) -> list[tuple[str, tuple[int, ...]]]:
         """(name, cluster) pairs in order of first mention, labelled ones only."""
-        names = self.cluster_names or (None,) * len(self.clusters)
-        pairs = [(n, c) for n, c in zip(names, self.clusters) if n is not None]
-        pairs.sort(key=lambda nc: nc[1][0])
-        return pairs
+        return list(self.labelled_clusters)
 
     def spans_of(self, name: str) -> tuple[Span, ...]:
         for cname, cluster in zip(self.cluster_names, self.clusters):
@@ -207,6 +231,12 @@ class ArgumentLayer:
 
 def empty_layer(subsection_id: str) -> ArgumentLayer:
     return ArgumentLayer(subsection_id, (), (), ())
+
+
+def layer_of(layers: Mapping[str, ArgumentLayer], subsection_id: str) -> ArgumentLayer:
+    """A subsection's layer, or an empty one when it has no annotation."""
+    layer = layers.get(subsection_id)
+    return layer if layer is not None else empty_layer(subsection_id)
 
 
 def canonical_partition(clusters: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .model import ValueMap
+from .model import TRUTH_KEY, ValueMap
 
 
 class RuleSyntaxError(ValueError):
@@ -44,6 +44,15 @@ class Ref:
 
     callee_id: str
     bindings: tuple[tuple[str, str], ...]
+
+    def __post_init__(self) -> None:
+        # Checked here so that value propagation never builds a map with a
+        # parameter bound twice or a non-truth value under "@truth".
+        params = [param for param, _ in self.bindings]
+        if len(params) != len(set(params)):
+            raise ValueError(f"{self.callee_id}: parameter bound twice")
+        if TRUTH_KEY in params:
+            raise ValueError(f"{self.callee_id}: {TRUTH_KEY} cannot be bound")
 
 
 @dataclass(frozen=True)
@@ -240,10 +249,11 @@ class _Parser:
             self.expect("]")
             return body
         ident, items, pos = self.parse_term()
-        bindings = []
-        for name, bound in items:
-            bindings.append((name, bound if bound is not None else name))
-        return Ref(ident, tuple(bindings))
+        bindings = tuple((name, bound if bound is not None else name) for name, bound in items)
+        try:
+            return Ref(ident, bindings)
+        except ValueError as exc:
+            raise RuleSyntaxError(str(exc), pos) from exc
 
     # -- clauses --------------------------------------------------------------
 
@@ -463,7 +473,8 @@ def populate_values(tree: DepTree, inputs: ValueMap) -> DepTree:
         if node.depth == 1:
             own = incoming
         else:
-            own = ValueMap((param, incoming[var]) for param, var in node.bindings if var in incoming)
+            # Values come from a validated map; Ref guarantees the keys.
+            own = ValueMap._of({param: incoming[var] for param, var in node.bindings if var in incoming})
         child = fill(node.child, own) if node.child is not None else None
         return SubsectionNode(node.id, node.depth, node.bindings, child, own)
 

@@ -1,11 +1,15 @@
-"""Slow, obviously correct coreference metrics that the fast ones are checked
-against: MUC cluster by cluster, exhaustive CEAF alignments and BLANC over
-explicit mention pairs."""
+"""Slow, obviously correct versions that the fast code is checked against:
+coreference metrics (MUC cluster by cluster, exhaustive CEAF alignments and
+BLANC over explicit mention pairs) and the constant baseline's dollar fit
+(the hinge loss evaluated at every candidate)."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+
+from statreason.baselines import hinge_loss
 
 
 def vilain_muc(gold, pred) -> tuple[float, float, float]:
@@ -117,3 +121,20 @@ def pairwise_blanc(gold, pred) -> tuple[float, float, float]:
     if not gold_non and not pred_non:
         return coref
     return tuple((c + n) / 2 for c, n in zip(coref, non))
+
+
+def brute_force_constant(targets: list[int]) -> int:
+    """The dollar constant as first fitted: build the candidate set, then
+    take the smallest candidate of least exact hinge loss, evaluating the
+    loss afresh at each one."""
+    candidates = {0}
+    for y in targets:
+        scale = max(Fraction(abs(y)) / 10, Fraction(5000))
+        for point in (Fraction(y), y - scale, y + scale):
+            for rounded in (int(point), int(point) + 1):
+                if rounded >= 0:
+                    candidates.add(rounded)
+    top = 2 * max(targets)
+    step = max(1, top // 200)
+    candidates.update(range(0, top + 1, step))
+    return min(sorted(candidates), key=lambda c: (hinge_loss(targets, c), c))

@@ -1,5 +1,7 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from statreason.baselines import (
@@ -7,9 +9,11 @@ from statreason.baselines import (
     ConstantResolver,
     HeuristicResolver,
     OracleResolver,
+    constant_candidates,
     fit_constant_baseline,
     heuristic_argument_id,
     hinge_loss,
+    hinge_losses,
     normalize_placeholder,
     overlap_score,
     single_mention_coref,
@@ -25,6 +29,8 @@ from statreason.model import (
     ValueMap,
     empty_layer,
 )
+
+from oracles import brute_force_constant
 
 
 class TestSingleMention:
@@ -188,6 +194,70 @@ class TestHingeLossFit:
         ]
         fitted = fit_constant_baseline(cases).constant_dollars
         assert fitted == self.brute_force_minimizer(targets)
+
+
+def fit_dollars(targets):
+    cases = [
+        Case(f"c{i}", "d", "Tax", ValueMap(), ValueMap({"Tax": Money(y), "@truth": 1.0}))
+        for i, y in enumerate(targets)
+    ]
+    return fit_constant_baseline(cases).constant_dollars
+
+
+# Above $50,000 a target's band half-width is 10% of it instead of $5,000.
+_SWITCH = 50_000
+
+
+@st.composite
+def dollar_lists(draw):
+    """Targets with zeros, negatives, duplicates, amounts on both sides of
+    the scale switch, and amounts exactly at another target's breakpoints."""
+    amount = st.one_of(
+        st.integers(-200_000, 200_000),
+        st.integers(_SWITCH - 20, _SWITCH + 20),
+        st.integers(-_SWITCH - 20, -_SWITCH + 20),
+        st.sampled_from([0, 1, -1]),
+    )
+    base = draw(st.lists(amount, min_size=1, max_size=12))
+    at_breakpoints = []
+    for y in draw(st.lists(st.sampled_from(base), max_size=4)):
+        scale = max(Fraction(abs(y)) / 10, Fraction(5000))
+        at_breakpoints += [int(edge) for edge in (y - scale, y + scale) if edge.denominator == 1]
+    duplicates = draw(st.lists(st.sampled_from(base), max_size=3))
+    return draw(st.permutations(base + at_breakpoints + duplicates))
+
+
+class TestDollarSweep:
+    """The one-pass sweep against the loss evaluated at every candidate."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(dollar_lists())
+    @example([0])
+    @example([-7000])
+    @example([120_000])
+    @example([100, 5100, 5100])  # a target on another's upper breakpoint
+    @example([60_000, 54_000, 66_000])  # both breakpoints of a scaled target
+    @example([50_000, 50_001, -50_000, -50_001])
+    def test_same_constant_as_brute_force(self, targets):
+        assert fit_dollars(targets) == brute_force_constant(targets)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dollar_lists())
+    @example([0])
+    @example([100, 5100, 5100])
+    def test_losses_equal_hinge_loss_at_every_candidate(self, targets):
+        candidates = constant_candidates(targets)
+        assert list(hinge_losses(targets, candidates)) == [hinge_loss(targets, c) for c in candidates]
+
+    def test_ties_go_to_the_smallest_candidate(self):
+        # Loss is 0 on the whole band [0, 5100]; 0 is the smallest candidate.
+        assert fit_dollars([100]) == 0
+        # Two far-apart targets: the loss is flat between their bands.
+        targets = [0, 40_000]
+        fitted = fit_dollars(targets)
+        assert fitted == brute_force_constant(targets)
+        assert all(hinge_loss(targets, c) > hinge_loss(targets, fitted)
+                   for c in constant_candidates(targets) if c < fitted)
 
 
 def request(layer, text, case, required, known=ValueMap()):

@@ -122,21 +122,6 @@ class TestDeterminism:
         for name in ("eval-inst.report.txt", "eval-inst.records.txt", "eval-inst.predictions.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_jobs_flag_keeps_report_stable(self, tmp_path, capsys):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["eval-inst", "--manifest", MANIFEST, "--resolver", "heuristic", "--out", str(out1)])
-        main(["eval-inst", "--manifest", MANIFEST, "--resolver", "heuristic",
-              "--jobs", "4", "--out", str(out2)])
-        capsys.readouterr()
-
-        def body(path):
-            # The run-manifest line echoes the jobs flag; predictions must not.
-            lines = path.read_text(encoding="utf-8").splitlines()
-            return [l for l in lines if not l.startswith("@run")]
-
-        assert body(out1 / "eval-inst.predictions.txt") == body(out2 / "eval-inst.predictions.txt")
-        assert body(out1 / "eval-inst.records.txt") == body(out2 / "eval-inst.records.txt")
-
     def test_cascade_with_gold_spans_matches_string_coref(self, tmp_path, capsys):
         main(["cascade", "--manifest", MANIFEST,
               "--source", f"import:{FIXTURES / 'spans.txt'}", "--out", str(tmp_path)])

@@ -1,7 +1,10 @@
+import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
+from statreason import engine
 from statreason.baselines import ConstantResolver, ConstantBaselineParams, OracleResolver
 from statreason.engine import (
     EngineConfig,
@@ -86,6 +89,12 @@ class TestInsertValues:
                                         ((0,), (1,)), ("A", "B"))
             assert insert_values(once, again_layer, values) == once
 
+    def test_truth_valued_argument_reads_by_threshold(self):
+        layer = ArgumentLayer("§x", (Span(0, 9),), ((0,),), ("Claim",))
+        values = ValueMap({"Claim": 0.6})
+        assert insert_values("the claim holds", layer, values) == "true holds"
+        assert insert_values("the claim holds", layer, values, threshold=0.7) == "false holds"
+
 
 def oracle_case(cid, query, inputs, expected):
     return Case(cid, "description", query, ValueMap(inputs), ValueMap(expected), "test")
@@ -168,6 +177,75 @@ class TestInstantiateSingle:
         assert result["Employee"] == "WRONG"
         assert "has employed" in grounded_seen["S16"]  # gold Employment, not WRONG
         assert "WRONG" not in grounded_seen["S16"].split("Preccaly")[0][:40]
+
+
+class PlainDict:
+    """Answers with plain dicts: `value` for every argument, `truth` for the
+    truth request."""
+
+    def __init__(self, value="Bob", truth=1.0):
+        self.value, self.truth = value, truth
+
+    def resolve(self, request):
+        if request.required:
+            return {request.required[0]: self.value}
+        return {TRUTH_KEY: self.truth}
+
+
+class TestResolverBoundary:
+    """Resolver answers are validated where they enter the engine."""
+
+    @pytest.fixture
+    def setting(self, corpus):
+        case = next(c for c in corpus.cases if c.id == "3306(a)(1)(B)-positive")
+        return corpus.layers[case.query], corpus.subsections[case.query].text, case
+
+    @pytest.mark.parametrize(
+        "resolver, message",
+        [
+            (PlainDict(truth=1.5), "truth score out of [0, 1]: 1.5"),
+            (PlainDict(truth=-0.25), "truth score out of [0, 1]: -0.25"),
+            (PlainDict(value=True), "booleans are not values; encode truth as a score in [0, 1]"),
+            (PlainDict(value=("a", 1)), "heterogeneous list value: kinds ['number', 'text']"),
+            (PlainDict(value=None), "unsupported value type: NoneType"),
+        ],
+    )
+    def test_invalid_plain_answer_raises_value_error(self, setting, resolver, message):
+        layer, text, case = setting
+        with pytest.raises(ValueError) as exc:
+            instantiate_single(resolver, layer, case.inputs, text, case)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == message
+
+    def test_invalid_value_map_answer_is_a_resolver_failure(self, setting):
+        layer, text, case = setting
+
+        class Building:
+            def resolve(self, request):
+                return ValueMap({TRUTH_KEY: 1.5})
+
+        with pytest.raises(EngineError) as exc:
+            instantiate_single(Building(), layer, case.inputs, text, case)
+        assert str(exc.value) == (
+            "resolver failed on argument 'Workday' of §3306(a)(1)(B): truth score out of [0, 1]: 1.5"
+        )
+
+    def test_invalid_answer_is_not_a_case_error(self, corpus):
+        # As with any ValueError, the run stops instead of recording the case.
+        with pytest.raises(ValueError, match=r"truth score out of \[0, 1\]: 1.5"):
+            run_cases(PlainDict(truth=1.5), corpus, "all")
+
+    def test_plain_dict_inputs_are_validated(self, setting):
+        layer, text, case = setting
+        with pytest.raises(ValueError, match="booleans are not values"):
+            instantiate_single(PlainDict(), layer, {"Employee": True}, text, case)
+
+    def test_plain_dict_answer_accepted(self, setting):
+        layer, text, case = setting
+        result = instantiate_single(PlainDict("Carol", 0.75), layer, case.inputs, text, case)
+        assert isinstance(result, ValueMap)
+        assert result[TRUTH_KEY] == 0.75
+        assert {result[name] for name, _ in layer.named_clusters() if name not in case.inputs} == {"Carol"}
 
 
 class TestDoOperation:
@@ -278,19 +356,47 @@ class TestInstantiateFull:
         result = instantiate_full(Scripted(), corpus.program, corpus.layers, texts, case)
         assert result["Grossinc"] == Money(3200)
 
+    def test_shared_tree_keeps_cases_apart(self, corpus):
+        # An echoing resolver makes every prediction depend on what the node
+        # was told, so a value left over from another case would show.
+        class Echo:
+            def resolve(self, request):
+                known = sorted(f"{k}={v}" for k, v in request.known.items())
+                if request.required:
+                    return ValueMap({request.required[0]: ";".join(known) or "none"})
+                return ValueMap({TRUTH_KEY: len(known) / (len(known) + 1)})
+
+        base = [c for c in corpus.cases if c.query == "§63(c)(5)"]
+        cases = base + [
+            dataclasses.replace(base[0], id="63(c)(5)-other", inputs=ValueMap({"Taxp": "Dana"})),
+            dataclasses.replace(base[1], id="63(c)(5)-empty", inputs=ValueMap()),
+        ]
+        assert len({c.inputs for c in cases}) == len(cases) == 4
+        shared, _ = run_cases(Echo(), dataclasses.replace(corpus, cases=tuple(cases)), "all")
+        texts = {s.id: s.text for s in corpus.subsections.values()}
+        alone = [instantiate_full(Echo(), corpus.program, corpus.layers, texts, c) for c in cases]
+        assert [r.predicted for r in shared] == alone
+        assert len(set(alone)) == len(cases)
+
+    def test_tree_built_once_per_query(self, corpus, monkeypatch):
+        built = Counter()
+        real = engine.build_dependency_tree
+
+        def counting(program, root_id, depth_cap):
+            built[root_id] += 1
+            return real(program, root_id, depth_cap)
+
+        monkeypatch.setattr(engine, "build_dependency_tree", counting)
+        results, _ = run_cases(OracleResolver(), corpus, "all")
+        assert built == Counter({q: 1 for q in {c.query for c in corpus.cases}})
+        assert len(results) > len(built)
+
     def test_determinism(self, corpus):
         config = EngineConfig()
         first, _ = run_cases(OracleResolver(), corpus, "all", config)
         second, _ = run_cases(OracleResolver(), corpus, "all", config)
         assert [(r.case.id, dict(r.predicted)) for r in first] == [
             (r.case.id, dict(r.predicted)) for r in second
-        ]
-
-    def test_parallel_jobs_match_serial(self, corpus):
-        serial, _ = run_cases(OracleResolver(), corpus, "all", EngineConfig(), jobs=1)
-        parallel, _ = run_cases(OracleResolver(), corpus, "all", EngineConfig(), jobs=4)
-        assert [(r.case.id, dict(r.predicted)) for r in serial] == [
-            (r.case.id, dict(r.predicted)) for r in parallel
         ]
 
 

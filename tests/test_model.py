@@ -12,6 +12,8 @@ from statreason.model import (
     ValueMap,
     canonical_partition,
     clusters_to_matrix,
+    empty_layer,
+    layer_of,
     matrix_to_clusters,
     truth_of,
     value_kind,
@@ -50,6 +52,24 @@ class TestValues:
     def test_merged_keeps_existing(self):
         base = ValueMap({"a": 1})
         assert dict(base.merged({"a": 2, "b": 3})) == {"a": 1, "b": 3}
+
+    @pytest.mark.parametrize("bad", [{"b": True}, {"@truth": 1.5}, {"@truth": "yes"}, {"b": ("a", 1)}])
+    def test_merged_validates_a_plain_mapping(self, bad):
+        with pytest.raises(ValueError):
+            ValueMap({"a": 1}).merged(bad)
+
+    def test_merged_and_without_agree_with_the_checked_constructor(self):
+        base = ValueMap({"a": 1, "@truth": 0.5})
+        merged = base.merged(ValueMap({"a": 2, "b": Money(3)}))
+        assert merged == ValueMap({"a": 1, "@truth": 0.5, "b": Money(3)})
+        assert list(merged) == ["a", "@truth", "b"]
+        assert merged.without("@truth", "a") == ValueMap({"b": Money(3)})
+        assert hash(merged) == hash(ValueMap({"a": 1, "@truth": 0.5, "b": Money(3)}))
+
+    def test_lookups(self):
+        values = ValueMap({"a": 1})
+        assert "a" in values and "b" not in values
+        assert values.get("a") == 1 and values.get("b") is None and values.get("b", 2) == 2
 
 
 class TestTruthOf:
@@ -93,6 +113,17 @@ class TestArgumentLayer:
     def test_named_clusters_first_mention_order(self):
         l = layer([(0, 1), (2, 3), (4, 5)], [(1,), (0, 2)], ["B", "A"])
         assert l.named_clusters() == [("A", (0, 2)), ("B", (1,))]
+
+    def test_labelled_clusters_skip_unnamed_and_leave_equality_alone(self):
+        l = layer([(0, 1), (2, 3), (4, 5)], [(2,), (0,), (1,)], ["C", None, "B"])
+        assert l.labelled_clusters == (("B", (1,)), ("C", (2,)))
+        assert l == layer([(0, 1), (2, 3), (4, 5)], [(0,), (1,), (2,)], [None, "B", "C"])
+        assert layer([(0, 1)], [(0,)]).labelled_clusters == ()
+
+    def test_layer_of_falls_back_to_an_empty_layer(self):
+        known = layer([(0, 1)], [(0,)], ["A"])
+        assert layer_of({"§x": known}, "§x") is known
+        assert layer_of({"§x": known}, "§y") == empty_layer("§y")
 
 
 class TestMatrices:

@@ -85,6 +85,13 @@ class TestParseRule:
         with pytest.raises(RuleSyntaxError):
             parse_rule("§1(a)(X)")
 
+    @pytest.mark.parametrize(
+        "clause", ["§1(a)(X) :- §2(Y=X, Y=X).", "§1(a)(X) :- §2(Y, Y=X).", "§1(a)(X) :- §2(@truth=X)."]
+    )
+    def test_reference_binding_a_parameter_twice_or_truth_rejected(self, clause):
+        with pytest.raises(RuleSyntaxError):
+            parse_rule(clause)
+
     def test_binding_in_head_rejected(self):
         with pytest.raises(RuleSyntaxError):
             parse_rule("§1(a)(X=Y).")
