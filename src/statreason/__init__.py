@@ -32,6 +32,7 @@ from .engine import (
     EngineConfig,
     Resolver,
     ResolveRequest,
+    SubsectionPlan,
     do_operation,
     evaluate_run,
     insert_values,

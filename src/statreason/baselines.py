@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import ResolveRequest
@@ -21,7 +21,6 @@ from .model import (
     Span,
     TRUTH_KEY,
     Value,
-    ValueMap,
     canonical_partition,
 )
 
@@ -235,18 +234,23 @@ _MONEY_WORDS = frozenset(
     {"income", "tax", "deduction", "amount", "exemption", "$", "dollar", "remuneration",
      "wages", "salary", "cost", "expense", "sum"}
 )
+_WORD_RE = re.compile(r"[a-z]+")
+
+
+def _surface(argument: str, placeholder: str | None) -> str:
+    """What an argument is judged on: its lowered placeholder text, or its
+    lowered name when it has no mention."""
+    return (argument if placeholder is None else placeholder).lower()
+
+
+def _calls_for_dollars(surface: str) -> bool:
+    return "$" in surface or not _MONEY_WORDS.isdisjoint(_WORD_RE.findall(surface))
 
 
 def wants_dollars(argument: str, layer: ArgumentLayer, source_text: str) -> bool:
     spans = layer.spans_of(argument)
-    if spans and source_text:
-        surface = " ".join(span.slice(source_text).lower() for span in spans)
-    else:
-        surface = argument.lower()
-    if "$" in surface:
-        return True
-    tokens = set(re.findall(r"[a-z]+", surface))
-    return bool(tokens & _MONEY_WORDS)
+    placeholder = " ".join(span.slice(source_text) for span in spans) if spans and source_text else None
+    return _calls_for_dollars(_surface(argument, placeholder))
 
 
 @dataclass(frozen=True)
@@ -255,18 +259,18 @@ class ConstantResolver:
 
     params: ConstantBaselineParams
 
-    def resolve(self, request: ResolveRequest) -> ValueMap:
+    def resolve(self, request: ResolveRequest) -> dict[str, Value]:
         if not request.required:
-            return ValueMap({TRUTH_KEY: self.params.majority_truth})
+            return {TRUTH_KEY: self.params.majority_truth}
         out: dict[str, Value] = {}
         for name in request.required:
             if name == TRUTH_KEY:
                 out[name] = self.params.majority_truth
-            elif wants_dollars(name, request.layer, request.source_text):
+            elif _calls_for_dollars(_surface(name, request.subsection.placeholder(name))):
                 out[name] = Money(self.params.constant_dollars)
             else:
                 out[name] = self.params.majority_string
-        return ValueMap(out)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +282,13 @@ class OracleResolver:
     """Returns gold values for the case's query subsection; knows nothing
     about any other subsection."""
 
-    def resolve(self, request: ResolveRequest) -> ValueMap:
+    def resolve(self, request: ResolveRequest) -> dict[str, Value]:
         if request.subsection_id != request.case.query:
-            return ValueMap() if request.required else ValueMap({TRUTH_KEY: 0.0})
+            return {} if request.required else {TRUTH_KEY: 0.0}
         gold = request.case.expected
         if not request.required:
-            return ValueMap({TRUTH_KEY: float(gold.get(TRUTH_KEY, 0.0))})
-        return ValueMap((n, gold[n]) for n in request.required if n in gold)
+            return {TRUTH_KEY: float(gold.get(TRUTH_KEY, 0.0))}
+        return {n: gold[n] for n in request.required if n in gold}
 
 
 _CASE_DATE_RE = re.compile(r"\b([A-Z][a-z]{2,8})\.?\s+(\d{1,2})(?:st|nd|rd|th)?(?:,\s*\d{4})?")
@@ -296,6 +300,43 @@ _CAPITALIZED_STOP = frozenset(
     """in the on a an at for during since from and of to under over section his her
     they it no if""".split()
 )
+_DATE_WORDS = ("year", "day", "date", "week", "month", "caly")
+_OVERLAP_TOKEN_RE = re.compile(r"[a-z0-9$]+")
+
+
+@dataclass(frozen=True)
+class _CaseFeatures:
+    """What the heuristic reads from one case description: the lowered text,
+    the (position, value) candidates of each category, and the token set
+    that truth scores are measured against."""
+
+    lowered: str
+    dates: list[tuple[int, Value]]
+    money: list[tuple[int, Value]]
+    names: list[tuple[int, Value]]
+    tokens: frozenset[str]
+
+    @classmethod
+    def of(cls, description: str) -> "_CaseFeatures":
+        lowered = description.lower()
+        dates = [
+            (m.start(), m.group())
+            for m in _CASE_DATE_RE.finditer(description)
+            if m.group(1).lower()[:3] in _MONTH_PREFIXES
+        ]
+        dates += [(m.start(), m.group()) for m in _CASE_YEAR_RE.finditer(description)]
+        money = [
+            (m.start(), Money(int(m.group(1).replace(",", ""))))
+            for m in _CASE_MONEY_RE.finditer(description)
+        ]
+        names = [
+            (m.start(), m.group())
+            for m in _CASE_NAME_RE.finditer(description)
+            if m.group().lower() not in _CAPITALIZED_STOP
+            and m.group().lower()[:3] not in _MONTH_PREFIXES
+        ]
+        tokens = frozenset(_OVERLAP_TOKEN_RE.findall(lowered))
+        return cls(lowered, dates, money, names, tokens)
 
 
 @dataclass(frozen=True)
@@ -306,56 +347,43 @@ class HeuristicResolver:
     text (date, dollar amount, or person name by capitalization) and picks
     the candidate nearest to where the case description overlaps the
     placeholder wording; the truth score is the lexical overlap between the
-    grounded subsection and the description.
+    grounded subsection and the description. What it reads from a
+    description is worked out once and kept while requests keep coming for
+    it; the engine asks about one case at a time, so that is once per case
+    and only one description's features are held.
     """
 
-    def resolve(self, request: ResolveRequest) -> ValueMap:
+    _cases: dict[str, _CaseFeatures] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def resolve(self, request: ResolveRequest) -> dict[str, Value]:
+        description = request.case.description
+        features = self._cases.get(description)
+        if features is None:
+            self._cases.clear()
+            features = self._cases[description] = _CaseFeatures.of(description)
         if not request.required:
-            return ValueMap({TRUTH_KEY: overlap_score(request.text, request.case.description)})
+            return {TRUTH_KEY: _overlap(request.text, features.tokens)}
         out: dict[str, Value] = {}
         for name in request.required:
-            value = self._value_for(name, request)
+            value = self._value_for(name, request, features)
             if value is not None:
                 out[name] = value
-        return ValueMap(out)
+        return out
 
-    def _value_for(self, name: str, request: ResolveRequest) -> Value | None:
-        description = request.case.description
-        spans = request.layer.spans_of(name)
-        if spans and request.source_text:
-            surface = " ".join(s.slice(request.source_text) for s in spans).lower()
-        else:
-            surface = name.lower()
-        anchor = _anchor_position(surface, description)
-
-        if any(w in surface for w in ("year", "day", "date", "week", "month", "caly")):
-            candidates = [
-                (m.start(), m.group())
-                for m in _CASE_DATE_RE.finditer(description)
-                if m.group(1).lower()[:3] in _MONTH_PREFIXES
-            ]
-            candidates += [(m.start(), m.group()) for m in _CASE_YEAR_RE.finditer(description)]
-            return _nearest(candidates, anchor)
-        if wants_dollars(name, request.layer, request.source_text):
-            candidates = [
-                (m.start(), Money(int(m.group(1).replace(",", ""))))
-                for m in _CASE_MONEY_RE.finditer(description)
-            ]
-            return _nearest(candidates, anchor)
+    @staticmethod
+    def _value_for(name: str, request: ResolveRequest, features: _CaseFeatures) -> Value | None:
+        surface = _surface(name, request.subsection.placeholder(name))
+        anchor = _anchor_position(surface, features.lowered)
+        if any(w in surface for w in _DATE_WORDS):
+            return _nearest(features.dates, anchor)
+        if _calls_for_dollars(surface):
+            return _nearest(features.money, anchor)
         used = {v for v in request.case.inputs.values() if isinstance(v, str)}
-        used |= {v for v in request.known.values() if isinstance(v, str)}
-        candidates = [
-            (m.start(), m.group())
-            for m in _CASE_NAME_RE.finditer(description)
-            if m.group() not in used
-            and m.group().lower() not in _CAPITALIZED_STOP
-            and m.group().lower()[:3] not in _MONTH_PREFIXES
-        ]
-        return _nearest(candidates, anchor)
+        used.update(v for v in request.known.values() if isinstance(v, str))
+        return _nearest([c for c in features.names if c[1] not in used], anchor)
 
 
-def _anchor_position(surface: str, description: str) -> int:
-    lowered = description.lower()
+def _anchor_position(surface: str, lowered: str) -> int:
     positions = [lowered.find(tok) for tok in surface.split() if tok in lowered]
     return min(positions) if positions else 0
 
@@ -366,14 +394,14 @@ def _nearest(candidates: list[tuple[int, Value]], anchor: int) -> Value | None:
     return min(candidates, key=lambda c: (abs(c[0] - anchor), c[0]))[1]
 
 
-_OVERLAP_TOKEN_RE = re.compile(r"[a-z0-9$]+")
+def _overlap(grounded: str, case_tokens: frozenset[str]) -> float:
+    sub = set(_OVERLAP_TOKEN_RE.findall(grounded.lower()))
+    if not sub:
+        return 0.0
+    return len(sub & case_tokens) / len(sub)
 
 
 def overlap_score(grounded: str, description: str) -> float:
     """Fraction of the grounded subsection's distinct tokens that also occur
     in the case description; 1.0 for identical texts."""
-    sub = set(_OVERLAP_TOKEN_RE.findall(grounded.lower()))
-    if not sub:
-        return 0.0
-    case_tokens = set(_OVERLAP_TOKEN_RE.findall(description.lower()))
-    return len(sub & case_tokens) / len(sub)
+    return _overlap(grounded, frozenset(_OVERLAP_TOKEN_RE.findall(description.lower())))

@@ -296,15 +296,12 @@ def load_cases(cases_dir: str | Path, split: str | None = None) -> list[Case]:
 
 
 def _iter_file(path: Path):
-    text = path.read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        try:
-            yield lineno, records.parse_record(stripped)
-        except records.RecordError as exc:
-            raise CorpusError([FileError(str(path), lineno, str(exc))]) from exc
+    """`records.iter_records` over a file; a line that does not parse is a
+    CorpusError at path:line."""
+    try:
+        yield from records.iter_records(path.read_text(encoding="utf-8"))
+    except records.RecordError as exc:
+        raise CorpusError([FileError(str(path), exc.line, str(exc))]) from exc
 
 
 def load_corpus(manifest_path: str | Path) -> Corpus:

@@ -13,6 +13,12 @@ Values are validated where they enter: case inputs when records are parsed,
 and resolver answers in `instantiate_single`. Every map the engine builds
 after that holds only values taken from those, so it is built unchecked
 (`ValueMap._of`) instead of re-validating each value at every node.
+
+A run (`run_cases`) builds what does not depend on the case once and shares
+it across cases in a `RunContext`: each query's unpopulated dependency tree
+and each subsection's `SubsectionPlan` (its labelled mentions in text order
+and its arguments' placeholder texts). A request's grounded text is spliced
+from the plan only when a resolver first reads it.
 """
 
 from __future__ import annotations
@@ -52,26 +58,108 @@ class EngineConfig:
         return self.depth_cap if self.use_structure else 1
 
 
-@dataclass(frozen=True)
+class SubsectionPlan:
+    """What grounding and resolving one subsection needs, worked out once:
+    its layer, its source text, its labelled mentions in text order, and
+    each argument's placeholder text (read on first use)."""
+
+    __slots__ = ("layer", "text", "arguments", "_mentions", "_placeholders")
+
+    def __init__(self, layer: ArgumentLayer, text: str):
+        self.layer = layer
+        self.text = text
+        # Argument names in order of first mention, @truth excluded.
+        self.arguments = tuple(n for n, _ in layer.labelled_clusters if n != TRUTH_KEY)
+        names = {i: n for n, cluster in layer.labelled_clusters if n != TRUTH_KEY for i in cluster}
+        # Spans are sorted and disjoint (ArgumentLayer checks), so index order is text order.
+        self._mentions = tuple(
+            (span.start, span.end, names[i]) for i, span in enumerate(layer.spans) if i in names
+        )
+        self._placeholders: dict[str, str | None] = {}
+
+    def ground(self, values: Mapping[str, Value], threshold: float = 0.5) -> str:
+        """The text with every mention of a valued argument replaced by the
+        value's surface form, spliced left to right in one pass."""
+        text = self.text
+        parts = []
+        pos = 0
+        for start, end, name in self._mentions:
+            if name in values:
+                parts.append(text[pos:start])
+                parts.append(value_surface(values[name], threshold))
+                pos = end
+        parts.append(text[pos:])
+        return "".join(parts)
+
+    def placeholder(self, name: str) -> str | None:
+        """The text of an argument's mentions joined by spaces; None when it
+        has no mention or the subsection has no text."""
+        try:
+            return self._placeholders[name]
+        except KeyError:
+            spans = self.layer.spans_of(name)
+            text = self.text
+            surface = " ".join(span.slice(text) for span in spans) if spans and text else None
+            self._placeholders[name] = surface
+            return surface
+
+
 class ResolveRequest:
     """One resolver query: fill `required` arguments (or the truth score when
     `required` is empty) for a subsection grounded with the values known so far.
 
-    `text` is the grounded variant; `source_text` is the original subsection
-    text that the layer's spans index into.
+    `text` is the grounded variant, spliced from `grounding` the first time
+    it is read; `source_text` is the original subsection text that the
+    layer's spans index into. `grounding` is a snapshot: the engine never
+    changes a mapping after handing it to a request.
     """
 
-    subsection_id: str
-    text: str
-    source_text: str
-    layer: ArgumentLayer
-    known: ValueMap
-    required: tuple[str, ...]
-    case: Case
+    __slots__ = ("subsection", "known", "required", "case", "grounding", "threshold", "_text")
+
+    def __init__(
+        self,
+        subsection: SubsectionPlan,
+        known: ValueMap,
+        required: tuple[str, ...],
+        case: Case,
+        grounding: Mapping[str, Value] = ValueMap(),
+        threshold: float = 0.5,
+    ):
+        self.subsection = subsection
+        self.known = known
+        self.required = required
+        self.case = case
+        self.grounding = grounding
+        self.threshold = threshold
+        self._text: str | None = None
+
+    @property
+    def subsection_id(self) -> str:
+        return self.subsection.layer.subsection_id
+
+    @property
+    def layer(self) -> ArgumentLayer:
+        return self.subsection.layer
+
+    @property
+    def source_text(self) -> str:
+        return self.subsection.text
+
+    @property
+    def text(self) -> str:
+        if self._text is None:
+            self._text = self.subsection.ground(self.grounding, self.threshold)
+        return self._text
 
 
 class Resolver(Protocol):
-    def resolve(self, request: ResolveRequest) -> ValueMap: ...
+    """Answers requests one at a time. Any mapping will do as an answer: the
+    engine validates each value it takes from it. A resolver is free to keep
+    what it derives from a case or a subsection for the length of a run;
+    the engine itself builds each query's tree and each subsection's plan
+    once per run."""
+
+    def resolve(self, request: ResolveRequest) -> Mapping[str, Value]: ...
 
 
 class EngineError(RuntimeError):
@@ -95,17 +183,7 @@ def insert_values(
 ) -> str:
     """Replace every mention span of every valued argument with the value's
     surface form; unvalued arguments stay verbatim."""
-    replacements: list[tuple[int, int, str]] = []
-    for name, cluster in layer.labelled_clusters:
-        if name in values and name != TRUTH_KEY:
-            surface = value_surface(values[name], threshold)
-            for i in cluster:
-                span = layer.spans[i]
-                replacements.append((span.start, span.end, surface))
-    # Right-to-left keeps earlier offsets valid.
-    for start, end, surface in sorted(replacements, reverse=True):
-        text = text[:start] + surface + text[end:]
-    return text
+    return SubsectionPlan(layer, text).ground(values, threshold)
 
 
 @dataclass
@@ -119,7 +197,7 @@ class RunDiagnostics:
 def instantiate_single(
     resolver: Resolver,
     layer: ArgumentLayer,
-    inputs: ValueMap,
+    inputs: Mapping[str, Value],
     text: str,
     case: Case,
     config: EngineConfig = EngineConfig(),
@@ -134,45 +212,52 @@ def instantiate_single(
     may be any mapping; each value taken from it is validated here, and an
     invalid one raises ValueError.
     """
-    diagnostics = diagnostics or RunDiagnostics()
     if not isinstance(inputs, ValueMap):
         inputs = ValueMap(inputs)
-    threshold = config.truth_threshold
-    predictions = dict(inputs)
-    grounding = dict(inputs)
+    return _instantiate(resolver, SubsectionPlan(layer, text), inputs, case, config, diagnostics or RunDiagnostics())
 
-    for name, _cluster in layer.labelled_clusters:
-        if name in predictions or name == TRUTH_KEY:
+
+def _instantiate(
+    resolver: Resolver,
+    plan: SubsectionPlan,
+    inputs: ValueMap,
+    case: Case,
+    config: EngineConfig,
+    diagnostics: RunDiagnostics,
+) -> ValueMap:
+    """`instantiate_single` over a built plan. `predictions` and `grounding`
+    are replaced, never changed, so requests and maps can share them."""
+    sid = plan.layer.subsection_id
+    threshold = config.truth_threshold
+    predictions = grounding = inputs._items
+
+    for name in plan.arguments:
+        if name in predictions:
             continue
-        grounded = insert_values(text, layer, grounding, threshold)
-        request = ResolveRequest(
-            layer.subsection_id, grounded, text, layer, ValueMap._of(dict(predictions)), (name,), case
-        )
+        request = ResolveRequest(plan, ValueMap._of(predictions), (name,), case, grounding, threshold)
         try:
             answer = resolver.resolve(request)
         except Exception as exc:
-            raise EngineError(f"resolver failed on argument {name!r} of {layer.subsection_id}: {exc}") from exc
+            raise EngineError(f"resolver failed on argument {name!r} of {sid}: {exc}") from exc
         if name in answer:
             value = check_value(answer[name])
-            predictions[name] = value
-            grounding[name] = value
+            predictions = {**predictions, name: value}
             if config.insert_gold and name in case.expected:
-                grounding[name] = case.expected[name]
+                value = case.expected[name]
+            grounding = {**grounding, name: value}
         else:
-            diagnostics.note(f"{case.id}: no value for {name!r} of {layer.subsection_id}")
+            diagnostics.note(f"{case.id}: no value for {name!r} of {sid}")
 
-    grounded = insert_values(text, layer, grounding, threshold)
-    request = ResolveRequest(layer.subsection_id, grounded, text, layer, ValueMap._of(dict(predictions)), (), case)
+    request = ResolveRequest(plan, ValueMap._of(predictions), (), case, grounding, threshold)
     try:
         answer = resolver.resolve(request)
     except Exception as exc:
-        raise EngineError(f"resolver failed on @truth of {layer.subsection_id}: {exc}") from exc
+        raise EngineError(f"resolver failed on @truth of {sid}: {exc}") from exc
     truth = answer.get(TRUTH_KEY)
     if truth is None:
-        diagnostics.note(f"{case.id}: resolver gave no @truth for {layer.subsection_id}; defaulting to 0.0")
+        diagnostics.note(f"{case.id}: resolver gave no @truth for {sid}; defaulting to 0.0")
         truth = 0.0
-    predictions[TRUTH_KEY] = check_value(float(truth))
-    return ValueMap._of(predictions)
+    return ValueMap._of({**predictions, TRUTH_KEY: check_value(float(truth))})
 
 
 def do_operation(kind: str, children: list[ValueMap]) -> ValueMap:
@@ -216,6 +301,16 @@ def _translate(result: ValueMap, bindings: tuple[tuple[str, str], ...]) -> Value
     return ValueMap._of(out)
 
 
+@dataclass
+class RunContext:
+    """What a run builds once and shares across its cases: each query's
+    unpopulated dependency tree and each subsection's plan. One context
+    serves one program, layer set, text set and config."""
+
+    trees: dict[str, DepTree] = field(default_factory=dict)
+    plans: dict[str, SubsectionPlan] = field(default_factory=dict)
+
+
 def instantiate_full(
     resolver: Resolver,
     program: Program,
@@ -224,25 +319,30 @@ def instantiate_full(
     case: Case,
     config: EngineConfig = EngineConfig(),
     diagnostics: RunDiagnostics | None = None,
-    tree: DepTree | None = None,
+    context: RunContext | None = None,
 ) -> ValueMap:
     """Instantiate a case's query subsection over its dependency tree.
 
-    `tree` is the query's unpopulated tree at `config.tree_depth_cap`, for
-    callers that share one across cases; by default it is built here.
+    `context` carries trees and plans for callers that share them across
+    cases (see `run_cases`); by default the case gets a fresh one.
     """
     diagnostics = diagnostics or RunDiagnostics()
+    context = context or RunContext()
     if case.query not in program:
         raise EngineError(f"case {case.id}: query {case.query} has no rule")
+    tree = context.trees.get(case.query)
     if tree is None:
-        tree = build_dependency_tree(program, case.query, config.tree_depth_cap)
+        tree = context.trees[case.query] = build_dependency_tree(program, case.query, config.tree_depth_cap)
     tree = populate_values(tree, case.inputs)
+    plans = context.plans
 
-    def text_of(sid: str) -> str:
-        if sid in subsections:
-            return subsections[sid]
-        diagnostics.note(f"{case.id}: no text for {sid}; grounding over empty text")
-        return ""
+    def plan_of(sid: str) -> SubsectionPlan:
+        if sid not in subsections:
+            diagnostics.note(f"{case.id}: no text for {sid}; grounding over empty text")
+        plan = plans.get(sid)
+        if plan is None:
+            plan = plans[sid] = SubsectionPlan(layer_of(layers, sid), subsections.get(sid, ""))
+        return plan
 
     def resolve(node) -> ValueMap:
         if isinstance(node, OpNode):
@@ -252,9 +352,7 @@ def instantiate_full(
         if node.child is not None:
             absorbed = resolve(node.child).without(TRUTH_KEY)
             known = known.merged(absorbed)
-        result = instantiate_single(
-            resolver, layer_of(layers, node.id), known, text_of(node.id), case, config, diagnostics
-        )
+        result = _instantiate(resolver, plan_of(node.id), known, case, config, diagnostics)
         if node.depth == 1:
             return result
         return _translate(result, node.bindings)
@@ -280,20 +378,16 @@ def run_cases(
     config: EngineConfig = EngineConfig(),
 ) -> tuple[list[CaseResult], RunDiagnostics]:
     """Instantiate every case of a split in corpus order; per-case errors are
-    recorded and the run continues. Each query's tree is built once and
-    shared by its cases, which only populate it with their own inputs."""
-    program = corpus.program
+    recorded and the run continues. Each query's tree and each subsection's
+    plan are built once and shared by all cases through one `RunContext`."""
     texts = {s.id: s.text for s in corpus.subsections.values()}
-    trees: dict[str, DepTree] = {}
+    context = RunContext()
     diagnostics = RunDiagnostics()
     results = []
     for case in corpus.cases_of(split):
-        tree = trees.get(case.query)
-        if tree is None and case.query in program:
-            tree = trees[case.query] = build_dependency_tree(program, case.query, config.tree_depth_cap)
         try:
             predicted = instantiate_full(
-                resolver, program, corpus.layers, texts, case, config, diagnostics, tree
+                resolver, corpus.program, corpus.layers, texts, case, config, diagnostics, context
             )
             results.append(CaseResult(case, predicted))
         except EngineError as exc:

@@ -176,7 +176,8 @@ class ArgumentLayer:
     optionally labels each cluster with the argument name used by the
     subsection's rule, which is what lets value maps reach mention spans.
     `labelled_clusters` is derived: the labelled (name, cluster) pairs in
-    order of first mention.
+    order of first mention; so is the name -> mention spans lookup behind
+    `spans_of`.
     """
 
     subsection_id: str
@@ -186,6 +187,7 @@ class ArgumentLayer:
     labelled_clusters: tuple[tuple[str, tuple[int, ...]], ...] = field(
         init=False, repr=False, compare=False
     )
+    _spans_by_name: dict[str, tuple[Span, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         spans = tuple(self.spans)
@@ -217,16 +219,16 @@ class ArgumentLayer:
         # Clusters are already sorted by first member, so this is mention order.
         pairs = tuple((n, c) for n, c in zip(names, clusters) if n is not None)
         object.__setattr__(self, "labelled_clusters", pairs)
+        by_name = {n: tuple(spans[i] for i in c) for n, c in pairs}
+        object.__setattr__(self, "_spans_by_name", by_name)
 
     def named_clusters(self) -> list[tuple[str, tuple[int, ...]]]:
         """(name, cluster) pairs in order of first mention, labelled ones only."""
         return list(self.labelled_clusters)
 
     def spans_of(self, name: str) -> tuple[Span, ...]:
-        for cname, cluster in zip(self.cluster_names, self.clusters):
-            if cname == name:
-                return tuple(self.spans[i] for i in cluster)
-        return ()
+        """The mention spans of a labelled argument; () for any other name."""
+        return self._spans_by_name.get(name, ())
 
 
 def empty_layer(subsection_id: str) -> ArgumentLayer:

@@ -1,9 +1,9 @@
 """Line-oriented record format used by corpus files and prediction dumps.
 
 One record per line: an identifier token followed by key=value fields.
-Values are typed by shape: quoted strings are text, "$123" is a dollar
-amount, bare digits are numbers, "true"/"false" and decimals are truth
-scores, "2017-02-03" is a date, "(15, 27)" is a character span, and
+Values are typed by shape: quoted strings are text, "$123" or "$-5" is a
+dollar amount, bare digits are numbers, "true"/"false", decimals and
+exponent forms such as "1e-05" are truth scores, "2017-02-03" is a date, "(15, 27)" is a character span, and
 brackets hold lists, whose items may themselves be "key=value" pairs
 (a value map) or "Label:[...]" groups (a named cluster). Lines starting
 with "#" are comments.
@@ -19,7 +19,10 @@ from .model import Money, Value, ValueMap, value_kind
 
 
 class RecordError(ValueError):
-    pass
+    """A malformed record; `line` is its 1-based line number when it was
+    read by `iter_records`."""
+
+    line: int | None = None
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,9 @@ class Record:
 
 _DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}$")
 _NUMBER_RE = re.compile(r"\d+$")
-_DECIMAL_RE = re.compile(r"\d+\.\d+$")
+_MONEY_RE = re.compile(r"\$(-?\d+)$")
+# What repr gives for a float in [0, 1]: "0.25", "1e-05", "2.5e-310".
+_DECIMAL_RE = re.compile(r"\d+(?:\.\d+)?(?:e[-+]?\d+)?$")
 _ATOM_END = re.compile(r"[^\s\[\]\(\),=]+")
 _KEY_RE = re.compile(r"[A-Za-z0-9@_][A-Za-z0-9@_.\-]*")
 
@@ -124,15 +129,16 @@ class _Scanner:
             return 1.0
         if word == "false":
             return 0.0
-        if word.startswith("$") and _NUMBER_RE.match(word[1:] or "x"):
-            return Money(int(word[1:]))
+        money = _MONEY_RE.match(word)
+        if money:
+            return Money(int(money.group(1)))
         if _DATE_RE.match(word):
             year, month, day = word.split("-")
             return datetime.date(int(year), int(month), int(day))
-        if _DECIMAL_RE.match(word):
-            return float(word)
         if _NUMBER_RE.match(word):
             return int(word)
+        if _DECIMAL_RE.match(word):
+            return float(word)
         raise self.error(f"cannot type value {word!r} (strings must be quoted)")
 
     def scan_pair(self) -> PairLit:
@@ -217,12 +223,18 @@ def parse_value_literal(text: str) -> Value | list | Entry | Labeled | PairLit:
 
 
 def iter_records(text: str):
-    """Yield (line_number, Record) for every non-comment, non-blank line."""
+    """Yield (line_number, Record) for every non-comment, non-blank line. A
+    line that does not parse raises RecordError with `line` set."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        yield lineno, parse_record(stripped)
+        try:
+            record = parse_record(stripped)
+        except RecordError as exc:
+            exc.line = lineno
+            raise
+        yield lineno, record
 
 
 # ---------------------------------------------------------------------------

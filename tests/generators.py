@@ -1,10 +1,13 @@
-"""Seeded random generators shared by property and acceptance tests."""
+"""Seeded random generators and hypothesis strategies shared by property
+and acceptance tests."""
 
 from __future__ import annotations
 
 import random
 
-from statreason.model import ValueMap
+import hypothesis.strategies as st
+
+from statreason.model import TRUTH_KEY, ArgumentLayer, Money, Span, ValueMap
 from statreason.rules import And, Not, Or, Program, Ref, Rule
 
 
@@ -88,3 +91,37 @@ def random_value_map(rng: random.Random, keys=("X", "Y", "Z")) -> ValueMap:
         if rng.random() < 0.6:
             pairs[key] = rng.choice(["a", "b", "c", "d"])
     return ValueMap(pairs)
+
+
+# Every value kind, unrestricted within what the model admits: full-Unicode
+# text, signed numbers and money, dates, truth scores over [0, 1] including
+# subnormals, and homogeneous lists of any of these.
+MONEY_VALUES = st.integers().map(Money)
+TRUTH_VALUES = st.floats(min_value=0.0, max_value=1.0)
+_KINDS = [st.text(), st.integers(), MONEY_VALUES, TRUTH_VALUES, st.dates()]
+VALUES = st.one_of(
+    *_KINDS, st.sampled_from(_KINDS).flatmap(lambda kind: st.lists(kind, max_size=3).map(tuple))
+)
+
+
+@st.composite
+def texts_with_layers(draw, mentions=st.text(min_size=1, max_size=4)):
+    """A text and a layer over it: spans in text order, adjacent or apart,
+    grouped into clusters of one or more mentions, each cluster named or
+    unlabelled, and at most one named @truth."""
+    pieces = draw(st.lists(st.tuples(st.text(max_size=3), mentions), max_size=6))
+    text, spans = "", []
+    for gap, mention in pieces:
+        text += gap
+        spans.append(Span(len(text), len(text) + len(mention)))
+        text += mention
+    text += draw(st.text(max_size=3))
+    labels = draw(st.lists(st.integers(0, 3), min_size=len(spans), max_size=len(spans)))
+    groups: dict[int, list[int]] = {}
+    for i, label in enumerate(labels):
+        groups.setdefault(label, []).append(i)
+    clusters = tuple(tuple(c) for c in groups.values())
+    names = [draw(st.sampled_from([f"A{k}", None])) for k in range(len(clusters))]
+    if clusters and draw(st.booleans()):
+        names[draw(st.integers(0, len(clusters) - 1))] = TRUTH_KEY
+    return text, ArgumentLayer("§x", tuple(spans), clusters, tuple(names))

@@ -1,15 +1,33 @@
 """Slow, obviously correct versions that the fast code is checked against:
 coreference metrics (MUC cluster by cluster, exhaustive CEAF alignments and
-BLANC over explicit mention pairs) and the constant baseline's dollar fit
-(the hinge loss evaluated at every candidate)."""
+BLANC over explicit mention pairs), the constant baseline's dollar fit (the
+hinge loss evaluated at every candidate), and the engine's grounding and the
+resolvers' per-call derivations as first written (a right-to-left splice,
+placeholder texts rebuilt and case descriptions re-read on every call)."""
 
 from __future__ import annotations
 
+import re
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from statreason.baselines import hinge_loss
+from statreason.baselines import (
+    ConstantResolver,
+    HeuristicResolver,
+    OracleResolver,
+    _CAPITALIZED_STOP,
+    _CASE_DATE_RE,
+    _CASE_MONEY_RE,
+    _CASE_NAME_RE,
+    _CASE_YEAR_RE,
+    _MONEY_WORDS,
+    _MONTH_PREFIXES,
+    hinge_loss,
+)
+from statreason.engine import value_surface
+from statreason.model import TRUTH_KEY, ArgumentLayer, Money, Value
 
 
 def vilain_muc(gold, pred) -> tuple[float, float, float]:
@@ -138,3 +156,121 @@ def brute_force_constant(targets: list[int]) -> int:
     step = max(1, top // 200)
     candidates.update(range(0, top + 1, step))
     return min(sorted(candidates), key=lambda c: (hinge_loss(targets, c), c))
+
+
+def insert_values(
+    text: str, layer: ArgumentLayer, values: Mapping[str, Value], threshold: float = 0.5
+) -> str:
+    """Replace every mention span of every valued argument with the value's
+    surface form; unvalued arguments stay verbatim."""
+    replacements: list[tuple[int, int, str]] = []
+    for name, cluster in layer.labelled_clusters:
+        if name in values and name != TRUTH_KEY:
+            surface = value_surface(values[name], threshold)
+            for i in cluster:
+                span = layer.spans[i]
+                replacements.append((span.start, span.end, surface))
+    # Right-to-left keeps earlier offsets valid.
+    for start, end, surface in sorted(replacements, reverse=True):
+        text = text[:start] + surface + text[end:]
+    return text
+
+
+def wants_dollars(argument: str, layer: ArgumentLayer, source_text: str) -> bool:
+    spans = layer.spans_of(argument)
+    if spans and source_text:
+        surface = " ".join(span.slice(source_text).lower() for span in spans)
+    else:
+        surface = argument.lower()
+    if "$" in surface:
+        return True
+    tokens = set(re.findall(r"[a-z]+", surface))
+    return bool(tokens & _MONEY_WORDS)
+
+
+def value_for(name: str, request) -> Value | None:
+    """`HeuristicResolver._value_for` as first written."""
+    description = request.case.description
+    spans = request.layer.spans_of(name)
+    if spans and request.source_text:
+        surface = " ".join(s.slice(request.source_text) for s in spans).lower()
+    else:
+        surface = name.lower()
+    anchor = _anchor_position(surface, description)
+
+    if any(w in surface for w in ("year", "day", "date", "week", "month", "caly")):
+        candidates = [
+            (m.start(), m.group())
+            for m in _CASE_DATE_RE.finditer(description)
+            if m.group(1).lower()[:3] in _MONTH_PREFIXES
+        ]
+        candidates += [(m.start(), m.group()) for m in _CASE_YEAR_RE.finditer(description)]
+        return _nearest(candidates, anchor)
+    if wants_dollars(name, request.layer, request.source_text):
+        candidates = [
+            (m.start(), Money(int(m.group(1).replace(",", ""))))
+            for m in _CASE_MONEY_RE.finditer(description)
+        ]
+        return _nearest(candidates, anchor)
+    used = {v for v in request.case.inputs.values() if isinstance(v, str)}
+    used |= {v for v in request.known.values() if isinstance(v, str)}
+    candidates = [
+        (m.start(), m.group())
+        for m in _CASE_NAME_RE.finditer(description)
+        if m.group() not in used
+        and m.group().lower() not in _CAPITALIZED_STOP
+        and m.group().lower()[:3] not in _MONTH_PREFIXES
+    ]
+    return _nearest(candidates, anchor)
+
+
+def _anchor_position(surface: str, description: str) -> int:
+    lowered = description.lower()
+    positions = [lowered.find(tok) for tok in surface.split() if tok in lowered]
+    return min(positions) if positions else 0
+
+
+def _nearest(candidates: list[tuple[int, Value]], anchor: int) -> Value | None:
+    if not candidates:
+        return None
+    return min(candidates, key=lambda c: (abs(c[0] - anchor), c[0]))[1]
+
+
+_OVERLAP_TOKEN_RE = re.compile(r"[a-z0-9$]+")
+
+
+def overlap_score(grounded: str, description: str) -> float:
+    """Fraction of the grounded subsection's distinct tokens that also occur
+    in the case description; 1.0 for identical texts."""
+    sub = set(_OVERLAP_TOKEN_RE.findall(grounded.lower()))
+    if not sub:
+        return 0.0
+    case_tokens = set(_OVERLAP_TOKEN_RE.findall(description.lower()))
+    return len(sub & case_tokens) / len(sub)
+
+
+def resolver_answer(resolver, request, text: str) -> dict[str, Value]:
+    """What a built-in resolver answered as first written, for `request`
+    grounded as `text`: placeholders and case features re-derived per call."""
+    case = request.case
+    if isinstance(resolver, OracleResolver):
+        if request.subsection_id != case.query:
+            return {} if request.required else {TRUTH_KEY: 0.0}
+        if not request.required:
+            return {TRUTH_KEY: float(case.expected.get(TRUTH_KEY, 0.0))}
+        return {n: case.expected[n] for n in request.required if n in case.expected}
+    if isinstance(resolver, ConstantResolver):
+        params = resolver.params
+        if not request.required:
+            return {TRUTH_KEY: params.majority_truth}
+        return {
+            name: params.majority_truth if name == TRUTH_KEY
+            else Money(params.constant_dollars) if wants_dollars(name, request.layer, request.source_text)
+            else params.majority_string
+            for name in request.required
+        }
+    assert isinstance(resolver, HeuristicResolver)
+    if not request.required:
+        return {TRUTH_KEY: overlap_score(text, case.description)}
+    answers = {name: value_for(name, request) for name in request.required}
+    return {name: value for name, value in answers.items() if value is not None}

@@ -20,7 +20,7 @@ from statreason.baselines import (
     string_match_coref,
     wants_dollars,
 )
-from statreason.engine import ResolveRequest
+from statreason.engine import ResolveRequest, SubsectionPlan
 from statreason.model import (
     ArgumentLayer,
     Case,
@@ -30,7 +30,18 @@ from statreason.model import (
     empty_layer,
 )
 
+import oracles
+from generators import texts_with_layers
 from oracles import brute_force_constant
+
+# Placeholder wording that exercises every category of the heuristic and the
+# dollar vocabulary, plus letters whose lowercase depends on context.
+WORDS = ["the taxable year", "Tax", "income", "his $", "a deduction's", "week", "ΑΣ", "Σ'", "employee"]
+DESCRIPTIONS = st.lists(
+    st.sampled_from(["Alice", "Bob", "In", "Jan 5, 2017", "Feb. 3rd", "2018", "$1,200", "$7",
+                     "income", "the", "year", "Σ", "paid", "Mar"]),
+    max_size=12,
+).map(" ".join)
 
 
 class TestSingleMention:
@@ -261,7 +272,8 @@ class TestDollarSweep:
 
 
 def request(layer, text, case, required, known=ValueMap()):
-    return ResolveRequest(layer.subsection_id, text, text, layer, known, required, case)
+    """A request over `text` with nothing grounded yet."""
+    return ResolveRequest(SubsectionPlan(layer, text), known, required, case)
 
 
 class TestConstantResolver:
@@ -296,6 +308,17 @@ class TestConstantResolver:
             outs.append(dict(resolver.resolve(request(layer, text, case, ("Spouse", "Taxy")))))
         assert outs[0] == outs[1]
 
+    @given(texts_with_layers(st.sampled_from(WORDS)), st.sampled_from(["Taxy", "Grossinc", "Spouse"]))
+    def test_dollar_arguments_as_first_judged(self, setting, unmentioned):
+        text, layer = setting
+        plan = SubsectionPlan(layer, text)
+        for name in [n for n in layer.cluster_names if n not in (None, TRUTH_KEY)] + [unmentioned]:
+            expected = oracles.wants_dollars(name, layer, text)
+            assert wants_dollars(name, layer, text) == expected
+            case = Case("x", "d", "§x", ValueMap(), ValueMap({"@truth": 1.0}))
+            answer = ConstantResolver(self.PARAMS).resolve(ResolveRequest(plan, ValueMap(), (name,), case))
+            assert (answer[name] == Money(42000)) == expected
+
     def test_taxpayer_is_not_a_dollar_argument(self, corpus):
         layer = corpus.layers["§63(c)(5)"]
         text = corpus.subsections["§63(c)(5)"].text
@@ -311,6 +334,19 @@ class TestHeuristicResolver:
         text = corpus.subsections[case.query].text
         out = HeuristicResolver().resolve(request(layer, text, case, ("Employee",), case.inputs))
         assert out["Employee"] == "Bob"
+
+    @given(texts_with_layers(st.sampled_from(WORDS)), DESCRIPTIONS, st.sampled_from(["Bob", "Alice"]))
+    def test_answers_as_first_written(self, setting, description, known):
+        text, layer = setting
+        plan = SubsectionPlan(layer, text)
+        case = Case("x", description, "§x", ValueMap(), ValueMap({"@truth": 1.0}))
+        resolver = HeuristicResolver()
+        names = [n for n in layer.cluster_names if n not in (None, TRUTH_KEY)] + ["Taxy"]
+        for name in names + names:  # the second round reads the kept case features
+            request = ResolveRequest(plan, ValueMap({"Spouse": known}), (name,), case)
+            assert resolver.resolve(request) == oracles.resolver_answer(resolver, request, text)
+        request = ResolveRequest(plan, ValueMap(), (), case)
+        assert resolver.resolve(request) == {TRUTH_KEY: oracles.overlap_score(text, description)}
 
     def test_money_argument_without_amounts_left_absent(self, corpus):
         case = Case("x", "no numbers in this story", "Tax", ValueMap(),

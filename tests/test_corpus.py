@@ -140,6 +140,16 @@ class TestLoadCases:
             load_corpus(root / "manifest.txt")
         assert "cannot type" in str(exc.value)
 
+    def test_parse_error_names_path_and_line(self, tmp_path):
+        root = copy_corpus(tmp_path)
+        path = root / "cases" / "test.cases"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if 'Taxy="2017", Bassd=$500' in line)
+        edit(path, 'Taxy="2017", Bassd=$500', "Taxy=nonsense, Bassd=$500")
+        with pytest.raises(CorpusError) as exc:
+            load_corpus(root / "manifest.txt")
+        assert str(exc.value).startswith(f"{path}:{lineno}: cannot type value 'nonsense'")
+
     def test_binary_case_requires_truth(self, tmp_path):
         root = copy_corpus(tmp_path)
         edit(root / "cases" / "test.cases", "2(a)(1)-negative", "2(a)(1)-negative-x")

@@ -1,14 +1,25 @@
 import dataclasses
+import math
 import random
 from collections import Counter
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
+import oracles
 from statreason import engine
-from statreason.baselines import ConstantResolver, ConstantBaselineParams, OracleResolver
+from statreason.baselines import (
+    ConstantBaselineParams,
+    ConstantResolver,
+    HeuristicResolver,
+    OracleResolver,
+    fit_constant_baseline,
+)
 from statreason.engine import (
     EngineConfig,
     EngineError,
+    SubsectionPlan,
     do_operation,
     evaluate_run,
     insert_values,
@@ -18,7 +29,7 @@ from statreason.engine import (
 )
 from statreason.model import ArgumentLayer, Case, Money, Span, TRUTH_KEY, ValueMap
 
-from generators import random_value_map
+from generators import VALUES, random_value_map, texts_with_layers
 
 
 def make_layer(text, mentions):
@@ -95,6 +106,23 @@ class TestInsertValues:
         assert insert_values("the claim holds", layer, values) == "true holds"
         assert insert_values("the claim holds", layer, values, threshold=0.7) == "false holds"
 
+    def test_values_kept_when_spans_run_past_the_text(self):
+        # A subsection without text is grounded over "": every value stays.
+        layer = ArgumentLayer("§x", (Span(0, 3), Span(5, 8)), ((0,), (1,)), ("A", "B"))
+        assert insert_values("", layer, ValueMap({"A": "aa", "B": "bb"})) == "aabb"
+
+    @given(st.data())
+    def test_equals_the_right_to_left_splice(self, data):
+        threshold = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+        text, layer = data.draw(texts_with_layers())
+        # Truth values on both sides of the threshold, and on it.
+        near = st.sampled_from([threshold, math.nextafter(threshold, 0.0), math.nextafter(threshold, 1.0)])
+        names = [n for n in layer.cluster_names if n is not None] + ["Unmentioned"]
+        values = data.draw(st.dictionaries(st.sampled_from(names), st.one_of(VALUES, near)))
+        assert insert_values(text, layer, values, threshold) == oracles.insert_values(
+            text, layer, values, threshold
+        )
+
 
 def oracle_case(cid, query, inputs, expected):
     return Case(cid, "description", query, ValueMap(inputs), ValueMap(expected), "test")
@@ -145,6 +173,22 @@ class TestInstantiateSingle:
 
         instantiate_single(Spy(), layer, case.inputs, text, case)
         assert seen == ["Workday", "Preccaly", "S13A", "Employee", "Employment", "S16"]
+
+    def test_grounded_truth_values_read_by_the_threshold(self):
+        layer = ArgumentLayer("§x", (Span(0, 9),), ((0,),), ("Claim",))
+        case = oracle_case("x", "§x", {}, {"@truth": 1.0})
+        texts = []
+
+        class Spy:
+            def resolve(self, request):
+                if request.required:
+                    return {"Claim": 0.6}
+                texts.append(request.text)
+                return {TRUTH_KEY: 1.0}
+
+        for threshold in (0.5, 0.7):
+            instantiate_single(Spy(), layer, {}, "the claim holds", case, EngineConfig(truth_threshold=threshold))
+        assert texts == ["true holds", "false holds"]
 
     def test_resolver_failure_names_argument(self, corpus):
         case = next(c for c in corpus.cases if c.id == "3306(a)(1)(B)-positive")
@@ -246,6 +290,112 @@ class TestResolverBoundary:
         assert isinstance(result, ValueMap)
         assert result[TRUTH_KEY] == 0.75
         assert {result[name] for name, _ in layer.named_clusters() if name not in case.inputs} == {"Carol"}
+
+
+def fixture_resolvers(corpus):
+    params = fit_constant_baseline(list(corpus.cases_of("train")))
+    return {"oracle": OracleResolver(), "heuristic": HeuristicResolver(), "constant": ConstantResolver(params)}
+
+
+class Replay:
+    """Wraps a resolver and checks every request against the oracles: its
+    text against the right-to-left splice of the values grounded so far in
+    the subsection (each answer as it came, or the gold value under
+    insert_gold), and the answer against the resolver as first written.
+    The requests of one subsection arrive together, ending with the truth
+    request."""
+
+    def __init__(self, inner, config):
+        self.inner, self.config = inner, config
+        self.grounding = None
+        self.calls = 0
+
+    def resolve(self, request):
+        self.calls += 1
+        if self.grounding is None:
+            self.grounding = dict(request.known)
+        text = oracles.insert_values(
+            request.source_text, request.layer, self.grounding, self.config.truth_threshold
+        )
+        assert request.text == text
+        answer = self.inner.resolve(request)
+        assert answer == oracles.resolver_answer(self.inner, request, text)
+        if not request.required:
+            self.grounding = None
+        elif request.required[0] in answer:
+            name, case = request.required[0], request.case
+            gold = self.config.insert_gold and name in case.expected
+            self.grounding[name] = case.expected[name] if gold else answer[name]
+        return answer
+
+
+class TestAgainstOracles:
+    # Resolver calls over the fixture's "all" split, as counted with eager
+    # grounding: laziness must not change them, and insert_gold does not.
+    CALLS = {"oracle": 69, "heuristic": 63, "constant": 61}
+
+    @pytest.mark.parametrize("resolver", ["oracle", "heuristic", "constant"])
+    @pytest.mark.parametrize(
+        "config",
+        [EngineConfig(), EngineConfig(insert_gold=True), EngineConfig(truth_threshold=0.3, use_structure=False)],
+        ids=["default", "insert-gold", "threshold-no-structure"],
+    )
+    def test_every_request_of_a_fixture_run(self, corpus, resolver, config):
+        replay = Replay(fixture_resolvers(corpus)[resolver], config)
+        results, _ = run_cases(replay, corpus, "all", config)
+        assert all(r.error is None for r in results)
+        assert replay.grounding is None
+        if config.use_structure:
+            assert replay.calls == self.CALLS[resolver]
+
+
+class TestLazyGrounding:
+    @pytest.fixture
+    def groundings(self, monkeypatch):
+        counted = Counter()
+        real = SubsectionPlan.ground
+
+        def counting(plan, values, threshold=0.5):
+            counted["ground"] += 1
+            return real(plan, values, threshold)
+
+        monkeypatch.setattr(SubsectionPlan, "ground", counting)
+        return counted
+
+    @pytest.mark.parametrize("resolver", ["oracle", "constant"])
+    def test_unread_text_is_never_grounded(self, corpus, groundings, resolver):
+        run_cases(fixture_resolvers(corpus)[resolver], corpus, "all", EngineConfig(insert_gold=True))
+        assert groundings["ground"] == 0
+
+    def test_text_read_twice_is_grounded_once(self, corpus, groundings):
+        seen = []
+
+        class ReadsTwice:
+            def resolve(self, request):
+                first, second = request.text, request.text
+                assert first is second
+                seen.append(first)
+                return {request.required[0]: "Bob"} if request.required else {TRUTH_KEY: 1.0}
+
+        run_cases(ReadsTwice(), corpus, "all")
+        assert groundings["ground"] == len(seen) > 0
+
+    def test_text_read_late_is_the_text_of_the_call(self, corpus):
+        # Grounding values are snapshotted when a request is built, so a
+        # request read after later answers still sees its own values.
+        class Answers:
+            def __init__(self, read_now):
+                self.read_now, self.seen = read_now, []
+
+            def resolve(self, request):
+                self.seen.append(request.text if self.read_now else request)
+                return {request.required[0]: "Bob"} if request.required else {TRUTH_KEY: 1.0}
+
+        config = EngineConfig(insert_gold=True)
+        eager, late = Answers(True), Answers(False)
+        run_cases(eager, corpus, "all", config)
+        run_cases(late, corpus, "all", config)
+        assert [r.text for r in late.seen] == eager.seen
 
 
 class TestDoOperation:

@@ -1,9 +1,12 @@
 import datetime
 
 import pytest
+from hypothesis import example, given
 
 from statreason import records
 from statreason.model import Money, ValueMap
+
+from generators import MONEY_VALUES, TRUTH_VALUES
 
 
 class TestScanning:
@@ -47,6 +50,15 @@ class TestScanning:
         with pytest.raises(records.RecordError):
             records.parse_record('c1 a="x" a="y"')
 
+    def test_signed_money_and_exponent_truth_scores(self):
+        r = records.parse_record("c1 a=$-5 b=1e-05 c=5e-324 d=2.5e-310 e=$0")
+        assert r.fields == {"a": Money(-5), "b": 1e-05, "c": 5e-324, "d": 2.5e-310, "e": Money(0)}
+
+    def test_parse_error_carries_its_line(self):
+        with pytest.raises(records.RecordError) as exc:
+            list(records.iter_records('# header\nc1 a="x"\n\nc2 a=oops\n'))
+        assert exc.value.line == 4
+
     def test_comments_and_blanks_skipped(self):
         rows = list(records.iter_records('# header\n\nc1 a="x"\n'))
         assert len(rows) == 1 and rows[0][1].id == "c1"
@@ -68,6 +80,26 @@ class TestWriting:
                        "S13A": (4, 5, 9)})
         text = records.write_value_map(vm)
         assert records.as_value_map(records.parse_value_literal(text)) == vm
+
+    @pytest.mark.parametrize(
+        "value, written",
+        [("Alice", '"Alice"'), (Money(500), "$500"), (Money(-5), "$-5"), (42, "42"), (1.0, "true"),
+         (0.0, "false"), (0.25, "0.25"), (1e-05, "1e-05"), (5e-324, "5e-324"),
+         (datetime.date(2017, 2, 3), "2017-02-03"), ((4, 5), "[4, 5]")],
+    )
+    def test_written_forms(self, value, written):
+        assert records.write_value(value) == written
+
+    @given(MONEY_VALUES)
+    def test_money_round_trip(self, value):
+        assert records.parse_value_literal(records.write_value(value)) == value
+
+    @given(TRUTH_VALUES)
+    @example(5e-324)
+    @example(1e-05)
+    @example(2.2250738585072014e-308)
+    def test_truth_round_trip(self, value):
+        assert records.parse_value_literal(records.write_value(value)) == value
 
     def test_newlines_escaped(self):
         assert records.write_text("a\nb") == '"a\\nb"'
