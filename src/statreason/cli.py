@@ -13,8 +13,18 @@ import sys
 from pathlib import Path
 
 from . import baselines, records, reports, sara_import
-from .corpus import Corpus, CorpusError, corpus_hash, corpus_statistics, load_corpus
+from .corpus import (
+    Corpus,
+    CorpusError,
+    FileError,
+    corpus_hash,
+    corpus_statistics,
+    load_argument_layers,
+    load_corpus,
+    validate_corpus,
+)
 from .engine import EngineConfig, evaluate_run
+from .model import ArgumentLayer, Span
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -58,22 +68,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-coref", help="score a coreference baseline against gold")
     common(p)
     p.add_argument("--baseline", default="string", help="single, string, or import:<path>")
-    p.add_argument("--import", dest="import_path", metavar="PATH",
-                   help="shorthand for --baseline import:PATH")
     p.set_defaults(handler=cmd_eval_coref)
 
     p = sub.add_parser("eval-argid", help="score argument identification against gold spans")
     common(p)
     p.add_argument("--source", default="heuristic", help="heuristic or import:<path>")
-    p.add_argument("--import", dest="import_path", metavar="PATH",
-                   help="shorthand for --source import:PATH")
     p.set_defaults(handler=cmd_eval_argid)
 
     p = sub.add_parser("cascade", help="identification followed by string-matching coreference")
     common(p)
     p.add_argument("--source", default="heuristic", help="heuristic or import:<path>")
-    p.add_argument("--import", dest="import_path", metavar="PATH",
-                   help="shorthand for --source import:PATH")
     p.set_defaults(handler=cmd_cascade)
 
     p = sub.add_parser("eval-inst", help="run argument instantiation and score it")
@@ -107,8 +111,7 @@ def _floor(item: str) -> tuple[str, float]:
 
 
 def _load_validated(manifest: str) -> Corpus:
-    from .corpus import FileError, validate_corpus
-
+    """Load and validate a corpus; any problem is a CorpusError."""
     corpus = load_corpus(manifest)
     problems = validate_corpus(corpus)
     if problems:
@@ -117,19 +120,7 @@ def _load_validated(manifest: str) -> Corpus:
 
 
 def cmd_validate(args) -> int:
-    try:
-        corpus = load_corpus(args.manifest)
-    except CorpusError as exc:
-        for error in exc.errors:
-            print(error, file=sys.stderr)
-        return 1
-    from .corpus import validate_corpus
-
-    problems = validate_corpus(corpus)
-    for problem in problems:
-        print(problem, file=sys.stderr)
-    if problems:
-        return 1
+    corpus = _load_validated(args.manifest)
     print(
         f"corpus ok: {len(corpus.section_files)} section files, "
         f"{len(corpus.subsections)} subsections, {len(corpus.layers)} layers, "
@@ -139,7 +130,7 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _emit(args, name: str, text: str, flat: dict[str, float], run_line: str, extra: dict[str, str] = {}) -> int:
+def _emit(args, name: str, text: str, flat: dict[str, float], run_line: str, extra: dict[str, str] | None = None) -> int:
     print(text)
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
@@ -147,7 +138,7 @@ def _emit(args, name: str, text: str, flat: dict[str, float], run_line: str, ext
         (args.out / f"{name}.records.txt").write_text(
             reports.report_records(flat, run_line), encoding="utf-8"
         )
-        for fname, content in extra.items():
+        for fname, content in (extra or {}).items():
             (args.out / fname).write_text(content, encoding="utf-8")
     failures = reports.check_floors(flat, dict(args.floor))
     for failure in failures:
@@ -179,29 +170,26 @@ def cmd_stats(args) -> int:
 
 
 def _load_partitions(corpus: Corpus, path: str) -> dict[str, tuple[tuple[int, ...], ...]]:
-    from .corpus import load_argument_layers
-
     layers = load_argument_layers(corpus.manifest.spans, path, list(corpus.subsections.values()))
     return {l.subsection_id: l.clusters for l in layers}
 
 
 def cmd_eval_coref(args) -> int:
     corpus = _load_validated(args.manifest)
-    name = f"import:{args.import_path}" if args.import_path else args.baseline
-    if name == "single":
+    if args.baseline == "single":
         predictions = {
             sid: baselines.single_mention_coref(layer) for sid, layer in corpus.layers.items()
         }
-    elif name == "string":
+    elif args.baseline == "string":
         predictions = {
             sid: baselines.string_match_coref(layer, corpus.subsections[sid].text)
             for sid, layer in corpus.layers.items()
         }
-    elif name.startswith("import:"):
-        predictions = _load_partitions(corpus, name[len("import:") :])
+    elif args.baseline.startswith("import:"):
+        predictions = _load_partitions(corpus, args.baseline[len("import:") :])
     else:
-        raise ValueError(f"unknown baseline {name!r}")
-    report = reports.coref_report(corpus, predictions, name)
+        raise ValueError(f"unknown baseline {args.baseline!r}")
+    report = reports.coref_report(corpus, predictions, args.baseline)
     dump = "\n".join(
         f"{sid} clusters={records.write_clusters(clusters)}"
         for sid, clusters in predictions.items()
@@ -211,45 +199,36 @@ def cmd_eval_coref(args) -> int:
         "eval-coref",
         report.render(),
         report.flat(),
-        _run_line(corpus, "eval-coref", baseline=name),
+        _run_line(corpus, "eval-coref", baseline=args.baseline),
         {"eval-coref.predictions.txt": dump + "\n"},
     )
 
 
-def _load_spans(corpus: Corpus, path: str) -> dict[str, tuple]:
-    out: dict[str, tuple] = {}
+def _load_spans(path: str) -> dict[str, tuple[Span, ...]]:
     text = Path(path).read_text(encoding="utf-8")
-    for _lineno, record in records.iter_records(text):
-        items = record.require("spans")
-        out[record.id] = tuple((p.start, p.end) for p in items)
-    return out
+    return {
+        record.id: tuple(Span(p.start, p.end) for p in record.require("spans"))
+        for _lineno, record in records.iter_records(text)
+    }
 
 
-def _predicted_spans(corpus: Corpus, source: str) -> dict[str, tuple]:
+def _predicted_spans(corpus: Corpus, source: str) -> dict[str, tuple[Span, ...]]:
     if source == "heuristic":
         return {
-            sid: tuple((s.start, s.end) for s in baselines.heuristic_argument_id(sub.text))
+            sid: tuple(baselines.heuristic_argument_id(sub.text))
             for sid, sub in corpus.subsections.items()
             if sid in corpus.layers
         }
     if source.startswith("import:"):
-        return _load_spans(corpus, source[len("import:") :])
+        return _load_spans(source[len("import:") :])
     raise ValueError(f"unknown span source {source!r}")
 
 
 def cmd_eval_argid(args) -> int:
     corpus = _load_validated(args.manifest)
-    source = f"import:{args.import_path}" if args.import_path else args.source
-    args.source = source
-    predicted = _predicted_spans(corpus, source)
-    from .model import Span
-
-    as_spans = {sid: tuple(Span(a, b) for a, b in spans) for sid, spans in predicted.items()}
-    report = reports.argid_report(corpus, as_spans, args.source)
-    dump = "\n".join(
-        f"{sid} spans=" + "[" + ", ".join(f"({a}, {b})" for a, b in spans) + "]"
-        for sid, spans in predicted.items()
-    )
+    predicted = _predicted_spans(corpus, args.source)
+    report = reports.argid_report(corpus, predicted, args.source)
+    dump = "\n".join(f"{sid} spans={records.write_spans(spans)}" for sid, spans in predicted.items())
     return _emit(
         args,
         "eval-argid",
@@ -262,16 +241,11 @@ def cmd_eval_argid(args) -> int:
 
 def cmd_cascade(args) -> int:
     corpus = _load_validated(args.manifest)
-    source = f"import:{args.import_path}" if args.import_path else args.source
-    args.source = source
-    predicted = _predicted_spans(corpus, source)
-    from .model import ArgumentLayer, Span
-
     clusters_by_sid = {}
-    for sid, span_pairs in predicted.items():
+    for sid, predicted in _predicted_spans(corpus, args.source).items():
         if sid not in corpus.subsections:
             continue
-        spans = tuple(sorted(Span(a, b) for a, b in set(span_pairs)))
+        spans = tuple(sorted(set(predicted)))
         layer = ArgumentLayer(sid, spans, tuple((i,) for i in range(len(spans))))
         partition = baselines.string_match_coref(layer, corpus.subsections[sid].text)
         clusters_by_sid[sid] = tuple(

@@ -130,9 +130,6 @@ def string_accuracy(gold: Value, pred: Value | None) -> int:
     return 1 if canonical_string(gold) == canonical_string(pred) else 0
 
 
-FAMILIES = ("truth", "dollar", "string")
-
-
 def family_of(name: str, gold_value: Value) -> str:
     if name == TRUTH_KEY:
         return "truth"
@@ -172,14 +169,6 @@ def unified_accuracy(scores: list[ArgScore]) -> float:
     if not scores:
         raise ValueError("no scored arguments")
     return sum(s.score for s in scores) / len(scores)
-
-
-def family_accuracy(scores: list[ArgScore], family: str) -> tuple[float, int]:
-    """(accuracy, n) over one family; n may be 0."""
-    member = [s.score for s in scores if s.family == family]
-    if not member:
-        return (0.0, 0)
-    return (sum(member) / len(member), len(member))
 
 
 def confidence_interval(accuracy: float, n: int) -> float:

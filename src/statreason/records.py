@@ -1,12 +1,15 @@
-"""Line-oriented record format used by corpus files and prediction dumps.
+r"""Line-oriented record format used by corpus files and prediction dumps.
 
 One record per line: an identifier token followed by key=value fields.
 Values are typed by shape: quoted strings are text, "$123" or "$-5" is a
-dollar amount, bare digits are numbers, "true"/"false", decimals and
-exponent forms such as "1e-05" are truth scores, "2017-02-03" is a date, "(15, 27)" is a character span, and
+dollar amount, bare integers such as "42" or "-3" are numbers,
+"true"/"false", decimals and exponent forms such as "1e-05" are truth
+scores, "2017-02-03" is a date, "(15, 27)" is a character span, and
 brackets hold lists, whose items may themselves be "key=value" pairs
 (a value map) or "Label:[...]" groups (a named cluster). Lines starting
-with "#" are comments.
+with "#" are comments. Inside quoted text, a backslash escapes a quote, a
+backslash and "\n"; every other line separator is written as "\uXXXX",
+so one record always stays on one line.
 """
 
 from __future__ import annotations
@@ -61,12 +64,15 @@ class Record:
 
 
 _DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}$")
-_NUMBER_RE = re.compile(r"\d+$")
+_NUMBER_RE = re.compile(r"-?\d+$")
 _MONEY_RE = re.compile(r"\$(-?\d+)$")
 # What repr gives for a float in [0, 1]: "0.25", "1e-05", "2.5e-310".
 _DECIMAL_RE = re.compile(r"\d+(?:\.\d+)?(?:e[-+]?\d+)?$")
 _ATOM_END = re.compile(r"[^\s\[\]\(\),=]+")
 _KEY_RE = re.compile(r"[A-Za-z0-9@_][A-Za-z0-9@_.\-]*")
+_HEX4_RE = re.compile(r"[0-9a-fA-F]{4}")
+# What str.splitlines splits on, "\n" aside (written as "\n").
+_LINE_SEPARATORS = re.compile("[\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 class _Scanner:
@@ -113,6 +119,9 @@ class _Scanner:
                     out.append("\n")
                 elif esc in ('"', "\\"):
                     out.append(esc)
+                elif esc == "u" and _HEX4_RE.match(self.text, self.pos):
+                    out.append(chr(int(self.text[self.pos : self.pos + 4], 16)))
+                    self.pos += 4
                 else:
                     raise self.error(f"unknown escape \\{esc}")
             else:
@@ -134,7 +143,10 @@ class _Scanner:
             return Money(int(money.group(1)))
         if _DATE_RE.match(word):
             year, month, day = word.split("-")
-            return datetime.date(int(year), int(month), int(day))
+            try:
+                return datetime.date(int(year), int(month), int(day))
+            except ValueError as exc:
+                raise self.error(f"invalid date {word!r}: {exc}") from None
         if _NUMBER_RE.match(word):
             return int(word)
         if _DECIMAL_RE.match(word):
@@ -243,6 +255,7 @@ def iter_records(text: str):
 
 def write_text(text: str) -> str:
     escaped = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    escaped = _LINE_SEPARATORS.sub(lambda m: f"\\u{ord(m.group()):04x}", escaped)
     return f'"{escaped}"'
 
 

@@ -22,15 +22,11 @@ from .metrics import (
     PairReport,
     binary_accuracy,
     confidence_interval,
-    exact_match_coref,
-    numerical_accuracy,
     pair_consistency,
     prf,
     score_arguments,
-    span_prf,
-    unified_accuracy,
 )
-from .model import TRUTH_KEY, value_kind
+from .model import TRUTH_KEY
 
 
 def _avg_std(values: list[float]) -> tuple[float, float]:
@@ -49,11 +45,45 @@ class Aggregate:
     units: int
 
 
-def _aggregate(per_unit: list[PRF], pooled: PRF) -> Aggregate:
+def _exact_match(units) -> tuple[Aggregate, int]:
+    """Exact-match scores over (gold set, predicted set) pairs, one pair per
+    unit: the per-unit P/R/F1 averaged, the pooled counts, and how many
+    units match exactly."""
+    per_unit: list[PRF] = []
+    correct = pred_total = gold_total = perfect = 0
+    for gold, pred in units:
+        matched = len(gold & pred)
+        per_unit.append(prf(matched, len(pred), matched, len(gold)))
+        correct += matched
+        pred_total += len(pred)
+        gold_total += len(gold)
+        perfect += gold == pred
     p_avg, p_std = _avg_std([u.precision for u in per_unit])
     r_avg, r_std = _avg_std([u.recall for u in per_unit])
     f_avg, f_std = _avg_std([u.f1 for u in per_unit])
-    return Aggregate(PRF(p_avg, r_avg, f_avg), PRF(p_std, r_std, f_std), pooled, len(per_unit))
+    pooled = prf(correct, pred_total, correct, gold_total)
+    return Aggregate(PRF(p_avg, r_avg, f_avg), PRF(p_std, r_std, f_std), pooled, len(per_unit)), perfect
+
+
+def _prf_table(title: str, scores: Aggregate) -> list[str]:
+    """The avg +- stddev and macro columns of precision, recall and F1."""
+    lines = [
+        f"  subsections scored: {scores.units}",
+        f"  {title:<23}avg +- stddev        macro",
+    ]
+    for label, avg, std, macro in zip(
+        ("precision", "recall", "F1"), scores.avg.as_tuple(), scores.std.as_tuple(), scores.macro.as_tuple()
+    ):
+        lines.append(f"    {label:<17}{100 * avg:6.1f} +- {100 * std:4.1f}       {100 * macro:6.1f}")
+    return lines
+
+
+def _perfect_line(share: float, units: int) -> str:
+    return f"  perfectly resolved subsections: {100 * share:.1f}% (of {units} with arguments)"
+
+
+def _clusters(clusters) -> set[frozenset]:
+    return {frozenset(c) for c in clusters}
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +97,6 @@ class CorefReport:
     perfectly_resolved: float
     resolved_units: int
     standard: dict[str, PRF] = field(default_factory=dict)
-    per_subsection: dict[str, PRF] = field(default_factory=dict)
 
     def flat(self) -> dict[str, float]:
         out = {
@@ -82,16 +111,8 @@ class CorefReport:
     def render(self) -> str:
         lines = [
             f"argument coreference [{self.baseline}]",
-            f"  subsections scored: {self.exact_match.units}",
-            "  exact match            avg +- stddev        macro",
-            f"    precision        {100 * self.exact_match.avg.precision:6.1f} +- {100 * self.exact_match.std.precision:4.1f}"
-            f"       {100 * self.exact_match.macro.precision:6.1f}",
-            f"    recall           {100 * self.exact_match.avg.recall:6.1f} +- {100 * self.exact_match.std.recall:4.1f}"
-            f"       {100 * self.exact_match.macro.recall:6.1f}",
-            f"    F1               {100 * self.exact_match.avg.f1:6.1f} +- {100 * self.exact_match.std.f1:4.1f}"
-            f"       {100 * self.exact_match.macro.f1:6.1f}",
-            f"  perfectly resolved subsections: {100 * self.perfectly_resolved:.1f}%"
-            f" (of {self.resolved_units} with arguments)",
+            *_prf_table("exact match", self.exact_match),
+            _perfect_line(self.perfectly_resolved, self.resolved_units),
             "  (macro pools cluster counts over subsections with arguments;"
             " the equal-weight alternative is the avg column)",
         ]
@@ -111,43 +132,22 @@ def coref_report(
     standard: bool = True,
 ) -> CorefReport:
     """Score predicted index partitions (one per subsection) against gold."""
-    per_unit: list[PRF] = []
-    per_subsection: dict[str, PRF] = {}
-    correct = pred_total = gold_total = 0
-    perfect = scored = 0
+    units = []
     gold_universe, pred_universe = [], []
     for sid, layer in corpus.layers.items():
         pred = predictions.get(sid, ())
-        gold = layer.clusters
         mention = lambda i: (sid, layer.spans[i].start, layer.spans[i].end)
-        gold_universe.extend(frozenset(mention(i) for i in c) for c in gold)
+        gold_universe.extend(frozenset(mention(i) for i in c) for c in layer.clusters)
         pred_universe.extend(frozenset(mention(i) for i in c) for c in pred)
-        if not gold:
-            continue
-        scored += 1
-        unit = exact_match_coref(gold, pred)
-        per_subsection[sid] = unit
-        per_unit.append(unit)
-        gold_sets = {frozenset(c) for c in gold}
-        pred_sets = {frozenset(c) for c in pred}
-        correct += len(gold_sets & pred_sets)
-        pred_total += len(pred_sets)
-        gold_total += len(gold_sets)
-        if gold_sets == pred_sets:
-            perfect += 1
-    pooled = prf(correct, pred_total, correct, gold_total)
+        if layer.clusters:
+            units.append((_clusters(layer.clusters), _clusters(pred)))
+    exact, perfect = _exact_match(units)
     standard_scores = {}
     if standard:
         for name, fn in coref_metrics.COREF_METRICS.items():
             standard_scores[name] = fn(gold_universe, pred_universe)
-    return CorefReport(
-        baseline=baseline,
-        exact_match=_aggregate(per_unit, pooled),
-        perfectly_resolved=(perfect / scored) if scored else 0.0,
-        resolved_units=scored,
-        standard=standard_scores,
-        per_subsection=per_subsection,
-    )
+    share = perfect / exact.units if exact.units else 0.0
+    return CorefReport(baseline, exact, share, exact.units, standard_scores)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +158,6 @@ def coref_report(
 class ArgIdReport:
     source: str
     scores: Aggregate
-    per_subsection: dict[str, PRF] = field(default_factory=dict)
 
     def flat(self) -> dict[str, float]:
         return {
@@ -167,36 +166,13 @@ class ArgIdReport:
         }
 
     def render(self) -> str:
-        return "\n".join(
-            [
-                f"argument identification [{self.source}]",
-                f"  subsections scored: {self.scores.units}",
-                "                         avg +- stddev        macro",
-                f"    precision        {100 * self.scores.avg.precision:6.1f} +- {100 * self.scores.std.precision:4.1f}"
-                f"       {100 * self.scores.macro.precision:6.1f}",
-                f"    recall           {100 * self.scores.avg.recall:6.1f} +- {100 * self.scores.std.recall:4.1f}"
-                f"       {100 * self.scores.macro.recall:6.1f}",
-                f"    F1               {100 * self.scores.avg.f1:6.1f} +- {100 * self.scores.std.f1:4.1f}"
-                f"       {100 * self.scores.macro.f1:6.1f}",
-            ]
-        )
+        return "\n".join([f"argument identification [{self.source}]", *_prf_table("", self.scores)])
 
 
 def argid_report(corpus: Corpus, predictions: dict[str, tuple], source: str) -> ArgIdReport:
-    per_unit = []
-    per_subsection: dict[str, PRF] = {}
-    matched = pred_total = gold_total = 0
-    for sid, layer in corpus.layers.items():
-        pred = tuple(predictions.get(sid, ()))
-        unit = span_prf(layer.spans, pred)
-        per_subsection[sid] = unit
-        per_unit.append(unit)
-        both = set(layer.spans) & set(pred)
-        matched += len(both)
-        pred_total += len(set(pred))
-        gold_total += len(set(layer.spans))
-    pooled = prf(matched, pred_total, matched, gold_total)
-    return ArgIdReport(source, _aggregate(per_unit, pooled), per_subsection)
+    """Score predicted spans against gold spans, by exact boundaries."""
+    units = ((set(layer.spans), set(predictions.get(sid, ()))) for sid, layer in corpus.layers.items())
+    return ArgIdReport(source, _exact_match(units)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +197,8 @@ class CascadeReport:
         return "\n".join(
             [
                 f"identification + coreference cascade [{self.source}]",
-                f"  subsections scored: {self.exact_match.units}",
-                "  exact match            avg +- stddev        macro",
-                f"    precision        {100 * self.exact_match.avg.precision:6.1f} +- {100 * self.exact_match.std.precision:4.1f}"
-                f"       {100 * self.exact_match.macro.precision:6.1f}",
-                f"    recall           {100 * self.exact_match.avg.recall:6.1f} +- {100 * self.exact_match.std.recall:4.1f}"
-                f"       {100 * self.exact_match.macro.recall:6.1f}",
-                f"    F1               {100 * self.exact_match.avg.f1:6.1f} +- {100 * self.exact_match.std.f1:4.1f}"
-                f"       {100 * self.exact_match.macro.f1:6.1f}",
-                f"  perfectly resolved subsections: {100 * self.perfectly_resolved:.1f}%"
-                f" (of {self.resolved_units} with arguments)",
+                *_prf_table("exact match", self.exact_match),
+                _perfect_line(self.perfectly_resolved, self.resolved_units),
             ]
         )
 
@@ -240,32 +208,15 @@ def cascade_report(
 ) -> CascadeReport:
     """Score predicted clusters given as groups of (start, end) pairs against
     gold clusters compared as span sets."""
-    per_unit = []
-    correct = pred_total = gold_total = 0
-    perfect = scored = 0
+    units = []
     for sid, layer in corpus.layers.items():
-        if not layer.clusters:
-            continue
-        scored += 1
-        gold = [
-            frozenset((layer.spans[i].start, layer.spans[i].end) for i in c) for c in layer.clusters
-        ]
-        pred = [frozenset(tuple(s) for s in c) for c in clusters_by_sid.get(sid, ())]
-        unit = exact_match_coref(gold, pred)
-        per_unit.append(unit)
-        gold_sets, pred_sets = set(gold), set(pred)
-        correct += len(gold_sets & pred_sets)
-        pred_total += len(pred_sets)
-        gold_total += len(gold_sets)
-        if gold_sets == pred_sets:
-            perfect += 1
-    pooled = prf(correct, pred_total, correct, gold_total)
-    return CascadeReport(
-        source=source,
-        exact_match=_aggregate(per_unit, pooled),
-        perfectly_resolved=(perfect / scored) if scored else 0.0,
-        resolved_units=scored,
-    )
+        if layer.clusters:
+            gold = (((layer.spans[i].start, layer.spans[i].end) for i in c) for c in layer.clusters)
+            pred = ((tuple(s) for s in c) for c in clusters_by_sid.get(sid, ()))
+            units.append((_clusters(gold), _clusters(pred)))
+    exact, perfect = _exact_match(units)
+    share = perfect / exact.units if exact.units else 0.0
+    return CascadeReport(source, exact, share, exact.units)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +231,10 @@ class FamilyScore:
     @property
     def ci(self) -> float:
         return confidence_interval(self.accuracy, self.n) if self.n else 0.0
+
+
+def _mean(scores: list[int]) -> FamilyScore:
+    return FamilyScore(sum(scores) / len(scores), len(scores)) if scores else FamilyScore(0.0, 0)
 
 
 @dataclass(frozen=True)
@@ -338,46 +293,29 @@ def instantiation_report(
     binary_scores, numerical_scores = [], []
     for result in results:
         case, predicted = result.case, result.predicted
-        scores.extend(score_arguments(case.expected, predicted, case.id, config.truth_threshold))
+        case_scores = score_arguments(case.expected, predicted, case.id, config.truth_threshold)
+        scores.extend(case_scores)
         truth = predicted.get(TRUTH_KEY)
-        decisions[case.id] = None if truth is None else float(truth) >= config.truth_threshold
+        truth = None if truth is None else float(truth)
+        decisions[case.id] = None if truth is None else truth >= config.truth_threshold
         gold = float(case.expected.get(TRUTH_KEY, 1.0))
-        truth_correct[case.id] = binary_accuracy(
-            gold, None if truth is None else float(truth), config.truth_threshold
-        )
+        truth_correct[case.id] = binary_accuracy(gold, truth, config.truth_threshold)
         if case.kind == "binary":
             binary_scores.append(truth_correct[case.id])
         else:
-            ok = 1
-            for name, value in case.expected.items():
-                if name != TRUTH_KEY and value_kind(value) == "money":
-                    pred = predicted.get(name)
-                    if pred is None or value_kind(pred) not in ("money", "number"):
-                        ok = 0
-                    else:
-                        ok = min(ok, numerical_accuracy(value, pred))
-            numerical_scores.append(ok)
+            numerical_scores.append(min((s.score for s in case_scores if s.family == "dollar"), default=1))
 
     def family(name: str) -> FamilyScore:
-        member = [s.score for s in scores if s.family == name]
-        if not member:
-            return FamilyScore(0.0, 0)
-        return FamilyScore(sum(member) / len(member), len(member))
+        return _mean([s.score for s in scores if s.family == name])
 
-    pairs = pair_consistency([r.case for r in results], decisions, truth_correct)
     return InstantiationReport(
         truth=family("truth"),
         dollar=family("dollar"),
         string=family("string"),
-        unified=FamilyScore(unified_accuracy(scores), len(scores)) if scores else FamilyScore(0.0, 0),
-        binary_cases=FamilyScore(
-            sum(binary_scores) / len(binary_scores) if binary_scores else 0.0, len(binary_scores)
-        ),
-        numerical_cases=FamilyScore(
-            sum(numerical_scores) / len(numerical_scores) if numerical_scores else 0.0,
-            len(numerical_scores),
-        ),
-        pairs=pairs,
+        unified=_mean([s.score for s in scores]),
+        binary_cases=_mean(binary_scores),
+        numerical_cases=_mean(numerical_scores),
+        pairs=pair_consistency([r.case for r in results], decisions, truth_correct),
         arg_scores=tuple(scores),
         errors=tuple(f"{r.case.id}: {r.error}" for r in results if r.error),
         notes=tuple(diagnostics.notes) if diagnostics else (),

@@ -340,10 +340,6 @@ def print_rule(rule: Rule) -> str:
     return f"{head} :- {print_body(rule.body)}."
 
 
-def print_program(program: Program) -> str:
-    return "\n".join(print_rule(rule) for rule in program.rules.values()) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Cross-reference checking
 

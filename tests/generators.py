@@ -93,12 +93,16 @@ def random_value_map(rng: random.Random, keys=("X", "Y", "Z")) -> ValueMap:
     return ValueMap(pairs)
 
 
-# Every value kind, unrestricted within what the model admits: full-Unicode
-# text, signed numbers and money, dates, truth scores over [0, 1] including
-# subnormals, and homogeneous lists of any of these.
+# Every value kind, unrestricted within what the model admits: text over
+# every code point (surrogates included), signed numbers and money, dates,
+# truth scores over [0, 1] including subnormals, and homogeneous lists of any
+# of these. Text draws the characters a writer must escape (quotes,
+# backslashes and every str.splitlines separator) often, not only by chance.
+ESCAPED_CHARACTERS = '"\\\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029'
+TEXT_VALUES = st.text(st.one_of(st.characters(exclude_categories=()), st.sampled_from(ESCAPED_CHARACTERS)))
 MONEY_VALUES = st.integers().map(Money)
 TRUTH_VALUES = st.floats(min_value=0.0, max_value=1.0)
-_KINDS = [st.text(), st.integers(), MONEY_VALUES, TRUTH_VALUES, st.dates()]
+_KINDS = [TEXT_VALUES, st.integers(), MONEY_VALUES, TRUTH_VALUES, st.dates()]
 VALUES = st.one_of(
     *_KINDS, st.sampled_from(_KINDS).flatmap(lambda kind: st.lists(kind, max_size=3).map(tuple))
 )

@@ -3,12 +3,17 @@ coreference metrics (MUC cluster by cluster, exhaustive CEAF alignments and
 BLANC over explicit mention pairs), the constant baseline's dollar fit (the
 hinge loss evaluated at every candidate), and the engine's grounding and the
 resolvers' per-call derivations as first written (a right-to-left splice,
-placeholder texts rebuilt and case descriptions re-read on every call)."""
+placeholder texts rebuilt and case descriptions re-read on every call), and
+the coreference, argument-identification, cascade and instantiation reports
+as first written (one scoring loop per report, each with its own pooling and
+its own copy of the P/R/F1 table)."""
 
 from __future__ import annotations
 
 import re
+import statistics as stats
 from collections.abc import Mapping
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -26,8 +31,23 @@ from statreason.baselines import (
     _MONTH_PREFIXES,
     hinge_loss,
 )
-from statreason.engine import value_surface
-from statreason.model import TRUTH_KEY, ArgumentLayer, Money, Value
+from statreason import coref_metrics
+from statreason.corpus import Corpus
+from statreason.engine import CaseResult, EngineConfig, RunDiagnostics, value_surface
+from statreason.metrics import (
+    ArgScore,
+    PRF,
+    binary_accuracy,
+    exact_match_coref,
+    numerical_accuracy,
+    pair_consistency,
+    prf,
+    score_arguments,
+    span_prf,
+    unified_accuracy,
+)
+from statreason.model import TRUTH_KEY, ArgumentLayer, Money, Value, value_kind
+from statreason.reports import Aggregate, FamilyScore, InstantiationReport
 
 
 def vilain_muc(gold, pred) -> tuple[float, float, float]:
@@ -274,3 +294,285 @@ def resolver_answer(resolver, request, text: str) -> dict[str, Value]:
         return {TRUTH_KEY: overlap_score(text, case.description)}
     answers = {name: value_for(name, request) for name in request.required}
     return {name: value for name, value in answers.items() if value is not None}
+
+
+# ---------------------------------------------------------------------------
+# Reports as first written
+
+
+def _avg_std(values: list[float]) -> tuple[float, float]:
+    if not values:
+        return (0.0, 0.0)
+    return (stats.fmean(values), stats.pstdev(values))
+
+
+def _aggregate(per_unit: list[PRF], pooled: PRF) -> Aggregate:
+    p_avg, p_std = _avg_std([u.precision for u in per_unit])
+    r_avg, r_std = _avg_std([u.recall for u in per_unit])
+    f_avg, f_std = _avg_std([u.f1 for u in per_unit])
+    return Aggregate(PRF(p_avg, r_avg, f_avg), PRF(p_std, r_std, f_std), pooled, len(per_unit))
+
+
+@dataclass(frozen=True)
+class CorefReport:
+    baseline: str
+    exact_match: Aggregate
+    perfectly_resolved: float
+    resolved_units: int
+    standard: dict[str, PRF] = field(default_factory=dict)
+    per_subsection: dict[str, PRF] = field(default_factory=dict)
+
+    def flat(self) -> dict[str, float]:
+        out = {
+            "exact_match_f1_avg": self.exact_match.avg.f1,
+            "exact_match_f1_macro": self.exact_match.macro.f1,
+            "perfectly_resolved": self.perfectly_resolved,
+        }
+        for name, value in self.standard.items():
+            out[f"{name}_f1"] = value.f1
+        return out
+
+    def render(self) -> str:
+        lines = [
+            f"argument coreference [{self.baseline}]",
+            f"  subsections scored: {self.exact_match.units}",
+            "  exact match            avg +- stddev        macro",
+            f"    precision        {100 * self.exact_match.avg.precision:6.1f} +- {100 * self.exact_match.std.precision:4.1f}"
+            f"       {100 * self.exact_match.macro.precision:6.1f}",
+            f"    recall           {100 * self.exact_match.avg.recall:6.1f} +- {100 * self.exact_match.std.recall:4.1f}"
+            f"       {100 * self.exact_match.macro.recall:6.1f}",
+            f"    F1               {100 * self.exact_match.avg.f1:6.1f} +- {100 * self.exact_match.std.f1:4.1f}"
+            f"       {100 * self.exact_match.macro.f1:6.1f}",
+            f"  perfectly resolved subsections: {100 * self.perfectly_resolved:.1f}%"
+            f" (of {self.resolved_units} with arguments)",
+            "  (macro pools cluster counts over subsections with arguments;"
+            " the equal-weight alternative is the avg column)",
+        ]
+        if self.standard:
+            lines.append("  standard metrics (P / R / F1, pooled mention universe)")
+            for name, value in self.standard.items():
+                lines.append(
+                    f"    {name:<8} {100 * value.precision:5.1f} / {100 * value.recall:5.1f} / {100 * value.f1:5.1f}"
+                )
+        return "\n".join(lines)
+
+
+def coref_report(
+    corpus: Corpus,
+    predictions: dict[str, tuple[tuple[int, ...], ...]],
+    baseline: str,
+    standard: bool = True,
+) -> CorefReport:
+    """Score predicted index partitions (one per subsection) against gold."""
+    per_unit: list[PRF] = []
+    per_subsection: dict[str, PRF] = {}
+    correct = pred_total = gold_total = 0
+    perfect = scored = 0
+    gold_universe, pred_universe = [], []
+    for sid, layer in corpus.layers.items():
+        pred = predictions.get(sid, ())
+        gold = layer.clusters
+        mention = lambda i: (sid, layer.spans[i].start, layer.spans[i].end)
+        gold_universe.extend(frozenset(mention(i) for i in c) for c in gold)
+        pred_universe.extend(frozenset(mention(i) for i in c) for c in pred)
+        if not gold:
+            continue
+        scored += 1
+        unit = exact_match_coref(gold, pred)
+        per_subsection[sid] = unit
+        per_unit.append(unit)
+        gold_sets = {frozenset(c) for c in gold}
+        pred_sets = {frozenset(c) for c in pred}
+        correct += len(gold_sets & pred_sets)
+        pred_total += len(pred_sets)
+        gold_total += len(gold_sets)
+        if gold_sets == pred_sets:
+            perfect += 1
+    pooled = prf(correct, pred_total, correct, gold_total)
+    standard_scores = {}
+    if standard:
+        for name, fn in coref_metrics.COREF_METRICS.items():
+            standard_scores[name] = fn(gold_universe, pred_universe)
+    return CorefReport(
+        baseline=baseline,
+        exact_match=_aggregate(per_unit, pooled),
+        perfectly_resolved=(perfect / scored) if scored else 0.0,
+        resolved_units=scored,
+        standard=standard_scores,
+        per_subsection=per_subsection,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Argument identification evaluation
+
+
+@dataclass(frozen=True)
+class ArgIdReport:
+    source: str
+    scores: Aggregate
+    per_subsection: dict[str, PRF] = field(default_factory=dict)
+
+    def flat(self) -> dict[str, float]:
+        return {
+            "span_f1_avg": self.scores.avg.f1,
+            "span_f1_macro": self.scores.macro.f1,
+        }
+
+    def render(self) -> str:
+        return "\n".join(
+            [
+                f"argument identification [{self.source}]",
+                f"  subsections scored: {self.scores.units}",
+                "                         avg +- stddev        macro",
+                f"    precision        {100 * self.scores.avg.precision:6.1f} +- {100 * self.scores.std.precision:4.1f}"
+                f"       {100 * self.scores.macro.precision:6.1f}",
+                f"    recall           {100 * self.scores.avg.recall:6.1f} +- {100 * self.scores.std.recall:4.1f}"
+                f"       {100 * self.scores.macro.recall:6.1f}",
+                f"    F1               {100 * self.scores.avg.f1:6.1f} +- {100 * self.scores.std.f1:4.1f}"
+                f"       {100 * self.scores.macro.f1:6.1f}",
+            ]
+        )
+
+
+def argid_report(corpus: Corpus, predictions: dict[str, tuple], source: str) -> ArgIdReport:
+    per_unit = []
+    per_subsection: dict[str, PRF] = {}
+    matched = pred_total = gold_total = 0
+    for sid, layer in corpus.layers.items():
+        pred = tuple(predictions.get(sid, ()))
+        unit = span_prf(layer.spans, pred)
+        per_subsection[sid] = unit
+        per_unit.append(unit)
+        both = set(layer.spans) & set(pred)
+        matched += len(both)
+        pred_total += len(set(pred))
+        gold_total += len(set(layer.spans))
+    pooled = prf(matched, pred_total, matched, gold_total)
+    return ArgIdReport(source, _aggregate(per_unit, pooled), per_subsection)
+
+
+# ---------------------------------------------------------------------------
+# Cascade (predicted spans, then coreference on them)
+
+
+@dataclass(frozen=True)
+class CascadeReport:
+    source: str
+    exact_match: Aggregate
+    perfectly_resolved: float
+    resolved_units: int
+
+    def flat(self) -> dict[str, float]:
+        return {
+            "cascade_f1_avg": self.exact_match.avg.f1,
+            "cascade_f1_macro": self.exact_match.macro.f1,
+            "cascade_perfectly_resolved": self.perfectly_resolved,
+        }
+
+    def render(self) -> str:
+        return "\n".join(
+            [
+                f"identification + coreference cascade [{self.source}]",
+                f"  subsections scored: {self.exact_match.units}",
+                "  exact match            avg +- stddev        macro",
+                f"    precision        {100 * self.exact_match.avg.precision:6.1f} +- {100 * self.exact_match.std.precision:4.1f}"
+                f"       {100 * self.exact_match.macro.precision:6.1f}",
+                f"    recall           {100 * self.exact_match.avg.recall:6.1f} +- {100 * self.exact_match.std.recall:4.1f}"
+                f"       {100 * self.exact_match.macro.recall:6.1f}",
+                f"    F1               {100 * self.exact_match.avg.f1:6.1f} +- {100 * self.exact_match.std.f1:4.1f}"
+                f"       {100 * self.exact_match.macro.f1:6.1f}",
+                f"  perfectly resolved subsections: {100 * self.perfectly_resolved:.1f}%"
+                f" (of {self.resolved_units} with arguments)",
+            ]
+        )
+
+
+def cascade_report(
+    corpus: Corpus, clusters_by_sid: dict[str, tuple[tuple, ...]], source: str
+) -> CascadeReport:
+    """Score predicted clusters given as groups of (start, end) pairs against
+    gold clusters compared as span sets."""
+    per_unit = []
+    correct = pred_total = gold_total = 0
+    perfect = scored = 0
+    for sid, layer in corpus.layers.items():
+        if not layer.clusters:
+            continue
+        scored += 1
+        gold = [
+            frozenset((layer.spans[i].start, layer.spans[i].end) for i in c) for c in layer.clusters
+        ]
+        pred = [frozenset(tuple(s) for s in c) for c in clusters_by_sid.get(sid, ())]
+        unit = exact_match_coref(gold, pred)
+        per_unit.append(unit)
+        gold_sets, pred_sets = set(gold), set(pred)
+        correct += len(gold_sets & pred_sets)
+        pred_total += len(pred_sets)
+        gold_total += len(gold_sets)
+        if gold_sets == pred_sets:
+            perfect += 1
+    pooled = prf(correct, pred_total, correct, gold_total)
+    return CascadeReport(
+        source=source,
+        exact_match=_aggregate(per_unit, pooled),
+        perfectly_resolved=(perfect / scored) if scored else 0.0,
+        resolved_units=scored,
+    )
+
+
+def instantiation_report(
+    results: list[CaseResult],
+    config: EngineConfig = EngineConfig(),
+    diagnostics: RunDiagnostics | None = None,
+) -> InstantiationReport:
+    scores: list[ArgScore] = []
+    decisions: dict[str, bool | None] = {}
+    truth_correct: dict[str, int] = {}
+    binary_scores, numerical_scores = [], []
+    for result in results:
+        case, predicted = result.case, result.predicted
+        scores.extend(score_arguments(case.expected, predicted, case.id, config.truth_threshold))
+        truth = predicted.get(TRUTH_KEY)
+        decisions[case.id] = None if truth is None else float(truth) >= config.truth_threshold
+        gold = float(case.expected.get(TRUTH_KEY, 1.0))
+        truth_correct[case.id] = binary_accuracy(
+            gold, None if truth is None else float(truth), config.truth_threshold
+        )
+        if case.kind == "binary":
+            binary_scores.append(truth_correct[case.id])
+        else:
+            ok = 1
+            for name, value in case.expected.items():
+                if name != TRUTH_KEY and value_kind(value) == "money":
+                    pred = predicted.get(name)
+                    if pred is None or value_kind(pred) not in ("money", "number"):
+                        ok = 0
+                    else:
+                        ok = min(ok, numerical_accuracy(value, pred))
+            numerical_scores.append(ok)
+
+    def family(name: str) -> FamilyScore:
+        member = [s.score for s in scores if s.family == name]
+        if not member:
+            return FamilyScore(0.0, 0)
+        return FamilyScore(sum(member) / len(member), len(member))
+
+    pairs = pair_consistency([r.case for r in results], decisions, truth_correct)
+    return InstantiationReport(
+        truth=family("truth"),
+        dollar=family("dollar"),
+        string=family("string"),
+        unified=FamilyScore(unified_accuracy(scores), len(scores)) if scores else FamilyScore(0.0, 0),
+        binary_cases=FamilyScore(
+            sum(binary_scores) / len(binary_scores) if binary_scores else 0.0, len(binary_scores)
+        ),
+        numerical_cases=FamilyScore(
+            sum(numerical_scores) / len(numerical_scores) if numerical_scores else 0.0,
+            len(numerical_scores),
+        ),
+        pairs=pairs,
+        arg_scores=tuple(scores),
+        errors=tuple(f"{r.case.id}: {r.error}" for r in results if r.error),
+        notes=tuple(diagnostics.notes) if diagnostics else (),
+    )

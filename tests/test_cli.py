@@ -48,6 +48,35 @@ class TestValidate:
         assert main(["validate", "--manifest", str(root / "manifest.txt")]) == 1
         assert f"{coref}:1: §1(d)(iv): empty cluster" in capsys.readouterr().err.splitlines()
 
+    def test_impossible_date_fails_with_file_and_line(self, tmp_path, capsys):
+        root = tmp_path / "corpus"
+        shutil.copytree(FIXTURES, root)
+        cases = root / "cases" / "test.cases"
+        lines = cases.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[3].startswith("2(a)(1)-negative ")
+        lines[3] = lines[3].replace('Taxy="2017"]', 'Taxy="2017", D=2017-13-45]')
+        cases.write_text("".join(lines), encoding="utf-8")
+        assert main(["validate", "--manifest", str(root / "manifest.txt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{cases}:4: invalid date '2017-13-45': month must be in 1..12")
+
+    def test_validate_and_eval_print_the_same_problem(self, tmp_path, capsys):
+        root = tmp_path / "corpus"
+        shutil.copytree(FIXTURES, root)
+        cases = root / "cases" / "test.cases"
+        cases.write_text(
+            cases.read_text(encoding="utf-8").replace('query="§2(a)(1)"', 'query="§404"'),
+            encoding="utf-8",
+        )
+        manifest = str(root / "manifest.txt")
+        assert main(["validate", "--manifest", manifest]) == 1
+        validate = capsys.readouterr()
+        assert main(["eval-inst", "--manifest", manifest]) == 1
+        eval_inst = capsys.readouterr()
+        assert validate.out == eval_inst.out == ""
+        assert validate.err == eval_inst.err
+        assert validate.err.startswith("corpus: ") and "§404" in validate.err
+
     def test_eval_commands_enforce_validation(self, tmp_path, capsys):
         root = tmp_path / "corpus"
         shutil.copytree(FIXTURES, root)

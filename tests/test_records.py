@@ -6,7 +6,7 @@ from hypothesis import example, given
 from statreason import records
 from statreason.model import Money, ValueMap
 
-from generators import MONEY_VALUES, TRUTH_VALUES
+from generators import ESCAPED_CHARACTERS, MONEY_VALUES, TRUTH_VALUES, VALUES
 
 
 class TestScanning:
@@ -85,7 +85,8 @@ class TestWriting:
         "value, written",
         [("Alice", '"Alice"'), (Money(500), "$500"), (Money(-5), "$-5"), (42, "42"), (1.0, "true"),
          (0.0, "false"), (0.25, "0.25"), (1e-05, "1e-05"), (5e-324, "5e-324"),
-         (datetime.date(2017, 2, 3), "2017-02-03"), ((4, 5), "[4, 5]")],
+         (datetime.date(2017, 2, 3), "2017-02-03"), ((4, 5), "[4, 5]"), (-3, "-3"),
+         ('tab\t "q" \\ \u00e9\n', '"tab\t \\"q\\" \\\\ \u00e9\\n"'), ("a\rb", '"a\\u000db"')],
     )
     def test_written_forms(self, value, written):
         assert records.write_value(value) == written
@@ -103,3 +104,26 @@ class TestWriting:
 
     def test_newlines_escaped(self):
         assert records.write_text("a\nb") == '"a\\nb"'
+
+    @given(VALUES)
+    @example(-3)
+    @example((-1, 0, 7))
+    @example("a\rb\x85c\u2028d\r\n")
+    @example(("\u2029", "\\u2028", ""))
+    def test_every_value_round_trips(self, value):
+        parsed = records.parse_value_literal(records.write_value(value))
+        if isinstance(parsed, list):
+            parsed = tuple(parsed)
+        # repr also tells 1 from 1.0 and "1" from 1.
+        assert repr(parsed) == repr(value)
+
+    @pytest.mark.parametrize("separator", list(ESCAPED_CHARACTERS[2:]))
+    def test_line_separators_keep_a_record_on_one_line(self, separator):
+        line = f"c1 d={records.write_text('a' + separator + 'b')} e=1"
+        assert len(line.splitlines()) == 1
+        [(_, record)] = records.iter_records(line + "\n")
+        assert record.fields == {"d": "a" + separator + "b", "e": 1}
+
+    def test_impossible_date_is_a_record_error(self):
+        with pytest.raises(records.RecordError, match="invalid date '2017-02-30'"):
+            records.parse_record("c1 d=2017-02-30")

@@ -1,5 +1,9 @@
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+import oracles
+from generators import MONEY_VALUES, TRUTH_VALUES, VALUES
 from statreason.baselines import (
     ConstantResolver,
     OracleResolver,
@@ -7,12 +11,14 @@ from statreason.baselines import (
     single_mention_coref,
     string_match_coref,
 )
-from statreason.engine import evaluate_run
+from statreason.engine import CaseResult, EngineConfig, evaluate_run
+from statreason.model import TRUTH_KEY, Case, Money, Span, ValueMap
 from statreason.reports import (
     argid_report,
     cascade_report,
     check_floors,
     coref_report,
+    instantiation_report,
     report_records,
 )
 
@@ -129,6 +135,117 @@ class TestInstantiationReport:
         text = report.render()
         for label in ("@truth", "dollar amount", "string", "unified", "binary", "numerical"):
             assert label in text
+
+
+@st.composite
+def partitions(draw, members):
+    """A random partition of `members`, in random cluster order."""
+    members = list(members)
+    labels = draw(st.lists(st.integers(0, len(members)), min_size=len(members), max_size=len(members)))
+    groups: dict[int, list] = {}
+    for member, label in zip(members, labels):
+        groups.setdefault(label, []).append(member)
+    return tuple(draw(st.permutations([tuple(c) for c in groups.values()])))
+
+
+@st.composite
+def predicted_spans(draw, layer, text):
+    """Some gold spans, some random ones (possibly out of the text), with
+    repeats, in random order."""
+    gold = draw(st.lists(st.sampled_from(layer.spans))) if layer.spans else []
+    other = draw(
+        st.lists(st.builds(lambda a, n: Span(a, a + n), st.integers(0, len(text) + 5), st.integers(1, 12)))
+    )
+    return tuple(draw(st.permutations(gold + other)))
+
+
+def assert_same_report(new, old):
+    assert new.render() == old.render()
+    assert new.flat() == old.flat()
+
+
+class TestAgainstOracles:
+    """The shared exact-match scorer and table renderer give the reports of
+    the per-report loops they replaced, on random predictions over the
+    fixture corpus."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_coref(self, corpus, data):
+        standard = data.draw(st.booleans())
+        predictions = {}
+        for sid, layer in corpus.layers.items():
+            if standard:
+                # The standard metrics need the gold mention universe.
+                members = range(len(layer.spans))
+            elif data.draw(st.booleans()):
+                continue
+            else:
+                members = [i for i in range(len(layer.spans)) if data.draw(st.booleans())]
+            predictions[sid] = data.draw(st.one_of(st.just(layer.clusters), partitions(members)))
+        assert_same_report(
+            coref_report(corpus, predictions, "random", standard),
+            oracles.coref_report(corpus, predictions, "random", standard),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_argid(self, corpus, data):
+        predictions = {
+            sid: data.draw(predicted_spans(layer, corpus.subsections[sid].text))
+            for sid, layer in corpus.layers.items()
+            if data.draw(st.integers(0, 5))
+        }
+        assert_same_report(
+            argid_report(corpus, predictions, "random"), oracles.argid_report(corpus, predictions, "random")
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_cascade(self, corpus, data):
+        clusters_by_sid = {}
+        for sid, layer in corpus.layers.items():
+            if not data.draw(st.integers(0, 5)):
+                continue
+            spans = data.draw(predicted_spans(layer, corpus.subsections[sid].text))
+            gold_pairs = [(s.start, s.end) for s in layer.spans]
+            gold = tuple(tuple(gold_pairs[i] for i in c) for c in layer.clusters)
+            pairs = [(s.start, s.end) for s in spans]
+            clusters_by_sid[sid] = data.draw(st.one_of(st.just(gold), partitions(pairs)))
+        assert_same_report(
+            cascade_report(corpus, clusters_by_sid, "random"),
+            oracles.cascade_report(corpus, clusters_by_sid, "random"),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_instantiation(self, corpus, data):
+        # The fixture's numerical cases expect one amount each; these expect
+        # up to three, so a case scores the worst of its amounts.
+        amounts = st.dictionaries(st.sampled_from(["A", "B", "C"]), MONEY_VALUES, min_size=1)
+        extra = tuple(
+            Case(f"amounts-{i}", "", "Tax", ValueMap(), ValueMap(expected))
+            for i, expected in enumerate(data.draw(st.lists(amounts, max_size=4)))
+        )
+        results = []
+        for case in corpus.cases + corpus.silver + extra:
+            predicted = {}
+            for name, gold in case.expected.items():
+                if name == TRUTH_KEY:
+                    choice = st.one_of(st.just(gold), TRUTH_VALUES)
+                elif isinstance(gold, Money):
+                    near = st.integers(-10_000, 10_000).map(lambda d, gold=gold: Money(gold.dollars + d))
+                    choice = st.one_of(st.just(gold), near, VALUES)
+                else:
+                    choice = st.one_of(st.just(gold), VALUES)
+                if data.draw(st.booleans()):
+                    predicted[name] = data.draw(choice)
+            error = data.draw(st.sampled_from([None, "resolver failed"]))
+            results.append(CaseResult(case, ValueMap(predicted), error))
+        config = EngineConfig(truth_threshold=data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+        new, old = instantiation_report(results, config), oracles.instantiation_report(results, config)
+        assert new == old
+        assert_same_report(new, old)
 
 
 class TestFloors:
