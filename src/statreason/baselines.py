@@ -247,12 +247,6 @@ def _calls_for_dollars(surface: str) -> bool:
     return "$" in surface or not _MONEY_WORDS.isdisjoint(_WORD_RE.findall(surface))
 
 
-def wants_dollars(argument: str, layer: ArgumentLayer, source_text: str) -> bool:
-    spans = layer.spans_of(argument)
-    placeholder = " ".join(span.slice(source_text) for span in spans) if spans and source_text else None
-    return _calls_for_dollars(_surface(argument, placeholder))
-
-
 @dataclass(frozen=True)
 class ConstantResolver:
     """Answers from the three fitted parameters, ignoring the case entirely."""
@@ -395,13 +389,10 @@ def _nearest(candidates: list[tuple[int, Value]], anchor: int) -> Value | None:
 
 
 def _overlap(grounded: str, case_tokens: frozenset[str]) -> float:
+    """Fraction of the grounded subsection's distinct tokens that are among
+    the case description's tokens; 1.0 for identical texts."""
     sub = set(_OVERLAP_TOKEN_RE.findall(grounded.lower()))
     if not sub:
         return 0.0
     return len(sub & case_tokens) / len(sub)
 
-
-def overlap_score(grounded: str, description: str) -> float:
-    """Fraction of the grounded subsection's distinct tokens that also occur
-    in the case description; 1.0 for identical texts."""
-    return _overlap(grounded, frozenset(_OVERLAP_TOKEN_RE.findall(description.lower())))

@@ -21,6 +21,7 @@ from .corpus import (
     corpus_statistics,
     load_argument_layers,
     load_corpus,
+    load_spans,
     validate_corpus,
 )
 from .engine import EngineConfig, evaluate_run
@@ -169,11 +170,6 @@ def cmd_stats(args) -> int:
     )
 
 
-def _load_partitions(corpus: Corpus, path: str) -> dict[str, tuple[tuple[int, ...], ...]]:
-    layers = load_argument_layers(corpus.manifest.spans, path, list(corpus.subsections.values()))
-    return {l.subsection_id: l.clusters for l in layers}
-
-
 def cmd_eval_coref(args) -> int:
     corpus = _load_validated(args.manifest)
     if args.baseline == "single":
@@ -186,7 +182,8 @@ def cmd_eval_coref(args) -> int:
             for sid, layer in corpus.layers.items()
         }
     elif args.baseline.startswith("import:"):
-        predictions = _load_partitions(corpus, args.baseline[len("import:") :])
+        layers = load_argument_layers(corpus.manifest.spans, args.baseline[len("import:") :], corpus.subsections)
+        predictions = {l.subsection_id: l.clusters for l in layers}
     else:
         raise ValueError(f"unknown baseline {args.baseline!r}")
     report = reports.coref_report(corpus, predictions, args.baseline)
@@ -204,14 +201,6 @@ def cmd_eval_coref(args) -> int:
     )
 
 
-def _load_spans(path: str) -> dict[str, tuple[Span, ...]]:
-    text = Path(path).read_text(encoding="utf-8")
-    return {
-        record.id: tuple(Span(p.start, p.end) for p in record.require("spans"))
-        for _lineno, record in records.iter_records(text)
-    }
-
-
 def _predicted_spans(corpus: Corpus, source: str) -> dict[str, tuple[Span, ...]]:
     if source == "heuristic":
         return {
@@ -220,7 +209,7 @@ def _predicted_spans(corpus: Corpus, source: str) -> dict[str, tuple[Span, ...]]
             if sid in corpus.layers
         }
     if source.startswith("import:"):
-        return _load_spans(source[len("import:") :])
+        return load_spans(source[len("import:") :], corpus.subsections)
     raise ValueError(f"unknown span source {source!r}")
 
 
@@ -242,10 +231,7 @@ def cmd_eval_argid(args) -> int:
 def cmd_cascade(args) -> int:
     corpus = _load_validated(args.manifest)
     clusters_by_sid = {}
-    for sid, predicted in _predicted_spans(corpus, args.source).items():
-        if sid not in corpus.subsections:
-            continue
-        spans = tuple(sorted(set(predicted)))
+    for sid, spans in _predicted_spans(corpus, args.source).items():
         layer = ArgumentLayer(sid, spans, tuple((i,) for i in range(len(spans))))
         partition = baselines.string_match_coref(layer, corpus.subsections[sid].text)
         clusters_by_sid[sid] = tuple(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import statistics as stats
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -184,23 +185,20 @@ def _parent_of(subsection_id: str, known: set[str]) -> str | None:
     return None
 
 
-def load_argument_layers(
-    spans_path: str | Path, coref_path: str | Path, statutes: list[Subsection]
-) -> list[ArgumentLayer]:
-    """Join the spans and coref files into validated argument layers."""
-    spans_path, coref_path = Path(spans_path), Path(coref_path)
-    by_id = {s.id: s for s in statutes}
+def load_spans(path: str | Path, subsections: Mapping[str, Subsection]) -> dict[str, tuple[Span, ...]]:
+    """Each known subsection's spans from a spans file, checked to be sorted,
+    disjoint and inside its text; any problem is a CorpusError at path:line."""
+    path = Path(path)
     errors: list[FileError] = []
-
     spans: dict[str, tuple[Span, ...]] = {}
-    for lineno, record in _iter_file(spans_path):
+    for lineno, record in _iter_file(path):
         try:
             items = record.require("spans")
-            if record.id not in by_id:
+            if record.id not in subsections:
                 raise records.RecordError(f"unknown subsection {record.id}")
             if record.id in spans:
                 raise records.RecordError(f"duplicate spans record for {record.id}")
-            text = by_id[record.id].text
+            text = subsections[record.id].text
             out = []
             for item in items:
                 if not isinstance(item, records.PairLit):
@@ -219,7 +217,19 @@ def load_argument_layers(
                     raise records.RecordError(f"spans overlap or are out of order: {a}, {b}")
             spans[record.id] = tuple(out)
         except (records.RecordError, ValueError) as exc:
-            errors.append(FileError(str(spans_path), lineno, str(exc)))
+            errors.append(FileError(str(path), lineno, str(exc)))
+    if errors:
+        raise CorpusError(errors)
+    return spans
+
+
+def load_argument_layers(
+    spans_path: str | Path, coref_path: str | Path, subsections: Mapping[str, Subsection]
+) -> list[ArgumentLayer]:
+    """Join the spans and coref files into validated argument layers."""
+    coref_path = Path(coref_path)
+    spans = load_spans(spans_path, subsections)
+    errors: list[FileError] = []
 
     layers: dict[str, ArgumentLayer] = {}
     for lineno, record in _iter_file(coref_path):
@@ -306,7 +316,7 @@ def _iter_file(path: Path):
 
 def load_corpus(manifest_path: str | Path) -> Corpus:
     manifest = CorpusManifest.load(manifest_path)
-    subsections = load_statutes(manifest.statutes)
+    subsections = {s.id: s for s in load_statutes(manifest.statutes)}
     layers = load_argument_layers(manifest.spans, manifest.coref, subsections)
     try:
         program = parse_program(manifest.structure.read_text(encoding="utf-8"))
@@ -317,7 +327,7 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
     section_files = tuple(sorted(p.name for p in Path(manifest.statutes).glob("*.txt") if p.name != "offsets.txt"))
     return Corpus(
         manifest=manifest,
-        subsections={s.id: s for s in subsections},
+        subsections=subsections,
         layers={l.subsection_id: l for l in layers},
         program=program,
         cases=tuple(cases),
@@ -343,7 +353,7 @@ def validate_corpus(corpus: Corpus) -> list[str]:
         if layer.subsection_id not in corpus.subsections:
             diagnostics.append(f"layer {layer.subsection_id}: unknown subsection")
         rule = corpus.program.get(layer.subsection_id)
-        for name, _ in layer.named_clusters():
+        for name, _ in layer.labelled_clusters:
             if rule is None:
                 diagnostics.append(
                     f"layer {layer.subsection_id}: cluster {name!r} named but no rule declares parameters"

@@ -178,14 +178,6 @@ def value_surface(value: Value, threshold: float = 0.5) -> str:
     return write_value(value)
 
 
-def insert_values(
-    text: str, layer: ArgumentLayer, values: Mapping[str, Value], threshold: float = 0.5
-) -> str:
-    """Replace every mention span of every valued argument with the value's
-    surface form; unvalued arguments stay verbatim."""
-    return SubsectionPlan(layer, text).ground(values, threshold)
-
-
 @dataclass
 class RunDiagnostics:
     notes: list[str] = field(default_factory=list)

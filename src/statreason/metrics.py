@@ -1,4 +1,7 @@
-"""Scoring: span identification, the three accuracy families, pair analysis.
+"""Scoring: the exact-match table, the three accuracy families, pair analysis.
+
+`exact_match` is the one definition of the table that the coreference,
+argument-identification and cascade reports print.
 
 Conventions that the formulas leave open are pinned here once: the binary
 threshold is inclusive at 0.5, a missing prediction scores 0 in its family
@@ -11,10 +14,11 @@ from __future__ import annotations
 import datetime
 import math
 import re
+import statistics as stats
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Money, Span, TRUTH_KEY, Value, value_kind
+from .model import Money, TRUTH_KEY, Value, value_kind
 
 
 @dataclass(frozen=True)
@@ -36,23 +40,44 @@ def prf(matched_p: float, total_pred: float, matched_r: float, total_gold: float
     return PRF(p, r, f1)
 
 
-def span_prf(gold: list[Span] | tuple, pred: list[Span] | tuple) -> PRF:
-    """Exact-boundary span matching."""
-    gold_set, pred_set = set(gold), set(pred)
-    matched = len(gold_set & pred_set)
-    return prf(matched, len(pred_set), matched, len(gold_set))
+@dataclass(frozen=True)
+class Aggregate:
+    """Exact-match scores over units: avg +- stddev of the per-unit P/R/F1,
+    the pooled corpus-level value, and the share of units that match
+    exactly (0 when there are no units)."""
+
+    avg: PRF
+    std: PRF
+    macro: PRF
+    units: int
+    perfectly_resolved: float
 
 
-def exact_match_coref(gold_clusters, pred_clusters) -> PRF:
-    """Credit a predicted cluster only when it equals a gold cluster as a set.
+def _avg_std(values: list[float]) -> tuple[float, float]:
+    if not values:
+        return (0.0, 0.0)
+    return (stats.fmean(values), stats.pstdev(values))
 
-    Clusters may be given over span indices or over (start, end) pairs, as
-    long as both sides use the same mention representation.
-    """
-    gold_sets = {frozenset(c) for c in gold_clusters}
-    pred_sets = {frozenset(c) for c in pred_clusters}
-    correct = len(gold_sets & pred_sets)
-    return prf(correct, len(pred_sets), correct, len(gold_sets))
+
+def exact_match(units) -> Aggregate:
+    """Exact-match scores over (gold set, predicted set) pairs, one pair per
+    unit. An item counts only when the same item is in both sets: a span by
+    its boundaries, a cluster as the set of its mentions."""
+    per_unit: list[PRF] = []
+    correct = pred_total = gold_total = perfect = 0
+    for gold, pred in units:
+        matched = len(gold & pred)
+        per_unit.append(prf(matched, len(pred), matched, len(gold)))
+        correct += matched
+        pred_total += len(pred)
+        gold_total += len(gold)
+        perfect += gold == pred
+    p_avg, p_std = _avg_std([u.precision for u in per_unit])
+    r_avg, r_std = _avg_std([u.recall for u in per_unit])
+    f_avg, f_std = _avg_std([u.f1 for u in per_unit])
+    pooled = prf(correct, pred_total, correct, gold_total)
+    share = perfect / len(per_unit) if per_unit else 0.0
+    return Aggregate(PRF(p_avg, r_avg, f_avg), PRF(p_std, r_std, f_std), pooled, len(per_unit), share)
 
 
 # ---------------------------------------------------------------------------

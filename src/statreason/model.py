@@ -134,14 +134,6 @@ class ValueMap(Mapping):
         return ValueMap._of({k: v for k, v in self._items.items() if k not in names})
 
 
-def truth_of(values: Mapping[str, Value]) -> float | None:
-    """The @truth entry of a value map, or None when absent."""
-    value = values.get(TRUTH_KEY)
-    if value is None:
-        return None
-    return float(value)
-
-
 @dataclass(frozen=True, order=True)
 class Span:
     """A character range [start, end) within one subsection's text."""
@@ -222,10 +214,6 @@ class ArgumentLayer:
         by_name = {n: tuple(spans[i] for i in c) for n, c in pairs}
         object.__setattr__(self, "_spans_by_name", by_name)
 
-    def named_clusters(self) -> list[tuple[str, tuple[int, ...]]]:
-        """(name, cluster) pairs in order of first mention, labelled ones only."""
-        return list(self.labelled_clusters)
-
     def spans_of(self, name: str) -> tuple[Span, ...]:
         """The mention spans of a labelled argument; () for any other name."""
         return self._spans_by_name.get(name, ())
@@ -245,17 +233,6 @@ def canonical_partition(clusters: Iterable[Iterable[int]]) -> tuple[tuple[int, .
     """Sort members within clusters and clusters by first member."""
     normal = tuple(tuple(sorted(c)) for c in clusters)
     return tuple(sorted(normal, key=lambda c: c[0]))
-
-
-def clusters_to_matrix(layer: ArgumentLayer) -> list[list[int]]:
-    """The coreference matrix induced by a layer's cluster partition."""
-    n = len(layer.spans)
-    matrix = [[0] * n for _ in range(n)]
-    for cluster in layer.clusters:
-        for i in cluster:
-            for j in cluster:
-                matrix[i][j] = 1
-    return matrix
 
 
 def matrix_to_clusters(matrix: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:

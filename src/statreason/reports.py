@@ -1,4 +1,5 @@
-"""Report assembly: aggregate scores, render text tables, emit record files.
+"""Report assembly: score each report's units, render text tables, emit
+record files. The exact-match table itself is `metrics.exact_match`.
 
 Coreference numbers are aggregated two ways, as an average with population
 standard deviation across subsections that have at least one argument, and
@@ -10,59 +11,23 @@ corpus as a single mention universe with mentions keyed by
 
 from __future__ import annotations
 
-import statistics as stats
 from dataclasses import dataclass, field
 
 from . import coref_metrics
 from .corpus import Corpus
 from .engine import CaseResult, EngineConfig, RunDiagnostics
 from .metrics import (
+    Aggregate,
     ArgScore,
     PRF,
     PairReport,
     binary_accuracy,
     confidence_interval,
+    exact_match,
     pair_consistency,
-    prf,
     score_arguments,
 )
 from .model import TRUTH_KEY
-
-
-def _avg_std(values: list[float]) -> tuple[float, float]:
-    if not values:
-        return (0.0, 0.0)
-    return (stats.fmean(values), stats.pstdev(values))
-
-
-@dataclass(frozen=True)
-class Aggregate:
-    """avg +- stddev across units, plus the pooled corpus-level value."""
-
-    avg: PRF
-    std: PRF
-    macro: PRF
-    units: int
-
-
-def _exact_match(units) -> tuple[Aggregate, int]:
-    """Exact-match scores over (gold set, predicted set) pairs, one pair per
-    unit: the per-unit P/R/F1 averaged, the pooled counts, and how many
-    units match exactly."""
-    per_unit: list[PRF] = []
-    correct = pred_total = gold_total = perfect = 0
-    for gold, pred in units:
-        matched = len(gold & pred)
-        per_unit.append(prf(matched, len(pred), matched, len(gold)))
-        correct += matched
-        pred_total += len(pred)
-        gold_total += len(gold)
-        perfect += gold == pred
-    p_avg, p_std = _avg_std([u.precision for u in per_unit])
-    r_avg, r_std = _avg_std([u.recall for u in per_unit])
-    f_avg, f_std = _avg_std([u.f1 for u in per_unit])
-    pooled = prf(correct, pred_total, correct, gold_total)
-    return Aggregate(PRF(p_avg, r_avg, f_avg), PRF(p_std, r_std, f_std), pooled, len(per_unit)), perfect
 
 
 def _prf_table(title: str, scores: Aggregate) -> list[str]:
@@ -78,8 +43,9 @@ def _prf_table(title: str, scores: Aggregate) -> list[str]:
     return lines
 
 
-def _perfect_line(share: float, units: int) -> str:
-    return f"  perfectly resolved subsections: {100 * share:.1f}% (of {units} with arguments)"
+def _perfect_line(scores: Aggregate) -> str:
+    share = 100 * scores.perfectly_resolved
+    return f"  perfectly resolved subsections: {share:.1f}% (of {scores.units} with arguments)"
 
 
 def _clusters(clusters) -> set[frozenset]:
@@ -94,9 +60,11 @@ def _clusters(clusters) -> set[frozenset]:
 class CorefReport:
     baseline: str
     exact_match: Aggregate
-    perfectly_resolved: float
-    resolved_units: int
     standard: dict[str, PRF] = field(default_factory=dict)
+
+    @property
+    def perfectly_resolved(self) -> float:
+        return self.exact_match.perfectly_resolved
 
     def flat(self) -> dict[str, float]:
         out = {
@@ -112,7 +80,7 @@ class CorefReport:
         lines = [
             f"argument coreference [{self.baseline}]",
             *_prf_table("exact match", self.exact_match),
-            _perfect_line(self.perfectly_resolved, self.resolved_units),
+            _perfect_line(self.exact_match),
             "  (macro pools cluster counts over subsections with arguments;"
             " the equal-weight alternative is the avg column)",
         ]
@@ -141,13 +109,11 @@ def coref_report(
         pred_universe.extend(frozenset(mention(i) for i in c) for c in pred)
         if layer.clusters:
             units.append((_clusters(layer.clusters), _clusters(pred)))
-    exact, perfect = _exact_match(units)
     standard_scores = {}
     if standard:
         for name, fn in coref_metrics.COREF_METRICS.items():
             standard_scores[name] = fn(gold_universe, pred_universe)
-    share = perfect / exact.units if exact.units else 0.0
-    return CorefReport(baseline, exact, share, exact.units, standard_scores)
+    return CorefReport(baseline, exact_match(units), standard_scores)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +138,7 @@ class ArgIdReport:
 def argid_report(corpus: Corpus, predictions: dict[str, tuple], source: str) -> ArgIdReport:
     """Score predicted spans against gold spans, by exact boundaries."""
     units = ((set(layer.spans), set(predictions.get(sid, ()))) for sid, layer in corpus.layers.items())
-    return ArgIdReport(source, _exact_match(units)[0])
+    return ArgIdReport(source, exact_match(units))
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +149,10 @@ def argid_report(corpus: Corpus, predictions: dict[str, tuple], source: str) -> 
 class CascadeReport:
     source: str
     exact_match: Aggregate
-    perfectly_resolved: float
-    resolved_units: int
+
+    @property
+    def perfectly_resolved(self) -> float:
+        return self.exact_match.perfectly_resolved
 
     def flat(self) -> dict[str, float]:
         return {
@@ -198,7 +166,7 @@ class CascadeReport:
             [
                 f"identification + coreference cascade [{self.source}]",
                 *_prf_table("exact match", self.exact_match),
-                _perfect_line(self.perfectly_resolved, self.resolved_units),
+                _perfect_line(self.exact_match),
             ]
         )
 
@@ -214,9 +182,7 @@ def cascade_report(
             gold = (((layer.spans[i].start, layer.spans[i].end) for i in c) for c in layer.clusters)
             pred = ((tuple(s) for s in c) for c in clusters_by_sid.get(sid, ()))
             units.append((_clusters(gold), _clusters(pred)))
-    exact, perfect = _exact_match(units)
-    share = perfect / exact.units if exact.units else 0.0
-    return CascadeReport(source, exact, share, exact.units)
+    return CascadeReport(source, exact_match(units))
 
 
 # ---------------------------------------------------------------------------

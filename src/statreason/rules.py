@@ -478,15 +478,3 @@ def populate_values(tree: DepTree, inputs: ValueMap) -> DepTree:
     assert isinstance(root, SubsectionNode)
     return DepTree(root, tree.depth_cap)
 
-
-def tree_depth(tree: DepTree) -> int:
-    """Deepest subsection level present in the tree (root is level 1)."""
-
-    def walk(node: TreeNode) -> int:
-        if isinstance(node, OpNode):
-            return max(walk(c) for c in node.children)
-        if node.child is None:
-            return node.depth
-        return max(node.depth, walk(node.child))
-
-    return walk(tree.root)

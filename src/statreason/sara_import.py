@@ -55,11 +55,6 @@ def file_stem_to_id(stem: str) -> str:
     return "§" + parts[0] + "".join(f"({p})" for p in parts[1:])
 
 
-def id_to_file_stem(subsection_id: str) -> str:
-    ident = subsection_id.lstrip("§")
-    return re.sub(r"\)\(", "_", ident).replace("(", "_").replace(")", "")
-
-
 def import_corpus(source: str | Path, dest: str | Path) -> ImportLog:
     """Convert a distributed tree into a canonical corpus under `dest`."""
     source, dest = Path(source), Path(dest)
@@ -213,8 +208,8 @@ def _read_case(path: Path, split: str, log: ImportLog) -> Case | None:
         log.skip(f"case {path.name}", f"missing blocks: {', '.join(missing)}")
         return None
     try:
-        inputs = _parse_pairs(blocks.get("Input", ""))
-        expected = _parse_pairs(blocks["Output"])
+        inputs = _parse_pairs(blocks.get("Input", ""), "Input")
+        expected = _parse_pairs(blocks["Output"], "Output")
     except records.RecordError as exc:
         log.skip(f"case {path.name}", str(exc))
         return None
@@ -224,8 +219,8 @@ def _read_case(path: Path, split: str, log: ImportLog) -> Case | None:
     return case
 
 
-def _parse_pairs(block: str) -> ValueMap:
-    pairs = []
+def _parse_pairs(block: str, where: str) -> ValueMap:
+    entries = []
     for line in block.splitlines():
         line = line.strip()
         if not line:
@@ -233,10 +228,5 @@ def _parse_pairs(block: str) -> ValueMap:
         if "=" not in line:
             raise records.RecordError(f"expected '<name>=<value>', got {line!r}")
         name, _, literal = line.partition("=")
-        value = records.parse_value_literal(literal.strip())
-        if isinstance(value, list):
-            value = tuple(records._plain(v, name) for v in value)
-        if isinstance(value, (records.Entry, records.Labeled, records.PairLit)):
-            raise records.RecordError(f"unsupported value shape: {literal!r}")
-        pairs.append((name.strip(), value))
-    return ValueMap(pairs)
+        entries.append(records.Entry(name.strip(), records.parse_value_literal(literal.strip())))
+    return records.as_value_map(entries, where)

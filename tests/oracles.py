@@ -6,7 +6,9 @@ resolvers' per-call derivations as first written (a right-to-left splice,
 placeholder texts rebuilt and case descriptions re-read on every call), and
 the coreference, argument-identification, cascade and instantiation reports
 as first written (one scoring loop per report, each with its own pooling and
-its own copy of the P/R/F1 table)."""
+its own copy of the P/R/F1 table, scoring each unit with the per-unit
+`span_prf` and `exact_match_coref` the library once had). `tree_depth` is
+the dependency-tree depth the depth-cap tests measure with."""
 
 from __future__ import annotations
 
@@ -38,16 +40,15 @@ from statreason.metrics import (
     ArgScore,
     PRF,
     binary_accuracy,
-    exact_match_coref,
     numerical_accuracy,
     pair_consistency,
     prf,
     score_arguments,
-    span_prf,
     unified_accuracy,
 )
-from statreason.model import TRUTH_KEY, ArgumentLayer, Money, Value, value_kind
-from statreason.reports import Aggregate, FamilyScore, InstantiationReport
+from statreason.model import TRUTH_KEY, ArgumentLayer, Money, Span, Value, value_kind
+from statreason.reports import FamilyScore, InstantiationReport
+from statreason.rules import DepTree, OpNode, TreeNode
 
 
 def vilain_muc(gold, pred) -> tuple[float, float, float]:
@@ -296,8 +297,50 @@ def resolver_answer(resolver, request, text: str) -> dict[str, Value]:
     return {name: value for name, value in answers.items() if value is not None}
 
 
+def tree_depth(tree: DepTree) -> int:
+    """Deepest subsection level present in the tree (root is level 1)."""
+
+    def walk(node: TreeNode) -> int:
+        if isinstance(node, OpNode):
+            return max(walk(c) for c in node.children)
+        if node.child is None:
+            return node.depth
+        return max(node.depth, walk(node.child))
+
+    return walk(tree.root)
+
+
 # ---------------------------------------------------------------------------
 # Reports as first written
+
+
+def span_prf(gold: list[Span] | tuple, pred: list[Span] | tuple) -> PRF:
+    """Exact-boundary span matching."""
+    gold_set, pred_set = set(gold), set(pred)
+    matched = len(gold_set & pred_set)
+    return prf(matched, len(pred_set), matched, len(gold_set))
+
+
+def exact_match_coref(gold_clusters, pred_clusters) -> PRF:
+    """Credit a predicted cluster only when it equals a gold cluster as a set.
+
+    Clusters may be given over span indices or over (start, end) pairs, as
+    long as both sides use the same mention representation.
+    """
+    gold_sets = {frozenset(c) for c in gold_clusters}
+    pred_sets = {frozenset(c) for c in pred_clusters}
+    correct = len(gold_sets & pred_sets)
+    return prf(correct, len(pred_sets), correct, len(gold_sets))
+
+
+@dataclass(frozen=True)
+class Aggregate:
+    """avg +- stddev across units, plus the pooled corpus-level value."""
+
+    avg: PRF
+    std: PRF
+    macro: PRF
+    units: int
 
 
 def _avg_std(values: list[float]) -> tuple[float, float]:

@@ -302,7 +302,7 @@ def test_criterion_6_operator_semantics_over_random_trees():
 
 def test_criterion_6_depth_cap_monotonicity():
     rng = random.Random(67)
-    from statreason.rules import tree_depth
+    from oracles import tree_depth
 
     checked = 0
     for _ in range(300):

@@ -15,10 +15,8 @@ from statreason.baselines import (
     hinge_loss,
     hinge_losses,
     normalize_placeholder,
-    overlap_score,
     single_mention_coref,
     string_match_coref,
-    wants_dollars,
 )
 from statreason.engine import ResolveRequest, SubsectionPlan
 from statreason.model import (
@@ -314,7 +312,6 @@ class TestConstantResolver:
         plan = SubsectionPlan(layer, text)
         for name in [n for n in layer.cluster_names if n not in (None, TRUTH_KEY)] + [unmentioned]:
             expected = oracles.wants_dollars(name, layer, text)
-            assert wants_dollars(name, layer, text) == expected
             case = Case("x", "d", "§x", ValueMap(), ValueMap({"@truth": 1.0}))
             answer = ConstantResolver(self.PARAMS).resolve(ResolveRequest(plan, ValueMap(), (name,), case))
             assert (answer[name] == Money(42000)) == expected
@@ -322,9 +319,11 @@ class TestConstantResolver:
     def test_taxpayer_is_not_a_dollar_argument(self, corpus):
         layer = corpus.layers["§63(c)(5)"]
         text = corpus.subsections["§63(c)(5)"].text
-        assert not wants_dollars("S45", layer, text)   # "another taxpayer"
-        assert wants_dollars("S44B", layer, text)      # "a deduction"
-        assert wants_dollars("Bassd", layer, text)     # "the basic standard deduction"
+        case = Case("x", "d", "§63(c)(5)", ValueMap(), ValueMap({"@truth": 1.0}))
+        out = ConstantResolver(self.PARAMS).resolve(request(layer, text, case, ("S45", "S44B", "Bassd")))
+        assert out["S45"] == "Bob"             # "another taxpayer"
+        assert out["S44B"] == Money(42000)     # "a deduction"
+        assert out["Bassd"] == Money(42000)    # "the basic standard deduction"
 
 
 class TestHeuristicResolver:
@@ -362,8 +361,12 @@ class TestHeuristicResolver:
         assert out[TRUTH_KEY] == 1.0
 
     def test_overlap_score_bounds(self):
-        assert overlap_score("", "anything") == 0.0
-        assert 0.0 <= overlap_score("some shared words", "shared words appear") <= 1.0
+        def truth(text, description):
+            case = Case("x", description, "§x", ValueMap(), ValueMap({"@truth": 1.0}))
+            return HeuristicResolver().resolve(request(empty_layer("§x"), text, case, ()))[TRUTH_KEY]
+
+        assert truth("", "anything") == 0.0
+        assert 0.0 <= truth("some shared words", "shared words appear") <= 1.0
 
 
 class TestOracleResolver:

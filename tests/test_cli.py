@@ -138,6 +138,54 @@ class TestEvalCommands:
         assert "placeholders per subsection" in out
 
 
+class TestImports:
+    @pytest.mark.parametrize(
+        "command, option, label",
+        [
+            ("eval-coref", "--baseline", "string"),
+            ("eval-argid", "--source", "heuristic"),
+            ("cascade", "--source", "heuristic"),
+        ],
+    )
+    def test_a_dump_reads_back_to_the_same_scores(self, command, option, label, tmp_path, capsys):
+        writer = {"--baseline": "eval-coref", "--source": "eval-argid"}[option]
+        assert main([writer, "--manifest", MANIFEST, option, label, "--out", str(tmp_path / "dump")]) == 0
+        imported = f"import:{tmp_path / 'dump' / f'{writer}.predictions.txt'}"
+        own, read = tmp_path / "own", tmp_path / "read"
+        for source, out in ((label, own), (imported, read)):
+            assert main([command, "--manifest", MANIFEST, option, source, "--out", str(out)]) == 0
+        capsys.readouterr()
+        names = sorted(p.name for p in own.iterdir())
+        assert names == sorted(p.name for p in read.iterdir())
+        for name in names:
+            a, b = ((d / name).read_text(encoding="utf-8") for d in (own, read))
+            if name.endswith(".records.txt"):
+                assert a.startswith("@run ") and b.startswith("@run ")
+                a, b = a.split("\n", 1)[1], b.split("\n", 1)[1]
+            assert a == b.replace(f"[{imported}]", f"[{label}]")
+
+    @pytest.mark.parametrize("command", ["eval-argid", "cascade"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("§1(d)(iv) spans=[(0, 3), oops]", "cannot type value 'oops'"),
+            ("§1(d)(iv) spans=[(5, 2)]", "invalid span (5, 2)"),
+            ("§1(d)(iv) spans=[[1], (0, 3)]", "expected (start, end) pairs, found [1]"),
+            ("§1(d)(iv) spans=[(54, 72), (5, 50)]", "spans overlap or are out of order"),
+            ("§404 spans=[(0, 3)]", "unknown subsection §404"),
+            ("§2(a)(1) spans=[(27, 40)]", "duplicate spans record for §2(a)(1)"),
+        ],
+        ids=["bad-value", "backwards-span", "not-a-pair", "out-of-order", "unknown-subsection", "duplicate"],
+    )
+    def test_bad_span_import_fails_with_file_and_line(self, command, bad, message, tmp_path, capsys):
+        spans = tmp_path / "spans.txt"
+        spans.write_text(f"§2(a)(1) spans=[(27, 40)]\n{bad}\n", encoding="utf-8")
+        assert main([command, "--manifest", MANIFEST, "--source", f"import:{spans}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{spans}:2: ") and message in captured.err
+
+
 class TestDeterminism:
     def test_reports_byte_identical_across_runs(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"

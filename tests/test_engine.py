@@ -22,7 +22,6 @@ from statreason.engine import (
     SubsectionPlan,
     do_operation,
     evaluate_run,
-    insert_values,
     instantiate_full,
     instantiate_single,
     run_cases,
@@ -62,8 +61,8 @@ class TestInsertValues:
         layer = make_layer(
             SURVIVOR_TEXT, [("taxpayer", "a taxpayer"), ("taxable year", "the taxable year")]
         )
-        grounded = insert_values(
-            SURVIVOR_TEXT, layer, ValueMap({"taxpayer": "Alice", "taxable year": "2017"})
+        grounded = SubsectionPlan(layer, SURVIVOR_TEXT).ground(
+            ValueMap({"taxpayer": "Alice", "taxable year": "2017"})
         )
         assert grounded == (
             "(A) Alice spouse died during either of the two years immediately preceding 2017"
@@ -71,14 +70,14 @@ class TestInsertValues:
 
     def test_empty_map_leaves_text_unchanged(self):
         layer = make_layer(SURVIVOR_TEXT, [("taxpayer", "a taxpayer")])
-        assert insert_values(SURVIVOR_TEXT, layer, ValueMap()) == SURVIVOR_TEXT
+        assert SubsectionPlan(layer, SURVIVOR_TEXT).ground(ValueMap()) == SURVIVOR_TEXT
 
     def test_all_mentions_of_a_coreferent_argument_replaced(self):
         text = "the employee works when the employee is told"
         layer = ArgumentLayer(
             "§x", (Span(0, 12), Span(24, 36)), ((0, 1),), ("Employee",)
         )
-        grounded = insert_values(text, layer, ValueMap({"Employee": "Bob"}))
+        grounded = SubsectionPlan(layer, text).ground(ValueMap({"Employee": "Bob"}))
         assert grounded == "Bob works when Bob is told"
 
     def test_text_outside_spans_untouched_and_idempotent(self):
@@ -94,22 +93,23 @@ class TestInsertValues:
             layer = ArgumentLayer("§x", (Span(0, i), Span(j + 1, len(text))), ((0,), (1,)),
                                   ("A", "B"))
             values = ValueMap({"A": "X", "B": "Y"})
-            once = insert_values(text, layer, values)
+            once = SubsectionPlan(layer, text).ground(values)
             assert once == "X" + text[i:j + 1] + "Y"
             again_layer = ArgumentLayer("§x", (Span(0, 1), Span(len(once) - 1, len(once))),
                                         ((0,), (1,)), ("A", "B"))
-            assert insert_values(once, again_layer, values) == once
+            assert SubsectionPlan(again_layer, once).ground(values) == once
 
     def test_truth_valued_argument_reads_by_threshold(self):
         layer = ArgumentLayer("§x", (Span(0, 9),), ((0,),), ("Claim",))
         values = ValueMap({"Claim": 0.6})
-        assert insert_values("the claim holds", layer, values) == "true holds"
-        assert insert_values("the claim holds", layer, values, threshold=0.7) == "false holds"
+        plan = SubsectionPlan(layer, "the claim holds")
+        assert plan.ground(values) == "true holds"
+        assert plan.ground(values, threshold=0.7) == "false holds"
 
     def test_values_kept_when_spans_run_past_the_text(self):
         # A subsection without text is grounded over "": every value stays.
         layer = ArgumentLayer("§x", (Span(0, 3), Span(5, 8)), ((0,), (1,)), ("A", "B"))
-        assert insert_values("", layer, ValueMap({"A": "aa", "B": "bb"})) == "aabb"
+        assert SubsectionPlan(layer, "").ground(ValueMap({"A": "aa", "B": "bb"})) == "aabb"
 
     @given(st.data())
     def test_equals_the_right_to_left_splice(self, data):
@@ -119,7 +119,7 @@ class TestInsertValues:
         near = st.sampled_from([threshold, math.nextafter(threshold, 0.0), math.nextafter(threshold, 1.0)])
         names = [n for n in layer.cluster_names if n is not None] + ["Unmentioned"]
         values = data.draw(st.dictionaries(st.sampled_from(names), st.one_of(VALUES, near)))
-        assert insert_values(text, layer, values, threshold) == oracles.insert_values(
+        assert SubsectionPlan(layer, text).ground(values, threshold) == oracles.insert_values(
             text, layer, values, threshold
         )
 
@@ -289,7 +289,7 @@ class TestResolverBoundary:
         result = instantiate_single(PlainDict("Carol", 0.75), layer, case.inputs, text, case)
         assert isinstance(result, ValueMap)
         assert result[TRUTH_KEY] == 0.75
-        assert {result[name] for name, _ in layer.named_clusters() if name not in case.inputs} == {"Carol"}
+        assert {result[name] for name, _ in layer.labelled_clusters if name not in case.inputs} == {"Carol"}
 
 
 def fixture_resolvers(corpus):

@@ -9,35 +9,46 @@ from statreason.metrics import (
     binary_accuracy,
     canonical_string,
     confidence_interval,
-    exact_match_coref,
+    exact_match,
     numerical_accuracy,
     pair_consistency,
-    span_prf,
     string_accuracy,
     unified_accuracy,
 )
 from statreason.model import Case, Money, Span, ValueMap
 
 
+def span_scores(gold, pred):
+    """Exact-boundary scores of one subsection's spans."""
+    scores = exact_match([(set(gold), set(pred))])
+    assert scores.units == 1 and scores.avg == scores.macro
+    return scores.macro
+
+
+def cluster_scores(gold, pred):
+    """Exact-match scores of one subsection's clusters, compared as sets."""
+    return span_scores({frozenset(c) for c in gold}, {frozenset(c) for c in pred})
+
+
 class TestSpanPRF:
     def test_identical(self):
         spans = (Span(0, 2), Span(5, 9))
-        assert span_prf(spans, spans).as_tuple() == (1.0, 1.0, 1.0)
+        assert span_scores(spans, spans).as_tuple() == (1.0, 1.0, 1.0)
 
     def test_spurious_predictions(self):
         gold = (Span(0, 2), Span(5, 9))
         pred = gold + (Span(10, 12), Span(14, 16))
-        result = span_prf(gold, pred)
+        result = span_scores(gold, pred)
         assert result.precision == 0.5
         assert result.recall == 1.0
         assert result.f1 == pytest.approx(2 / 3)
 
     def test_empty_prediction_against_gold(self):
-        result = span_prf((Span(0, 2), Span(5, 9)), ())
+        result = span_scores((Span(0, 2), Span(5, 9)), ())
         assert result.as_tuple() == (0.0, 0.0, 0.0)
 
     def test_both_empty_is_perfect(self):
-        assert span_prf((), ()).as_tuple() == (1.0, 1.0, 1.0)
+        assert span_scores((), ()).as_tuple() == (1.0, 1.0, 1.0)
 
 
 class TestExactMatchCoref:
@@ -45,13 +56,31 @@ class TestExactMatchCoref:
         # Seven gold arguments, one with two mentions, over eight spans.
         gold = [(0, 3), (1,), (2,), (4,), (5,), (6,), (7,)]
         pred = [(i,) for i in range(8)]
-        result = exact_match_coref(gold, pred)
+        result = cluster_scores(gold, pred)
         assert result.precision == pytest.approx(6 / 8)
         assert result.recall == pytest.approx(6 / 7)
 
     def test_identical(self):
         gold = [(0, 1), (2,)]
-        assert exact_match_coref(gold, gold).as_tuple() == (1.0, 1.0, 1.0)
+        assert cluster_scores(gold, gold).as_tuple() == (1.0, 1.0, 1.0)
+
+
+class TestExactMatch:
+    def test_two_units_averaged_and_pooled(self):
+        # One unit predicted exactly, one with 1 of 3 predictions right.
+        scores = exact_match([({1, 2}, {1, 2}), ({3}, {3, 4, 5})])
+        assert scores.units == 2 and scores.perfectly_resolved == 0.5
+        assert scores.avg.precision == pytest.approx((1 + 1 / 3) / 2)
+        assert scores.std.precision == pytest.approx((1 - 1 / 3) / 2)
+        assert scores.avg.recall == 1.0 and scores.std.recall == 0.0
+        assert scores.macro.precision == pytest.approx(3 / 5)
+        assert scores.macro.recall == 1.0
+
+    def test_no_units(self):
+        scores = exact_match([])
+        assert scores.units == 0 and scores.perfectly_resolved == 0.0
+        assert scores.avg.as_tuple() == scores.std.as_tuple() == (0.0, 0.0, 0.0)
+        assert scores.macro.as_tuple() == (1.0, 1.0, 1.0)
 
 
 class TestNumericalAccuracy:

@@ -11,11 +11,9 @@ from statreason.model import (
     Span,
     ValueMap,
     canonical_partition,
-    clusters_to_matrix,
     empty_layer,
     layer_of,
     matrix_to_clusters,
-    truth_of,
     value_kind,
 )
 
@@ -72,17 +70,6 @@ class TestValues:
         assert values.get("a") == 1 and values.get("b") is None and values.get("b", 2) == 2
 
 
-class TestTruthOf:
-    def test_present(self):
-        assert truth_of(ValueMap({"@truth": 1.0, "Tax": Money(116066)})) == 1.0
-
-    def test_absent(self):
-        assert truth_of(ValueMap()) is None
-
-    def test_false(self):
-        assert truth_of(ValueMap({"@truth": 0.0})) == 0.0
-
-
 class TestSpan:
     def test_bounds(self):
         with pytest.raises(ValueError):
@@ -112,7 +99,7 @@ class TestArgumentLayer:
 
     def test_named_clusters_first_mention_order(self):
         l = layer([(0, 1), (2, 3), (4, 5)], [(1,), (0, 2)], ["B", "A"])
-        assert l.named_clusters() == [("A", (0, 2)), ("B", (1,))]
+        assert l.labelled_clusters == (("A", (0, 2)), ("B", (1,)))
 
     def test_labelled_clusters_skip_unnamed_and_leave_equality_alone(self):
         l = layer([(0, 1), (2, 3), (4, 5)], [(2,), (0,), (1,)], ["C", None, "B"])
@@ -126,22 +113,28 @@ class TestArgumentLayer:
         assert layer_of({"§x": known}, "§y") == empty_layer("§y")
 
 
+def coreference_matrix(n, clusters):
+    """The n x n coreference matrix of a partition of span indices."""
+    matrix = [[0] * n for _ in range(n)]
+    for cluster in clusters:
+        for i in cluster:
+            for j in cluster:
+                matrix[i][j] = 1
+    return matrix
+
+
 class TestMatrices:
     def test_two_singletons(self):
-        l = layer([(0, 1), (2, 3)], [(0,), (1,)])
-        assert clusters_to_matrix(l) == [[1, 0], [0, 1]]
+        assert matrix_to_clusters([[1, 0], [0, 1]]) == ((0,), (1,))
 
     def test_appendix_style_linked_rows(self):
         # 8 spans, spans 0 and 3 coreferent.
-        l = layer([(i * 2, i * 2 + 1) for i in range(8)],
-                  [(0, 3), (1,), (2,), (4,), (5,), (6,), (7,)])
-        m = clusters_to_matrix(l)
-        assert m[0][3] == m[3][0] == 1
+        m = [[1 if i == j or {i, j} == {0, 3} else 0 for j in range(8)] for i in range(8)]
         assert sum(sum(row) for row in m) == 8 + 2
-        assert all(m[i][i] == 1 for i in range(8))
+        assert matrix_to_clusters(m) == ((0, 3), (1,), (2,), (4,), (5,), (6,), (7,))
 
     def test_single_span(self):
-        assert clusters_to_matrix(layer([(0, 1)], [(0,)])) == [[1]]
+        assert matrix_to_clusters([[1]]) == ((0,),)
 
     def test_matrix_to_clusters_identity(self):
         assert matrix_to_clusters([[1, 0], [0, 1]]) == ((0,), (1,))
@@ -179,8 +172,7 @@ def partitions(draw):
 @given(partitions())
 def test_partition_matrix_round_trip(case):
     n, clusters = case
-    l = layer([(i * 2, i * 2 + 1) for i in range(n)], clusters)
-    matrix = clusters_to_matrix(l)
+    matrix = coreference_matrix(n, clusters)
     assert matrix_to_clusters(matrix) == clusters
     # The induced matrix is symmetric with unit diagonal and transitively closed.
     for i in range(n):

@@ -45,7 +45,7 @@ class TestCorefReport:
     def test_string_matching_fixture_numbers(self, corpus):
         report = coref_report(corpus, string_predictions(corpus), "string")
         # 11 subsections have arguments; all but two resolve exactly.
-        assert report.resolved_units == 11
+        assert report.exact_match.units == 11
         assert report.perfectly_resolved == pytest.approx(9 / 11)
         assert report.exact_match.macro.precision == pytest.approx(37 / 40)
         assert report.exact_match.macro.recall == pytest.approx(37 / 40)

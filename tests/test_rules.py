@@ -17,11 +17,11 @@ from statreason.rules import (
     print_rule,
     OpNode,
     SubsectionNode,
-    tree_depth,
 )
 from statreason.model import ValueMap
 
 from generators import random_clause, random_program
+from oracles import tree_depth
 
 CLAUSE_1DIV = "§1(d)(iv)(Tax, Taxinc)."
 CLAUSE_3306 = (

@@ -3,7 +3,7 @@ from pathlib import Path
 from statreason.cli import main
 from statreason.corpus import load_corpus, validate_corpus
 from statreason.model import Money
-from statreason.sara_import import file_stem_to_id, id_to_file_stem, import_corpus
+from statreason.sara_import import file_stem_to_id, import_corpus
 
 
 def write(path: Path, text: str) -> None:
@@ -36,9 +36,11 @@ def make_distributed_tree(root: Path) -> None:
 
 
 class TestStemMapping:
-    def test_round_trip(self):
-        for sid in ("§1(d)(iv)", "§63(c)(5)(A)", "§3306(a)(1)(B)", "Tax"):
-            assert file_stem_to_id(id_to_file_stem(sid)) == sid
+    def test_stems_name_subsections(self):
+        for stem, sid in (
+            ("1_d_iv", "§1(d)(iv)"), ("63_c_5_A", "§63(c)(5)(A)"), ("3306_a_1_B", "§3306(a)(1)(B)"), ("Tax", "Tax")
+        ):
+            assert file_stem_to_id(stem) == sid
 
 
 class TestImport:
@@ -67,6 +69,18 @@ class TestImport:
         # The good records still made it through.
         corpus = load_corpus(dest / "manifest.txt")
         assert len(corpus.cases) == 1
+
+    def test_bad_values_skip_the_case(self, tmp_path, capsys):
+        source, dest = tmp_path / "dist", tmp_path / "canonical"
+        make_distributed_tree(source)
+        case = "% Text\nAlice.\n% Question\n§1(d)(iv)\n"
+        write(source / "cases" / "repeated-input", case + "% Input\nx=1\nx=2\n% Output\n@truth=1.0\n")
+        write(source / "cases" / "truth-out-of-range", case + "% Output\n@truth=1.5\n")
+        assert main(["import-sara", "--source", str(source), "--dest", str(dest)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert "skipped case repeated-input: Input: duplicate argument name: 'x'" in err
+        assert "skipped case truth-out-of-range: Output: truth score out of [0, 1]: 1.5" in err
+        assert [c.id for c in load_corpus(dest / "manifest.txt").cases] == ["case-1-positive"]
 
     def test_cli_wrapper(self, tmp_path, capsys):
         source, dest = tmp_path / "dist", tmp_path / "canonical"
