@@ -1,5 +1,7 @@
 """Deterministic baselines: coreference, placeholder spotting, and resolvers.
 
+The resolvers answer the engine's `ResolveRequest`s (see `engine.Resolver`).
+
 The string-matching normalization removes exactly the words such, a, an,
 the, any, his and every (as whole tokens), collapses whitespace and
 lowercases; the word list is closed on purpose so scores stay reproducible.
@@ -9,14 +11,13 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .engine import ResolveRequest
 from .metrics import canonical_string, family_of
 from .model import (
     ArgumentLayer,
     Case,
+    Frozen,
     Money,
     Span,
     TRUTH_KEY,
@@ -118,11 +119,8 @@ def _continues(word: str) -> bool:
 # The constant baseline (three parameters)
 
 
-@dataclass(frozen=True)
-class ConstantBaselineParams:
-    majority_truth: float
-    constant_dollars: int
-    majority_string: str
+class ConstantBaselineParams(Frozen):
+    __slots__ = ("majority_truth", "constant_dollars", "majority_string")
 
 
 def _scale(y: int) -> Fraction:
@@ -247,13 +245,13 @@ def _calls_for_dollars(surface: str) -> bool:
     return "$" in surface or not _MONEY_WORDS.isdisjoint(_WORD_RE.findall(surface))
 
 
-@dataclass(frozen=True)
-class ConstantResolver:
-    """Answers from the three fitted parameters, ignoring the case entirely."""
+class ConstantResolver(Frozen):
+    """Answers from the three fitted parameters (`params`), ignoring the
+    case entirely."""
 
-    params: ConstantBaselineParams
+    __slots__ = ("params",)
 
-    def resolve(self, request: ResolveRequest) -> dict[str, Value]:
+    def resolve(self, request) -> dict[str, Value]:
         if not request.required:
             return {TRUTH_KEY: self.params.majority_truth}
         out: dict[str, Value] = {}
@@ -271,12 +269,11 @@ class ConstantResolver:
 # Oracle and heuristic resolvers
 
 
-@dataclass(frozen=True)
 class OracleResolver:
     """Returns gold values for the case's query subsection; knows nothing
     about any other subsection."""
 
-    def resolve(self, request: ResolveRequest) -> dict[str, Value]:
+    def resolve(self, request) -> dict[str, Value]:
         if request.subsection_id != request.case.query:
             return {} if request.required else {TRUTH_KEY: 0.0}
         gold = request.case.expected
@@ -298,42 +295,34 @@ _DATE_WORDS = ("year", "day", "date", "week", "month", "caly")
 _OVERLAP_TOKEN_RE = re.compile(r"[a-z0-9$]+")
 
 
-@dataclass(frozen=True)
 class _CaseFeatures:
     """What the heuristic reads from one case description: the lowered text,
     the (position, value) candidates of each category, and the token set
     that truth scores are measured against."""
 
-    lowered: str
-    dates: list[tuple[int, Value]]
-    money: list[tuple[int, Value]]
-    names: list[tuple[int, Value]]
-    tokens: frozenset[str]
+    __slots__ = ("lowered", "dates", "money", "names", "tokens")
 
-    @classmethod
-    def of(cls, description: str) -> "_CaseFeatures":
-        lowered = description.lower()
-        dates = [
+    def __init__(self, description: str):
+        self.lowered = lowered = description.lower()
+        self.dates = dates = [
             (m.start(), m.group())
             for m in _CASE_DATE_RE.finditer(description)
             if m.group(1).lower()[:3] in _MONTH_PREFIXES
         ]
         dates += [(m.start(), m.group()) for m in _CASE_YEAR_RE.finditer(description)]
-        money = [
+        self.money = [
             (m.start(), Money(int(m.group(1).replace(",", ""))))
             for m in _CASE_MONEY_RE.finditer(description)
         ]
-        names = [
+        self.names = [
             (m.start(), m.group())
             for m in _CASE_NAME_RE.finditer(description)
             if m.group().lower() not in _CAPITALIZED_STOP
             and m.group().lower()[:3] not in _MONTH_PREFIXES
         ]
-        tokens = frozenset(_OVERLAP_TOKEN_RE.findall(lowered))
-        return cls(lowered, dates, money, names, tokens)
+        self.tokens = frozenset(_OVERLAP_TOKEN_RE.findall(lowered))
 
 
-@dataclass(frozen=True)
 class HeuristicResolver:
     """A case-reading stand-in for a learned value predictor.
 
@@ -347,14 +336,17 @@ class HeuristicResolver:
     and only one description's features are held.
     """
 
-    _cases: dict[str, _CaseFeatures] = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("_cases",)
 
-    def resolve(self, request: ResolveRequest) -> dict[str, Value]:
+    def __init__(self) -> None:
+        self._cases: dict[str, _CaseFeatures] = {}
+
+    def resolve(self, request) -> dict[str, Value]:
         description = request.case.description
         features = self._cases.get(description)
         if features is None:
             self._cases.clear()
-            features = self._cases[description] = _CaseFeatures.of(description)
+            features = self._cases[description] = _CaseFeatures(description)
         if not request.required:
             return {TRUTH_KEY: _overlap(request.text, features.tokens)}
         out: dict[str, Value] = {}
@@ -365,7 +357,7 @@ class HeuristicResolver:
         return out
 
     @staticmethod
-    def _value_for(name: str, request: ResolveRequest, features: _CaseFeatures) -> Value | None:
+    def _value_for(name: str, request, features: _CaseFeatures) -> Value | None:
         surface = _surface(name, request.subsection.placeholder(name))
         anchor = _anchor_position(surface, features.lowered)
         if any(w in surface for w in _DATE_WORDS):

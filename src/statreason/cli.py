@@ -4,6 +4,9 @@ One subcommand per evaluation; every command validates the corpus first and
 every run is deterministic, so rerunning with the same manifest produces
 byte-identical reports. Exit codes: 0 success, 1 validation or floor
 failure, 2 runtime or usage error.
+
+Every command loads the corpus, so `records`, `model`, `rules` and `corpus`
+load with this module; each handler imports the other modules it runs.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import baselines, records, reports, sara_import
+from . import records
 from .corpus import (
     Corpus,
     CorpusError,
@@ -24,7 +27,6 @@ from .corpus import (
     load_spans,
     validate_corpus,
 )
-from .engine import EngineConfig, evaluate_run
 from .model import ArgumentLayer, Span
 
 
@@ -136,15 +138,31 @@ def _emit(args, name: str, text: str, flat: dict[str, float], run_line: str, ext
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
         (args.out / f"{name}.report.txt").write_text(text + "\n", encoding="utf-8")
-        (args.out / f"{name}.records.txt").write_text(
-            reports.report_records(flat, run_line), encoding="utf-8"
-        )
+        (args.out / f"{name}.records.txt").write_text(report_records(flat, run_line), encoding="utf-8")
         for fname, content in (extra or {}).items():
             (args.out / fname).write_text(content, encoding="utf-8")
-    failures = reports.check_floors(flat, dict(args.floor))
+    failures = check_floors(flat, dict(args.floor))
     for failure in failures:
         print(failure, file=sys.stderr)
     return 1 if failures else 0
+
+
+def report_records(flat: dict[str, float], run_line: str) -> str:
+    lines = [run_line]
+    for name, value in flat.items():
+        lines.append(f"{name} value={value:.6f}")
+    return "\n".join(lines) + "\n"
+
+
+def check_floors(flat: dict[str, float], floors: dict[str, float]) -> list[str]:
+    failures = []
+    for name, floor in sorted(floors.items()):
+        value = flat.get(name)
+        if value is None:
+            failures.append(f"floor {name}: no such metric in this report")
+        elif value < floor:
+            failures.append(f"floor {name}: {value:.4f} < {floor:.4f}")
+    return failures
 
 
 def _run_line(corpus: Corpus, command: str, **settings) -> str:
@@ -161,16 +179,12 @@ def _run_line(corpus: Corpus, command: str, **settings) -> str:
 def cmd_stats(args) -> int:
     corpus = _load_validated(args.manifest)
     statistics = corpus_statistics(corpus)
-    return _emit(
-        args,
-        "stats",
-        reports.render_stats(statistics),
-        reports.stats_flat(statistics),
-        _run_line(corpus, "stats"),
-    )
+    return _emit(args, "stats", statistics.render(), statistics.flat(), _run_line(corpus, "stats"))
 
 
 def cmd_eval_coref(args) -> int:
+    from . import baselines, reports
+
     corpus = _load_validated(args.manifest)
     if args.baseline == "single":
         predictions = {
@@ -203,6 +217,8 @@ def cmd_eval_coref(args) -> int:
 
 def _predicted_spans(corpus: Corpus, source: str) -> dict[str, tuple[Span, ...]]:
     if source == "heuristic":
+        from . import baselines
+
         return {
             sid: tuple(baselines.heuristic_argument_id(sub.text))
             for sid, sub in corpus.subsections.items()
@@ -214,6 +230,8 @@ def _predicted_spans(corpus: Corpus, source: str) -> dict[str, tuple[Span, ...]]
 
 
 def cmd_eval_argid(args) -> int:
+    from . import reports
+
     corpus = _load_validated(args.manifest)
     predicted = _predicted_spans(corpus, args.source)
     report = reports.argid_report(corpus, predicted, args.source)
@@ -229,6 +247,8 @@ def cmd_eval_argid(args) -> int:
 
 
 def cmd_cascade(args) -> int:
+    from . import baselines, reports
+
     corpus = _load_validated(args.manifest)
     clusters_by_sid = {}
     for sid, spans in _predicted_spans(corpus, args.source).items():
@@ -248,6 +268,9 @@ def cmd_cascade(args) -> int:
 
 
 def cmd_eval_inst(args) -> int:
+    from . import baselines
+    from .engine import EngineConfig, evaluate_run
+
     corpus = _load_validated(args.manifest)
     config = EngineConfig(
         depth_cap=args.depth_cap,
@@ -295,6 +318,8 @@ def cmd_eval_inst(args) -> int:
 
 
 def cmd_import(args) -> int:
+    from . import sara_import
+
     log = sara_import.import_corpus(args.source, args.dest)
     for line in log.skipped:
         print(f"skipped {line}", file=sys.stderr)

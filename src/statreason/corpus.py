@@ -16,28 +16,18 @@ half-open character offsets into the decoded section file.
 
 from __future__ import annotations
 
-import hashlib
-import statistics as stats
 from collections.abc import Mapping
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import records
-from .model import (
-    ArgumentLayer,
-    Case,
-    Span,
-    Subsection,
-    TRUTH_KEY,
-)
-from .rules import Program, RuleSyntaxError, check_references, parse_program
+from .model import ArgumentLayer, Case, Frozen, Span, Subsection, TRUTH_KEY
+from .rules import ProgramSyntaxError, check_references, parse_program
 
 
-@dataclass(frozen=True)
-class FileError:
-    path: str
-    line: int | None
-    message: str
+class FileError(Frozen):
+    """A problem at a file's line (None for the whole file)."""
+
+    __slots__ = ("path", "line", "message")
 
     def __str__(self) -> str:
         where = f"{self.path}:{self.line}" if self.line is not None else self.path
@@ -54,15 +44,11 @@ def _fail(path: Path, line: int | None, message: str):
     raise CorpusError([FileError(str(path), line, message)])
 
 
-@dataclass(frozen=True)
-class CorpusManifest:
-    base: Path
-    statutes: Path
-    spans: Path
-    coref: Path
-    structure: Path
-    cases: Path
-    silver: Path | None = None
+class CorpusManifest(Frozen):
+    """The corpus directory and the path of each part; `silver` is None
+    when the corpus has no silver cases."""
+
+    __slots__ = ("base", "statutes", "spans", "coref", "structure", "cases", "silver")
 
     @staticmethod
     def load(path: str | Path) -> "CorpusManifest":
@@ -97,15 +83,11 @@ class CorpusManifest:
         return manifest
 
 
-@dataclass(frozen=True)
-class Corpus:
-    manifest: CorpusManifest
-    subsections: dict[str, Subsection]
-    layers: dict[str, ArgumentLayer]
-    program: Program
-    cases: tuple[Case, ...]
-    silver: tuple[Case, ...]
-    section_files: tuple[str, ...]
+class Corpus(Frozen):
+    """A loaded corpus: subsections and layers by id, the rule program, the
+    gold and silver cases, and the names of the section files."""
+
+    __slots__ = ("manifest", "subsections", "layers", "program", "cases", "silver", "section_files")
 
     def cases_of(self, split: str) -> tuple[Case, ...]:
         if split == "all":
@@ -124,7 +106,8 @@ def load_statutes(statutes_dir: str | Path) -> list[Subsection]:
     if not index.exists():
         _fail(index, None, "offsets index not found")
     texts: dict[str, str] = {}
-    rows: list[tuple[str, str, int, int]] = []
+    rows: dict[str, tuple[str, int, int]] = {}
+    repeats: dict[str, int] = {}  # id -> line of its second record
     errors: list[FileError] = []
     for lineno, record in _iter_file(index):
         try:
@@ -143,20 +126,17 @@ def load_statutes(statutes_dir: str | Path) -> list[Subsection]:
                 raise records.RecordError(
                     f"offsets ({start}, {end}) out of bounds for {fname} of length {len(texts[fname])}"
                 )
-            rows.append((record.id, fname, start, end))
+            if record.id in rows:
+                repeats.setdefault(record.id, lineno)
+            else:
+                rows[record.id] = (fname, start, end)
         except records.RecordError as exc:
             errors.append(FileError(str(index), lineno, str(exc)))
-    ids = [r[0] for r in rows]
-    for rid in sorted({i for i in ids if ids.count(i) > 1}):
-        errors.append(FileError(str(index), None, f"duplicate subsection id {rid}"))
+    for rid in sorted(repeats):
+        errors.append(FileError(str(index), repeats[rid], f"duplicate subsection id {rid}"))
     if errors:
         raise CorpusError(errors)
-
-    known = set(ids)
-    out = []
-    for rid, fname, start, end in rows:
-        out.append(Subsection(rid, texts[fname][start:end], _parent_of(rid, known)))
-    return out
+    return [Subsection(rid, texts[fname][start:end]) for rid, (fname, start, end) in rows.items()]
 
 
 def _well_formed_id(subsection_id: str) -> bool:
@@ -176,21 +156,19 @@ def _well_formed_id(subsection_id: str) -> bool:
     return depth == 0 and not subsection_id.startswith("(")
 
 
-def _parent_of(subsection_id: str, known: set[str]) -> str | None:
-    candidate = subsection_id
-    while candidate.endswith(")") and "(" in candidate:
-        candidate = candidate[: candidate.rfind("(")]
-        if candidate in known:
-            return candidate
-    return None
-
-
 def load_spans(path: str | Path, subsections: Mapping[str, Subsection]) -> dict[str, tuple[Span, ...]]:
     """Each known subsection's spans from a spans file, checked to be sorted,
     disjoint and inside its text; any problem is a CorpusError at path:line."""
-    path = Path(path)
+    return _spans_and_lines(Path(path), subsections)[0]
+
+
+def _spans_and_lines(
+    path: Path, subsections: Mapping[str, Subsection]
+) -> tuple[dict[str, tuple[Span, ...]], dict[str, int]]:
+    """`load_spans`, and the line of each subsection's record."""
     errors: list[FileError] = []
     spans: dict[str, tuple[Span, ...]] = {}
+    lines: dict[str, int] = {}
     for lineno, record in _iter_file(path):
         try:
             items = record.require("spans")
@@ -216,19 +194,20 @@ def load_spans(path: str | Path, subsections: Mapping[str, Subsection]) -> dict[
                 if b.start < a.end:
                     raise records.RecordError(f"spans overlap or are out of order: {a}, {b}")
             spans[record.id] = tuple(out)
+            lines[record.id] = lineno
         except (records.RecordError, ValueError) as exc:
             errors.append(FileError(str(path), lineno, str(exc)))
     if errors:
         raise CorpusError(errors)
-    return spans
+    return spans, lines
 
 
 def load_argument_layers(
     spans_path: str | Path, coref_path: str | Path, subsections: Mapping[str, Subsection]
 ) -> list[ArgumentLayer]:
     """Join the spans and coref files into validated argument layers."""
-    coref_path = Path(coref_path)
-    spans = load_spans(spans_path, subsections)
+    spans_path, coref_path = Path(spans_path), Path(coref_path)
+    spans, span_lines = _spans_and_lines(spans_path, subsections)
     errors: list[FileError] = []
 
     layers: dict[str, ArgumentLayer] = {}
@@ -261,7 +240,7 @@ def load_argument_layers(
             errors.append(FileError(str(coref_path), lineno, str(exc)))
 
     for missing in sorted(set(spans) - set(layers)):
-        errors.append(FileError(str(coref_path), None, f"no coref record for {missing}"))
+        errors.append(FileError(str(spans_path), span_lines[missing], f"no coref record for {missing}"))
     if errors:
         raise CorpusError(errors)
     return list(layers.values())
@@ -318,10 +297,14 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
     manifest = CorpusManifest.load(manifest_path)
     subsections = {s.id: s for s in load_statutes(manifest.statutes)}
     layers = load_argument_layers(manifest.spans, manifest.coref, subsections)
+    structure = manifest.structure.read_text(encoding="utf-8")
     try:
-        program = parse_program(manifest.structure.read_text(encoding="utf-8"))
-    except RuleSyntaxError as exc:
-        _fail(manifest.structure, None, str(exc))
+        program = parse_program(structure)
+    except ProgramSyntaxError as exc:
+        where = str(manifest.structure)
+        raise CorpusError(
+            [FileError(where, structure.count("\n", 0, pos) + 1, message) for pos, message in exc.problems]
+        ) from None
     cases = load_cases(manifest.cases)
     silver = load_cases(manifest.silver, split="silver") if manifest.silver else []
     section_files = tuple(sorted(p.name for p in Path(manifest.statutes).glob("*.txt") if p.name != "offsets.txt"))
@@ -342,7 +325,7 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
 
 def validate_corpus(corpus: Corpus) -> list[str]:
     """Cross-file diagnostics; empty means the corpus is coherent."""
-    diagnostics = [str(d) for d in check_references(corpus.program)]
+    diagnostics = check_references(corpus.program)
     for rule_id in corpus.program.rules:
         if rule_id not in corpus.subsections:
             diagnostics.append(f"structure: rule {rule_id} has no subsection text")
@@ -367,6 +350,8 @@ def validate_corpus(corpus: Corpus) -> list[str]:
 
 def corpus_hash(corpus: Corpus) -> str:
     """Stable digest of every corpus file, for run manifests."""
+    import hashlib  # here, so that `validate` does not load it
+
     manifest = corpus.manifest
     paths = [manifest.spans, manifest.coref, manifest.structure]
     paths += sorted(Path(manifest.statutes).glob("*"))
@@ -414,15 +399,10 @@ def serialize_cases(cases: list[Case]) -> str:
 # Statistics
 
 
-@dataclass(frozen=True)
-class StatSeries:
+class StatSeries(Frozen):
     """A histogram over per-unit integer counts plus summary statistics."""
 
-    name: str
-    counts: dict[int, int]
-    mean: float
-    stddev: float
-    median: float
+    __slots__ = ("name", "counts", "mean", "stddev", "median")
 
     @property
     def units(self) -> int:
@@ -432,31 +412,68 @@ class StatSeries:
     def from_values(name: str, values: list[int]) -> "StatSeries":
         if not values:
             return StatSeries(name, {}, 0.0, 0.0, 0.0)
+        import statistics  # here, so that only `stats` loads it
+
         counts: dict[int, int] = {}
         for v in values:
             counts[v] = counts.get(v, 0) + 1
         return StatSeries(
             name,
             dict(sorted(counts.items())),
-            stats.fmean(values),
-            stats.pstdev(values),
-            float(stats.median(values)),
+            statistics.fmean(values),
+            statistics.pstdev(values),
+            float(statistics.median(values)),
         )
 
+    def table(self) -> list[str]:
+        lines = [f"  {self.name}"]
+        for count, units in self.counts.items():
+            lines.append(f"    {count:>4}  {units}")
+        lines.append(f"    total units {self.units}")
+        lines.append(f"    average {self.mean:.1f}  stddev {self.stddev:.1f}  median {self.median:g}")
+        return lines
 
-@dataclass(frozen=True)
-class CorpusStatistics:
-    placeholders_per_subsection: StatSeries
-    arguments_per_subsection: StatSeries
-    mentions_per_argument: StatSeries
-    rule_arguments: StatSeries
-    rule_dependencies: StatSeries
-    input_pairs: dict[str, StatSeries]
-    output_pairs: dict[str, StatSeries]
-    section_file_count: int
-    subsection_count: int
-    case_count: int
-    silver_count: int
+
+class CorpusStatistics(Frozen):
+    """The `stats` report: per-unit count series and corpus sizes."""
+
+    __slots__ = (
+        "placeholders_per_subsection", "arguments_per_subsection", "mentions_per_argument", "rule_arguments",
+        "rule_dependencies", "input_pairs", "output_pairs", "section_file_count", "subsection_count",
+        "case_count", "silver_count",
+    )
+
+    def render(self) -> str:
+        """The statistics as text tables."""
+        lines = [
+            "corpus statistics",
+            f"  section files: {self.section_file_count}"
+            f"   subsections: {self.subsection_count}"
+            f"   gold cases: {self.case_count}"
+            f"   silver cases: {self.silver_count}",
+        ]
+        for series in (
+            self.placeholders_per_subsection, self.arguments_per_subsection, self.mentions_per_argument,
+            self.rule_arguments, self.rule_dependencies,
+        ):
+            lines += series.table()
+        for per_split in (self.input_pairs, self.output_pairs):
+            for split in ("train", "test", "all", "silver"):
+                series = per_split[split]
+                if series.units or split in ("train", "test", "all"):
+                    lines += series.table()
+        return "\n".join(lines)
+
+    def flat(self) -> dict[str, float]:
+        return {
+            "subsections": float(self.subsection_count),
+            "gold_cases": float(self.case_count),
+            "silver_cases": float(self.silver_count),
+            "placeholders_mean": self.placeholders_per_subsection.mean,
+            "placeholders_stddev": self.placeholders_per_subsection.stddev,
+            "arguments_mean": self.arguments_per_subsection.mean,
+            "mentions_mean": self.mentions_per_argument.mean,
+        }
 
 
 def corpus_statistics(corpus: Corpus) -> CorpusStatistics:

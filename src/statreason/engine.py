@@ -24,10 +24,9 @@ from the plan only when a resolver first reads it.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from typing import Protocol
 
-from .model import ArgumentLayer, Case, TRUTH_KEY, Value, ValueMap, check_value, layer_of
+from .model import ArgumentLayer, Case, Frozen, TRUTH_KEY, Value, ValueMap, _set, check_value, layer_of
 from .records import write_value
 from .rules import (
     DepTree,
@@ -39,18 +38,23 @@ from .rules import (
 )
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    depth_cap: int = 3
-    truth_threshold: float = 0.5
-    use_structure: bool = True
-    insert_gold: bool = False  # ground with gold values where known (teacher forcing)
+class EngineConfig(Frozen):
+    """Run settings; `insert_gold` grounds text with gold values where known
+    (teacher forcing)."""
 
-    def __post_init__(self) -> None:
-        if self.depth_cap < 1:
+    __slots__ = ("depth_cap", "truth_threshold", "use_structure", "insert_gold")
+
+    def __init__(
+        self, depth_cap: int = 3, truth_threshold: float = 0.5, use_structure: bool = True, insert_gold: bool = False
+    ):
+        if depth_cap < 1:
             raise ValueError("depth_cap must be >= 1")
-        if not 0.0 < self.truth_threshold < 1.0:
+        if not 0.0 < truth_threshold < 1.0:
             raise ValueError("truth_threshold must be in (0, 1)")
+        _set(self, "depth_cap", depth_cap)
+        _set(self, "truth_threshold", truth_threshold)
+        _set(self, "use_structure", use_structure)
+        _set(self, "insert_gold", insert_gold)
 
     @property
     def tree_depth_cap(self) -> int:
@@ -178,9 +182,11 @@ def value_surface(value: Value, threshold: float = 0.5) -> str:
     return write_value(value)
 
 
-@dataclass
 class RunDiagnostics:
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("notes",)
+
+    def __init__(self) -> None:
+        self.notes: list[str] = []
 
     def note(self, message: str) -> None:
         self.notes.append(message)
@@ -293,14 +299,16 @@ def _translate(result: ValueMap, bindings: tuple[tuple[str, str], ...]) -> Value
     return ValueMap._of(out)
 
 
-@dataclass
 class RunContext:
     """What a run builds once and shares across its cases: each query's
     unpopulated dependency tree and each subsection's plan. One context
     serves one program, layer set, text set and config."""
 
-    trees: dict[str, DepTree] = field(default_factory=dict)
-    plans: dict[str, SubsectionPlan] = field(default_factory=dict)
+    __slots__ = ("trees", "plans")
+
+    def __init__(self) -> None:
+        self.trees: dict[str, DepTree] = {}
+        self.plans: dict[str, SubsectionPlan] = {}
 
 
 def instantiate_full(
@@ -356,11 +364,13 @@ def instantiate_full(
 # Corpus-level runs
 
 
-@dataclass(frozen=True)
-class CaseResult:
-    case: Case
-    predicted: ValueMap
-    error: str | None = None
+class CaseResult(Frozen):
+    __slots__ = ("case", "predicted", "error")
+
+    def __init__(self, case: Case, predicted: ValueMap, error: str | None = None):
+        _set(self, "case", case)
+        _set(self, "predicted", predicted)
+        _set(self, "error", error)
 
 
 def run_cases(

@@ -15,17 +15,13 @@ import datetime
 import math
 import re
 import statistics as stats
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Money, TRUTH_KEY, Value, value_kind
+from .model import Frozen, Money, TRUTH_KEY, Value, _set, value_kind
 
 
-@dataclass(frozen=True)
-class PRF:
-    precision: float
-    recall: float
-    f1: float
+class PRF(Frozen):
+    __slots__ = ("precision", "recall", "f1")
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.precision, self.recall, self.f1)
@@ -40,17 +36,12 @@ def prf(matched_p: float, total_pred: float, matched_r: float, total_gold: float
     return PRF(p, r, f1)
 
 
-@dataclass(frozen=True)
-class Aggregate:
+class Aggregate(Frozen):
     """Exact-match scores over units: avg +- stddev of the per-unit P/R/F1,
-    the pooled corpus-level value, and the share of units that match
-    exactly (0 when there are no units)."""
+    the pooled corpus-level value, the number of units, and the share of
+    units that match exactly (0 when there are no units)."""
 
-    avg: PRF
-    std: PRF
-    macro: PRF
-    units: int
-    perfectly_resolved: float
+    __slots__ = ("avg", "std", "macro", "units", "perfectly_resolved")
 
 
 def _avg_std(values: list[float]) -> tuple[float, float]:
@@ -163,12 +154,14 @@ def family_of(name: str, gold_value: Value) -> str:
     return "string"
 
 
-@dataclass(frozen=True)
-class ArgScore:
-    case_id: str
-    argument: str
-    family: str
-    score: int
+class ArgScore(Frozen):
+    __slots__ = ("case_id", "argument", "family", "score")
+
+    def __init__(self, case_id: str, argument: str, family: str, score: int):
+        _set(self, "case_id", case_id)
+        _set(self, "argument", argument)
+        _set(self, "family", family)
+        _set(self, "score", score)
 
 
 def score_arguments(
@@ -207,12 +200,10 @@ def confidence_interval(accuracy: float, n: int) -> float:
 # Positive/negative pair analysis
 
 
-@dataclass(frozen=True)
-class PairReport:
-    identical: int
-    fully_correct: int
-    split: int
-    unpaired: tuple[str, ...]
+class PairReport(Frozen):
+    """Pair counts by outcome, and the sorted ids of unpaired cases."""
+
+    __slots__ = ("identical", "fully_correct", "split", "unpaired")
 
     @property
     def pairs(self) -> int:

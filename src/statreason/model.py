@@ -10,20 +10,63 @@ from __future__ import annotations
 
 import datetime
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
+from operator import attrgetter
 
 TRUTH_KEY = "@truth"
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Money:
+
+class Frozen:
+    """Base of the record classes; far cheaper to define than a dataclass,
+    which matters as every command defines its classes at start-up.
+
+    `__slots__` names the fields in order. They are set once, by position
+    or keyword (a class with defaults or checks sets them in its own
+    `__init__` with `_set`), and never assigned again. Instances of one
+    class are equal when their fields are, hash as the tuple of their
+    fields and print as `Name(field=value, ...)`.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __init__(self, *values, **named):
+        names = self.__slots__
+        values += tuple(named.pop(name) for name in names[len(values) :] if name in named)
+        if len(values) != len(names) or named:
+            raise TypeError(f"{type(self).__qualname__} takes the fields {', '.join(names)}")
+        for name, value in zip(names, values):
+            _set(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        key = self._key(self)
+        return hash(key if len(self.__slots__) > 1 else (key,))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+
+class Money(Frozen):
     """A dollar amount, whole dollars."""
 
-    dollars: int
+    __slots__ = ("dollars",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.dollars, int) or isinstance(self.dollars, bool):
-            raise ValueError(f"money must be an integer dollar amount, got {self.dollars!r}")
+    def __init__(self, dollars: int):
+        if not isinstance(dollars, int) or isinstance(dollars, bool):
+            raise ValueError(f"money must be an integer dollar amount, got {dollars!r}")
+        _set(self, "dollars", dollars)
 
     def __str__(self) -> str:
         return f"${self.dollars}"
@@ -134,16 +177,22 @@ class ValueMap(Mapping):
         return ValueMap._of({k: v for k, v in self._items.items() if k not in names})
 
 
-@dataclass(frozen=True, order=True)
-class Span:
-    """A character range [start, end) within one subsection's text."""
+class Span(Frozen):
+    """A character range [start, end) within one subsection's text; spans
+    order by start, then end."""
 
-    start: int
-    end: int
+    __slots__ = ("start", "end")
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.start < self.end):
-            raise ValueError(f"invalid span ({self.start}, {self.end})")
+    def __init__(self, start: int, end: int):
+        if not (0 <= start < end):
+            raise ValueError(f"invalid span ({start}, {end})")
+        _set(self, "start", start)
+        _set(self, "end", end)
+
+    def __lt__(self, other: "Span") -> bool:
+        if other.__class__ is Span:
+            return (self.start, self.end) < (other.start, other.end)
+        return NotImplemented
 
     def slice(self, text: str) -> str:
         if self.end > len(text):
@@ -151,72 +200,66 @@ class Span:
         return text[self.start : self.end]
 
 
-@dataclass(frozen=True)
-class Subsection:
+class Subsection(Frozen):
     """One subsection of a statute, the atomic natural-language predicate."""
 
-    id: str
-    text: str
-    parent_id: str | None = None
+    __slots__ = ("id", "text")
 
 
-@dataclass(frozen=True)
-class ArgumentLayer:
+class ArgumentLayer(Frozen):
     """Placeholder spans of one subsection and their grouping into arguments.
 
     `clusters` is an exact partition of span indices; `cluster_names`
     optionally labels each cluster with the argument name used by the
     subsection's rule, which is what lets value maps reach mention spans.
-    `labelled_clusters` is derived: the labelled (name, cluster) pairs in
-    order of first mention; so is the name -> mention spans lookup behind
-    `spans_of`.
     """
 
-    subsection_id: str
-    spans: tuple[Span, ...]
-    clusters: tuple[tuple[int, ...], ...]
-    cluster_names: tuple[str | None, ...] = ()
-    labelled_clusters: tuple[tuple[str, tuple[int, ...]], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    _spans_by_name: dict[str, tuple[Span, ...]] = field(init=False, repr=False, compare=False)
+    __slots__ = ("subsection_id", "spans", "clusters", "cluster_names")
 
-    def __post_init__(self) -> None:
-        spans = tuple(self.spans)
-        if any(len(c) == 0 for c in self.clusters):
-            raise ValueError(f"{self.subsection_id}: empty cluster")
-        clusters = canonical_partition(self.clusters)
-        names = tuple(self.cluster_names)
-        if names and len(names) != len(self.clusters):
+    def __init__(
+        self,
+        subsection_id: str,
+        spans: tuple[Span, ...],
+        clusters: tuple[tuple[int, ...], ...],
+        cluster_names: tuple[str | None, ...] = (),
+    ):
+        spans = tuple(spans)
+        if any(len(c) == 0 for c in clusters):
+            raise ValueError(f"{subsection_id}: empty cluster")
+        canonical = canonical_partition(clusters)
+        names = tuple(cluster_names)
+        if names and len(names) != len(clusters):
             raise ValueError("cluster_names must parallel clusters")
         if names:
             # canonical_partition may reorder clusters; keep labels attached.
-            order = {tuple(sorted(c)): i for i, c in enumerate(self.clusters)}
-            names = tuple(self.cluster_names[order[c]] for c in clusters)
-        object.__setattr__(self, "spans", spans)
-        object.__setattr__(self, "clusters", clusters)
-        object.__setattr__(self, "cluster_names", names)
-
+            order = {tuple(sorted(c)): i for i, c in enumerate(clusters)}
+            names = tuple(names[order[c]] for c in canonical)
         for a, b in zip(spans, spans[1:]):
             if b.start < a.end:
-                raise ValueError(
-                    f"{self.subsection_id}: spans out of order or overlapping: {a}, {b}"
-                )
-        covered = [i for cluster in clusters for i in cluster]
+                raise ValueError(f"{subsection_id}: spans out of order or overlapping: {a}, {b}")
+        covered = [i for cluster in canonical for i in cluster]
         if sorted(covered) != list(range(len(spans))) or len(covered) != len(set(covered)):
-            raise ValueError(f"{self.subsection_id}: clusters are not a partition of span indices")
+            raise ValueError(f"{subsection_id}: clusters are not a partition of span indices")
         labelled = [n for n in names if n is not None]
         if len(labelled) != len(set(labelled)):
-            raise ValueError(f"{self.subsection_id}: duplicate cluster names")
-        # Clusters are already sorted by first member, so this is mention order.
-        pairs = tuple((n, c) for n, c in zip(names, clusters) if n is not None)
-        object.__setattr__(self, "labelled_clusters", pairs)
-        by_name = {n: tuple(spans[i] for i in c) for n, c in pairs}
-        object.__setattr__(self, "_spans_by_name", by_name)
+            raise ValueError(f"{subsection_id}: duplicate cluster names")
+        _set(self, "subsection_id", subsection_id)
+        _set(self, "spans", spans)
+        _set(self, "clusters", canonical)
+        _set(self, "cluster_names", names)
+
+    @property
+    def labelled_clusters(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        """The labelled (name, cluster) pairs in order of first mention
+        (clusters are sorted by first member)."""
+        return tuple((n, c) for n, c in zip(self.cluster_names, self.clusters) if n is not None)
 
     def spans_of(self, name: str) -> tuple[Span, ...]:
         """The mention spans of a labelled argument; () for any other name."""
-        return self._spans_by_name.get(name, ())
+        for label, cluster in self.labelled_clusters:
+            if label == name:
+                return tuple(self.spans[i] for i in cluster)
+        return ()
 
 
 def empty_layer(subsection_id: str) -> ArgumentLayer:
@@ -270,16 +313,20 @@ def matrix_to_clusters(matrix: Iterable[Iterable[int]]) -> tuple[tuple[int, ...]
     return canonical_partition(groups.values())
 
 
-@dataclass(frozen=True)
-class Case:
+class Case(Frozen):
     """A natural-language fact pattern with a query subsection and gold values."""
 
-    id: str
-    description: str
-    query: str
-    inputs: ValueMap
-    expected: ValueMap
-    split: str = "train"
+    __slots__ = ("id", "description", "query", "inputs", "expected", "split")
+
+    def __init__(
+        self, id: str, description: str, query: str, inputs: ValueMap, expected: ValueMap, split: str = "train"
+    ):
+        _set(self, "id", id)
+        _set(self, "description", description)
+        _set(self, "query", query)
+        _set(self, "inputs", inputs)
+        _set(self, "expected", expected)
+        _set(self, "split", split)
 
     @property
     def kind(self) -> str:

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import datetime
 import re
-from dataclasses import dataclass
 
-from .model import Money, Value, ValueMap, value_kind
+from .model import Frozen, Money, Value, ValueMap, value_kind
 
 
 class RecordError(ValueError):
@@ -28,34 +27,28 @@ class RecordError(ValueError):
     line: int | None = None
 
 
-@dataclass(frozen=True)
-class PairLit:
+class PairLit(Frozen):
     """A literal "(start, end)" character-span pair."""
 
-    start: int
-    end: int
+    __slots__ = ("start", "end")
 
 
-@dataclass(frozen=True)
-class Entry:
+class Entry(Frozen):
     """A "key=value" item inside a bracketed list."""
 
-    key: str
-    value: object
+    __slots__ = ("key", "value")
 
 
-@dataclass(frozen=True)
-class Labeled:
-    """A "Label:[...]" item inside a bracketed list."""
+class Labeled(Frozen):
+    """A "Label:[...]" item (label, items list) inside a bracketed list."""
 
-    label: str | None
-    items: list
+    __slots__ = ("label", "items")
 
 
-@dataclass(frozen=True)
-class Record:
-    id: str
-    fields: dict[str, object]
+class Record(Frozen):
+    """One line: its identifier and its fields by key."""
+
+    __slots__ = ("id", "fields")
 
     def require(self, key: str) -> object:
         if key not in self.fields:
@@ -71,6 +64,8 @@ _DECIMAL_RE = re.compile(r"\d+(?:\.\d+)?(?:e[-+]?\d+)?$")
 _ATOM_END = re.compile(r"[^\s\[\]\(\),=]+")
 _KEY_RE = re.compile(r"[A-Za-z0-9@_][A-Za-z0-9@_.\-]*")
 _HEX4_RE = re.compile(r"[0-9a-fA-F]{4}")
+# The run of a quoted string up to its next quote or backslash.
+_STRING_RUN_RE = re.compile(r'[^"\\]*')
 # What str.splitlines splits on, "\n" aside (written as "\n").
 _LINE_SEPARATORS = re.compile("[\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
@@ -102,30 +97,31 @@ class _Scanner:
 
     def scan_string(self) -> str:
         self.take('"')
+        text = self.text
         out = []
         while True:
-            if self.pos >= len(self.text):
+            run = _STRING_RUN_RE.match(text, self.pos)
+            out.append(run.group())
+            self.pos = run.end()
+            if self.pos >= len(text):
                 raise self.error("unterminated string")
-            ch = self.text[self.pos]
+            ch = text[self.pos]
             self.pos += 1
             if ch == '"':
                 return "".join(out)
-            if ch == "\\":
-                if self.pos >= len(self.text):
-                    raise self.error("dangling escape")
-                esc = self.text[self.pos]
-                self.pos += 1
-                if esc == "n":
-                    out.append("\n")
-                elif esc in ('"', "\\"):
-                    out.append(esc)
-                elif esc == "u" and _HEX4_RE.match(self.text, self.pos):
-                    out.append(chr(int(self.text[self.pos : self.pos + 4], 16)))
-                    self.pos += 4
-                else:
-                    raise self.error(f"unknown escape \\{esc}")
+            if self.pos >= len(text):
+                raise self.error("dangling escape")
+            esc = text[self.pos]
+            self.pos += 1
+            if esc == "n":
+                out.append("\n")
+            elif esc in ('"', "\\"):
+                out.append(esc)
+            elif esc == "u" and _HEX4_RE.match(text, self.pos):
+                out.append(chr(int(text[self.pos : self.pos + 4], 16)))
+                self.pos += 4
             else:
-                out.append(ch)
+                raise self.error(f"unknown escape \\{esc}")
 
     def scan_atom(self) -> Value:
         self.skip_ws()

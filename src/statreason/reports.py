@@ -1,5 +1,5 @@
-"""Report assembly: score each report's units, render text tables, emit
-record files. The exact-match table itself is `metrics.exact_match`.
+"""Report assembly: score each report's units and render text tables. The
+exact-match table itself is `metrics.exact_match`.
 
 Coreference numbers are aggregated two ways, as an average with population
 standard deviation across subsections that have at least one argument, and
@@ -11,23 +11,17 @@ corpus as a single mention universe with mentions keyed by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from . import coref_metrics
 from .corpus import Corpus
-from .engine import CaseResult, EngineConfig, RunDiagnostics
 from .metrics import (
     Aggregate,
     ArgScore,
-    PRF,
-    PairReport,
     binary_accuracy,
     confidence_interval,
     exact_match,
     pair_consistency,
     score_arguments,
 )
-from .model import TRUTH_KEY
+from .model import TRUTH_KEY, Frozen
 
 
 def _prf_table(title: str, scores: Aggregate) -> list[str]:
@@ -56,11 +50,10 @@ def _clusters(clusters) -> set[frozenset]:
 # Coreference evaluation
 
 
-@dataclass(frozen=True)
-class CorefReport:
-    baseline: str
-    exact_match: Aggregate
-    standard: dict[str, PRF] = field(default_factory=dict)
+class CorefReport(Frozen):
+    """Exact-match scores, and the standard metrics' P/R/F1 by name."""
+
+    __slots__ = ("baseline", "exact_match", "standard")
 
     @property
     def perfectly_resolved(self) -> float:
@@ -100,6 +93,8 @@ def coref_report(
     standard: bool = True,
 ) -> CorefReport:
     """Score predicted index partitions (one per subsection) against gold."""
+    from . import coref_metrics
+
     units = []
     gold_universe, pred_universe = [], []
     for sid, layer in corpus.layers.items():
@@ -120,10 +115,8 @@ def coref_report(
 # Argument identification evaluation
 
 
-@dataclass(frozen=True)
-class ArgIdReport:
-    source: str
-    scores: Aggregate
+class ArgIdReport(Frozen):
+    __slots__ = ("source", "scores")
 
     def flat(self) -> dict[str, float]:
         return {
@@ -145,10 +138,8 @@ def argid_report(corpus: Corpus, predictions: dict[str, tuple], source: str) -> 
 # Cascade (predicted spans, then coreference on them)
 
 
-@dataclass(frozen=True)
-class CascadeReport:
-    source: str
-    exact_match: Aggregate
+class CascadeReport(Frozen):
+    __slots__ = ("source", "exact_match")
 
     @property
     def perfectly_resolved(self) -> float:
@@ -189,10 +180,8 @@ def cascade_report(
 # Argument instantiation evaluation
 
 
-@dataclass(frozen=True)
-class FamilyScore:
-    accuracy: float
-    n: int
+class FamilyScore(Frozen):
+    __slots__ = ("accuracy", "n")
 
     @property
     def ci(self) -> float:
@@ -203,18 +192,11 @@ def _mean(scores: list[int]) -> FamilyScore:
     return FamilyScore(sum(scores) / len(scores), len(scores)) if scores else FamilyScore(0.0, 0)
 
 
-@dataclass(frozen=True)
-class InstantiationReport:
-    truth: FamilyScore
-    dollar: FamilyScore
-    string: FamilyScore
-    unified: FamilyScore
-    binary_cases: FamilyScore
-    numerical_cases: FamilyScore
-    pairs: PairReport
-    arg_scores: tuple[ArgScore, ...]
-    errors: tuple[str, ...]
-    notes: tuple[str, ...]
+class InstantiationReport(Frozen):
+    __slots__ = (
+        "truth", "dollar", "string", "unified", "binary_cases", "numerical_cases", "pairs", "arg_scores", "errors",
+        "notes",
+    )
 
     def flat(self) -> dict[str, float]:
         return {
@@ -248,11 +230,10 @@ class InstantiationReport:
         return "\n".join(lines)
 
 
-def instantiation_report(
-    results: list[CaseResult],
-    config: EngineConfig = EngineConfig(),
-    diagnostics: RunDiagnostics | None = None,
-) -> InstantiationReport:
+def instantiation_report(results, config, diagnostics=None) -> InstantiationReport:
+    """Score a run: `results` are its `engine.CaseResult`s, `config` its
+    `engine.EngineConfig` and `diagnostics`, when given, its
+    `engine.RunDiagnostics`, whose notes the report keeps."""
     scores: list[ArgScore] = []
     decisions: dict[str, bool | None] = {}
     truth_correct: dict[str, int] = {}
@@ -286,70 +267,3 @@ def instantiation_report(
         errors=tuple(f"{r.case.id}: {r.error}" for r in results if r.error),
         notes=tuple(diagnostics.notes) if diagnostics else (),
     )
-
-
-# ---------------------------------------------------------------------------
-# Record output and CI floors
-
-
-def report_records(flat: dict[str, float], run_line: str) -> str:
-    lines = [run_line]
-    for name, value in flat.items():
-        lines.append(f"{name} value={value:.6f}")
-    return "\n".join(lines) + "\n"
-
-
-def render_stats(statistics) -> str:
-    """Corpus statistics as text tables."""
-
-    def table(series) -> list[str]:
-        lines = [f"  {series.name}"]
-        for count, units in series.counts.items():
-            lines.append(f"    {count:>4}  {units}")
-        lines.append(f"    total units {series.units}")
-        lines.append(
-            f"    average {series.mean:.1f}  stddev {series.stddev:.1f}  median {series.median:g}"
-        )
-        return lines
-
-    lines = [
-        "corpus statistics",
-        f"  section files: {statistics.section_file_count}"
-        f"   subsections: {statistics.subsection_count}"
-        f"   gold cases: {statistics.case_count}"
-        f"   silver cases: {statistics.silver_count}",
-    ]
-    lines += table(statistics.placeholders_per_subsection)
-    lines += table(statistics.arguments_per_subsection)
-    lines += table(statistics.mentions_per_argument)
-    lines += table(statistics.rule_arguments)
-    lines += table(statistics.rule_dependencies)
-    for which, per_split in (("input", statistics.input_pairs), ("output", statistics.output_pairs)):
-        for split in ("train", "test", "all", "silver"):
-            series = per_split[split]
-            if series.units or split in ("train", "test", "all"):
-                lines += table(series)
-    return "\n".join(lines)
-
-
-def stats_flat(statistics) -> dict[str, float]:
-    return {
-        "subsections": float(statistics.subsection_count),
-        "gold_cases": float(statistics.case_count),
-        "silver_cases": float(statistics.silver_count),
-        "placeholders_mean": statistics.placeholders_per_subsection.mean,
-        "placeholders_stddev": statistics.placeholders_per_subsection.stddev,
-        "arguments_mean": statistics.arguments_per_subsection.mean,
-        "mentions_mean": statistics.mentions_per_argument.mean,
-    }
-
-
-def check_floors(flat: dict[str, float], floors: dict[str, float]) -> list[str]:
-    failures = []
-    for name, floor in sorted(floors.items()):
-        value = flat.get(name)
-        if value is None:
-            failures.append(f"floor {name}: no such metric in this report")
-        elif value < floor:
-            failures.append(f"floor {name}: {value:.4f} < {floor:.4f}")
-    return failures

@@ -21,9 +21,9 @@ variable B as the callee's parameter A, and a bare name N abbreviates "N=N".
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 
-from .model import TRUTH_KEY, ValueMap
+from .model import TRUTH_KEY, Frozen, ValueMap, _set
 
 
 class RuleSyntaxError(ValueError):
@@ -34,69 +34,77 @@ class RuleSyntaxError(ValueError):
         self.position = position
 
 
+class ProgramSyntaxError(RuleSyntaxError):
+    """Every problem of a structure file: `problems` holds a (position,
+    message) pair per bad clause, or one for text that does not tokenize."""
+
+    def __init__(self, problems: list[tuple[int, str]]):
+        ValueError.__init__(self, "; ".join(message for _, message in problems))
+        self.position = problems[0][0]
+        self.problems = problems
+
+
 # ---------------------------------------------------------------------------
 # Clause AST
 
 
-@dataclass(frozen=True)
-class Ref:
+class Ref(Frozen):
     """A reference to another subsection, with (callee param, caller var) bindings."""
 
-    callee_id: str
-    bindings: tuple[tuple[str, str], ...]
+    __slots__ = ("callee_id", "bindings")
 
-    def __post_init__(self) -> None:
+    def __init__(self, callee_id: str, bindings: tuple[tuple[str, str], ...]):
         # Checked here so that value propagation never builds a map with a
         # parameter bound twice or a non-truth value under "@truth".
-        params = [param for param, _ in self.bindings]
+        params = [param for param, _ in bindings]
         if len(params) != len(set(params)):
-            raise ValueError(f"{self.callee_id}: parameter bound twice")
+            raise ValueError(f"{callee_id}: parameter bound twice")
         if TRUTH_KEY in params:
-            raise ValueError(f"{self.callee_id}: {TRUTH_KEY} cannot be bound")
+            raise ValueError(f"{callee_id}: {TRUTH_KEY} cannot be bound")
+        _set(self, "callee_id", callee_id)
+        _set(self, "bindings", bindings)
 
 
-@dataclass(frozen=True)
-class And:
-    children: tuple
+class And(Frozen):
+    __slots__ = ("children",)
 
-    def __post_init__(self) -> None:
-        if len(self.children) < 2:
+    def __init__(self, children: tuple):
+        if len(children) < 2:
             raise ValueError("AND needs at least 2 children")
+        _set(self, "children", children)
 
 
-@dataclass(frozen=True)
-class Or:
-    children: tuple
+class Or(Frozen):
+    __slots__ = ("children",)
 
-    def __post_init__(self) -> None:
-        if len(self.children) < 2:
+    def __init__(self, children: tuple):
+        if len(children) < 2:
             raise ValueError("OR needs at least 2 children")
+        _set(self, "children", children)
 
 
-@dataclass(frozen=True)
-class Not:
-    child: "BodyExpr"
+class Not(Frozen):
+    __slots__ = ("child",)
 
 
 BodyExpr = Ref | And | Or | Not
 
 
-@dataclass(frozen=True)
-class Rule:
-    head_id: str
-    params: tuple[str, ...]
-    body: BodyExpr | None = None
+class Rule(Frozen):
+    __slots__ = ("head_id", "params", "body")
 
-    def __post_init__(self) -> None:
-        if len(self.params) != len(set(self.params)):
-            raise ValueError(f"{self.head_id}: duplicate parameter names")
+    def __init__(self, head_id: str, params: tuple[str, ...], body: BodyExpr | None = None):
+        if len(params) != len(set(params)):
+            raise ValueError(f"{head_id}: duplicate parameter names")
+        _set(self, "head_id", head_id)
+        _set(self, "params", params)
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Frozen):
     """The rule base: one rule per section identifier."""
 
-    rules: dict[str, Rule]
+    __slots__ = ("rules",)
 
     def __contains__(self, head_id: str) -> bool:
         return head_id in self.rules
@@ -125,11 +133,8 @@ _TOKEN_RE = re.compile(
 _KEYWORDS = {"AND", "OR", "NOT"}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "neck", "punct", "name", "keyword", "end"
-    text: str
-    pos: int
+# kind is "neck", "punct", "name", "keyword" or "end".
+_Token = namedtuple("_Token", "kind text pos")
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -288,29 +293,34 @@ def parse_rule(text: str) -> Rule:
 def parse_program(text: str) -> Program:
     """Parse a whole structure-annotation file.
 
-    Syntax errors and duplicate heads are aggregated across clauses and
-    reported together with 1-based clause numbers.
+    Syntax errors and duplicate heads are aggregated across clauses into
+    one ProgramSyntaxError, each with its 1-based clause number and the
+    position it was found at.
     """
-    parser = _Parser(text)
+    try:
+        parser = _Parser(text)
+    except RuleSyntaxError as exc:
+        raise ProgramSyntaxError([(exc.position, str(exc))]) from None
     rules: dict[str, Rule] = {}
-    errors: list[str] = []
+    problems: list[tuple[int, str]] = []
     clause_no = 0
     while not parser.at_end():
         clause_no += 1
+        start = parser.peek().pos
         try:
             rule = parser.parse_clause()
         except RuleSyntaxError as exc:
-            errors.append(f"clause {clause_no}: {exc}")
+            problems.append((exc.position, f"clause {clause_no}: {exc}"))
             # Skip to just past the next "." so later clauses still parse.
             while not parser.at_end() and parser.advance().text != ".":
                 pass
             continue
         if rule.head_id in rules:
-            errors.append(f"clause {clause_no}: duplicate rule for {rule.head_id}")
+            problems.append((start, f"clause {clause_no}: duplicate rule for {rule.head_id}"))
         else:
             rules[rule.head_id] = rule
-    if errors:
-        raise RuleSyntaxError("; ".join(errors), 0)
+    if problems:
+        raise ProgramSyntaxError(problems)
     return Program(rules)
 
 
@@ -344,15 +354,6 @@ def print_rule(rule: Rule) -> str:
 # Cross-reference checking
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    rule_id: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.rule_id}: {self.message}"
-
-
 def _iter_refs(expr: BodyExpr):
     if isinstance(expr, Ref):
         yield expr
@@ -369,22 +370,19 @@ def iter_refs(rule: Rule):
         yield from _iter_refs(rule.body)
 
 
-def check_references(program: Program) -> list[Diagnostic]:
+def check_references(program: Program) -> list[str]:
     """Diagnostics for dangling callees and bindings to undeclared variables."""
     diagnostics = []
     for rule in program.rules.values():
         params = set(rule.params)
         for ref in iter_refs(rule):
             if ref.callee_id not in program:
-                diagnostics.append(Diagnostic(rule.head_id, f"reference to undefined rule {ref.callee_id}"))
+                diagnostics.append(f"{rule.head_id}: reference to undefined rule {ref.callee_id}")
             for callee_param, caller_var in ref.bindings:
                 if caller_var not in params:
                     diagnostics.append(
-                        Diagnostic(
-                            rule.head_id,
-                            f"binding {callee_param}={caller_var} uses {caller_var!r}, "
-                            f"which is not a parameter of {rule.head_id}",
-                        )
+                        f"{rule.head_id}: binding {callee_param}={caller_var} uses {caller_var!r}, "
+                        f"which is not a parameter of {rule.head_id}"
                     )
     return diagnostics
 
@@ -393,8 +391,7 @@ def check_references(program: Program) -> list[Diagnostic]:
 # Dependency trees
 
 
-@dataclass(frozen=True)
-class SubsectionNode:
+class SubsectionNode(Frozen):
     """A subsection occurrence in an unrolled dependency tree.
 
     `bindings` are the (callee param, caller var) pairs of the reference that
@@ -402,27 +399,37 @@ class SubsectionNode:
     propagated down to this node.
     """
 
-    id: str
-    depth: int
-    bindings: tuple[tuple[str, str], ...] = ()
-    child: "TreeNode | None" = None
-    values: ValueMap = field(default_factory=ValueMap)
+    __slots__ = ("id", "depth", "bindings", "child", "values")
+
+    def __init__(
+        self,
+        id: str,
+        depth: int,
+        bindings: tuple[tuple[str, str], ...] = (),
+        child: "TreeNode | None" = None,
+        values: ValueMap = ValueMap(),
+    ):
+        _set(self, "id", id)
+        _set(self, "depth", depth)
+        _set(self, "bindings", bindings)
+        _set(self, "child", child)
+        _set(self, "values", values)
 
 
-@dataclass(frozen=True)
-class OpNode:
-    kind: str  # "AND", "OR" or "NOT"
-    depth: int
-    children: tuple
+class OpNode(Frozen):
+    __slots__ = ("kind", "depth", "children")
+
+    def __init__(self, kind: str, depth: int, children: tuple):
+        _set(self, "kind", kind)  # "AND", "OR" or "NOT"
+        _set(self, "depth", depth)
+        _set(self, "children", children)
 
 
 TreeNode = SubsectionNode | OpNode
 
 
-@dataclass(frozen=True)
-class DepTree:
-    root: SubsectionNode
-    depth_cap: int
+class DepTree(Frozen):
+    __slots__ = ("root", "depth_cap")
 
 
 def build_dependency_tree(program: Program, root_id: str, depth_cap: int) -> DepTree:

@@ -25,7 +25,6 @@ Records that do not fit are skipped and logged, never guessed at.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import records
@@ -34,10 +33,12 @@ from .corpus import serialize_cases, serialize_coref, serialize_spans
 from .rules import parse_program
 
 
-@dataclass
 class ImportLog:
-    imported: list[str] = field(default_factory=list)
-    skipped: list[str] = field(default_factory=list)
+    __slots__ = ("imported", "skipped")
+
+    def __init__(self) -> None:
+        self.imported: list[str] = []
+        self.skipped: list[str] = []
 
     def skip(self, what: str, reason: str) -> None:
         self.skipped.append(f"{what}: {reason}")

@@ -7,8 +7,9 @@ placeholder texts rebuilt and case descriptions re-read on every call), and
 the coreference, argument-identification, cascade and instantiation reports
 as first written (one scoring loop per report, each with its own pooling and
 its own copy of the P/R/F1 table, scoring each unit with the per-unit
-`span_prf` and `exact_match_coref` the library once had). `tree_depth` is
-the dependency-tree depth the depth-cap tests measure with."""
+`span_prf` and `exact_match_coref` the library once had), and the record
+scanner's quoted-string scan one character at a time, as first written.
+`tree_depth` is the dependency-tree depth the depth-cap tests measure with."""
 
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from statreason.baselines import (
     _MONTH_PREFIXES,
     hinge_loss,
 )
-from statreason import coref_metrics
+from statreason import coref_metrics, records
 from statreason.corpus import Corpus
 from statreason.engine import CaseResult, EngineConfig, RunDiagnostics, value_surface
 from statreason.metrics import (
@@ -619,3 +620,49 @@ def instantiation_report(
         errors=tuple(f"{r.case.id}: {r.error}" for r in results if r.error),
         notes=tuple(diagnostics.notes) if diagnostics else (),
     )
+
+
+# ---------------------------------------------------------------------------
+# Record scanning
+
+
+class CharScanner(records._Scanner):
+    """The record scanner with quoted strings read one character at a time."""
+
+    def scan_string(self) -> str:
+        self.take('"')
+        out = []
+        while True:
+            if self.pos >= len(self.text):
+                raise self.error("unterminated string")
+            ch = self.text[self.pos]
+            self.pos += 1
+            if ch == '"':
+                return "".join(out)
+            if ch == "\\":
+                if self.pos >= len(self.text):
+                    raise self.error("dangling escape")
+                esc = self.text[self.pos]
+                self.pos += 1
+                if esc == "n":
+                    out.append("\n")
+                elif esc in ('"', "\\"):
+                    out.append(esc)
+                elif esc == "u" and records._HEX4_RE.match(self.text, self.pos):
+                    out.append(chr(int(self.text[self.pos : self.pos + 4], 16)))
+                    self.pos += 4
+                else:
+                    raise self.error(f"unknown escape \\{esc}")
+            else:
+                out.append(ch)
+
+
+def parse_record_by_chars(line: str) -> records.Record:
+    """`records.parse_record` over `CharScanner`."""
+    scanner = CharScanner(line)
+    if scanner.at_end():
+        raise records.RecordError("empty record")
+    start = scanner.pos
+    while scanner.pos < len(line) and not line[scanner.pos].isspace():
+        scanner.pos += 1
+    return records.Record(line[start : scanner.pos], scanner.scan_fields())

@@ -37,11 +37,6 @@ class TestLoadStatutes:
         assert corpus.subsections["§63(c)(5)(A)"].text == "(A) $500, or"
         assert corpus.subsections["§1(d)(iv)"].text.startswith("(iv) $31,172")
 
-    def test_parents_from_id_nesting(self, corpus):
-        assert corpus.subsections["§63(c)(5)(A)"].parent_id == "§63(c)(5)"
-        assert corpus.subsections["§2(a)(1)(B)"].parent_id == "§2(a)(1)"
-        assert corpus.subsections["Tax"].parent_id is None
-
     def test_empty_dir(self, tmp_path):
         (tmp_path / "offsets.txt").write_text("", encoding="utf-8")
         assert load_statutes(tmp_path) == []
@@ -58,8 +53,9 @@ class TestLoadStatutes:
         (tmp_path / "offsets.txt").write_text(
             '§1 file="s.txt" start=0 end=4\n§1 file="s.txt" start=5 end=9\n', encoding="utf-8"
         )
-        with pytest.raises(CorpusError):
+        with pytest.raises(CorpusError) as exc:
             load_statutes(tmp_path)
+        assert [str(e) for e in exc.value.errors] == [f"{tmp_path / 'offsets.txt'}:2: duplicate subsection id §1"]
 
     def test_malformed_id_rejected(self, tmp_path):
         (tmp_path / "s.txt").write_text("some text here", encoding="utf-8")
@@ -111,7 +107,7 @@ class TestLoadLayers:
         edit(root / "coref.txt", "§1(d)(iv) clusters=[Tax:[0], Taxinc:[1]]\n", "")
         with pytest.raises(CorpusError) as exc:
             load_corpus(root / "manifest.txt")
-        assert "no coref record" in str(exc.value)
+        assert [str(e) for e in exc.value.errors] == [f"{root / 'spans.txt'}:1: no coref record for §1(d)(iv)"]
 
 
 class TestLoadCases:
@@ -168,6 +164,18 @@ class TestValidation:
         edit(root / "cases" / "test.cases", 'query="§2(a)(1)"', 'query="§999"')
         problems = validate_corpus(load_corpus(root / "manifest.txt"))
         assert any("§999" in p for p in problems)
+
+    def test_structure_errors_name_their_lines(self, tmp_path):
+        root = copy_corpus(tmp_path)
+        edit(root / "structure.txt", "§2(a)(1)(A)(Taxp, Taxy).", "§2(a)(1)(A)(Taxp, Taxy)")
+        edit(root / "structure.txt", "§63(c)(5)(A)().", "§63(c)(5)(A)().\n\n§1(d)(iv)(Tax).")
+        with pytest.raises(CorpusError) as exc:
+            load_corpus(root / "manifest.txt")
+        where = root / "structure.txt"
+        assert [str(e) for e in exc.value.errors] == [
+            f"{where}:6: clause 3: expected '.', found '§2' (at offset 288)",
+            f"{where}:12: clause 8: duplicate rule for §1(d)(iv)",
+        ]
 
     def test_undefined_structure_callee(self, tmp_path):
         root = copy_corpus(tmp_path)

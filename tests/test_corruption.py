@@ -3,10 +3,11 @@
 Each file in turn has one line deleted, duplicated, cut to half its length,
 cut by its last character, or garbled in the middle. Every command must
 answer with exit 0 (the damage left a coherent corpus) or exit 1, never a
-runtime error (exit 2), and every message it prints must name the file it
-found the problem in (`path:line: ...`, or `path: ...` for a problem of the
-whole file such as a missing record) or be a cross-file `corpus: ...`
-problem. Commands run in process, so the whole battery takes seconds.
+runtime error (exit 2), and every message it prints must name the file and
+line it found the problem at (`path:line: ...`; a manifest problem, a
+missing key or path, is `manifest.txt: ...`) or be a cross-file
+`corpus: ...` problem. Commands run in process, so the whole battery
+takes seconds.
 """
 
 import contextlib
@@ -51,7 +52,7 @@ def run(argv: list[str]) -> tuple[int, str]:
 def check(argv: list[str], root) -> int:
     code, err = run(argv)
     assert code in (0, 1), (argv, code, err)
-    named = re.compile(re.escape(str(root)) + r"/\S+?(:\d+)?: |corpus: ")
+    named = re.compile(re.escape(str(root)) + r"/(\S+?/manifest\.txt|\S+?:\d+): |corpus: ")
     for line in err.splitlines():
         assert named.match(line), (argv, line)
     return code
@@ -80,7 +81,10 @@ def test_corrupt_corpus_file(name, tmp_path):
     ],
 )
 def test_corrupt_prediction_import(writer, readers, tmp_path):
-    manifest = str(FIXTURES / "manifest.txt")
+    # The corpus is copied under tmp_path too: a coref record missing from
+    # the import is reported at its subsection's line of the spans file.
+    shutil.copytree(FIXTURES, tmp_path / "corpus")
+    manifest = str(tmp_path / "corpus" / "manifest.txt")
     out = tmp_path / "out"
     assert run([writer[0], "--manifest", manifest, *writer[1:], "--out", str(out)])[0] == 0
     target = out / f"{writer[0]}.predictions.txt"

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from collections import Counter
@@ -16,6 +15,7 @@ from statreason.baselines import (
     OracleResolver,
     fit_constant_baseline,
 )
+from statreason.corpus import Corpus
 from statreason.engine import (
     EngineConfig,
     EngineError,
@@ -518,11 +518,16 @@ class TestInstantiateFull:
 
         base = [c for c in corpus.cases if c.query == "§63(c)(5)"]
         cases = base + [
-            dataclasses.replace(base[0], id="63(c)(5)-other", inputs=ValueMap({"Taxp": "Dana"})),
-            dataclasses.replace(base[1], id="63(c)(5)-empty", inputs=ValueMap()),
+            Case("63(c)(5)-other", base[0].description, base[0].query, ValueMap({"Taxp": "Dana"}),
+                 base[0].expected, base[0].split),
+            Case("63(c)(5)-empty", base[1].description, base[1].query, ValueMap(), base[1].expected, base[1].split),
         ]
         assert len({c.inputs for c in cases}) == len(cases) == 4
-        shared, _ = run_cases(Echo(), dataclasses.replace(corpus, cases=tuple(cases)), "all")
+        with_cases = Corpus(
+            corpus.manifest, corpus.subsections, corpus.layers, corpus.program, tuple(cases), corpus.silver,
+            corpus.section_files,
+        )
+        shared, _ = run_cases(Echo(), with_cases, "all")
         texts = {s.id: s.text for s in corpus.subsections.values()}
         alone = [instantiate_full(Echo(), corpus.program, corpus.layers, texts, c) for c in cases]
         assert [r.predicted for r in shared] == alone

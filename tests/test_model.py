@@ -198,3 +198,63 @@ class TestCase_:
         assert c.pair_id == "63(c)(5)"
         c = Case("tax-case-5", "d", "Tax", ValueMap(), ValueMap({"@truth": 1.0}))
         assert c.pair_id is None
+
+
+class TestReprEqualityAndHash:
+    """As the frozen dataclasses these classes replace had them: repr shows
+    the fields by name, equality needs the same class, the hash is that of
+    the fields' tuple, and fields cannot be assigned."""
+
+    def test_money(self):
+        assert repr(Money(5)) == "Money(dollars=5)" and repr(Money(-3)) == "Money(dollars=-3)"
+        assert Money(5) == Money(5) and Money(5) != Money(6)
+        assert Money(5) != (5,) and Money(5) != 5
+        assert hash(Money(5)) == hash((5,))
+        assert str(Money(5)) == "$5"
+
+    def test_money_message_and_truth_message(self):
+        with pytest.raises(ValueError, match=r"^money must be an integer dollar amount, got 2\.5$"):
+            Money(2.5)
+        with pytest.raises(ValueError, match=r"^@truth must hold a truth score, got Money\(dollars=1\)$"):
+            ValueMap({"@truth": Money(1)})
+
+    def test_span(self):
+        span = Span(1, 2)
+        assert repr(span) == "Span(start=1, end=2)"
+        assert span == Span(1, 2) and span != Span(1, 3)
+        assert span != (1, 2)
+        assert hash(span) == hash((1, 2))
+        assert Span(1, 2) < Span(1, 3) and Span(0, 9) < Span(1, 2) and not Span(1, 2) < Span(1, 2)
+        assert sorted([Span(3, 4), Span(1, 5), Span(1, 2)]) == [Span(1, 2), Span(1, 5), Span(3, 4)]
+        with pytest.raises(TypeError):
+            Span(1, 2) < (1, 3)
+
+    def test_span_in_layer_message(self):
+        with pytest.raises(ValueError) as exc:
+            layer([(0, 4), (2, 5)], [(0,), (1,)])
+        assert str(exc.value) == "§x: spans out of order or overlapping: Span(start=0, end=4), Span(start=2, end=5)"
+
+    def test_argument_layer(self):
+        l = ArgumentLayer("§1", (Span(0, 3), Span(4, 9)), ((1,), (0,)), ("B", "A"))
+        assert repr(l) == (
+            "ArgumentLayer(subsection_id='§1', spans=(Span(start=0, end=3), Span(start=4, end=9)), "
+            "clusters=((0,), (1,)), cluster_names=('A', 'B'))"
+        )
+        assert l == ArgumentLayer("§1", (Span(0, 3), Span(4, 9)), ((0,), (1,)), ("A", "B"))
+        assert l != ArgumentLayer("§2", (Span(0, 3), Span(4, 9)), ((0,), (1,)), ("A", "B"))
+        assert hash(l) == hash(("§1", (Span(0, 3), Span(4, 9)), ((0,), (1,)), ("A", "B")))
+
+    def test_case(self):
+        c = Case("c1", "Alice earned $5.", "§1", ValueMap({"Taxp": "Alice"}), ValueMap({"@truth": 1.0}), "test")
+        assert repr(c) == (
+            "Case(id='c1', description='Alice earned $5.', query='§1', inputs=ValueMap(Taxp='Alice'), "
+            "expected=ValueMap(@truth=1.0), split='test')"
+        )
+        assert c == Case("c1", "Alice earned $5.", "§1", ValueMap({"Taxp": "Alice"}), ValueMap({"@truth": 1.0}), "test")
+        assert c != Case("c1", "Alice earned $5.", "§1", ValueMap({"Taxp": "Alice"}), ValueMap({"@truth": 1.0}))
+        assert hash(c) == hash(("c1", "Alice earned $5.", "§1", c.inputs, c.expected, "test"))
+
+    def test_fields_cannot_be_assigned(self):
+        for value, name in ((Money(5), "dollars"), (Span(1, 2), "start"), (layer([(0, 1)], [(0,)]), "spans")):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(value, name, None)

@@ -1,7 +1,8 @@
 """The package runs on the standard library alone: importing the CLI pulls
 in no numeric stack, and pyproject.toml declares no runtime dependency.
 The package root exports nothing, so importing one module loads only what
-that module needs."""
+that module needs, and each command loads only the modules it runs (and
+never `dataclasses`)."""
 
 import os
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+MANIFEST = str(ROOT / "tests" / "fixtures" / "corpus" / "manifest.txt")
 
 
 def _run(code: str) -> str:
@@ -47,3 +49,43 @@ def test_pyproject_declares_no_runtime_dependencies():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     assert project["dependencies"] == []
+
+
+# What each command loads of the package beyond the modules every command
+# shares: the CLI, records, model, rules and corpus.
+COMMAND_MODULES = {
+    "validate": [],
+    "stats": [],
+    "eval-coref": ["baselines", "coref_metrics", "metrics", "reports"],
+    "eval-argid": ["baselines", "metrics", "reports"],
+    "cascade": ["baselines", "metrics", "reports"],
+    "eval-inst": ["baselines", "engine", "metrics", "reports"],
+    "import-sara": ["sara_import"],
+}
+SHARED = ["cli", "corpus", "model", "records", "rules"]
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_each_command_loads_only_what_it_runs(command, tmp_path):
+    if command == "import-sara":
+        argv = [command, "--source", str(tmp_path), "--dest", str(tmp_path / "out")]
+    else:
+        argv = [command, "--manifest", MANIFEST]
+    # `python -m statreason ...`, listing the modules it loaded that were not
+    # loaded at start-up.
+    code = (
+        "import contextlib, io, runpy, sys\n"
+        "before = set(sys.modules)\n"
+        f"sys.argv = ['statreason', *{argv!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        "        runpy.run_module('statreason', run_name='__main__', alter_sys=True)\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "print(code, *sorted(set(sys.modules) - before))"
+    )
+    exit_code, *loaded = _run(code).split()
+    assert exit_code == "0"
+    package = sorted(m.removeprefix("statreason.") for m in loaded if m.startswith("statreason."))
+    assert package == sorted(SHARED + COMMAND_MODULES[command])
+    assert "dataclasses" not in loaded

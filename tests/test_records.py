@@ -1,12 +1,14 @@
 import datetime
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given
 
+import oracles
 from statreason import records
-from statreason.model import Money, ValueMap
+from statreason.model import Money, Span, ValueMap
 
-from generators import ESCAPED_CHARACTERS, MONEY_VALUES, TRUTH_VALUES, VALUES
+from generators import ESCAPED_CHARACTERS, MONEY_VALUES, TEXT_VALUES, TRUTH_VALUES, VALUES
 
 
 class TestScanning:
@@ -127,3 +129,83 @@ class TestWriting:
     def test_impossible_date_is_a_record_error(self):
         with pytest.raises(records.RecordError, match="invalid date '2017-02-30'"):
             records.parse_record("c1 d=2017-02-30")
+
+
+# What steers the string scan: quotes, backslashes, escape letters, hex
+# digits, and the characters that end a value or a field.
+SCANNER_CHARACTERS = '"\\nu0aF =[](),:$-'
+
+
+@st.composite
+def record_lines(draw):
+    """A record line as the writers emit it, then cut, or with characters
+    inserted or deleted, up to three times."""
+    values = draw(st.lists(st.one_of(TEXT_VALUES, VALUES), min_size=1, max_size=3))
+    line = "r " + " ".join(f"f{i}={records.write_value(v)}" for i, v in enumerate(values))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(line)))
+        edit = draw(st.sampled_from(["insert", "delete", "cut"]))
+        if edit == "insert":
+            line = line[:i] + draw(st.sampled_from(SCANNER_CHARACTERS)) + line[i:]
+        else:
+            line = line[:i] + line[i + 1 :] if edit == "delete" else line[:i]
+    return line
+
+
+def outcome(parse, line: str):
+    """The id and fields (by repr, which tells 1 from 1.0) or the error text,
+    column included."""
+    try:
+        record = parse(line)
+    except records.RecordError as exc:
+        return "error", str(exc)
+    return record.id, repr(record.fields)
+
+
+class TestStringScan:
+    @given(st.one_of(record_lines(), st.text(SCANNER_CHARACTERS).map(lambda text: 'r a="' + text)))
+    @example('r a="unterminated')
+    @example('r a="dangling\\')
+    @example('r a="\\q"')
+    @example('r a="\\u12" b=1')
+    @example('r a="\\u00e9\\n\\"\\\\" b="" c=""""')
+    def test_same_value_or_error_as_the_character_scan(self, line):
+        assert outcome(records.parse_record, line) == outcome(oracles.parse_record_by_chars, line)
+
+
+class TestItemClasses:
+    """Repr, equality and hashing as the frozen dataclasses they replace had
+    them; error messages print items by repr."""
+
+    def test_pair_literal(self):
+        pair = records.PairLit(15, 27)
+        assert repr(pair) == "PairLit(start=15, end=27)"
+        assert pair == records.PairLit(15, 27) and pair != records.PairLit(15, 28)
+        assert pair != (15, 27) and pair != Span(15, 27)
+        assert hash(pair) == hash((15, 27))
+
+    def test_entry(self):
+        entry = records.Entry("Tax", Money(5))
+        assert repr(entry) == "Entry(key='Tax', value=Money(dollars=5))"
+        assert entry == records.Entry("Tax", Money(5)) and entry != records.Entry("Tax", 5)
+        assert entry != ("Tax", Money(5))
+        assert hash(entry) == hash(("Tax", Money(5)))
+
+    def test_labeled(self):
+        labeled = records.Labeled("A", [0, 1])
+        assert repr(labeled) == "Labeled(label='A', items=[0, 1])"
+        assert labeled == records.Labeled("A", [0, 1]) and labeled != records.Labeled(None, [0, 1])
+        with pytest.raises(TypeError):
+            hash(labeled)
+
+    def test_items_are_immutable(self):
+        with pytest.raises(AttributeError, match="cannot assign to field 'key'"):
+            records.Entry("a", 1).key = "b"
+
+    def test_reprs_in_error_messages(self):
+        with pytest.raises(records.RecordError) as exc:
+            records.as_value_map(records.parse_value_literal('[a=[b=1]]'), "inputs")
+        assert str(exc.value) == "inputs: unexpected structured item Entry(key='b', value=1) in a value list"
+        with pytest.raises(records.RecordError) as exc:
+            records.as_value_map(records.parse_value_literal('[A:[0, 1]]'), "inputs")
+        assert str(exc.value) == "inputs: expected key=value entries, found Labeled(label='A', items=[0, 1])"

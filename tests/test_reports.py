@@ -11,15 +11,14 @@ from statreason.baselines import (
     single_mention_coref,
     string_match_coref,
 )
+from statreason.cli import check_floors, report_records
 from statreason.engine import CaseResult, EngineConfig, evaluate_run
 from statreason.model import TRUTH_KEY, Case, Money, Span, ValueMap
 from statreason.reports import (
     argid_report,
     cascade_report,
-    check_floors,
     coref_report,
     instantiation_report,
-    report_records,
 )
 
 
