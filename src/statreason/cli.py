@@ -273,9 +273,9 @@ def cmd_eval_inst(args) -> int:
 
     corpus = _load_validated(args.manifest)
     config = EngineConfig(
-        depth_cap=args.depth_cap,
+        # --no-structure is a depth cap of 1; min() still rejects a bad --depth-cap.
+        depth_cap=min(args.depth_cap, 1) if args.no_structure else args.depth_cap,
         truth_threshold=args.threshold,
-        use_structure=not args.no_structure,
         insert_gold=args.insert_gold,
     )
     if args.resolver == "oracle":
@@ -295,9 +295,9 @@ def cmd_eval_inst(args) -> int:
         "eval-inst",
         resolver=args.resolver,
         split=args.split,
-        depth_cap=config.depth_cap,
+        depth_cap=args.depth_cap,
         threshold=config.truth_threshold,
-        structure=config.use_structure,
+        structure=not args.no_structure,
         silver=args.with_silver,
         insert_gold=config.insert_gold,
     )

@@ -15,10 +15,12 @@ after that holds only values taken from those, so it is built unchecked
 (`ValueMap._of`) instead of re-validating each value at every node.
 
 A run (`run_cases`) builds what does not depend on the case once and shares
-it across cases in a `RunContext`: each query's unpopulated dependency tree
-and each subsection's `SubsectionPlan` (its labelled mentions in text order
-and its arguments' placeholder texts). A request's grounded text is spliced
-from the plan only when a resolver first reads it.
+it across cases in a `RunContext`: each query's dependency tree, which holds
+no values, and each subsection's `SubsectionPlan` (its labelled mentions in
+text order and its arguments' placeholder texts). A case is one walk over
+its query's tree that carries the case's values down as an argument. A
+request's grounded text is spliced from the plan only when a resolver first
+reads it.
 """
 
 from __future__ import annotations
@@ -28,38 +30,23 @@ from typing import Protocol
 
 from .model import ArgumentLayer, Case, Frozen, TRUTH_KEY, Value, ValueMap, _set, check_value, layer_of
 from .records import write_value
-from .rules import (
-    DepTree,
-    OpNode,
-    Program,
-    SubsectionNode,
-    build_dependency_tree,
-    populate_values,
-)
+from .rules import DepTree, OpNode, Program, build_dependency_tree
 
 
 class EngineConfig(Frozen):
     """Run settings; `insert_gold` grounds text with gold values where known
     (teacher forcing)."""
 
-    __slots__ = ("depth_cap", "truth_threshold", "use_structure", "insert_gold")
+    __slots__ = ("depth_cap", "truth_threshold", "insert_gold")
 
-    def __init__(
-        self, depth_cap: int = 3, truth_threshold: float = 0.5, use_structure: bool = True, insert_gold: bool = False
-    ):
+    def __init__(self, depth_cap: int = 3, truth_threshold: float = 0.5, insert_gold: bool = False):
         if depth_cap < 1:
             raise ValueError("depth_cap must be >= 1")
         if not 0.0 < truth_threshold < 1.0:
             raise ValueError("truth_threshold must be in (0, 1)")
         _set(self, "depth_cap", depth_cap)
         _set(self, "truth_threshold", truth_threshold)
-        _set(self, "use_structure", use_structure)
         _set(self, "insert_gold", insert_gold)
-
-    @property
-    def tree_depth_cap(self) -> int:
-        """The depth cap dependency trees are unrolled to."""
-        return self.depth_cap if self.use_structure else 1
 
 
 class SubsectionPlan:
@@ -301,8 +288,9 @@ def _translate(result: ValueMap, bindings: tuple[tuple[str, str], ...]) -> Value
 
 class RunContext:
     """What a run builds once and shares across its cases: each query's
-    unpopulated dependency tree and each subsection's plan. One context
-    serves one program, layer set, text set and config."""
+    dependency tree and each subsection's plan. Neither holds a case's
+    values, so cases only read them. One context serves one program, layer
+    set, text set and config."""
 
     __slots__ = ("trees", "plans")
 
@@ -332,8 +320,7 @@ def instantiate_full(
         raise EngineError(f"case {case.id}: query {case.query} has no rule")
     tree = context.trees.get(case.query)
     if tree is None:
-        tree = context.trees[case.query] = build_dependency_tree(program, case.query, config.tree_depth_cap)
-    tree = populate_values(tree, case.inputs)
+        tree = context.trees[case.query] = build_dependency_tree(program, case.query, config.depth_cap)
     plans = context.plans
 
     def plan_of(sid: str) -> SubsectionPlan:
@@ -344,20 +331,24 @@ def instantiate_full(
             plan = plans[sid] = SubsectionPlan(layer_of(layers, sid), subsections.get(sid, ""))
         return plan
 
-    def resolve(node) -> ValueMap:
+    def resolve(node, incoming: ValueMap) -> ValueMap:
+        """Evaluate `node` given the values of its enclosing subsection."""
         if isinstance(node, OpNode):
-            return do_operation(node.kind, [resolve(c) for c in node.children])
-        assert isinstance(node, SubsectionNode)
-        known = node.values
+            return do_operation(node.kind, [resolve(c, incoming) for c in node.children])
+        if node.depth == 1:
+            known = incoming
+        else:
+            # Values cross a reference by renaming: the callee's parameter
+            # takes the caller's value for the bound variable.
+            known = ValueMap._of({param: incoming[var] for param, var in node.bindings if var in incoming})
         if node.child is not None:
-            absorbed = resolve(node.child).without(TRUTH_KEY)
-            known = known.merged(absorbed)
+            known = known.merged(resolve(node.child, known).without(TRUTH_KEY))
         result = _instantiate(resolver, plan_of(node.id), known, case, config, diagnostics)
         if node.depth == 1:
             return result
         return _translate(result, node.bindings)
 
-    return resolve(tree.root)
+    return resolve(tree.root, case.inputs)
 
 
 # ---------------------------------------------------------------------------

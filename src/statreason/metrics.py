@@ -182,13 +182,6 @@ def score_arguments(
     return out
 
 
-def unified_accuracy(scores: list[ArgScore]) -> float:
-    """Sample-weighted average over all scored arguments."""
-    if not scores:
-        raise ValueError("no scored arguments")
-    return sum(s.score for s in scores) / len(scores)
-
-
 def confidence_interval(accuracy: float, n: int) -> float:
     """Half-width of the normal-approximation 90% binomial interval."""
     if n < 1:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 
-from .model import TRUTH_KEY, Frozen, ValueMap, _set
+from .model import TRUTH_KEY, Frozen, _set
 
 
 class RuleSyntaxError(ValueError):
@@ -32,6 +32,10 @@ class RuleSyntaxError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at offset {position})")
         self.position = position
+
+
+class _Unterminated(RuleSyntaxError):
+    """A clause that lacks only its final "."."""
 
 
 class ProgramSyntaxError(RuleSyntaxError):
@@ -172,10 +176,10 @@ class _Parser:
         self.index += 1
         return token
 
-    def expect(self, text: str) -> _Token:
+    def expect(self, text: str, error: type[RuleSyntaxError] = RuleSyntaxError) -> _Token:
         token = self.peek()
         if token.text != text:
-            raise RuleSyntaxError(f"expected {text!r}, found {token.text or 'end of input'!r}", token.pos)
+            raise error(f"expected {text!r}, found {token.text or 'end of input'!r}", token.pos)
         return self.advance()
 
     def at_end(self) -> bool:
@@ -273,7 +277,7 @@ class _Parser:
         if self.peek().kind == "neck":
             self.advance()
             body = self.parse_body()
-        self.expect(".")
+        self.expect(".", _Unterminated)
         try:
             return Rule(ident, tuple(params), body)
         except ValueError as exc:
@@ -311,7 +315,11 @@ def parse_program(text: str) -> Program:
             rule = parser.parse_clause()
         except RuleSyntaxError as exc:
             problems.append((exc.position, f"clause {clause_no}: {exc}"))
-            # Skip to just past the next "." so later clauses still parse.
+            # A clause that lacks only its "." ends where the next line
+            # begins; resume there. Otherwise skip to just past the next ".".
+            line_start = text.rfind("\n", 0, exc.position) + 1
+            if isinstance(exc, _Unterminated) and not text[line_start : exc.position].strip():
+                continue
             while not parser.at_end() and parser.advance().text != ".":
                 pass
             continue
@@ -395,25 +403,18 @@ class SubsectionNode(Frozen):
     """A subsection occurrence in an unrolled dependency tree.
 
     `bindings` are the (callee param, caller var) pairs of the reference that
-    introduced this node; empty for the root. `values` holds input values
-    propagated down to this node.
+    introduced this node; empty for the root.
     """
 
-    __slots__ = ("id", "depth", "bindings", "child", "values")
+    __slots__ = ("id", "depth", "bindings", "child")
 
     def __init__(
-        self,
-        id: str,
-        depth: int,
-        bindings: tuple[tuple[str, str], ...] = (),
-        child: "TreeNode | None" = None,
-        values: ValueMap = ValueMap(),
+        self, id: str, depth: int, bindings: tuple[tuple[str, str], ...] = (), child: "TreeNode | None" = None
     ):
         _set(self, "id", id)
         _set(self, "depth", depth)
         _set(self, "bindings", bindings)
         _set(self, "child", child)
-        _set(self, "values", values)
 
 
 class OpNode(Frozen):
@@ -460,28 +461,3 @@ def build_dependency_tree(program: Program, root_id: str, depth_cap: int) -> Dep
         return OpNode(kind, depth, tuple(expand(c, depth) for c in expr.children))
 
     return DepTree(subsection(root_id, 1, ()), depth_cap)
-
-
-def populate_values(tree: DepTree, inputs: ValueMap) -> DepTree:
-    """Propagate input values from the root down through reference bindings.
-
-    Values cross a reference by renaming: the callee's parameter takes the
-    caller's value for the bound variable. Operator nodes pass the enclosing
-    subsection's values through to every branch unchanged.
-    """
-
-    def fill(node: TreeNode, incoming: ValueMap) -> TreeNode:
-        if isinstance(node, OpNode):
-            return OpNode(node.kind, node.depth, tuple(fill(c, incoming) for c in node.children))
-        if node.depth == 1:
-            own = incoming
-        else:
-            # Values come from a validated map; Ref guarantees the keys.
-            own = ValueMap._of({param: incoming[var] for param, var in node.bindings if var in incoming})
-        child = fill(node.child, own) if node.child is not None else None
-        return SubsectionNode(node.id, node.depth, node.bindings, child, own)
-
-    root = fill(tree.root, inputs)
-    assert isinstance(root, SubsectionNode)
-    return DepTree(root, tree.depth_cap)
-

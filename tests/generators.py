@@ -8,7 +8,7 @@ import random
 import hypothesis.strategies as st
 
 from statreason.model import TRUTH_KEY, ArgumentLayer, Money, Span, ValueMap
-from statreason.rules import And, Not, Or, Program, Ref, Rule
+from statreason.rules import And, Not, Or, Program, Ref, Rule, iter_refs
 
 
 def random_partition(rng: random.Random, n: int, ensure_link: bool = False):
@@ -83,6 +83,27 @@ def random_program(rng: random.Random, n_rules: int, max_refs: int = 3) -> Progr
                 body = (And if rng.random() < 0.5 else Or)(tuple(refs))
         rules[head] = Rule(head, params, body)
     return Program(rules)
+
+
+def random_nested_program(rng: random.Random, n_rules: int) -> Program:
+    """`random_program` with each body's references regrouped into a random
+    nesting of AND, OR and NOT, one of them sometimes referenced twice."""
+    rules: dict[str, Rule] = {}
+    for head, rule in random_program(rng, n_rules).rules.items():
+        refs = list(iter_refs(rule))
+        if refs and rng.random() < 0.3:
+            refs.append(rng.choice(refs))
+        rules[head] = Rule(head, rule.params, _nest(rng, refs) if refs else None)
+    return Program(rules)
+
+
+def _nest(rng: random.Random, refs: list[Ref]):
+    if len(refs) == 1:
+        expr = refs[0]
+    else:
+        cut = rng.randrange(1, len(refs))
+        expr = (And if rng.random() < 0.5 else Or)((_nest(rng, refs[:cut]), _nest(rng, refs[cut:])))
+    return Not(expr) if rng.random() < 0.25 else expr
 
 
 def random_value_map(rng: random.Random, keys=("X", "Y", "Z")) -> ValueMap:

@@ -9,6 +9,8 @@ as first written (one scoring loop per report, each with its own pooling and
 its own copy of the P/R/F1 table, scoring each unit with the per-unit
 `span_prf` and `exact_match_coref` the library once had), and the record
 scanner's quoted-string scan one character at a time, as first written.
+`unified_accuracy` is the unified mean as the library once defined it, and
+`instantiate_full` the engine's populate-then-resolve tree evaluation.
 `tree_depth` is the dependency-tree depth the depth-cap tests measure with."""
 
 from __future__ import annotations
@@ -36,7 +38,19 @@ from statreason.baselines import (
 )
 from statreason import coref_metrics, records
 from statreason.corpus import Corpus
-from statreason.engine import CaseResult, EngineConfig, RunDiagnostics, value_surface
+from statreason.engine import (
+    CaseResult,
+    EngineConfig,
+    EngineError,
+    Resolver,
+    RunContext,
+    RunDiagnostics,
+    SubsectionPlan,
+    _instantiate,
+    _translate,
+    do_operation,
+    value_surface,
+)
 from statreason.metrics import (
     ArgScore,
     PRF,
@@ -45,11 +59,10 @@ from statreason.metrics import (
     pair_consistency,
     prf,
     score_arguments,
-    unified_accuracy,
 )
-from statreason.model import TRUTH_KEY, ArgumentLayer, Money, Span, Value, value_kind
+from statreason.model import TRUTH_KEY, ArgumentLayer, Case, Money, Span, Value, ValueMap, layer_of, value_kind
 from statreason.reports import FamilyScore, InstantiationReport
-from statreason.rules import DepTree, OpNode, TreeNode
+from statreason.rules import DepTree, OpNode, Program, SubsectionNode, TreeNode, build_dependency_tree
 
 
 def vilain_muc(gold, pred) -> tuple[float, float, float]:
@@ -312,6 +325,84 @@ def tree_depth(tree: DepTree) -> int:
 
 
 # ---------------------------------------------------------------------------
+# The engine's tree evaluation as first written: one pass to attach each
+# node's input values, then one to resolve. Tree nodes no longer hold values,
+# so the first pass returns them keyed by node identity.
+
+
+def populate_values(tree: DepTree, inputs: ValueMap) -> dict[int, ValueMap]:
+    """Propagate input values from the root down through reference bindings.
+
+    Values cross a reference by renaming: the callee's parameter takes the
+    caller's value for the bound variable. Operator nodes pass the enclosing
+    subsection's values through to every branch unchanged.
+    """
+    values: dict[int, ValueMap] = {}
+
+    def fill(node: TreeNode, incoming: ValueMap) -> None:
+        if isinstance(node, OpNode):
+            for c in node.children:
+                fill(c, incoming)
+            return
+        if node.depth == 1:
+            own = incoming
+        else:
+            # Values come from a validated map; Ref guarantees the keys.
+            own = ValueMap._of({param: incoming[var] for param, var in node.bindings if var in incoming})
+        values[id(node)] = own
+        if node.child is not None:
+            fill(node.child, own)
+
+    fill(tree.root, inputs)
+    return values
+
+
+def instantiate_full(
+    resolver: Resolver,
+    program: Program,
+    layers: dict[str, ArgumentLayer],
+    subsections: dict[str, str],
+    case: Case,
+    config: EngineConfig = EngineConfig(),
+    diagnostics: RunDiagnostics | None = None,
+    context: RunContext | None = None,
+) -> ValueMap:
+    """Instantiate a case's query subsection over its dependency tree."""
+    diagnostics = diagnostics or RunDiagnostics()
+    context = context or RunContext()
+    if case.query not in program:
+        raise EngineError(f"case {case.id}: query {case.query} has no rule")
+    tree = context.trees.get(case.query)
+    if tree is None:
+        tree = context.trees[case.query] = build_dependency_tree(program, case.query, config.depth_cap)
+    values = populate_values(tree, case.inputs)
+    plans = context.plans
+
+    def plan_of(sid: str) -> SubsectionPlan:
+        if sid not in subsections:
+            diagnostics.note(f"{case.id}: no text for {sid}; grounding over empty text")
+        plan = plans.get(sid)
+        if plan is None:
+            plan = plans[sid] = SubsectionPlan(layer_of(layers, sid), subsections.get(sid, ""))
+        return plan
+
+    def resolve(node) -> ValueMap:
+        if isinstance(node, OpNode):
+            return do_operation(node.kind, [resolve(c) for c in node.children])
+        assert isinstance(node, SubsectionNode)
+        known = values[id(node)]
+        if node.child is not None:
+            absorbed = resolve(node.child).without(TRUTH_KEY)
+            known = known.merged(absorbed)
+        result = _instantiate(resolver, plan_of(node.id), known, case, config, diagnostics)
+        if node.depth == 1:
+            return result
+        return _translate(result, node.bindings)
+
+    return resolve(tree.root)
+
+
+# ---------------------------------------------------------------------------
 # Reports as first written
 
 
@@ -563,6 +654,13 @@ def cascade_report(
         perfectly_resolved=(perfect / scored) if scored else 0.0,
         resolved_units=scored,
     )
+
+
+def unified_accuracy(scores: list[ArgScore]) -> float:
+    """Sample-weighted average over all scored arguments."""
+    if not scores:
+        raise ValueError("no scored arguments")
+    return sum(s.score for s in scores) / len(scores)
 
 
 def instantiation_report(

@@ -174,7 +174,20 @@ class TestValidation:
         where = root / "structure.txt"
         assert [str(e) for e in exc.value.errors] == [
             f"{where}:6: clause 3: expected '.', found '§2' (at offset 288)",
-            f"{where}:12: clause 8: duplicate rule for §1(d)(iv)",
+            f"{where}:12: clause 9: duplicate rule for §1(d)(iv)",
+        ]
+
+    def test_clause_after_a_missing_period_reports_its_own_error(self, tmp_path):
+        # The clause on the next line is parsed, not skipped with the broken one.
+        root = copy_corpus(tmp_path)
+        edit(root / "structure.txt", "§2(a)(1)(A)(Taxp, Taxy).", "§2(a)(1)(A)(Taxp, Taxy)")
+        edit(root / "structure.txt", "\n§2(a)(1)(B)(Taxp, Taxy, S211, S24A).", "\n§2(a)(1)(B)(Taxp, Taxp, S211, S24A).")
+        with pytest.raises(CorpusError) as exc:
+            load_corpus(root / "manifest.txt")
+        where = root / "structure.txt"
+        assert [str(e) for e in exc.value.errors] == [
+            f"{where}:6: clause 3: expected '.', found '§2' (at offset 288)",
+            f"{where}:6: clause 4: §2(a)(1)(B): duplicate parameter names (at offset 288)",
         ]
 
     def test_undefined_structure_callee(self, tmp_path):

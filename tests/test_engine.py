@@ -1,10 +1,11 @@
 import math
 import random
+import zlib
 from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 import oracles
 from statreason import engine
@@ -15,10 +16,13 @@ from statreason.baselines import (
     OracleResolver,
     fit_constant_baseline,
 )
+from statreason.cli import main
 from statreason.corpus import Corpus
 from statreason.engine import (
     EngineConfig,
     EngineError,
+    RunContext,
+    RunDiagnostics,
     SubsectionPlan,
     do_operation,
     evaluate_run,
@@ -27,8 +31,9 @@ from statreason.engine import (
     run_cases,
 )
 from statreason.model import ArgumentLayer, Case, Money, Span, TRUTH_KEY, ValueMap
+from statreason.rules import OpNode, SubsectionNode, build_dependency_tree
 
-from generators import VALUES, random_value_map, texts_with_layers
+from generators import VALUES, random_nested_program, random_value_map, texts_with_layers
 
 
 def make_layer(text, mentions):
@@ -337,7 +342,7 @@ class TestAgainstOracles:
     @pytest.mark.parametrize("resolver", ["oracle", "heuristic", "constant"])
     @pytest.mark.parametrize(
         "config",
-        [EngineConfig(), EngineConfig(insert_gold=True), EngineConfig(truth_threshold=0.3, use_structure=False)],
+        [EngineConfig(), EngineConfig(insert_gold=True), EngineConfig(truth_threshold=0.3, depth_cap=1)],
         ids=["default", "insert-gold", "threshold-no-structure"],
     )
     def test_every_request_of_a_fixture_run(self, corpus, resolver, config):
@@ -345,7 +350,7 @@ class TestAgainstOracles:
         results, _ = run_cases(replay, corpus, "all", config)
         assert all(r.error is None for r in results)
         assert replay.grounding is None
-        if config.use_structure:
+        if config.depth_cap > 1:
             assert replay.calls == self.CALLS[resolver]
 
 
@@ -465,18 +470,23 @@ class TestInstantiateFull:
         )
         assert dict(capped) == dict(single)
 
-    def test_no_structure_flag_matches_cap_one(self, corpus):
-        case = next(c for c in corpus.cases if c.id == "63(c)(5)-negative")
-        texts = {s.id: s.text for s in corpus.subsections.values()}
-        flagged = instantiate_full(
-            OracleResolver(), corpus.program, corpus.layers, texts, case,
-            EngineConfig(depth_cap=3, use_structure=False),
-        )
-        capped = instantiate_full(
-            OracleResolver(), corpus.program, corpus.layers, texts, case,
-            EngineConfig(depth_cap=1),
-        )
-        assert dict(flagged) == dict(capped)
+    def test_no_structure_flag_matches_cap_one(self, manifest_path, tmp_path, capsys):
+        # Through the CLI: the files differ only in their @run lines.
+        outputs = []
+        for flags in (["--depth-cap", "3", "--no-structure"], ["--depth-cap", "1"]):
+            out = tmp_path / str(len(outputs))
+            args = ["eval-inst", "--manifest", str(manifest_path), "--resolver", "oracle", "--split", "all"]
+            assert main([*args, *flags, "--out", str(out)]) == 0
+            report = (out / "eval-inst.report.txt").read_text(encoding="utf-8")
+            dumps = [(out / f"eval-inst.{name}.txt").read_text(encoding="utf-8") for name in ("records", "predictions")]
+            outputs.append((report, [dump.partition("\n") for dump in dumps]))
+        capsys.readouterr()
+        (flagged_report, flagged), (capped_report, capped) = outputs
+        assert flagged_report == capped_report
+        for (flagged_run, _, flagged_rest), (capped_run, _, capped_rest) in zip(flagged, capped):
+            assert flagged_rest == capped_rest
+            assert "depth_cap=3 " in flagged_run and "structure=false " in flagged_run
+            assert "depth_cap=1 " in capped_run and "structure=true " in capped_run
 
     def test_surviving_spouse_case_over_tree(self, corpus):
         case = next(c for c in corpus.cases if c.id == "2(a)(1)-positive")
@@ -555,6 +565,117 @@ class TestInstantiateFull:
         ]
 
 
+class Recording:
+    """Records every request as (subsection, required, known, text). Answers
+    with `inner`, or else from what the request knows: a value or truth score
+    that depends on `known`, and now and then no answer at all."""
+
+    def __init__(self, inner=None):
+        self.inner, self.requests = inner, []
+
+    def resolve(self, request):
+        known = dict(request.known)
+        self.requests.append((request.subsection_id, request.required, known, request.text))
+        if self.inner is not None:
+            return self.inner.resolve(request)
+        digest = zlib.crc32(repr((request.subsection_id, request.required, sorted(known.items()))).encode())
+        if request.required:
+            return {} if digest % 4 == 0 else {request.required[0]: f"v{digest % 7}"}
+        return {} if digest % 5 == 0 else {TRUTH_KEY: (digest % 11) / 10}
+
+
+def rule_texts_and_layers(program):
+    """A text per rule that mentions each parameter once, and a layer that
+    labels each mention with its parameter."""
+    texts, layers = {}, {}
+    for head, rule in program.rules.items():
+        text, spans = f"{head} holds", []
+        for param in rule.params:
+            text += " for "
+            spans.append(Span(len(text), len(text) + len(param)))
+            text += param
+        texts[head] = text
+        layers[head] = ArgumentLayer(head, tuple(spans), tuple((i,) for i in range(len(spans))), rule.params)
+    return texts, layers
+
+
+class TestOneWalk:
+    """One walk per case over the shared tree against the populate-then-resolve
+    evaluation it replaced (`oracles.instantiate_full`): the same predictions
+    in the same order, the same notes and the same resolver requests."""
+
+    @staticmethod
+    def assert_same_run(make_resolver, program, layers, texts, cases, config):
+        runs = []
+        for instantiate in (instantiate_full, oracles.instantiate_full):
+            resolver, diagnostics, context = Recording(make_resolver()), RunDiagnostics(), RunContext()
+            predicted = [
+                list(instantiate(resolver, program, layers, texts, case, config, diagnostics, context).items())
+                for case in cases
+            ]
+            runs.append((predicted, diagnostics.notes, resolver.requests))
+        assert runs[0] == runs[1]
+        return runs[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_generated_programs(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        program = random_nested_program(rng, rng.randrange(2, 7))
+        texts, layers = rule_texts_and_layers(program)
+        for head in rng.sample(sorted(texts), rng.randrange(len(texts))):
+            del texts[head]
+        root = next(iter(program.rules))
+        values = st.dictionaries(st.sampled_from(program.rules[root].params), VALUES)
+        n_cases = data.draw(st.integers(1, 3))
+        cases = [oracle_case(f"c{i}", root, data.draw(values), data.draw(values)) for i in range(n_cases)]
+        config = EngineConfig(data.draw(st.integers(1, 4)), insert_gold=data.draw(st.booleans()))
+        self.assert_same_run(lambda: None, program, layers, texts, cases, config)
+
+    @pytest.mark.parametrize("resolver", ["recording", "oracle", "heuristic", "constant"])
+    def test_fixture(self, corpus, resolver):
+        texts = {s.id: s.text for s in corpus.subsections.values()}
+        make = (lambda: None) if resolver == "recording" else (lambda: fixture_resolvers(corpus)[resolver])
+        for depth_cap in (1, 2, 3, 4):
+            for insert_gold in (False, True):
+                config = EngineConfig(depth_cap, insert_gold=insert_gold)
+                _, _, requests = self.assert_same_run(make, corpus.program, corpus.layers, texts, corpus.cases, config)
+                assert requests
+
+    def test_nodes_are_built_only_with_each_query_tree(self, corpus, monkeypatch):
+        def size(node):
+            if isinstance(node, OpNode):
+                return 1 + sum(size(c) for c in node.children)
+            return 1 + (size(node.child) if node.child is not None else 0)
+
+        queries = {c.query for c in corpus.cases}
+        expected = sum(size(build_dependency_tree(corpus.program, q, 3).root) for q in queries)
+        building, built = [False], []
+        real_build = engine.build_dependency_tree
+
+        def build(*args):
+            building[0] = True
+            try:
+                return real_build(*args)
+            finally:
+                building[0] = False
+
+        def counted(init):
+            def construct(node, *args, **named):
+                assert building[0], f"{type(node).__name__} built outside build_dependency_tree"
+                built.append(node)
+                init(node, *args, **named)
+
+            return construct
+
+        monkeypatch.setattr(engine, "build_dependency_tree", build)
+        for cls in (SubsectionNode, OpNode):
+            monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+        results, _ = run_cases(OracleResolver(), corpus, "all")
+        assert all(r.error is None for r in results) and len(results) > len(queries)
+        assert len(built) == expected
+
+
 class TestEngineInvariants:
     def test_output_shape_for_every_resolver(self, corpus):
         from statreason.baselines import (
@@ -607,6 +728,6 @@ class TestEvaluateRun:
         params = ConstantBaselineParams(1.0, 42000, "Bob")
         with_structure = evaluate_run(ConstantResolver(params), corpus, "test")[1]
         without = evaluate_run(
-            ConstantResolver(params), corpus, "test", EngineConfig(use_structure=False)
+            ConstantResolver(params), corpus, "test", EngineConfig(depth_cap=1)
         )[1]
         assert with_structure.flat() == without.flat()

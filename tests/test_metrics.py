@@ -13,9 +13,10 @@ from statreason.metrics import (
     numerical_accuracy,
     pair_consistency,
     string_accuracy,
-    unified_accuracy,
 )
-from statreason.model import Case, Money, Span, ValueMap
+from statreason.engine import CaseResult, EngineConfig
+from statreason.model import TRUTH_KEY, Case, Money, Span, ValueMap
+from statreason.reports import FamilyScore, instantiation_report
 
 
 def span_scores(gold, pred):
@@ -142,20 +143,34 @@ def scores(*triples):
     return [ArgScore("c", "a", family, score) for family, score in triples]
 
 
+# Per family, an argument name, its gold value and a wrong prediction.
+ARGUMENTS = {"truth": (TRUTH_KEY, 1.0, 0.0), "dollar": ("a", Money(100), Money(9000)), "string": ("a", "Bob", "Alice")}
+
+
+def unified(items):
+    """The report's unified accuracy over one case per score, each expecting
+    one argument of the score's family, predicted right when it scores 1."""
+    results = []
+    for i, item in enumerate(items):
+        name, gold, wrong = ARGUMENTS[item.family]
+        case = Case(f"c{i}", "", "§x", ValueMap(), ValueMap({name: gold}), "test")
+        results.append(CaseResult(case, ValueMap({name: gold if item.score else wrong})))
+    return instantiation_report(results, EngineConfig()).unified
+
+
 class TestUnifiedAccuracy:
     def test_weighted_average(self):
         items = scores(*[("truth", 1)] * 6, *[("truth", 0)] * 4,
                        ("dollar", 1), *[("dollar", 0)] * 4,
                        *[("string", 0)] * 5)
-        assert unified_accuracy(items) == pytest.approx(0.35)
+        assert unified(items) == FamilyScore(pytest.approx(0.35), 20)
 
     def test_single_family(self):
         items = scores(("dollar", 1), ("dollar", 0))
-        assert unified_accuracy(items) == 0.5
+        assert unified(items) == FamilyScore(0.5, 2)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            unified_accuracy([])
+    def test_empty_scores_nothing(self):
+        assert unified([]) == FamilyScore(0.0, 0)
 
     def test_order_invariant(self):
         rng = random.Random(3)
@@ -163,7 +178,7 @@ class TestUnifiedAccuracy:
                          for _ in range(50)])
         shuffled = items[:]
         rng.shuffle(shuffled)
-        assert unified_accuracy(items) == unified_accuracy(shuffled)
+        assert unified(items) == unified(shuffled)
 
 
 class TestConfidenceInterval:

@@ -13,12 +13,12 @@ from statreason.rules import (
     check_references,
     parse_program,
     parse_rule,
-    populate_values,
     print_rule,
     OpNode,
     SubsectionNode,
 )
-from statreason.model import ValueMap
+from statreason.engine import EngineConfig, instantiate_full
+from statreason.model import TRUTH_KEY, Case, ValueMap
 
 from generators import random_clause, random_program
 from oracles import tree_depth
@@ -184,14 +184,21 @@ class TestDependencyTree:
         assert tree_depth(tree) == 4
 
     def test_populate_through_bindings(self):
+        # Without layers each subsection gets one request, for its truth
+        # score, knowing exactly the values passed down to it.
         program = parse_program(CLAUSE_63C5 + STUB_LEAVES)
-        tree = build_dependency_tree(program, "§63(c)(5)", 2)
-        tree = populate_values(tree, ValueMap({"Taxp": "Bob", "Taxy": "2017", "Bassd": "x"}))
-        or_node = tree.root.child.children[0]
-        b151 = or_node.children[0]
-        assert dict(b151.values) == {"Spouse": "Bob", "Taxy": "2017"}
-        empty_call = tree.root.child.children[1]
-        assert dict(empty_call.values) == {}
+        known = {}
+
+        class Recording:
+            def resolve(self, request):
+                known[request.subsection_id] = dict(request.known)
+                return {TRUTH_KEY: 1.0}
+
+        inputs = ValueMap({"Taxp": "Bob", "Taxy": "2017", "Bassd": "x"})
+        case = Case("c", "", "§63(c)(5)", inputs, ValueMap(), "test")
+        instantiate_full(Recording(), program, {}, {}, case, EngineConfig(depth_cap=2))
+        assert known["§151(b)"] == {"Spouse": "Bob", "Taxy": "2017"}
+        assert known["§63(c)(5)(A)"] == {}
 
 
 def test_round_trip_fixture_clauses():
