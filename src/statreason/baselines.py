@@ -13,7 +13,7 @@ import re
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .metrics import canonical_string, family_of
+from .metrics import canonical_string, dollar_band, family_of
 from .model import (
     ArgumentLayer,
     Case,
@@ -123,31 +123,17 @@ class ConstantBaselineParams(Frozen):
     __slots__ = ("majority_truth", "constant_dollars", "majority_string")
 
 
-def _scale(y: int) -> Fraction:
-    """The tolerance band half-width around a target: 10% of it, at least $5000."""
-    return max(Fraction(abs(y)) / 10, Fraction(5000))
-
-
-def hinge_loss(targets: list[int], constant: int) -> Fraction:
-    """Total numerical hinge loss of one constant against integer targets."""
-    total = Fraction(0)
-    for y in targets:
-        delta = Fraction(abs(y - constant)) / _scale(y)
-        if delta > 1:
-            total += delta - 1
-    return total
-
-
 def hinge_losses(targets: list[int], candidates: list[int]) -> Iterator[Fraction]:
-    """`hinge_loss(targets, c)` for every c of the ascending `candidates`, in
-    one sweep, yielded one at a time so no list of losses is kept.
+    """The total numerical hinge loss against integer `targets` of every c of
+    the ascending `candidates`, in one sweep, yielded one at a time so no
+    list of losses is kept.
 
     Target y with scale s adds y/s - 1 - c/s below y - s, nothing in between
     and c/s - y/s - 1 above y + s (each piece is 0 at its breakpoint), so the
     loss is an intercept plus a slope times c that changes only where c
     passes a breakpoint. Both are kept as exact fractions.
     """
-    scaled = [(y, _scale(y)) for y in targets]
+    scaled = [(y, dollar_band(y)) for y in targets]
     # Start with every target's left piece active; drop it at y - s and
     # add the right piece at y + s.
     intercept = sum((y / s - 1 for y, s in scaled), Fraction(0))
@@ -171,7 +157,7 @@ def constant_candidates(targets: list[int]) -> list[int]:
     over [0, 2 max]."""
     candidates = {0}
     for y in targets:
-        scale = _scale(y)
+        scale = dollar_band(y)
         for point in (Fraction(y), y - scale, y + scale):
             for rounded in (int(point), int(point) + 1):
                 if rounded >= 0:

@@ -44,6 +44,19 @@ def _fail(path: Path, line: int | None, message: str):
     raise CorpusError([FileError(str(path), line, message)])
 
 
+def _read(path: Path) -> str:
+    """A file's text as `Path.read_text` gives it: UTF-8 with universal
+    newlines. A byte that is not UTF-8 is a CorpusError at its line."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        _fail(path, line, f"not UTF-8: {exc.reason} (byte 0x{data[exc.start]:02x})")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 class CorpusManifest(Frozen):
     """The corpus directory and the path of each part; `silver` is None
     when the corpus has no silver cases."""
@@ -54,7 +67,7 @@ class CorpusManifest(Frozen):
     def load(path: str | Path) -> "CorpusManifest":
         path = Path(path)
         entries: dict[str, str] = {}
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in enumerate(_read(path).splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -121,7 +134,7 @@ def load_statutes(statutes_dir: str | Path) -> list[Subsection]:
                 fpath = statutes_dir / fname
                 if not fpath.exists():
                     raise records.RecordError(f"section file not found: {fname}")
-                texts[fname] = fpath.read_text(encoding="utf-8")
+                texts[fname] = _read(fpath)
             if not (0 <= start < end <= len(texts[fname])):
                 raise records.RecordError(
                     f"offsets ({start}, {end}) out of bounds for {fname} of length {len(texts[fname])}"
@@ -247,12 +260,16 @@ def load_argument_layers(
 
 
 def load_cases(cases_dir: str | Path, split: str | None = None) -> list[Case]:
-    """Load every <name>.cases file; the file stem names the split."""
+    """Load every <name>.cases file; `split`, or else the file stem, names
+    the split. The stems `all` and `silver` are reserved."""
     cases_dir = Path(cases_dir)
     errors: list[FileError] = []
     cases: list[Case] = []
     seen: set[str] = set()
     for path in sorted(cases_dir.glob("*.cases")):
+        if split is None and path.stem in ("all", "silver"):
+            errors.append(FileError(str(path), None, f"{path.stem!r} is reserved and cannot name a split"))
+            continue
         for lineno, record in _iter_file(path):
             try:
                 query = record.require("query")
@@ -288,7 +305,7 @@ def _iter_file(path: Path):
     """`records.iter_records` over a file; a line that does not parse is a
     CorpusError at path:line."""
     try:
-        yield from records.iter_records(path.read_text(encoding="utf-8"))
+        yield from records.iter_records(_read(path))
     except records.RecordError as exc:
         raise CorpusError([FileError(str(path), exc.line, str(exc))]) from exc
 
@@ -297,7 +314,7 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
     manifest = CorpusManifest.load(manifest_path)
     subsections = {s.id: s for s in load_statutes(manifest.statutes)}
     layers = load_argument_layers(manifest.spans, manifest.coref, subsections)
-    structure = manifest.structure.read_text(encoding="utf-8")
+    structure = _read(manifest.structure)
     try:
         program = parse_program(structure)
     except ProgramSyntaxError as exc:

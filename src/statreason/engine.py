@@ -9,10 +9,8 @@ a subsection above a body absorbs the body's values (mapped back through the
 reference bindings) before being instantiated itself. Every node is resolved
 exactly once; there is no backtracking.
 
-Values are validated where they enter: case inputs when records are parsed,
-and resolver answers in `instantiate_single`. Every map the engine builds
-after that holds only values taken from those, so it is built unchecked
-(`ValueMap._of`) instead of re-validating each value at every node.
+Values enter the engine only as `Case.inputs` and checked resolver answers,
+so the engine keeps them in plain dicts.
 
 A run (`run_cases`) builds what does not depend on the case once and shares
 it across cases in a `RunContext`: each query's dependency tree, which holds
@@ -26,9 +24,10 @@ reads it.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from types import MappingProxyType
 from typing import Protocol
 
-from .model import ArgumentLayer, Case, Frozen, TRUTH_KEY, Value, ValueMap, _set, check_value, layer_of
+from .model import ArgumentLayer, Case, Frozen, TRUTH_KEY, Value, _set, check_value, layer_of
 from .records import write_value
 from .rules import DepTree, OpNode, Program, build_dependency_tree
 
@@ -101,8 +100,8 @@ class ResolveRequest:
 
     `text` is the grounded variant, spliced from `grounding` the first time
     it is read; `source_text` is the original subsection text that the
-    layer's spans index into. `grounding` is a snapshot: the engine never
-    changes a mapping after handing it to a request.
+    layer's spans index into. `known` is a read-only view and `grounding` a
+    snapshot: the engine never changes a mapping it gave a request.
     """
 
     __slots__ = ("subsection", "known", "required", "case", "grounding", "threshold", "_text")
@@ -110,10 +109,10 @@ class ResolveRequest:
     def __init__(
         self,
         subsection: SubsectionPlan,
-        known: ValueMap,
+        known: Mapping[str, Value],
         required: tuple[str, ...],
         case: Case,
-        grounding: Mapping[str, Value] = ValueMap(),
+        grounding: Mapping[str, Value] = MappingProxyType({}),
         threshold: float = 0.5,
     ):
         self.subsection = subsection
@@ -179,15 +178,14 @@ class RunDiagnostics:
         self.notes.append(message)
 
 
-def instantiate_single(
+def _instantiate(
     resolver: Resolver,
-    layer: ArgumentLayer,
-    inputs: Mapping[str, Value],
-    text: str,
+    plan: SubsectionPlan,
+    inputs: dict[str, Value],
     case: Case,
-    config: EngineConfig = EngineConfig(),
-    diagnostics: RunDiagnostics | None = None,
-) -> ValueMap:
+    config: EngineConfig,
+    diagnostics: RunDiagnostics,
+) -> dict[str, Value]:
     """Instantiate one subsection: predict each mentioned argument in order of
     first appearance, re-grounding the text after every prediction, then ask
     for the truth score of the fully grounded text.
@@ -195,31 +193,17 @@ def instantiate_single(
     Arguments already present in `inputs` are never re-predicted. Returns
     inputs plus predictions, always including "@truth". A resolver's answer
     may be any mapping; each value taken from it is validated here, and an
-    invalid one raises ValueError.
+    invalid one raises ValueError. `predictions` and `grounding` are
+    replaced, never changed, so requests and results can share them.
     """
-    if not isinstance(inputs, ValueMap):
-        inputs = ValueMap(inputs)
-    return _instantiate(resolver, SubsectionPlan(layer, text), inputs, case, config, diagnostics or RunDiagnostics())
-
-
-def _instantiate(
-    resolver: Resolver,
-    plan: SubsectionPlan,
-    inputs: ValueMap,
-    case: Case,
-    config: EngineConfig,
-    diagnostics: RunDiagnostics,
-) -> ValueMap:
-    """`instantiate_single` over a built plan. `predictions` and `grounding`
-    are replaced, never changed, so requests and maps can share them."""
     sid = plan.layer.subsection_id
     threshold = config.truth_threshold
-    predictions = grounding = inputs._items
+    predictions = grounding = inputs
 
     for name in plan.arguments:
         if name in predictions:
             continue
-        request = ResolveRequest(plan, ValueMap._of(predictions), (name,), case, grounding, threshold)
+        request = ResolveRequest(plan, MappingProxyType(predictions), (name,), case, grounding, threshold)
         try:
             answer = resolver.resolve(request)
         except Exception as exc:
@@ -233,7 +217,7 @@ def _instantiate(
         else:
             diagnostics.note(f"{case.id}: no value for {name!r} of {sid}")
 
-    request = ResolveRequest(plan, ValueMap._of(predictions), (), case, grounding, threshold)
+    request = ResolveRequest(plan, MappingProxyType(predictions), (), case, grounding, threshold)
     try:
         answer = resolver.resolve(request)
     except Exception as exc:
@@ -242,11 +226,11 @@ def _instantiate(
     if truth is None:
         diagnostics.note(f"{case.id}: resolver gave no @truth for {sid}; defaulting to 0.0")
         truth = 0.0
-    return ValueMap._of({**predictions, TRUTH_KEY: check_value(float(truth))})
+    return {**predictions, TRUTH_KEY: check_value(float(truth))}
 
 
-def do_operation(kind: str, children: list[ValueMap]) -> ValueMap:
-    """Combine children's value maps at a logical-operator node.
+def do_operation(kind: str, children: list[dict[str, Value]]) -> dict[str, Value]:
+    """Combine children's values at a logical-operator node.
 
     NOT keeps only the negated truth score. OR adopts the entire value map of
     the child with the highest truth score. AND pools all children's values
@@ -257,13 +241,13 @@ def do_operation(kind: str, children: list[ValueMap]) -> ValueMap:
         if len(children) != 1:
             raise EngineError(f"NOT takes exactly 1 child, got {len(children)}")
         child_truth = float(children[0].get(TRUTH_KEY, 0.0))
-        return ValueMap._of({TRUTH_KEY: 1.0 - child_truth})
+        return {TRUTH_KEY: 1.0 - child_truth}
     if len(children) < 2:
         raise EngineError(f"{kind} takes at least 2 children, got {len(children)}")
     truths = [float(c.get(TRUTH_KEY, 0.0)) for c in children]
     if kind == "OR":
         winner = max(range(len(children)), key=lambda i: (truths[i], -i))
-        return children[winner].merged(ValueMap._of({TRUTH_KEY: truths[winner]}))
+        return {**children[winner], TRUTH_KEY: truths[winner]}
     if kind == "AND":
         # Lower-truth children win conflicts, so merge in descending-truth
         # order and let later (lower) children overwrite.
@@ -274,16 +258,8 @@ def do_operation(kind: str, children: list[ValueMap]) -> ValueMap:
                 if name != TRUTH_KEY:
                     merged[name] = value
         merged[TRUTH_KEY] = min(truths)
-        return ValueMap._of(merged)
+        return merged
     raise EngineError(f"unknown operator {kind!r}")
-
-
-def _translate(result: ValueMap, bindings: tuple[tuple[str, str], ...]) -> ValueMap:
-    """Map a callee's result back into the caller's namespace."""
-    pairs = [(var, result[param]) for param, var in bindings if param in result]
-    out = dict(pairs)
-    out[TRUTH_KEY] = result.get(TRUTH_KEY, 0.0)
-    return ValueMap._of(out)
 
 
 class RunContext:
@@ -308,7 +284,7 @@ def instantiate_full(
     config: EngineConfig = EngineConfig(),
     diagnostics: RunDiagnostics | None = None,
     context: RunContext | None = None,
-) -> ValueMap:
+) -> dict[str, Value]:
     """Instantiate a case's query subsection over its dependency tree.
 
     `context` carries trees and plans for callers that share them across
@@ -331,7 +307,7 @@ def instantiate_full(
             plan = plans[sid] = SubsectionPlan(layer_of(layers, sid), subsections.get(sid, ""))
         return plan
 
-    def resolve(node, incoming: ValueMap) -> ValueMap:
+    def resolve(node, incoming: dict[str, Value]) -> dict[str, Value]:
         """Evaluate `node` given the values of its enclosing subsection."""
         if isinstance(node, OpNode):
             return do_operation(node.kind, [resolve(c, incoming) for c in node.children])
@@ -339,16 +315,19 @@ def instantiate_full(
             known = incoming
         else:
             # Values cross a reference by renaming: the callee's parameter
-            # takes the caller's value for the bound variable.
-            known = ValueMap._of({param: incoming[var] for param, var in node.bindings if var in incoming})
+            # takes the caller's value for the bound variable, and back.
+            known = {param: incoming[var] for param, var in node.bindings if var in incoming}
         if node.child is not None:
-            known = known.merged(resolve(node.child, known).without(TRUTH_KEY))
+            body = resolve(node.child, known)
+            known = {**known, **{k: v for k, v in body.items() if k not in known and k != TRUTH_KEY}}
         result = _instantiate(resolver, plan_of(node.id), known, case, config, diagnostics)
         if node.depth == 1:
             return result
-        return _translate(result, node.bindings)
+        out = {var: result[param] for param, var in node.bindings if param in result}
+        out[TRUTH_KEY] = result.get(TRUTH_KEY, 0.0)
+        return out
 
-    return resolve(tree.root, case.inputs)
+    return resolve(tree.root, dict(case.inputs))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +337,7 @@ def instantiate_full(
 class CaseResult(Frozen):
     __slots__ = ("case", "predicted", "error")
 
-    def __init__(self, case: Case, predicted: ValueMap, error: str | None = None):
+    def __init__(self, case: Case, predicted: Mapping[str, Value], error: str | None = None):
         _set(self, "case", case)
         _set(self, "predicted", predicted)
         _set(self, "error", error)
@@ -384,7 +363,7 @@ def run_cases(
             )
             results.append(CaseResult(case, predicted))
         except EngineError as exc:
-            results.append(CaseResult(case, ValueMap(), error=str(exc)))
+            results.append(CaseResult(case, {}, error=str(exc)))
             diagnostics.note(f"{case.id}: {exc}")
     return results, diagnostics
 

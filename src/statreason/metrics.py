@@ -75,11 +75,16 @@ def exact_match(units) -> Aggregate:
 # Accuracy families
 
 
+def dollar_band(y) -> Fraction:
+    """Half-width of the tolerance band around dollar target `y`: 10% of it, at least $5000."""
+    return max(Fraction(abs(y)) / 10, Fraction(5000))
+
+
 def numerical_accuracy(y, y_hat) -> int:
     """1 iff the relative error |y - y_hat| / max(0.1|y|, 5000) is strictly < 1.
 
-    Exact for integer and Fraction inputs, so the boundary y_hat = y +- scale
-    scores 0 with no floating-point slack.
+    Exact for integer and Fraction inputs (`dollar_band`), so the boundary
+    y_hat = y +- scale scores 0 with no floating-point slack.
     """
     if y_hat is None:
         return 0
@@ -88,7 +93,7 @@ def numerical_accuracy(y, y_hat) -> int:
     if isinstance(y, float) or isinstance(y_hat, float):
         scale = max(0.1 * abs(y), 5000.0)
     else:
-        scale = max(Fraction(abs(y)) / 10, Fraction(5000))
+        scale = dollar_band(y)
     return 1 if abs(y - y_hat) / scale < 1 else 0
 
 

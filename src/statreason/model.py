@@ -108,7 +108,8 @@ def check_value(value: Value) -> Value:
 
 
 class ValueMap(Mapping):
-    """An ordered, immutable mapping of argument names to values.
+    """An ordered, immutable mapping of argument names to values: a case's
+    inputs and expected values as loaded.
 
     Keys are unique by construction; the distinguished "@truth" key, when
     present, must hold a truth score.
@@ -129,19 +130,11 @@ class ValueMap(Mapping):
             items[name] = value
         object.__setattr__(self, "_items", items)
 
-    @classmethod
-    def _of(cls, items: dict[str, Value]) -> "ValueMap":
-        """A map over `items`, taken as is and unchecked. Only for dicts whose
-        values all come from maps that were already validated."""
-        vm = object.__new__(cls)
-        object.__setattr__(vm, "_items", items)
-        return vm
-
     def __getitem__(self, key: str) -> Value:
         return self._items[key]
 
     # The Mapping defaults go through __getitem__ and KeyError; these are
-    # the same lookups straight on the dict, for the engine's hot path.
+    # the same lookups straight on the dict, for resolvers and scoring.
     def __contains__(self, key: object) -> bool:
         return key in self._items
 
@@ -165,16 +158,6 @@ class ValueMap(Mapping):
 
     def __hash__(self) -> int:
         return hash(tuple(self._items.items()))
-
-    def merged(self, other: Mapping[str, Value]) -> "ValueMap":
-        """New map with entries of `other` added; existing keys keep their value."""
-        items = dict(self._items)
-        for name, value in other.items():
-            items.setdefault(name, value)
-        return ValueMap._of(items) if isinstance(other, ValueMap) else ValueMap(items)
-
-    def without(self, *names: str) -> "ValueMap":
-        return ValueMap._of({k: v for k, v in self._items.items() if k not in names})
 
 
 class Span(Frozen):

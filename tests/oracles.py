@@ -1,7 +1,7 @@
 """Slow, obviously correct versions that the fast code is checked against:
 coreference metrics (MUC cluster by cluster, exhaustive CEAF alignments and
-BLANC over explicit mention pairs), the constant baseline's dollar fit (the
-hinge loss evaluated at every candidate), and the engine's grounding and the
+BLANC over explicit mention pairs), the constant baseline's dollar fit
+(`hinge_loss` evaluated at every candidate), and the engine's grounding and the
 resolvers' per-call derivations as first written (a right-to-left splice,
 placeholder texts rebuilt and case descriptions re-read on every call), and
 the coreference, argument-identification, cascade and instantiation reports
@@ -10,7 +10,8 @@ its own copy of the P/R/F1 table, scoring each unit with the per-unit
 `span_prf` and `exact_match_coref` the library once had), and the record
 scanner's quoted-string scan one character at a time, as first written.
 `unified_accuracy` is the unified mean as the library once defined it, and
-`instantiate_full` the engine's populate-then-resolve tree evaluation.
+`instantiate_full` the engine's populate-then-resolve tree evaluation, with
+the value-map helpers it used (`merged`, `without`, `_translate`) over dicts.
 `tree_depth` is the dependency-tree depth the depth-cap tests measure with."""
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from statreason.baselines import (
     _CASE_YEAR_RE,
     _MONEY_WORDS,
     _MONTH_PREFIXES,
-    hinge_loss,
 )
 from statreason import coref_metrics, records
 from statreason.corpus import Corpus
@@ -47,7 +47,6 @@ from statreason.engine import (
     RunDiagnostics,
     SubsectionPlan,
     _instantiate,
-    _translate,
     do_operation,
     value_surface,
 )
@@ -55,12 +54,13 @@ from statreason.metrics import (
     ArgScore,
     PRF,
     binary_accuracy,
+    dollar_band,
     numerical_accuracy,
     pair_consistency,
     prf,
     score_arguments,
 )
-from statreason.model import TRUTH_KEY, ArgumentLayer, Case, Money, Span, Value, ValueMap, layer_of, value_kind
+from statreason.model import TRUTH_KEY, ArgumentLayer, Case, Money, Span, Value, layer_of, value_kind
 from statreason.reports import FamilyScore, InstantiationReport
 from statreason.rules import DepTree, OpNode, Program, SubsectionNode, TreeNode, build_dependency_tree
 
@@ -174,6 +174,16 @@ def pairwise_blanc(gold, pred) -> tuple[float, float, float]:
     if not gold_non and not pred_non:
         return coref
     return tuple((c + n) / 2 for c, n in zip(coref, non))
+
+
+def hinge_loss(targets: list[int], constant: int) -> Fraction:
+    """Total numerical hinge loss of one constant against integer targets."""
+    total = Fraction(0)
+    for y in targets:
+        delta = Fraction(abs(y - constant)) / dollar_band(y)
+        if delta > 1:
+            total += delta - 1
+    return total
 
 
 def brute_force_constant(targets: list[int]) -> int:
@@ -327,19 +337,40 @@ def tree_depth(tree: DepTree) -> int:
 # ---------------------------------------------------------------------------
 # The engine's tree evaluation as first written: one pass to attach each
 # node's input values, then one to resolve. Tree nodes no longer hold values,
-# so the first pass returns them keyed by node identity.
+# so the first pass returns them keyed by node identity. The value-map
+# helpers it used are kept here as they were, over plain dicts.
 
 
-def populate_values(tree: DepTree, inputs: ValueMap) -> dict[int, ValueMap]:
+def merged(values: dict[str, Value], other: Mapping[str, Value]) -> dict[str, Value]:
+    """New map with entries of `other` added; existing keys keep their value."""
+    items = dict(values)
+    for name, value in other.items():
+        items.setdefault(name, value)
+    return items
+
+
+def without(values: dict[str, Value], *names: str) -> dict[str, Value]:
+    return {k: v for k, v in values.items() if k not in names}
+
+
+def _translate(result: dict[str, Value], bindings: tuple[tuple[str, str], ...]) -> dict[str, Value]:
+    """Map a callee's result back into the caller's namespace."""
+    pairs = [(var, result[param]) for param, var in bindings if param in result]
+    out = dict(pairs)
+    out[TRUTH_KEY] = result.get(TRUTH_KEY, 0.0)
+    return out
+
+
+def populate_values(tree: DepTree, inputs: dict[str, Value]) -> dict[int, dict[str, Value]]:
     """Propagate input values from the root down through reference bindings.
 
     Values cross a reference by renaming: the callee's parameter takes the
     caller's value for the bound variable. Operator nodes pass the enclosing
     subsection's values through to every branch unchanged.
     """
-    values: dict[int, ValueMap] = {}
+    values: dict[int, dict[str, Value]] = {}
 
-    def fill(node: TreeNode, incoming: ValueMap) -> None:
+    def fill(node: TreeNode, incoming: dict[str, Value]) -> None:
         if isinstance(node, OpNode):
             for c in node.children:
                 fill(c, incoming)
@@ -348,7 +379,7 @@ def populate_values(tree: DepTree, inputs: ValueMap) -> dict[int, ValueMap]:
             own = incoming
         else:
             # Values come from a validated map; Ref guarantees the keys.
-            own = ValueMap._of({param: incoming[var] for param, var in node.bindings if var in incoming})
+            own = {param: incoming[var] for param, var in node.bindings if var in incoming}
         values[id(node)] = own
         if node.child is not None:
             fill(node.child, own)
@@ -366,7 +397,7 @@ def instantiate_full(
     config: EngineConfig = EngineConfig(),
     diagnostics: RunDiagnostics | None = None,
     context: RunContext | None = None,
-) -> ValueMap:
+) -> dict[str, Value]:
     """Instantiate a case's query subsection over its dependency tree."""
     diagnostics = diagnostics or RunDiagnostics()
     context = context or RunContext()
@@ -375,7 +406,7 @@ def instantiate_full(
     tree = context.trees.get(case.query)
     if tree is None:
         tree = context.trees[case.query] = build_dependency_tree(program, case.query, config.depth_cap)
-    values = populate_values(tree, case.inputs)
+    values = populate_values(tree, dict(case.inputs))
     plans = context.plans
 
     def plan_of(sid: str) -> SubsectionPlan:
@@ -386,14 +417,14 @@ def instantiate_full(
             plan = plans[sid] = SubsectionPlan(layer_of(layers, sid), subsections.get(sid, ""))
         return plan
 
-    def resolve(node) -> ValueMap:
+    def resolve(node) -> dict[str, Value]:
         if isinstance(node, OpNode):
             return do_operation(node.kind, [resolve(c) for c in node.children])
         assert isinstance(node, SubsectionNode)
         known = values[id(node)]
         if node.child is not None:
-            absorbed = resolve(node.child).without(TRUTH_KEY)
-            known = known.merged(absorbed)
+            absorbed = without(resolve(node.child), TRUTH_KEY)
+            known = merged(known, absorbed)
         result = _instantiate(resolver, plan_of(node.id), known, case, config, diagnostics)
         if node.depth == 1:
             return result

@@ -12,7 +12,6 @@ from statreason.baselines import (
     constant_candidates,
     fit_constant_baseline,
     heuristic_argument_id,
-    hinge_loss,
     hinge_losses,
     normalize_placeholder,
     single_mention_coref,
@@ -30,7 +29,7 @@ from statreason.model import (
 
 import oracles
 from generators import texts_with_layers
-from oracles import brute_force_constant
+from oracles import brute_force_constant, hinge_loss
 
 # Placeholder wording that exercises every category of the heuristic and the
 # dollar vocabulary, plus letters whose lowercase depends on context.

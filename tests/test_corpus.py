@@ -14,6 +14,7 @@ from statreason.corpus import (
     serialize_spans,
     validate_corpus,
 )
+from statreason.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures" / "corpus"
 
@@ -56,6 +57,21 @@ class TestLoadStatutes:
         with pytest.raises(CorpusError) as exc:
             load_statutes(tmp_path)
         assert [str(e) for e in exc.value.errors] == [f"{tmp_path / 'offsets.txt'}:2: duplicate subsection id §1"]
+
+    def test_newlines_read_as_in_text_mode(self, tmp_path):
+        (tmp_path / "s.txt").write_bytes(b"ab\r\ncd\ref")
+        (tmp_path / "offsets.txt").write_text('§1 file="s.txt" start=0 end=8\n', encoding="utf-8")
+        assert load_statutes(tmp_path)[0].text == "ab\ncd\nef"
+
+    @pytest.mark.parametrize("name", ["manifest.txt", "structure.txt", "statutes/section63.txt", "cases/test.cases"])
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, capsys, name):
+        root = copy_corpus(tmp_path)
+        path = root / name
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = lines[1][:2] + b"\xff" + lines[1][2:]
+        path.write_bytes(b"\n".join(lines))
+        assert main(["validate", "--manifest", str(root / "manifest.txt")]) == 1
+        assert capsys.readouterr().err == f"{path}:2: not UTF-8: invalid start byte (byte 0xff)\n"
 
     def test_malformed_id_rejected(self, tmp_path):
         (tmp_path / "s.txt").write_text("some text here", encoding="utf-8")
@@ -145,6 +161,15 @@ class TestLoadCases:
         with pytest.raises(CorpusError) as exc:
             load_corpus(root / "manifest.txt")
         assert str(exc.value).startswith(f"{path}:{lineno}: cannot type value 'nonsense'")
+
+    @pytest.mark.parametrize("stem", ["all", "silver"])
+    def test_reserved_split_names_rejected(self, tmp_path, capsys, stem):
+        # `--split all` and the silver series already mean something else.
+        root = copy_corpus(tmp_path)
+        path = root / "cases" / f"{stem}.cases"
+        (root / "cases" / "test.cases").rename(path)
+        assert main(["stats", "--manifest", str(root / "manifest.txt")]) == 1
+        assert capsys.readouterr().err == f"{path}: {stem!r} is reserved and cannot name a split\n"
 
     def test_binary_case_requires_truth(self, tmp_path):
         root = copy_corpus(tmp_path)

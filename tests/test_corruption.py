@@ -1,7 +1,8 @@
 """One-line corruption of every fixture file and of the prediction imports.
 
 Each file in turn has one line deleted, duplicated, cut to half its length,
-cut by its last character, or garbled in the middle. Every command must
+cut by its last character, garbled in the middle, or given a byte that is
+not UTF-8 in the middle. Every command must
 answer with exit 0 (the damage left a coherent corpus) or exit 1, never a
 runtime error (exit 2), and every message it prints must name the file and
 line it found the problem at (`path:line: ...`; a manifest problem, a
@@ -27,7 +28,7 @@ GARBLE = '\x00]=("'
 
 
 def corruptions(text: str):
-    """(what, corrupted text) for every one-line corruption of `text`."""
+    """(what, corrupted bytes) for every one-line corruption of `text`."""
     lines = text.split("\n")
     for i, line in enumerate(lines):
         before, after = lines[:i], lines[i + 1 :]
@@ -39,7 +40,9 @@ def corruptions(text: str):
             ("chop", [line[:-1]]),
             ("garble", [line[:middle] + GARBLE + line[middle + 1 :]]),
         ):
-            yield f"line {i + 1}: {what}", "\n".join(before + replaced + after)
+            yield f"line {i + 1}: {what}", "\n".join(before + replaced + after).encode()
+        head, tail = "\n".join(before + [line[:middle]]), "\n".join([line[middle:]] + after)
+        yield f"line {i + 1}: not UTF-8", head.encode() + b"\xff" + tail.encode()
 
 
 def run(argv: list[str]) -> tuple[int, str]:
@@ -65,8 +68,8 @@ def test_corrupt_corpus_file(name, tmp_path):
     manifest = str(root / "manifest.txt")
     target = root / name
     original = target.read_text(encoding="utf-8")
-    for what, text in corruptions(original):
-        target.write_text(text, encoding="utf-8")
+    for what, data in corruptions(original):
+        target.write_bytes(data)
         if check(["validate", "--manifest", manifest], tmp_path) == 0:
             for command in (["eval-inst", "--split", "all"], ["eval-coref"], ["cascade"]):
                 check([command[0], "--manifest", manifest, *command[1:]], tmp_path)
@@ -89,7 +92,7 @@ def test_corrupt_prediction_import(writer, readers, tmp_path):
     assert run([writer[0], "--manifest", manifest, *writer[1:], "--out", str(out)])[0] == 0
     target = out / f"{writer[0]}.predictions.txt"
     original = target.read_text(encoding="utf-8")
-    for what, text in corruptions(original):
-        target.write_text(text, encoding="utf-8")
+    for what, data in corruptions(original):
+        target.write_bytes(data)
         for command, option in readers:
             check([command, "--manifest", manifest, option, f"import:{target}"], tmp_path)

@@ -27,11 +27,10 @@ from statreason.engine import (
     do_operation,
     evaluate_run,
     instantiate_full,
-    instantiate_single,
     run_cases,
 )
 from statreason.model import ArgumentLayer, Case, Money, Span, TRUTH_KEY, ValueMap
-from statreason.rules import OpNode, SubsectionNode, build_dependency_tree
+from statreason.rules import OpNode, Program, Rule, SubsectionNode, build_dependency_tree
 
 from generators import VALUES, random_nested_program, random_value_map, texts_with_layers
 
@@ -133,6 +132,12 @@ def oracle_case(cid, query, inputs, expected):
     return Case(cid, "description", query, ValueMap(inputs), ValueMap(expected), "test")
 
 
+def instantiate_one(resolver, layer, text, case, config=EngineConfig()):
+    """The case's query subsection alone: `instantiate_full` on a one-rule program."""
+    program = Program({case.query: Rule(case.query, ())})
+    return instantiate_full(resolver, program, {case.query: layer}, {case.query: text}, case, config)
+
+
 class TestInstantiateSingle:
     def test_all_arguments_in_inputs_skips_the_loop(self):
         layer = make_layer(SURVIVOR_TEXT, [("Taxp", "a taxpayer"), ("Taxy", "the taxable year")])
@@ -144,7 +149,7 @@ class TestInstantiateSingle:
                 calls.append(request.required)
                 return ValueMap({TRUTH_KEY: 1.0})
 
-        result = instantiate_single(Spy(), layer, case.inputs, SURVIVOR_TEXT, case)
+        result = instantiate_one(Spy(), layer, SURVIVOR_TEXT, case)
         assert calls == [()]
         assert dict(result) == {"Taxp": "Alice", "Taxy": "2017", TRUTH_KEY: 1.0}
 
@@ -152,7 +157,7 @@ class TestInstantiateSingle:
         case = next(c for c in corpus.cases if c.id == "63(c)(5)-negative")
         layer = corpus.layers[case.query]
         text = corpus.subsections[case.query].text
-        result = instantiate_single(OracleResolver(), layer, case.inputs, text, case)
+        result = instantiate_one(OracleResolver(), layer, text, case)
         assert result[TRUTH_KEY] == 0.0
         assert all(result[k] == v for k, v in case.inputs.items())
 
@@ -160,7 +165,7 @@ class TestInstantiateSingle:
         case = next(c for c in corpus.cases if c.id == "3306(a)(1)(B)-positive")
         layer = corpus.layers[case.query]
         text = corpus.subsections[case.query].text
-        result = instantiate_single(OracleResolver(), layer, case.inputs, text, case)
+        result = instantiate_one(OracleResolver(), layer, text, case)
         assert result["Employee"] == "Bob"
         assert result["Employment"] == "has employed"
         assert result[TRUTH_KEY] == 1.0
@@ -176,7 +181,7 @@ class TestInstantiateSingle:
                 seen.extend(request.required)
                 return ValueMap()
 
-        instantiate_single(Spy(), layer, case.inputs, text, case)
+        instantiate_one(Spy(), layer, text, case)
         assert seen == ["Workday", "Preccaly", "S13A", "Employee", "Employment", "S16"]
 
     def test_grounded_truth_values_read_by_the_threshold(self):
@@ -192,7 +197,7 @@ class TestInstantiateSingle:
                 return {TRUTH_KEY: 1.0}
 
         for threshold in (0.5, 0.7):
-            instantiate_single(Spy(), layer, {}, "the claim holds", case, EngineConfig(truth_threshold=threshold))
+            instantiate_one(Spy(), layer, "the claim holds", case, EngineConfig(truth_threshold=threshold))
         assert texts == ["true holds", "false holds"]
 
     def test_resolver_failure_names_argument(self, corpus):
@@ -204,7 +209,7 @@ class TestInstantiateSingle:
                 raise RuntimeError("nope")
 
         with pytest.raises(EngineError) as exc:
-            instantiate_single(Boom(), layer, case.inputs, "text", case)
+            instantiate_one(Boom(), layer, "text", case)
         assert "Workday" in str(exc.value)
 
     def test_teacher_forcing_grounds_gold_values(self, corpus):
@@ -221,7 +226,7 @@ class TestInstantiateSingle:
                 return ValueMap({TRUTH_KEY: 1.0})
 
         config = EngineConfig(insert_gold=True)
-        result = instantiate_single(Wrong(), layer, case.inputs, text, case, config)
+        result = instantiate_one(Wrong(), layer, text, case, config)
         # Predictions stay the resolver's own, but later groundings carry gold.
         assert result["Employee"] == "WRONG"
         assert "has employed" in grounded_seen["S16"]  # gold Employment, not WRONG
@@ -262,7 +267,7 @@ class TestResolverBoundary:
     def test_invalid_plain_answer_raises_value_error(self, setting, resolver, message):
         layer, text, case = setting
         with pytest.raises(ValueError) as exc:
-            instantiate_single(resolver, layer, case.inputs, text, case)
+            instantiate_one(resolver, layer, text, case)
         assert type(exc.value) is ValueError
         assert str(exc.value) == message
 
@@ -274,7 +279,7 @@ class TestResolverBoundary:
                 return ValueMap({TRUTH_KEY: 1.5})
 
         with pytest.raises(EngineError) as exc:
-            instantiate_single(Building(), layer, case.inputs, text, case)
+            instantiate_one(Building(), layer, text, case)
         assert str(exc.value) == (
             "resolver failed on argument 'Workday' of §3306(a)(1)(B): truth score out of [0, 1]: 1.5"
         )
@@ -284,15 +289,9 @@ class TestResolverBoundary:
         with pytest.raises(ValueError, match=r"truth score out of \[0, 1\]: 1.5"):
             run_cases(PlainDict(truth=1.5), corpus, "all")
 
-    def test_plain_dict_inputs_are_validated(self, setting):
-        layer, text, case = setting
-        with pytest.raises(ValueError, match="booleans are not values"):
-            instantiate_single(PlainDict(), layer, {"Employee": True}, text, case)
-
     def test_plain_dict_answer_accepted(self, setting):
         layer, text, case = setting
-        result = instantiate_single(PlainDict("Carol", 0.75), layer, case.inputs, text, case)
-        assert isinstance(result, ValueMap)
+        result = instantiate_one(PlainDict("Carol", 0.75), layer, text, case)
         assert result[TRUTH_KEY] == 0.75
         assert {result[name] for name, _ in layer.labelled_clusters if name not in case.inputs} == {"Carol"}
 
@@ -461,13 +460,7 @@ class TestInstantiateFull:
         capped = instantiate_full(
             OracleResolver(), corpus.program, corpus.layers, texts, case, EngineConfig(depth_cap=1)
         )
-        single = instantiate_single(
-            OracleResolver(),
-            corpus.layers[case.query],
-            case.inputs,
-            texts[case.query],
-            case,
-        )
+        single = instantiate_one(OracleResolver(), corpus.layers[case.query], texts[case.query], case)
         assert dict(capped) == dict(single)
 
     def test_no_structure_flag_matches_cap_one(self, manifest_path, tmp_path, capsys):
@@ -541,7 +534,7 @@ class TestInstantiateFull:
         texts = {s.id: s.text for s in corpus.subsections.values()}
         alone = [instantiate_full(Echo(), corpus.program, corpus.layers, texts, c) for c in cases]
         assert [r.predicted for r in shared] == alone
-        assert len(set(alone)) == len(cases)
+        assert len({tuple(r.items()) for r in alone}) == len(cases)
 
     def test_tree_built_once_per_query(self, corpus, monkeypatch):
         built = Counter()
@@ -723,6 +716,28 @@ class TestEvaluateRun:
         assert len(results) == 5
         assert len(report.errors) == 1
         assert "tax-case-4" in report.errors[0]
+
+    def test_known_is_a_read_only_view(self, corpus):
+        # Assigning into `request.known` fails that case, naming the
+        # argument, and leaves the run's other cases as they would be.
+        assigned = []
+
+        class Assigns(OracleResolver):
+            def resolve(self, request):
+                if request.case.id == "tax-case-4" and request.required:
+                    assigned.append(request.required[0])
+                    request.known[request.required[0]] = "X"
+                return super().resolve(request)
+
+        results, _ = run_cases(Assigns(), corpus, "test")
+        clean, _ = run_cases(OracleResolver(), corpus, "test")
+        failed = [r for r in results if r.error]
+        assert [r.case.id for r in failed] == ["tax-case-4"]
+        assert f"resolver failed on argument {assigned[0]!r} of " in failed[0].error
+        assert not failed[0].predicted
+        assert [(r.case.id, dict(r.predicted)) for r in results if not r.error] == [
+            (r.case.id, dict(r.predicted)) for r in clean if r.case.id != "tax-case-4"
+        ]
 
     def test_constant_resolver_ignores_structure(self, corpus):
         params = ConstantBaselineParams(1.0, 42000, "Bob")

@@ -47,23 +47,6 @@ class TestValues:
         with pytest.raises(ValueError):
             ValueMap([("a", 1), ("a", 2)])
 
-    def test_merged_keeps_existing(self):
-        base = ValueMap({"a": 1})
-        assert dict(base.merged({"a": 2, "b": 3})) == {"a": 1, "b": 3}
-
-    @pytest.mark.parametrize("bad", [{"b": True}, {"@truth": 1.5}, {"@truth": "yes"}, {"b": ("a", 1)}])
-    def test_merged_validates_a_plain_mapping(self, bad):
-        with pytest.raises(ValueError):
-            ValueMap({"a": 1}).merged(bad)
-
-    def test_merged_and_without_agree_with_the_checked_constructor(self):
-        base = ValueMap({"a": 1, "@truth": 0.5})
-        merged = base.merged(ValueMap({"a": 2, "b": Money(3)}))
-        assert merged == ValueMap({"a": 1, "@truth": 0.5, "b": Money(3)})
-        assert list(merged) == ["a", "@truth", "b"]
-        assert merged.without("@truth", "a") == ValueMap({"b": Money(3)})
-        assert hash(merged) == hash(ValueMap({"a": 1, "@truth": 0.5, "b": Money(3)}))
-
     def test_lookups(self):
         values = ValueMap({"a": 1})
         assert "a" in values and "b" not in values
