@@ -221,21 +221,41 @@ _MONEY_WORDS = frozenset(
 _WORD_RE = re.compile(r"[a-z]+")
 
 
-def _surface(argument: str, placeholder: str | None) -> str:
-    """What an argument is judged on: its lowered placeholder text, or its
-    lowered name when it has no mention."""
-    return (argument if placeholder is None else placeholder).lower()
+class _Argument:
+    """What the resolvers read from an argument's placeholder text, or from
+    its name when it has no mention: its lowered tokens, and whether it
+    calls for a date or for dollars."""
+
+    __slots__ = ("tokens", "date", "dollars")
+
+    def __init__(self, text: str):
+        surface = text.lower()
+        self.tokens = tuple(surface.split())
+        self.date = any(w in surface for w in _DATE_WORDS)
+        self.dollars = "$" in surface or not _MONEY_WORDS.isdisjoint(_WORD_RE.findall(surface))
 
 
-def _calls_for_dollars(surface: str) -> bool:
-    return "$" in surface or not _MONEY_WORDS.isdisjoint(_WORD_RE.findall(surface))
+def _argument(arguments: dict[str, _Argument], name: str, request) -> _Argument:
+    """The argument `name` of the request's subsection, kept in `arguments`
+    by its text: the same text always reads the same, so a resolver that
+    serves several runs answers each from its own text."""
+    placeholder = request.subsection.placeholder(name)
+    text = name if placeholder is None else placeholder
+    argument = arguments.get(text)
+    if argument is None:
+        argument = arguments[text] = _Argument(text)
+    return argument
 
 
-class ConstantResolver(Frozen):
+class ConstantResolver:
     """Answers from the three fitted parameters (`params`), ignoring the
     case entirely."""
 
-    __slots__ = ("params",)
+    __slots__ = ("params", "_arguments")
+
+    def __init__(self, params: ConstantBaselineParams):
+        self.params = params
+        self._arguments: dict[str, _Argument] = {}
 
     def resolve(self, request) -> dict[str, Value]:
         if not request.required:
@@ -244,7 +264,7 @@ class ConstantResolver(Frozen):
         for name in request.required:
             if name == TRUTH_KEY:
                 out[name] = self.params.majority_truth
-            elif _calls_for_dollars(_surface(name, request.subsection.placeholder(name))):
+            elif _argument(self._arguments, name, request).dollars:
                 out[name] = Money(self.params.constant_dollars)
             else:
                 out[name] = self.params.majority_string
@@ -282,13 +302,16 @@ _OVERLAP_TOKEN_RE = re.compile(r"[a-z0-9$]+")
 
 
 class _CaseFeatures:
-    """What the heuristic reads from one case description: the lowered text,
-    the (position, value) candidates of each category, and the token set
-    that truth scores are measured against."""
+    """What the heuristic reads from one case: its description lowered, the
+    description's (position, value) candidates of each category and the
+    token set that truth scores are measured against, and the text values
+    among the case's inputs."""
 
-    __slots__ = ("lowered", "dates", "money", "names", "tokens")
+    __slots__ = ("lowered", "dates", "money", "names", "tokens", "inputs")
 
-    def __init__(self, description: str):
+    def __init__(self, case: Case):
+        description = case.description
+        self.inputs = frozenset(v for v in case.inputs.values() if isinstance(v, str))
         self.lowered = lowered = description.lower()
         self.dates = dates = [
             (m.start(), m.group())
@@ -316,25 +339,27 @@ class HeuristicResolver:
     text (date, dollar amount, or person name by capitalization) and picks
     the candidate nearest to where the case description overlaps the
     placeholder wording; the truth score is the lexical overlap between the
-    grounded subsection and the description. What it reads from a
-    description is worked out once and kept while requests keep coming for
-    it; the engine asks about one case at a time, so that is once per case
-    and only one description's features are held.
+    grounded subsection and the description. What it reads from a case is
+    worked out once and kept while requests keep coming for it; the engine
+    asks about one case at a time, so that is once per case and only one
+    case's features are held.
     """
 
-    __slots__ = ("_cases",)
+    __slots__ = ("_case", "_features", "_arguments", "_pieces")
 
     def __init__(self) -> None:
-        self._cases: dict[str, _CaseFeatures] = {}
+        self._case: Case | None = None
+        self._features: _CaseFeatures | None = None
+        self._arguments: dict[str, _Argument] = {}
+        self._pieces: dict[str, tuple[frozenset[str], bool, bool]] = {}
 
     def resolve(self, request) -> dict[str, Value]:
-        description = request.case.description
-        features = self._cases.get(description)
-        if features is None:
-            self._cases.clear()
-            features = self._cases[description] = _CaseFeatures(description)
+        case = request.case
+        if case is not self._case:
+            self._case, self._features = case, _CaseFeatures(case)
+        features = self._features
         if not request.required:
-            return {TRUTH_KEY: _overlap(request.text, features.tokens)}
+            return {TRUTH_KEY: _overlap(request, features.tokens, self._pieces)}
         out: dict[str, Value] = {}
         for name in request.required:
             value = self._value_for(name, request, features)
@@ -342,21 +367,19 @@ class HeuristicResolver:
                 out[name] = value
         return out
 
-    @staticmethod
-    def _value_for(name: str, request, features: _CaseFeatures) -> Value | None:
-        surface = _surface(name, request.subsection.placeholder(name))
-        anchor = _anchor_position(surface, features.lowered)
-        if any(w in surface for w in _DATE_WORDS):
+    def _value_for(self, name: str, request, features: _CaseFeatures) -> Value | None:
+        argument = _argument(self._arguments, name, request)
+        anchor = _anchor_position(argument.tokens, features.lowered)
+        if argument.date:
             return _nearest(features.dates, anchor)
-        if _calls_for_dollars(surface):
+        if argument.dollars:
             return _nearest(features.money, anchor)
-        used = {v for v in request.case.inputs.values() if isinstance(v, str)}
-        used.update(v for v in request.known.values() if isinstance(v, str))
+        used = features.inputs.union(v for v in request.known.values() if isinstance(v, str))
         return _nearest([c for c in features.names if c[1] not in used], anchor)
 
 
-def _anchor_position(surface: str, lowered: str) -> int:
-    positions = [lowered.find(tok) for tok in surface.split() if tok in lowered]
+def _anchor_position(tokens: tuple[str, ...], lowered: str) -> int:
+    positions = [p for p in map(lowered.find, tokens) if p >= 0]
     return min(positions) if positions else 0
 
 
@@ -366,11 +389,42 @@ def _nearest(candidates: list[tuple[int, Value]], anchor: int) -> Value | None:
     return min(candidates, key=lambda c: (abs(c[0] - anchor), c[0]))[1]
 
 
-def _overlap(grounded: str, case_tokens: frozenset[str]) -> float:
+_TOKEN_CHARACTERS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789$")
+
+
+def _piece_tokens(piece: str) -> tuple[frozenset[str], bool, bool]:
+    """The overlap tokens of a piece of grounded text, and whether its
+    lowered form starts and ends with a token character."""
+    lowered = piece.lower()
+    return (
+        frozenset(_OVERLAP_TOKEN_RE.findall(lowered)),
+        lowered[:1] in _TOKEN_CHARACTERS,
+        lowered[-1:] in _TOKEN_CHARACTERS,
+    )
+
+
+def _overlap(request, case_tokens: frozenset[str], pieces: dict[str, tuple[frozenset[str], bool, bool]]) -> float:
     """Fraction of the grounded subsection's distinct tokens that are among
-    the case description's tokens; 1.0 for identical texts."""
-    sub = set(_OVERLAP_TOKEN_RE.findall(grounded.lower()))
+    the case description's tokens; 1.0 for identical texts.
+
+    The grounded text's tokens are its pieces' tokens taken together (each
+    piece read once and kept in `pieces`), as lowering reads one character
+    at a time and only the final sigma, which is no token character,
+    depends on its neighbours. Where a token could run across two pieces
+    the grounded text is read whole instead."""
+    sub: set[str] = set()
+    joins = False
+    for piece in request.subsection.pieces(request.grounding, request.threshold):
+        if piece:
+            read = pieces.get(piece)
+            if read is None:
+                read = pieces[piece] = _piece_tokens(piece)
+            tokens, starts, ends = read
+            if joins and starts:
+                sub = set(_OVERLAP_TOKEN_RE.findall(request.text.lower()))
+                break
+            sub |= tokens
+            joins = ends
     if not sub:
         return 0.0
     return len(sub & case_tokens) / len(sub)
-

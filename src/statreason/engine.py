@@ -13,12 +13,14 @@ Values enter the engine only as `Case.inputs` and checked resolver answers,
 so the engine keeps them in plain dicts.
 
 A run (`run_cases`) builds what does not depend on the case once and shares
-it across cases in a `RunContext`: each query's dependency tree, which holds
-no values, and each subsection's `SubsectionPlan` (its labelled mentions in
-text order and its arguments' placeholder texts). A case is one walk over
-its query's tree that carries the case's values down as an argument. A
+it across cases in a `RunContext`: each subsection's `SubsectionPlan` (its
+text cut at its labelled mentions and its arguments' placeholder texts) and
+each query's program, its dependency tree compiled into a flat post-order
+list of `Step`s that carry their plans, bindings and operators
+(`compile_query`). A case is one loop over its query's program with a stack
+of the values each open subsection's body sees and a stack of results. A
 request's grounded text is spliced from the plan only when a resolver first
-reads it.
+reads it, and a note is kept as a tuple and rendered only when read.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Protocol
 
 from .model import ArgumentLayer, Case, Frozen, TRUTH_KEY, Value, _set, check_value, layer_of
 from .records import write_value
-from .rules import DepTree, OpNode, Program, build_dependency_tree
+from .rules import OpNode, Program, TreeNode, build_dependency_tree
 
 
 class EngineConfig(Frozen):
@@ -50,10 +52,10 @@ class EngineConfig(Frozen):
 
 class SubsectionPlan:
     """What grounding and resolving one subsection needs, worked out once:
-    its layer, its source text, its labelled mentions in text order, and
+    its layer, its source text, the text cut at its labelled mentions, and
     each argument's placeholder text (read on first use)."""
 
-    __slots__ = ("layer", "text", "arguments", "_mentions", "_placeholders")
+    __slots__ = ("layer", "text", "arguments", "_pieces", "_mentions", "_placeholders")
 
     def __init__(self, layer: ArgumentLayer, text: str):
         self.layer = layer
@@ -61,25 +63,37 @@ class SubsectionPlan:
         # Argument names in order of first mention, @truth excluded.
         self.arguments = tuple(n for n, _ in layer.labelled_clusters if n != TRUTH_KEY)
         names = {i: n for n, cluster in layer.labelled_clusters if n != TRUTH_KEY for i in cluster}
+        # The text between labelled mentions alternates with the mentions;
+        # `_mentions` pairs each mention's piece index with its argument.
         # Spans are sorted and disjoint (ArgumentLayer checks), so index order is text order.
-        self._mentions = tuple(
-            (span.start, span.end, names[i]) for i, span in enumerate(layer.spans) if i in names
-        )
+        pieces: list[str] = []
+        mentions = []
+        pos = 0
+        for i, span in enumerate(layer.spans):
+            if i in names:
+                pieces += (text[pos : span.start], text[span.start : span.end])
+                mentions.append((len(pieces) - 1, names[i]))
+                pos = span.end
+        pieces.append(text[pos:])
+        self._pieces = tuple(pieces)
+        self._mentions = tuple(mentions)
         self._placeholders: dict[str, str | None] = {}
+
+    def pieces(self, values: Mapping[str, Value], threshold: float = 0.5) -> list[str]:
+        """The grounded text in pieces: the text between labelled mentions,
+        and each mention or, where its argument has a value, the value's
+        surface form. The pieces of the text itself are the same strings on
+        every call."""
+        pieces = list(self._pieces)
+        for k, name in self._mentions:
+            if name in values:
+                pieces[k] = value_surface(values[name], threshold)
+        return pieces
 
     def ground(self, values: Mapping[str, Value], threshold: float = 0.5) -> str:
         """The text with every mention of a valued argument replaced by the
-        value's surface form, spliced left to right in one pass."""
-        text = self.text
-        parts = []
-        pos = 0
-        for start, end, name in self._mentions:
-            if name in values:
-                parts.append(text[pos:start])
-                parts.append(value_surface(values[name], threshold))
-                pos = end
-        parts.append(text[pos:])
-        return "".join(parts)
+        value's surface form."""
+        return "".join(self.pieces(values, threshold))
 
     def placeholder(self, name: str) -> str | None:
         """The text of an argument's mentions joined by spaces; None when it
@@ -146,7 +160,7 @@ class Resolver(Protocol):
     """Answers requests one at a time. Any mapping will do as an answer: the
     engine validates each value it takes from it. A resolver is free to keep
     what it derives from a case or a subsection for the length of a run;
-    the engine itself builds each query's tree and each subsection's plan
+    the engine itself compiles each query and builds each subsection's plan
     once per run."""
 
     def resolve(self, request: ResolveRequest) -> Mapping[str, Value]: ...
@@ -168,28 +182,52 @@ def value_surface(value: Value, threshold: float = 0.5) -> str:
     return write_value(value)
 
 
+# Note kinds and how each reads. A note is kept as a (case id, subsection,
+# argument, kind) tuple and rendered only when read; an "error" note keeps
+# the error's message where the argument goes.
+_NOTE_TEXT = {
+    "no value": "{0}: no value for {2!r} of {1}",
+    "no truth": "{0}: resolver gave no @truth for {1}; defaulting to 0.0",
+    "no text": "{0}: no text for {1}; grounding over empty text",
+    "error": "{0}: {2}",
+}
+
+
+def note_text(note: tuple[str, str | None, str | None, str]) -> str:
+    """How a (case id, subsection, argument, kind) note reads."""
+    return _NOTE_TEXT[note[3]].format(*note)
+
+
 class RunDiagnostics:
-    __slots__ = ("notes",)
+    """What a run noted, in order, as (case id, subsection, argument, kind)
+    tuples; `notes` renders them as text."""
+
+    __slots__ = ("records",)
 
     def __init__(self) -> None:
-        self.notes: list[str] = []
+        self.records: list[tuple[str, str | None, str | None, str]] = []
 
-    def note(self, message: str) -> None:
-        self.notes.append(message)
+    def note(self, case_id: str, subsection: str | None, argument: str | None, kind: str) -> None:
+        self.records.append((case_id, subsection, argument, kind))
+
+    @property
+    def notes(self) -> list[str]:
+        return [note_text(note) for note in self.records]
 
 
 def _instantiate(
-    resolver: Resolver,
+    resolve,
     plan: SubsectionPlan,
     inputs: dict[str, Value],
     case: Case,
     config: EngineConfig,
-    diagnostics: RunDiagnostics,
+    note,
 ) -> dict[str, Value]:
     """Instantiate one subsection: predict each mentioned argument in order of
     first appearance, re-grounding the text after every prediction, then ask
     for the truth score of the fully grounded text.
 
+    `resolve` is the resolver's `resolve` and `note` appends a note tuple.
     Arguments already present in `inputs` are never re-predicted. Returns
     inputs plus predictions, always including "@truth". A resolver's answer
     may be any mapping; each value taken from it is validated here, and an
@@ -199,32 +237,37 @@ def _instantiate(
     sid = plan.layer.subsection_id
     threshold = config.truth_threshold
     predictions = grounding = inputs
+    known = MappingProxyType(predictions)
 
     for name in plan.arguments:
         if name in predictions:
             continue
-        request = ResolveRequest(plan, MappingProxyType(predictions), (name,), case, grounding, threshold)
+        request = ResolveRequest(plan, known, (name,), case, grounding, threshold)
         try:
-            answer = resolver.resolve(request)
+            answer = resolve(request)
         except Exception as exc:
             raise EngineError(f"resolver failed on argument {name!r} of {sid}: {exc}") from exc
         if name in answer:
             value = check_value(answer[name])
+            shared = grounding is predictions
             predictions = {**predictions, name: value}
+            known = MappingProxyType(predictions)
             if config.insert_gold and name in case.expected:
-                value = case.expected[name]
-            grounding = {**grounding, name: value}
+                grounding = {**grounding, name: case.expected[name]}
+            else:
+                # The grounding is the predictions until a gold value differs.
+                grounding = predictions if shared else {**grounding, name: value}
         else:
-            diagnostics.note(f"{case.id}: no value for {name!r} of {sid}")
+            note((case.id, sid, name, "no value"))
 
-    request = ResolveRequest(plan, MappingProxyType(predictions), (), case, grounding, threshold)
+    request = ResolveRequest(plan, known, (), case, grounding, threshold)
     try:
-        answer = resolver.resolve(request)
+        answer = resolve(request)
     except Exception as exc:
         raise EngineError(f"resolver failed on @truth of {sid}: {exc}") from exc
     truth = answer.get(TRUTH_KEY)
     if truth is None:
-        diagnostics.note(f"{case.id}: resolver gave no @truth for {sid}; defaulting to 0.0")
+        note((case.id, sid, None, "no truth"))
         truth = 0.0
     return {**predictions, TRUTH_KEY: check_value(float(truth))}
 
@@ -246,32 +289,85 @@ def do_operation(kind: str, children: list[dict[str, Value]]) -> dict[str, Value
         raise EngineError(f"{kind} takes at least 2 children, got {len(children)}")
     truths = [float(c.get(TRUTH_KEY, 0.0)) for c in children]
     if kind == "OR":
-        winner = max(range(len(children)), key=lambda i: (truths[i], -i))
+        winner = truths.index(max(truths))  # the first of the highest
         return {**children[winner], TRUTH_KEY: truths[winner]}
     if kind == "AND":
         # Lower-truth children win conflicts, so merge in descending-truth
-        # order and let later (lower) children overwrite.
-        order = sorted(range(len(children)), key=lambda i: (-truths[i], i))
+        # order (a stable sort keeps ties in child order) and let later
+        # (lower) children overwrite.
         merged: dict[str, Value] = {}
-        for i in order:
-            for name, value in children[i].items():
-                if name != TRUTH_KEY:
-                    merged[name] = value
+        for i in sorted(range(len(children)), key=truths.__getitem__, reverse=True):
+            merged.update(children[i])
+        merged.pop(TRUTH_KEY, None)
         merged[TRUTH_KEY] = min(truths)
         return merged
     raise EngineError(f"unknown operator {kind!r}")
 
 
+class Step(Frozen):
+    """One instruction of a compiled query, at position `index` of its program.
+
+    `op` is "open", "subsection" or an operator kind ("AND", "OR", "NOT").
+    An "open" step comes before the body of subsection `node` and pushes the
+    values that body sees. A "subsection" step instantiates `node` with
+    `plan`, after taking in its body's result when it has one (`body`).
+    `bindings` are the node's (callee param, caller var) pairs, read
+    downward when values enter and upward when its result leaves; `root`
+    marks the query's own subsection, which takes the case inputs and
+    returns its result as it is. `no_text` marks a subsection with no text.
+    An operator step has no plan and combines the last `arity` results.
+    """
+
+    __slots__ = ("index", "op", "node", "plan", "bindings", "root", "body", "no_text", "arity")
+
+
+def compile_query(
+    program: Program,
+    query: str,
+    depth_cap: int,
+    layers: dict[str, ArgumentLayer],
+    subsections: dict[str, str],
+    plans: dict[str, SubsectionPlan],
+) -> tuple[Step, ...]:
+    """The query's dependency tree as a flat program in post order: each
+    subsection step follows its body's steps and each operator step its
+    children's. `plans` are shared between queries and filled as needed."""
+    steps: list[Step] = []
+
+    def step(op, node, plan=None, bindings=(), root=False, body=False, no_text=False, arity=0) -> None:
+        steps.append(Step(len(steps), op, node, plan, bindings, root, body, no_text, arity))
+
+    def walk(node: TreeNode) -> None:
+        if isinstance(node, OpNode):
+            for child in node.children:
+                walk(child)
+            step(node.kind, node, arity=len(node.children))
+            return
+        plan = plans.get(node.id)
+        if plan is None:
+            plan = plans[node.id] = SubsectionPlan(layer_of(layers, node.id), subsections.get(node.id, ""))
+        root = node.depth == 1
+        bindings = () if root else node.bindings
+        body = node.child is not None
+        if body:
+            step("open", node, plan, bindings, root)
+            walk(node.child)
+        step("subsection", node, plan, bindings, root, body, node.id not in subsections)
+
+    walk(build_dependency_tree(program, query, depth_cap).root)
+    return tuple(steps)
+
+
 class RunContext:
     """What a run builds once and shares across its cases: each query's
-    dependency tree and each subsection's plan. Neither holds a case's
+    compiled program and each subsection's plan. Neither holds a case's
     values, so cases only read them. One context serves one program, layer
     set, text set and config."""
 
-    __slots__ = ("trees", "plans")
+    __slots__ = ("programs", "plans")
 
     def __init__(self) -> None:
-        self.trees: dict[str, DepTree] = {}
+        self.programs: dict[str, tuple[Step, ...]] = {}
         self.plans: dict[str, SubsectionPlan] = {}
 
 
@@ -285,49 +381,62 @@ def instantiate_full(
     diagnostics: RunDiagnostics | None = None,
     context: RunContext | None = None,
 ) -> dict[str, Value]:
-    """Instantiate a case's query subsection over its dependency tree.
+    """Instantiate a case's query subsection over its dependency tree: one
+    loop over the query's compiled program, with a stack of the values each
+    open subsection's body sees and a stack of results.
 
-    `context` carries trees and plans for callers that share them across
+    `context` carries programs and plans for callers that share them across
     cases (see `run_cases`); by default the case gets a fresh one.
     """
     diagnostics = diagnostics or RunDiagnostics()
     context = context or RunContext()
     if case.query not in program:
         raise EngineError(f"case {case.id}: query {case.query} has no rule")
-    tree = context.trees.get(case.query)
-    if tree is None:
-        tree = context.trees[case.query] = build_dependency_tree(program, case.query, config.depth_cap)
-    plans = context.plans
-
-    def plan_of(sid: str) -> SubsectionPlan:
-        if sid not in subsections:
-            diagnostics.note(f"{case.id}: no text for {sid}; grounding over empty text")
-        plan = plans.get(sid)
-        if plan is None:
-            plan = plans[sid] = SubsectionPlan(layer_of(layers, sid), subsections.get(sid, ""))
-        return plan
-
-    def resolve(node, incoming: dict[str, Value]) -> dict[str, Value]:
-        """Evaluate `node` given the values of its enclosing subsection."""
-        if isinstance(node, OpNode):
-            return do_operation(node.kind, [resolve(c, incoming) for c in node.children])
-        if node.depth == 1:
-            known = incoming
+    steps = context.programs.get(case.query)
+    if steps is None:
+        steps = context.programs[case.query] = compile_query(
+            program, case.query, config.depth_cap, layers, subsections, context.plans
+        )
+    resolve, note = resolver.resolve, diagnostics.records.append
+    inputs = dict(case.inputs)
+    envs: list[dict[str, Value]] = []
+    results: list[dict[str, Value]] = []
+    for step in steps:
+        if step.plan is None:  # an operator
+            children = results[-step.arity :]
+            del results[-step.arity :]
+            results.append(do_operation(step.op, children))
+            continue
+        if step.body:
+            known = envs.pop()
+            body = results.pop()
+            known = {**known, **{k: v for k, v in body.items() if k not in known and k != TRUTH_KEY}}
+        elif step.root:
+            known = inputs
         else:
             # Values cross a reference by renaming: the callee's parameter
             # takes the caller's value for the bound variable, and back.
-            known = {param: incoming[var] for param, var in node.bindings if var in incoming}
-        if node.child is not None:
-            body = resolve(node.child, known)
-            known = {**known, **{k: v for k, v in body.items() if k not in known and k != TRUTH_KEY}}
-        result = _instantiate(resolver, plan_of(node.id), known, case, config, diagnostics)
-        if node.depth == 1:
-            return result
-        out = {var: result[param] for param, var in node.bindings if param in result}
-        out[TRUTH_KEY] = result.get(TRUTH_KEY, 0.0)
-        return out
-
-    return resolve(tree.root, dict(case.inputs))
+            # (Plain loops: in this loop they cost less than comprehensions.)
+            outer = envs[-1]
+            known = {}
+            for param, var in step.bindings:
+                if var in outer:
+                    known[param] = outer[var]
+        if step.op == "open":
+            envs.append(known)
+            continue
+        if step.no_text:
+            note((case.id, step.node.id, None, "no text"))
+        result = _instantiate(resolve, step.plan, known, case, config, note)
+        if not step.root:
+            out = {}
+            for param, var in step.bindings:
+                if param in result:
+                    out[var] = result[param]
+            out[TRUTH_KEY] = result[TRUTH_KEY]
+            result = out
+        results.append(result)
+    return results.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +459,9 @@ def run_cases(
     config: EngineConfig = EngineConfig(),
 ) -> tuple[list[CaseResult], RunDiagnostics]:
     """Instantiate every case of a split in corpus order; per-case errors are
-    recorded and the run continues. Each query's tree and each subsection's
-    plan are built once and shared by all cases through one `RunContext`."""
+    recorded and the run continues. Each query's program and each
+    subsection's plan are built once and shared by all cases through one
+    `RunContext`."""
     texts = {s.id: s.text for s in corpus.subsections.values()}
     context = RunContext()
     diagnostics = RunDiagnostics()
@@ -364,7 +474,7 @@ def run_cases(
             results.append(CaseResult(case, predicted))
         except EngineError as exc:
             results.append(CaseResult(case, {}, error=str(exc)))
-            diagnostics.note(f"{case.id}: {exc}")
+            diagnostics.note(case.id, None, str(exc), "error")
     return results, diagnostics
 
 

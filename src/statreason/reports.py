@@ -195,8 +195,15 @@ def _mean(scores: list[int]) -> FamilyScore:
 class InstantiationReport(Frozen):
     __slots__ = (
         "truth", "dollar", "string", "unified", "binary_cases", "numerical_cases", "pairs", "arg_scores", "errors",
-        "notes",
+        "note_records",
     )
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        """The run's notes as text, rendered from `note_records` on read."""
+        from .engine import note_text
+
+        return tuple(map(note_text, self.note_records))
 
     def flat(self) -> dict[str, float]:
         return {
@@ -233,7 +240,7 @@ class InstantiationReport(Frozen):
 def instantiation_report(results, config, diagnostics=None) -> InstantiationReport:
     """Score a run: `results` are its `engine.CaseResult`s, `config` its
     `engine.EngineConfig` and `diagnostics`, when given, its
-    `engine.RunDiagnostics`, whose notes the report keeps."""
+    `engine.RunDiagnostics`, whose note tuples the report keeps."""
     scores: list[ArgScore] = []
     decisions: dict[str, bool | None] = {}
     truth_correct: dict[str, int] = {}
@@ -265,5 +272,5 @@ def instantiation_report(results, config, diagnostics=None) -> InstantiationRepo
         pairs=pair_consistency([r.case for r in results], decisions, truth_correct),
         arg_scores=tuple(scores),
         errors=tuple(f"{r.case.id}: {r.error}" for r in results if r.error),
-        notes=tuple(diagnostics.notes) if diagnostics else (),
+        note_records=tuple(diagnostics.records) if diagnostics else (),
     )

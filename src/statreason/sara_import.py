@@ -19,7 +19,9 @@ nowhere else. The importer expects:
 
 Subsection ids appear in file names with "/" unusable, so "§63(c)(5)" is
 stored as "63_c_5" (leading "§" dropped, parenthesized parts joined by "_").
-Records that do not fit are skipped and logged, never guessed at.
+Records that do not fit are skipped and logged, never guessed at. Files are
+read as the corpus loader reads them (UTF-8, universal newlines); a byte that
+is not UTF-8 stops the import with its `path:line`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from pathlib import Path
 
 from . import records
 from .model import ArgumentLayer, Case, Span, ValueMap, matrix_to_clusters
-from .corpus import serialize_cases, serialize_coref, serialize_spans
+from .corpus import _read, serialize_cases, serialize_coref, serialize_spans
 from .rules import parse_program
 
 
@@ -70,10 +72,8 @@ def import_corpus(source: str | Path, dest: str | Path) -> ImportLog:
         if not offsets_path.exists():
             log.skip(text_path.name, "no .offsets companion")
             continue
-        (dest / "statutes" / text_path.name).write_text(
-            text_path.read_text(encoding="utf-8"), encoding="utf-8"
-        )
-        for line in offsets_path.read_text(encoding="utf-8").splitlines():
+        (dest / "statutes" / text_path.name).write_text(_read(text_path), encoding="utf-8")
+        for line in _read(offsets_path).splitlines():
             parts = line.split()
             if len(parts) != 3 or not (parts[1].isdigit() and parts[2].isdigit()):
                 if line.strip():
@@ -93,7 +93,7 @@ def import_corpus(source: str | Path, dest: str | Path) -> ImportLog:
             sid = file_stem_to_id(span_path.name)
             spans = []
             bad = False
-            for line in span_path.read_text(encoding="utf-8").splitlines():
+            for line in _read(span_path).splitlines():
                 parts = line.split()
                 if not parts:
                     continue
@@ -118,7 +118,7 @@ def import_corpus(source: str | Path, dest: str | Path) -> ImportLog:
 
     structure_path = source / "structure.txt"
     if structure_path.exists():
-        text = structure_path.read_text(encoding="utf-8")
+        text = _read(structure_path)
         try:
             parse_program(text)
             (dest / "structure.txt").write_text(text, encoding="utf-8")
@@ -134,7 +134,7 @@ def import_corpus(source: str | Path, dest: str | Path) -> ImportLog:
     for split in ("train", "test"):
         listing = source / "splits" / f"{split}.txt"
         if listing.exists():
-            for cid in listing.read_text(encoding="utf-8").split():
+            for cid in _read(listing).split():
                 splits[cid] = split
     for split in ("train", "test"):
         cases = []
@@ -170,7 +170,7 @@ def _read_clusters(coref_dir: Path, name: str, n_spans: int, log: ImportLog):
         log.skip(f"coref {name}", "no matrix file; defaulting to singletons")
         return tuple((i,) for i in range(n_spans)), ()
     rows = []
-    for line in matrix_path.read_text(encoding="utf-8").splitlines():
+    for line in _read(matrix_path).splitlines():
         if line.strip():
             rows.append([int(x) for x in line.split()])
     try:
@@ -184,7 +184,7 @@ def _read_clusters(coref_dir: Path, name: str, n_spans: int, log: ImportLog):
     names_path = coref_dir / f"{name}.names"
     names: list[str | None] = [None] * len(clusters)
     if names_path.exists():
-        for line in names_path.read_text(encoding="utf-8").splitlines():
+        for line in _read(names_path).splitlines():
             parts = line.split()
             if len(parts) != 2 or not parts[0].isdigit() or int(parts[0]) >= len(clusters):
                 if line.strip():
@@ -198,7 +198,7 @@ _BLOCK_RE = re.compile(r"^%\s*(Text|Question|Input|Output)\s*$", re.MULTILINE)
 
 
 def _read_case(path: Path, split: str, log: ImportLog) -> Case | None:
-    text = path.read_text(encoding="utf-8")
+    text = _read(path)
     blocks: dict[str, str] = {}
     matches = list(_BLOCK_RE.finditer(text))
     for m, nxt in zip(matches, matches[1:] + [None]):

@@ -130,17 +130,17 @@ VALUES = st.one_of(
 
 
 @st.composite
-def texts_with_layers(draw, mentions=st.text(min_size=1, max_size=4)):
+def texts_with_layers(draw, mentions=st.text(min_size=1, max_size=4), gaps=st.text(max_size=3)):
     """A text and a layer over it: spans in text order, adjacent or apart,
     grouped into clusters of one or more mentions, each cluster named or
     unlabelled, and at most one named @truth."""
-    pieces = draw(st.lists(st.tuples(st.text(max_size=3), mentions), max_size=6))
+    pieces = draw(st.lists(st.tuples(gaps, mentions), max_size=6))
     text, spans = "", []
     for gap, mention in pieces:
         text += gap
         spans.append(Span(len(text), len(text) + len(mention)))
         text += mention
-    text += draw(st.text(max_size=3))
+    text += draw(gaps)
     labels = draw(st.lists(st.integers(0, 3), min_size=len(spans), max_size=len(spans)))
     groups: dict[int, list[int]] = {}
     for i, label in enumerate(labels):

@@ -10,8 +10,10 @@ its own copy of the P/R/F1 table, scoring each unit with the per-unit
 `span_prf` and `exact_match_coref` the library once had), and the record
 scanner's quoted-string scan one character at a time, as first written.
 `unified_accuracy` is the unified mean as the library once defined it, and
-`instantiate_full` the engine's populate-then-resolve tree evaluation, with
-the value-map helpers it used (`merged`, `without`, `_translate`) over dicts.
+`instantiate_full` the engine's populate-then-resolve tree evaluation,
+recursive over a tree built for each case, with the per-subsection
+`_instantiate`, the operator combination (`do_operation`) and the value-map
+helpers it used (`merged`, `without`, `_translate`) over dicts.
 `tree_depth` is the dependency-tree depth the depth-cap tests measure with."""
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from types import MappingProxyType
 
 from statreason.baselines import (
     ConstantResolver,
@@ -42,12 +45,11 @@ from statreason.engine import (
     CaseResult,
     EngineConfig,
     EngineError,
+    ResolveRequest,
     Resolver,
     RunContext,
     RunDiagnostics,
     SubsectionPlan,
-    _instantiate,
-    do_operation,
     value_surface,
 )
 from statreason.metrics import (
@@ -60,7 +62,7 @@ from statreason.metrics import (
     prf,
     score_arguments,
 )
-from statreason.model import TRUTH_KEY, ArgumentLayer, Case, Money, Span, Value, layer_of, value_kind
+from statreason.model import TRUTH_KEY, ArgumentLayer, Case, Money, Span, Value, check_value, layer_of, value_kind
 from statreason.reports import FamilyScore, InstantiationReport
 from statreason.rules import DepTree, OpNode, Program, SubsectionNode, TreeNode, build_dependency_tree
 
@@ -388,6 +390,74 @@ def populate_values(tree: DepTree, inputs: dict[str, Value]) -> dict[int, dict[s
     return values
 
 
+def do_operation(kind: str, children: list[dict[str, Value]]) -> dict[str, Value]:
+    """`engine.do_operation` as first written: children ranked by key
+    functions and merged one value at a time."""
+    if kind == "NOT":
+        if len(children) != 1:
+            raise EngineError(f"NOT takes exactly 1 child, got {len(children)}")
+        child_truth = float(children[0].get(TRUTH_KEY, 0.0))
+        return {TRUTH_KEY: 1.0 - child_truth}
+    if len(children) < 2:
+        raise EngineError(f"{kind} takes at least 2 children, got {len(children)}")
+    truths = [float(c.get(TRUTH_KEY, 0.0)) for c in children]
+    if kind == "OR":
+        winner = max(range(len(children)), key=lambda i: (truths[i], -i))
+        return {**children[winner], TRUTH_KEY: truths[winner]}
+    if kind == "AND":
+        order = sorted(range(len(children)), key=lambda i: (-truths[i], i))
+        merged: dict[str, Value] = {}
+        for i in order:
+            for name, value in children[i].items():
+                if name != TRUTH_KEY:
+                    merged[name] = value
+        merged[TRUTH_KEY] = min(truths)
+        return merged
+    raise EngineError(f"unknown operator {kind!r}")
+
+
+def _instantiate(
+    resolver: Resolver,
+    plan: SubsectionPlan,
+    inputs: dict[str, Value],
+    case: Case,
+    config: EngineConfig,
+    diagnostics: RunDiagnostics,
+) -> dict[str, Value]:
+    """One subsection, argument by argument and then its truth score."""
+    sid = plan.layer.subsection_id
+    threshold = config.truth_threshold
+    predictions = grounding = inputs
+
+    for name in plan.arguments:
+        if name in predictions:
+            continue
+        request = ResolveRequest(plan, MappingProxyType(predictions), (name,), case, grounding, threshold)
+        try:
+            answer = resolver.resolve(request)
+        except Exception as exc:
+            raise EngineError(f"resolver failed on argument {name!r} of {sid}: {exc}") from exc
+        if name in answer:
+            value = check_value(answer[name])
+            predictions = {**predictions, name: value}
+            if config.insert_gold and name in case.expected:
+                value = case.expected[name]
+            grounding = {**grounding, name: value}
+        else:
+            diagnostics.note(case.id, sid, name, "no value")
+
+    request = ResolveRequest(plan, MappingProxyType(predictions), (), case, grounding, threshold)
+    try:
+        answer = resolver.resolve(request)
+    except Exception as exc:
+        raise EngineError(f"resolver failed on @truth of {sid}: {exc}") from exc
+    truth = answer.get(TRUTH_KEY)
+    if truth is None:
+        diagnostics.note(case.id, sid, None, "no truth")
+        truth = 0.0
+    return {**predictions, TRUTH_KEY: check_value(float(truth))}
+
+
 def instantiate_full(
     resolver: Resolver,
     program: Program,
@@ -398,20 +468,19 @@ def instantiate_full(
     diagnostics: RunDiagnostics | None = None,
     context: RunContext | None = None,
 ) -> dict[str, Value]:
-    """Instantiate a case's query subsection over its dependency tree."""
+    """Instantiate a case's query subsection over its dependency tree, built
+    afresh for the case; `context` lends only its plans."""
     diagnostics = diagnostics or RunDiagnostics()
     context = context or RunContext()
     if case.query not in program:
         raise EngineError(f"case {case.id}: query {case.query} has no rule")
-    tree = context.trees.get(case.query)
-    if tree is None:
-        tree = context.trees[case.query] = build_dependency_tree(program, case.query, config.depth_cap)
+    tree = build_dependency_tree(program, case.query, config.depth_cap)
     values = populate_values(tree, dict(case.inputs))
     plans = context.plans
 
     def plan_of(sid: str) -> SubsectionPlan:
         if sid not in subsections:
-            diagnostics.note(f"{case.id}: no text for {sid}; grounding over empty text")
+            diagnostics.note(case.id, sid, None, "no text")
         plan = plans.get(sid)
         if plan is None:
             plan = plans[sid] = SubsectionPlan(layer_of(layers, sid), subsections.get(sid, ""))
@@ -747,7 +816,7 @@ def instantiation_report(
         pairs=pairs,
         arg_scores=tuple(scores),
         errors=tuple(f"{r.case.id}: {r.error}" for r in results if r.error),
-        notes=tuple(diagnostics.notes) if diagnostics else (),
+        note_records=tuple(diagnostics.records) if diagnostics else (),
     )
 
 

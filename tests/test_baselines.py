@@ -22,6 +22,7 @@ from statreason.model import (
     ArgumentLayer,
     Case,
     Money,
+    Span,
     TRUTH_KEY,
     ValueMap,
     empty_layer,
@@ -358,6 +359,30 @@ class TestHeuristicResolver:
         case = Case("x", "the very same words", "§x", ValueMap(), ValueMap({"@truth": 1.0}))
         out = HeuristicResolver().resolve(request(empty_layer("§x"), "the very same words", case, ()))
         assert out[TRUTH_KEY] == 1.0
+
+    # Text that meets its neighbours: token characters at either end,
+    # letters that lowercase to a token character ("K" is the Kelvin sign)
+    # or to more than one character, and a context-dependent final sigma.
+    SURFACES = st.one_of(st.sampled_from(["", " ", "a", "7", "$", "x y", "İ", "K", "Σ", "ΑΣ"]), st.text(max_size=3))
+
+    @settings(max_examples=300)
+    @given(texts_with_layers(st.sampled_from(WORDS + ["ab", "İ", "$5"]), SURFACES), DESCRIPTIONS, st.data())
+    def test_truth_from_pieces_equals_reading_the_grounded_text(self, setting, description, data):
+        text, layer = setting
+        names = [n for n in layer.cluster_names if n not in (None, TRUTH_KEY)]
+        grounding = {n: data.draw(self.SURFACES) for n in names if data.draw(st.booleans())}
+        case = Case("x", description, "§x", ValueMap(), ValueMap({"@truth": 1.0}))
+        request = ResolveRequest(SubsectionPlan(layer, text), ValueMap(), (), case, grounding)
+        expected = oracles.overlap_score(request.text, case.description)
+        assert HeuristicResolver().resolve(request) == {TRUTH_KEY: expected}
+
+    def test_a_token_across_a_cut_reads_the_whole_text(self):
+        # "a" + "x" ground to the one token "ax", which neither piece holds.
+        layer = ArgumentLayer("§x", (Span(1, 2),), ((0,),), ("A",))
+        case = Case("x", "ax", "§x", ValueMap(), ValueMap({"@truth": 1.0}))
+        request = ResolveRequest(SubsectionPlan(layer, "ab cd"), ValueMap(), (), case, {"A": "x"})
+        assert request.text == "ax cd"
+        assert HeuristicResolver().resolve(request) == {TRUTH_KEY: 0.5}
 
     def test_overlap_score_bounds(self):
         def truth(text, description):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import zlib
 from collections import Counter
 
@@ -29,7 +30,7 @@ from statreason.engine import (
     instantiate_full,
     run_cases,
 )
-from statreason.model import ArgumentLayer, Case, Money, Span, TRUTH_KEY, ValueMap
+from statreason.model import ArgumentLayer, Case, Money, Span, Subsection, TRUTH_KEY, ValueMap
 from statreason.rules import OpNode, Program, Rule, SubsectionNode, build_dependency_tree
 
 from generators import VALUES, random_nested_program, random_value_map, texts_with_layers
@@ -437,6 +438,28 @@ class TestDoOperation:
         with pytest.raises(EngineError):
             do_operation("AND", [ValueMap()])
 
+    # Few names and truths, so children share names and tie on truth; a
+    # child may lack a truth score or hold the negative zero.
+    CHILDREN = st.lists(
+        st.dictionaries(st.sampled_from(["X", "Y", "Z", TRUTH_KEY]), st.sampled_from([0.0, -0.0, 0.5, 1.0, "a", "b"]))
+        .map(lambda d: {k: v for k, v in d.items() if (k == TRUTH_KEY) == isinstance(v, float)}),
+        max_size=5,
+    )
+
+    @given(st.sampled_from(["AND", "OR", "NOT", "XOR"]), CHILDREN)
+    def test_as_first_written(self, kind, children):
+        try:
+            expected = oracles.do_operation(kind, children)
+        except EngineError as exc:
+            with pytest.raises(EngineError, match=f"^{re.escape(str(exc))}$"):
+                do_operation(kind, children)
+            return
+        got = do_operation(kind, children)
+        assert list(got.items()) == list(expected.items())
+        assert [math.copysign(1, v) for v in got.values() if isinstance(v, float)] == [
+            math.copysign(1, v) for v in expected.values() if isinstance(v, float)
+        ]
+
     def test_property_suite(self):
         rng = random.Random(17)
         for _ in range(2000):
@@ -537,17 +560,42 @@ class TestInstantiateFull:
         assert len({tuple(r.items()) for r in alone}) == len(cases)
 
     def test_tree_built_once_per_query(self, corpus, monkeypatch):
-        built = Counter()
-        real = engine.build_dependency_tree
+        # Each query's tree is built, and compiled into its program, once.
+        built, compiled = Counter(), Counter()
+        real_build, real_compile = engine.build_dependency_tree, engine.compile_query
 
-        def counting(program, root_id, depth_cap):
+        def building(program, root_id, depth_cap):
             built[root_id] += 1
-            return real(program, root_id, depth_cap)
+            return real_build(program, root_id, depth_cap)
 
-        monkeypatch.setattr(engine, "build_dependency_tree", counting)
+        def compiling(program, query, *rest):
+            compiled[query] += 1
+            return real_compile(program, query, *rest)
+
+        monkeypatch.setattr(engine, "build_dependency_tree", building)
+        monkeypatch.setattr(engine, "compile_query", compiling)
         results, _ = run_cases(OracleResolver(), corpus, "all")
-        assert built == Counter({q: 1 for q in {c.query for c in corpus.cases}})
+        assert built == compiled == Counter({q: 1 for q in {c.query for c in corpus.cases}})
         assert len(results) > len(built)
+
+    def test_each_run_compiles_its_own_programs(self, corpus, monkeypatch):
+        compiled = []
+        real = engine.compile_query
+
+        def compiling(program, query, depth_cap, *rest):
+            compiled.append((query, depth_cap))
+            return real(program, query, depth_cap, *rest)
+
+        monkeypatch.setattr(engine, "compile_query", compiling)
+        resolver, runs = Recording(), []
+        for depth_cap in (3, 1):
+            results, _ = run_cases(resolver, corpus, "all", EngineConfig(depth_cap))
+            runs.append([list(r.predicted.items()) for r in results])
+        queries = sorted({c.query for c in corpus.cases})
+        assert sorted(compiled) == sorted([(q, 3) for q in queries] + [(q, 1) for q in queries])
+        monkeypatch.setattr(engine, "compile_query", real)
+        fresh, _ = run_cases(Recording(), corpus, "all", EngineConfig(1))
+        assert runs[1] == [list(r.predicted.items()) for r in fresh] != runs[0]
 
     def test_determinism(self, corpus):
         config = EngineConfig()
@@ -592,10 +640,68 @@ def rule_texts_and_layers(program):
     return texts, layers
 
 
+def post_order(node):
+    """The nodes under `node`, itself included, children first."""
+    if isinstance(node, OpNode):
+        return [n for c in node.children for n in post_order(c)] + [node]
+    return (post_order(node.child) if node.child is not None else []) + [node]
+
+
+class TestCompiledProgram:
+    """A query's program against the tree it was compiled from."""
+
+    @staticmethod
+    def assert_compiles(program, query, depth_cap, layers, texts):
+        plans = {}
+        steps = engine.compile_query(program, query, depth_cap, layers, texts, plans)
+        tree = build_dependency_tree(program, query, depth_cap)
+        assert [s.index for s in steps] == list(range(len(steps)))
+        # Without its "open" steps the program is the tree in post order,
+        # each node visited once.
+        visits = [s for s in steps if s.op != "open"]
+        assert [s.node for s in visits] == post_order(tree.root)
+        assert len({id(s.node) for s in visits}) == len(visits)
+        for i, s in enumerate(steps):
+            node = s.node
+            if isinstance(node, OpNode):
+                assert (s.op, s.arity, s.plan) == (node.kind, len(node.children), None)
+                continue
+            assert s.op in ("open", "subsection") and s.plan is plans[node.id]
+            assert s.plan.layer.subsection_id == node.id and s.plan.text == texts.get(node.id, "")
+            assert s.root == (node.depth == 1) and s.bindings == (() if s.root else node.bindings)
+            if s.op == "subsection":
+                assert s.body == (node.child is not None) and s.no_text == (node.id not in texts)
+            else:
+                # An "open" step precedes exactly its subsection's body.
+                assert node.child is not None
+                end = next(j for j, t in enumerate(steps) if t.node is node and t.op == "subsection")
+                assert [t.node for t in steps[i + 1 : end] if t.op != "open"] == post_order(node.child)
+        assert {s.node.id for s in visits if s.op == "subsection"} == set(plans)
+        return steps
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    def test_generated_programs(self, seed, depth_cap):
+        rng = random.Random(seed)
+        program = random_nested_program(rng, rng.randrange(2, 7))
+        texts, layers = rule_texts_and_layers(program)
+        for head in rng.sample(sorted(texts), rng.randrange(len(texts))):
+            del texts[head]
+        for query in program.rules:
+            self.assert_compiles(program, query, depth_cap, layers, texts)
+
+    def test_fixture(self, corpus):
+        texts = {s.id: s.text for s in corpus.subsections.values()}
+        for query in sorted({c.query for c in corpus.cases}):
+            for depth_cap in (1, 2, 3, 4):
+                self.assert_compiles(corpus.program, query, depth_cap, corpus.layers, texts)
+
+
 class TestOneWalk:
-    """One walk per case over the shared tree against the populate-then-resolve
-    evaluation it replaced (`oracles.instantiate_full`): the same predictions
-    in the same order, the same notes and the same resolver requests."""
+    """One loop per case over the compiled program against the
+    populate-then-resolve evaluation it replaced (`oracles.instantiate_full`):
+    the same predictions in the same order, the same notes and the same
+    resolver requests."""
 
     @staticmethod
     def assert_same_run(make_resolver, program, layers, texts, cases, config):
@@ -739,6 +845,29 @@ class TestEvaluateRun:
             (r.case.id, dict(r.predicted)) for r in clean if r.case.id != "tax-case-4"
         ]
 
+    @pytest.mark.parametrize(
+        "make", [lambda: ConstantResolver(ConstantBaselineParams(1.0, 42000, "Bob")), HeuristicResolver],
+        ids=["constant", "heuristic"],
+    )
+    def test_one_resolver_answers_each_run_from_its_own_text(self, make):
+        # Two corpora give §x's argument different placeholder text, one a
+        # dollar word and one not; what a resolver keeps from one run must
+        # not answer for the other.
+        def corpus_of(text, phrase):
+            start = text.index(phrase)
+            layer = ArgumentLayer("§x", (Span(start, start + len(phrase)),), ((0,),), ("A",))
+            case = Case("c", "Alice paid $5,000 in 2017.", "§x", ValueMap(), ValueMap({TRUTH_KEY: 1.0}), "test")
+            program = Program({"§x": Rule("§x", ("A",))})
+            return Corpus(None, {"§x": Subsection("§x", text)}, {"§x": layer}, program, (case,), (), ())
+
+        dollars = corpus_of("§x holds for the income", "the income")
+        person = corpus_of("§x holds for the spouse", "the spouse")
+        resolver = make()
+        shared = [run_cases(resolver, c)[0][0].predicted["A"] for c in (dollars, person, dollars, person)]
+        fresh = [run_cases(make(), c)[0][0].predicted["A"] for c in (dollars, person, dollars, person)]
+        assert shared == fresh
+        assert isinstance(shared[0], Money) and isinstance(shared[1], str)
+
     def test_constant_resolver_ignores_structure(self, corpus):
         params = ConstantBaselineParams(1.0, 42000, "Bob")
         with_structure = evaluate_run(ConstantResolver(params), corpus, "test")[1]
@@ -746,3 +875,50 @@ class TestEvaluateRun:
             ConstantResolver(params), corpus, "test", EngineConfig(depth_cap=1)
         )[1]
         assert with_structure.flat() == without.flat()
+
+
+class TestNotes:
+    def test_each_kind_reads_as_it_always_has(self):
+        diagnostics = RunDiagnostics()
+        diagnostics.note("c1", "§2(a)", "O'Neil", "no value")
+        diagnostics.note("c1", "§2(a)", None, "no truth")
+        diagnostics.note("c1", "§9", None, "no text")
+        diagnostics.note("c1", None, "resolver failed on @truth of §2(a): boom", "error")
+        assert diagnostics.notes == [
+            "c1: no value for \"O'Neil\" of §2(a)",
+            "c1: resolver gave no @truth for §2(a); defaulting to 0.0",
+            "c1: no text for §9; grounding over empty text",
+            "c1: resolver failed on @truth of §2(a): boom",
+        ]
+
+    def test_notes_are_rendered_only_when_read(self, corpus, monkeypatch):
+        rendered = []
+        real = engine.note_text
+
+        def counting(note):
+            rendered.append(note)
+            return real(note)
+
+        monkeypatch.setattr(engine, "note_text", counting)
+        results, report = evaluate_run(OracleResolver(), corpus, "all")
+        assert rendered == [] and len(report.note_records) > len(results)
+        assert report.notes == tuple(real(n) for n in report.note_records)
+        assert rendered == list(report.note_records)
+
+    def test_a_resolver_that_answers_nothing(self, corpus):
+        # Every argument a case's query subsection does not get as input is
+        # noted, then its truth score, in the order they were asked for.
+        class Nothing:
+            def resolve(self, request):
+                return {}
+
+        case = next(c for c in corpus.cases if c.id == "63(c)(5)-negative")
+        texts = {s.id: s.text for s in corpus.subsections.values()}
+        diagnostics = RunDiagnostics()
+        instantiate_full(Nothing(), corpus.program, corpus.layers, texts, case, EngineConfig(1), diagnostics)
+        sid, layer = case.query, corpus.layers[case.query]
+        missing = [n for n, _ in layer.labelled_clusters if n not in case.inputs and n != TRUTH_KEY]
+        assert missing and diagnostics.notes == [
+            *(f"{case.id}: no value for {n!r} of {sid}" for n in missing),
+            f"{case.id}: resolver gave no @truth for {sid}; defaulting to 0.0",
+        ]

@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from statreason.cli import main
 from statreason.corpus import load_corpus, validate_corpus
 from statreason.model import Money
@@ -81,6 +83,18 @@ class TestImport:
         assert "skipped case repeated-input: Input: duplicate argument name: 'x'" in err
         assert "skipped case truth-out-of-range: Output: truth score out of [0, 1]: 1.5" in err
         assert [c.id for c in load_corpus(dest / "manifest.txt").cases] == ["case-1-positive"]
+
+    @pytest.mark.parametrize("relative", ["cases/case-1-positive", "statutes/section1.offsets", "coref/1_d_iv.names"])
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, capsys, relative):
+        source, dest = tmp_path / "dist", tmp_path / "canonical"
+        make_distributed_tree(source)
+        path = source / relative
+        lines = path.read_bytes().split(b"\n")
+        lines[1 if relative.startswith("cases") else 0] += b" Al\xffice"
+        path.write_bytes(b"\n".join(lines))
+        assert main(["import-sara", "--source", str(source), "--dest", str(dest)]) == 1
+        line = 2 if relative.startswith("cases") else 1
+        assert capsys.readouterr().err == f"{path}:{line}: not UTF-8: invalid start byte (byte 0xff)\n"
 
     def test_cli_wrapper(self, tmp_path, capsys):
         source, dest = tmp_path / "dist", tmp_path / "canonical"
