@@ -414,7 +414,7 @@ def _overlap(request, case_tokens: frozenset[str], pieces: dict[str, tuple[froze
     the grounded text is read whole instead."""
     sub: set[str] = set()
     joins = False
-    for piece in request.subsection.pieces(request.grounding, request.threshold):
+    for piece in request.subsection.pieces(request.grounding):
         if piece:
             read = pieces.get(piece)
             if read is None:

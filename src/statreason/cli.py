@@ -103,11 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _floor(item: str) -> tuple[str, float]:
-    """A --floor NAME=VALUE pair; a malformed one is a usage error."""
+    """A --floor NAME=VALUE pair; a malformed one, or a NaN VALUE, which no
+    metric falls below, is a usage error."""
     name, _, value = item.partition("=")
     try:
-        if name:
-            return name, float(value)
+        if name and (floor := float(value)) == floor:
+            return name, floor
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected NAME=VALUE with a numeric VALUE, got {item!r}")

@@ -12,15 +12,16 @@ exactly once; there is no backtracking.
 Values enter the engine only as `Case.inputs` and checked resolver answers,
 so the engine keeps them in plain dicts.
 
-A run (`run_cases`) builds what does not depend on the case once and shares
-it across cases in a `RunContext`: each subsection's `SubsectionPlan` (its
-text cut at its labelled mentions and its arguments' placeholder texts) and
-each query's program, its dependency tree compiled into a flat post-order
-list of `Step`s that carry their plans, bindings and operators
-(`compile_query`). A case is one loop over its query's program with a stack
-of the values each open subsection's body sees and a stack of results. A
-request's grounded text is spliced from the plan only when a resolver first
-reads it, and a note is kept as a tuple and rendered only when read.
+A run (`run_cases`) is one `RunContext`. It holds what the run fixes (the
+program, the argument layers, the subsection texts and the `EngineConfig`),
+what is built once from those and shared across cases (each subsection's
+`SubsectionPlan`, its text cut at its labelled mentions, and each query's
+program, its dependency tree at the run's depth cap compiled into a flat
+post-order list of `Step`s by `compile_query`), and the notes its cases add.
+A case is one loop over its query's program with a stack of the values each
+open subsection's body sees and a stack of results. A request's grounded
+text is spliced from the plan only when a resolver first reads it, and a
+note is kept as a tuple and rendered only when read.
 """
 
 from __future__ import annotations
@@ -52,14 +53,16 @@ class EngineConfig(Frozen):
 
 class SubsectionPlan:
     """What grounding and resolving one subsection needs, worked out once:
-    its layer, its source text, the text cut at its labelled mentions, and
-    each argument's placeholder text (read on first use)."""
+    its layer, its source text, the text cut at its labelled mentions, the
+    run's truth threshold by which a grounded truth score reads, and each
+    argument's placeholder text (read on first use)."""
 
-    __slots__ = ("layer", "text", "arguments", "_pieces", "_mentions", "_placeholders")
+    __slots__ = ("layer", "text", "threshold", "arguments", "_pieces", "_mentions", "_placeholders")
 
-    def __init__(self, layer: ArgumentLayer, text: str):
+    def __init__(self, layer: ArgumentLayer, text: str, threshold: float):
         self.layer = layer
         self.text = text
+        self.threshold = threshold
         # Argument names in order of first mention, @truth excluded.
         self.arguments = tuple(n for n, _ in layer.labelled_clusters if n != TRUTH_KEY)
         names = {i: n for n, cluster in layer.labelled_clusters if n != TRUTH_KEY for i in cluster}
@@ -79,7 +82,7 @@ class SubsectionPlan:
         self._mentions = tuple(mentions)
         self._placeholders: dict[str, str | None] = {}
 
-    def pieces(self, values: Mapping[str, Value], threshold: float = 0.5) -> list[str]:
+    def pieces(self, values: Mapping[str, Value]) -> list[str]:
         """The grounded text in pieces: the text between labelled mentions,
         and each mention or, where its argument has a value, the value's
         surface form. The pieces of the text itself are the same strings on
@@ -87,13 +90,13 @@ class SubsectionPlan:
         pieces = list(self._pieces)
         for k, name in self._mentions:
             if name in values:
-                pieces[k] = value_surface(values[name], threshold)
+                pieces[k] = value_surface(values[name], self.threshold)
         return pieces
 
-    def ground(self, values: Mapping[str, Value], threshold: float = 0.5) -> str:
+    def ground(self, values: Mapping[str, Value]) -> str:
         """The text with every mention of a valued argument replaced by the
         value's surface form."""
-        return "".join(self.pieces(values, threshold))
+        return "".join(self.pieces(values))
 
     def placeholder(self, name: str) -> str | None:
         """The text of an argument's mentions joined by spaces; None when it
@@ -118,7 +121,7 @@ class ResolveRequest:
     snapshot: the engine never changes a mapping it gave a request.
     """
 
-    __slots__ = ("subsection", "known", "required", "case", "grounding", "threshold", "_text")
+    __slots__ = ("subsection", "known", "required", "case", "grounding", "_text")
 
     def __init__(
         self,
@@ -127,14 +130,12 @@ class ResolveRequest:
         required: tuple[str, ...],
         case: Case,
         grounding: Mapping[str, Value] = MappingProxyType({}),
-        threshold: float = 0.5,
     ):
         self.subsection = subsection
         self.known = known
         self.required = required
         self.case = case
         self.grounding = grounding
-        self.threshold = threshold
         self._text: str | None = None
 
     @property
@@ -152,7 +153,7 @@ class ResolveRequest:
     @property
     def text(self) -> str:
         if self._text is None:
-            self._text = self.subsection.ground(self.grounding, self.threshold)
+            self._text = self.subsection.ground(self.grounding)
         return self._text
 
 
@@ -170,7 +171,7 @@ class EngineError(RuntimeError):
     pass
 
 
-def value_surface(value: Value, threshold: float = 0.5) -> str:
+def value_surface(value: Value, threshold: float) -> str:
     """How a value reads when spliced into statute text; a truth score reads
     "true" from `threshold` up."""
     if isinstance(value, str):
@@ -198,29 +199,12 @@ def note_text(note: tuple[str, str | None, str | None, str]) -> str:
     return _NOTE_TEXT[note[3]].format(*note)
 
 
-class RunDiagnostics:
-    """What a run noted, in order, as (case id, subsection, argument, kind)
-    tuples; `notes` renders them as text."""
-
-    __slots__ = ("records",)
-
-    def __init__(self) -> None:
-        self.records: list[tuple[str, str | None, str | None, str]] = []
-
-    def note(self, case_id: str, subsection: str | None, argument: str | None, kind: str) -> None:
-        self.records.append((case_id, subsection, argument, kind))
-
-    @property
-    def notes(self) -> list[str]:
-        return [note_text(note) for note in self.records]
-
-
 def _instantiate(
     resolve,
     plan: SubsectionPlan,
     inputs: dict[str, Value],
     case: Case,
-    config: EngineConfig,
+    insert_gold: bool,
     note,
 ) -> dict[str, Value]:
     """Instantiate one subsection: predict each mentioned argument in order of
@@ -235,14 +219,13 @@ def _instantiate(
     replaced, never changed, so requests and results can share them.
     """
     sid = plan.layer.subsection_id
-    threshold = config.truth_threshold
     predictions = grounding = inputs
     known = MappingProxyType(predictions)
 
     for name in plan.arguments:
         if name in predictions:
             continue
-        request = ResolveRequest(plan, known, (name,), case, grounding, threshold)
+        request = ResolveRequest(plan, known, (name,), case, grounding)
         try:
             answer = resolve(request)
         except Exception as exc:
@@ -252,7 +235,7 @@ def _instantiate(
             shared = grounding is predictions
             predictions = {**predictions, name: value}
             known = MappingProxyType(predictions)
-            if config.insert_gold and name in case.expected:
+            if insert_gold and name in case.expected:
                 grounding = {**grounding, name: case.expected[name]}
             else:
                 # The grounding is the predictions until a gold value differs.
@@ -260,7 +243,7 @@ def _instantiate(
         else:
             note((case.id, sid, name, "no value"))
 
-    request = ResolveRequest(plan, known, (), case, grounding, threshold)
+    request = ResolveRequest(plan, known, (), case, grounding)
     try:
         answer = resolve(request)
     except Exception as exc:
@@ -307,97 +290,91 @@ def do_operation(kind: str, children: list[dict[str, Value]]) -> dict[str, Value
 class Step(Frozen):
     """One instruction of a compiled query, at position `index` of its program.
 
-    `op` is "open", "subsection" or an operator kind ("AND", "OR", "NOT").
-    An "open" step comes before the body of subsection `node` and pushes the
-    values that body sees. A "subsection" step instantiates `node` with
+    `op` is "open", "subsection" or an operator kind ("AND", "OR", "NOT"),
+    and `depth` is the tree depth of the subsection or operator it stands
+    for. An "open" step comes before the body of subsection `id` and pushes
+    the values that body sees. A "subsection" step instantiates `id` with
     `plan`, after taking in its body's result when it has one (`body`).
-    `bindings` are the node's (callee param, caller var) pairs, read
-    downward when values enter and upward when its result leaves; `root`
-    marks the query's own subsection, which takes the case inputs and
-    returns its result as it is. `no_text` marks a subsection with no text.
-    An operator step has no plan and combines the last `arity` results.
+    `bindings` are the subsection's (callee param, caller var) pairs, read
+    downward when values enter and upward when its result leaves; the
+    query's own subsection, at depth 1, has none: it takes the case inputs
+    and returns its result as it is. `no_text` marks a subsection with no
+    text. An operator step has no `id` and no plan and combines the last
+    `arity` results.
     """
 
-    __slots__ = ("index", "op", "node", "plan", "bindings", "root", "body", "no_text", "arity")
+    __slots__ = ("index", "op", "id", "depth", "plan", "bindings", "body", "no_text", "arity")
 
 
-def compile_query(
-    program: Program,
-    query: str,
-    depth_cap: int,
-    layers: dict[str, ArgumentLayer],
-    subsections: dict[str, str],
-    plans: dict[str, SubsectionPlan],
-) -> tuple[Step, ...]:
-    """The query's dependency tree as a flat program in post order: each
-    subsection step follows its body's steps and each operator step its
-    children's. `plans` are shared between queries and filled as needed."""
+class RunContext:
+    """One run of the engine. It holds what the run fixes: the rule program,
+    the argument layers, the subsection texts by id and the config. It holds
+    what is built once from those and shared by the run's cases: each
+    query's compiled program (`programs`) and each subsection's plan
+    (`plans`); neither holds a case's values, so cases only read them. And
+    it holds the notes the run's cases add, in order, as (case id,
+    subsection, argument, kind) tuples (see `note_text`)."""
+
+    __slots__ = ("program", "layers", "texts", "config", "programs", "plans", "notes")
+
+    def __init__(
+        self,
+        program: Program,
+        layers: Mapping[str, ArgumentLayer],
+        texts: Mapping[str, str],
+        config: EngineConfig = EngineConfig(),
+    ):
+        self.program = program
+        self.layers = layers
+        self.texts = texts
+        self.config = config
+        self.programs: dict[str, tuple[Step, ...]] = {}
+        self.plans: dict[str, SubsectionPlan] = {}
+        self.notes: list[tuple[str, str | None, str | None, str]] = []
+
+
+def compile_query(context: RunContext, query: str) -> tuple[Step, ...]:
+    """The query's dependency tree at the run's depth cap as a flat program
+    in post order: each subsection step follows its body's steps and each
+    operator step its children's. Plans go into `context.plans`, shared
+    between queries."""
+    texts, plans, threshold = context.texts, context.plans, context.config.truth_threshold
     steps: list[Step] = []
 
-    def step(op, node, plan=None, bindings=(), root=False, body=False, no_text=False, arity=0) -> None:
-        steps.append(Step(len(steps), op, node, plan, bindings, root, body, no_text, arity))
+    def step(op, id, depth, plan=None, bindings=(), body=False, no_text=False, arity=0) -> None:
+        steps.append(Step(len(steps), op, id, depth, plan, bindings, body, no_text, arity))
 
     def walk(node: TreeNode) -> None:
         if isinstance(node, OpNode):
             for child in node.children:
                 walk(child)
-            step(node.kind, node, arity=len(node.children))
+            step(node.kind, None, node.depth, arity=len(node.children))
             return
-        plan = plans.get(node.id)
+        sid, depth = node.id, node.depth
+        plan = plans.get(sid)
         if plan is None:
-            plan = plans[node.id] = SubsectionPlan(layer_of(layers, node.id), subsections.get(node.id, ""))
-        root = node.depth == 1
-        bindings = () if root else node.bindings
+            plan = plans[sid] = SubsectionPlan(layer_of(context.layers, sid), texts.get(sid, ""), threshold)
         body = node.child is not None
         if body:
-            step("open", node, plan, bindings, root)
+            step("open", sid, depth, plan, node.bindings)
             walk(node.child)
-        step("subsection", node, plan, bindings, root, body, node.id not in subsections)
+        step("subsection", sid, depth, plan, node.bindings, body, sid not in texts)
 
-    walk(build_dependency_tree(program, query, depth_cap).root)
+    walk(build_dependency_tree(context.program, query, context.config.depth_cap).root)
     return tuple(steps)
 
 
-class RunContext:
-    """What a run builds once and shares across its cases: each query's
-    compiled program and each subsection's plan. Neither holds a case's
-    values, so cases only read them. One context serves one program, layer
-    set, text set and config."""
-
-    __slots__ = ("programs", "plans")
-
-    def __init__(self) -> None:
-        self.programs: dict[str, tuple[Step, ...]] = {}
-        self.plans: dict[str, SubsectionPlan] = {}
-
-
-def instantiate_full(
-    resolver: Resolver,
-    program: Program,
-    layers: dict[str, ArgumentLayer],
-    subsections: dict[str, str],
-    case: Case,
-    config: EngineConfig = EngineConfig(),
-    diagnostics: RunDiagnostics | None = None,
-    context: RunContext | None = None,
-) -> dict[str, Value]:
+def instantiate_full(resolver: Resolver, case: Case, context: RunContext) -> dict[str, Value]:
     """Instantiate a case's query subsection over its dependency tree: one
-    loop over the query's compiled program, with a stack of the values each
-    open subsection's body sees and a stack of results.
-
-    `context` carries programs and plans for callers that share them across
-    cases (see `run_cases`); by default the case gets a fresh one.
-    """
-    diagnostics = diagnostics or RunDiagnostics()
-    context = context or RunContext()
-    if case.query not in program:
-        raise EngineError(f"case {case.id}: query {case.query} has no rule")
+    loop over the query's program, compiled on its first case in `context`,
+    with a stack of the values each open subsection's body sees and a stack
+    of results. Notes go to `context.notes`."""
     steps = context.programs.get(case.query)
     if steps is None:
-        steps = context.programs[case.query] = compile_query(
-            program, case.query, config.depth_cap, layers, subsections, context.plans
-        )
-    resolve, note = resolver.resolve, diagnostics.records.append
+        if case.query not in context.program:
+            raise EngineError(f"case {case.id}: query {case.query} has no rule")
+        steps = context.programs[case.query] = compile_query(context, case.query)
+    resolve, note, insert_gold = resolver.resolve, context.notes.append, context.config.insert_gold
     inputs = dict(case.inputs)
     envs: list[dict[str, Value]] = []
     results: list[dict[str, Value]] = []
@@ -411,7 +388,7 @@ def instantiate_full(
             known = envs.pop()
             body = results.pop()
             known = {**known, **{k: v for k, v in body.items() if k not in known and k != TRUTH_KEY}}
-        elif step.root:
+        elif step.depth == 1:
             known = inputs
         else:
             # Values cross a reference by renaming: the callee's parameter
@@ -426,9 +403,9 @@ def instantiate_full(
             envs.append(known)
             continue
         if step.no_text:
-            note((case.id, step.node.id, None, "no text"))
-        result = _instantiate(resolve, step.plan, known, case, config, note)
-        if not step.root:
+            note((case.id, step.id, None, "no text"))
+        result = _instantiate(resolve, step.plan, known, case, insert_gold, note)
+        if step.depth > 1:
             out = {}
             for param, var in step.bindings:
                 if param in result:
@@ -444,12 +421,10 @@ def instantiate_full(
 
 
 class CaseResult(Frozen):
-    __slots__ = ("case", "predicted", "error")
+    """A case, what the run predicted for it, and the error that stopped it
+    or None."""
 
-    def __init__(self, case: Case, predicted: Mapping[str, Value], error: str | None = None):
-        _set(self, "case", case)
-        _set(self, "predicted", predicted)
-        _set(self, "error", error)
+    __slots__ = ("case", "predicted", "error")
 
 
 def run_cases(
@@ -457,25 +432,20 @@ def run_cases(
     corpus,
     split: str = "test",
     config: EngineConfig = EngineConfig(),
-) -> tuple[list[CaseResult], RunDiagnostics]:
-    """Instantiate every case of a split in corpus order; per-case errors are
-    recorded and the run continues. Each query's program and each
-    subsection's plan are built once and shared by all cases through one
-    `RunContext`."""
+) -> tuple[list[CaseResult], list[tuple[str, str | None, str | None, str]]]:
+    """Instantiate every case of a split in corpus order, in one
+    `RunContext`: (results, the run's notes). Per-case errors are recorded
+    and the run continues."""
     texts = {s.id: s.text for s in corpus.subsections.values()}
-    context = RunContext()
-    diagnostics = RunDiagnostics()
+    context = RunContext(corpus.program, corpus.layers, texts, config)
     results = []
     for case in corpus.cases_of(split):
         try:
-            predicted = instantiate_full(
-                resolver, corpus.program, corpus.layers, texts, case, config, diagnostics, context
-            )
-            results.append(CaseResult(case, predicted))
+            results.append(CaseResult(case, instantiate_full(resolver, case, context), None))
         except EngineError as exc:
-            results.append(CaseResult(case, {}, error=str(exc)))
-            diagnostics.note(case.id, None, str(exc), "error")
-    return results, diagnostics
+            results.append(CaseResult(case, {}, str(exc)))
+            context.notes.append((case.id, None, str(exc), "error"))
+    return results, context.notes
 
 
 def evaluate_run(
@@ -487,5 +457,5 @@ def evaluate_run(
     """Run a resolver over a split and score it: (results, report)."""
     from .reports import instantiation_report
 
-    results, diagnostics = run_cases(resolver, corpus, split, config)
-    return results, instantiation_report(results, config, diagnostics)
+    results, notes = run_cases(resolver, corpus, split, config)
+    return results, instantiation_report(results, config, notes)

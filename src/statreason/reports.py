@@ -237,10 +237,10 @@ class InstantiationReport(Frozen):
         return "\n".join(lines)
 
 
-def instantiation_report(results, config, diagnostics=None) -> InstantiationReport:
+def instantiation_report(results, config, notes=()) -> InstantiationReport:
     """Score a run: `results` are its `engine.CaseResult`s, `config` its
-    `engine.EngineConfig` and `diagnostics`, when given, its
-    `engine.RunDiagnostics`, whose note tuples the report keeps."""
+    `engine.EngineConfig` and `notes` its note tuples, which the report
+    keeps."""
     scores: list[ArgScore] = []
     decisions: dict[str, bool | None] = {}
     truth_correct: dict[str, int] = {}
@@ -272,5 +272,5 @@ def instantiation_report(results, config, diagnostics=None) -> InstantiationRepo
         pairs=pair_consistency([r.case for r in results], decisions, truth_correct),
         arg_scores=tuple(scores),
         errors=tuple(f"{r.case.id}: {r.error}" for r in results if r.error),
-        note_records=tuple(diagnostics.records) if diagnostics else (),
+        note_records=tuple(notes),
     )

@@ -19,7 +19,8 @@ nowhere else. The importer expects:
 
 Subsection ids appear in file names with "/" unusable, so "§63(c)(5)" is
 stored as "63_c_5" (leading "§" dropped, parenthesized parts joined by "_").
-Records that do not fit are skipped and logged, never guessed at. Files are
+Records that do not fit are skipped and logged, never guessed at; so is an
+item whose id would not read back at the start of a record line. Files are
 read as the corpus loader reads them (UTF-8, universal newlines); a byte that
 is not UTF-8 stops the import with its `path:line`.
 """
@@ -58,6 +59,20 @@ def file_stem_to_id(stem: str) -> str:
     return "§" + parts[0] + "".join(f"({p})" for p in parts[1:])
 
 
+def _readable(record_id: str, what: str, log: ImportLog) -> bool:
+    """Whether `record_id` reads back at the start of a record line, where
+    the reader takes the id up to the first whitespace and skips a line
+    that starts with "#"; if not, `what` is logged as skipped."""
+    if record_id.split() != [record_id]:
+        problem = "is empty or holds whitespace, so it would not read back"
+    elif record_id.startswith("#"):
+        problem = "starts with '#', so it would read back as a comment"
+    else:
+        return True
+    log.skip(what, f"id {record_id!r} {problem}")
+    return False
+
+
 def import_corpus(source: str | Path, dest: str | Path) -> ImportLog:
     """Convert a distributed tree into a canonical corpus under `dest`."""
     source, dest = Path(source), Path(dest)
@@ -79,6 +94,8 @@ def import_corpus(source: str | Path, dest: str | Path) -> ImportLog:
                 if line.strip():
                     log.skip(f"{offsets_path.name}: {line!r}", "expected '<id> <start> <end>'")
                 continue
+            if not _readable(parts[0], f"{offsets_path.name}: {line!r}", log):
+                continue
             offsets_lines.append(
                 f"{parts[0]} file={records.write_text(text_path.name)}"
                 f" start={parts[1]} end={parts[2]}"
@@ -91,6 +108,8 @@ def import_corpus(source: str | Path, dest: str | Path) -> ImportLog:
     if spans_dir.is_dir():
         for span_path in sorted(spans_dir.iterdir()):
             sid = file_stem_to_id(span_path.name)
+            if not _readable(sid, f"spans {span_path.name}", log):
+                continue
             spans = []
             bad = False
             for line in _read(span_path).splitlines():
@@ -198,6 +217,8 @@ _BLOCK_RE = re.compile(r"^%\s*(Text|Question|Input|Output)\s*$", re.MULTILINE)
 
 
 def _read_case(path: Path, split: str, log: ImportLog) -> Case | None:
+    if not _readable(path.name, f"case {path.name}", log):
+        return None
     text = _read(path)
     blocks: dict[str, str] = {}
     matches = list(_BLOCK_RE.finditer(text))

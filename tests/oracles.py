@@ -48,7 +48,6 @@ from statreason.engine import (
     ResolveRequest,
     Resolver,
     RunContext,
-    RunDiagnostics,
     SubsectionPlan,
     value_surface,
 )
@@ -206,7 +205,7 @@ def brute_force_constant(targets: list[int]) -> int:
 
 
 def insert_values(
-    text: str, layer: ArgumentLayer, values: Mapping[str, Value], threshold: float = 0.5
+    text: str, layer: ArgumentLayer, values: Mapping[str, Value], threshold: float
 ) -> str:
     """Replace every mention span of every valued argument with the value's
     surface form; unvalued arguments stay verbatim."""
@@ -422,17 +421,16 @@ def _instantiate(
     inputs: dict[str, Value],
     case: Case,
     config: EngineConfig,
-    diagnostics: RunDiagnostics,
+    notes: list,
 ) -> dict[str, Value]:
     """One subsection, argument by argument and then its truth score."""
     sid = plan.layer.subsection_id
-    threshold = config.truth_threshold
     predictions = grounding = inputs
 
     for name in plan.arguments:
         if name in predictions:
             continue
-        request = ResolveRequest(plan, MappingProxyType(predictions), (name,), case, grounding, threshold)
+        request = ResolveRequest(plan, MappingProxyType(predictions), (name,), case, grounding)
         try:
             answer = resolver.resolve(request)
         except Exception as exc:
@@ -444,34 +442,26 @@ def _instantiate(
                 value = case.expected[name]
             grounding = {**grounding, name: value}
         else:
-            diagnostics.note(case.id, sid, name, "no value")
+            notes.append((case.id, sid, name, "no value"))
 
-    request = ResolveRequest(plan, MappingProxyType(predictions), (), case, grounding, threshold)
+    request = ResolveRequest(plan, MappingProxyType(predictions), (), case, grounding)
     try:
         answer = resolver.resolve(request)
     except Exception as exc:
         raise EngineError(f"resolver failed on @truth of {sid}: {exc}") from exc
     truth = answer.get(TRUTH_KEY)
     if truth is None:
-        diagnostics.note(case.id, sid, None, "no truth")
+        notes.append((case.id, sid, None, "no truth"))
         truth = 0.0
     return {**predictions, TRUTH_KEY: check_value(float(truth))}
 
 
-def instantiate_full(
-    resolver: Resolver,
-    program: Program,
-    layers: dict[str, ArgumentLayer],
-    subsections: dict[str, str],
-    case: Case,
-    config: EngineConfig = EngineConfig(),
-    diagnostics: RunDiagnostics | None = None,
-    context: RunContext | None = None,
-) -> dict[str, Value]:
+def instantiate_full(resolver: Resolver, case: Case, context: RunContext) -> dict[str, Value]:
     """Instantiate a case's query subsection over its dependency tree, built
-    afresh for the case; `context` lends only its plans."""
-    diagnostics = diagnostics or RunDiagnostics()
-    context = context or RunContext()
+    afresh for the case; `context` lends its inputs, its plans and its
+    notes list."""
+    program, layers, subsections = context.program, context.layers, context.texts
+    config, notes = context.config, context.notes
     if case.query not in program:
         raise EngineError(f"case {case.id}: query {case.query} has no rule")
     tree = build_dependency_tree(program, case.query, config.depth_cap)
@@ -480,10 +470,11 @@ def instantiate_full(
 
     def plan_of(sid: str) -> SubsectionPlan:
         if sid not in subsections:
-            diagnostics.note(case.id, sid, None, "no text")
+            notes.append((case.id, sid, None, "no text"))
         plan = plans.get(sid)
         if plan is None:
-            plan = plans[sid] = SubsectionPlan(layer_of(layers, sid), subsections.get(sid, ""))
+            plan = SubsectionPlan(layer_of(layers, sid), subsections.get(sid, ""), config.truth_threshold)
+            plans[sid] = plan
         return plan
 
     def resolve(node) -> dict[str, Value]:
@@ -494,7 +485,7 @@ def instantiate_full(
         if node.child is not None:
             absorbed = without(resolve(node.child), TRUTH_KEY)
             known = merged(known, absorbed)
-        result = _instantiate(resolver, plan_of(node.id), known, case, config, diagnostics)
+        result = _instantiate(resolver, plan_of(node.id), known, case, config, notes)
         if node.depth == 1:
             return result
         return _translate(result, node.bindings)
@@ -766,7 +757,6 @@ def unified_accuracy(scores: list[ArgScore]) -> float:
 def instantiation_report(
     results: list[CaseResult],
     config: EngineConfig = EngineConfig(),
-    diagnostics: RunDiagnostics | None = None,
 ) -> InstantiationReport:
     scores: list[ArgScore] = []
     decisions: dict[str, bool | None] = {}
@@ -816,7 +806,7 @@ def instantiation_report(
         pairs=pairs,
         arg_scores=tuple(scores),
         errors=tuple(f"{r.case.id}: {r.error}" for r in results if r.error),
-        note_records=tuple(diagnostics.records) if diagnostics else (),
+        note_records=(),
     )
 
 

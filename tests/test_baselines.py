@@ -271,7 +271,7 @@ class TestDollarSweep:
 
 def request(layer, text, case, required, known=ValueMap()):
     """A request over `text` with nothing grounded yet."""
-    return ResolveRequest(SubsectionPlan(layer, text), known, required, case)
+    return ResolveRequest(SubsectionPlan(layer, text, 0.5), known, required, case)
 
 
 class TestConstantResolver:
@@ -309,7 +309,7 @@ class TestConstantResolver:
     @given(texts_with_layers(st.sampled_from(WORDS)), st.sampled_from(["Taxy", "Grossinc", "Spouse"]))
     def test_dollar_arguments_as_first_judged(self, setting, unmentioned):
         text, layer = setting
-        plan = SubsectionPlan(layer, text)
+        plan = SubsectionPlan(layer, text, 0.5)
         for name in [n for n in layer.cluster_names if n not in (None, TRUTH_KEY)] + [unmentioned]:
             expected = oracles.wants_dollars(name, layer, text)
             case = Case("x", "d", "§x", ValueMap(), ValueMap({"@truth": 1.0}))
@@ -337,7 +337,7 @@ class TestHeuristicResolver:
     @given(texts_with_layers(st.sampled_from(WORDS)), DESCRIPTIONS, st.sampled_from(["Bob", "Alice"]))
     def test_answers_as_first_written(self, setting, description, known):
         text, layer = setting
-        plan = SubsectionPlan(layer, text)
+        plan = SubsectionPlan(layer, text, 0.5)
         case = Case("x", description, "§x", ValueMap(), ValueMap({"@truth": 1.0}))
         resolver = HeuristicResolver()
         names = [n for n in layer.cluster_names if n not in (None, TRUTH_KEY)] + ["Taxy"]
@@ -372,7 +372,7 @@ class TestHeuristicResolver:
         names = [n for n in layer.cluster_names if n not in (None, TRUTH_KEY)]
         grounding = {n: data.draw(self.SURFACES) for n in names if data.draw(st.booleans())}
         case = Case("x", description, "§x", ValueMap(), ValueMap({"@truth": 1.0}))
-        request = ResolveRequest(SubsectionPlan(layer, text), ValueMap(), (), case, grounding)
+        request = ResolveRequest(SubsectionPlan(layer, text, 0.5), ValueMap(), (), case, grounding)
         expected = oracles.overlap_score(request.text, case.description)
         assert HeuristicResolver().resolve(request) == {TRUTH_KEY: expected}
 
@@ -380,7 +380,7 @@ class TestHeuristicResolver:
         # "a" + "x" ground to the one token "ax", which neither piece holds.
         layer = ArgumentLayer("§x", (Span(1, 2),), ((0,),), ("A",))
         case = Case("x", "ax", "§x", ValueMap(), ValueMap({"@truth": 1.0}))
-        request = ResolveRequest(SubsectionPlan(layer, "ab cd"), ValueMap(), (), case, {"A": "x"})
+        request = ResolveRequest(SubsectionPlan(layer, "ab cd", 0.5), ValueMap(), (), case, {"A": "x"})
         assert request.text == "ax cd"
         assert HeuristicResolver().resolve(request) == {TRUTH_KEY: 0.5}
 

@@ -119,7 +119,7 @@ class TestEvalCommands:
         ]) == 1
         assert "floor" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("floor", ["foo", "x=abc", "=0.5", "x="])
+    @pytest.mark.parametrize("floor", ["foo", "x=abc", "=0.5", "x=", "unified=nan", "unified=-NaN"])
     def test_malformed_floor_is_usage_error(self, floor, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval-inst", "--manifest", MANIFEST, "--floor", floor])

@@ -23,11 +23,11 @@ from statreason.engine import (
     EngineConfig,
     EngineError,
     RunContext,
-    RunDiagnostics,
     SubsectionPlan,
     do_operation,
     evaluate_run,
     instantiate_full,
+    note_text,
     run_cases,
 )
 from statreason.model import ArgumentLayer, Case, Money, Span, Subsection, TRUTH_KEY, ValueMap
@@ -66,7 +66,7 @@ class TestInsertValues:
         layer = make_layer(
             SURVIVOR_TEXT, [("taxpayer", "a taxpayer"), ("taxable year", "the taxable year")]
         )
-        grounded = SubsectionPlan(layer, SURVIVOR_TEXT).ground(
+        grounded = SubsectionPlan(layer, SURVIVOR_TEXT, 0.5).ground(
             ValueMap({"taxpayer": "Alice", "taxable year": "2017"})
         )
         assert grounded == (
@@ -75,14 +75,14 @@ class TestInsertValues:
 
     def test_empty_map_leaves_text_unchanged(self):
         layer = make_layer(SURVIVOR_TEXT, [("taxpayer", "a taxpayer")])
-        assert SubsectionPlan(layer, SURVIVOR_TEXT).ground(ValueMap()) == SURVIVOR_TEXT
+        assert SubsectionPlan(layer, SURVIVOR_TEXT, 0.5).ground(ValueMap()) == SURVIVOR_TEXT
 
     def test_all_mentions_of_a_coreferent_argument_replaced(self):
         text = "the employee works when the employee is told"
         layer = ArgumentLayer(
             "§x", (Span(0, 12), Span(24, 36)), ((0, 1),), ("Employee",)
         )
-        grounded = SubsectionPlan(layer, text).ground(ValueMap({"Employee": "Bob"}))
+        grounded = SubsectionPlan(layer, text, 0.5).ground(ValueMap({"Employee": "Bob"}))
         assert grounded == "Bob works when Bob is told"
 
     def test_text_outside_spans_untouched_and_idempotent(self):
@@ -98,23 +98,22 @@ class TestInsertValues:
             layer = ArgumentLayer("§x", (Span(0, i), Span(j + 1, len(text))), ((0,), (1,)),
                                   ("A", "B"))
             values = ValueMap({"A": "X", "B": "Y"})
-            once = SubsectionPlan(layer, text).ground(values)
+            once = SubsectionPlan(layer, text, 0.5).ground(values)
             assert once == "X" + text[i:j + 1] + "Y"
             again_layer = ArgumentLayer("§x", (Span(0, 1), Span(len(once) - 1, len(once))),
                                         ((0,), (1,)), ("A", "B"))
-            assert SubsectionPlan(again_layer, once).ground(values) == once
+            assert SubsectionPlan(again_layer, once, 0.5).ground(values) == once
 
     def test_truth_valued_argument_reads_by_threshold(self):
         layer = ArgumentLayer("§x", (Span(0, 9),), ((0,),), ("Claim",))
         values = ValueMap({"Claim": 0.6})
-        plan = SubsectionPlan(layer, "the claim holds")
-        assert plan.ground(values) == "true holds"
-        assert plan.ground(values, threshold=0.7) == "false holds"
+        assert SubsectionPlan(layer, "the claim holds", 0.5).ground(values) == "true holds"
+        assert SubsectionPlan(layer, "the claim holds", 0.7).ground(values) == "false holds"
 
     def test_values_kept_when_spans_run_past_the_text(self):
         # A subsection without text is grounded over "": every value stays.
         layer = ArgumentLayer("§x", (Span(0, 3), Span(5, 8)), ((0,), (1,)), ("A", "B"))
-        assert SubsectionPlan(layer, "").ground(ValueMap({"A": "aa", "B": "bb"})) == "aabb"
+        assert SubsectionPlan(layer, "", 0.5).ground(ValueMap({"A": "aa", "B": "bb"})) == "aabb"
 
     @given(st.data())
     def test_equals_the_right_to_left_splice(self, data):
@@ -124,7 +123,7 @@ class TestInsertValues:
         near = st.sampled_from([threshold, math.nextafter(threshold, 0.0), math.nextafter(threshold, 1.0)])
         names = [n for n in layer.cluster_names if n is not None] + ["Unmentioned"]
         values = data.draw(st.dictionaries(st.sampled_from(names), st.one_of(VALUES, near)))
-        assert SubsectionPlan(layer, text).ground(values, threshold) == oracles.insert_values(
+        assert SubsectionPlan(layer, text, threshold).ground(values) == oracles.insert_values(
             text, layer, values, threshold
         )
 
@@ -136,7 +135,7 @@ def oracle_case(cid, query, inputs, expected):
 def instantiate_one(resolver, layer, text, case, config=EngineConfig()):
     """The case's query subsection alone: `instantiate_full` on a one-rule program."""
     program = Program({case.query: Rule(case.query, ())})
-    return instantiate_full(resolver, program, {case.query: layer}, {case.query: text}, case, config)
+    return instantiate_full(resolver, case, RunContext(program, {case.query: layer}, {case.query: text}, config))
 
 
 class TestInstantiateSingle:
@@ -360,9 +359,9 @@ class TestLazyGrounding:
         counted = Counter()
         real = SubsectionPlan.ground
 
-        def counting(plan, values, threshold=0.5):
+        def counting(plan, values):
             counted["ground"] += 1
-            return real(plan, values, threshold)
+            return real(plan, values)
 
         monkeypatch.setattr(SubsectionPlan, "ground", counting)
         return counted
@@ -481,7 +480,7 @@ class TestInstantiateFull:
         texts = {s.id: s.text for s in corpus.subsections.values()}
         # §3306(a)(1)(B) has a body; cap 1 must reduce to the single-subsection run.
         capped = instantiate_full(
-            OracleResolver(), corpus.program, corpus.layers, texts, case, EngineConfig(depth_cap=1)
+            OracleResolver(), case, RunContext(corpus.program, corpus.layers, texts, EngineConfig(depth_cap=1))
         )
         single = instantiate_one(OracleResolver(), corpus.layers[case.query], texts[case.query], case)
         assert dict(capped) == dict(single)
@@ -507,13 +506,13 @@ class TestInstantiateFull:
     def test_surviving_spouse_case_over_tree(self, corpus):
         case = next(c for c in corpus.cases if c.id == "2(a)(1)-positive")
         texts = {s.id: s.text for s in corpus.subsections.values()}
-        result = instantiate_full(OracleResolver(), corpus.program, corpus.layers, texts, case)
+        result = instantiate_full(OracleResolver(), case, RunContext(corpus.program, corpus.layers, texts))
         assert result[TRUTH_KEY] == 1.0
 
     def test_unknown_query_rejected(self, corpus):
         case = oracle_case("x", "§nowhere", {}, {"@truth": 1.0})
         with pytest.raises(EngineError):
-            instantiate_full(OracleResolver(), corpus.program, corpus.layers, {}, case)
+            instantiate_full(OracleResolver(), case, RunContext(corpus.program, corpus.layers, {}))
 
     def test_child_values_flow_back_through_bindings(self, corpus):
         # A scripted resolver fills Grossinc at §63(c)(5)(B); the root then
@@ -529,7 +528,7 @@ class TestInstantiateFull:
                     return ValueMap()
                 return ValueMap({TRUTH_KEY: 0.5})
 
-        result = instantiate_full(Scripted(), corpus.program, corpus.layers, texts, case)
+        result = instantiate_full(Scripted(), case, RunContext(corpus.program, corpus.layers, texts))
         assert result["Grossinc"] == Money(3200)
 
     def test_shared_tree_keeps_cases_apart(self, corpus):
@@ -555,7 +554,7 @@ class TestInstantiateFull:
         )
         shared, _ = run_cases(Echo(), with_cases, "all")
         texts = {s.id: s.text for s in corpus.subsections.values()}
-        alone = [instantiate_full(Echo(), corpus.program, corpus.layers, texts, c) for c in cases]
+        alone = [instantiate_full(Echo(), c, RunContext(corpus.program, corpus.layers, texts)) for c in cases]
         assert [r.predicted for r in shared] == alone
         assert len({tuple(r.items()) for r in alone}) == len(cases)
 
@@ -568,9 +567,9 @@ class TestInstantiateFull:
             built[root_id] += 1
             return real_build(program, root_id, depth_cap)
 
-        def compiling(program, query, *rest):
+        def compiling(context, query):
             compiled[query] += 1
-            return real_compile(program, query, *rest)
+            return real_compile(context, query)
 
         monkeypatch.setattr(engine, "build_dependency_tree", building)
         monkeypatch.setattr(engine, "compile_query", compiling)
@@ -582,9 +581,9 @@ class TestInstantiateFull:
         compiled = []
         real = engine.compile_query
 
-        def compiling(program, query, depth_cap, *rest):
-            compiled.append((query, depth_cap))
-            return real(program, query, depth_cap, *rest)
+        def compiling(context, query):
+            compiled.append((query, context.config.depth_cap))
+            return real(context, query)
 
         monkeypatch.setattr(engine, "compile_query", compiling)
         resolver, runs = Recording(), []
@@ -596,6 +595,18 @@ class TestInstantiateFull:
         monkeypatch.setattr(engine, "compile_query", real)
         fresh, _ = run_cases(Recording(), corpus, "all", EngineConfig(1))
         assert runs[1] == [list(r.predicted.items()) for r in fresh] != runs[0]
+
+    def test_a_context_runs_at_its_own_config(self, corpus):
+        # What one run compiled never answers for another run's config: after
+        # a cap-3 run, a cap-1 run gives the single-subsection answer.
+        case = next(c for c in corpus.cases if c.id == "63(c)(5)-negative")
+        texts = {s.id: s.text for s in corpus.subsections.values()}
+        deep, capped = (RunContext(corpus.program, corpus.layers, texts, EngineConfig(cap)) for cap in (3, 1))
+        results = [instantiate_full(HeuristicResolver(), case, context) for context in (deep, capped)]
+        single = instantiate_one(HeuristicResolver(), corpus.layers[case.query], texts[case.query], case)
+        assert results[1] == single != results[0]
+        assert {s.depth for s in capped.programs[case.query]} == {1}
+        assert max(s.depth for s in deep.programs[case.query]) > 1
 
     def test_determinism(self, corpus):
         config = EngineConfig()
@@ -652,31 +663,43 @@ class TestCompiledProgram:
 
     @staticmethod
     def assert_compiles(program, query, depth_cap, layers, texts):
-        plans = {}
-        steps = engine.compile_query(program, query, depth_cap, layers, texts, plans)
+        context = RunContext(program, layers, texts, EngineConfig(depth_cap))
+        steps = engine.compile_query(context, query)
+        plans = context.plans
         tree = build_dependency_tree(program, query, depth_cap)
         assert [s.index for s in steps] == list(range(len(steps)))
         # Without its "open" steps the program is the tree in post order,
-        # each node visited once.
+        # each node visited once; `node` pairs each step with its node.
         visits = [s for s in steps if s.op != "open"]
-        assert [s.node for s in visits] == post_order(tree.root)
-        assert len({id(s.node) for s in visits}) == len(visits)
-        for i, s in enumerate(steps):
-            node = s.node
-            if isinstance(node, OpNode):
-                assert (s.op, s.arity, s.plan) == (node.kind, len(node.children), None)
+        nodes = post_order(tree.root)
+        assert len(visits) == len(nodes)
+        node = {s.index: n for s, n in zip(visits, nodes)}
+        # An "open" step precedes exactly its subsection's body: opens and
+        # the subsection steps with a body nest like brackets.
+        opened = []
+        for s in steps:
+            if s.op == "open":
+                opened.append(s.index)
+            elif s.op == "subsection" and s.body:
+                node[opened[-1]] = node[s.index]
+                assert [node[t.index] for t in steps[opened.pop() + 1 : s.index] if t.op != "open"] == post_order(
+                    node[s.index].child
+                )
+        assert not opened
+        for s in steps:
+            n = node[s.index]
+            assert s.depth == n.depth
+            if isinstance(n, OpNode):
+                assert (s.op, s.id, s.arity, s.plan) == (n.kind, None, len(n.children), None)
                 continue
-            assert s.op in ("open", "subsection") and s.plan is plans[node.id]
-            assert s.plan.layer.subsection_id == node.id and s.plan.text == texts.get(node.id, "")
-            assert s.root == (node.depth == 1) and s.bindings == (() if s.root else node.bindings)
+            assert s.op in ("open", "subsection") and s.id == n.id and s.plan is plans[n.id]
+            assert (s.plan.layer.subsection_id, s.plan.text, s.plan.threshold) == (n.id, texts.get(n.id, ""), 0.5)
+            assert s.bindings == n.bindings and (n.depth > 1 or s.bindings == ())
             if s.op == "subsection":
-                assert s.body == (node.child is not None) and s.no_text == (node.id not in texts)
+                assert s.body == (n.child is not None) and s.no_text == (n.id not in texts)
             else:
-                # An "open" step precedes exactly its subsection's body.
-                assert node.child is not None
-                end = next(j for j, t in enumerate(steps) if t.node is node and t.op == "subsection")
-                assert [t.node for t in steps[i + 1 : end] if t.op != "open"] == post_order(node.child)
-        assert {s.node.id for s in visits if s.op == "subsection"} == set(plans)
+                assert n.child is not None
+        assert {s.id for s in visits if s.op == "subsection"} == set(plans)
         return steps
 
     @settings(max_examples=60, deadline=None)
@@ -707,12 +730,9 @@ class TestOneWalk:
     def assert_same_run(make_resolver, program, layers, texts, cases, config):
         runs = []
         for instantiate in (instantiate_full, oracles.instantiate_full):
-            resolver, diagnostics, context = Recording(make_resolver()), RunDiagnostics(), RunContext()
-            predicted = [
-                list(instantiate(resolver, program, layers, texts, case, config, diagnostics, context).items())
-                for case in cases
-            ]
-            runs.append((predicted, diagnostics.notes, resolver.requests))
+            resolver, context = Recording(make_resolver()), RunContext(program, layers, texts, config)
+            predicted = [list(instantiate(resolver, case, context).items()) for case in cases]
+            runs.append((predicted, context.notes, resolver.requests))
         assert runs[0] == runs[1]
         return runs[0]
 
@@ -787,9 +807,7 @@ class TestEngineInvariants:
         texts = {s.id: s.text for s in corpus.subsections.values()}
         for resolver in (OracleResolver(), CR(params), HeuristicResolver()):
             for case in corpus.cases:
-                result = instantiate_full(
-                    resolver, corpus.program, corpus.layers, texts, case
-                )
+                result = instantiate_full(resolver, case, RunContext(corpus.program, corpus.layers, texts))
                 assert TRUTH_KEY in result
                 allowed = set(corpus.program.get(case.query).params)
                 allowed |= set(case.inputs) | {TRUTH_KEY}
@@ -879,12 +897,13 @@ class TestEvaluateRun:
 
 class TestNotes:
     def test_each_kind_reads_as_it_always_has(self):
-        diagnostics = RunDiagnostics()
-        diagnostics.note("c1", "§2(a)", "O'Neil", "no value")
-        diagnostics.note("c1", "§2(a)", None, "no truth")
-        diagnostics.note("c1", "§9", None, "no text")
-        diagnostics.note("c1", None, "resolver failed on @truth of §2(a): boom", "error")
-        assert diagnostics.notes == [
+        notes = [
+            ("c1", "§2(a)", "O'Neil", "no value"),
+            ("c1", "§2(a)", None, "no truth"),
+            ("c1", "§9", None, "no text"),
+            ("c1", None, "resolver failed on @truth of §2(a): boom", "error"),
+        ]
+        assert [note_text(note) for note in notes] == [
             "c1: no value for \"O'Neil\" of §2(a)",
             "c1: resolver gave no @truth for §2(a); defaulting to 0.0",
             "c1: no text for §9; grounding over empty text",
@@ -914,11 +933,11 @@ class TestNotes:
 
         case = next(c for c in corpus.cases if c.id == "63(c)(5)-negative")
         texts = {s.id: s.text for s in corpus.subsections.values()}
-        diagnostics = RunDiagnostics()
-        instantiate_full(Nothing(), corpus.program, corpus.layers, texts, case, EngineConfig(1), diagnostics)
+        context = RunContext(corpus.program, corpus.layers, texts, EngineConfig(1))
+        instantiate_full(Nothing(), case, context)
         sid, layer = case.query, corpus.layers[case.query]
         missing = [n for n, _ in layer.labelled_clusters if n not in case.inputs and n != TRUTH_KEY]
-        assert missing and diagnostics.notes == [
+        assert missing and list(map(note_text, context.notes)) == [
             *(f"{case.id}: no value for {n!r} of {sid}" for n in missing),
             f"{case.id}: resolver gave no @truth for {sid}; defaulting to 0.0",
         ]

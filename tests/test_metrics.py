@@ -154,7 +154,7 @@ def unified(items):
     for i, item in enumerate(items):
         name, gold, wrong = ARGUMENTS[item.family]
         case = Case(f"c{i}", "", "§x", ValueMap(), ValueMap({name: gold}), "test")
-        results.append(CaseResult(case, ValueMap({name: gold if item.score else wrong})))
+        results.append(CaseResult(case, ValueMap({name: gold if item.score else wrong}), None))
     return instantiation_report(results, EngineConfig()).unified
 
 

@@ -2,8 +2,11 @@
 in no numeric stack, and pyproject.toml declares no runtime dependency.
 The package root exports nothing, so importing one module loads only what
 that module needs, and each command loads only the modules it runs (and
-never `dataclasses`)."""
+never `dataclasses`). Every name that the benchmark and the scripts import
+from the package exists."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -89,3 +92,30 @@ def test_each_command_loads_only_what_it_runs(command, tmp_path):
     package = sorted(m.removeprefix("statreason.") for m in loaded if m.startswith("statreason."))
     assert package == sorted(SHARED + COMMAND_MODULES[command])
     assert "dataclasses" not in loaded
+
+
+def _package_imports():
+    """(file, module, name) for every name that a file under perfbench/ or
+    scripts/ imports from the package, at any depth; name is None for a
+    plain `import statreason.<module>`."""
+    for path in sorted([*(ROOT / "perfbench").glob("*.py"), *(ROOT / "scripts").glob("*.py")]):
+        where = path.relative_to(ROOT).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "statreason":
+                yield from ((where, node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Import):
+                yield from ((where, a.name, None) for a in node.names if a.name.split(".")[0] == "statreason")
+
+
+def test_benchmark_and_scripts_import_only_names_that_exist():
+    imports = list(_package_imports())
+    assert {where for where, _, _ in imports} >= {"perfbench/layers.py", "scripts/reproduce_tables.py"}
+    missing = []
+    for where, module, name in imports:
+        try:
+            owner = importlib.import_module(module)
+            if name is not None and not hasattr(owner, name):
+                importlib.import_module(f"{module}.{name}")  # a submodule not yet loaded
+        except ImportError:
+            missing.append(f"{where}: {module} has no {name}" if name else f"{where}: no module {module}")
+    assert missing == []

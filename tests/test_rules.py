@@ -17,7 +17,7 @@ from statreason.rules import (
     OpNode,
     SubsectionNode,
 )
-from statreason.engine import EngineConfig, instantiate_full
+from statreason.engine import EngineConfig, RunContext, instantiate_full
 from statreason.model import TRUTH_KEY, Case, ValueMap
 
 from generators import random_clause, random_program
@@ -196,7 +196,7 @@ class TestDependencyTree:
 
         inputs = ValueMap({"Taxp": "Bob", "Taxy": "2017", "Bassd": "x"})
         case = Case("c", "", "§63(c)(5)", inputs, ValueMap(), "test")
-        instantiate_full(Recording(), program, {}, {}, case, EngineConfig(depth_cap=2))
+        instantiate_full(Recording(), case, RunContext(program, {}, {}, EngineConfig(depth_cap=2)))
         assert known["§151(b)"] == {"Spouse": "Bob", "Taxy": "2017"}
         assert known["§63(c)(5)(A)"] == {}
 

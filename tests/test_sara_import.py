@@ -96,6 +96,42 @@ class TestImport:
         line = 2 if relative.startswith("cases") else 1
         assert capsys.readouterr().err == f"{path}:{line}: not UTF-8: invalid start byte (byte 0xff)\n"
 
+    @pytest.mark.parametrize(
+        "name, problem",
+        [
+            ("case 2", "id 'case 2' is empty or holds whitespace, so it would not read back"),
+            ("#case3", "id '#case3' starts with '#', so it would read back as a comment"),
+        ],
+        ids=["whitespace", "comment"],
+    )
+    def test_case_ids_that_would_not_read_back_are_skipped(self, tmp_path, name, problem):
+        source, dest = tmp_path / "dist", tmp_path / "canonical"
+        make_distributed_tree(source)
+        write(source / "cases" / name, (source / "cases" / "case-1-positive").read_text(encoding="utf-8"))
+        log = import_corpus(source, dest)
+        assert log.skipped == [f"case {name}: {problem}"]
+        assert f"case {name}" not in log.imported
+        corpus = load_corpus(dest / "manifest.txt")
+        assert validate_corpus(corpus) == []
+        assert [c.id for c in corpus.cases] == ["case-1-positive"]
+
+    def test_subsection_ids_that_would_not_read_back_are_skipped(self, tmp_path):
+        source, dest = tmp_path / "dist", tmp_path / "canonical"
+        make_distributed_tree(source)
+        for stem in ("#Tax", "Tax rate"):
+            write(source / "spans" / stem, "0 4\n")
+        offsets = source / "statutes" / "section1.offsets"
+        offsets.write_text(offsets.read_text(encoding="utf-8") + "#Tax 0 4\n", encoding="utf-8")
+        log = import_corpus(source, dest)
+        assert sorted(log.skipped) == [
+            "section1.offsets: '#Tax 0 4': id '#Tax' starts with '#', so it would read back as a comment",
+            "spans #Tax: id '#Tax' starts with '#', so it would read back as a comment",
+            "spans Tax rate: id 'Tax rate' is empty or holds whitespace, so it would not read back",
+        ]
+        corpus = load_corpus(dest / "manifest.txt")
+        assert validate_corpus(corpus) == []
+        assert list(corpus.layers) == list(corpus.subsections) == ["§1(d)(iv)"]
+
     def test_cli_wrapper(self, tmp_path, capsys):
         source, dest = tmp_path / "dist", tmp_path / "canonical"
         make_distributed_tree(source)
