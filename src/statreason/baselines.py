@@ -235,10 +235,11 @@ class _Argument:
         self.dollars = "$" in surface or not _MONEY_WORDS.isdisjoint(_WORD_RE.findall(surface))
 
 
-def _argument(arguments: dict[str, _Argument], name: str, request) -> _Argument:
-    """The argument `name` of the request's subsection, kept in `arguments`
-    by its text: the same text always reads the same, so a resolver that
-    serves several runs answers each from its own text."""
+def _argument(arguments: dict[str, _Argument], request) -> _Argument:
+    """The argument the request asks for, kept in `arguments` by its text:
+    the same text always reads the same, so a resolver that serves several
+    runs answers each from its own text."""
+    name = request.argument
     placeholder = request.subsection.placeholder(name)
     text = name if placeholder is None else placeholder
     argument = arguments.get(text)
@@ -257,18 +258,12 @@ class ConstantResolver:
         self.params = params
         self._arguments: dict[str, _Argument] = {}
 
-    def resolve(self, request) -> dict[str, Value]:
-        if not request.required:
-            return {TRUTH_KEY: self.params.majority_truth}
-        out: dict[str, Value] = {}
-        for name in request.required:
-            if name == TRUTH_KEY:
-                out[name] = self.params.majority_truth
-            elif _argument(self._arguments, name, request).dollars:
-                out[name] = Money(self.params.constant_dollars)
-            else:
-                out[name] = self.params.majority_string
-        return out
+    def resolve(self, request) -> Value:
+        if request.argument == TRUTH_KEY:
+            return self.params.majority_truth
+        if _argument(self._arguments, request).dollars:
+            return Money(self.params.constant_dollars)
+        return self.params.majority_string
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +274,11 @@ class OracleResolver:
     """Returns gold values for the case's query subsection; knows nothing
     about any other subsection."""
 
-    def resolve(self, request) -> dict[str, Value]:
+    def resolve(self, request) -> Value | None:
+        default = 0.0 if request.argument == TRUTH_KEY else None
         if request.subsection_id != request.case.query:
-            return {} if request.required else {TRUTH_KEY: 0.0}
-        gold = request.case.expected
-        if not request.required:
-            return {TRUTH_KEY: float(gold.get(TRUTH_KEY, 0.0))}
-        return {n: gold[n] for n in request.required if n in gold}
+            return default
+        return request.case.expected.get(request.argument, default)
 
 
 _CASE_DATE_RE = re.compile(r"\b([A-Z][a-z]{2,8})\.?\s+(\d{1,2})(?:st|nd|rd|th)?(?:,\s*\d{4})?")
@@ -353,22 +346,14 @@ class HeuristicResolver:
         self._arguments: dict[str, _Argument] = {}
         self._pieces: dict[str, tuple[frozenset[str], bool, bool]] = {}
 
-    def resolve(self, request) -> dict[str, Value]:
+    def resolve(self, request) -> Value | None:
         case = request.case
         if case is not self._case:
             self._case, self._features = case, _CaseFeatures(case)
         features = self._features
-        if not request.required:
-            return {TRUTH_KEY: _overlap(request, features.tokens, self._pieces)}
-        out: dict[str, Value] = {}
-        for name in request.required:
-            value = self._value_for(name, request, features)
-            if value is not None:
-                out[name] = value
-        return out
-
-    def _value_for(self, name: str, request, features: _CaseFeatures) -> Value | None:
-        argument = _argument(self._arguments, name, request)
+        if request.argument == TRUTH_KEY:
+            return _overlap(request, features.tokens, self._pieces)
+        argument = _argument(self._arguments, request)
         anchor = _anchor_position(argument.tokens, features.lowered)
         if argument.date:
             return _nearest(features.dates, anchor)

@@ -1,13 +1,14 @@
 """Argument instantiation over subsection dependency trees.
 
 The engine owns the control flow; what a value "is" for a given argument is
-delegated to a pluggable resolver that is queried one argument at a time
-against the partially grounded subsection text, and once more at the end for
-the subsection's truth score. Tree evaluation is depth first: leaves are
-instantiated directly, operator nodes combine their children's results, and
-a subsection above a body absorbs the body's values (mapped back through the
-reference bindings) before being instantiated itself. Every node is resolved
-exactly once; there is no backtracking.
+delegated to a pluggable resolver that is asked for one argument at a time
+against the partially grounded subsection text, and once more, for "@truth",
+for the subsection's truth score. Each answer is one value, or None for no
+answer. Tree evaluation is depth first: leaves are instantiated directly,
+operator nodes combine their children's results, and a subsection above a
+body absorbs the body's values (mapped back through the reference bindings)
+before being instantiated itself. Every node is resolved exactly once; there
+is no backtracking.
 
 Values enter the engine only as `Case.inputs` and checked resolver answers,
 so the engine keeps them in plain dicts.
@@ -30,7 +31,7 @@ from collections.abc import Mapping
 from types import MappingProxyType
 from typing import Protocol
 
-from .model import ArgumentLayer, Case, Frozen, TRUTH_KEY, Value, _set, check_value, layer_of
+from .model import ArgumentLayer, Case, Frozen, TRUTH_KEY, Value, _set, check_truth, check_value, layer_of
 from .records import write_value
 from .rules import OpNode, Program, TreeNode, build_dependency_tree
 
@@ -112,28 +113,30 @@ class SubsectionPlan:
 
 
 class ResolveRequest:
-    """One resolver query: fill `required` arguments (or the truth score when
-    `required` is empty) for a subsection grounded with the values known so far.
+    """One resolver query: the value of `argument`, or the truth score when
+    `argument` is "@truth" (`TRUTH_KEY`), for a subsection grounded with the
+    values known so far.
 
     `text` is the grounded variant, spliced from `grounding` the first time
-    it is read; `source_text` is the original subsection text that the
-    layer's spans index into. `known` is a read-only view and `grounding` a
-    snapshot: the engine never changes a mapping it gave a request.
+    it is read; `subsection.text` is the original text that the layer's
+    spans (`subsection.layer`) index into. `known` is a read-only view and
+    `grounding` a snapshot: the engine never changes a mapping it gave a
+    request.
     """
 
-    __slots__ = ("subsection", "known", "required", "case", "grounding", "_text")
+    __slots__ = ("subsection", "known", "argument", "case", "grounding", "_text")
 
     def __init__(
         self,
         subsection: SubsectionPlan,
         known: Mapping[str, Value],
-        required: tuple[str, ...],
+        argument: str,
         case: Case,
         grounding: Mapping[str, Value] = MappingProxyType({}),
     ):
         self.subsection = subsection
         self.known = known
-        self.required = required
+        self.argument = argument
         self.case = case
         self.grounding = grounding
         self._text: str | None = None
@@ -143,14 +146,6 @@ class ResolveRequest:
         return self.subsection.layer.subsection_id
 
     @property
-    def layer(self) -> ArgumentLayer:
-        return self.subsection.layer
-
-    @property
-    def source_text(self) -> str:
-        return self.subsection.text
-
-    @property
     def text(self) -> str:
         if self._text is None:
             self._text = self.subsection.ground(self.grounding)
@@ -158,13 +153,13 @@ class ResolveRequest:
 
 
 class Resolver(Protocol):
-    """Answers requests one at a time. Any mapping will do as an answer: the
-    engine validates each value it takes from it. A resolver is free to keep
-    what it derives from a case or a subsection for the length of a run;
-    the engine itself compiles each query and builds each subsection's plan
-    once per run."""
+    """Answers requests one at a time, each with the one value asked for or
+    None for no answer; the engine validates every value it is given. A
+    resolver is free to keep what it derives from a case or a subsection for
+    the length of a run; the engine itself compiles each query and builds
+    each subsection's plan once per run."""
 
-    def resolve(self, request: ResolveRequest) -> Mapping[str, Value]: ...
+    def resolve(self, request: ResolveRequest) -> Value | None: ...
 
 
 class EngineError(RuntimeError):
@@ -213,10 +208,11 @@ def _instantiate(
 
     `resolve` is the resolver's `resolve` and `note` appends a note tuple.
     Arguments already present in `inputs` are never re-predicted. Returns
-    inputs plus predictions, always including "@truth". A resolver's answer
-    may be any mapping; each value taken from it is validated here, and an
-    invalid one raises ValueError. `predictions` and `grounding` are
-    replaced, never changed, so requests and results can share them.
+    inputs plus predictions, always including "@truth". An answer of None
+    is no answer (noted; a missing truth score reads 0.0); any other answer
+    is validated here, and an invalid one raises ValueError. `predictions`
+    and `grounding` are replaced, never changed, so requests and results
+    can share them.
     """
     sid = plan.layer.subsection_id
     predictions = grounding = inputs
@@ -225,34 +221,31 @@ def _instantiate(
     for name in plan.arguments:
         if name in predictions:
             continue
-        request = ResolveRequest(plan, known, (name,), case, grounding)
         try:
-            answer = resolve(request)
+            value = resolve(ResolveRequest(plan, known, name, case, grounding))
         except Exception as exc:
             raise EngineError(f"resolver failed on argument {name!r} of {sid}: {exc}") from exc
-        if name in answer:
-            value = check_value(answer[name])
-            shared = grounding is predictions
-            predictions = {**predictions, name: value}
-            known = MappingProxyType(predictions)
-            if insert_gold and name in case.expected:
-                grounding = {**grounding, name: case.expected[name]}
-            else:
-                # The grounding is the predictions until a gold value differs.
-                grounding = predictions if shared else {**grounding, name: value}
-        else:
+        if value is None:
             note((case.id, sid, name, "no value"))
+            continue
+        value = check_value(value)
+        shared = grounding is predictions
+        predictions = {**predictions, name: value}
+        known = MappingProxyType(predictions)
+        if insert_gold and name in case.expected:
+            grounding = {**grounding, name: case.expected[name]}
+        else:
+            # The grounding is the predictions until a gold value differs.
+            grounding = predictions if shared else {**grounding, name: value}
 
-    request = ResolveRequest(plan, known, (), case, grounding)
     try:
-        answer = resolve(request)
+        truth = resolve(ResolveRequest(plan, known, TRUTH_KEY, case, grounding))
     except Exception as exc:
         raise EngineError(f"resolver failed on @truth of {sid}: {exc}") from exc
-    truth = answer.get(TRUTH_KEY)
     if truth is None:
         note((case.id, sid, None, "no truth"))
         truth = 0.0
-    return {**predictions, TRUTH_KEY: check_value(float(truth))}
+    return {**predictions, TRUTH_KEY: check_truth(truth)}
 
 
 def do_operation(kind: str, children: list[dict[str, Value]]) -> dict[str, Value]:

@@ -107,6 +107,13 @@ def check_value(value: Value) -> Value:
     return value
 
 
+def check_truth(value: Value) -> float:
+    """Validate a value held under "@truth", returning it unchanged."""
+    if value_kind(check_value(value)) != "truth":
+        raise ValueError(f"{TRUTH_KEY} must hold a truth score, got {value!r}")
+    return value
+
+
 class ValueMap(Mapping):
     """An ordered, immutable mapping of argument names to values: a case's
     inputs and expected values as loaded.
@@ -124,10 +131,7 @@ class ValueMap(Mapping):
         for name, value in pairs:
             if name in items:
                 raise ValueError(f"duplicate argument name: {name!r}")
-            check_value(value)
-            if name == TRUTH_KEY and value_kind(value) != "truth":
-                raise ValueError(f"{TRUTH_KEY} must hold a truth score, got {value!r}")
-            items[name] = value
+            items[name] = check_truth(value) if name == TRUTH_KEY else check_value(value)
         object.__setattr__(self, "_items", items)
 
     def __getitem__(self, key: str) -> Value:

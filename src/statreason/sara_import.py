@@ -20,7 +20,8 @@ nowhere else. The importer expects:
 Subsection ids appear in file names with "/" unusable, so "§63(c)(5)" is
 stored as "63_c_5" (leading "§" dropped, parenthesized parts joined by "_").
 Records that do not fit are skipped and logged, never guessed at; so is an
-item whose id would not read back at the start of a record line. Files are
+item whose id or name would not read back as written, a malformed subsection
+id, and a layer for a subsection that was not imported. Files are
 read as the corpus loader reads them (UTF-8, universal newlines); a byte that
 is not UTF-8 stops the import with its `path:line`.
 """
@@ -32,7 +33,7 @@ from pathlib import Path
 
 from . import records
 from .model import ArgumentLayer, Case, Span, ValueMap, matrix_to_clusters
-from .corpus import _read, serialize_cases, serialize_coref, serialize_spans
+from .corpus import _read, _well_formed_id, serialize_cases, serialize_coref, serialize_spans
 from .rules import parse_program
 
 
@@ -59,14 +60,17 @@ def file_stem_to_id(stem: str) -> str:
     return "§" + parts[0] + "".join(f"({p})" for p in parts[1:])
 
 
-def _readable(record_id: str, what: str, log: ImportLog) -> bool:
+def _readable(record_id: str, what: str, log: ImportLog, subsection: bool = False) -> bool:
     """Whether `record_id` reads back at the start of a record line, where
     the reader takes the id up to the first whitespace and skips a line
-    that starts with "#"; if not, `what` is logged as skipped."""
+    that starts with "#", and, for a `subsection` id, whether the loader
+    takes it as well formed; if not, `what` is logged as skipped."""
     if record_id.split() != [record_id]:
         problem = "is empty or holds whitespace, so it would not read back"
     elif record_id.startswith("#"):
         problem = "starts with '#', so it would read back as a comment"
+    elif subsection and not _well_formed_id(record_id):
+        problem = "is a malformed subsection id"
     else:
         return True
     log.skip(what, f"id {record_id!r} {problem}")
@@ -82,6 +86,7 @@ def import_corpus(source: str | Path, dest: str | Path) -> ImportLog:
     (dest / "cases").mkdir(exist_ok=True)
 
     offsets_lines = []
+    imported = set()  # subsection ids
     for text_path in sorted((source / "statutes").glob("*.txt")):
         offsets_path = text_path.with_suffix(".offsets")
         if not offsets_path.exists():
@@ -94,8 +99,9 @@ def import_corpus(source: str | Path, dest: str | Path) -> ImportLog:
                 if line.strip():
                     log.skip(f"{offsets_path.name}: {line!r}", "expected '<id> <start> <end>'")
                 continue
-            if not _readable(parts[0], f"{offsets_path.name}: {line!r}", log):
+            if not _readable(parts[0], f"{offsets_path.name}: {line!r}", log, subsection=True):
                 continue
+            imported.add(parts[0])
             offsets_lines.append(
                 f"{parts[0]} file={records.write_text(text_path.name)}"
                 f" start={parts[1]} end={parts[2]}"
@@ -108,7 +114,10 @@ def import_corpus(source: str | Path, dest: str | Path) -> ImportLog:
     if spans_dir.is_dir():
         for span_path in sorted(spans_dir.iterdir()):
             sid = file_stem_to_id(span_path.name)
-            if not _readable(sid, f"spans {span_path.name}", log):
+            if not _readable(sid, f"spans {span_path.name}", log, subsection=True):
+                continue
+            if sid not in imported:
+                log.skip(f"spans {span_path.name}", f"subsection {sid} was not imported")
                 continue
             spans = []
             bad = False
@@ -209,6 +218,9 @@ def _read_clusters(coref_dir: Path, name: str, n_spans: int, log: ImportLog):
                 if line.strip():
                     log.skip(f"coref names {name}: {line!r}", "expected '<cluster_index> <name>'")
                 continue
+            if not records._KEY_RE.fullmatch(parts[1]):
+                log.skip(f"coref names {name}: {line!r}", f"name {parts[1]!r} is not a record key")
+                continue
             names[int(parts[0])] = parts[1]
     return clusters, tuple(names)
 
@@ -250,5 +262,8 @@ def _parse_pairs(block: str, where: str) -> ValueMap:
         if "=" not in line:
             raise records.RecordError(f"expected '<name>=<value>', got {line!r}")
         name, _, literal = line.partition("=")
-        entries.append(records.Entry(name.strip(), records.parse_value_literal(literal.strip())))
+        name = name.strip()
+        if not records._KEY_RE.fullmatch(name):
+            raise records.RecordError(f"{where}: name {name!r} is not a record key")
+        entries.append(records.Entry(name, records.parse_value_literal(literal.strip())))
     return records.as_value_map(entries, where)

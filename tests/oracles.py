@@ -237,9 +237,10 @@ def wants_dollars(argument: str, layer: ArgumentLayer, source_text: str) -> bool
 def value_for(name: str, request) -> Value | None:
     """`HeuristicResolver._value_for` as first written."""
     description = request.case.description
-    spans = request.layer.spans_of(name)
-    if spans and request.source_text:
-        surface = " ".join(s.slice(request.source_text) for s in spans).lower()
+    layer, text = request.subsection.layer, request.subsection.text
+    spans = layer.spans_of(name)
+    if spans and text:
+        surface = " ".join(s.slice(text) for s in spans).lower()
     else:
         surface = name.lower()
     anchor = _anchor_position(surface, description)
@@ -252,7 +253,7 @@ def value_for(name: str, request) -> Value | None:
         ]
         candidates += [(m.start(), m.group()) for m in _CASE_YEAR_RE.finditer(description)]
         return _nearest(candidates, anchor)
-    if wants_dollars(name, request.layer, request.source_text):
+    if wants_dollars(name, layer, text):
         candidates = [
             (m.start(), Money(int(m.group(1).replace(",", ""))))
             for m in _CASE_MONEY_RE.finditer(description)
@@ -295,31 +296,27 @@ def overlap_score(grounded: str, description: str) -> float:
     return len(sub & case_tokens) / len(sub)
 
 
-def resolver_answer(resolver, request, text: str) -> dict[str, Value]:
+def resolver_answer(resolver, request, text: str) -> Value | None:
     """What a built-in resolver answered as first written, for `request`
     grounded as `text`: placeholders and case features re-derived per call."""
-    case = request.case
+    case, name = request.case, request.argument
     if isinstance(resolver, OracleResolver):
         if request.subsection_id != case.query:
-            return {} if request.required else {TRUTH_KEY: 0.0}
-        if not request.required:
-            return {TRUTH_KEY: float(case.expected.get(TRUTH_KEY, 0.0))}
-        return {n: case.expected[n] for n in request.required if n in case.expected}
+            return 0.0 if name == TRUTH_KEY else None
+        if name == TRUTH_KEY:
+            return float(case.expected.get(TRUTH_KEY, 0.0))
+        return case.expected[name] if name in case.expected else None
     if isinstance(resolver, ConstantResolver):
         params = resolver.params
-        if not request.required:
-            return {TRUTH_KEY: params.majority_truth}
-        return {
-            name: params.majority_truth if name == TRUTH_KEY
-            else Money(params.constant_dollars) if wants_dollars(name, request.layer, request.source_text)
-            else params.majority_string
-            for name in request.required
-        }
+        if name == TRUTH_KEY:
+            return params.majority_truth
+        if wants_dollars(name, request.subsection.layer, request.subsection.text):
+            return Money(params.constant_dollars)
+        return params.majority_string
     assert isinstance(resolver, HeuristicResolver)
-    if not request.required:
-        return {TRUTH_KEY: overlap_score(text, case.description)}
-    answers = {name: value_for(name, request) for name in request.required}
-    return {name: value for name, value in answers.items() if value is not None}
+    if name == TRUTH_KEY:
+        return overlap_score(text, case.description)
+    return value_for(name, request)
 
 
 def tree_depth(tree: DepTree) -> int:
@@ -430,13 +427,13 @@ def _instantiate(
     for name in plan.arguments:
         if name in predictions:
             continue
-        request = ResolveRequest(plan, MappingProxyType(predictions), (name,), case, grounding)
+        request = ResolveRequest(plan, MappingProxyType(predictions), name, case, grounding)
         try:
             answer = resolver.resolve(request)
         except Exception as exc:
             raise EngineError(f"resolver failed on argument {name!r} of {sid}: {exc}") from exc
-        if name in answer:
-            value = check_value(answer[name])
+        if answer is not None:
+            value = check_value(answer)
             predictions = {**predictions, name: value}
             if config.insert_gold and name in case.expected:
                 value = case.expected[name]
@@ -444,12 +441,11 @@ def _instantiate(
         else:
             notes.append((case.id, sid, name, "no value"))
 
-    request = ResolveRequest(plan, MappingProxyType(predictions), (), case, grounding)
+    request = ResolveRequest(plan, MappingProxyType(predictions), TRUTH_KEY, case, grounding)
     try:
-        answer = resolver.resolve(request)
+        truth = resolver.resolve(request)
     except Exception as exc:
         raise EngineError(f"resolver failed on @truth of {sid}: {exc}") from exc
-    truth = answer.get(TRUTH_KEY)
     if truth is None:
         notes.append((case.id, sid, None, "no truth"))
         truth = 0.0

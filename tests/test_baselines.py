@@ -269,9 +269,9 @@ class TestDollarSweep:
                    for c in constant_candidates(targets) if c < fitted)
 
 
-def request(layer, text, case, required, known=ValueMap()):
+def request(layer, text, case, argument, known=ValueMap()):
     """A request over `text` with nothing grounded yet."""
-    return ResolveRequest(SubsectionPlan(layer, text, 0.5), known, required, case)
+    return ResolveRequest(SubsectionPlan(layer, text, 0.5), known, argument, case)
 
 
 class TestConstantResolver:
@@ -279,22 +279,19 @@ class TestConstantResolver:
 
     def test_truth_request(self):
         case = Case("x", "d", "§x", ValueMap(), ValueMap({"@truth": 1.0}))
-        out = ConstantResolver(self.PARAMS).resolve(request(empty_layer("§x"), "", case, ()))
-        assert dict(out) == {TRUTH_KEY: 1.0}
+        assert ConstantResolver(self.PARAMS).resolve(request(empty_layer("§x"), "", case, TRUTH_KEY)) == 1.0
 
     def test_money_argument(self, corpus):
         layer = corpus.layers["Tax"]
         text = corpus.subsections["Tax"].text
         case = Case("x", "d", "Tax", ValueMap(), ValueMap({"@truth": 1.0}))
-        out = ConstantResolver(self.PARAMS).resolve(request(layer, text, case, ("Tax",)))
-        assert out["Tax"] == Money(42000)
+        assert ConstantResolver(self.PARAMS).resolve(request(layer, text, case, "Tax")) == Money(42000)
 
     def test_string_argument(self, corpus):
         layer = corpus.layers["§151(b)"]
         text = corpus.subsections["§151(b)"].text
         case = Case("x", "d", "§151(b)", ValueMap(), ValueMap({"@truth": 1.0}))
-        out = ConstantResolver(self.PARAMS).resolve(request(layer, text, case, ("Spouse",)))
-        assert out["Spouse"] == "Bob"
+        assert ConstantResolver(self.PARAMS).resolve(request(layer, text, case, "Spouse")) == "Bob"
 
     def test_ignores_case_description(self, corpus):
         layer = corpus.layers["§151(b)"]
@@ -303,7 +300,7 @@ class TestConstantResolver:
         outs = []
         for description in ("nothing here", "Eve paid $999999 on Jan 1"):
             case = Case("x", description, "§151(b)", ValueMap(), ValueMap({"@truth": 1.0}))
-            outs.append(dict(resolver.resolve(request(layer, text, case, ("Spouse", "Taxy")))))
+            outs.append([resolver.resolve(request(layer, text, case, name)) for name in ("Spouse", "Taxy")])
         assert outs[0] == outs[1]
 
     @given(texts_with_layers(st.sampled_from(WORDS)), st.sampled_from(["Taxy", "Grossinc", "Spouse"]))
@@ -313,14 +310,15 @@ class TestConstantResolver:
         for name in [n for n in layer.cluster_names if n not in (None, TRUTH_KEY)] + [unmentioned]:
             expected = oracles.wants_dollars(name, layer, text)
             case = Case("x", "d", "§x", ValueMap(), ValueMap({"@truth": 1.0}))
-            answer = ConstantResolver(self.PARAMS).resolve(ResolveRequest(plan, ValueMap(), (name,), case))
-            assert (answer[name] == Money(42000)) == expected
+            answer = ConstantResolver(self.PARAMS).resolve(ResolveRequest(plan, ValueMap(), name, case))
+            assert (answer == Money(42000)) == expected
 
     def test_taxpayer_is_not_a_dollar_argument(self, corpus):
         layer = corpus.layers["§63(c)(5)"]
         text = corpus.subsections["§63(c)(5)"].text
         case = Case("x", "d", "§63(c)(5)", ValueMap(), ValueMap({"@truth": 1.0}))
-        out = ConstantResolver(self.PARAMS).resolve(request(layer, text, case, ("S45", "S44B", "Bassd")))
+        resolver = ConstantResolver(self.PARAMS)
+        out = {name: resolver.resolve(request(layer, text, case, name)) for name in ("S45", "S44B", "Bassd")}
         assert out["S45"] == "Bob"             # "another taxpayer"
         assert out["S44B"] == Money(42000)     # "a deduction"
         assert out["Bassd"] == Money(42000)    # "the basic standard deduction"
@@ -331,8 +329,7 @@ class TestHeuristicResolver:
         case = next(c for c in corpus.cases if c.id == "3306(a)(1)(B)-positive")
         layer = corpus.layers[case.query]
         text = corpus.subsections[case.query].text
-        out = HeuristicResolver().resolve(request(layer, text, case, ("Employee",), case.inputs))
-        assert out["Employee"] == "Bob"
+        assert HeuristicResolver().resolve(request(layer, text, case, "Employee", case.inputs)) == "Bob"
 
     @given(texts_with_layers(st.sampled_from(WORDS)), DESCRIPTIONS, st.sampled_from(["Bob", "Alice"]))
     def test_answers_as_first_written(self, setting, description, known):
@@ -342,23 +339,21 @@ class TestHeuristicResolver:
         resolver = HeuristicResolver()
         names = [n for n in layer.cluster_names if n not in (None, TRUTH_KEY)] + ["Taxy"]
         for name in names + names:  # the second round reads the kept case features
-            request = ResolveRequest(plan, ValueMap({"Spouse": known}), (name,), case)
+            request = ResolveRequest(plan, ValueMap({"Spouse": known}), name, case)
             assert resolver.resolve(request) == oracles.resolver_answer(resolver, request, text)
-        request = ResolveRequest(plan, ValueMap(), (), case)
-        assert resolver.resolve(request) == {TRUTH_KEY: oracles.overlap_score(text, description)}
+        request = ResolveRequest(plan, ValueMap(), TRUTH_KEY, case)
+        assert resolver.resolve(request) == oracles.overlap_score(text, description)
 
     def test_money_argument_without_amounts_left_absent(self, corpus):
         case = Case("x", "no numbers in this story", "Tax", ValueMap(),
                     ValueMap({"Tax": Money(1), "@truth": 1.0}))
         layer = corpus.layers["Tax"]
         text = corpus.subsections["Tax"].text
-        out = HeuristicResolver().resolve(request(layer, text, case, ("Tax",)))
-        assert "Tax" not in out
+        assert HeuristicResolver().resolve(request(layer, text, case, "Tax")) is None
 
     def test_identical_texts_score_full_truth(self):
         case = Case("x", "the very same words", "§x", ValueMap(), ValueMap({"@truth": 1.0}))
-        out = HeuristicResolver().resolve(request(empty_layer("§x"), "the very same words", case, ()))
-        assert out[TRUTH_KEY] == 1.0
+        assert HeuristicResolver().resolve(request(empty_layer("§x"), "the very same words", case, TRUTH_KEY)) == 1.0
 
     # Text that meets its neighbours: token characters at either end,
     # letters that lowercase to a token character ("K" is the Kelvin sign)
@@ -372,22 +367,21 @@ class TestHeuristicResolver:
         names = [n for n in layer.cluster_names if n not in (None, TRUTH_KEY)]
         grounding = {n: data.draw(self.SURFACES) for n in names if data.draw(st.booleans())}
         case = Case("x", description, "§x", ValueMap(), ValueMap({"@truth": 1.0}))
-        request = ResolveRequest(SubsectionPlan(layer, text, 0.5), ValueMap(), (), case, grounding)
-        expected = oracles.overlap_score(request.text, case.description)
-        assert HeuristicResolver().resolve(request) == {TRUTH_KEY: expected}
+        request = ResolveRequest(SubsectionPlan(layer, text, 0.5), ValueMap(), TRUTH_KEY, case, grounding)
+        assert HeuristicResolver().resolve(request) == oracles.overlap_score(request.text, case.description)
 
     def test_a_token_across_a_cut_reads_the_whole_text(self):
         # "a" + "x" ground to the one token "ax", which neither piece holds.
         layer = ArgumentLayer("§x", (Span(1, 2),), ((0,),), ("A",))
         case = Case("x", "ax", "§x", ValueMap(), ValueMap({"@truth": 1.0}))
-        request = ResolveRequest(SubsectionPlan(layer, "ab cd", 0.5), ValueMap(), (), case, {"A": "x"})
+        request = ResolveRequest(SubsectionPlan(layer, "ab cd", 0.5), ValueMap(), TRUTH_KEY, case, {"A": "x"})
         assert request.text == "ax cd"
-        assert HeuristicResolver().resolve(request) == {TRUTH_KEY: 0.5}
+        assert HeuristicResolver().resolve(request) == 0.5
 
     def test_overlap_score_bounds(self):
         def truth(text, description):
             case = Case("x", description, "§x", ValueMap(), ValueMap({"@truth": 1.0}))
-            return HeuristicResolver().resolve(request(empty_layer("§x"), text, case, ()))[TRUTH_KEY]
+            return HeuristicResolver().resolve(request(empty_layer("§x"), text, case, TRUTH_KEY))
 
         assert truth("", "anything") == 0.0
         assert 0.0 <= truth("some shared words", "shared words appear") <= 1.0
@@ -396,13 +390,10 @@ class TestHeuristicResolver:
 class TestOracleResolver:
     def test_other_subsections_get_nothing(self, corpus):
         case = next(c for c in corpus.cases if c.id == "tax-case-5")
-        out = OracleResolver().resolve(request(empty_layer("§1(d)(iv)"), "", case, ("Tax",)))
-        assert dict(out) == {}
-        out = OracleResolver().resolve(request(empty_layer("§1(d)(iv)"), "", case, ()))
-        assert dict(out) == {TRUTH_KEY: 0.0}
+        assert OracleResolver().resolve(request(empty_layer("§1(d)(iv)"), "", case, "Tax")) is None
+        assert OracleResolver().resolve(request(empty_layer("§1(d)(iv)"), "", case, TRUTH_KEY)) == 0.0
 
     def test_query_subsection_reads_gold(self, corpus):
         case = next(c for c in corpus.cases if c.id == "tax-case-5")
         layer = corpus.layers["Tax"]
-        out = OracleResolver().resolve(request(layer, "", case, ("Tax",)))
-        assert out["Tax"] == Money(116066)
+        assert OracleResolver().resolve(request(layer, "", case, "Tax")) == Money(116066)

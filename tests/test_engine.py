@@ -132,10 +132,15 @@ def oracle_case(cid, query, inputs, expected):
     return Case(cid, "description", query, ValueMap(inputs), ValueMap(expected), "test")
 
 
-def instantiate_one(resolver, layer, text, case, config=EngineConfig()):
-    """The case's query subsection alone: `instantiate_full` on a one-rule program."""
+def one_rule_context(layer, text, case, config=EngineConfig()):
+    """A run of the case's query subsection alone, on a one-rule program."""
     program = Program({case.query: Rule(case.query, ())})
-    return instantiate_full(resolver, case, RunContext(program, {case.query: layer}, {case.query: text}, config))
+    return RunContext(program, {case.query: layer}, {case.query: text}, config)
+
+
+def instantiate_one(resolver, layer, text, case, config=EngineConfig()):
+    """The case's query subsection alone: `instantiate_full` in a `one_rule_context`."""
+    return instantiate_full(resolver, case, one_rule_context(layer, text, case, config))
 
 
 class TestInstantiateSingle:
@@ -146,11 +151,11 @@ class TestInstantiateSingle:
 
         class Spy:
             def resolve(self, request):
-                calls.append(request.required)
-                return ValueMap({TRUTH_KEY: 1.0})
+                calls.append(request.argument)
+                return 1.0
 
         result = instantiate_one(Spy(), layer, SURVIVOR_TEXT, case)
-        assert calls == [()]
+        assert calls == [TRUTH_KEY]
         assert dict(result) == {"Taxp": "Alice", "Taxy": "2017", TRUTH_KEY: 1.0}
 
     def test_oracle_on_negative_case(self, corpus):
@@ -178,11 +183,11 @@ class TestInstantiateSingle:
 
         class Spy:
             def resolve(self, request):
-                seen.extend(request.required)
-                return ValueMap()
+                seen.append(request.argument)
+                return None
 
         instantiate_one(Spy(), layer, text, case)
-        assert seen == ["Workday", "Preccaly", "S13A", "Employee", "Employment", "S16"]
+        assert seen == ["Workday", "Preccaly", "S13A", "Employee", "Employment", "S16", TRUTH_KEY]
 
     def test_grounded_truth_values_read_by_the_threshold(self):
         layer = ArgumentLayer("§x", (Span(0, 9),), ((0,),), ("Claim",))
@@ -191,10 +196,10 @@ class TestInstantiateSingle:
 
         class Spy:
             def resolve(self, request):
-                if request.required:
-                    return {"Claim": 0.6}
+                if request.argument != TRUTH_KEY:
+                    return 0.6
                 texts.append(request.text)
-                return {TRUTH_KEY: 1.0}
+                return 1.0
 
         for threshold in (0.5, 0.7):
             instantiate_one(Spy(), layer, "the claim holds", case, EngineConfig(truth_threshold=threshold))
@@ -220,10 +225,10 @@ class TestInstantiateSingle:
 
         class Wrong:
             def resolve(self, request):
-                if request.required:
-                    grounded_seen[request.required[0]] = request.text
-                    return ValueMap({request.required[0]: "WRONG"})
-                return ValueMap({TRUTH_KEY: 1.0})
+                if request.argument != TRUTH_KEY:
+                    grounded_seen[request.argument] = request.text
+                    return "WRONG"
+                return 1.0
 
         config = EngineConfig(insert_gold=True)
         result = instantiate_one(Wrong(), layer, text, case, config)
@@ -234,16 +239,14 @@ class TestInstantiateSingle:
 
 
 class PlainDict:
-    """Answers with plain dicts: `value` for every argument, `truth` for the
-    truth request."""
+    """Answers `value` for every argument and `truth` for the truth
+    request."""
 
     def __init__(self, value="Bob", truth=1.0):
         self.value, self.truth = value, truth
 
     def resolve(self, request):
-        if request.required:
-            return {request.required[0]: self.value}
-        return {TRUTH_KEY: self.truth}
+        return self.truth if request.argument == TRUTH_KEY else self.value
 
 
 class TestResolverBoundary:
@@ -261,7 +264,11 @@ class TestResolverBoundary:
             (PlainDict(truth=-0.25), "truth score out of [0, 1]: -0.25"),
             (PlainDict(value=True), "booleans are not values; encode truth as a score in [0, 1]"),
             (PlainDict(value=("a", 1)), "heterogeneous list value: kinds ['number', 'text']"),
-            (PlainDict(value=None), "unsupported value type: NoneType"),
+            # A truth score is checked as a loaded case's @truth is.
+            (PlainDict(truth=True), "booleans are not values; encode truth as a score in [0, 1]"),
+            (PlainDict(truth="0.7"), "@truth must hold a truth score, got '0.7'"),
+            (PlainDict(truth=Money(5)), "@truth must hold a truth score, got Money(dollars=5)"),
+            (PlainDict(truth=1), "@truth must hold a truth score, got 1"),
         ],
     )
     def test_invalid_plain_answer_raises_value_error(self, setting, resolver, message):
@@ -271,12 +278,34 @@ class TestResolverBoundary:
         assert type(exc.value) is ValueError
         assert str(exc.value) == message
 
+    def test_none_is_no_answer(self, setting):
+        # No value for an argument leaves it out; no truth score reads 0.0.
+        # Each is noted.
+        layer, text, case = setting
+        context = one_rule_context(layer, text, case)
+        result = instantiate_full(PlainDict(value=None, truth=None), case, context)
+        assert result == {**case.inputs, TRUTH_KEY: 0.0}
+        missing = [n for n in SubsectionPlan(layer, text, 0.5).arguments if n not in case.inputs]
+        assert missing and context.notes == [
+            *((case.id, case.query, n, "no value") for n in missing),
+            (case.id, case.query, None, "no truth"),
+        ]
+
+    @pytest.mark.parametrize("value", ["", 0.0, Money(0)], ids=["empty", "zero", "no-dollars"])
+    def test_empty_and_zero_answers_are_answers(self, setting, value):
+        layer, text, case = setting
+        context = one_rule_context(layer, text, case)
+        result = instantiate_full(PlainDict(value=value, truth=0.0), case, context)
+        missing = [n for n in SubsectionPlan(layer, text, 0.5).arguments if n not in case.inputs]
+        assert result == {**case.inputs, **dict.fromkeys(missing, value), TRUTH_KEY: 0.0}
+        assert context.notes == []
+
     def test_invalid_value_map_answer_is_a_resolver_failure(self, setting):
         layer, text, case = setting
 
         class Building:
             def resolve(self, request):
-                return ValueMap({TRUTH_KEY: 1.5})
+                return ValueMap({TRUTH_KEY: 1.5})[TRUTH_KEY]
 
         with pytest.raises(EngineError) as exc:
             instantiate_one(Building(), layer, text, case)
@@ -319,17 +348,17 @@ class Replay:
         if self.grounding is None:
             self.grounding = dict(request.known)
         text = oracles.insert_values(
-            request.source_text, request.layer, self.grounding, self.config.truth_threshold
+            request.subsection.text, request.subsection.layer, self.grounding, self.config.truth_threshold
         )
         assert request.text == text
         answer = self.inner.resolve(request)
         assert answer == oracles.resolver_answer(self.inner, request, text)
-        if not request.required:
+        if request.argument == TRUTH_KEY:
             self.grounding = None
-        elif request.required[0] in answer:
-            name, case = request.required[0], request.case
+        elif answer is not None:
+            name, case = request.argument, request.case
             gold = self.config.insert_gold and name in case.expected
-            self.grounding[name] = case.expected[name] if gold else answer[name]
+            self.grounding[name] = case.expected[name] if gold else answer
         return answer
 
 
@@ -379,7 +408,7 @@ class TestLazyGrounding:
                 first, second = request.text, request.text
                 assert first is second
                 seen.append(first)
-                return {request.required[0]: "Bob"} if request.required else {TRUTH_KEY: 1.0}
+                return 1.0 if request.argument == TRUTH_KEY else "Bob"
 
         run_cases(ReadsTwice(), corpus, "all")
         assert groundings["ground"] == len(seen) > 0
@@ -393,7 +422,7 @@ class TestLazyGrounding:
 
             def resolve(self, request):
                 self.seen.append(request.text if self.read_now else request)
-                return {request.required[0]: "Bob"} if request.required else {TRUTH_KEY: 1.0}
+                return 1.0 if request.argument == TRUTH_KEY else "Bob"
 
         config = EngineConfig(insert_gold=True)
         eager, late = Answers(True), Answers(False)
@@ -522,11 +551,9 @@ class TestInstantiateFull:
 
         class Scripted:
             def resolve(self, request):
-                if request.subsection_id == "§63(c)(5)(B)" and request.required == ("Grossinc",):
-                    return ValueMap({"Grossinc": Money(3200)})
-                if request.required:
-                    return ValueMap()
-                return ValueMap({TRUTH_KEY: 0.5})
+                if request.subsection_id == "§63(c)(5)(B)" and request.argument == "Grossinc":
+                    return Money(3200)
+                return 0.5 if request.argument == TRUTH_KEY else None
 
         result = instantiate_full(Scripted(), case, RunContext(corpus.program, corpus.layers, texts))
         assert result["Grossinc"] == Money(3200)
@@ -537,9 +564,9 @@ class TestInstantiateFull:
         class Echo:
             def resolve(self, request):
                 known = sorted(f"{k}={v}" for k, v in request.known.items())
-                if request.required:
-                    return ValueMap({request.required[0]: ";".join(known) or "none"})
-                return ValueMap({TRUTH_KEY: len(known) / (len(known) + 1)})
+                if request.argument == TRUTH_KEY:
+                    return len(known) / (len(known) + 1)
+                return ";".join(known) or "none"
 
         base = [c for c in corpus.cases if c.query == "§63(c)(5)"]
         cases = base + [
@@ -618,7 +645,7 @@ class TestInstantiateFull:
 
 
 class Recording:
-    """Records every request as (subsection, required, known, text). Answers
+    """Records every request as (subsection, argument, known, text). Answers
     with `inner`, or else from what the request knows: a value or truth score
     that depends on `known`, and now and then no answer at all."""
 
@@ -627,13 +654,13 @@ class Recording:
 
     def resolve(self, request):
         known = dict(request.known)
-        self.requests.append((request.subsection_id, request.required, known, request.text))
+        self.requests.append((request.subsection_id, request.argument, known, request.text))
         if self.inner is not None:
             return self.inner.resolve(request)
-        digest = zlib.crc32(repr((request.subsection_id, request.required, sorted(known.items()))).encode())
-        if request.required:
-            return {} if digest % 4 == 0 else {request.required[0]: f"v{digest % 7}"}
-        return {} if digest % 5 == 0 else {TRUTH_KEY: (digest % 11) / 10}
+        digest = zlib.crc32(repr((request.subsection_id, request.argument, sorted(known.items()))).encode())
+        if request.argument == TRUTH_KEY:
+            return None if digest % 5 == 0 else (digest % 11) / 10
+        return None if digest % 4 == 0 else f"v{digest % 7}"
 
 
 def rule_texts_and_layers(program):
@@ -832,9 +859,7 @@ class TestEvaluateRun:
             def resolve(self, request):
                 if request.case.id == "tax-case-4":
                     raise RuntimeError("bad case")
-                if request.required:
-                    return ValueMap()
-                return ValueMap({TRUTH_KEY: 1.0})
+                return 1.0 if request.argument == TRUTH_KEY else None
 
         results, report = evaluate_run(Boom(), corpus, "test")
         assert len(results) == 5
@@ -848,9 +873,9 @@ class TestEvaluateRun:
 
         class Assigns(OracleResolver):
             def resolve(self, request):
-                if request.case.id == "tax-case-4" and request.required:
-                    assigned.append(request.required[0])
-                    request.known[request.required[0]] = "X"
+                if request.case.id == "tax-case-4" and request.argument != TRUTH_KEY:
+                    assigned.append(request.argument)
+                    request.known[request.argument] = "X"
                 return super().resolve(request)
 
         results, _ = run_cases(Assigns(), corpus, "test")
@@ -929,7 +954,7 @@ class TestNotes:
         # noted, then its truth score, in the order they were asked for.
         class Nothing:
             def resolve(self, request):
-                return {}
+                return None
 
         case = next(c for c in corpus.cases if c.id == "63(c)(5)-negative")
         texts = {s.id: s.text for s in corpus.subsections.values()}

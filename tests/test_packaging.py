@@ -3,11 +3,13 @@ in no numeric stack, and pyproject.toml declares no runtime dependency.
 The package root exports nothing, so importing one module loads only what
 that module needs, and each command loads only the modules it runs (and
 never `dataclasses`). Every name that the benchmark and the scripts import
-from the package exists."""
+from the package exists, and so does every name README's library table
+lists."""
 
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -118,4 +120,19 @@ def test_benchmark_and_scripts_import_only_names_that_exist():
                 importlib.import_module(f"{module}.{name}")  # a submodule not yet loaded
         except ImportError:
             missing.append(f"{where}: {module} has no {name}" if name else f"{where}: no module {module}")
+    assert missing == []
+
+
+def test_readme_library_table_names_exist():
+    # Each row of the table names its modules, then what they hold; every
+    # backticked name there (up to any "(") exists in one of the row's modules.
+    section = (ROOT / "README.md").read_text(encoding="utf-8").partition("## Library layout")[2]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `statreason.")]
+    assert len(rows) >= 8
+    missing = []
+    for modules, contents in rows:
+        owners = [importlib.import_module(m) for m in re.findall(r"`([^`]+)`", modules)]
+        for name in (re.match(r"\w*", quoted).group() for quoted in re.findall(r"`([^`]+)`", contents)):
+            if not any(hasattr(owner, name) for owner in owners):
+                missing.append(f"{modules.strip()} has no {name or '(empty)'}")
     assert missing == []

@@ -192,7 +192,7 @@ class TestDependencyTree:
         class Recording:
             def resolve(self, request):
                 known[request.subsection_id] = dict(request.known)
-                return {TRUTH_KEY: 1.0}
+                return 1.0
 
         inputs = ValueMap({"Taxp": "Bob", "Taxy": "2017", "Bassd": "x"})
         case = Case("c", "", "§63(c)(5)", inputs, ValueMap(), "test")

@@ -137,3 +137,55 @@ class TestImport:
         make_distributed_tree(source)
         assert main(["import-sara", "--source", str(source), "--dest", str(dest)]) == 0
         assert "manifest.txt" in capsys.readouterr().out
+
+    @staticmethod
+    def assert_validates(dest, capsys):
+        capsys.readouterr()
+        assert main(["validate", "--manifest", str(dest / "manifest.txt")]) == 0, capsys.readouterr().err
+
+    def test_malformed_subsection_ids_are_skipped(self, tmp_path, capsys):
+        source, dest = tmp_path / "dist", tmp_path / "canonical"
+        make_distributed_tree(source)
+        offsets = source / "statutes" / "section1.offsets"
+        offsets.write_text(offsets.read_text(encoding="utf-8") + "§1(d)() 0 4\n", encoding="utf-8")
+        write(source / "spans" / "1_d_", "0 4\n")
+        log = import_corpus(source, dest)
+        assert sorted(log.skipped) == [
+            "section1.offsets: '§1(d)() 0 4': id '§1(d)()' is a malformed subsection id",
+            "spans 1_d_: id '§1(d)()' is a malformed subsection id",
+        ]
+        assert "subsection §1(d)()" not in log.imported
+        self.assert_validates(dest, capsys)
+
+    def test_layers_of_subsections_not_imported_are_skipped(self, tmp_path, capsys):
+        source, dest = tmp_path / "dist", tmp_path / "canonical"
+        make_distributed_tree(source)
+        write(source / "spans" / "9_z", "0 4\n")
+        log = import_corpus(source, dest)
+        assert log.skipped == ["spans 9_z: subsection §9(z) was not imported"]
+        assert "layer §9(z)" not in log.imported
+        self.assert_validates(dest, capsys)
+
+    def test_cluster_names_that_are_not_record_keys_are_skipped(self, tmp_path, capsys):
+        source, dest = tmp_path / "dist", tmp_path / "canonical"
+        make_distributed_tree(source)
+        write(source / "coref" / "1_d_iv.names", "0 Tax'\n1 Taxinc\n")
+        log = import_corpus(source, dest)
+        assert log.skipped == ["coref names 1_d_iv: \"0 Tax'\": name \"Tax'\" is not a record key"]
+        self.assert_validates(dest, capsys)
+        assert load_corpus(dest / "manifest.txt").layers["§1(d)(iv)"].cluster_names == (None, "Taxinc")
+
+    @pytest.mark.parametrize("block, pair", [("Input", "Tax inc=$5"), ("Output", "Tax'=$5")], ids=["input", "output"])
+    def test_case_argument_names_that_are_not_record_keys_skip_the_case(self, tmp_path, capsys, block, pair):
+        source, dest = tmp_path / "dist", tmp_path / "canonical"
+        make_distributed_tree(source)
+        blocks = {"Input": "Taxinc=$1", "Output": "@truth=1.0"}
+        blocks[block] += "\n" + pair
+        write(source / "cases" / "bad-name", "% Text\nAlice.\n% Question\n§1(d)(iv)\n"
+              + "".join(f"% {b}\n{blocks[b]}\n" for b in ("Input", "Output")))
+        log = import_corpus(source, dest)
+        name = pair.partition("=")[0]
+        assert log.skipped == [f"case bad-name: {block}: name {name!r} is not a record key"]
+        assert "case bad-name" not in log.imported
+        self.assert_validates(dest, capsys)
+        assert [c.id for c in load_corpus(dest / "manifest.txt").cases] == ["case-1-positive"]
