@@ -9,6 +9,10 @@ line it found the problem at (`path:line: ...`; a manifest problem, a
 missing key or path, is `manifest.txt: ...`) or be a cross-file
 `corpus: ...` problem. Commands run in process, so the whole battery
 takes seconds.
+
+`validate`'s exit code and stderr for every corruption of every fixture
+file are pinned in `fixtures/corruption_battery.txt`; after a deliberate
+change of a message, rewrite it with `python tests/test_corruption.py`.
 """
 
 import contextlib
@@ -24,6 +28,7 @@ from statreason.cli import main
 FIXTURES = Path(__file__).parent / "fixtures" / "corpus"
 
 FILES = sorted(str(p.relative_to(FIXTURES)) for p in FIXTURES.rglob("*") if p.is_file())
+PINNED = Path(__file__).parent / "fixtures" / "corruption_battery.txt"
 GARBLE = '\x00]=("'
 
 
@@ -76,6 +81,36 @@ def test_corrupt_corpus_file(name, tmp_path):
     target.write_text(original, encoding="utf-8")
 
 
+def _printable(text: str) -> str:
+    """`text` with backslashes and non-printable characters escaped."""
+    return "".join(
+        ch if ch.isprintable() and ch != "\\" else ch.encode("unicode_escape").decode("ascii") for ch in text
+    )
+
+
+def battery(tmp_path) -> str:
+    """`validate`'s exit code and stderr, the temp dir written as <tmp>, for
+    every corruption of every fixture file: a "== file line N: what -> exit"
+    line, then the stderr lines."""
+    root = tmp_path / "corpus"
+    shutil.copytree(FIXTURES, root)
+    out = []
+    for name in FILES:
+        target = root / name
+        original = target.read_text(encoding="utf-8")
+        for what, data in corruptions(original):
+            target.write_bytes(data)
+            code, err = run(["validate", "--manifest", str(root / "manifest.txt")])
+            out.append(f"== {name} {what} -> {code}")
+            out += (_printable(line) for line in err.replace(str(tmp_path), "<tmp>").split("\n")[:-1])
+        target.write_text(original, encoding="utf-8")
+    return "\n".join(out) + "\n"
+
+
+def test_validate_answers_every_corruption_as_pinned(tmp_path):
+    assert battery(tmp_path) == PINNED.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize(
     "writer, readers",
     [
@@ -96,3 +131,10 @@ def test_corrupt_prediction_import(writer, readers, tmp_path):
         target.write_bytes(data)
         for command, option in readers:
             check([command, "--manifest", manifest, option, f"import:{target}"], tmp_path)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        PINNED.write_text(battery(Path(tmp)), encoding="utf-8")
