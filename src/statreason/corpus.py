@@ -16,6 +16,7 @@ half-open character offsets into the decoded section file.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping
 from pathlib import Path
 
@@ -152,21 +153,9 @@ def load_statutes(statutes_dir: str | Path) -> list[Subsection]:
     return [Subsection(rid, texts[fname][start:end]) for rid, (fname, start, end) in rows.items()]
 
 
-def _well_formed_id(subsection_id: str) -> bool:
-    """Identifiers nest with balanced, non-empty parenthesized groups."""
-    depth = 0
-    previous = ""
-    for ch in subsection_id:
-        if ch == "(":
-            if depth:
-                return False
-            depth = 1
-        elif ch == ")":
-            if depth != 1 or previous == "(":
-                return False
-            depth = 0
-        previous = ch
-    return depth == 0 and not subsection_id.startswith("(")
+# Whether a subsection id nests balanced, non-empty parenthesized groups and
+# does not start with one.
+_well_formed_id = re.compile(r"(?!\()(?:[^()]|\([^()]+\))*").fullmatch
 
 
 def load_spans(path: str | Path, subsections: Mapping[str, Subsection]) -> dict[str, tuple[Span, ...]]:
@@ -189,20 +178,13 @@ def _spans_and_lines(
                 raise records.RecordError(f"unknown subsection {record.id}")
             if record.id in spans:
                 raise records.RecordError(f"duplicate spans record for {record.id}")
-            text = subsections[record.id].text
+            if type(items) is not list:
+                raise records.RecordError("expected a [(start, end), ...] list")
             out = []
             for item in items:
-                if not isinstance(item, records.PairLit):
-                    raise records.RecordError(f"expected (start, end) pairs, found {item!r}")
-                span = Span(item.start, item.end)
-                if span.end > len(text):
-                    raise records.RecordError(
-                        f"span ({span.start}, {span.end}) out of range for {record.id} "
-                        f"of length {len(text)}"
-                    )
-                if not span.slice(text).strip():
-                    raise records.RecordError(f"span ({span.start}, {span.end}) covers only whitespace")
-                out.append(span)
+                if type(item) is not tuple or type(item[0]) is not int:
+                    raise records.RecordError(f"expected (start, end) pairs, found {records.item_repr(item)}")
+                out.append(check_span(Span(*item), subsections[record.id]))
             for a, b in zip(out, out[1:]):
                 if b.start < a.end:
                     raise records.RecordError(f"spans overlap or are out of order: {a}, {b}")
@@ -213,6 +195,18 @@ def _spans_and_lines(
     if errors:
         raise CorpusError(errors)
     return spans, lines
+
+
+def check_span(span: Span, subsection: Subsection) -> Span:
+    """`span`, which must lie inside the subsection's text and cover more than whitespace."""
+    text = subsection.text
+    if span.end > len(text):
+        raise records.RecordError(
+            f"span ({span.start}, {span.end}) out of range for {subsection.id} of length {len(text)}"
+        )
+    if not span.slice(text).strip():
+        raise records.RecordError(f"span ({span.start}, {span.end}) covers only whitespace")
+    return span
 
 
 def load_argument_layers(
@@ -231,18 +225,20 @@ def load_argument_layers(
                 raise records.RecordError(f"{record.id} has no spans record")
             if record.id in layers:
                 raise records.RecordError(f"duplicate coref record for {record.id}")
+            if type(items) is not list:
+                raise records.RecordError("expected a [Name:[0, 1], [2], ...] list")
             clusters, names = [], []
             for item in items:
-                if isinstance(item, records.Labeled):
-                    label, members = item.label, item.items
-                elif isinstance(item, list):
+                if type(item) is dict:
+                    [(label, members)] = item.items()
+                elif type(item) is list:
                     label, members = None, item
                 else:
                     raise records.RecordError(
-                        f"expected clusters like Name:[0, 1] or [0, 1], found {item!r}"
+                        f"expected clusters like Name:[0, 1] or [0, 1], found {records.item_repr(item)}"
                     )
-                if not all(isinstance(i, int) for i in members):
-                    raise records.RecordError(f"cluster members must be span indices, got {members!r}")
+                if not all(type(i) is int for i in members):
+                    raise records.RecordError(f"cluster members must be span indices, got {records.item_repr(members)}")
                 bad = [i for i in members if not 0 <= i < len(spans[record.id])]
                 if bad:
                     raise records.RecordError(f"cluster index out of range: {bad[0]}")
@@ -270,6 +266,7 @@ def load_cases(cases_dir: str | Path, split: str | None = None) -> list[Case]:
         if split is None and path.stem in ("all", "silver"):
             errors.append(FileError(str(path), None, f"{path.stem!r} is reserved and cannot name a split"))
             continue
+        name = split or path.stem
         for lineno, record in _iter_file(path):
             try:
                 query = record.require("query")
@@ -282,14 +279,7 @@ def load_cases(cases_dir: str | Path, split: str | None = None) -> list[Case]:
                     raise records.RecordError(f"duplicate case id {record.id}")
                 if not expected:
                     raise records.RecordError("expected values must be non-empty")
-                case = Case(
-                    record.id,
-                    description,
-                    query,
-                    inputs,
-                    expected,
-                    split or path.stem,
-                )
+                case = Case(record.id, description, query, inputs, expected, name)
                 if case.kind == "binary" and TRUTH_KEY not in expected:
                     raise records.RecordError("binary cases must expect @truth")
                 seen.add(record.id)

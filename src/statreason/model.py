@@ -35,7 +35,8 @@ class Frozen:
 
     def __init__(self, *values, **named):
         names = self.__slots__
-        values += tuple(named.pop(name) for name in names[len(values) :] if name in named)
+        if named:
+            values += tuple(named.pop(name) for name in names[len(values) :] if name in named)
         if len(values) != len(names) or named:
             raise TypeError(f"{type(self).__qualname__} takes the fields {', '.join(names)}")
         for name, value in zip(names, values):
@@ -144,6 +145,9 @@ class ValueMap(Mapping):
 
     def get(self, key: str, default=None):
         return self._items.get(key, default)
+
+    def items(self):
+        return self._items.items()
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._items)

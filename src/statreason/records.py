@@ -10,6 +10,9 @@ brackets hold lists, whose items may themselves be "key=value" pairs
 with "#" are comments. Inside quoted text, a backslash escapes a quote, a
 backslash and "\n"; every other line separator is written as "\uXXXX",
 so one record always stays on one line.
+
+A list reads as a list, a "(start, end)" span as that tuple, a "key=value"
+item as the tuple (key, value) and a "Label:[...]" group as {label: items}.
 """
 
 from __future__ import annotations
@@ -27,24 +30,6 @@ class RecordError(ValueError):
     line: int | None = None
 
 
-class PairLit(Frozen):
-    """A literal "(start, end)" character-span pair."""
-
-    __slots__ = ("start", "end")
-
-
-class Entry(Frozen):
-    """A "key=value" item inside a bracketed list."""
-
-    __slots__ = ("key", "value")
-
-
-class Labeled(Frozen):
-    """A "Label:[...]" item (label, items list) inside a bracketed list."""
-
-    __slots__ = ("label", "items")
-
-
 class Record(Frozen):
     """One line: its identifier and its fields by key."""
 
@@ -56,176 +41,183 @@ class Record(Frozen):
         return self.fields[key]
 
 
-_DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}$")
-_NUMBER_RE = re.compile(r"-?\d+$")
-_MONEY_RE = re.compile(r"\$(-?\d+)$")
-# What repr gives for a float in [0, 1]: "0.25", "1e-05", "2.5e-310".
-_DECIMAL_RE = re.compile(r"\d+(?:\.\d+)?(?:e[-+]?\d+)?$")
-_ATOM_END = re.compile(r"[^\s\[\]\(\),=]+")
-_KEY_RE = re.compile(r"[A-Za-z0-9@_][A-Za-z0-9@_.\-]*")
+_KEY = r"[A-Za-z0-9@_][A-Za-z0-9@_.\-]*"
+_KEY_RE = re.compile(_KEY)
+# Blanks, then a field key, blanks and its "=" if they follow.
+_FIELD_RE = re.compile(rf"[ \t]*(?:({_KEY})[ \t]*=)?")
+# An atom: true, false, money, a date, a number or what repr gives for a
+# float in [0, 1] ("0.25", "1e-05", "2.5e-310"), each up to where a value
+# ends. Its groups, in this order, hold the word of one kind.
+_ATOM = r"(?:(true)|(false)|\$(-?\d+)|(\d{4}-\d{2}-\d{2})|(-?\d+)|(\d+(?:\.\d+)?(?:e[-+]?\d+)?))(?=[\s\[\](),=]|\Z)"
+# Blanks, then what starts an item: a quoted string's run to its next quote or
+# backslash and that quote if it closes the string (groups 1, 2), a pair of two
+# integers (3, 4), a bracket (5), a key and the "=" of an entry or ":" of a
+# group right after it (6, 7), or an atom (8 to 13).
+_ITEM_RE = re.compile(
+    rf'[ \t]*(?:"([^"\\]*)(")?|\([ \t]*(-?\d+)[ \t]*,[ \t]*(-?\d+)[ \t]*\)|([\[(])|({_KEY})([=:])|{_ATOM})'
+)
+_ID_RE = re.compile(r"[ \t]*(\S*)")
 _HEX4_RE = re.compile(r"[0-9a-fA-F]{4}")
 # The run of a quoted string up to its next quote or backslash.
 _STRING_RUN_RE = re.compile(r'[^"\\]*')
-# What str.splitlines splits on, "\n" aside (written as "\n").
-_LINE_SEPARATORS = re.compile("[\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+# What str.splitlines splits on, "\n" aside (written as "\n"), and how it is written.
+_LINE_SEPARATORS = {ord(ch): f"\\u{ord(ch):04x}" for ch in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"}
+
+# The scanner: functions of a text and a position that return what they read
+# and the position after it. Blanks (" " and "\t") may stand before any token.
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _error(message: str, pos: int) -> RecordError:
+    return RecordError(f"{message} (column {pos + 1})")
 
-    def error(self, message: str) -> RecordError:
-        return RecordError(f"{message} (column {self.pos + 1})")
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
+def _take(ch: str, text: str, pos: int) -> int:
+    while pos < len(text) and text[pos] in " \t":
+        pos += 1
+    if text.startswith(ch, pos):
+        return pos + 1
+    raise _error(f"expected {ch!r}", pos)
 
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+def _string(text: str, pos: int) -> tuple[str, int]:
+    """The quoted string whose opening quote ends before `pos`."""
+    out = []
+    while True:
+        run = _STRING_RUN_RE.match(text, pos)
+        out.append(run.group())
+        pos = run.end()
+        if pos >= len(text):
+            raise _error("unterminated string", pos)
+        if text[pos] == '"':
+            return "".join(out), pos + 1
+        pos += 1  # past the backslash
+        if pos >= len(text):
+            raise _error("dangling escape", pos)
+        esc = text[pos]
+        pos += 1
+        if esc == "n":
+            out.append("\n")
+        elif esc in ('"', "\\"):
+            out.append(esc)
+        elif esc == "u" and _HEX4_RE.match(text, pos):
+            out.append(chr(int(text[pos : pos + 4], 16)))
+            pos += 4
+        else:
+            raise _error(f"unknown escape \\{esc}", pos)
 
-    def take(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
 
-    def scan_string(self) -> str:
-        self.take('"')
-        text = self.text
-        out = []
-        while True:
-            run = _STRING_RUN_RE.match(text, self.pos)
-            out.append(run.group())
-            self.pos = run.end()
-            if self.pos >= len(text):
-                raise self.error("unterminated string")
-            ch = text[self.pos]
-            self.pos += 1
-            if ch == '"':
-                return "".join(out)
-            if self.pos >= len(text):
-                raise self.error("dangling escape")
-            esc = text[self.pos]
-            self.pos += 1
-            if esc == "n":
-                out.append("\n")
-            elif esc in ('"', "\\"):
-                out.append(esc)
-            elif esc == "u" and _HEX4_RE.match(text, self.pos):
-                out.append(chr(int(text[self.pos : self.pos + 4], 16)))
-                self.pos += 4
-            else:
-                raise self.error(f"unknown escape \\{esc}")
+def _typed(m: re.Match, first: int) -> Value:
+    """The value of the atom that `m` matched; its group `first` is "true"."""
+    kind = m.lastindex - first
+    word = m.group(m.lastindex)
+    if kind == 4:
+        return int(word)
+    if kind == 5:
+        return float(word)
+    if kind == 2:
+        return Money(int(word))
+    if kind == 3:
+        try:
+            return datetime.date(*map(int, word.split("-")))
+        except ValueError as exc:
+            raise _error(f"invalid date {word!r}: {exc}", m.end()) from None
+    return 1.0 if kind == 0 else 0.0
 
-    def scan_atom(self) -> Value:
-        self.skip_ws()
-        m = _ATOM_END.match(self.text, self.pos)
-        if m is None:
-            raise self.error("expected a value")
-        word = m.group()
-        self.pos = m.end()
-        if word == "true":
-            return 1.0
-        if word == "false":
-            return 0.0
-        money = _MONEY_RE.match(word)
-        if money:
-            return Money(int(money.group(1)))
-        if _DATE_RE.match(word):
-            year, month, day = word.split("-")
-            try:
-                return datetime.date(int(year), int(month), int(day))
-            except ValueError as exc:
-                raise self.error(f"invalid date {word!r}: {exc}") from None
-        if _NUMBER_RE.match(word):
-            return int(word)
-        if _DECIMAL_RE.match(word):
-            return float(word)
-        raise self.error(f"cannot type value {word!r} (strings must be quoted)")
 
-    def scan_pair(self) -> PairLit:
-        self.take("(")
-        a = self.scan_atom()
-        self.take(",")
-        b = self.scan_atom()
-        self.take(")")
-        if not isinstance(a, int) or not isinstance(b, int):
-            raise self.error("span pairs must hold two integers")
-        return PairLit(a, b)
+def _no_atom(text: str, pos: int) -> RecordError:
+    """The error for the word after the blanks at `pos`, which is no atom."""
+    word = re.compile(r"[ \t]*([^\s\[\]\(\),=]*)").match(text, pos)  # re caches it; only errors need it
+    if not word.group(1):
+        return _error("expected a value", word.start(1))
+    return _error(f"cannot type value {word.group(1)!r} (strings must be quoted)", word.end())
 
-    def scan_list(self) -> list:
-        self.take("[")
-        items: list = []
-        if self.peek() != "]":
-            while True:
-                items.append(self.scan_item())
-                if self.peek() != ",":
-                    break
-                self.take(",")
-        self.take("]")
-        return items
 
-    def scan_item(self) -> object:
-        ch = self.peek()
-        if ch == '"':
-            text = self.scan_string()
-            if self.peek() == ":":
-                self.take(":")
-                return Labeled(text, self.scan_list())
-            return text
-        if ch == "(":
-            return self.scan_pair()
-        if ch == "[":
-            return self.scan_list()
-        m = _KEY_RE.match(self.text, self.pos)
-        if m is not None:
-            end = m.end()
-            follow = self.text[end : end + 1]
-            if follow == "=":
-                self.pos = end + 1
-                return Entry(m.group(), self.scan_item())
-            if follow == ":":
-                self.pos = end + 1
-                return Labeled(m.group(), self.scan_list())
-        return self.scan_atom()
+def _list(text: str, pos: int) -> tuple[list, int]:
+    """The items of the list whose "[" ends before `pos`."""
+    n = len(text)
+    while pos < n and text[pos] in " \t":
+        pos += 1
+    items: list = []
+    if text.startswith("]", pos):
+        return items, pos + 1
+    while True:
+        item, pos = _item(text, pos)
+        items.append(item)
+        while pos < n and text[pos] in " \t":
+            pos += 1
+        if text.startswith(",", pos):
+            pos += 1
+        elif text.startswith("]", pos):
+            return items, pos + 1
+        else:
+            raise _error("expected ']'", pos)
 
-    def scan_fields(self) -> dict[str, object]:
-        fields: dict[str, object] = {}
-        while not self.at_end():
-            m = _KEY_RE.match(self.text, self.pos)
-            if m is None:
-                raise self.error("expected a field key")
-            key = m.group()
-            self.pos = m.end()
-            self.take("=")
-            if key in fields:
-                raise self.error(f"duplicate field {key!r}")
-            fields[key] = self.scan_item()
-        return fields
+
+def _item(text: str, pos: int) -> tuple[object, int]:
+    """The value, list or list item after the blanks at `pos`."""
+    m = _ITEM_RE.match(text, pos)
+    if m is None:
+        raise _no_atom(text, pos)
+    kind = m.lastindex
+    pos = m.end()
+    if kind > 7:
+        return _typed(m, 8), pos
+    if kind == 7:
+        if m.group(7) == "=":
+            value, pos = _item(text, pos)
+            return (m.group(6), value), pos
+        items, pos = _list(text, _take("[", text, pos))
+        return {m.group(6): items}, pos
+    if kind == 4:
+        return (int(m.group(3)), int(m.group(4))), pos
+    if kind == 5:
+        if m.group(5) == "[":
+            return _list(text, pos)
+        atom_re = re.compile(r"[ \t]*" + _ATOM)  # re caches it; only a bad pair needs it
+        for ch in ",)":  # a "(" that does not start a pair of two integers: find where
+            atom = atom_re.match(text, pos)
+            if atom is None:
+                raise _no_atom(text, pos)
+            _typed(atom, 1)  # raises for an impossible date
+            pos = _take(ch, text, atom.end())
+        raise _error("span pairs must hold two integers", pos)
+    if kind == 2:
+        value = m.group(1)
+    else:  # the string holds an escape, or is not closed
+        value, pos = _string(text, m.start(1))
+    while pos < len(text) and text[pos] in " \t":
+        pos += 1
+    if text.startswith(":", pos):
+        items, pos = _list(text, _take("[", text, pos + 1))
+        return {value: items}, pos
+    return value, pos
 
 
 def parse_record(line: str) -> Record:
-    scanner = _Scanner(line)
-    if scanner.at_end():
+    m = _ID_RE.match(line)
+    if m.start(1) == len(line):
         raise RecordError("empty record")
-    start = scanner.pos
-    while scanner.pos < len(line) and not line[scanner.pos].isspace():
-        scanner.pos += 1
-    rid = line[start : scanner.pos]
-    return Record(rid, scanner.scan_fields())
+    rid, pos = m.group(1), m.end()
+    fields: dict[str, object] = {}
+    while True:
+        m = _FIELD_RE.match(line, pos)
+        key, pos = m.group(1), m.end()
+        if key is None:
+            if pos == len(line):
+                return Record(rid, fields)
+            m = _KEY_RE.match(line, pos)
+            if m is None:
+                raise _error("expected a field key", pos)
+            _take("=", line, m.end())  # raises, as no "=" follows the key
+        if key in fields:
+            raise _error(f"duplicate field {key!r}", pos)
+        fields[key], pos = _item(line, pos)
 
 
-def parse_value_literal(text: str) -> Value | list | Entry | Labeled | PairLit:
+def parse_value_literal(text: str) -> object:
     """Parse a single standalone value literal (as found in field positions)."""
-    scanner = _Scanner(text)
-    value = scanner.scan_item()
-    if not scanner.at_end():
+    value, pos = _item(text, 0)
+    if text[pos:].strip(" \t"):
         raise RecordError(f"trailing input after value: {text!r}")
     return value
 
@@ -245,14 +237,27 @@ def iter_records(text: str):
         yield lineno, record
 
 
+def item_repr(item: object) -> str:
+    """An item as error messages print it: as an Entry, PairLit or Labeled."""
+    if type(item) is tuple:
+        if type(item[0]) is str:
+            return f"Entry(key={item[0]!r}, value={item_repr(item[1])})"
+        return f"PairLit(start={item[0]!r}, end={item[1]!r})"
+    if type(item) is dict:
+        [(label, items)] = item.items()
+        return f"Labeled(label={label!r}, items={item_repr(items)})"
+    if type(item) is list:
+        return "[" + ", ".join(map(item_repr, item)) + "]"
+    return repr(item)
+
+
 # ---------------------------------------------------------------------------
 # Writing
 
 
 def write_text(text: str) -> str:
     escaped = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    escaped = _LINE_SEPARATORS.sub(lambda m: f"\\u{ord(m.group()):04x}", escaped)
-    return f'"{escaped}"'
+    return f'"{escaped.translate(_LINE_SEPARATORS)}"'
 
 
 def write_value(value: Value) -> str:
@@ -293,25 +298,32 @@ def write_clusters(clusters, names=()) -> str:
 
 def as_value_map(items: object, where: str = "") -> ValueMap:
     """Interpret a parsed bracket list of key=value entries as a value map."""
-    if not isinstance(items, list):
+    if type(items) is not list:
         raise RecordError(f"{where}: expected a [key=value, ...] list")
     pairs = []
+    item_at = None  # the first entry whose value is an item, not a value
     for item in items:
-        if not isinstance(item, Entry):
-            raise RecordError(f"{where}: expected key=value entries, found {item!r}")
-        value = item.value
-        if isinstance(value, list):
-            value = tuple(_plain(v, where) for v in value)
-        pairs.append((item.key, value))
+        if type(item) is not tuple or type(item[0]) is not str:
+            raise RecordError(f"{where}: expected key=value entries, found {item_repr(item)}")
+        if type(item[1]) is list:
+            item = (item[0], _plain(item[1], where))
+        elif item_at is None and type(item[1]) in (tuple, dict):
+            item_at = len(pairs)
+        pairs.append(item)
     try:
+        if item_at is not None:
+            # The value map's checks of the entries before, and of this key.
+            ValueMap(pairs[:item_at] + [(pairs[item_at][0], 1.0)])
+            raise ValueError(f"unsupported value type: {item_repr(pairs[item_at][1]).partition('(')[0]}")
         return ValueMap(pairs)
     except ValueError as exc:
         raise RecordError(f"{where}: {exc}") from exc
 
 
-def _plain(item: object, where: str) -> Value:
-    if isinstance(item, (Entry, Labeled, PairLit)):
-        raise RecordError(f"{where}: unexpected structured item {item!r} in a value list")
-    if isinstance(item, list):
-        return tuple(_plain(v, where) for v in item)
-    return item
+def _plain(items: list, where: str) -> tuple:
+    values = []
+    for item in items:
+        if type(item) in (tuple, dict):
+            raise RecordError(f"{where}: unexpected structured item {item_repr(item)} in a value list")
+        values.append(_plain(item, where) if type(item) is list else item)
+    return tuple(values)

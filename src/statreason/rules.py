@@ -21,7 +21,6 @@ variable B as the callee's parameter A, and a bare name N abbreviates "N=N".
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 
 from .model import TRUTH_KEY, Frozen, _set
 
@@ -121,176 +120,151 @@ class Program(Frozen):
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Tokenizer and parser
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>%[^\n]*)
-  | (?P<neck>:-)
-  | (?P<punct>[()\[\],=.])
-  | (?P<name>[^\s()\[\],=.%:]+)
-""",
-    re.VERBOSE,
-)
+# Blanks and comments match with group 1 empty; every other match is a
+# token (":-", a punctuation mark or a name) or a ":" that starts no ":-",
+# the one character no token takes, which the parser reports.
+_TOKEN_RE = re.compile(r"\s+|%[^\n]*|(:-|[()\[\],=.]|[^\s()\[\],=.%:]+|:)")
 
-_KEYWORDS = {"AND", "OR", "NOT"}
-
-
-# kind is "neck", "punct", "name", "keyword" or "end".
-_Token = namedtuple("_Token", "kind text pos")
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise RuleSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup not in ("ws", "comment"):
-            kind = m.lastgroup
-            word = m.group()
-            if kind == "name" and word in _KEYWORDS:
-                kind = "keyword"
-            tokens.append(_Token(kind, word, pos))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(text)))
-    return tokens
-
-
-# ---------------------------------------------------------------------------
-# Parser
+# Every token that is not a name; "" ends the input.
+_NOT_NAMES = frozenset([":-", "(", ")", "[", "]", ",", "=", ".", "AND", "OR", "NOT", ""])
 
 
 class _Parser:
+    """Recursive descent over the token texts; `index` is the next token.
+    Token positions are found only for an error message."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = [token for token in _TOKEN_RE.findall(text) if token] + [""]
         self.index = 0
+        self._positions: list[int] | None = None
+        if ":" in self.tokens:
+            raise RuleSyntaxError("unexpected character ':'", self.position(self.tokens.index(":")))
 
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
+    def position(self, index: int) -> int:
+        """The character offset of token `index`."""
+        if self._positions is None:
+            self._positions = [m.start() for m in _TOKEN_RE.finditer(self.text) if m.group(1)] + [len(self.text)]
+        return self._positions[index]
 
-    def advance(self) -> _Token:
+    def expect(self, text: str, error: type[RuleSyntaxError] = RuleSyntaxError) -> None:
         token = self.tokens[self.index]
+        if token != text:
+            raise error(f"expected {text!r}, found {token or 'end of input'!r}", self.position(self.index))
         self.index += 1
-        return token
-
-    def expect(self, text: str, error: type[RuleSyntaxError] = RuleSyntaxError) -> _Token:
-        token = self.peek()
-        if token.text != text:
-            raise error(f"expected {text!r}, found {token.text or 'end of input'!r}", token.pos)
-        return self.advance()
-
-    def at_end(self) -> bool:
-        return self.peek().kind == "end"
 
     # -- terms --------------------------------------------------------------
 
     def parse_term(self) -> tuple[str, list[tuple[str, str | None]], int]:
-        """A section identifier plus its final argument list.
-
-        Returns (identifier, items, position) where each item is
-        (name, bound_name_or_None).
-        """
-        token = self.peek()
-        if token.kind != "name":
-            raise RuleSyntaxError(f"expected a section identifier, found {token.text or 'end of input'!r}", token.pos)
-        ident = self.advance().text
+        """A section identifier, its final argument list as (name,
+        bound_name_or_None) items, and the index of its first token."""
+        start = self.index
+        ident = self.tokens[start]
+        if ident in _NOT_NAMES:
+            raise RuleSyntaxError(
+                f"expected a section identifier, found {ident or 'end of input'!r}", self.position(start)
+            )
+        self.index += 1
         groups: list[tuple[list[tuple[str, str | None]], int]] = []
-        while self.peek().text == "(":
+        while self.tokens[self.index] == "(":
             groups.append(self._parse_group())
         if not groups:
-            raise RuleSyntaxError(f"term {ident!r} is missing its argument list", token.pos)
+            raise RuleSyntaxError(f"term {ident!r} is missing its argument list", self.position(start))
         *ident_groups, (args, _) = groups
-        for items, pos in ident_groups:
+        for items, index in ident_groups:
             if len(items) != 1 or items[0][1] is not None:
-                raise RuleSyntaxError("identifier group must hold a single plain name", pos)
+                raise RuleSyntaxError("identifier group must hold a single plain name", self.position(index))
             ident += f"({items[0][0]})"
-        return ident, args, token.pos
+        return ident, args, start
 
     def _parse_group(self) -> tuple[list[tuple[str, str | None]], int]:
-        open_token = self.expect("(")
+        tokens = self.tokens
+        start = i = self.index  # at its "("
+        i += 1
         items: list[tuple[str, str | None]] = []
-        if self.peek().text != ")":
+        if tokens[i] != ")":
             while True:
-                name = self.peek()
-                if name.kind != "name":
-                    raise RuleSyntaxError(f"expected a name, found {name.text or 'end of input'!r}", name.pos)
-                self.advance()
+                name = tokens[i]
+                if name in _NOT_NAMES:
+                    raise RuleSyntaxError(f"expected a name, found {name or 'end of input'!r}", self.position(i))
+                i += 1
                 bound: str | None = None
-                if self.peek().text == "=":
-                    self.advance()
-                    target = self.peek()
-                    if target.kind != "name":
-                        raise RuleSyntaxError(f"expected a name after '=', found {target.text!r}", target.pos)
-                    bound = self.advance().text
-                items.append((name.text, bound))
-                if self.peek().text != ",":
+                if tokens[i] == "=":
+                    i += 1
+                    if tokens[i] in _NOT_NAMES:
+                        raise RuleSyntaxError(f"expected a name after '=', found {tokens[i]!r}", self.position(i))
+                    bound = tokens[i]
+                    i += 1
+                items.append((name, bound))
+                if tokens[i] != ",":
                     break
-                self.advance()
+                i += 1
+        self.index = i
         self.expect(")")
-        return items, open_token.pos
+        return items, start
 
     # -- body expressions (NOT > AND > OR) -----------------------------------
 
     def parse_body(self) -> BodyExpr:
         children = [self._parse_and()]
-        while self.peek().text == "OR":
-            self.advance()
+        while self.tokens[self.index] == "OR":
+            self.index += 1
             children.append(self._parse_and())
         return children[0] if len(children) == 1 else Or(tuple(children))
 
     def _parse_and(self) -> BodyExpr:
         children = [self._parse_not()]
-        while self.peek().text == "AND":
-            self.advance()
+        while self.tokens[self.index] == "AND":
+            self.index += 1
             children.append(self._parse_not())
         return children[0] if len(children) == 1 else And(tuple(children))
 
     def _parse_not(self) -> BodyExpr:
-        if self.peek().text == "NOT":
-            self.advance()
+        token = self.tokens[self.index]
+        if token == "NOT":
+            self.index += 1
             return Not(self._parse_not())
-        if self.peek().text == "[":
-            self.advance()
+        if token == "[":
+            self.index += 1
             body = self.parse_body()
             self.expect("]")
             return body
-        ident, items, pos = self.parse_term()
+        ident, items, start = self.parse_term()
         bindings = tuple((name, bound if bound is not None else name) for name, bound in items)
         try:
             return Ref(ident, bindings)
         except ValueError as exc:
-            raise RuleSyntaxError(str(exc), pos) from exc
+            raise RuleSyntaxError(str(exc), self.position(start)) from exc
 
     # -- clauses --------------------------------------------------------------
 
     def parse_clause(self) -> Rule:
-        ident, items, pos = self.parse_term()
+        ident, items, start = self.parse_term()
         params = []
         for name, bound in items:
             if bound is not None:
-                raise RuleSyntaxError(f"head parameter {name!r} cannot carry a binding", pos)
+                raise RuleSyntaxError(f"head parameter {name!r} cannot carry a binding", self.position(start))
             params.append(name)
         body: BodyExpr | None = None
-        if self.peek().kind == "neck":
-            self.advance()
+        if self.tokens[self.index] == ":-":
+            self.index += 1
             body = self.parse_body()
         self.expect(".", _Unterminated)
         try:
             return Rule(ident, tuple(params), body)
         except ValueError as exc:
-            raise RuleSyntaxError(str(exc), pos) from exc
+            raise RuleSyntaxError(str(exc), self.position(start)) from exc
 
 
 def parse_rule(text: str) -> Rule:
     """Parse exactly one clause."""
     parser = _Parser(text)
     rule = parser.parse_clause()
-    if not parser.at_end():
-        token = parser.peek()
-        raise RuleSyntaxError(f"trailing input after clause: {token.text!r}", token.pos)
+    token = parser.tokens[parser.index]
+    if token:
+        raise RuleSyntaxError(f"trailing input after clause: {token!r}", parser.position(parser.index))
     return rule
 
 
@@ -308,9 +282,10 @@ def parse_program(text: str) -> Program:
     rules: dict[str, Rule] = {}
     problems: list[tuple[int, str]] = []
     clause_no = 0
-    while not parser.at_end():
+    tokens = parser.tokens
+    while tokens[parser.index]:
         clause_no += 1
-        start = parser.peek().pos
+        start = parser.index
         try:
             rule = parser.parse_clause()
         except RuleSyntaxError as exc:
@@ -320,11 +295,13 @@ def parse_program(text: str) -> Program:
             line_start = text.rfind("\n", 0, exc.position) + 1
             if isinstance(exc, _Unterminated) and not text[line_start : exc.position].strip():
                 continue
-            while not parser.at_end() and parser.advance().text != ".":
-                pass
+            while tokens[parser.index]:
+                parser.index += 1
+                if tokens[parser.index - 1] == ".":
+                    break
             continue
         if rule.head_id in rules:
-            problems.append((start, f"clause {clause_no}: duplicate rule for {rule.head_id}"))
+            problems.append((parser.position(start), f"clause {clause_no}: duplicate rule for {rule.head_id}"))
         else:
             rules[rule.head_id] = rule
     if problems:

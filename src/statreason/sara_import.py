@@ -21,9 +21,11 @@ Subsection ids appear in file names with "/" unusable, so "§63(c)(5)" is
 stored as "63_c_5" (leading "§" dropped, parenthesized parts joined by "_").
 Records that do not fit are skipped and logged, never guessed at; so is an
 item whose id or name would not read back as written, a malformed subsection
-id, and a layer for a subsection that was not imported. Files are
-read as the corpus loader reads them (UTF-8, universal newlines); a byte that
-is not UTF-8 stops the import with its `path:line`.
+id, an offsets line outside its section text or repeating an id, a span that
+the loader would reject, a layer for a subsection that was not imported, and
+a case whose query has no rule in the structure. Files are read as the corpus
+loader reads them (UTF-8, universal newlines); a byte that is not UTF-8 stops
+the import with its `path:line`.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ import re
 from pathlib import Path
 
 from . import records
-from .model import ArgumentLayer, Case, Span, ValueMap, matrix_to_clusters
-from .corpus import _read, _well_formed_id, serialize_cases, serialize_coref, serialize_spans
-from .rules import parse_program
+from .model import ArgumentLayer, Case, Span, Subsection, ValueMap, matrix_to_clusters
+from .corpus import _read, _well_formed_id, check_span, serialize_cases, serialize_coref, serialize_spans
+from .rules import Program, parse_program
 
 
 class ImportLog:
@@ -86,22 +88,30 @@ def import_corpus(source: str | Path, dest: str | Path) -> ImportLog:
     (dest / "cases").mkdir(exist_ok=True)
 
     offsets_lines = []
-    imported = set()  # subsection ids
+    imported: dict[str, Subsection] = {}
     for text_path in sorted((source / "statutes").glob("*.txt")):
         offsets_path = text_path.with_suffix(".offsets")
         if not offsets_path.exists():
             log.skip(text_path.name, "no .offsets companion")
             continue
-        (dest / "statutes" / text_path.name).write_text(_read(text_path), encoding="utf-8")
+        text = _read(text_path)
+        (dest / "statutes" / text_path.name).write_text(text, encoding="utf-8")
         for line in _read(offsets_path).splitlines():
-            parts = line.split()
-            if len(parts) != 3 or not (parts[1].isdigit() and parts[2].isdigit()):
+            parts, what = line.split(), f"{offsets_path.name}: {line!r}"
+            if len(parts) != 3 or not (parts[1].isdecimal() and parts[2].isdecimal()):
                 if line.strip():
-                    log.skip(f"{offsets_path.name}: {line!r}", "expected '<id> <start> <end>'")
+                    log.skip(what, "expected '<id> <start> <end>'")
                 continue
-            if not _readable(parts[0], f"{offsets_path.name}: {line!r}", log, subsection=True):
+            if not _readable(parts[0], what, log, subsection=True):
                 continue
-            imported.add(parts[0])
+            start, end = int(parts[1]), int(parts[2])
+            if not 0 <= start < end <= len(text):
+                log.skip(what, f"offsets ({start}, {end}) out of bounds for {text_path.name} of length {len(text)}")
+                continue
+            if parts[0] in imported:
+                log.skip(what, f"duplicate subsection id {parts[0]}")
+                continue
+            imported[parts[0]] = Subsection(parts[0], text[start:end])
             offsets_lines.append(
                 f"{parts[0]} file={records.write_text(text_path.name)}"
                 f" start={parts[1]} end={parts[2]}"
@@ -120,35 +130,36 @@ def import_corpus(source: str | Path, dest: str | Path) -> ImportLog:
                 log.skip(f"spans {span_path.name}", f"subsection {sid} was not imported")
                 continue
             spans = []
-            bad = False
             for line in _read(span_path).splitlines():
                 parts = line.split()
                 if not parts:
                     continue
-                if len(parts) != 2 or not all(p.isdigit() for p in parts):
-                    log.skip(f"spans {span_path.name}: {line!r}", "expected '<start> <end>'")
-                    bad = True
+                try:
+                    if len(parts) != 2 or not all(p.isdecimal() for p in parts):
+                        raise ValueError("expected '<start> <end>'")
+                    spans.append(check_span(Span(int(parts[0]), int(parts[1])), imported[sid]))
+                except ValueError as exc:  # a line the loader would reject
+                    log.skip(f"spans {span_path.name}: {line!r}", str(exc))
                     break
-                spans.append(Span(int(parts[0]), int(parts[1])))
-            if bad:
-                continue
-            spans.sort()
-            clusters, names = _read_clusters(coref_dir, span_path.name, len(spans), log)
-            if clusters is None:
-                continue
-            try:
-                layers.append(ArgumentLayer(sid, tuple(spans), clusters, names))
-                log.ok(f"layer {sid}")
-            except ValueError as exc:
-                log.skip(f"layer {sid}", str(exc))
+            else:
+                spans.sort()
+                clusters, names = _read_clusters(coref_dir, span_path.name, len(spans), log)
+                if clusters is None:
+                    continue
+                try:
+                    layers.append(ArgumentLayer(sid, tuple(spans), clusters, names))
+                    log.ok(f"layer {sid}")
+                except ValueError as exc:
+                    log.skip(f"layer {sid}", str(exc))
     (dest / "spans.txt").write_text(serialize_spans(layers), encoding="utf-8")
     (dest / "coref.txt").write_text(serialize_coref(layers), encoding="utf-8")
 
     structure_path = source / "structure.txt"
+    program = Program({})
     if structure_path.exists():
         text = _read(structure_path)
         try:
-            parse_program(text)
+            program = parse_program(text)
             (dest / "structure.txt").write_text(text, encoding="utf-8")
             log.ok("structure.txt")
         except ValueError as exc:
@@ -169,7 +180,7 @@ def import_corpus(source: str | Path, dest: str | Path) -> ImportLog:
         for case_path in sorted((source / "cases").iterdir()) if (source / "cases").is_dir() else []:
             if splits.get(case_path.name, "train") != split:
                 continue
-            case = _read_case(case_path, split, log)
+            case = _read_case(case_path, split, program, log)
             if case is not None:
                 cases.append(case)
         (dest / "cases" / f"{split}.cases").write_text(serialize_cases(cases), encoding="utf-8")
@@ -179,7 +190,7 @@ def import_corpus(source: str | Path, dest: str | Path) -> ImportLog:
         (dest / "silver").mkdir(exist_ok=True)
         silver = []
         for case_path in sorted(silver_dir.iterdir()):
-            case = _read_case(case_path, "silver", log)
+            case = _read_case(case_path, "silver", program, log)
             if case is not None:
                 silver.append(case)
         (dest / "silver" / "silver.cases").write_text(serialize_cases(silver), encoding="utf-8")
@@ -228,7 +239,7 @@ def _read_clusters(coref_dir: Path, name: str, n_spans: int, log: ImportLog):
 _BLOCK_RE = re.compile(r"^%\s*(Text|Question|Input|Output)\s*$", re.MULTILINE)
 
 
-def _read_case(path: Path, split: str, log: ImportLog) -> Case | None:
+def _read_case(path: Path, split: str, program: Program, log: ImportLog) -> Case | None:
     if not _readable(path.name, f"case {path.name}", log):
         return None
     text = _read(path)
@@ -247,8 +258,11 @@ def _read_case(path: Path, split: str, log: ImportLog) -> Case | None:
     except records.RecordError as exc:
         log.skip(f"case {path.name}", str(exc))
         return None
+    if blocks["Question"] not in program:
+        log.skip(f"case {path.name}", f"query {blocks['Question']} has no structure rule")
+        return None
     description = " ".join(blocks["Text"].split())
-    case = Case(path.name, description, blocks["Question"].strip(), inputs, expected, split)
+    case = Case(path.name, description, blocks["Question"], inputs, expected, split)
     log.ok(f"case {path.name}")
     return case
 
@@ -265,5 +279,5 @@ def _parse_pairs(block: str, where: str) -> ValueMap:
         name = name.strip()
         if not records._KEY_RE.fullmatch(name):
             raise records.RecordError(f"{where}: name {name!r} is not a record key")
-        entries.append(records.Entry(name, records.parse_value_literal(literal.strip())))
+        entries.append((name, records.parse_value_literal(literal.strip())))
     return records.as_value_map(entries, where)

@@ -7,8 +7,11 @@ placeholder texts rebuilt and case descriptions re-read on every call), and
 the coreference, argument-identification, cascade and instantiation reports
 as first written (one scoring loop per report, each with its own pooling and
 its own copy of the P/R/F1 table, scoring each unit with the per-unit
-`span_prf` and `exact_match_coref` the library once had), and the record
-scanner's quoted-string scan one character at a time, as first written.
+`span_prf` and `exact_match_coref` the library once had), the record
+scanner object (`_Scanner`, a method call per character), the item classes
+it built (`Entry`, `PairLit`, `Labeled`) and `as_value_map` over them, and
+its quoted-string scan one character at a time, and the structure parser
+over `_tokenize`'s token objects (`_Parser`), as first written.
 `unified_accuracy` is the unified mean as the library once defined it, and
 `instantiate_full` the engine's populate-then-resolve tree evaluation,
 recursive over a tree built for each case, with the per-subsection
@@ -18,8 +21,10 @@ helpers it used (`merged`, `without`, `_translate`) over dicts.
 
 from __future__ import annotations
 
+import datetime
 import re
 import statistics as stats
+from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -61,9 +66,38 @@ from statreason.metrics import (
     prf,
     score_arguments,
 )
-from statreason.model import TRUTH_KEY, ArgumentLayer, Case, Money, Span, Value, check_value, layer_of, value_kind
+from statreason.model import (
+    TRUTH_KEY,
+    ArgumentLayer,
+    Case,
+    Frozen,
+    Money,
+    Span,
+    Value,
+    ValueMap,
+    check_value,
+    layer_of,
+    value_kind,
+)
+from statreason.records import RecordError
 from statreason.reports import FamilyScore, InstantiationReport
-from statreason.rules import DepTree, OpNode, Program, SubsectionNode, TreeNode, build_dependency_tree
+from statreason.rules import (
+    And,
+    BodyExpr,
+    DepTree,
+    Not,
+    OpNode,
+    Or,
+    Program,
+    ProgramSyntaxError,
+    Ref,
+    Rule,
+    RuleSyntaxError,
+    SubsectionNode,
+    TreeNode,
+    _Unterminated,
+    build_dependency_tree,
+)
 
 
 def vilain_muc(gold, pred) -> tuple[float, float, float]:
@@ -807,10 +841,242 @@ def instantiation_report(
 
 
 # ---------------------------------------------------------------------------
-# Record scanning
+# Record scanning: the scanner object, its item classes and the value-map
+# reading of its items as first written
 
 
-class CharScanner(records._Scanner):
+class PairLit(Frozen):
+    """A literal "(start, end)" character-span pair."""
+
+    __slots__ = ("start", "end")
+
+
+class Entry(Frozen):
+    """A "key=value" item inside a bracketed list."""
+
+    __slots__ = ("key", "value")
+
+
+class Labeled(Frozen):
+    """A "Label:[...]" item (label, items list) inside a bracketed list."""
+
+    __slots__ = ("label", "items")
+
+
+_DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}$")
+_NUMBER_RE = re.compile(r"-?\d+$")
+_MONEY_RE = re.compile(r"\$(-?\d+)$")
+# What repr gives for a float in [0, 1]: "0.25", "1e-05", "2.5e-310".
+_DECIMAL_RE = re.compile(r"\d+(?:\.\d+)?(?:e[-+]?\d+)?$")
+_ATOM_END = re.compile(r"[^\s\[\]\(\),=]+")
+_KEY_RE = re.compile(r"[A-Za-z0-9@_][A-Za-z0-9@_.\-]*")
+_HEX4_RE = re.compile(r"[0-9a-fA-F]{4}")
+# The run of a quoted string up to its next quote or backslash.
+_STRING_RUN_RE = re.compile(r'[^"\\]*')
+
+
+class _Scanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def error(self, message: str) -> RecordError:
+        return RecordError(f"{message} (column {self.pos + 1})")
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos] in " \t":
+            self.pos += 1
+
+    def at_end(self) -> bool:
+        self.skip_ws()
+        return self.pos >= len(self.text)
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self, ch: str) -> None:
+        if self.peek() != ch:
+            raise self.error(f"expected {ch!r}")
+        self.pos += 1
+
+    def scan_string(self) -> str:
+        self.take('"')
+        text = self.text
+        out = []
+        while True:
+            run = _STRING_RUN_RE.match(text, self.pos)
+            out.append(run.group())
+            self.pos = run.end()
+            if self.pos >= len(text):
+                raise self.error("unterminated string")
+            ch = text[self.pos]
+            self.pos += 1
+            if ch == '"':
+                return "".join(out)
+            if self.pos >= len(text):
+                raise self.error("dangling escape")
+            esc = text[self.pos]
+            self.pos += 1
+            if esc == "n":
+                out.append("\n")
+            elif esc in ('"', "\\"):
+                out.append(esc)
+            elif esc == "u" and _HEX4_RE.match(text, self.pos):
+                out.append(chr(int(text[self.pos : self.pos + 4], 16)))
+                self.pos += 4
+            else:
+                raise self.error(f"unknown escape \\{esc}")
+
+    def scan_atom(self) -> Value:
+        self.skip_ws()
+        m = _ATOM_END.match(self.text, self.pos)
+        if m is None:
+            raise self.error("expected a value")
+        word = m.group()
+        self.pos = m.end()
+        if word == "true":
+            return 1.0
+        if word == "false":
+            return 0.0
+        money = _MONEY_RE.match(word)
+        if money:
+            return Money(int(money.group(1)))
+        if _DATE_RE.match(word):
+            year, month, day = word.split("-")
+            try:
+                return datetime.date(int(year), int(month), int(day))
+            except ValueError as exc:
+                raise self.error(f"invalid date {word!r}: {exc}") from None
+        if _NUMBER_RE.match(word):
+            return int(word)
+        if _DECIMAL_RE.match(word):
+            return float(word)
+        raise self.error(f"cannot type value {word!r} (strings must be quoted)")
+
+    def scan_pair(self) -> PairLit:
+        self.take("(")
+        a = self.scan_atom()
+        self.take(",")
+        b = self.scan_atom()
+        self.take(")")
+        if not isinstance(a, int) or not isinstance(b, int):
+            raise self.error("span pairs must hold two integers")
+        return PairLit(a, b)
+
+    def scan_list(self) -> list:
+        self.take("[")
+        items: list = []
+        if self.peek() != "]":
+            while True:
+                items.append(self.scan_item())
+                if self.peek() != ",":
+                    break
+                self.take(",")
+        self.take("]")
+        return items
+
+    def scan_item(self) -> object:
+        ch = self.peek()
+        if ch == '"':
+            text = self.scan_string()
+            if self.peek() == ":":
+                self.take(":")
+                return Labeled(text, self.scan_list())
+            return text
+        if ch == "(":
+            return self.scan_pair()
+        if ch == "[":
+            return self.scan_list()
+        m = _KEY_RE.match(self.text, self.pos)
+        if m is not None:
+            end = m.end()
+            follow = self.text[end : end + 1]
+            if follow == "=":
+                self.pos = end + 1
+                return Entry(m.group(), self.scan_item())
+            if follow == ":":
+                self.pos = end + 1
+                return Labeled(m.group(), self.scan_list())
+        return self.scan_atom()
+
+    def scan_fields(self) -> dict[str, object]:
+        fields: dict[str, object] = {}
+        while not self.at_end():
+            m = _KEY_RE.match(self.text, self.pos)
+            if m is None:
+                raise self.error("expected a field key")
+            key = m.group()
+            self.pos = m.end()
+            self.take("=")
+            if key in fields:
+                raise self.error(f"duplicate field {key!r}")
+            fields[key] = self.scan_item()
+        return fields
+
+
+def parse_record_by_scanner(line: str) -> records.Record:
+    """`records.parse_record` over `_Scanner`."""
+    scanner = _Scanner(line)
+    if scanner.at_end():
+        raise RecordError("empty record")
+    start = scanner.pos
+    while scanner.pos < len(line) and not line[scanner.pos].isspace():
+        scanner.pos += 1
+    rid = line[start : scanner.pos]
+    return records.Record(rid, scanner.scan_fields())
+
+
+def parse_value_literal_by_scanner(text: str) -> Value | list | Entry | Labeled | PairLit:
+    """`records.parse_value_literal` over `_Scanner`."""
+    scanner = _Scanner(text)
+    value = scanner.scan_item()
+    if not scanner.at_end():
+        raise RecordError(f"trailing input after value: {text!r}")
+    return value
+
+
+def item_shapes(item: object) -> object:
+    """The scanner's items as `records` gives them: an Entry as the tuple
+    (key, value), a PairLit as (start, end) and a Labeled as {label: items}."""
+    if isinstance(item, Entry):
+        return (item.key, item_shapes(item.value))
+    if isinstance(item, PairLit):
+        return (item.start, item.end)
+    if isinstance(item, Labeled):
+        return {item.label: item_shapes(item.items)}
+    if isinstance(item, list):
+        return [item_shapes(i) for i in item]
+    return item
+
+
+def as_value_map(items: object, where: str = "") -> ValueMap:
+    """Interpret a parsed bracket list of key=value entries as a value map."""
+    if not isinstance(items, list):
+        raise RecordError(f"{where}: expected a [key=value, ...] list")
+    pairs = []
+    for item in items:
+        if not isinstance(item, Entry):
+            raise RecordError(f"{where}: expected key=value entries, found {item!r}")
+        value = item.value
+        if isinstance(value, list):
+            value = tuple(_plain(v, where) for v in value)
+        pairs.append((item.key, value))
+    try:
+        return ValueMap(pairs)
+    except ValueError as exc:
+        raise RecordError(f"{where}: {exc}") from exc
+
+
+def _plain(item: object, where: str) -> Value:
+    if isinstance(item, (Entry, Labeled, PairLit)):
+        raise RecordError(f"{where}: unexpected structured item {item!r} in a value list")
+    if isinstance(item, list):
+        return tuple(_plain(v, where) for v in item)
+    return item
+
+
+class CharScanner(_Scanner):
     """The record scanner with quoted strings read one character at a time."""
 
     def scan_string(self) -> str:
@@ -832,7 +1098,7 @@ class CharScanner(records._Scanner):
                     out.append("\n")
                 elif esc in ('"', "\\"):
                     out.append(esc)
-                elif esc == "u" and records._HEX4_RE.match(self.text, self.pos):
+                elif esc == "u" and _HEX4_RE.match(self.text, self.pos):
                     out.append(chr(int(self.text[self.pos : self.pos + 4], 16)))
                     self.pos += 4
                 else:
@@ -850,3 +1116,208 @@ def parse_record_by_chars(line: str) -> records.Record:
     while scanner.pos < len(line) and not line[scanner.pos].isspace():
         scanner.pos += 1
     return records.Record(line[start : scanner.pos], scanner.scan_fields())
+
+
+# ---------------------------------------------------------------------------
+# Structure parsing: the tokenizer of token objects and the parser over them
+# as first written
+
+
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<comment>%[^\n]*)
+  | (?P<neck>:-)
+  | (?P<punct>[()\[\],=.])
+  | (?P<name>[^\s()\[\],=.%:]+)
+""",
+    re.VERBOSE,
+)
+
+_KEYWORDS = {"AND", "OR", "NOT"}
+
+
+# kind is "neck", "punct", "name", "keyword" or "end".
+_Token = namedtuple("_Token", "kind text pos")
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise RuleSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        if m.lastgroup not in ("ws", "comment"):
+            kind = m.lastgroup
+            word = m.group()
+            if kind == "name" and word in _KEYWORDS:
+                kind = "keyword"
+            tokens.append(_Token(kind, word, pos))
+        pos = m.end()
+    tokens.append(_Token("end", "", len(text)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.index = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.index]
+
+    def advance(self) -> _Token:
+        token = self.tokens[self.index]
+        self.index += 1
+        return token
+
+    def expect(self, text: str, error: type[RuleSyntaxError] = RuleSyntaxError) -> _Token:
+        token = self.peek()
+        if token.text != text:
+            raise error(f"expected {text!r}, found {token.text or 'end of input'!r}", token.pos)
+        return self.advance()
+
+    def at_end(self) -> bool:
+        return self.peek().kind == "end"
+
+    # -- terms --------------------------------------------------------------
+
+    def parse_term(self) -> tuple[str, list[tuple[str, str | None]], int]:
+        """A section identifier plus its final argument list.
+
+        Returns (identifier, items, position) where each item is
+        (name, bound_name_or_None).
+        """
+        token = self.peek()
+        if token.kind != "name":
+            raise RuleSyntaxError(f"expected a section identifier, found {token.text or 'end of input'!r}", token.pos)
+        ident = self.advance().text
+        groups: list[tuple[list[tuple[str, str | None]], int]] = []
+        while self.peek().text == "(":
+            groups.append(self._parse_group())
+        if not groups:
+            raise RuleSyntaxError(f"term {ident!r} is missing its argument list", token.pos)
+        *ident_groups, (args, _) = groups
+        for items, pos in ident_groups:
+            if len(items) != 1 or items[0][1] is not None:
+                raise RuleSyntaxError("identifier group must hold a single plain name", pos)
+            ident += f"({items[0][0]})"
+        return ident, args, token.pos
+
+    def _parse_group(self) -> tuple[list[tuple[str, str | None]], int]:
+        open_token = self.expect("(")
+        items: list[tuple[str, str | None]] = []
+        if self.peek().text != ")":
+            while True:
+                name = self.peek()
+                if name.kind != "name":
+                    raise RuleSyntaxError(f"expected a name, found {name.text or 'end of input'!r}", name.pos)
+                self.advance()
+                bound: str | None = None
+                if self.peek().text == "=":
+                    self.advance()
+                    target = self.peek()
+                    if target.kind != "name":
+                        raise RuleSyntaxError(f"expected a name after '=', found {target.text!r}", target.pos)
+                    bound = self.advance().text
+                items.append((name.text, bound))
+                if self.peek().text != ",":
+                    break
+                self.advance()
+        self.expect(")")
+        return items, open_token.pos
+
+    # -- body expressions (NOT > AND > OR) -----------------------------------
+
+    def parse_body(self) -> BodyExpr:
+        children = [self._parse_and()]
+        while self.peek().text == "OR":
+            self.advance()
+            children.append(self._parse_and())
+        return children[0] if len(children) == 1 else Or(tuple(children))
+
+    def _parse_and(self) -> BodyExpr:
+        children = [self._parse_not()]
+        while self.peek().text == "AND":
+            self.advance()
+            children.append(self._parse_not())
+        return children[0] if len(children) == 1 else And(tuple(children))
+
+    def _parse_not(self) -> BodyExpr:
+        if self.peek().text == "NOT":
+            self.advance()
+            return Not(self._parse_not())
+        if self.peek().text == "[":
+            self.advance()
+            body = self.parse_body()
+            self.expect("]")
+            return body
+        ident, items, pos = self.parse_term()
+        bindings = tuple((name, bound if bound is not None else name) for name, bound in items)
+        try:
+            return Ref(ident, bindings)
+        except ValueError as exc:
+            raise RuleSyntaxError(str(exc), pos) from exc
+
+    # -- clauses --------------------------------------------------------------
+
+    def parse_clause(self) -> Rule:
+        ident, items, pos = self.parse_term()
+        params = []
+        for name, bound in items:
+            if bound is not None:
+                raise RuleSyntaxError(f"head parameter {name!r} cannot carry a binding", pos)
+            params.append(name)
+        body: BodyExpr | None = None
+        if self.peek().kind == "neck":
+            self.advance()
+            body = self.parse_body()
+        self.expect(".", _Unterminated)
+        try:
+            return Rule(ident, tuple(params), body)
+        except ValueError as exc:
+            raise RuleSyntaxError(str(exc), pos) from exc
+
+
+def parse_rule_by_tokens(text: str) -> Rule:
+    """`rules.parse_rule` over the token objects of `_tokenize`."""
+    parser = _Parser(text)
+    rule = parser.parse_clause()
+    if not parser.at_end():
+        token = parser.peek()
+        raise RuleSyntaxError(f"trailing input after clause: {token.text!r}", token.pos)
+    return rule
+
+
+def parse_program_by_tokens(text: str) -> Program:
+    """`rules.parse_program` over the token objects of `_tokenize`."""
+    try:
+        parser = _Parser(text)
+    except RuleSyntaxError as exc:
+        raise ProgramSyntaxError([(exc.position, str(exc))]) from None
+    rules: dict[str, Rule] = {}
+    problems: list[tuple[int, str]] = []
+    clause_no = 0
+    while not parser.at_end():
+        clause_no += 1
+        start = parser.peek().pos
+        try:
+            rule = parser.parse_clause()
+        except RuleSyntaxError as exc:
+            problems.append((exc.position, f"clause {clause_no}: {exc}"))
+            # A clause that lacks only its "." ends where the next line
+            # begins; resume there. Otherwise skip to just past the next ".".
+            line_start = text.rfind("\n", 0, exc.position) + 1
+            if isinstance(exc, _Unterminated) and not text[line_start : exc.position].strip():
+                continue
+            while not parser.at_end() and parser.advance().text != ".":
+                pass
+            continue
+        if rule.head_id in rules:
+            problems.append((start, f"clause {clause_no}: duplicate rule for {rule.head_id}"))
+        else:
+            rules[rule.head_id] = rule
+    if problems:
+        raise ProgramSyntaxError(problems)
+    return Program(rules)

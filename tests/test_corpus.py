@@ -118,6 +118,29 @@ class TestLoadLayers:
             load_corpus(root / "manifest.txt")
         assert "out of range" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "file, value, message",
+        [
+            ("spans.txt", "spans=5", "expected a [(start, end), ...] list"),
+            ("spans.txt", "spans=a=1", "expected a [(start, end), ...] list"),
+            ("spans.txt", "spans=(5, 50)", "expected a [(start, end), ...] list"),
+            ("spans.txt", "spans=[(5, 50), a=1]", "expected (start, end) pairs, found Entry(key='a', value=1)"),
+            ("coref.txt", "clusters=A:[0]", "expected a [Name:[0, 1], [2], ...] list"),
+            ("coref.txt", 'clusters=""', "expected a [Name:[0, 1], [2], ...] list"),
+            ("coref.txt", "clusters=[(0, 1)]",
+             "expected clusters like Name:[0, 1] or [0, 1], found PairLit(start=0, end=1)"),
+            ("coref.txt", "clusters=[[0, A:[1]]]",
+             "cluster members must be span indices, got [0, Labeled(label='A', items=[1])]"),
+        ],
+    )
+    def test_fields_of_the_wrong_shape_name_their_line(self, tmp_path, file, value, message):
+        root = copy_corpus(tmp_path)
+        old = "spans=[(5, 50), (54, 72)]" if file == "spans.txt" else "clusters=[Tax:[0], Taxinc:[1]]"
+        edit(root / file, f"§1(d)(iv) {old}", f"§1(d)(iv) {value}")
+        with pytest.raises(CorpusError) as exc:
+            load_corpus(root / "manifest.txt")
+        assert str(exc.value.errors[0]) == f"{root / file}:1: {message}"
+
     def test_missing_coref_record(self, tmp_path):
         root = copy_corpus(tmp_path)
         edit(root / "coref.txt", "§1(d)(iv) clusters=[Tax:[0], Taxinc:[1]]\n", "")

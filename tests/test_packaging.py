@@ -3,8 +3,8 @@ in no numeric stack, and pyproject.toml declares no runtime dependency.
 The package root exports nothing, so importing one module loads only what
 that module needs, and each command loads only the modules it runs (and
 never `dataclasses`). Every name that the benchmark and the scripts import
-from the package exists, and so does every name README's library table
-lists."""
+from the package exists, and so does every name that the benchmark traces
+and every name README's library table lists."""
 
 import ast
 import importlib
@@ -121,6 +121,33 @@ def test_benchmark_and_scripts_import_only_names_that_exist():
         except ImportError:
             missing.append(f"{where}: {module} has no {name}" if name else f"{where}: no module {module}")
     assert missing == []
+
+
+# Names that perfbench/spans.py traces but that the package no longer has.
+GONE_FROM_THE_PACKAGE = {
+    "rules.populate_values", "model.ValueMap.merged", "model.ValueMap.without", "metrics.exact_match_coref",
+    "metrics.span_prf", "reports.report_records", "reports.render_stats",
+}
+
+
+def test_every_traced_name_exists():
+    # spans.py skips a name it cannot find, so a renamed function would
+    # silently drop out of the per-layer trace.
+    module = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    [traced] = [
+        ast.literal_eval(node.value)
+        for node in module.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]
+    ]
+    missing = []
+    for layer, qualnames in traced.items():
+        for qualname in qualnames:
+            owner = importlib.import_module(f"statreason.{layer}")
+            for attr in qualname.split("."):
+                owner = getattr(owner, attr, None)
+            if owner is None and f"{layer}.{qualname}" not in GONE_FROM_THE_PACKAGE:
+                missing.append(f"{layer}.{qualname}")
+    assert len(traced) >= 10 and missing == []
 
 
 def test_readme_library_table_names_exist():

@@ -1,4 +1,5 @@
 import datetime
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -28,8 +29,8 @@ class TestScanning:
 
     def test_lists_pairs_and_labels(self):
         r = records.parse_record('§63(c)(5) spans=[(15, 27), (50, 60)] clusters=[Taxp:[0, 1], [2]]')
-        assert r.fields["spans"] == [records.PairLit(15, 27), records.PairLit(50, 60)]
-        assert r.fields["clusters"] == [records.Labeled("Taxp", [0, 1]), [2]]
+        assert r.fields["spans"] == [(15, 27), (50, 60)]
+        assert r.fields["clusters"] == [{"Taxp": [0, 1]}, [2]]
 
     def test_value_map_entries(self):
         r = records.parse_record('c1 inputs=[Taxp="Bob", Bassd=$500]')
@@ -134,32 +135,87 @@ class TestWriting:
 # What steers the string scan: quotes, backslashes, escape letters, hex
 # digits, and the characters that end a value or a field.
 SCANNER_CHARACTERS = '"\\nu0aF =[](),:$-'
+# What steers the rest of the scan as well: blanks, key characters, signs,
+# digits and the letters of true, false and exponents.
+EDIT_CHARACTERS = SCANNER_CHARACTERS + '\t@._e19+"tf'
+FIXTURES = Path(__file__).parent / "fixtures" / "corpus"
+# Every record line of the fixture corpus.
+FIXTURE_LINES = sorted(
+    line
+    for path in [FIXTURES / "spans.txt", FIXTURES / "coref.txt", FIXTURES / "statutes" / "offsets.txt",
+                 *FIXTURES.rglob("*.cases")]
+    for line in path.read_text(encoding="utf-8").splitlines()
+    if line.strip() and not line.startswith("#")
+)
 
 
-@st.composite
-def record_lines(draw):
-    """A record line as the writers emit it, then cut, or with characters
-    inserted or deleted, up to three times."""
-    values = draw(st.lists(st.one_of(TEXT_VALUES, VALUES), min_size=1, max_size=3))
-    line = "r " + " ".join(f"f{i}={records.write_value(v)}" for i, v in enumerate(values))
+def edited(draw, line: str, characters: str = SCANNER_CHARACTERS) -> str:
+    """`line` cut, or with characters inserted or deleted, up to three times."""
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(line)))
         edit = draw(st.sampled_from(["insert", "delete", "cut"]))
         if edit == "insert":
-            line = line[:i] + draw(st.sampled_from(SCANNER_CHARACTERS)) + line[i:]
+            line = line[:i] + draw(st.sampled_from(characters)) + line[i:]
         else:
             line = line[:i] + line[i + 1 :] if edit == "delete" else line[:i]
     return line
 
 
+@st.composite
+def record_lines(draw):
+    """A record line as the writers emit it, then edited."""
+    values = draw(st.lists(st.one_of(TEXT_VALUES, VALUES), min_size=1, max_size=3))
+    line = "r " + " ".join(f"f{i}={records.write_value(v)}" for i, v in enumerate(values))
+    return edited(draw, line)
+
+
+KEYS = st.sampled_from(["a", "Taxp", "@truth", "S13A", "x.y-1", "0"])
+
+
+@st.composite
+def item_texts(draw, depth: int = 0) -> str:
+    """The text of an item: a value, an entry, a span pair, a group or a
+    list of items, each of any shape the scanner reads and a few it does not."""
+    kind = draw(st.sampled_from(["value", "value", "entry", "pair", "group"] + ["list"] * (depth < 2)))
+    if kind == "value":
+        return records.write_value(draw(VALUES))
+    if kind == "entry":
+        return f"{draw(KEYS)}={draw(item_texts(depth + 1))}"
+    if kind == "pair":
+        start, end = draw(st.sampled_from(["0", "15", "-3", "true", "$5", '"a"'])), draw(st.integers(-2, 99))
+        return f"({start},{draw(st.sampled_from(['', ' ', '  ']))}{end})"
+    items = ", ".join(draw(st.lists(item_texts(depth + 1), max_size=3)))
+    if kind == "group":
+        label = draw(st.one_of(KEYS, TEXT_VALUES.map(records.write_text)))
+        return f"{label}{draw(st.sampled_from(['', ' ']))}:[{items}]"
+    return f"[{items}]"
+
+
+@st.composite
+def structured_lines(draw):
+    """A record line of items of every shape, or a line of the fixture
+    corpus, then edited with every character the scan turns on."""
+    if draw(st.booleans()):
+        line = draw(st.sampled_from(FIXTURE_LINES))
+    else:
+        fields = draw(st.lists(st.tuples(KEYS, item_texts()), min_size=1, max_size=3))
+        line = draw(st.sampled_from(["r", "§1(a)", "\tr"])) + "".join(f" {k}={v}" for k, v in fields)
+    return edited(draw, line, EDIT_CHARACTERS)
+
+
+@st.composite
+def edited_items(draw):
+    return edited(draw, draw(item_texts()), EDIT_CHARACTERS)
+
+
 def outcome(parse, line: str):
-    """The id and fields (by repr, which tells 1 from 1.0) or the error text,
-    column included."""
+    """The id and fields (by repr, which tells 1 from 1.0, the scanner's
+    items given the shapes of `records`) or the error text, column included."""
     try:
         record = parse(line)
     except records.RecordError as exc:
         return "error", str(exc)
-    return record.id, repr(record.fields)
+    return record.id, repr({key: oracles.item_shapes(value) for key, value in record.fields.items()})
 
 
 class TestStringScan:
@@ -173,34 +229,80 @@ class TestStringScan:
         assert outcome(records.parse_record, line) == outcome(oracles.parse_record_by_chars, line)
 
 
+def value_map_outcome(read, items):
+    try:
+        return repr(read(items, "f"))
+    except records.RecordError as exc:
+        return "error", str(exc)
+
+
+class TestAgainstTheScannerObject:
+    """The scanner functions read every line as the scanner object that they
+    replace did, item shapes aside, or fail with the same text and column;
+    `as_value_map` reads their items as it read the object's items."""
+
+    @given(st.one_of(structured_lines(), record_lines()))
+    @example("r a=[x=1, y=(2, 3), Z:[4], \"w v\" :[5]] b=2017-02-30")
+    @example("r a=[@truth=b=1, c=[d=2]] b=(1, true) c=$-0 d=1e+5 e=\u00a0")
+    @example("\u00a0r a=1")
+    @example("r a = 1 b =2 a=3")
+    @example("r a=1 b")
+    @example("r a=Taxp:\t[0] b=[,]")
+    def test_same_record_or_error(self, line):
+        assert outcome(records.parse_record, line) == outcome(oracles.parse_record_by_scanner, line)
+        try:
+            new, old = records.parse_record(line), oracles.parse_record_by_scanner(line)
+        except records.RecordError:
+            return
+        for key, value in new.fields.items():
+            assert value_map_outcome(records.as_value_map, value) == value_map_outcome(
+                oracles.as_value_map, old.fields[key]
+            )
+
+    @given(edited_items())
+    @example("[a=1, a=(1, 2)]")
+    @example("[a=[1, B:[2]], @truth=0.5]")
+    @example("[@truth=2, b=c=1]")
+    @example("x=1 ")
+    @example("x=1 y")
+    def test_same_value_literal_or_error(self, text):
+        def parse(read):
+            try:
+                return repr(oracles.item_shapes(read(text)))
+            except records.RecordError as exc:
+                return "error", str(exc)
+
+        assert parse(records.parse_value_literal) == parse(oracles.parse_value_literal_by_scanner)
+
+
 class TestItemClasses:
-    """Repr, equality and hashing as the frozen dataclasses they replace had
-    them; error messages print items by repr."""
+    """The scanner's items as the loaders get them, tuples and one-key dicts,
+    and how error messages print them: by the names of the item classes that
+    they replace."""
 
     def test_pair_literal(self):
-        pair = records.PairLit(15, 27)
-        assert repr(pair) == "PairLit(start=15, end=27)"
-        assert pair == records.PairLit(15, 27) and pair != records.PairLit(15, 28)
-        assert pair != (15, 27) and pair != Span(15, 27)
-        assert hash(pair) == hash((15, 27))
+        pair = records.parse_value_literal("(15, 27)")
+        assert pair == (15, 27) and pair != Span(15, 27)
+        assert records.item_repr(pair) == "PairLit(start=15, end=27)"
 
     def test_entry(self):
-        entry = records.Entry("Tax", Money(5))
-        assert repr(entry) == "Entry(key='Tax', value=Money(dollars=5))"
-        assert entry == records.Entry("Tax", Money(5)) and entry != records.Entry("Tax", 5)
-        assert entry != ("Tax", Money(5))
-        assert hash(entry) == hash(("Tax", Money(5)))
+        entry = records.parse_value_literal("Tax=$5")
+        assert entry == ("Tax", Money(5))
+        assert records.item_repr(entry) == "Entry(key='Tax', value=Money(dollars=5))"
 
     def test_labeled(self):
-        labeled = records.Labeled("A", [0, 1])
-        assert repr(labeled) == "Labeled(label='A', items=[0, 1])"
-        assert labeled == records.Labeled("A", [0, 1]) and labeled != records.Labeled(None, [0, 1])
-        with pytest.raises(TypeError):
-            hash(labeled)
+        labeled = records.parse_value_literal('A:[0, 1]')
+        assert labeled == {"A": [0, 1]} == records.parse_value_literal('"A" :[0, 1]')
+        assert records.item_repr(labeled) == "Labeled(label='A', items=[0, 1])"
+        assert records.item_repr([labeled, ("k", [(1, 2)]), "s"]) == (
+            "[Labeled(label='A', items=[0, 1]), Entry(key='k', value=[PairLit(start=1, end=2)]), 's']"
+        )
 
     def test_items_are_immutable(self):
-        with pytest.raises(AttributeError, match="cannot assign to field 'key'"):
-            records.Entry("a", 1).key = "b"
+        with pytest.raises(AttributeError, match="cannot assign to field 'id'"):
+            records.parse_record("r a=1").id = "b"
+        with pytest.raises(TypeError):
+            records.parse_value_literal("a=1")[0] = "b"
 
     def test_reprs_in_error_messages(self):
         with pytest.raises(records.RecordError) as exc:

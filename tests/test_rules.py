@@ -1,12 +1,16 @@
 import random
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given
 
 from statreason.rules import (
     And,
     Not,
     Or,
     Program,
+    ProgramSyntaxError,
     Ref,
     RuleSyntaxError,
     build_dependency_tree,
@@ -20,7 +24,8 @@ from statreason.rules import (
 from statreason.engine import EngineConfig, RunContext, instantiate_full
 from statreason.model import TRUTH_KEY, Case, ValueMap
 
-from generators import random_clause, random_program
+import oracles
+from generators import random_clause, random_nested_program, random_program
 from oracles import tree_depth
 
 CLAUSE_1DIV = "§1(d)(iv)(Tax, Taxinc)."
@@ -247,3 +252,62 @@ def test_tree_depth_and_size_bounded():
             return 1 + (count(node.child) if node.child else 0)
 
         assert count(tree.root) <= 4 ** cap
+
+
+# What steers the tokenizer and the parser: punctuation, the neck, the
+# keywords, comments, blanks and the characters of names.
+RULE_EDITS = ["(", ")", "[", "]", ",", "=", ".", ":", ":-", "%", " ", "\n", "AND", "OR", "NOT", "x", "§"]
+FIXTURE_STRUCTURE = (Path(__file__).parent / "fixtures" / "corpus" / "structure.txt").read_text(encoding="utf-8")
+
+
+@st.composite
+def program_texts(draw):
+    """The printed clauses of a random program, or the fixture's structure
+    file, cut, or with tokens inserted or characters deleted, up to three
+    times."""
+    if draw(st.integers(0, 4)) == 0:
+        text = FIXTURE_STRUCTURE
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        program = draw(st.sampled_from([random_program, random_nested_program]))(rng, draw(st.integers(1, 6)))
+        rules = [print_rule(rule) for rule in program.rules.values()]
+        rules += [print_rule(random_clause(rng)) for _ in range(draw(st.integers(0, 2)))]
+        text = "\n".join(rules) + draw(st.sampled_from(["", "\n", " % note\n"]))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "delete", "cut"]))
+        if edit == "insert":
+            text = text[:i] + draw(st.sampled_from(RULE_EDITS)) + text[i:]
+        else:
+            text = text[:i] + text[i + 1 :] if edit == "delete" else text[:i]
+    return text
+
+
+def parse_outcome(parse, text: str):
+    try:
+        return repr(parse(text))
+    except ProgramSyntaxError as exc:
+        return "problems", exc.problems
+    except RuleSyntaxError as exc:
+        return "error", str(exc), exc.position
+
+
+class TestAgainstTheTokenParser:
+    """The parser over token texts reads every structure text as the parser
+    over token objects that it replaces did, or fails with the same problems
+    at the same positions."""
+
+    @given(program_texts())
+    @example("")
+    @example("§1(a)(x) :- §2(b)(y=z) AND NOT [§3(c)() OR §4()] .\n§1(a)(x).")
+    @example("§1(a)(x) :- §2(y=)\n§3(AND).\n§4(a)(b=c)(x).")
+    @example("§1(a)(x).\n§4(a:b).")
+    @example("§1(a)(x, y=z).\n§2(a)(b)(c)(x) :- §3\n§5(a)(x) :- [§6(x)")
+    def test_same_program_or_problems(self, text):
+        assert parse_outcome(parse_program, text) == parse_outcome(oracles.parse_program_by_tokens, text)
+
+    @given(program_texts())
+    @example("§1(a)(x). §2(b)(y).")
+    @example("§1(a)(x) :- §2(x, x).")
+    def test_same_rule_or_error(self, text):
+        assert parse_outcome(parse_rule, text) == parse_outcome(oracles.parse_rule_by_tokens, text)

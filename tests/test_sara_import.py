@@ -189,3 +189,59 @@ class TestImport:
         assert "case bad-name" not in log.imported
         self.assert_validates(dest, capsys)
         assert [c.id for c in load_corpus(dest / "manifest.txt").cases] == ["case-1-positive"]
+
+    def test_offsets_outside_their_section_text_are_skipped(self, tmp_path, capsys):
+        source, dest = tmp_path / "dist", tmp_path / "canonical"
+        make_distributed_tree(source)
+        offsets = source / "statutes" / "section1.offsets"
+        offsets.write_text(offsets.read_text(encoding="utf-8") + "§1(d)(v) 0 4000\n§1(d)(vi) 5 5\n", encoding="utf-8")
+        log = import_corpus(source, dest)
+        assert log.skipped == [
+            "section1.offsets: '§1(d)(v) 0 4000': offsets (0, 4000) out of bounds for section1.txt of length 68",
+            "section1.offsets: '§1(d)(vi) 5 5': offsets (5, 5) out of bounds for section1.txt of length 68",
+        ]
+        self.assert_validates(dest, capsys)
+        assert list(load_corpus(dest / "manifest.txt").subsections) == ["§1(d)(iv)"]
+
+    def test_subsection_ids_listed_twice_are_skipped(self, tmp_path, capsys):
+        source, dest = tmp_path / "dist", tmp_path / "canonical"
+        make_distributed_tree(source)
+        write(source / "statutes" / "section2.txt", "Other text.")
+        write(source / "statutes" / "section2.offsets", "§1(d)(iv) 0 4\n")
+        log = import_corpus(source, dest)
+        assert log.skipped == ["section2.offsets: '§1(d)(iv) 0 4': duplicate subsection id §1(d)(iv)"]
+        assert log.imported.count("subsection §1(d)(iv)") == 1
+        self.assert_validates(dest, capsys)
+        assert load_corpus(dest / "manifest.txt").subsections["§1(d)(iv)"].text.startswith("(iv) $31,172")
+
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            ("60 500", "span (60, 500) out of range for §1(d)(iv) of length 68"),
+            ("4 5", "span (4, 5) covers only whitespace"),
+            ("5 3", "invalid span (5, 3)"),
+        ],
+        ids=["out-of-range", "whitespace", "reversed"],
+    )
+    def test_spans_the_loader_would_reject_skip_the_layer(self, tmp_path, capsys, line, problem):
+        source, dest = tmp_path / "dist", tmp_path / "canonical"
+        make_distributed_tree(source)
+        spans = source / "spans" / "1_d_iv"
+        spans.write_text(spans.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+        log = import_corpus(source, dest)
+        assert log.skipped == [f"spans 1_d_iv: {line!r}: {problem}"]
+        assert "layer §1(d)(iv)" not in log.imported
+        self.assert_validates(dest, capsys)
+        assert load_corpus(dest / "manifest.txt").layers == {}
+
+    def test_cases_whose_query_has_no_rule_are_skipped(self, tmp_path, capsys):
+        source, dest = tmp_path / "dist", tmp_path / "canonical"
+        make_distributed_tree(source)
+        write(source / "cases" / "q", "% Text\nAlice.\n% Question\n§5(a)\n% Output\n@truth=1.0\n")
+        write(source / "silver" / "s", "% Text\nAlice.\n% Question\n§1(d)\n% Output\n@truth=1.0\n")
+        log = import_corpus(source, dest)
+        assert log.skipped == [
+            "case q: query §5(a) has no structure rule", "case s: query §1(d) has no structure rule"
+        ]
+        self.assert_validates(dest, capsys)
+        assert [c.id for c in load_corpus(dest / "manifest.txt").cases] == ["case-1-positive"]
