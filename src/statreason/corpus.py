@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import records
 from .model import ArgumentLayer, Case, Frozen, Span, Subsection, TRUTH_KEY
-from .rules import ProgramSyntaxError, check_references, parse_program
+from .rules import ProgramSyntaxError, Rule, _reference_problems, parse_program
 
 
 class FileError(Frozen):
@@ -180,11 +180,18 @@ def _spans_and_lines(
                 raise records.RecordError(f"duplicate spans record for {record.id}")
             if type(items) is not list:
                 raise records.RecordError("expected a [(start, end), ...] list")
-            out = []
+            out, text = [], subsections[record.id].text
             for item in items:
                 if type(item) is not tuple or type(item[0]) is not int:
                     raise records.RecordError(f"expected (start, end) pairs, found {records.item_repr(item)}")
-                out.append(check_span(Span(*item), subsections[record.id]))
+                span = Span(*item)
+                if span.end > len(text):
+                    raise records.RecordError(
+                        f"span ({span.start}, {span.end}) out of range for {record.id} of length {len(text)}"
+                    )
+                if not span.slice(text).strip():
+                    raise records.RecordError(f"span ({span.start}, {span.end}) covers only whitespace")
+                out.append(span)
             for a, b in zip(out, out[1:]):
                 if b.start < a.end:
                     raise records.RecordError(f"spans overlap or are out of order: {a}, {b}")
@@ -195,18 +202,6 @@ def _spans_and_lines(
     if errors:
         raise CorpusError(errors)
     return spans, lines
-
-
-def check_span(span: Span, subsection: Subsection) -> Span:
-    """`span`, which must lie inside the subsection's text and cover more than whitespace."""
-    text = subsection.text
-    if span.end > len(text):
-        raise records.RecordError(
-            f"span ({span.start}, {span.end}) out of range for {subsection.id} of length {len(text)}"
-        )
-    if not span.slice(text).strip():
-        raise records.RecordError(f"span ({span.start}, {span.end}) covers only whitespace")
-    return span
 
 
 def load_argument_layers(
@@ -332,27 +327,32 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
 
 def validate_corpus(corpus: Corpus) -> list[str]:
     """Cross-file diagnostics; empty means the corpus is coherent."""
-    diagnostics = check_references(corpus.program)
-    for rule_id in corpus.program.rules:
+    return [message for _, message in item_problems(corpus)]
+
+
+def item_problems(corpus: Corpus) -> list[tuple[Rule | Case | ArgumentLayer, str]]:
+    """`validate_corpus`'s diagnostics, each with the rule, case or layer it is about."""
+    problems: list[tuple[Rule | Case | ArgumentLayer, str]] = _reference_problems(corpus.program)
+    for rule_id, rule in corpus.program.rules.items():
         if rule_id not in corpus.subsections:
-            diagnostics.append(f"structure: rule {rule_id} has no subsection text")
-    for case in list(corpus.cases) + list(corpus.silver):
+            problems.append((rule, f"structure: rule {rule_id} has no subsection text"))
+    for case in (*corpus.cases, *corpus.silver):
         if case.query not in corpus.program:
-            diagnostics.append(f"case {case.id}: query {case.query} has no structure rule")
+            problems.append((case, f"case {case.id}: query {case.query} has no structure rule"))
     for layer in corpus.layers.values():
         if layer.subsection_id not in corpus.subsections:
-            diagnostics.append(f"layer {layer.subsection_id}: unknown subsection")
+            problems.append((layer, f"layer {layer.subsection_id}: unknown subsection"))
         rule = corpus.program.get(layer.subsection_id)
         for name, _ in layer.labelled_clusters:
             if rule is None:
-                diagnostics.append(
-                    f"layer {layer.subsection_id}: cluster {name!r} named but no rule declares parameters"
+                problems.append(
+                    (layer, f"layer {layer.subsection_id}: cluster {name!r} named but no rule declares parameters")
                 )
             elif name not in rule.params:
-                diagnostics.append(
-                    f"layer {layer.subsection_id}: cluster {name!r} is not a parameter of its rule"
+                problems.append(
+                    (layer, f"layer {layer.subsection_id}: cluster {name!r} is not a parameter of its rule")
                 )
-    return diagnostics
+    return problems
 
 
 def corpus_hash(corpus: Corpus) -> str:

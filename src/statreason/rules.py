@@ -258,16 +258,6 @@ class _Parser:
             raise RuleSyntaxError(str(exc), self.position(start)) from exc
 
 
-def parse_rule(text: str) -> Rule:
-    """Parse exactly one clause."""
-    parser = _Parser(text)
-    rule = parser.parse_clause()
-    token = parser.tokens[parser.index]
-    if token:
-        raise RuleSyntaxError(f"trailing input after clause: {token!r}", parser.position(parser.index))
-    return rule
-
-
 def parse_program(text: str) -> Program:
     """Parse a whole structure-annotation file.
 
@@ -357,19 +347,25 @@ def iter_refs(rule: Rule):
 
 def check_references(program: Program) -> list[str]:
     """Diagnostics for dangling callees and bindings to undeclared variables."""
-    diagnostics = []
+    return [message for _, message in _reference_problems(program)]
+
+
+def _reference_problems(program: Program) -> list[tuple[Rule, str]]:
+    """`check_references`'s diagnostics, each with the rule it is about."""
+    problems = []
     for rule in program.rules.values():
         params = set(rule.params)
         for ref in iter_refs(rule):
             if ref.callee_id not in program:
-                diagnostics.append(f"{rule.head_id}: reference to undefined rule {ref.callee_id}")
+                problems.append((rule, f"{rule.head_id}: reference to undefined rule {ref.callee_id}"))
             for callee_param, caller_var in ref.bindings:
                 if caller_var not in params:
-                    diagnostics.append(
+                    problems.append((
+                        rule,
                         f"{rule.head_id}: binding {callee_param}={caller_var} uses {caller_var!r}, "
-                        f"which is not a parameter of {rule.head_id}"
-                    )
-    return diagnostics
+                        f"which is not a parameter of {rule.head_id}",
+                    ))
+    return problems
 
 
 # ---------------------------------------------------------------------------

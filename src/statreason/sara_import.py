@@ -1,5 +1,5 @@
-"""Best-effort import of a distributed statutory-reasoning dataset into the
-canonical corpus format.
+"""Import of a distributed statutory-reasoning dataset into the canonical
+corpus format.
 
 Every assumption about the distributed layout lives in this module and
 nowhere else. The importer expects:
@@ -19,13 +19,20 @@ nowhere else. The importer expects:
 
 Subsection ids appear in file names with "/" unusable, so "§63(c)(5)" is
 stored as "63_c_5" (leading "§" dropped, parenthesized parts joined by "_").
-Records that do not fit are skipped and logged, never guessed at; so is an
-item whose id or name would not read back as written, a malformed subsection
-id, an offsets line outside its section text or repeating an id, a span that
-the loader would reject, a layer for a subsection that was not imported, and
-a case whose query has no rule in the structure. Files are read as the corpus
-loader reads them (UTF-8, universal newlines); a byte that is not UTF-8 stops
-the import with its `path:line`.
+
+This module reads that layout and nothing more: what a valid corpus is,
+`corpus.load_corpus` and `corpus.validate_corpus` decide. The importer
+writes each subsection, layer, rule and case it could read in canonical
+form (`structure.txt` printed rule by rule with `rules.print_rule`, in
+source order and without comments), loads and validates what it wrote,
+drops the item behind each problem found, and repeats until both pass; so
+a dropped rule takes its callers and the cases that query it on a later
+pass. A layer's spans and coref records go together, and an item that does
+not read back as written goes too. Each skip is logged as "<source file or
+file:line>: <message>", the loader's or `validate`'s message or what of
+the layout did not fit. Files are read as the loader reads them (UTF-8,
+universal newlines); a byte that is not UTF-8 stops the import with its
+`path:line`.
 """
 
 from __future__ import annotations
@@ -34,9 +41,11 @@ import re
 from pathlib import Path
 
 from . import records
+from .corpus import (
+    CorpusError, FileError, _read, item_problems, load_corpus, serialize_cases, serialize_coref, serialize_spans,
+)
 from .model import ArgumentLayer, Case, Span, Subsection, ValueMap, matrix_to_clusters
-from .corpus import _read, _well_formed_id, check_span, serialize_cases, serialize_coref, serialize_spans
-from .rules import Program, parse_program
+from .rules import parse_program, print_rule
 
 
 class ImportLog:
@@ -49,8 +58,15 @@ class ImportLog:
     def skip(self, what: str, reason: str) -> None:
         self.skipped.append(f"{what}: {reason}")
 
-    def ok(self, what: str) -> None:
-        self.imported.append(what)
+
+class _Item:
+    """What was read from one source item: where it came from, its value
+    and its record text in each corpus file it is written to."""
+
+    __slots__ = ("source", "value", "texts")
+
+    def __init__(self, source: str, value: object, texts: dict[str, str]):
+        self.source, self.value, self.texts = source, value, texts
 
 
 def file_stem_to_id(stem: str) -> str:
@@ -62,186 +78,187 @@ def file_stem_to_id(stem: str) -> str:
     return "§" + parts[0] + "".join(f"({p})" for p in parts[1:])
 
 
-def _readable(record_id: str, what: str, log: ImportLog, subsection: bool = False) -> bool:
-    """Whether `record_id` reads back at the start of a record line, where
-    the reader takes the id up to the first whitespace and skips a line
-    that starts with "#", and, for a `subsection` id, whether the loader
-    takes it as well formed; if not, `what` is logged as skipped."""
-    if record_id.split() != [record_id]:
-        problem = "is empty or holds whitespace, so it would not read back"
-    elif record_id.startswith("#"):
-        problem = "starts with '#', so it would read back as a comment"
-    elif subsection and not _well_formed_id(record_id):
-        problem = "is a malformed subsection id"
-    else:
-        return True
-    log.skip(what, f"id {record_id!r} {problem}")
-    return False
-
-
 def import_corpus(source: str | Path, dest: str | Path) -> ImportLog:
-    """Convert a distributed tree into a canonical corpus under `dest`."""
+    """Convert a distributed tree into a canonical corpus under `dest` that
+    holds exactly the items that `load_corpus` and `validate_corpus` accept."""
     source, dest = Path(source), Path(dest)
     log = ImportLog()
-    dest.mkdir(parents=True, exist_ok=True)
-    (dest / "statutes").mkdir(exist_ok=True)
-    (dest / "cases").mkdir(exist_ok=True)
+    files = ["statutes/offsets.txt", "spans.txt", "coref.txt", "structure.txt", "cases/train.cases", "cases/test.cases"]
+    manifest = ["statutes=statutes", "spans=spans.txt", "coref=coref.txt", "structure=structure.txt", "cases=cases"]
+    if (source / "silver").is_dir():
+        files.append("silver/silver.cases")
+        manifest.append("silver=silver")
+    for name in files:
+        (dest / name).parent.mkdir(parents=True, exist_ok=True)
+    (dest / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="utf-8")
 
-    offsets_lines = []
-    imported: dict[str, Subsection] = {}
+    items = _subsections(source, dest, log) + _layers(source, log) + _rules(source, log) + _cases(source, log)
+    while problems := _problems(dest, files, items):
+        dropped: dict[_Item, str] = {}
+        for item, message in problems:
+            dropped.setdefault(item, message)
+        for item, message in dropped.items():
+            log.skip(item.source, message)
+        items = [item for item in items if item not in dropped]
+    log.imported.extend(item.source for item in items)
+    return log
+
+
+def _problems(dest: Path, files: list[str], items: list[_Item]) -> list[tuple[_Item, str]]:
+    """Write `items` under `dest`, then load and validate what was written;
+    each problem found, with the item it is about. A problem that is about
+    no written item (a file in `dest` that the importer did not write) is
+    raised."""
+    texts: dict[str, list[str]] = {name: [] for name in files}
+    owners: dict[str, list[_Item]] = {str(dest / name): [] for name in files}  # by the loader's line
+    for item in items:
+        for name, text in item.texts.items():
+            texts[name].append(text)
+            owners[str(dest / name)] += [item] * len(text.splitlines())
+    for name, parts in texts.items():
+        (dest / name).write_text("".join(parts), encoding="utf-8")
+    try:
+        corpus = load_corpus(dest / "manifest.txt")
+    except CorpusError as exc:
+        problems = [(owners[e.path][e.line - 1], e.message) for e in exc.errors if e.path in owners and e.line]
+        if not problems:
+            raise
+        return problems
+    loaded = {
+        *corpus.subsections.values(), *corpus.layers.values(), *corpus.program.rules.values(),
+        *corpus.cases, *corpus.silver,
+    }
+    problems = [(item, "did not read back as written") for item in items if item.value not in loaded]
+    if problems:
+        return problems
+    by_value = {item.value: item for item in items}
+    problems = [(by_value.get(value), message) for value, message in item_problems(corpus)]
+    if any(item is None for item, _ in problems):
+        raise CorpusError([FileError("corpus", None, message) for item, message in problems if item is None])
+    return problems
+
+
+def _subsections(source: Path, dest: Path, log: ImportLog) -> list[_Item]:
+    """A subsection per offsets line; each section text is copied to `dest`."""
+    items = []
     for text_path in sorted((source / "statutes").glob("*.txt")):
         offsets_path = text_path.with_suffix(".offsets")
         if not offsets_path.exists():
-            log.skip(text_path.name, "no .offsets companion")
+            log.skip(f"statutes/{text_path.name}", "no .offsets companion")
             continue
         text = _read(text_path)
         (dest / "statutes" / text_path.name).write_text(text, encoding="utf-8")
-        for line in _read(offsets_path).splitlines():
-            parts, what = line.split(), f"{offsets_path.name}: {line!r}"
+        for lineno, line in enumerate(_read(offsets_path).splitlines(), 1):
+            where, parts = f"statutes/{offsets_path.name}:{lineno}", line.split()
             if len(parts) != 3 or not (parts[1].isdecimal() and parts[2].isdecimal()):
-                if line.strip():
-                    log.skip(what, "expected '<id> <start> <end>'")
+                if parts:
+                    log.skip(where, "expected '<id> <start> <end>'")
                 continue
-            if not _readable(parts[0], what, log, subsection=True):
-                continue
-            start, end = int(parts[1]), int(parts[2])
-            if not 0 <= start < end <= len(text):
-                log.skip(what, f"offsets ({start}, {end}) out of bounds for {text_path.name} of length {len(text)}")
-                continue
-            if parts[0] in imported:
-                log.skip(what, f"duplicate subsection id {parts[0]}")
-                continue
-            imported[parts[0]] = Subsection(parts[0], text[start:end])
-            offsets_lines.append(
-                f"{parts[0]} file={records.write_text(text_path.name)}"
-                f" start={parts[1]} end={parts[2]}"
-            )
-            log.ok(f"subsection {parts[0]}")
-    (dest / "statutes" / "offsets.txt").write_text("\n".join(offsets_lines) + "\n", encoding="utf-8")
+            sid, start, end = parts[0], int(parts[1]), int(parts[2])
+            record = f"{sid} file={records.write_text(text_path.name)} start={start} end={end}\n"
+            items.append(_Item(where, Subsection(sid, text[start:end]), {"statutes/offsets.txt": record}))
+    return items
 
-    layers = []
+
+def _layers(source: Path, log: ImportLog) -> list[_Item]:
+    """A layer per spans file, with the clusters of its coref matrix and
+    their `.names` labels."""
+    items = []
     spans_dir, coref_dir = source / "spans", source / "coref"
-    if spans_dir.is_dir():
-        for span_path in sorted(spans_dir.iterdir()):
-            sid = file_stem_to_id(span_path.name)
-            if not _readable(sid, f"spans {span_path.name}", log, subsection=True):
-                continue
-            if sid not in imported:
-                log.skip(f"spans {span_path.name}", f"subsection {sid} was not imported")
-                continue
-            spans = []
-            for line in _read(span_path).splitlines():
-                parts = line.split()
-                if not parts:
-                    continue
-                try:
-                    if len(parts) != 2 or not all(p.isdecimal() for p in parts):
-                        raise ValueError("expected '<start> <end>'")
-                    spans.append(check_span(Span(int(parts[0]), int(parts[1])), imported[sid]))
-                except ValueError as exc:  # a line the loader would reject
-                    log.skip(f"spans {span_path.name}: {line!r}", str(exc))
-                    break
-            else:
-                spans.sort()
-                clusters, names = _read_clusters(coref_dir, span_path.name, len(spans), log)
-                if clusters is None:
-                    continue
-                try:
-                    layers.append(ArgumentLayer(sid, tuple(spans), clusters, names))
-                    log.ok(f"layer {sid}")
-                except ValueError as exc:
-                    log.skip(f"layer {sid}", str(exc))
-    (dest / "spans.txt").write_text(serialize_spans(layers), encoding="utf-8")
-    (dest / "coref.txt").write_text(serialize_coref(layers), encoding="utf-8")
-
-    structure_path = source / "structure.txt"
-    program = Program({})
-    if structure_path.exists():
-        text = _read(structure_path)
+    for span_path in sorted(spans_dir.iterdir()) if spans_dir.is_dir() else []:
+        where = f"spans/{span_path.name}"
         try:
-            program = parse_program(text)
-            (dest / "structure.txt").write_text(text, encoding="utf-8")
-            log.ok("structure.txt")
+            spans = _spans(span_path)
+            clusters, names = _clusters(coref_dir, span_path.name, len(spans), log)
+            layer = ArgumentLayer(file_stem_to_id(span_path.name), spans, clusters, names)
         except ValueError as exc:
-            log.skip("structure.txt", str(exc))
-            (dest / "structure.txt").write_text("", encoding="utf-8")
-    else:
-        log.skip("structure.txt", "not present")
-        (dest / "structure.txt").write_text("", encoding="utf-8")
+            log.skip(where, str(exc))
+            continue
+        texts = {"spans.txt": serialize_spans([layer]), "coref.txt": serialize_coref([layer])}
+        items.append(_Item(where, layer, texts))
+    return items
 
+
+def _spans(path: Path) -> tuple[Span, ...]:
+    spans = []
+    for line in _read(path).splitlines():
+        parts = line.split()
+        if parts:
+            if len(parts) != 2 or not all(p.isdecimal() for p in parts):
+                raise ValueError(f"{line!r}: expected '<start> <end>'")
+            spans.append(Span(int(parts[0]), int(parts[1])))
+    return tuple(spans)
+
+
+def _clusters(coref_dir: Path, name: str, n_spans: int, log: ImportLog):
+    """The clusters of a layer's coref matrix, singletons when it has none,
+    and a label or None for each."""
+    matrix_path = coref_dir / name
+    if not matrix_path.exists():
+        log.skip(f"coref/{name}", "no matrix file; defaulting to singletons")
+        return tuple((i,) for i in range(n_spans)), (None,) * n_spans
+    rows = [line.split() for line in _read(matrix_path).splitlines() if line.strip()]
+    for row in rows:
+        if any(x not in ("0", "1") for x in row):
+            raise ValueError(f"coref matrix entries must be 0 or 1, found row {' '.join(row)!r}")
+    clusters = matrix_to_clusters([[int(x) for x in row] for row in rows])
+    names: list[str | None] = [None] * len(clusters)
+    names_path = coref_dir / f"{name}.names"
+    if names_path.exists():
+        for lineno, line in enumerate(_read(names_path).splitlines(), 1):
+            parts = line.split()
+            if len(parts) == 2 and parts[0].isdecimal() and int(parts[0]) < len(clusters):
+                names[int(parts[0])] = parts[1]
+            elif parts:
+                log.skip(f"coref/{names_path.name}:{lineno}", "expected '<cluster_index> <name>'")
+    return clusters, tuple(names)
+
+
+def _rules(source: Path, log: ImportLog) -> list[_Item]:
+    """A rule per clause of `structure.txt`, in source order."""
+    path = source / "structure.txt"
+    if not path.exists():
+        log.skip("structure.txt", "not present")
+        return []
+    try:
+        program = parse_program(_read(path))
+    except ValueError as exc:
+        log.skip("structure.txt", str(exc))
+        return []
+    return [
+        _Item(f"structure.txt {rule.head_id}", rule, {"structure.txt": print_rule(rule) + "\n"})
+        for rule in program.rules.values()
+    ]
+
+
+def _cases(source: Path, log: ImportLog) -> list[_Item]:
+    """A case per file of `cases/`, in the split its listing names (train by
+    default), and per file of `silver/`."""
     splits = {}
     for split in ("train", "test"):
         listing = source / "splits" / f"{split}.txt"
         if listing.exists():
             for cid in _read(listing).split():
                 splits[cid] = split
-    for split in ("train", "test"):
-        cases = []
-        for case_path in sorted((source / "cases").iterdir()) if (source / "cases").is_dir() else []:
-            if splits.get(case_path.name, "train") != split:
+    items = []
+    for directory in ("cases", "silver"):
+        for path in sorted((source / directory).iterdir()) if (source / directory).is_dir() else []:
+            where = f"{directory}/{path.name}"
+            split = "silver" if directory == "silver" else splits.get(path.name, "train")
+            try:
+                case = _read_case(path, split)
+            except ValueError as exc:
+                log.skip(where, str(exc))
                 continue
-            case = _read_case(case_path, split, program, log)
-            if case is not None:
-                cases.append(case)
-        (dest / "cases" / f"{split}.cases").write_text(serialize_cases(cases), encoding="utf-8")
-
-    silver_dir = source / "silver"
-    if silver_dir.is_dir():
-        (dest / "silver").mkdir(exist_ok=True)
-        silver = []
-        for case_path in sorted(silver_dir.iterdir()):
-            case = _read_case(case_path, "silver", program, log)
-            if case is not None:
-                silver.append(case)
-        (dest / "silver" / "silver.cases").write_text(serialize_cases(silver), encoding="utf-8")
-
-    manifest = ["statutes=statutes", "spans=spans.txt", "coref=coref.txt",
-                "structure=structure.txt", "cases=cases"]
-    if silver_dir.is_dir():
-        manifest.append("silver=silver")
-    (dest / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="utf-8")
-    return log
-
-
-def _read_clusters(coref_dir: Path, name: str, n_spans: int, log: ImportLog):
-    matrix_path = coref_dir / name
-    if not matrix_path.exists():
-        log.skip(f"coref {name}", "no matrix file; defaulting to singletons")
-        return tuple((i,) for i in range(n_spans)), ()
-    rows = []
-    for line in _read(matrix_path).splitlines():
-        if line.strip():
-            rows.append([int(x) for x in line.split()])
-    try:
-        clusters = matrix_to_clusters(rows) if rows else ()
-    except ValueError as exc:
-        log.skip(f"coref {name}", str(exc))
-        return None, None
-    if sum(len(c) for c in clusters) != n_spans:
-        log.skip(f"coref {name}", f"matrix covers {sum(len(c) for c in clusters)} mentions, spans file has {n_spans}")
-        return None, None
-    names_path = coref_dir / f"{name}.names"
-    names: list[str | None] = [None] * len(clusters)
-    if names_path.exists():
-        for line in _read(names_path).splitlines():
-            parts = line.split()
-            if len(parts) != 2 or not parts[0].isdigit() or int(parts[0]) >= len(clusters):
-                if line.strip():
-                    log.skip(f"coref names {name}: {line!r}", "expected '<cluster_index> <name>'")
-                continue
-            if not records._KEY_RE.fullmatch(parts[1]):
-                log.skip(f"coref names {name}: {line!r}", f"name {parts[1]!r} is not a record key")
-                continue
-            names[int(parts[0])] = parts[1]
-    return clusters, tuple(names)
+            file = "silver/silver.cases" if directory == "silver" else f"cases/{split}.cases"
+            items.append(_Item(where, case, {file: serialize_cases([case])}))
+    return items
 
 
 _BLOCK_RE = re.compile(r"^%\s*(Text|Question|Input|Output)\s*$", re.MULTILINE)
 
 
-def _read_case(path: Path, split: str, program: Program, log: ImportLog) -> Case | None:
-    if not _readable(path.name, f"case {path.name}", log):
-        return None
+def _read_case(path: Path, split: str) -> Case:
     text = _read(path)
     blocks: dict[str, str] = {}
     matches = list(_BLOCK_RE.finditer(text))
@@ -250,21 +267,10 @@ def _read_case(path: Path, split: str, program: Program, log: ImportLog) -> Case
         blocks[m.group(1)] = text[m.end() : end].strip()
     missing = [b for b in ("Text", "Question", "Output") if b not in blocks]
     if missing:
-        log.skip(f"case {path.name}", f"missing blocks: {', '.join(missing)}")
-        return None
-    try:
-        inputs = _parse_pairs(blocks.get("Input", ""), "Input")
-        expected = _parse_pairs(blocks["Output"], "Output")
-    except records.RecordError as exc:
-        log.skip(f"case {path.name}", str(exc))
-        return None
-    if blocks["Question"] not in program:
-        log.skip(f"case {path.name}", f"query {blocks['Question']} has no structure rule")
-        return None
-    description = " ".join(blocks["Text"].split())
-    case = Case(path.name, description, blocks["Question"], inputs, expected, split)
-    log.ok(f"case {path.name}")
-    return case
+        raise ValueError(f"missing blocks: {', '.join(missing)}")
+    inputs = _parse_pairs(blocks.get("Input", ""), "Input")
+    expected = _parse_pairs(blocks["Output"], "Output")
+    return Case(path.name, " ".join(blocks["Text"].split()), blocks["Question"], inputs, expected, split)
 
 
 def _parse_pairs(block: str, where: str) -> ValueMap:
@@ -274,10 +280,7 @@ def _parse_pairs(block: str, where: str) -> ValueMap:
         if not line:
             continue
         if "=" not in line:
-            raise records.RecordError(f"expected '<name>=<value>', got {line!r}")
+            raise ValueError(f"expected '<name>=<value>', got {line!r}")
         name, _, literal = line.partition("=")
-        name = name.strip()
-        if not records._KEY_RE.fullmatch(name):
-            raise records.RecordError(f"{where}: name {name!r} is not a record key")
-        entries.append((name, records.parse_value_literal(literal.strip())))
+        entries.append((name.strip(), records.parse_value_literal(literal.strip())))
     return records.as_value_map(entries, where)

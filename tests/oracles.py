@@ -11,7 +11,9 @@ its own copy of the P/R/F1 table, scoring each unit with the per-unit
 scanner object (`_Scanner`, a method call per character), the item classes
 it built (`Entry`, `PairLit`, `Labeled`) and `as_value_map` over them, and
 its quoted-string scan one character at a time, and the structure parser
-over `_tokenize`'s token objects (`_Parser`), as first written.
+over `_tokenize`'s token objects (`_Parser`), as first written, and
+`parse_rule`, one clause read with the library's parser, which the rule
+printer's round-trip tests use.
 `unified_accuracy` is the unified mean as the library once defined it, and
 `instantiate_full` the engine's populate-then-resolve tree evaluation,
 recursive over a tree built for each case, with the per-subsection
@@ -95,6 +97,7 @@ from statreason.rules import (
     RuleSyntaxError,
     SubsectionNode,
     TreeNode,
+    _Parser as _TextParser,
     _Unterminated,
     build_dependency_tree,
 )
@@ -1280,8 +1283,19 @@ class _Parser:
             raise RuleSyntaxError(str(exc), pos) from exc
 
 
+def parse_rule(text: str) -> Rule:
+    """Exactly one clause, read with the library's structure parser; the
+    printer's round-trip tests read clauses with it."""
+    parser = _TextParser(text)
+    rule = parser.parse_clause()
+    token = parser.tokens[parser.index]
+    if token:
+        raise RuleSyntaxError(f"trailing input after clause: {token!r}", parser.position(parser.index))
+    return rule
+
+
 def parse_rule_by_tokens(text: str) -> Rule:
-    """`rules.parse_rule` over the token objects of `_tokenize`."""
+    """`parse_rule` over the token objects of `_tokenize`."""
     parser = _Parser(text)
     rule = parser.parse_clause()
     if not parser.at_end():

@@ -28,10 +28,10 @@ from statreason.engine import do_operation, evaluate_run
 from statreason.metrics import ArgScore, numerical_accuracy
 from statreason.model import TRUTH_KEY, ValueMap
 from statreason.reports import coref_report
-from statreason.rules import build_dependency_tree, parse_program, parse_rule, print_rule
+from statreason.rules import build_dependency_tree, parse_program, print_rule
 
 from generators import random_clause, random_partition, random_program
-from oracles import brute_force_ceaf, overlap, phi4, unified_accuracy
+from oracles import brute_force_ceaf, overlap, parse_rule, phi4, unified_accuracy
 
 SARA_MANIFEST = os.environ.get("STATREASON_SARA_MANIFEST")
 needs_sara = pytest.mark.skipif(

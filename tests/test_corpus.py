@@ -7,6 +7,7 @@ from statreason.corpus import (
     CorpusError,
     corpus_hash,
     corpus_statistics,
+    item_problems,
     load_corpus,
     load_statutes,
     serialize_cases,
@@ -250,6 +251,23 @@ class TestValidation:
              "§1(d)(iv) clusters=[Tax:[0], Oops:[1]]")
         problems = validate_corpus(load_corpus(root / "manifest.txt"))
         assert any("Oops" in p for p in problems)
+
+    def test_each_problem_comes_with_its_rule_case_or_layer(self, tmp_path):
+        root = copy_corpus(tmp_path)
+        edit(root / "cases" / "test.cases", '2(a)(1)-positive query="§2(a)(1)"', '2(a)(1)-positive query="§999"')
+        edit(root / "structure.txt", "\n§3306(c)(Employee, Employer, Service).", "")
+        edit(root / "structure.txt", "\n§63(c)(5)(A)().", "\n§63(c)(5)(A)().\n§7(a)().")
+        edit(root / "coref.txt", "§1(d)(iv) clusters=[Tax:[0], Taxinc:[1]]", "§1(d)(iv) clusters=[Tax:[0], Oops:[1]]")
+        corpus = load_corpus(root / "manifest.txt")
+        problems = item_problems(corpus)
+        assert [message for _, message in problems] == validate_corpus(corpus)
+        [case] = [c for c in corpus.cases if c.query == "§999"]
+        assert [(item, message.partition(":")[0]) for item, message in problems] == [
+            (corpus.program.get("§3306(a)(1)(B)"), "§3306(a)(1)(B)"),
+            (corpus.program.get("§7(a)"), "structure"),
+            (case, f"case {case.id}"),
+            (corpus.layers["§1(d)(iv)"], "layer §1(d)(iv)"),
+        ] + [(corpus.layers["§3306(c)"], "layer §3306(c)")] * 3  # one per named cluster
 
 
 class TestRoundTrip:

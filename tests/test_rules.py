@@ -16,7 +16,6 @@ from statreason.rules import (
     build_dependency_tree,
     check_references,
     parse_program,
-    parse_rule,
     print_rule,
     OpNode,
     SubsectionNode,
@@ -26,7 +25,7 @@ from statreason.model import TRUTH_KEY, Case, ValueMap
 
 import oracles
 from generators import random_clause, random_nested_program, random_program
-from oracles import tree_depth
+from oracles import parse_rule, tree_depth
 
 CLAUSE_1DIV = "§1(d)(iv)(Tax, Taxinc)."
 CLAUSE_3306 = (

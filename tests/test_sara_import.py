@@ -1,11 +1,16 @@
+import re
+import shutil
 from pathlib import Path
 
 import pytest
 
+from statreason import records
 from statreason.cli import main
 from statreason.corpus import load_corpus, validate_corpus
 from statreason.model import Money
 from statreason.sara_import import file_stem_to_id, import_corpus
+
+from test_corruption import corruptions, run
 
 
 def write(path: Path, text: str) -> None:
@@ -35,6 +40,39 @@ def make_distributed_tree(root: Path) -> None:
     )
     write(root / "splits" / "train.txt", "case-1-positive\n")
     write(root / "splits" / "test.txt", "")
+
+
+def write_distributed_fixture(corpus, root: Path) -> None:
+    """Write a corpus loaded from the fixture in the distributed layout that
+    `import_corpus` reads."""
+    fixture = corpus.manifest.base
+    offsets: dict[str, list[str]] = {}
+    for _, record in records.iter_records((fixture / "statutes" / "offsets.txt").read_text(encoding="utf-8")):
+        name = record.fields["file"]
+        offsets.setdefault(name, []).append(f"{record.id} {record.fields['start']} {record.fields['end']}\n")
+    for name, lines in offsets.items():
+        write(root / "statutes" / name, (fixture / "statutes" / name).read_text(encoding="utf-8"))
+        write(root / "statutes" / Path(name).with_suffix(".offsets"), "".join(lines))
+    for sid, layer in corpus.layers.items():
+        stem = sid.removeprefix("§").replace(")(", "_").replace("(", "_").replace(")", "")
+        write(root / "spans" / stem, "".join(f"{s.start} {s.end}\n" for s in layer.spans))
+        cluster_of = {i: k for k, cluster in enumerate(layer.clusters) for i in cluster}
+        n = len(layer.spans)
+        write(root / "coref" / stem, "".join(
+            " ".join("1" if cluster_of[i] == cluster_of[j] else "0" for j in range(n)) + "\n" for i in range(n)
+        ))
+        write(root / "coref" / f"{stem}.names", "".join(
+            f"{k} {name}\n" for k, name in enumerate(layer.cluster_names) if name is not None
+        ))
+    write(root / "structure.txt", (fixture / "structure.txt").read_text(encoding="utf-8"))
+    for case in corpus.cases + corpus.silver:
+        blocks = {"Text": case.description, "Question": case.query}
+        for block, values in (("Input", case.inputs), ("Output", case.expected)):
+            blocks[block] = "\n".join(f"{name}={records.write_value(value)}" for name, value in values.items())
+        directory = "silver" if case.split == "silver" else "cases"
+        write(root / directory / case.id, "".join(f"% {block}\n{text}\n" for block, text in blocks.items()))
+    for split in ("train", "test"):
+        write(root / "splits" / f"{split}.txt", "".join(f"{c.id}\n" for c in corpus.cases_of(split)))
 
 
 class TestStemMapping:
@@ -80,8 +118,8 @@ class TestImport:
         write(source / "cases" / "truth-out-of-range", case + "% Output\n@truth=1.5\n")
         assert main(["import-sara", "--source", str(source), "--dest", str(dest)]) == 0
         err = capsys.readouterr().err.splitlines()
-        assert "skipped case repeated-input: Input: duplicate argument name: 'x'" in err
-        assert "skipped case truth-out-of-range: Output: truth score out of [0, 1]: 1.5" in err
+        assert "skipped cases/repeated-input: Input: duplicate argument name: 'x'" in err
+        assert "skipped cases/truth-out-of-range: Output: truth score out of [0, 1]: 1.5" in err
         assert [c.id for c in load_corpus(dest / "manifest.txt").cases] == ["case-1-positive"]
 
     @pytest.mark.parametrize("relative", ["cases/case-1-positive", "statutes/section1.offsets", "coref/1_d_iv.names"])
@@ -99,8 +137,8 @@ class TestImport:
     @pytest.mark.parametrize(
         "name, problem",
         [
-            ("case 2", "id 'case 2' is empty or holds whitespace, so it would not read back"),
-            ("#case3", "id '#case3' starts with '#', so it would read back as a comment"),
+            ("case 2", "expected '=' (column 8)"),
+            ("#case3", "did not read back as written"),
         ],
         ids=["whitespace", "comment"],
     )
@@ -109,8 +147,8 @@ class TestImport:
         make_distributed_tree(source)
         write(source / "cases" / name, (source / "cases" / "case-1-positive").read_text(encoding="utf-8"))
         log = import_corpus(source, dest)
-        assert log.skipped == [f"case {name}: {problem}"]
-        assert f"case {name}" not in log.imported
+        assert log.skipped == [f"cases/{name}: {problem}"]
+        assert f"cases/{name}" not in log.imported
         corpus = load_corpus(dest / "manifest.txt")
         assert validate_corpus(corpus) == []
         assert [c.id for c in corpus.cases] == ["case-1-positive"]
@@ -124,9 +162,11 @@ class TestImport:
         offsets.write_text(offsets.read_text(encoding="utf-8") + "#Tax 0 4\n", encoding="utf-8")
         log = import_corpus(source, dest)
         assert sorted(log.skipped) == [
-            "section1.offsets: '#Tax 0 4': id '#Tax' starts with '#', so it would read back as a comment",
-            "spans #Tax: id '#Tax' starts with '#', so it would read back as a comment",
-            "spans Tax rate: id 'Tax rate' is empty or holds whitespace, so it would not read back",
+            "coref/#Tax: no matrix file; defaulting to singletons",
+            "coref/Tax rate: no matrix file; defaulting to singletons",
+            "spans/#Tax: did not read back as written",
+            "spans/Tax rate: expected '=' (column 10)",
+            "statutes/section1.offsets:2: did not read back as written",
         ]
         corpus = load_corpus(dest / "manifest.txt")
         assert validate_corpus(corpus) == []
@@ -151,10 +191,11 @@ class TestImport:
         write(source / "spans" / "1_d_", "0 4\n")
         log = import_corpus(source, dest)
         assert sorted(log.skipped) == [
-            "section1.offsets: '§1(d)() 0 4': id '§1(d)()' is a malformed subsection id",
-            "spans 1_d_: id '§1(d)()' is a malformed subsection id",
+            "coref/1_d_: no matrix file; defaulting to singletons",
+            "spans/1_d_: unknown subsection §1(d)()",
+            "statutes/section1.offsets:2: malformed subsection id '§1(d)()'",
         ]
-        assert "subsection §1(d)()" not in log.imported
+        assert "statutes/section1.offsets:2" not in log.imported
         self.assert_validates(dest, capsys)
 
     def test_layers_of_subsections_not_imported_are_skipped(self, tmp_path, capsys):
@@ -162,21 +203,42 @@ class TestImport:
         make_distributed_tree(source)
         write(source / "spans" / "9_z", "0 4\n")
         log = import_corpus(source, dest)
-        assert log.skipped == ["spans 9_z: subsection §9(z) was not imported"]
-        assert "layer §9(z)" not in log.imported
+        assert log.skipped == [
+            "coref/9_z: no matrix file; defaulting to singletons", "spans/9_z: unknown subsection §9(z)"
+        ]
+        assert "spans/9_z" not in log.imported
         self.assert_validates(dest, capsys)
 
     def test_cluster_names_that_are_not_record_keys_are_skipped(self, tmp_path, capsys):
+        # The label's layer goes, with the loader's message for its coref line.
+        self.assert_layer_dropped(
+            tmp_path, capsys, "Tax'", "cannot type value \"Tax':\" (strings must be quoted) (column 26)"
+        )
+
+    def test_cluster_names_that_are_not_parameters_drop_the_layer(self, tmp_path, capsys):
+        self.assert_layer_dropped(
+            tmp_path, capsys, "Other", "layer §1(d)(iv): cluster 'Other' is not a parameter of its rule"
+        )
+
+    def assert_layer_dropped(self, tmp_path, capsys, label, problem):
         source, dest = tmp_path / "dist", tmp_path / "canonical"
         make_distributed_tree(source)
-        write(source / "coref" / "1_d_iv.names", "0 Tax'\n1 Taxinc\n")
+        write(source / "coref" / "1_d_iv.names", f"0 {label}\n1 Taxinc\n")
         log = import_corpus(source, dest)
-        assert log.skipped == ["coref names 1_d_iv: \"0 Tax'\": name \"Tax'\" is not a record key"]
+        assert log.skipped == [f"spans/1_d_iv: {problem}"]
+        assert "spans/1_d_iv" not in log.imported
         self.assert_validates(dest, capsys)
-        assert load_corpus(dest / "manifest.txt").layers["§1(d)(iv)"].cluster_names == (None, "Taxinc")
+        assert load_corpus(dest / "manifest.txt").layers == {}
 
-    @pytest.mark.parametrize("block, pair", [("Input", "Tax inc=$5"), ("Output", "Tax'=$5")], ids=["input", "output"])
-    def test_case_argument_names_that_are_not_record_keys_skip_the_case(self, tmp_path, capsys, block, pair):
+    @pytest.mark.parametrize(
+        "block, pair, problem",
+        [
+            ("Input", "Tax inc=$5", "cannot type value 'Tax' (strings must be quoted) (column 71)"),
+            ("Output", "Tax'=$5", "cannot type value \"Tax'\" (strings must be quoted) (column 95)"),
+        ],
+        ids=["input", "output"],
+    )
+    def test_case_argument_names_that_are_not_record_keys_skip_the_case(self, tmp_path, capsys, block, pair, problem):
         source, dest = tmp_path / "dist", tmp_path / "canonical"
         make_distributed_tree(source)
         blocks = {"Input": "Taxinc=$1", "Output": "@truth=1.0"}
@@ -184,9 +246,8 @@ class TestImport:
         write(source / "cases" / "bad-name", "% Text\nAlice.\n% Question\n§1(d)(iv)\n"
               + "".join(f"% {b}\n{blocks[b]}\n" for b in ("Input", "Output")))
         log = import_corpus(source, dest)
-        name = pair.partition("=")[0]
-        assert log.skipped == [f"case bad-name: {block}: name {name!r} is not a record key"]
-        assert "case bad-name" not in log.imported
+        assert log.skipped == [f"cases/bad-name: {problem}"]
+        assert "cases/bad-name" not in log.imported
         self.assert_validates(dest, capsys)
         assert [c.id for c in load_corpus(dest / "manifest.txt").cases] == ["case-1-positive"]
 
@@ -197,8 +258,8 @@ class TestImport:
         offsets.write_text(offsets.read_text(encoding="utf-8") + "§1(d)(v) 0 4000\n§1(d)(vi) 5 5\n", encoding="utf-8")
         log = import_corpus(source, dest)
         assert log.skipped == [
-            "section1.offsets: '§1(d)(v) 0 4000': offsets (0, 4000) out of bounds for section1.txt of length 68",
-            "section1.offsets: '§1(d)(vi) 5 5': offsets (5, 5) out of bounds for section1.txt of length 68",
+            "statutes/section1.offsets:2: offsets (0, 4000) out of bounds for section1.txt of length 68",
+            "statutes/section1.offsets:3: offsets (5, 5) out of bounds for section1.txt of length 68",
         ]
         self.assert_validates(dest, capsys)
         assert list(load_corpus(dest / "manifest.txt").subsections) == ["§1(d)(iv)"]
@@ -209,28 +270,33 @@ class TestImport:
         write(source / "statutes" / "section2.txt", "Other text.")
         write(source / "statutes" / "section2.offsets", "§1(d)(iv) 0 4\n")
         log = import_corpus(source, dest)
-        assert log.skipped == ["section2.offsets: '§1(d)(iv) 0 4': duplicate subsection id §1(d)(iv)"]
-        assert log.imported.count("subsection §1(d)(iv)") == 1
+        assert log.skipped == ["statutes/section2.offsets:1: duplicate subsection id §1(d)(iv)"]
+        assert "statutes/section1.offsets:1" in log.imported
+        assert "statutes/section2.offsets:1" not in log.imported
         self.assert_validates(dest, capsys)
         assert load_corpus(dest / "manifest.txt").subsections["§1(d)(iv)"].text.startswith("(iv) $31,172")
 
     @pytest.mark.parametrize(
-        "line, problem",
+        "line, first, problem",
         [
-            ("60 500", "span (60, 500) out of range for §1(d)(iv) of length 68"),
-            ("4 5", "span (4, 5) covers only whitespace"),
-            ("5 3", "invalid span (5, 3)"),
+            ("60 500", False, "span (60, 500) out of range for §1(d)(iv) of length 68"),
+            ("4 5", True, "span (4, 5) covers only whitespace"),
+            ("5 3", False, "invalid span (5, 3)"),
         ],
         ids=["out-of-range", "whitespace", "reversed"],
     )
-    def test_spans_the_loader_would_reject_skip_the_layer(self, tmp_path, capsys, line, problem):
+    def test_spans_the_loader_would_reject_skip_the_layer(self, tmp_path, capsys, line, first, problem):
         source, dest = tmp_path / "dist", tmp_path / "canonical"
         make_distributed_tree(source)
+        # The span goes where it keeps the spans in order, with a matrix row
+        # of its own, so that only the span itself is wrong.
         spans = source / "spans" / "1_d_iv"
-        spans.write_text(spans.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+        old = spans.read_text(encoding="utf-8")
+        spans.write_text(line + "\n" + old if first else old + line + "\n", encoding="utf-8")
+        write(source / "coref" / "1_d_iv", "1 0 0\n0 1 0\n0 0 1\n")
         log = import_corpus(source, dest)
-        assert log.skipped == [f"spans 1_d_iv: {line!r}: {problem}"]
-        assert "layer §1(d)(iv)" not in log.imported
+        assert log.skipped == [f"spans/1_d_iv: {problem}"]
+        assert "spans/1_d_iv" not in log.imported
         self.assert_validates(dest, capsys)
         assert load_corpus(dest / "manifest.txt").layers == {}
 
@@ -241,7 +307,128 @@ class TestImport:
         write(source / "silver" / "s", "% Text\nAlice.\n% Question\n§1(d)\n% Output\n@truth=1.0\n")
         log = import_corpus(source, dest)
         assert log.skipped == [
-            "case q: query §5(a) has no structure rule", "case s: query §1(d) has no structure rule"
+            "cases/q: case q: query §5(a) has no structure rule",
+            "silver/s: case s: query §1(d) has no structure rule",
         ]
         self.assert_validates(dest, capsys)
         assert [c.id for c in load_corpus(dest / "manifest.txt").cases] == ["case-1-positive"]
+
+    def test_rules_without_subsection_text_are_dropped(self, tmp_path, capsys):
+        source, dest = tmp_path / "dist", tmp_path / "canonical"
+        make_distributed_tree(source)
+        write(source / "structure.txt", "§1(d)(iv)(Tax, Taxinc).\n§7(a)(X).\n")
+        log = import_corpus(source, dest)
+        assert log.skipped == ["structure.txt §7(a): structure: rule §7(a) has no subsection text"]
+        self.assert_validates(dest, capsys)
+        assert list(load_corpus(dest / "manifest.txt").program.rules) == ["§1(d)(iv)"]
+
+    def test_dropping_a_rule_drops_its_callers_then_their_cases(self, tmp_path, capsys):
+        source, dest = tmp_path / "dist", tmp_path / "canonical"
+        make_distributed_tree(source)
+        write(source / "structure.txt", "§1(d)(iv)(Tax, Taxinc) :- §7(a)(X=Tax).\n§7(a)(X).\n")
+        log = import_corpus(source, dest)
+        assert log.skipped == [
+            "structure.txt §7(a): structure: rule §7(a) has no subsection text",
+            "structure.txt §1(d)(iv): §1(d)(iv): reference to undefined rule §7(a)",
+            "cases/case-1-positive: case case-1-positive: query §1(d)(iv) has no structure rule",
+            "spans/1_d_iv: layer §1(d)(iv): cluster 'Tax' named but no rule declares parameters",
+        ]
+        self.assert_validates(dest, capsys)
+        assert log.imported == ["statutes/section1.offsets:1"]
+
+    def test_a_structure_file_that_does_not_parse_drops_what_needs_it(self, tmp_path, capsys):
+        source, dest = tmp_path / "dist", tmp_path / "canonical"
+        make_distributed_tree(source)
+        write(source / "structure.txt", "§1(d)(iv)(Tax, Taxinc)\n")
+        log = import_corpus(source, dest)
+        assert log.skipped == [
+            "structure.txt: clause 1: expected '.', found 'end of input' (at offset 23)",
+            "cases/case-1-positive: case case-1-positive: query §1(d)(iv) has no structure rule",
+            "spans/1_d_iv: layer §1(d)(iv): cluster 'Tax' named but no rule declares parameters",
+        ]
+        self.assert_validates(dest, capsys)
+
+    def test_a_skipped_offsets_line_drops_the_rule_of_its_subsection(self, tmp_path, capsys):
+        source, dest = tmp_path / "dist", tmp_path / "canonical"
+        make_distributed_tree(source)
+        write(source / "statutes" / "section1.offsets", "§1(d)(iv) 0 4000\n")
+        log = import_corpus(source, dest)
+        assert log.skipped == [
+            "statutes/section1.offsets:1: offsets (0, 4000) out of bounds for section1.txt of length 68",
+            "spans/1_d_iv: unknown subsection §1(d)(iv)",
+            "structure.txt §1(d)(iv): structure: rule §1(d)(iv) has no subsection text",
+            "cases/case-1-positive: case case-1-positive: query §1(d)(iv) has no structure rule",
+        ]
+        self.assert_validates(dest, capsys)
+
+    @pytest.mark.parametrize(
+        "relative, text, skipped",
+        [
+            ("coref/1_d_iv", "1 x\n0 1\n", "spans/1_d_iv: coref matrix entries must be 0 or 1, found row '1 x'"),
+            ("coref/1_d_iv", "1 ²\n² 1\n", "spans/1_d_iv: coref matrix entries must be 0 or 1, found row '1 ²'"),
+            ("coref/1_d_iv.names", "² Tax\n1 Taxinc\n", "coref/1_d_iv.names:1: expected '<cluster_index> <name>'"),
+        ],
+        ids=["matrix-letter", "matrix-superscript", "names-superscript"],
+    )
+    def test_entries_that_are_not_numbers_are_skipped(self, tmp_path, capsys, relative, text, skipped):
+        source, dest = tmp_path / "dist", tmp_path / "canonical"
+        make_distributed_tree(source)
+        write(source / relative, text)
+        assert main(["import-sara", "--source", str(source), "--dest", str(dest)]) == 0
+        assert capsys.readouterr().err == f"skipped {skipped}\n"
+        self.assert_validates(dest, capsys)
+
+    def test_a_destination_file_the_import_did_not_write_stops_it(self, tmp_path, capsys):
+        # A stale split file in the destination is loaded with the import;
+        # what validate rejects there is no imported item to drop.
+        source, dest = tmp_path / "dist", tmp_path / "canonical"
+        make_distributed_tree(source)
+        write(dest / "cases" / "dev.cases", 'old query="§9" description="x" inputs=[] expected=[@truth=true]\n')
+        assert main(["import-sara", "--source", str(source), "--dest", str(dest)]) == 1
+        assert capsys.readouterr().err == "corpus: case old: query §9 has no structure rule\n"
+
+
+class TestFixtureRoundTrip:
+    def test_the_fixture_imports_unchanged(self, corpus, tmp_path):
+        source, dest = tmp_path / "dist", tmp_path / "canonical"
+        write_distributed_fixture(corpus, source)
+        log = import_corpus(source, dest)
+        assert log.skipped == []
+        imported = load_corpus(dest / "manifest.txt")
+        assert imported.subsections == corpus.subsections
+        assert imported.layers == corpus.layers
+        assert imported.program == corpus.program
+        assert sorted(imported.cases, key=lambda c: c.id) == sorted(corpus.cases, key=lambda c: c.id)
+        assert sorted(imported.silver, key=lambda c: c.id) == sorted(corpus.silver, key=lambda c: c.id)
+
+    # One file of each kind the importer reads.
+    CORRUPTED = [
+        "statutes/section2.txt", "statutes/section2.offsets", "spans/2_a_1_B", "coref/2_a_1_B",
+        "coref/2_a_1_B.names", "structure.txt", "cases/63(c)(5)-positive", "silver/1(d)(iv)-silver-1",
+        "splits/train.txt",
+    ]
+
+    def test_every_corruption_imports_a_valid_corpus(self, corpus, tmp_path):
+        # A corrupted tree imports (exit 0) into a corpus that validates, or
+        # stops at a byte that is not UTF-8 (exit 1, path:line); never exit 2.
+        source, dest = tmp_path / "dist", tmp_path / "canonical"
+        write_distributed_fixture(corpus, source)
+        failures = []
+        for relative in self.CORRUPTED:
+            target = source / relative
+            original = target.read_bytes()
+            for what, data in corruptions(original.decode("utf-8")):
+                target.write_bytes(data)
+                shutil.rmtree(dest, ignore_errors=True)
+                code, err = run(["import-sara", "--source", str(source), "--dest", str(dest)])
+                if what.endswith("not UTF-8"):
+                    if code != 1 or not re.fullmatch(re.escape(str(target)) + r":\d+: not UTF-8: .*\n", err):
+                        failures.append((relative, what, code, err))
+                elif code != 0:
+                    failures.append((relative, what, code, err))
+                else:
+                    code, err = run(["validate", "--manifest", str(dest / "manifest.txt")])
+                    if code != 0:
+                        failures.append((relative, what, "validate", code, err))
+            target.write_bytes(original)
+        assert failures == []
