@@ -134,14 +134,16 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _emit(args, name: str, text: str, flat: dict[str, float], run_line: str, extra: dict[str, str] | None = None) -> int:
+def _emit(args, name: str, report, run_line: str, predictions: list[str] | None = None) -> int:
+    """Print a report, write its files under --out and check the floors."""
+    text, flat = report.render(), report.flat()
     print(text)
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
         (args.out / f"{name}.report.txt").write_text(text + "\n", encoding="utf-8")
         (args.out / f"{name}.records.txt").write_text(report_records(flat, run_line), encoding="utf-8")
-        for fname, content in (extra or {}).items():
-            (args.out / fname).write_text(content, encoding="utf-8")
+        if predictions is not None:
+            (args.out / f"{name}.predictions.txt").write_text("\n".join(predictions) + "\n", encoding="utf-8")
     failures = check_floors(flat, dict(args.floor))
     for failure in failures:
         print(failure, file=sys.stderr)
@@ -179,8 +181,7 @@ def _run_line(corpus: Corpus, command: str, **settings) -> str:
 
 def cmd_stats(args) -> int:
     corpus = _load_validated(args.manifest)
-    statistics = corpus_statistics(corpus)
-    return _emit(args, "stats", statistics.render(), statistics.flat(), _run_line(corpus, "stats"))
+    return _emit(args, "stats", corpus_statistics(corpus), _run_line(corpus, "stats"))
 
 
 def cmd_eval_coref(args) -> int:
@@ -201,18 +202,12 @@ def cmd_eval_coref(args) -> int:
         predictions = {l.subsection_id: l.clusters for l in layers}
     else:
         raise ValueError(f"unknown baseline {args.baseline!r}")
-    report = reports.coref_report(corpus, predictions, args.baseline)
-    dump = "\n".join(
-        f"{sid} clusters={records.write_clusters(clusters)}"
-        for sid, clusters in predictions.items()
-    )
     return _emit(
         args,
         "eval-coref",
-        report.render(),
-        report.flat(),
+        reports.coref_report(corpus, predictions, args.baseline),
         _run_line(corpus, "eval-coref", baseline=args.baseline),
-        {"eval-coref.predictions.txt": dump + "\n"},
+        [f"{sid} clusters={records.write_clusters(clusters)}" for sid, clusters in predictions.items()],
     )
 
 
@@ -235,15 +230,12 @@ def cmd_eval_argid(args) -> int:
 
     corpus = _load_validated(args.manifest)
     predicted = _predicted_spans(corpus, args.source)
-    report = reports.argid_report(corpus, predicted, args.source)
-    dump = "\n".join(f"{sid} spans={records.write_spans(spans)}" for sid, spans in predicted.items())
     return _emit(
         args,
         "eval-argid",
-        report.render(),
-        report.flat(),
+        reports.argid_report(corpus, predicted, args.source),
         _run_line(corpus, "eval-argid", source=args.source),
-        {"eval-argid.predictions.txt": dump + "\n"},
+        [f"{sid} spans={records.write_spans(spans)}" for sid, spans in predicted.items()],
     )
 
 
@@ -259,13 +251,7 @@ def cmd_cascade(args) -> int:
             tuple((spans[i].start, spans[i].end) for i in cluster) for cluster in partition
         )
     report = reports.cascade_report(corpus, clusters_by_sid, args.source)
-    return _emit(
-        args,
-        "cascade",
-        report.render(),
-        report.flat(),
-        _run_line(corpus, "cascade", source=args.source),
-    )
+    return _emit(args, "cascade", report, _run_line(corpus, "cascade", source=args.source))
 
 
 def cmd_eval_inst(args) -> int:
@@ -302,20 +288,12 @@ def cmd_eval_inst(args) -> int:
         silver=args.with_silver,
         insert_gold=config.insert_gold,
     )
-    dump_lines = [run_line]
-    for result in results:
-        for name, value in result.predicted.items():
-            dump_lines.append(
-                f"{result.case.id} arg={records.write_text(name)} value={records.write_value(value)}"
-            )
-    return _emit(
-        args,
-        "eval-inst",
-        report.render(),
-        report.flat(),
-        run_line,
-        {"eval-inst.predictions.txt": "\n".join(dump_lines) + "\n"},
-    )
+    predictions = [run_line] + [
+        f"{result.case.id} arg={records.write_text(name)} value={records.write_value(value)}"
+        for result in results
+        for name, value in result.predicted.items()
+    ]
+    return _emit(args, "eval-inst", report, run_line, predictions)
 
 
 def cmd_import(args) -> int:

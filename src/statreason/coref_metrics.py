@@ -15,9 +15,11 @@ alignment is exactly the sum of the best alignments of the components.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 
 from .metrics import PRF, prf
+from .model import components
 
 Partition = list[frozenset]
 
@@ -46,9 +48,7 @@ def _overlaps(gold: Partition, pred: Partition) -> Counter:
 
 def _scores(hit: int, n_pred: int, n_gold: int) -> PRF:
     """Precision, recall and F1 of `hit` matches; a 0/0 ratio scores 0."""
-    p = hit / n_pred if n_pred else 0.0
-    r = hit / n_gold if n_gold else 0.0
-    return PRF(p, r, 2 * p * r / (p + r) if p + r else 0.0)
+    return prf(hit, n_pred, hit, n_gold) if n_pred or n_gold else PRF(0.0, 0.0, 0.0)
 
 
 def muc(gold_clusters, pred_clusters) -> PRF:
@@ -65,23 +65,12 @@ def muc(gold_clusters, pred_clusters) -> PRF:
 
 def _components(pairs, n_gold: int, n_pred: int) -> list[tuple[list[int], list[int]]]:
     """(gold indices, pred indices) of each connected component of the
-    bipartite graph whose edges are `pairs`, found with union-find."""
-    parent = list(range(n_gold + n_pred))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in pairs:
-        parent[find(i)] = find(n_gold + j)
-    groups: dict[int, tuple[list[int], list[int]]] = {}
-    for i in range(n_gold):
-        groups.setdefault(find(i), ([], []))[0].append(i)
-    for j in range(n_pred):
-        groups.setdefault(find(n_gold + j), ([], []))[1].append(j)
-    return list(groups.values())
+    bipartite graph whose edges are `pairs`; pred j is node n_gold + j."""
+    out = []
+    for group in components(n_gold + n_pred, ((i, n_gold + j) for i, j in pairs)):
+        k = bisect_left(group, n_gold)
+        out.append((group[:k], [j - n_gold for j in group[k:]]))
+    return out
 
 
 def _best_assignment(weights: list[list[float]]) -> list[float]:

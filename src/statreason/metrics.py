@@ -17,7 +17,7 @@ import re
 import statistics as stats
 from fractions import Fraction
 
-from .model import Frozen, Money, TRUTH_KEY, Value, _set, value_kind
+from .model import Frozen, Money, TRUTH_KEY, Value, value_kind
 
 
 class PRF(Frozen):
@@ -83,18 +83,14 @@ def dollar_band(y) -> Fraction:
 def numerical_accuracy(y, y_hat) -> int:
     """1 iff the relative error |y - y_hat| / max(0.1|y|, 5000) is strictly < 1.
 
-    Exact for integer and Fraction inputs (`dollar_band`), so the boundary
-    y_hat = y +- scale scores 0 with no floating-point slack.
+    Exact, as the scale is `dollar_band(y)`, so the boundary y_hat = y +-
+    scale scores 0 with no floating-point slack.
     """
     if y_hat is None:
         return 0
     y = y.dollars if isinstance(y, Money) else y
     y_hat = y_hat.dollars if isinstance(y_hat, Money) else y_hat
-    if isinstance(y, float) or isinstance(y_hat, float):
-        scale = max(0.1 * abs(y), 5000.0)
-    else:
-        scale = dollar_band(y)
-    return 1 if abs(y - y_hat) / scale < 1 else 0
+    return 1 if abs(y - y_hat) / dollar_band(y) < 1 else 0
 
 
 def binary_accuracy(gold_truth: float, pred_truth: float | None, threshold: float = 0.5) -> int:
@@ -161,12 +157,6 @@ def family_of(name: str, gold_value: Value) -> str:
 
 class ArgScore(Frozen):
     __slots__ = ("case_id", "argument", "family", "score")
-
-    def __init__(self, case_id: str, argument: str, family: str, score: int):
-        _set(self, "case_id", case_id)
-        _set(self, "argument", argument)
-        _set(self, "family", family)
-        _set(self, "score", score)
 
 
 def score_arguments(

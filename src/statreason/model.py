@@ -1,15 +1,17 @@
 """Core domain types: statute subsections, argument annotations, cases, values.
 
-Everything here is immutable after construction and carries no I/O or
-algorithmic logic. Values are ordinary Python objects wherever that is
+Everything here is immutable after construction and carries no I/O; the
+one algorithm is `components`, the union-find behind coreference matrices
+and CEAF's alignment. Values are ordinary Python objects wherever that is
 unambiguous (str, int, float, datetime.date, tuple); only dollar amounts
-get a wrapper type so they stay distinguishable from plain integers.
+get a wrapper type so they stay distinguishable from plain integers. A
+`ValueMap`, the values of a case, is a dict that refuses changes.
 """
 
 from __future__ import annotations
 
 import datetime
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from operator import attrgetter
 
 TRUTH_KEY = "@truth"
@@ -115,57 +117,39 @@ def check_truth(value: Value) -> float:
     return value
 
 
-class ValueMap(Mapping):
-    """An ordered, immutable mapping of argument names to values: a case's
+def _read_only(self, *args, **kwargs):
+    raise TypeError("a ValueMap cannot be changed")
+
+
+class ValueMap(dict):
+    """An ordered, read-only dict of argument names to values: a case's
     inputs and expected values as loaded.
 
     Keys are unique by construction; the distinguished "@truth" key, when
-    present, must hold a truth score.
+    present, must hold a truth score. Every method that would change the
+    dict raises TypeError; `dict(vm)`, `vm | other` and `vm.copy()` are
+    plain dicts.
     """
 
-    __slots__ = ("_items",)
+    __slots__ = ()
 
     def __init__(self, pairs: Iterable[tuple[str, Value]] | Mapping[str, Value] = ()):
         if isinstance(pairs, Mapping):
             pairs = pairs.items()
-        items: dict[str, Value] = {}
+        put = dict.__setitem__
         for name, value in pairs:
-            if name in items:
+            if name in self:
                 raise ValueError(f"duplicate argument name: {name!r}")
-            items[name] = check_truth(value) if name == TRUTH_KEY else check_value(value)
-        object.__setattr__(self, "_items", items)
+            put(self, name, check_truth(value) if name == TRUTH_KEY else check_value(value))
 
-    def __getitem__(self, key: str) -> Value:
-        return self._items[key]
-
-    # The Mapping defaults go through __getitem__ and KeyError; these are
-    # the same lookups straight on the dict, for resolvers and scoring.
-    def __contains__(self, key: object) -> bool:
-        return key in self._items
-
-    def get(self, key: str, default=None):
-        return self._items.get(key, default)
-
-    def items(self):
-        return self._items.items()
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v!r}" for k, v in self._items.items())
+        inner = ", ".join(f"{k}={v!r}" for k, v in self.items())
         return f"ValueMap({inner})"
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ValueMap):
-            return self._items == other._items
-        return NotImplemented
-
     def __hash__(self) -> int:
-        return hash(tuple(self._items.items()))
+        return hash(frozenset(self.items()))
 
 
 class Span(Frozen):
@@ -286,6 +270,14 @@ def matrix_to_clusters(matrix: Iterable[Iterable[int]]) -> tuple[tuple[int, ...]
             if rows[i][j] != rows[j][i]:
                 raise ValueError(f"matrix is not symmetric at ({i}, {j})")
 
+    links = ((i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j])
+    return tuple(map(tuple, components(n, links)))
+
+
+def components(n: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """The connected components of the graph on 0..n-1 whose edges are
+    `links`, found with union-find: each ascending, in order of their
+    smallest member."""
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -294,14 +286,12 @@ def matrix_to_clusters(matrix: Iterable[Iterable[int]]) -> tuple[tuple[int, ...]
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j]:
-                parent[find(i)] = find(j)
+    for i, j in links:
+        parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    return canonical_partition(groups.values())
+    return list(groups.values())
 
 
 class Case(Frozen):

@@ -288,11 +288,13 @@ def write_spans(spans) -> str:
 
 
 def write_clusters(clusters, names=()) -> str:
+    """Clusters as `[Name:[0, 1], [2]]`; a label that is not a record key is quoted."""
     names = names or (None,) * len(clusters)
     parts = []
     for name, cluster in zip(names, clusters):
         body = "[" + ", ".join(str(i) for i in cluster) + "]"
-        parts.append(body if name is None else f"{name}:{body}")
+        label = name if name is None or _KEY_RE.fullmatch(name) else write_text(name)
+        parts.append(body if name is None else f"{label}:{body}")
     return "[" + ", ".join(parts) + "]"
 
 

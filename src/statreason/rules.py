@@ -381,22 +381,11 @@ class SubsectionNode(Frozen):
 
     __slots__ = ("id", "depth", "bindings", "child")
 
-    def __init__(
-        self, id: str, depth: int, bindings: tuple[tuple[str, str], ...] = (), child: "TreeNode | None" = None
-    ):
-        _set(self, "id", id)
-        _set(self, "depth", depth)
-        _set(self, "bindings", bindings)
-        _set(self, "child", child)
-
 
 class OpNode(Frozen):
-    __slots__ = ("kind", "depth", "children")
+    """An operator of an unrolled dependency tree: `kind` is "AND", "OR" or "NOT"."""
 
-    def __init__(self, kind: str, depth: int, children: tuple):
-        _set(self, "kind", kind)  # "AND", "OR" or "NOT"
-        _set(self, "depth", depth)
-        _set(self, "children", children)
+    __slots__ = ("kind", "depth", "children")
 
 
 TreeNode = SubsectionNode | OpNode

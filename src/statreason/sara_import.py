@@ -30,9 +30,9 @@ a dropped rule takes its callers and the cases that query it on a later
 pass. A layer's spans and coref records go together, and an item that does
 not read back as written goes too. Each skip is logged as "<source file or
 file:line>: <message>", the loader's or `validate`'s message or what of
-the layout did not fit. Files are read as the loader reads them (UTF-8,
-universal newlines); a byte that is not UTF-8 stops the import with its
-`path:line`.
+the layout did not fit. Only regular files are read, as the loader reads them
+(UTF-8, universal newlines); any other entry is skipped as "not a file",
+and a byte that is not UTF-8 stops the import with its `path:line`.
 """
 
 from __future__ import annotations
@@ -138,6 +138,18 @@ def _problems(dest: Path, files: list[str], items: list[_Item]) -> list[tuple[_I
     return problems
 
 
+def _is_file(path: Path, source: Path, log: ImportLog) -> bool:
+    """Whether `path` is a regular file; an entry there that is not one is logged."""
+    if path.exists() and not path.is_file():
+        log.skip(path.relative_to(source).as_posix(), "not a file")
+    return path.is_file()
+
+
+def _files(directory: Path, source: Path, log: ImportLog) -> list[Path]:
+    """The regular files of `directory`, sorted; none if it is no directory."""
+    return [path for path in sorted(directory.iterdir()) if _is_file(path, source, log)] if directory.is_dir() else []
+
+
 def _subsections(source: Path, dest: Path, log: ImportLog) -> list[_Item]:
     """A subsection per offsets line; each section text is copied to `dest`."""
     items = []
@@ -145,6 +157,7 @@ def _subsections(source: Path, dest: Path, log: ImportLog) -> list[_Item]:
         offsets_path = text_path.with_suffix(".offsets")
         if not offsets_path.exists():
             log.skip(f"statutes/{text_path.name}", "no .offsets companion")
+        if not (_is_file(text_path, source, log) and _is_file(offsets_path, source, log)):
             continue
         text = _read(text_path)
         (dest / "statutes" / text_path.name).write_text(text, encoding="utf-8")
@@ -164,12 +177,11 @@ def _layers(source: Path, log: ImportLog) -> list[_Item]:
     """A layer per spans file, with the clusters of its coref matrix and
     their `.names` labels."""
     items = []
-    spans_dir, coref_dir = source / "spans", source / "coref"
-    for span_path in sorted(spans_dir.iterdir()) if spans_dir.is_dir() else []:
+    for span_path in _files(source / "spans", source, log):
         where = f"spans/{span_path.name}"
         try:
             spans = _spans(span_path)
-            clusters, names = _clusters(coref_dir, span_path.name, len(spans), log)
+            clusters, names = _clusters(source, span_path.name, len(spans), log)
             layer = ArgumentLayer(file_stem_to_id(span_path.name), spans, clusters, names)
         except ValueError as exc:
             log.skip(where, str(exc))
@@ -190,12 +202,11 @@ def _spans(path: Path) -> tuple[Span, ...]:
     return tuple(spans)
 
 
-def _clusters(coref_dir: Path, name: str, n_spans: int, log: ImportLog):
+def _clusters(source: Path, name: str, n_spans: int, log: ImportLog):
     """The clusters of a layer's coref matrix, singletons when it has none,
     and a label or None for each."""
-    matrix_path = coref_dir / name
-    if not matrix_path.exists():
-        log.skip(f"coref/{name}", "no matrix file; defaulting to singletons")
+    matrix_path = source / "coref" / name
+    if not _is_file(matrix_path, source, log):
         return tuple((i,) for i in range(n_spans)), (None,) * n_spans
     rows = [line.split() for line in _read(matrix_path).splitlines() if line.strip()]
     for row in rows:
@@ -203,8 +214,8 @@ def _clusters(coref_dir: Path, name: str, n_spans: int, log: ImportLog):
             raise ValueError(f"coref matrix entries must be 0 or 1, found row {' '.join(row)!r}")
     clusters = matrix_to_clusters([[int(x) for x in row] for row in rows])
     names: list[str | None] = [None] * len(clusters)
-    names_path = coref_dir / f"{name}.names"
-    if names_path.exists():
+    names_path = matrix_path.with_name(f"{name}.names")
+    if _is_file(names_path, source, log):
         for lineno, line in enumerate(_read(names_path).splitlines(), 1):
             parts = line.split()
             if len(parts) == 2 and parts[0].isdecimal() and int(parts[0]) < len(clusters):
@@ -219,6 +230,7 @@ def _rules(source: Path, log: ImportLog) -> list[_Item]:
     path = source / "structure.txt"
     if not path.exists():
         log.skip("structure.txt", "not present")
+    if not _is_file(path, source, log):
         return []
     try:
         program = parse_program(_read(path))
@@ -237,12 +249,12 @@ def _cases(source: Path, log: ImportLog) -> list[_Item]:
     splits = {}
     for split in ("train", "test"):
         listing = source / "splits" / f"{split}.txt"
-        if listing.exists():
+        if _is_file(listing, source, log):
             for cid in _read(listing).split():
                 splits[cid] = split
     items = []
     for directory in ("cases", "silver"):
-        for path in sorted((source / directory).iterdir()) if (source / directory).is_dir() else []:
+        for path in _files(source / directory, source, log):
             where = f"{directory}/{path.name}"
             split = "silver" if directory == "silver" else splits.get(path.name, "train")
             try:

@@ -283,6 +283,24 @@ class TestRoundTrip:
             root / "cases" / "test.cases"
         ).read_text(encoding="utf-8")
 
+    def test_labels_that_are_not_record_keys_round_trip(self, tmp_path):
+        files = {
+            "manifest.txt": "statutes=statutes\nspans=spans.txt\ncoref=coref.txt\nstructure=structure.txt\ncases=cases\n",
+            "statutes/s.txt": "Tax text",
+            "statutes/offsets.txt": '§1 file="s.txt" start=0 end=3\n',
+            "spans.txt": "§1 spans=[(0, 3)]\n",
+            "coref.txt": '§1 clusters=["Tax\'p":[0]]\n',
+            "structure.txt": "§1(Tax'p).\n",
+            "cases/train.cases": "",
+            "cases/test.cases": "",
+        }
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        corpus = load_corpus(tmp_path / "manifest.txt")
+        assert validate_corpus(corpus) == []
+        assert serialize_coref(list(corpus.layers.values())) == files["coref.txt"]
+
     def test_hash_stable(self, corpus, manifest_path):
         assert corpus_hash(corpus) == corpus_hash(load_corpus(manifest_path))
 

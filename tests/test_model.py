@@ -11,6 +11,7 @@ from statreason.model import (
     Span,
     ValueMap,
     canonical_partition,
+    components,
     empty_layer,
     layer_of,
     matrix_to_clusters,
@@ -165,6 +166,60 @@ def test_partition_matrix_round_trip(case):
             for k in range(n):
                 if matrix[i][j] and matrix[j][k]:
                     assert matrix[i][k]
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(min_value=0, max_value=12))
+    node = st.integers(min_value=0, max_value=max(n - 1, 0))
+    return n, draw(st.lists(st.tuples(node, node), max_size=20 if n else 0))
+
+
+@given(graphs())
+def test_components_match_the_transitive_closure(case):
+    n, links = case
+    reach = [[i == j for j in range(n)] for i in range(n)]
+    for i, j in links:
+        reach[i][j] = reach[j][i] = True
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
+    closure = []
+    for i in range(n):
+        if not any(i in c for c in closure):
+            closure.append([j for j in range(n) if reach[i][j]])
+    assert components(n, links) == closure
+
+
+class TestValueMapIsAReadOnlyDict:
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda vm: vm.__setitem__("b", 2), lambda vm: vm.__delitem__("a"), lambda vm: vm.__ior__({}),
+            lambda vm: vm.clear(), lambda vm: vm.pop("a"), lambda vm: vm.popitem(),
+            lambda vm: vm.setdefault("b", 2), lambda vm: vm.update(b=2),
+        ],
+        ids=["setitem", "delitem", "ior", "clear", "pop", "popitem", "setdefault", "update"],
+    )
+    def test_every_mutator_raises(self, change):
+        vm = ValueMap({"a": 1})
+        with pytest.raises(TypeError, match="^a ValueMap cannot be changed$"):
+            change(vm)
+        assert vm == {"a": 1}
+
+    def test_copies_are_plain_dicts(self):
+        vm = ValueMap({"a": 1, "@truth": 1.0})
+        for copy in (dict(vm), vm | {}, vm.copy()):
+            assert type(copy) is dict and copy == {"a": 1, "@truth": 1.0}
+        assert vm == {"a": 1, "@truth": 1.0} and isinstance(vm, dict)
+
+    def test_hash_agrees_with_equality(self):
+        a, b = ValueMap([("a", 1), ("b", 2)]), ValueMap([("b", 2), ("a", 1)])
+        assert a == b and hash(a) == hash(b)
+        c1 = Case("c", "d", "§1", a, ValueMap({"@truth": 1.0}))
+        c2 = Case("c", "d", "§1", b, ValueMap({"@truth": 1.0}))
+        assert c1 == c2 and c2 in {c1}
 
 
 class TestCase_:

@@ -120,6 +120,13 @@ class TestWriting:
         # repr also tells 1 from 1.0 and "1" from 1.
         assert repr(parsed) == repr(value)
 
+    @given(st.lists(st.one_of(st.none(), TEXT_VALUES, st.from_regex(records._KEY_RE, fullmatch=True)), max_size=4))
+    @example(["Tax'p", "Tax", None, "1e-05", "true", "a b", ""])
+    def test_every_cluster_label_round_trips(self, names):
+        clusters = [[i] for i in range(len(names))]
+        parsed = records.parse_value_literal(records.write_clusters(clusters, names))
+        assert parsed == [c if name is None else {name: c} for name, c in zip(names, clusters)]
+
     @pytest.mark.parametrize("separator", list(ESCAPED_CHARACTERS[2:]))
     def test_line_separators_keep_a_record_on_one_line(self, separator):
         line = f"c1 d={records.write_text('a' + separator + 'b')} e=1"

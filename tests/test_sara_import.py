@@ -162,8 +162,6 @@ class TestImport:
         offsets.write_text(offsets.read_text(encoding="utf-8") + "#Tax 0 4\n", encoding="utf-8")
         log = import_corpus(source, dest)
         assert sorted(log.skipped) == [
-            "coref/#Tax: no matrix file; defaulting to singletons",
-            "coref/Tax rate: no matrix file; defaulting to singletons",
             "spans/#Tax: did not read back as written",
             "spans/Tax rate: expected '=' (column 10)",
             "statutes/section1.offsets:2: did not read back as written",
@@ -191,7 +189,6 @@ class TestImport:
         write(source / "spans" / "1_d_", "0 4\n")
         log = import_corpus(source, dest)
         assert sorted(log.skipped) == [
-            "coref/1_d_: no matrix file; defaulting to singletons",
             "spans/1_d_: unknown subsection §1(d)()",
             "statutes/section1.offsets:2: malformed subsection id '§1(d)()'",
         ]
@@ -203,17 +200,55 @@ class TestImport:
         make_distributed_tree(source)
         write(source / "spans" / "9_z", "0 4\n")
         log = import_corpus(source, dest)
-        assert log.skipped == [
-            "coref/9_z: no matrix file; defaulting to singletons", "spans/9_z: unknown subsection §9(z)"
-        ]
+        assert log.skipped == ["spans/9_z: unknown subsection §9(z)"]
         assert "spans/9_z" not in log.imported
         self.assert_validates(dest, capsys)
 
+    def test_a_layer_without_a_matrix_imports_with_singletons(self, tmp_path, capsys):
+        source, dest = tmp_path / "dist", tmp_path / "canonical"
+        make_distributed_tree(source)
+        for name in ("1_d_iv", "1_d_iv.names"):
+            (source / "coref" / name).unlink()
+        log = import_corpus(source, dest)
+        assert log.skipped == []
+        assert "spans/1_d_iv" in log.imported
+        self.assert_validates(dest, capsys)
+        assert load_corpus(dest / "manifest.txt").layers["§1(d)(iv)"].clusters == ((0,), (1,))
+
+    @pytest.mark.parametrize(
+        "relative",
+        [
+            "spans/sub", "cases/extra", "silver/extra", "coref/1_d_iv", "coref/1_d_iv.names", "structure.txt",
+            "statutes/section1.offsets", "splits/train.txt",
+        ],
+    )
+    def test_entries_that_are_not_files_are_skipped(self, tmp_path, capsys, relative):
+        source, dest = tmp_path / "dist", tmp_path / "canonical"
+        make_distributed_tree(source)
+        path = source / relative
+        if path.exists():
+            path.unlink()
+        path.mkdir(parents=True)
+        capsys.readouterr()
+        assert main(["import-sara", "--source", str(source), "--dest", str(dest)]) == 0
+        assert f"skipped {relative}: not a file" in capsys.readouterr().err.splitlines()
+        self.assert_validates(dest, capsys)
+
     def test_cluster_names_that_are_not_record_keys_are_skipped(self, tmp_path, capsys):
-        # The label's layer goes, with the loader's message for its coref line.
+        # The label reads back quoted, and then is no parameter of its rule.
         self.assert_layer_dropped(
-            tmp_path, capsys, "Tax'", "cannot type value \"Tax':\" (strings must be quoted) (column 26)"
+            tmp_path, capsys, "Tax'", "layer §1(d)(iv): cluster \"Tax'\" is not a parameter of its rule"
         )
+
+    def test_cluster_names_that_are_parameters_but_not_record_keys_import(self, tmp_path, capsys):
+        source, dest = tmp_path / "dist", tmp_path / "canonical"
+        make_distributed_tree(source)
+        write(source / "coref" / "1_d_iv.names", "0 Tax'p\n1 Taxinc\n")
+        write(source / "structure.txt", "§1(d)(iv)(Tax'p, Taxinc).\n")
+        log = import_corpus(source, dest)
+        assert log.skipped == []
+        self.assert_validates(dest, capsys)
+        assert load_corpus(dest / "manifest.txt").layers["§1(d)(iv)"].cluster_names == ("Tax'p", "Taxinc")
 
     def test_cluster_names_that_are_not_parameters_drop_the_layer(self, tmp_path, capsys):
         self.assert_layer_dropped(
