@@ -152,9 +152,8 @@ def hinge_losses(targets: list[int], candidates: list[int]) -> Iterator[Fraction
 
 
 def constant_candidates(targets: list[int]) -> list[int]:
-    """Ascending candidate constants: 0; each target and each breakpoint
-    y_i +- s_i, rounded both ways, where not negative; and a coarse grid
-    over [0, 2 max]."""
+    """Ascending candidate constants: 0, and each target and each breakpoint
+    y_i +- s_i, rounded both ways, where not negative."""
     candidates = {0}
     for y in targets:
         scale = dollar_band(y)
@@ -162,9 +161,6 @@ def constant_candidates(targets: list[int]) -> list[int]:
             for rounded in (int(point), int(point) + 1):
                 if rounded >= 0:
                     candidates.add(rounded)
-    top = 2 * max(targets)
-    step = max(1, top // 200)
-    candidates.update(range(0, top + 1, step))
     return sorted(candidates)
 
 
@@ -172,9 +168,9 @@ def fit_constant_baseline(train_cases: list[Case]) -> ConstantBaselineParams:
     """Fit the three parameters on gold training outputs.
 
     The dollar constant minimizes the hinge loss exactly: the objective is
-    convex piecewise linear, so the integer minimizer is found among the
-    breakpoints y_i +- max(0.1 y_i, 5000) (rounded both ways) plus a coarse
-    grid (`constant_candidates`); ties break toward the smallest constant.
+    convex and piecewise linear with breaks only at y_i +- max(0.1 |y_i|,
+    5000), so the smallest non-negative integer minimizer is 0 or a
+    breakpoint rounded one way or the other (`constant_candidates`).
     """
     if not train_cases:
         raise ValueError("empty training set")

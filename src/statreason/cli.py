@@ -221,7 +221,7 @@ def _predicted_spans(corpus: Corpus, source: str) -> dict[str, tuple[Span, ...]]
             if sid in corpus.layers
         }
     if source.startswith("import:"):
-        return load_spans(source[len("import:") :], corpus.subsections)
+        return load_spans(source[len("import:") :], corpus.subsections)[0]
     raise ValueError(f"unknown span source {source!r}")
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import records
 from .model import ArgumentLayer, Case, Frozen, Span, Subsection, TRUTH_KEY
-from .rules import ProgramSyntaxError, Rule, _reference_problems, parse_program
+from .rules import ProgramSyntaxError, Rule, iter_refs, parse_program, reference_problems
 
 
 class FileError(Frozen):
@@ -76,25 +76,15 @@ class CorpusManifest(Frozen):
                 _fail(path, lineno, "manifest lines must be key=value")
             key, _, value = line.partition("=")
             entries[key.strip()] = value.strip()
-        base = path.parent
-        missing = [k for k in ("statutes", "spans", "coref", "structure", "cases") if k not in entries]
+        required = ("statutes", "spans", "coref", "structure", "cases")
+        missing = [k for k in required if k not in entries]
         if missing:
             _fail(path, None, f"manifest is missing keys: {', '.join(missing)}")
-        manifest = CorpusManifest(
-            base=base,
-            statutes=base / entries["statutes"],
-            spans=base / entries["spans"],
-            coref=base / entries["coref"],
-            structure=base / entries["structure"],
-            cases=base / entries["cases"],
-            silver=(base / entries["silver"]) if "silver" in entries else None,
-        )
-        for name in ("statutes", "spans", "coref", "structure", "cases"):
-            if not getattr(manifest, name).exists():
-                _fail(path, None, f"{name} path does not exist: {getattr(manifest, name)}")
-        if manifest.silver is not None and not manifest.silver.exists():
-            _fail(path, None, f"silver path does not exist: {manifest.silver}")
-        return manifest
+        parts = {name: path.parent / entries[name] for name in (*required, "silver") if name in entries}
+        for name, part in parts.items():
+            if not part.exists():
+                _fail(path, None, f"{name} path does not exist: {part}")
+        return CorpusManifest(path.parent, *(parts.get(name) for name in (*required, "silver")))
 
 
 class Corpus(Frozen):
@@ -158,16 +148,13 @@ def load_statutes(statutes_dir: str | Path) -> list[Subsection]:
 _well_formed_id = re.compile(r"(?!\()(?:[^()]|\([^()]+\))*").fullmatch
 
 
-def load_spans(path: str | Path, subsections: Mapping[str, Subsection]) -> dict[str, tuple[Span, ...]]:
-    """Each known subsection's spans from a spans file, checked to be sorted,
-    disjoint and inside its text; any problem is a CorpusError at path:line."""
-    return _spans_and_lines(Path(path), subsections)[0]
-
-
-def _spans_and_lines(
-    path: Path, subsections: Mapping[str, Subsection]
+def load_spans(
+    path: str | Path, subsections: Mapping[str, Subsection]
 ) -> tuple[dict[str, tuple[Span, ...]], dict[str, int]]:
-    """`load_spans`, and the line of each subsection's record."""
+    """Each known subsection's spans from a spans file, checked to be sorted,
+    disjoint and inside its text, and the line of its record; any problem
+    is a CorpusError at path:line."""
+    path = Path(path)
     errors: list[FileError] = []
     spans: dict[str, tuple[Span, ...]] = {}
     lines: dict[str, int] = {}
@@ -209,7 +196,7 @@ def load_argument_layers(
 ) -> list[ArgumentLayer]:
     """Join the spans and coref files into validated argument layers."""
     spans_path, coref_path = Path(spans_path), Path(coref_path)
-    spans, span_lines = _spans_and_lines(spans_path, subsections)
+    spans, span_lines = load_spans(spans_path, subsections)
     errors: list[FileError] = []
 
     layers: dict[str, ArgumentLayer] = {}
@@ -332,7 +319,7 @@ def validate_corpus(corpus: Corpus) -> list[str]:
 
 def item_problems(corpus: Corpus) -> list[tuple[Rule | Case | ArgumentLayer, str]]:
     """`validate_corpus`'s diagnostics, each with the rule, case or layer it is about."""
-    problems: list[tuple[Rule | Case | ArgumentLayer, str]] = _reference_problems(corpus.program)
+    problems: list[tuple[Rule | Case | ArgumentLayer, str]] = reference_problems(corpus.program)
     for rule_id, rule in corpus.program.rules.items():
         if rule_id not in corpus.subsections:
             problems.append((rule, f"structure: rule {rule_id} has no subsection text"))
@@ -484,8 +471,6 @@ class CorpusStatistics(Frozen):
 
 
 def corpus_statistics(corpus: Corpus) -> CorpusStatistics:
-    from .rules import iter_refs
-
     span_counts, cluster_counts, mention_counts = [], [], []
     for sid in corpus.subsections:
         layer = corpus.layers.get(sid)
@@ -495,17 +480,16 @@ def corpus_statistics(corpus: Corpus) -> CorpusStatistics:
             mention_counts.extend(len(c) for c in layer.clusters)
 
     rule_args = [len(r.params) for r in corpus.program.rules.values()]
-    rule_deps = [len(list(iter_refs(r))) for r in corpus.program.rules.values()]
+    rule_deps = [len(list(iter_refs(r.body))) for r in corpus.program.rules.values()]
 
     def pair_series(which: str) -> dict[str, StatSeries]:
         groups: dict[str, list[int]] = {"train": [], "test": [], "all": [], "silver": []}
-        for case in corpus.cases:
-            n = len(case.inputs) if which == "inputs" else len(case.expected)
+        for case in (*corpus.cases, *corpus.silver):
+            n = len(getattr(case, which))
             if case.split in groups:
                 groups[case.split].append(n)
-            groups["all"].append(n)
-        for case in corpus.silver:
-            groups["silver"].append(len(case.inputs) if which == "inputs" else len(case.expected))
+            if case.split != "silver":
+                groups["all"].append(n)
         return {split: StatSeries.from_values(f"{which}[{split}]", v) for split, v in groups.items()}
 
     return CorpusStatistics(

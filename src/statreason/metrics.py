@@ -193,10 +193,6 @@ class PairReport(Frozen):
 
     __slots__ = ("identical", "fully_correct", "split", "unpaired")
 
-    @property
-    def pairs(self) -> int:
-        return self.identical + self.fully_correct + self.split
-
 
 def pair_consistency(
     cases, decisions: dict[str, bool | None], correctness: dict[str, int]

@@ -85,16 +85,13 @@ _KIND_NAMES = {str: "text", int: "number", float: "truth", datetime.date: "date"
 
 def value_kind(value: Value) -> str:
     """Classify a value: text, number, truth, date, money or list."""
-    kind = _KIND_NAMES.get(type(value))  # exact types; bool is not a key
+    kind = _KIND_NAMES.get(type(value))  # exact types: the writer carries no subclass
     if kind is not None:
         return kind
-    if isinstance(value, bool):
-        raise ValueError("booleans are not values; encode truth as a score in [0, 1]")
     if isinstance(value, tuple):
         return "list"
-    for tp, name in _KIND_NAMES.items():
-        if isinstance(value, tp):
-            return name
+    if isinstance(value, bool):
+        raise ValueError("booleans are not values; encode truth as a score in [0, 1]")
     raise ValueError(f"unsupported value type: {type(value).__name__}")
 
 

@@ -6,7 +6,8 @@ dollar amount, bare integers such as "42" or "-3" are numbers,
 "true"/"false", decimals and exponent forms such as "1e-05" are truth
 scores, "2017-02-03" is a date, "(15, 27)" is a character span, and
 brackets hold lists, whose items may themselves be "key=value" pairs
-(a value map) or "Label:[...]" groups (a named cluster). Lines starting
+(a value map) or "Label:[...]" groups (a named cluster); a key or label
+that is not a bare record key is a quoted string. Lines starting
 with "#" are comments. Inside quoted text, a backslash escapes a quote, a
 backslash and "\n"; every other line separator is written as "\uXXXX",
 so one record always stays on one line.
@@ -190,6 +191,9 @@ def _item(text: str, pos: int) -> tuple[object, int]:
     if text.startswith(":", pos):
         items, pos = _list(text, _take("[", text, pos + 1))
         return {value: items}, pos
+    if text.startswith("=", pos):
+        entry, pos = _item(text, pos + 1)
+        return (value, entry), pos
     return value, pos
 
 
@@ -279,8 +283,14 @@ def write_value(value: Value) -> str:
     return "[" + ", ".join(write_value(v) for v in value) + "]"
 
 
+def write_name(name: str) -> str:
+    """A value map's key or a cluster's label: bare when it is a record key,
+    quoted otherwise."""
+    return name if _KEY_RE.fullmatch(name) else write_text(name)
+
+
 def write_value_map(values: ValueMap) -> str:
-    return "[" + ", ".join(f"{k}={write_value(v)}" for k, v in values.items()) + "]"
+    return "[" + ", ".join(f"{write_name(k)}={write_value(v)}" for k, v in values.items()) + "]"
 
 
 def write_spans(spans) -> str:
@@ -288,13 +298,12 @@ def write_spans(spans) -> str:
 
 
 def write_clusters(clusters, names=()) -> str:
-    """Clusters as `[Name:[0, 1], [2]]`; a label that is not a record key is quoted."""
+    """Clusters as `[Name:[0, 1], [2]]`."""
     names = names or (None,) * len(clusters)
     parts = []
     for name, cluster in zip(names, clusters):
         body = "[" + ", ".join(str(i) for i in cluster) + "]"
-        label = name if name is None or _KEY_RE.fullmatch(name) else write_text(name)
-        parts.append(body if name is None else f"{label}:{body}")
+        parts.append(body if name is None else f"{write_name(name)}:{body}")
     return "[" + ", ".join(parts) + "]"
 
 

@@ -329,33 +329,25 @@ def print_rule(rule: Rule) -> str:
 # Cross-reference checking
 
 
-def _iter_refs(expr: BodyExpr):
-    if isinstance(expr, Ref):
-        yield expr
-    elif isinstance(expr, Not):
-        yield from _iter_refs(expr.child)
-    else:
-        for child in expr.children:
-            yield from _iter_refs(child)
+def iter_refs(body: BodyExpr | None):
+    """All references in a rule body (None for a rule without one), in
+    textual order."""
+    if isinstance(body, Ref):
+        yield body
+    elif isinstance(body, Not):
+        yield from iter_refs(body.child)
+    elif body is not None:
+        for child in body.children:
+            yield from iter_refs(child)
 
 
-def iter_refs(rule: Rule):
-    """All references in a rule's body, in textual order."""
-    if rule.body is not None:
-        yield from _iter_refs(rule.body)
-
-
-def check_references(program: Program) -> list[str]:
-    """Diagnostics for dangling callees and bindings to undeclared variables."""
-    return [message for _, message in _reference_problems(program)]
-
-
-def _reference_problems(program: Program) -> list[tuple[Rule, str]]:
-    """`check_references`'s diagnostics, each with the rule it is about."""
+def reference_problems(program: Program) -> list[tuple[Rule, str]]:
+    """Dangling callees and bindings to undeclared variables, each with the
+    rule it is about."""
     problems = []
     for rule in program.rules.values():
         params = set(rule.params)
-        for ref in iter_refs(rule):
+        for ref in iter_refs(rule.body):
             if ref.callee_id not in program:
                 problems.append((rule, f"{rule.head_id}: reference to undefined rule {ref.callee_id}"))
             for callee_param, caller_var in ref.bindings:

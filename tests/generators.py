@@ -3,6 +3,8 @@ and acceptance tests."""
 
 from __future__ import annotations
 
+import datetime
+import enum
 import random
 
 import hypothesis.strategies as st
@@ -90,7 +92,7 @@ def random_nested_program(rng: random.Random, n_rules: int) -> Program:
     nesting of AND, OR and NOT, one of them sometimes referenced twice."""
     rules: dict[str, Rule] = {}
     for head, rule in random_program(rng, n_rules).rules.items():
-        refs = list(iter_refs(rule))
+        refs = list(iter_refs(rule.body))
         if refs and rng.random() < 0.3:
             refs.append(rng.choice(refs))
         rules[head] = Rule(head, rule.params, _nest(rng, refs) if refs else None)
@@ -127,6 +129,19 @@ _KINDS = [TEXT_VALUES, st.integers(), MONEY_VALUES, TRUTH_VALUES, st.dates()]
 VALUES = st.one_of(
     *_KINDS, st.sampled_from(_KINDS).flatmap(lambda kind: st.lists(kind, max_size=3).map(tuple))
 )
+
+
+class Label(str):
+    pass
+
+
+class Count(enum.IntEnum):
+    ONE = 1
+
+
+# Instances of subclasses of value types, which the record format cannot
+# carry (a datetime would be written as 2017-02-03T04:05:00).
+SUBCLASSED_VALUES = [datetime.datetime(2017, 2, 3, 4, 5), Label("Alice"), Count.ONE]
 
 
 @st.composite

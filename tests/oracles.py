@@ -8,8 +8,9 @@ the coreference, argument-identification, cascade and instantiation reports
 as first written (one scoring loop per report, each with its own pooling and
 its own copy of the P/R/F1 table, scoring each unit with the per-unit
 `span_prf` and `exact_match_coref` the library once had), the record
-scanner object (`_Scanner`, a method call per character), the item classes
-it built (`Entry`, `PairLit`, `Labeled`) and `as_value_map` over them, and
+scanner object (`_Scanner`, a method call per character, which also reads
+a quoted entry key as the format now allows), the item classes it built
+(`Entry`, `PairLit`, `Labeled`) and `as_value_map` over them, and
 its quoted-string scan one character at a time, and the structure parser
 over `_tokenize`'s token objects (`_Parser`), as first written, and
 `parse_rule`, one clause read with the library's parser, which the rule
@@ -986,6 +987,9 @@ class _Scanner:
             if self.peek() == ":":
                 self.take(":")
                 return Labeled(text, self.scan_list())
+            if self.peek() == "=":
+                self.take("=")
+                return Entry(text, self.scan_item())
             return text
         if ch == "(":
             return self.scan_pair()

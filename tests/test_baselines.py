@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from statreason.baselines import (
     string_match_coref,
 )
 from statreason.engine import ResolveRequest, SubsectionPlan
+from statreason.metrics import dollar_band
 from statreason.model import (
     ArgumentLayer,
     Case,
@@ -249,6 +251,26 @@ class TestDollarSweep:
     @example([50_000, 50_001, -50_000, -50_001])
     def test_same_constant_as_brute_force(self, targets):
         assert fit_dollars(targets) == brute_force_constant(targets)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(
+        st.one_of(st.integers(-70_000, 70_000), st.integers(_SWITCH - 20, _SWITCH + 20)), min_size=1, max_size=4
+    ))
+    @example([-7000])
+    @example([60_005, 73_339])  # a target's upper breakpoint is not whole
+    @example([50_001, 50_001, -60_000])
+    def test_same_constant_as_every_integer_tried(self, targets):
+        # Past max(targets) + its band the loss only grows. Target y adds
+        # max(10 |c - y| - m, 0) / m with m = max(|y|, 50000), so the loss
+        # times the common multiple of the m is an integer.
+        top = max(targets)
+        integers = range(max(0, int(top + dollar_band(top))) + 1)
+        scales = [max(abs(y), _SWITCH) for y in targets]
+        common = math.lcm(*scales)
+        losses = [0] * len(integers)
+        for y, m in zip(targets, scales):
+            losses = [total + common // m * max(10 * abs(c - y) - m, 0) for total, c in zip(losses, integers)]
+        assert fit_dollars(targets) == losses.index(min(losses))
 
     @settings(max_examples=40, deadline=None)
     @given(dollar_lists())

@@ -33,7 +33,7 @@ from statreason.engine import (
 from statreason.model import ArgumentLayer, Case, Money, Span, Subsection, TRUTH_KEY, ValueMap
 from statreason.rules import OpNode, Program, Rule, SubsectionNode, build_dependency_tree
 
-from generators import VALUES, random_nested_program, random_value_map, texts_with_layers
+from generators import SUBCLASSED_VALUES, VALUES, random_nested_program, random_value_map, texts_with_layers
 
 
 def make_layer(text, mentions):
@@ -269,6 +269,7 @@ class TestResolverBoundary:
             (PlainDict(truth="0.7"), "@truth must hold a truth score, got '0.7'"),
             (PlainDict(truth=Money(5)), "@truth must hold a truth score, got Money(dollars=5)"),
             (PlainDict(truth=1), "@truth must hold a truth score, got 1"),
+            *((PlainDict(value=v), f"unsupported value type: {type(v).__name__}") for v in SUBCLASSED_VALUES),
         ],
     )
     def test_invalid_plain_answer_raises_value_error(self, setting, resolver, message):

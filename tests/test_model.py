@@ -11,6 +11,7 @@ from statreason.model import (
     Span,
     ValueMap,
     canonical_partition,
+    check_value,
     components,
     empty_layer,
     layer_of,
@@ -18,9 +19,16 @@ from statreason.model import (
     value_kind,
 )
 
+from generators import SUBCLASSED_VALUES
+
 
 def layer(spans, clusters, names=()):
     return ArgumentLayer("§x", tuple(Span(a, b) for a, b in spans), tuple(clusters), tuple(names))
+
+
+CHECKS = pytest.mark.parametrize(
+    "check", [check_value, lambda value: ValueMap({"x": value})], ids=["check_value", "ValueMap"]
+)
 
 
 class TestValues:
@@ -47,6 +55,19 @@ class TestValues:
     def test_duplicate_keys_rejected(self):
         with pytest.raises(ValueError):
             ValueMap([("a", 1), ("a", 2)])
+
+    @CHECKS
+    @pytest.mark.parametrize("value", SUBCLASSED_VALUES, ids=lambda value: type(value).__name__)
+    def test_subclassed_value_types_are_refused(self, check, value):
+        with pytest.raises(ValueError) as exc:
+            check(value)
+        assert str(exc.value) == f"unsupported value type: {type(value).__name__}"
+
+    @CHECKS
+    def test_booleans_keep_their_own_message(self, check):
+        with pytest.raises(ValueError) as exc:
+            check(True)
+        assert str(exc.value) == "booleans are not values; encode truth as a score in [0, 1]"
 
     def test_lookups(self):
         values = ValueMap({"a": 1})

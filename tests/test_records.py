@@ -127,6 +127,13 @@ class TestWriting:
         parsed = records.parse_value_literal(records.write_clusters(clusters, names))
         assert parsed == [c if name is None else {name: c} for name, c in zip(names, clusters)]
 
+    @given(st.lists(st.one_of(TEXT_VALUES, st.from_regex(records._KEY_RE, fullmatch=True)), max_size=4, unique=True))
+    @example(["Tax'p", "Tax", "1e-05", "true", "a b", "", "a=b", "@truth"])
+    def test_every_value_map_key_round_trips(self, keys):
+        values = ValueMap(dict.fromkeys(keys, 0.5))
+        parsed = records.as_value_map(records.parse_value_literal(records.write_value_map(values)))
+        assert list(parsed.items()) == list(values.items())
+
     @pytest.mark.parametrize("separator", list(ESCAPED_CHARACTERS[2:]))
     def test_line_separators_keep_a_record_on_one_line(self, separator):
         line = f"c1 d={records.write_text('a' + separator + 'b')} e=1"

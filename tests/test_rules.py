@@ -14,9 +14,9 @@ from statreason.rules import (
     Ref,
     RuleSyntaxError,
     build_dependency_tree,
-    check_references,
     parse_program,
     print_rule,
+    reference_problems,
     OpNode,
     SubsectionNode,
 )
@@ -133,19 +133,19 @@ class TestParseProgram:
 class TestCheckReferences:
     def test_undefined_callee(self):
         program = parse_program(CLAUSE_3306)
-        diagnostics = check_references(program)
-        assert len(diagnostics) == 1
-        assert "§3306(c)" in str(diagnostics[0])
+        [(rule, message)] = reference_problems(program)
+        assert rule is program.get("§3306(a)(1)(B)")
+        assert message == "§3306(a)(1)(B): reference to undefined rule §3306(c)"
 
     def test_clean_program(self):
         program = parse_program(CLAUSE_3306 + "\n§3306(c)(Employee, Employer, Service).")
-        assert check_references(program) == []
+        assert reference_problems(program) == []
 
     def test_binding_to_unknown_variable(self):
         program = parse_program("§1(a)(X) :- §2(b)(Spouse=Zzz).\n§2(b)(Spouse).")
-        diagnostics = check_references(program)
-        assert len(diagnostics) == 1
-        assert "Zzz" in str(diagnostics[0])
+        [(rule, message)] = reference_problems(program)
+        assert rule is program.get("§1(a)")
+        assert message == "§1(a): binding Spouse=Zzz uses 'Zzz', which is not a parameter of §1(a)"
 
 
 STUB_LEAVES = (
