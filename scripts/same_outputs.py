@@ -6,12 +6,16 @@
 Extracts REV with `git archive REV | tar -x` into a temporary directory,
 then runs the same commands with each tree's `src/` on the same corpora:
 the bundled fixture and the `perfbench/gencorpus.py` corpora of seeds 0
-and 3 at scale `sara`, each written once. The commands are every step of
-`perfbench/workloads.STEPS`, `scripts/reproduce_tables.py` and 31
-`eval-inst` flag sets (each resolver with no flag, `--no-structure`, depth
-caps, a threshold, `--split all` and `--insert-gold`; the constant resolver
-with `--with-silver`; and three invalid flag sets). Each runs in its
-corpus's working directory with relative paths, one process at a time.
+and 3 at scale `sara`, each written once, in the canonical format and in
+the distributed layout that `import-sara` reads (`tests/generators.py`'s
+`write_distributed`). The commands are every step of
+`perfbench/workloads.STEPS`, `scripts/reproduce_tables.py`, 31 `eval-inst`
+flag sets (each resolver with no flag, `--no-structure`, depth caps, a
+threshold, `--split all` and `--insert-gold`; the constant resolver with
+`--with-silver`; and three invalid flag sets) and `import-sara` of the
+distributed layout, whose canonical tree is compared as an output. Each
+runs in its corpus's working directory with relative paths, one process at
+a time.
 
 Every file written, every stdout and stderr and every exit code is
 compared, and the first differing line of each difference is printed.
@@ -29,14 +33,17 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(REPO / "src"), str(REPO / "perfbench")]
+sys.path[:0] = [str(REPO / "src"), str(REPO / "perfbench"), str(REPO / "tests")]
 
 import gencorpus  # noqa: E402
+from generators import write_distributed  # noqa: E402
+from statreason.corpus import load_corpus  # noqa: E402
 from workloads import STEPS, command_line  # noqa: E402
 
 FIXTURE = REPO / "tests" / "fixtures" / "corpus"
 SEEDS = (0, 3)
 MANIFEST = "corpus/manifest.txt"
+DISTRIBUTED = "distributed"
 OUT = "out"
 
 # eval-inst flag sets beyond the benchmark's steps; the last three are invalid.
@@ -63,16 +70,20 @@ def commands(tree: Path) -> dict[str, list[str]]:
     for flags in FLAG_SETS:
         label = "eval-inst" + "".join(f"_{flag.lstrip('-')}" for flag in flags)
         runs[label] = ["-m", "statreason", "eval-inst", "--manifest", MANIFEST, *flags, "--out", f"{OUT}/{label}"]
+    runs["import-sara"] = ["-m", "statreason", "import-sara", "--source", DISTRIBUTED, "--dest", f"{OUT}/import-sara"]
     return runs
 
 
 def write_corpora(root: Path) -> dict[str, Path]:
-    """The working directory of each corpus, its corpus in `corpus/`."""
+    """The working directory of each corpus, its corpus in `corpus/` and in
+    the distributed layout in `distributed/`."""
     work = {"fixture": root / "fixture"}
     shutil.copytree(FIXTURE, work["fixture"] / "corpus")
     for seed in SEEDS:
         work[f"sara-{seed}"] = root / f"sara-{seed}"
         gencorpus.generate(work[f"sara-{seed}"] / "corpus", seed, "sara")
+    for directory in work.values():
+        write_distributed(load_corpus(directory / MANIFEST), directory / DISTRIBUTED)
     return work
 
 

@@ -13,7 +13,7 @@ import re
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .metrics import canonical_string, dollar_band, family_of
+from .metrics import MONTHS, canonical_string, dollar_band, family_of
 from .model import (
     ArgumentLayer,
     Case,
@@ -281,7 +281,6 @@ _CASE_DATE_RE = re.compile(r"\b([A-Z][a-z]{2,8})\.?\s+(\d{1,2})(?:st|nd|rd|th)?(
 _CASE_MONEY_RE = re.compile(r"\$([\d,]+)")
 _CASE_YEAR_RE = re.compile(r"\b(?:19|20)\d{2}\b")
 _CASE_NAME_RE = re.compile(r"\b[A-Z][a-z]+\b")
-_MONTH_PREFIXES = frozenset("jan feb mar apr may jun jul aug sep oct nov dec".split())
 _CAPITALIZED_STOP = frozenset(
     """in the on a an at for during since from and of to under over section his her
     they it no if""".split()
@@ -305,7 +304,7 @@ class _CaseFeatures:
         self.dates = dates = [
             (m.start(), m.group())
             for m in _CASE_DATE_RE.finditer(description)
-            if m.group(1).lower()[:3] in _MONTH_PREFIXES
+            if m.group(1).lower()[:3] in MONTHS
         ]
         dates += [(m.start(), m.group()) for m in _CASE_YEAR_RE.finditer(description)]
         self.money = [
@@ -316,7 +315,7 @@ class _CaseFeatures:
             (m.start(), m.group())
             for m in _CASE_NAME_RE.finditer(description)
             if m.group().lower() not in _CAPITALIZED_STOP
-            and m.group().lower()[:3] not in _MONTH_PREFIXES
+            and m.group().lower()[:3] not in MONTHS
         ]
         self.tokens = frozenset(_OVERLAP_TOKEN_RE.findall(lowered))
 

@@ -16,7 +16,6 @@ half-open character offsets into the decoded section file.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Mapping
 from pathlib import Path
 
@@ -47,7 +46,10 @@ def _fail(path: Path, line: int | None, message: str):
 
 def _read(path: Path) -> str:
     """A file's text as `Path.read_text` gives it: UTF-8 with universal
-    newlines. A byte that is not UTF-8 is a CorpusError at its line."""
+    newlines. A path that is not a regular file is a CorpusError, and a
+    byte that is not UTF-8 one at its line."""
+    if not path.is_file():
+        _fail(path, None, "not a file")
     data = path.read_bytes()
     try:
         text = data.decode("utf-8")
@@ -82,8 +84,11 @@ class CorpusManifest(Frozen):
             _fail(path, None, f"manifest is missing keys: {', '.join(missing)}")
         parts = {name: path.parent / entries[name] for name in (*required, "silver") if name in entries}
         for name, part in parts.items():
+            is_dir = name in ("statutes", "cases", "silver")
             if not part.exists():
                 _fail(path, None, f"{name} path does not exist: {part}")
+            if not (part.is_dir() if is_dir else part.is_file()):
+                _fail(path, None, f"{name} path is not a {'directory' if is_dir else 'file'}: {part}")
         return CorpusManifest(path.parent, *(parts.get(name) for name in (*required, "silver")))
 
 
@@ -110,7 +115,7 @@ def load_statutes(statutes_dir: str | Path) -> list[Subsection]:
     if not index.exists():
         _fail(index, None, "offsets index not found")
     texts: dict[str, str] = {}
-    rows: dict[str, tuple[str, int, int]] = {}
+    subsections: dict[str, Subsection] = {}
     repeats: dict[str, int] = {}  # id -> line of its second record
     errors: list[FileError] = []
     for lineno, record in _iter_file(index):
@@ -119,8 +124,6 @@ def load_statutes(statutes_dir: str | Path) -> list[Subsection]:
             start, end = record.require("start"), record.require("end")
             if not (isinstance(fname, str) and isinstance(start, int) and isinstance(end, int)):
                 raise records.RecordError("offsets need file=\"...\" start=<int> end=<int>")
-            if not _well_formed_id(record.id):
-                raise records.RecordError(f"malformed subsection id {record.id!r}")
             if fname not in texts:
                 fpath = statutes_dir / fname
                 if not fpath.exists():
@@ -130,22 +133,17 @@ def load_statutes(statutes_dir: str | Path) -> list[Subsection]:
                 raise records.RecordError(
                     f"offsets ({start}, {end}) out of bounds for {fname} of length {len(texts[fname])}"
                 )
-            if record.id in rows:
+            if record.id in subsections:
                 repeats.setdefault(record.id, lineno)
             else:
-                rows[record.id] = (fname, start, end)
-        except records.RecordError as exc:
+                subsections[record.id] = Subsection(record.id, texts[fname][start:end])
+        except ValueError as exc:
             errors.append(FileError(str(index), lineno, str(exc)))
     for rid in sorted(repeats):
         errors.append(FileError(str(index), repeats[rid], f"duplicate subsection id {rid}"))
     if errors:
         raise CorpusError(errors)
-    return [Subsection(rid, texts[fname][start:end]) for rid, (fname, start, end) in rows.items()]
-
-
-# Whether a subsection id nests balanced, non-empty parenthesized groups and
-# does not start with one.
-_well_formed_id = re.compile(r"(?!\()(?:[^()]|\([^()]+\))*").fullmatch
+    return list(subsections.values())
 
 
 def load_spans(
@@ -296,7 +294,7 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
         ) from None
     cases = load_cases(manifest.cases)
     silver = load_cases(manifest.silver, split="silver") if manifest.silver else []
-    section_files = tuple(sorted(p.name for p in Path(manifest.statutes).glob("*.txt") if p.name != "offsets.txt"))
+    section_files = tuple(sorted({p.name for p in manifest.statutes.glob("*.txt") if p.is_file()} - {"offsets.txt"}))
     return Corpus(
         manifest=manifest,
         subsections=subsections,

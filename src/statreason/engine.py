@@ -366,7 +366,10 @@ def instantiate_full(resolver: Resolver, case: Case, context: RunContext) -> dic
     if steps is None:
         if case.query not in context.program:
             raise EngineError(f"case {case.id}: query {case.query} has no rule")
-        steps = context.programs[case.query] = compile_query(context, case.query)
+        try:
+            steps = context.programs[case.query] = compile_query(context, case.query)
+        except ValueError as exc:  # a callee without a rule whose id no layer can have
+            raise EngineError(f"case {case.id}: {exc}") from exc
     resolve, note, insert_gold = resolver.resolve, context.notes.append, context.config.insert_gold
     inputs = dict(case.inputs)
     envs: list[dict[str, Value]] = []

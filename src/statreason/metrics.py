@@ -101,12 +101,8 @@ def binary_accuracy(gold_truth: float, pred_truth: float | None, threshold: floa
 
 
 _WS_RE = re.compile(r"\s+")
-_MONTHS = {
-    m: i + 1
-    for i, m in enumerate(
-        "january february march april may june july august september october november december".split()
-    )
-}
+# Each month's number by the first three letters of its name, which tell the months apart.
+MONTHS = {m: i + 1 for i, m in enumerate("jan feb mar apr may jun jul aug sep oct nov dec".split())}
 _DATEISH_RE = re.compile(
     r"([A-Za-z]{3,9})\.?\s+(\d{1,2})(?:st|nd|rd|th)?(?:\s*,\s*(\d{4}))?$"
 )
@@ -123,9 +119,7 @@ def canonical_string(value: Value) -> str:
     text = _WS_RE.sub(" ", str(value)).strip()
     m = _DATEISH_RE.match(text)
     if m:
-        month = _MONTHS.get(m.group(1).lower()) or _MONTHS.get(
-            next((k for k in _MONTHS if k.startswith(m.group(1).lower()[:3])), "")
-        )
+        month = MONTHS.get(m.group(1).lower()[:3])
         if month is not None:
             day = int(m.group(2))
             if m.group(3):

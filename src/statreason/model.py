@@ -11,6 +11,7 @@ get a wrapper type so they stay distinguishable from plain integers. A
 from __future__ import annotations
 
 import datetime
+import re
 from collections.abc import Iterable, Mapping
 from operator import attrgetter
 
@@ -95,12 +96,29 @@ def value_kind(value: Value) -> str:
     raise ValueError(f"unsupported value type: {type(value).__name__}")
 
 
+def check_text(text: str) -> str:
+    """Validate text that a corpus file can hold (UTF-8 can encode it), returning it unchanged."""
+    if not text.isascii():
+        text.encode()  # a lone surrogate raises UnicodeEncodeError, a ValueError
+    return text
+
+
+def check_id(name: str) -> str:
+    """Validate an id that a record carries bare, returning it unchanged: text with no character
+    `str.isspace` accepts (so no line separator), not empty and not starting a comment with "#"."""
+    if name.split() != [name] or name[0] == "#":
+        raise ValueError(f"malformed id {name!r}: an id is non-empty, holds no whitespace and starts with no '#'")
+    return check_text(name)
+
+
 def check_value(value: Value) -> Value:
     """Validate a value's invariants, returning it unchanged."""
     kind = value_kind(value)
-    if kind == "truth" and not 0.0 <= value <= 1.0:
+    if kind == "text":
+        check_text(value)
+    elif kind == "truth" and not 0.0 <= value <= 1.0:
         raise ValueError(f"truth score out of [0, 1]: {value}")
-    if kind == "list":
+    elif kind == "list":
         kinds = {value_kind(check_value(v)) for v in value}
         if len(kinds) > 1:
             raise ValueError(f"heterogeneous list value: kinds {sorted(kinds)}")
@@ -137,7 +155,7 @@ class ValueMap(dict):
         for name, value in pairs:
             if name in self:
                 raise ValueError(f"duplicate argument name: {name!r}")
-            put(self, name, check_truth(value) if name == TRUTH_KEY else check_value(value))
+            put(self, check_text(name), check_truth(value) if name == TRUTH_KEY else check_value(value))
 
     __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
 
@@ -172,10 +190,24 @@ class Span(Frozen):
         return text[self.start : self.end]
 
 
+# Whether a subsection id nests balanced, non-empty parenthesized groups and
+# does not start with one.
+_well_formed_id = re.compile(r"(?!\()(?:[^()]|\([^()]+\))*").fullmatch
+
+
 class Subsection(Frozen):
-    """One subsection of a statute, the atomic natural-language predicate."""
+    """One subsection of a statute, the atomic natural-language predicate. Its text, a slice
+    of a section file, holds no "\\r", which reading with universal newlines makes "\\n"."""
 
     __slots__ = ("id", "text")
+
+    def __init__(self, id: str, text: str):
+        if not _well_formed_id(check_id(id)):
+            raise ValueError(f"malformed subsection id {id!r}")
+        if "\r" in check_text(text):
+            raise ValueError(f"subsection {id}: a section file cannot hold '\\r'")
+        _set(self, "id", id)
+        _set(self, "text", text)
 
 
 class ArgumentLayer(Frozen):
@@ -212,10 +244,10 @@ class ArgumentLayer(Frozen):
         covered = [i for cluster in canonical for i in cluster]
         if sorted(covered) != list(range(len(spans))) or len(covered) != len(set(covered)):
             raise ValueError(f"{subsection_id}: clusters are not a partition of span indices")
-        labelled = [n for n in names if n is not None]
+        labelled = [check_text(n) for n in names if n is not None]
         if len(labelled) != len(set(labelled)):
             raise ValueError(f"{subsection_id}: duplicate cluster names")
-        _set(self, "subsection_id", subsection_id)
+        _set(self, "subsection_id", check_id(subsection_id))
         _set(self, "spans", spans)
         _set(self, "clusters", canonical)
         _set(self, "cluster_names", names)
@@ -299,9 +331,9 @@ class Case(Frozen):
     def __init__(
         self, id: str, description: str, query: str, inputs: ValueMap, expected: ValueMap, split: str = "train"
     ):
-        _set(self, "id", id)
-        _set(self, "description", description)
-        _set(self, "query", query)
+        _set(self, "id", check_id(id))
+        _set(self, "description", check_text(description))
+        _set(self, "query", check_text(query))
         _set(self, "inputs", inputs)
         _set(self, "expected", expected)
         _set(self, "split", split)

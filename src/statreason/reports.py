@@ -55,15 +55,11 @@ class CorefReport(Frozen):
 
     __slots__ = ("baseline", "exact_match", "standard")
 
-    @property
-    def perfectly_resolved(self) -> float:
-        return self.exact_match.perfectly_resolved
-
     def flat(self) -> dict[str, float]:
         out = {
             "exact_match_f1_avg": self.exact_match.avg.f1,
             "exact_match_f1_macro": self.exact_match.macro.f1,
-            "perfectly_resolved": self.perfectly_resolved,
+            "perfectly_resolved": self.exact_match.perfectly_resolved,
         }
         for name, value in self.standard.items():
             out[f"{name}_f1"] = value.f1
@@ -141,15 +137,11 @@ def argid_report(corpus: Corpus, predictions: dict[str, tuple], source: str) -> 
 class CascadeReport(Frozen):
     __slots__ = ("source", "exact_match")
 
-    @property
-    def perfectly_resolved(self) -> float:
-        return self.exact_match.perfectly_resolved
-
     def flat(self) -> dict[str, float]:
         return {
             "cascade_f1_avg": self.exact_match.avg.f1,
             "cascade_f1_macro": self.exact_match.macro.f1,
-            "cascade_perfectly_resolved": self.perfectly_resolved,
+            "cascade_perfectly_resolved": self.exact_match.perfectly_resolved,
         }
 
     def render(self) -> str:

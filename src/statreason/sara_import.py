@@ -20,19 +20,19 @@ nowhere else. The importer expects:
 Subsection ids appear in file names with "/" unusable, so "§63(c)(5)" is
 stored as "63_c_5" (leading "§" dropped, parenthesized parts joined by "_").
 
-This module reads that layout and nothing more: what a valid corpus is,
-`corpus.load_corpus` and `corpus.validate_corpus` decide. The importer
-writes each subsection, layer, rule and case it could read in canonical
-form (`structure.txt` printed rule by rule with `rules.print_rule`, in
-source order and without comments), loads and validates what it wrote,
-drops the item behind each problem found, and repeats until both pass; so
-a dropped rule takes its callers and the cases that query it on a later
-pass. A layer's spans and coref records go together, and an item that does
-not read back as written goes too. Each skip is logged as "<source file or
-file:line>: <message>", the loader's or `validate`'s message or what of
-the layout did not fit. Only regular files are read, as the loader reads them
-(UTF-8, universal newlines); any other entry is skipped as "not a file",
-and a byte that is not UTF-8 stops the import with its `path:line`.
+This module reads that layout and nothing more: what a corpus can hold,
+the `model` constructors decide, and what a valid corpus is, `load_corpus`
+and `validate_corpus`. The importer writes each subsection, layer, rule
+and case it could read in canonical form (`structure.txt` printed rule by
+rule with `rules.print_rule`, in source order and without comments), loads
+and validates what it wrote, drops the item behind each problem found, and
+repeats until both pass; so a dropped rule takes its callers and the cases
+that query it on a later pass. A layer's spans and coref records go
+together. Each skip is logged as "<source file or file:line>: <message>":
+the model's, the loader's or `validate`'s message, or what of the layout
+did not fit. Only regular files are read, as the loader reads them (UTF-8,
+universal newlines); any other entry is skipped as "not a file", and a
+byte that is not UTF-8 stops the import with its `path:line`.
 """
 
 from __future__ import annotations
@@ -124,13 +124,6 @@ def _problems(dest: Path, files: list[str], items: list[_Item]) -> list[tuple[_I
         if not problems:
             raise
         return problems
-    loaded = {
-        *corpus.subsections.values(), *corpus.layers.values(), *corpus.program.rules.values(),
-        *corpus.cases, *corpus.silver,
-    }
-    problems = [(item, "did not read back as written") for item in items if item.value not in loaded]
-    if problems:
-        return problems
     by_value = {item.value: item for item in items}
     problems = [(by_value.get(value), message) for value, message in item_problems(corpus)]
     if any(item is None for item, _ in problems):
@@ -169,7 +162,10 @@ def _subsections(source: Path, dest: Path, log: ImportLog) -> list[_Item]:
                 continue
             sid, start, end = parts[0], int(parts[1]), int(parts[2])
             record = f"{sid} file={records.write_text(text_path.name)} start={start} end={end}\n"
-            items.append(_Item(where, Subsection(sid, text[start:end]), {"statutes/offsets.txt": record}))
+            try:
+                items.append(_Item(where, Subsection(sid, text[start:end]), {"statutes/offsets.txt": record}))
+            except ValueError as exc:
+                log.skip(where, str(exc))
     return items
 
 

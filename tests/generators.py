@@ -6,11 +6,15 @@ from __future__ import annotations
 import datetime
 import enum
 import random
+import re
+from pathlib import Path
 
 import hypothesis.strategies as st
 
-from statreason.model import TRUTH_KEY, ArgumentLayer, Money, Span, ValueMap
-from statreason.rules import And, Not, Or, Program, Ref, Rule, iter_refs
+from statreason import records
+from statreason.corpus import Corpus, serialize_cases, serialize_coref, serialize_spans
+from statreason.model import TRUTH_KEY, ArgumentLayer, Case, Money, Span, Subsection, ValueMap
+from statreason.rules import And, Not, Or, Program, Ref, Rule, iter_refs, parse_program, print_rule
 
 
 def random_partition(rng: random.Random, n: int, ensure_link: bool = False):
@@ -117,12 +121,12 @@ def random_value_map(rng: random.Random, keys=("X", "Y", "Z")) -> ValueMap:
 
 
 # Every value kind, unrestricted within what the model admits: text over
-# every code point (surrogates included), signed numbers and money, dates,
+# every code point that UTF-8 can encode, signed numbers and money, dates,
 # truth scores over [0, 1] including subnormals, and homogeneous lists of any
 # of these. Text draws the characters a writer must escape (quotes,
 # backslashes and every str.splitlines separator) often, not only by chance.
 ESCAPED_CHARACTERS = '"\\\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029'
-TEXT_VALUES = st.text(st.one_of(st.characters(exclude_categories=()), st.sampled_from(ESCAPED_CHARACTERS)))
+TEXT_VALUES = st.text(st.one_of(st.characters(exclude_categories=("Cs",)), st.sampled_from(ESCAPED_CHARACTERS)))
 MONEY_VALUES = st.integers().map(Money)
 TRUTH_VALUES = st.floats(min_value=0.0, max_value=1.0)
 _KINDS = [TEXT_VALUES, st.integers(), MONEY_VALUES, TRUTH_VALUES, st.dates()]
@@ -165,3 +169,284 @@ def texts_with_layers(draw, mentions=st.text(min_size=1, max_size=4), gaps=st.te
     if clusters and draw(st.booleans()):
         names[draw(st.integers(0, len(clusters) - 1))] = TRUTH_KEY
     return text, ArgumentLayer("§x", tuple(spans), clusters, tuple(names))
+
+
+# ---------------------------------------------------------------------------
+# Whole corpora
+
+
+def _chars(exclude: str = "") -> st.SearchStrategy[str]:
+    """Characters that UTF-8 can encode, apart from those `str.isspace`
+    accepts (the separators and these controls) and those in `exclude`."""
+    controls = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85"
+    return st.characters(exclude_categories=("Cs", "Zs", "Zl", "Zp"), exclude_characters=controls + exclude)
+
+
+def _words(chars: st.SearchStrategy[str], max_size: int = 6) -> st.SearchStrategy[str]:
+    return st.text(chars, min_size=1, max_size=max_size)
+
+
+# Names of the structure language: what its tokenizer reads as one name.
+_TOKENS = _words(_chars("()[],=.%:")).filter(lambda t: t not in ("AND", "OR", "NOT"))
+# Rule heads: a name and its identifier groups.
+_HEADS = st.builds(
+    lambda name, groups: name + "".join(f"({g})" for g in groups), _TOKENS, st.lists(_TOKENS, max_size=2)
+)
+# Text of every code point, surrogates included, drawing whitespace, "#" and
+# what a writer must escape often: the model's constructors decide what of
+# it a corpus can hold.
+_ANY_TEXT = st.text(st.one_of(st.characters(exclude_categories=()), st.sampled_from(ESCAPED_CHARACTERS + " \t#")))
+# Ids that the constructors should mostly accept, so that corpora have some.
+_ID_PIECES = _words(_chars("()"))
+_SUBSECTION_IDS = st.builds(
+    lambda first, rest: first + "".join(rest),
+    _ID_PIECES,
+    st.lists(st.one_of(_ID_PIECES, _ID_PIECES.map("({})".format))),
+)
+# Case ids name files in the distributed layout; splits and section files
+# are file names.
+_CASE_IDS = _words(_chars("/\x00"), 8).filter(lambda t: t[0] != "#" and t not in (".", ".."))
+_SECTION_FILES = _words(_chars("/\x00")).map(lambda name: name + ".txt").filter(lambda name: name != "offsets.txt")
+_SPLITS = _words(_chars("/\x00."), 5).filter(lambda split: split not in ("all", "silver"))
+# Subsection text: not empty, as offsets have start < end.
+_SECTION_TEXTS = st.text(
+    st.one_of(st.characters(exclude_categories=("Cs",)), st.sampled_from(ESCAPED_CHARACTERS)), min_size=1, max_size=12
+)
+
+# What the distributed layout carries: a layer's id through its file stem
+# (`sara_import.file_stem_to_id`), names that its "<index> <name>" and
+# "<name>=<value>" lines can hold, a description with its whitespace
+# collapsed, and the splits train and test.
+_PLAIN_TOKENS = st.from_regex(r"[A-Za-z@][A-Za-z0-9@']{0,4}", fullmatch=True).filter(
+    lambda t: t not in ("AND", "OR", "NOT")
+)
+_PLAIN_HEADS = st.one_of(
+    st.from_regex(r"§[0-9]{1,3}(\([A-Za-z0-9]{1,2}\)){0,3}", fullmatch=True),
+    st.from_regex(r"[A-Za-z][A-Za-z0-9]{0,4}", fullmatch=True).filter(lambda t: t not in ("AND", "OR", "NOT")),
+)
+_BLOCK_LINE = re.compile(r"%\s*(Text|Question|Input|Output)\s*")
+
+
+def _one_line(text: str) -> str:
+    return " ".join(text.split())
+
+
+def _made(make, *args):
+    """`make(*args)`, or None when it raises ValueError."""
+    try:
+        return make(*args)
+    except ValueError:
+        return None
+
+
+@st.composite
+def _program(draw, heads: list[str], params: dict[str, list[str]], names, valid: bool) -> Program:
+    """A program parsed from clause text: a clause per head, its body an
+    AND/OR/NOT nesting of references. When `valid`, every callee has a rule
+    and every binding passes a parameter of the caller."""
+
+    def pick(pool: list[str]) -> st.SearchStrategy[str]:
+        pool = st.sampled_from(pool) if pool else st.nothing()
+        return pool if valid else st.one_of(pool, names)
+
+    clauses = []
+    for head in heads:
+        clause = f"{head}({', '.join(params[head])})"
+        if draw(st.booleans()):
+            bindings = st.lists(
+                st.tuples(names.filter(lambda n: n != TRUTH_KEY), pick(params[head])),
+                unique_by=lambda b: b[0],
+                max_size=3 if params[head] or not valid else 0,
+            ).map(lambda pairs: ", ".join(p if p == v else f"{p}={v}" for p, v in pairs))
+            ref = st.builds("{}({})".format, pick(heads), bindings)
+            body = st.recursive(
+                ref,
+                lambda inner: st.one_of(
+                    inner.map("NOT {}".format),
+                    st.lists(inner, min_size=2, max_size=3).map(lambda c: "[" + " AND ".join(c) + "]"),
+                    st.lists(inner, min_size=2, max_size=3).map(lambda c: "[" + " OR ".join(c) + "]"),
+                ),
+                max_leaves=5,
+            )
+            clause += f" :- {draw(body)}"
+        clauses.append(clause + ".")
+    return parse_program("\n".join(clauses))
+
+
+def _layer(draw, sid: str, text: str, labels: st.SearchStrategy[str | None]) -> ArgumentLayer | None:
+    """A layer over `text`, or None when the constructor refuses its labels:
+    sorted, disjoint spans that cover more than whitespace, grouped into
+    clusters that are labelled or not."""
+    spans, end = [], 0
+    starts = st.lists(st.tuples(st.integers(0, len(text) - 1), st.integers(1, 4)), max_size=5)
+    for start, length in sorted(draw(starts)):
+        stop = min(start + length, len(text))
+        if start >= end and text[start:stop].strip():
+            spans.append(Span(start, stop))
+            end = stop
+    groups: dict[int, list[int]] = {}
+    for i, group in enumerate(draw(st.lists(st.integers(0, 3), min_size=len(spans), max_size=len(spans)))):
+        groups.setdefault(group, []).append(i)
+    names: list[str | None] = []
+    for _ in groups:
+        name = draw(labels)
+        names.append(None if name in names else name)
+    return _made(ArgumentLayer, sid, tuple(spans), tuple(map(tuple, groups.values())), tuple(names))
+
+
+def _value_map(draw, keys: st.SearchStrategy[str], values: st.SearchStrategy, expected: bool) -> ValueMap | None:
+    """A value map over `keys` and "@truth", which holds a truth score, or
+    None when the constructor refuses it. An `expected` map expects
+    something, and "@truth" unless it expects an amount."""
+    names = draw(st.lists(st.one_of(keys, st.just(TRUTH_KEY)), unique=True, max_size=3))
+    pairs = [(name, draw(TRUTH_VALUES if name == TRUTH_KEY else values)) for name in names]
+    if expected and TRUTH_KEY not in names and all(type(v) is not Money for _, v in pairs):
+        pairs.append((TRUTH_KEY, draw(TRUTH_VALUES)))
+    return _made(ValueMap, pairs)
+
+
+@st.composite
+def corpora(draw, distributed: bool = False) -> Corpus:
+    """A corpus of what the model's constructors accept, drawn from text of
+    every code point, within the loader's own rules: each layer has a
+    subsection, its spans lie in the subsection's text and cover more than
+    whitespace, subsection text is not empty, a case expects something (a
+    binary case, "@truth"), case ids are unique per cases directory, and a
+    split is a file stem other than "all" and "silver". Values are of every
+    kind, rules enter as parsed clause text, and queries, callees, bindings
+    and labels name what exists or anything. The corpus comes without a
+    manifest, its cases in the order the loader reads them.
+
+    With `distributed`, the corpus is one that `validate_corpus` accepts and
+    that the distributed layout carries (see `_PLAIN_HEADS`), so
+    `write_distributed` and `import_corpus` give it back."""
+    names = _PLAIN_TOKENS if distributed else _TOKENS
+    heads = draw(st.lists(_PLAIN_HEADS if distributed else _HEADS, max_size=4, unique=True))
+    params = {head: draw(st.lists(names, max_size=3, unique=True)) for head in heads}
+    program = draw(_program(heads, params, names, valid=distributed))
+    if distributed:
+        ids, labels = heads + draw(st.lists(_PLAIN_HEADS, max_size=3)), st.nothing()
+        texts = _SECTION_TEXTS.map(lambda t: t.replace("\r", "\n"))
+        descriptions = TEXT_VALUES.map(_one_line).filter(lambda d: not _BLOCK_LINE.fullmatch(d))
+        keys, values = TEXT_VALUES.map(lambda k: _one_line(k.replace("=", ""))), VALUES
+        queries = st.sampled_from(heads) if heads else st.nothing()
+        case_ids, splits = _CASE_IDS, st.sampled_from(["train", "test"])
+    else:
+        ids = [h for h in heads if draw(st.booleans())]
+        ids += draw(st.lists(st.one_of(_SUBSECTION_IDS, _ANY_TEXT), max_size=3))
+        texts, labels = st.one_of(_SECTION_TEXTS, _ANY_TEXT.filter(bool)), st.one_of(st.none(), _ANY_TEXT)
+        descriptions = queries = keys = _ANY_TEXT
+        values = st.one_of(VALUES, _ANY_TEXT)
+        case_ids, splits = st.one_of(_CASE_IDS, _ANY_TEXT), _SPLITS
+
+    subsections = {}
+    for sid in dict.fromkeys(ids):
+        subsection = _made(Subsection, sid, draw(texts))
+        if subsection is not None:
+            subsections[sid] = subsection
+    layers = {}
+    for sid, subsection in subsections.items():
+        if draw(st.booleans()):
+            rule_labels = st.sampled_from([None, *params.get(sid, ())])
+            layer = _layer(draw, sid, subsection.text, st.one_of(rule_labels, labels))
+            if layer is not None:
+                layers[sid] = layer
+
+    def cases(split: str | None) -> list[Case]:
+        out = []
+        for cid in draw(st.lists(case_ids, max_size=3 if heads or not distributed else 0, unique=True)):
+            inputs, expected = _value_map(draw, keys, values, False), _value_map(draw, keys, values, True)
+            case = inputs and expected and _made(
+                Case, cid, draw(descriptions), draw(st.one_of(st.sampled_from(heads or [""]), queries)), inputs,
+                expected, split or draw(splits),
+            )
+            if case:
+                out.append(case)
+        return out
+
+    gold = sorted(cases(None), key=lambda case: f"{case.split}.cases")
+    section_files = tuple(sorted(draw(st.lists(_SECTION_FILES, min_size=1, max_size=3, unique=True))))
+    return Corpus(None, subsections, layers, program, tuple(gold), tuple(cases("silver")), section_files)
+
+
+def corpus_fields(corpus: Corpus) -> tuple:
+    """Everything a corpus holds but its manifest."""
+    return tuple(getattr(corpus, name) for name in Corpus.__slots__[1:])
+
+
+def _section_files(corpus: Corpus) -> tuple[dict[str, str], list[tuple[str, str, int, int]]]:
+    """Each section file's text, and (id, file, start, end) per subsection in
+    corpus order: the subsections dealt out to the files in turn, their
+    texts one after another."""
+    texts = dict.fromkeys(corpus.section_files, "")
+    rows = []
+    for k, subsection in enumerate(corpus.subsections.values()):
+        name = corpus.section_files[k % len(corpus.section_files)]
+        rows.append((subsection.id, name, len(texts[name]), len(texts[name]) + len(subsection.text)))
+        texts[name] += subsection.text
+    return texts, rows
+
+
+def _write(root: Path, files: dict[str, str]) -> None:
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(text.encode("utf-8"))
+
+
+def write_corpus(corpus: Corpus, root: Path) -> Path:
+    """Write `corpus` in the canonical format under `root`, each section
+    file holding its subsections one after another; its manifest's path."""
+    layers = list(corpus.layers.values())
+    files = {
+        "spans.txt": serialize_spans(layers),
+        "coref.txt": serialize_coref(layers),
+        "structure.txt": "".join(print_rule(rule) + "\n" for rule in corpus.program.rules.values()),
+    }
+    texts, rows = _section_files(corpus)
+    files.update((f"statutes/{name}", text) for name, text in texts.items())
+    files["statutes/offsets.txt"] = "".join(
+        f"{sid} file={records.write_text(name)} start={start} end={end}\n" for sid, name, start, end in rows
+    )
+    for split in dict.fromkeys(case.split for case in corpus.cases):
+        files[f"cases/{split}.cases"] = serialize_cases(corpus.cases_of(split))
+    manifest = "statutes=statutes\nspans=spans.txt\ncoref=coref.txt\nstructure=structure.txt\ncases=cases\n"
+    if corpus.silver:
+        files["silver/silver.cases"] = serialize_cases(corpus.silver)
+        manifest += "silver=silver\n"
+    files["manifest.txt"] = manifest
+    (root / "cases").mkdir(parents=True)
+    _write(root, files)
+    return root / "manifest.txt"
+
+
+def write_distributed(corpus: Corpus, root: Path) -> None:
+    """Write `corpus` in the distributed layout that `import_corpus` reads,
+    each section file holding its subsections one after another."""
+    files = {"structure.txt": "".join(print_rule(rule) + "\n" for rule in corpus.program.rules.values())}
+    texts, rows = _section_files(corpus)
+    for name, text in texts.items():
+        files[f"statutes/{name}"] = text
+        files[f"statutes/{Path(name).with_suffix('.offsets')}"] = "".join(
+            f"{sid} {start} {end}\n" for sid, file, start, end in rows if file == name
+        )
+    for sid, layer in corpus.layers.items():
+        stem = sid.removeprefix("§").replace(")(", "_").replace("(", "_").replace(")", "")
+        files[f"spans/{stem}"] = "".join(f"{s.start} {s.end}\n" for s in layer.spans)
+        cluster_of = {i: k for k, cluster in enumerate(layer.clusters) for i in cluster}
+        files[f"coref/{stem}"] = "".join(
+            " ".join("1" if cluster_of[i] == cluster_of[j] else "0" for j in range(len(layer.spans))) + "\n"
+            for i in range(len(layer.spans))
+        )
+        files[f"coref/{stem}.names"] = "".join(
+            f"{k} {name}\n" for k, name in enumerate(layer.cluster_names) if name is not None
+        )
+    for case in corpus.cases + corpus.silver:
+        blocks = {"Text": case.description, "Question": case.query}
+        for block, values in (("Input", case.inputs), ("Output", case.expected)):
+            blocks[block] = "\n".join(f"{name}={records.write_value(value)}" for name, value in values.items())
+        directory = "silver" if case.split == "silver" else "cases"
+        files[f"{directory}/{case.id}"] = "".join(f"% {block}\n{text}\n" for block, text in blocks.items())
+    for split in ("train", "test"):
+        files[f"splits/{split}.txt"] = "".join(f"{case.id}\n" for case in corpus.cases_of(split))
+    _write(root, files)

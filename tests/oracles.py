@@ -45,7 +45,6 @@ from statreason.baselines import (
     _CASE_NAME_RE,
     _CASE_YEAR_RE,
     _MONEY_WORDS,
-    _MONTH_PREFIXES,
 )
 from statreason import coref_metrics, records
 from statreason.corpus import Corpus
@@ -60,6 +59,7 @@ from statreason.engine import (
     value_surface,
 )
 from statreason.metrics import (
+    MONTHS,
     ArgScore,
     PRF,
     binary_accuracy,
@@ -287,7 +287,7 @@ def value_for(name: str, request) -> Value | None:
         candidates = [
             (m.start(), m.group())
             for m in _CASE_DATE_RE.finditer(description)
-            if m.group(1).lower()[:3] in _MONTH_PREFIXES
+            if m.group(1).lower()[:3] in MONTHS
         ]
         candidates += [(m.start(), m.group()) for m in _CASE_YEAR_RE.finditer(description)]
         return _nearest(candidates, anchor)
@@ -304,7 +304,7 @@ def value_for(name: str, request) -> Value | None:
         for m in _CASE_NAME_RE.finditer(description)
         if m.group() not in used
         and m.group().lower() not in _CAPITALIZED_STOP
-        and m.group().lower()[:3] not in _MONTH_PREFIXES
+        and m.group().lower()[:3] not in MONTHS
     ]
     return _nearest(candidates, anchor)
 

@@ -108,8 +108,8 @@ def test_criterion_2_exact_match_vs_reported(sara):
     )
     assert 100 * string.exact_match.macro.f1 == pytest.approx(87.4, abs=1.0)
     assert 100 * single.exact_match.macro.f1 == pytest.approx(74.8, abs=1.0)
-    assert 100 * string.perfectly_resolved == pytest.approx(80.8, abs=1.0)
-    assert 100 * single.perfectly_resolved == pytest.approx(68.9, abs=1.0)
+    assert 100 * string.exact_match.perfectly_resolved == pytest.approx(80.8, abs=1.0)
+    assert 100 * single.exact_match.perfectly_resolved == pytest.approx(68.9, abs=1.0)
     ok(2, "exact-match coreference matches the reported corpus numbers")
 
 

@@ -1,4 +1,7 @@
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -187,6 +190,23 @@ class TestImports:
 
 
 class TestDeterminism:
+    def test_reproduce_tables_writes_the_same_bytes_under_every_hash_seed(self, tmp_path):
+        # No set or dict order that depends on string hashing may reach a file.
+        script = Path(__file__).parent.parent / "scripts" / "reproduce_tables.py"
+        runs = []
+        for seed in ("0", "1", "98765"):
+            work = tmp_path / seed
+            work.mkdir()
+            done = subprocess.run(
+                [sys.executable, str(script), "--manifest", MANIFEST, "--out", "out"],
+                cwd=work, env={**os.environ, "PYTHONHASHSEED": seed}, capture_output=True,
+            )
+            assert done.returncode == 0, done.stderr
+            out = work / "out"
+            runs.append((done.stdout, {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}))
+        assert len(runs[0][1]) > 20
+        assert runs[0] == runs[1] == runs[2]
+
     def test_reports_byte_identical_across_runs(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):

@@ -1,7 +1,9 @@
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from statreason.corpus import (
     CorpusError,
@@ -16,6 +18,8 @@ from statreason.corpus import (
     validate_corpus,
 )
 from statreason.cli import main
+
+from generators import corpora, corpus_fields, write_corpus
 
 FIXTURES = Path(__file__).parent / "fixtures" / "corpus"
 
@@ -303,6 +307,25 @@ class TestRoundTrip:
 
     def test_hash_stable(self, corpus, manifest_path):
         assert corpus_hash(corpus) == corpus_hash(load_corpus(manifest_path))
+
+    @settings(max_examples=200, deadline=None)
+    @given(corpora())
+    def test_every_corpus_loads_as_written(self, drawn):
+        with tempfile.TemporaryDirectory() as tmp:
+            loaded = load_corpus(write_corpus(drawn, Path(tmp)))
+        assert corpus_fields(loaded) == corpus_fields(drawn)
+        assert validate_corpus(loaded) == validate_corpus(drawn)
+
+    @settings(max_examples=200, deadline=None)
+    @given(corpora())
+    def test_every_loaded_corpus_serializes_to_its_files(self, drawn):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "first", Path(tmp) / "second"
+            loaded = load_corpus(write_corpus(drawn, first))
+            again = load_corpus(write_corpus(loaded, second))
+            files = [{p.relative_to(r): p.read_bytes() for p in r.rglob("*") if p.is_file()} for r in (first, second)]
+            assert files[0] == files[1]
+            assert corpus_hash(loaded) == corpus_hash(again) == corpus_hash(load_corpus(first / "manifest.txt"))
 
 
 class TestStatistics:

@@ -13,10 +13,15 @@ takes seconds.
 `validate`'s exit code and stderr for every corruption of every fixture
 file are pinned in `fixtures/corruption_battery.txt`; after a deliberate
 change of a message, rewrite it with `python tests/test_corruption.py`.
+
+A structural battery puts each path of the manifest, and a file of each
+kind the loader reads, in place as the wrong kind of entry and removes it;
+`validate` must answer with exit 1 and a message naming the path.
 """
 
 import contextlib
 import io
+import os
 import re
 import shutil
 from pathlib import Path
@@ -109,6 +114,93 @@ def battery(tmp_path) -> str:
 
 def test_validate_answers_every_corruption_as_pinned(tmp_path):
     assert battery(tmp_path) == PINNED.read_text(encoding="utf-8")
+
+
+# Each path the manifest names, the manifest and a file of each kind the
+# loader reads in them: what `validate` says of it as the other kind of
+# entry (a file for a directory, a directory for a file) or as a FIFO,
+# and of it missing (None: the corpus only has fewer cases).
+ENTRIES = {
+    "manifest.txt": ("{0}/manifest.txt: not a file", "{0}/manifest.txt: not a file"),
+    "statutes": (
+        "{0}/manifest.txt: statutes path is not a directory: {0}/statutes",
+        "{0}/manifest.txt: statutes path does not exist: {0}/statutes",
+    ),
+    "spans.txt": (
+        "{0}/manifest.txt: spans path is not a file: {0}/spans.txt",
+        "{0}/manifest.txt: spans path does not exist: {0}/spans.txt",
+    ),
+    "coref.txt": (
+        "{0}/manifest.txt: coref path is not a file: {0}/coref.txt",
+        "{0}/manifest.txt: coref path does not exist: {0}/coref.txt",
+    ),
+    "structure.txt": (
+        "{0}/manifest.txt: structure path is not a file: {0}/structure.txt",
+        "{0}/manifest.txt: structure path does not exist: {0}/structure.txt",
+    ),
+    "cases": (
+        "{0}/manifest.txt: cases path is not a directory: {0}/cases",
+        "{0}/manifest.txt: cases path does not exist: {0}/cases",
+    ),
+    "silver": (
+        "{0}/manifest.txt: silver path is not a directory: {0}/silver",
+        "{0}/manifest.txt: silver path does not exist: {0}/silver",
+    ),
+    "statutes/offsets.txt": (
+        "{0}/statutes/offsets.txt: not a file", "{0}/statutes/offsets.txt: offsets index not found"
+    ),
+    "statutes/tax.txt": (
+        "{0}/statutes/tax.txt: not a file", "{0}/statutes/offsets.txt:12: section file not found: tax.txt"
+    ),
+    "cases/test.cases": ("{0}/cases/test.cases: not a file", None),
+    "silver/silver.cases": ("{0}/silver/silver.cases: not a file", None),
+}
+
+
+def _replace(path: Path, kind: str) -> None:
+    """Put a directory, an empty file, a FIFO or nothing where `path` is."""
+    if path.is_dir():
+        shutil.rmtree(path)
+    else:
+        path.unlink()
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "file":
+        path.write_bytes(b"")
+    elif kind == "fifo":
+        os.mkfifo(path)
+
+
+@pytest.mark.parametrize(
+    "name, kind",
+    [
+        (name, kind)
+        for name in ENTRIES
+        for kind in ("directory", "file", "fifo", "missing")
+        if kind != ("directory" if (FIXTURES / name).is_dir() else "file")
+    ],
+)
+def test_entries_of_the_wrong_kind_name_their_path(name, kind, tmp_path):
+    root = tmp_path / "corpus"
+    shutil.copytree(FIXTURES, root)
+    _replace(root / name, kind)
+    message = ENTRIES[name][kind == "missing"]
+    code, err = run(["validate", "--manifest", str(root / "manifest.txt")])
+    assert (code, err) == ((1, message.format(root) + "\n") if message else (0, ""))
+
+
+def test_directories_that_look_like_corpus_files(tmp_path):
+    # A directory named like a section file is none; one named like a
+    # cases file is not a file.
+    root = tmp_path / "corpus"
+    shutil.copytree(FIXTURES, root)
+    (root / "statutes" / "extra.txt").mkdir()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["validate", "--manifest", str(root / "manifest.txt")])
+    assert code == 0 and "6 section files" in out.getvalue()
+    (root / "cases" / "extra.cases").mkdir()
+    assert run(["validate", "--manifest", str(root / "manifest.txt")]) == (1, f"{root}/cases/extra.cases: not a file\n")
 
 
 @pytest.mark.parametrize(

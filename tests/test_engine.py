@@ -31,7 +31,7 @@ from statreason.engine import (
     run_cases,
 )
 from statreason.model import ArgumentLayer, Case, Money, Span, Subsection, TRUTH_KEY, ValueMap
-from statreason.rules import OpNode, Program, Rule, SubsectionNode, build_dependency_tree
+from statreason.rules import OpNode, Program, Rule, SubsectionNode, build_dependency_tree, parse_program
 
 from generators import SUBCLASSED_VALUES, VALUES, random_nested_program, random_value_map, texts_with_layers
 
@@ -866,6 +866,16 @@ class TestEvaluateRun:
         assert len(results) == 5
         assert len(report.errors) == 1
         assert "tax-case-4" in report.errors[0]
+
+    def test_a_callee_whose_id_no_layer_can_have_fails_its_cases(self):
+        # Only a program that validate rejects calls a subsection "#b"; the
+        # cases that reach it are engine errors, and the run goes on.
+        program = parse_program("A(x) :- #b(x).\nB(x).")
+        cases = tuple(Case(q.lower(), "", q, ValueMap(), ValueMap({TRUTH_KEY: 1.0}), "test") for q in "AB")
+        results, _ = run_cases(OracleResolver(), Corpus(None, {}, {}, program, cases, (), ()))
+        assert [r.error for r in results] == [
+            "case a: malformed id '#b': an id is non-empty, holds no whitespace and starts with no '#'", None
+        ]
 
     def test_known_is_a_read_only_view(self, corpus):
         # Assigning into `request.known` fails that case, naming the

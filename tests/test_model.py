@@ -9,8 +9,11 @@ from statreason.model import (
     Case,
     Money,
     Span,
+    Subsection,
     ValueMap,
     canonical_partition,
+    check_id,
+    check_text,
     check_value,
     components,
     empty_layer,
@@ -257,6 +260,53 @@ class TestCase_:
         assert c.pair_id == "63(c)(5)"
         c = Case("tax-case-5", "d", "Tax", ValueMap(), ValueMap({"@truth": 1.0}))
         assert c.pair_id is None
+
+
+class TestWhatAFileCanHold:
+    # Every character str.isspace accepts, which covers every separator
+    # str.splitlines splits on.
+    SPACES = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+
+    @pytest.mark.parametrize("name", ["", "#a", "a b", *(f"a{space}b" for space in SPACES), "a\ud800"])
+    def test_ids_a_record_cannot_carry_are_refused(self, name):
+        for make in (
+            check_id,
+            lambda n: Case(n, "d", "§1", ValueMap(), ValueMap({"@truth": 1.0})),
+            lambda n: Subsection(n, "text"),
+            empty_layer,
+        ):
+            with pytest.raises(ValueError):
+                make(name)
+
+    def test_ids_keep_everything_else(self):
+        for name in ("a#", "§1(a)", "a=b", '"a"', "\x00", "é"):
+            assert check_id(name) == name
+
+    def test_subsection_ids_keep_their_shape_rule(self):
+        for name in ("§1(d)()", "(a)", "§1(d", "§1((a))"):
+            with pytest.raises(ValueError, match=r"^malformed subsection id "):
+                Subsection(name, "text")
+
+    def test_text_that_utf8_cannot_encode_is_refused_where_it_enters(self):
+        lone = "B\ud800ob"
+        with pytest.raises(UnicodeEncodeError):
+            check_text(lone)
+        for make in (
+            lambda: Case("c", lone, "§1", ValueMap(), ValueMap({"@truth": 1.0})),
+            lambda: Case("c", "d", lone, ValueMap(), ValueMap({"@truth": 1.0})),
+            lambda: Subsection("§1", lone),
+            lambda: ArgumentLayer("§1", (Span(0, 1),), ((0,),), (lone,)),
+            lambda: ValueMap({lone: 1.0}),
+            lambda: ValueMap({"x": lone}),
+            lambda: ValueMap({"x": ("a", lone)}),
+        ):
+            with pytest.raises(ValueError, match="can't encode"):
+                make()
+
+    def test_subsection_text_holds_no_carriage_return(self):
+        with pytest.raises(ValueError, match="a section file cannot hold"):
+            Subsection("§1", "a\rb")
+        assert Subsection("§1", "a\nb\u2028").text == "a\nb\u2028"
 
 
 class TestReprEqualityAndHash:

@@ -37,7 +37,7 @@ class TestCorefReport:
     def test_gold_predictions_are_perfect(self, corpus):
         report = coref_report(corpus, {sid: l.clusters for sid, l in corpus.layers.items()}, "gold")
         assert report.exact_match.macro.as_tuple() == (1.0, 1.0, 1.0)
-        assert report.perfectly_resolved == 1.0
+        assert report.exact_match.perfectly_resolved == 1.0
         for value in report.standard.values():
             assert value.as_tuple() == (1.0, 1.0, 1.0)
 
@@ -45,7 +45,7 @@ class TestCorefReport:
         report = coref_report(corpus, string_predictions(corpus), "string")
         # 11 subsections have arguments; all but two resolve exactly.
         assert report.exact_match.units == 11
-        assert report.perfectly_resolved == pytest.approx(9 / 11)
+        assert report.exact_match.perfectly_resolved == pytest.approx(9 / 11)
         assert report.exact_match.macro.precision == pytest.approx(37 / 40)
         assert report.exact_match.macro.recall == pytest.approx(37 / 40)
         assert report.exact_match.avg.f1 == pytest.approx((9 + 0.8 + 0.8) / 11)
@@ -55,7 +55,7 @@ class TestCorefReport:
 
     def test_single_mention_fixture_numbers(self, corpus):
         report = coref_report(corpus, single_predictions(corpus), "single")
-        assert report.perfectly_resolved == pytest.approx(6 / 11)
+        assert report.exact_match.perfectly_resolved == pytest.approx(6 / 11)
         assert report.standard["muc"].as_tuple() == (0.0, 0.0, 0.0)
         # 34 singleton arguments of 40 align one mention each; 48 mentions total.
         assert report.standard["ceaf_m"].precision == pytest.approx(40 / 48)
@@ -103,11 +103,11 @@ class TestCascadeReport:
             )
         cascade = cascade_report(corpus, clusters_by_sid, "gold-spans")
         assert cascade.exact_match.macro.as_tuple() == coref.exact_match.macro.as_tuple()
-        assert cascade.perfectly_resolved == coref.perfectly_resolved
+        assert cascade.exact_match.perfectly_resolved == coref.exact_match.perfectly_resolved
 
     def test_empty_spans_resolve_nothing(self, corpus):
         report = cascade_report(corpus, {}, "empty")
-        assert report.perfectly_resolved == 0.0
+        assert report.exact_match.perfectly_resolved == 0.0
         assert report.exact_match.macro.recall == 0.0
 
 
