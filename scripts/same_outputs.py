@@ -7,7 +7,7 @@ Extracts REV with `git archive REV | tar -x` into a temporary directory,
 then runs the same commands with each tree's `src/` on the same corpora:
 the bundled fixture and the `perfbench/gencorpus.py` corpora of seeds 0
 and 3 at scale `sara`, each written once, in the canonical format and in
-the distributed layout that `import-sara` reads (`tests/generators.py`'s
+the distributed layout that `import-sara` reads (`tests/layouts.py`'s
 `write_distributed`). The commands are every step of
 `perfbench/workloads.STEPS`, `scripts/reproduce_tables.py`, 31 `eval-inst`
 flag sets (each resolver with no flag, `--no-structure`, depth caps, a
@@ -36,7 +36,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO / "src"), str(REPO / "perfbench"), str(REPO / "tests")]
 
 import gencorpus  # noqa: E402
-from generators import write_distributed  # noqa: E402
+from layouts import write_distributed  # noqa: E402
 from statreason.corpus import load_corpus  # noqa: E402
 from workloads import STEPS, command_line  # noqa: E402
 

@@ -7,14 +7,12 @@ import datetime
 import enum
 import random
 import re
-from pathlib import Path
 
 import hypothesis.strategies as st
 
-from statreason import records
-from statreason.corpus import Corpus, serialize_cases, serialize_coref, serialize_spans
+from statreason.corpus import Corpus
 from statreason.model import TRUTH_KEY, ArgumentLayer, Case, Money, Span, Subsection, ValueMap
-from statreason.rules import And, Not, Or, Program, Ref, Rule, iter_refs, parse_program, print_rule
+from statreason.rules import And, Not, Or, Program, Ref, Rule, iter_refs, parse_program
 
 
 def random_partition(rng: random.Random, n: int, ensure_link: bool = False):
@@ -120,19 +118,31 @@ def random_value_map(rng: random.Random, keys=("X", "Y", "Z")) -> ValueMap:
     return ValueMap(pairs)
 
 
-# Every value kind, unrestricted within what the model admits: text over
-# every code point that UTF-8 can encode, signed numbers and money, dates,
-# truth scores over [0, 1] including subnormals, and homogeneous lists of any
-# of these. Text draws the characters a writer must escape (quotes,
-# backslashes and every str.splitlines separator) often, not only by chance.
+# Every value kind, unrestricted: text over every code point (surrogates
+# included), signed numbers and money, dates, truth scores over [0, 1]
+# including subnormals, and homogeneous lists of any of these. Text draws the
+# characters a writer must escape (quotes, backslashes and every
+# str.splitlines separator) often, not only by chance.
 ESCAPED_CHARACTERS = '"\\\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029'
-TEXT_VALUES = st.text(st.one_of(st.characters(exclude_categories=("Cs",)), st.sampled_from(ESCAPED_CHARACTERS)))
 MONEY_VALUES = st.integers().map(Money)
 TRUTH_VALUES = st.floats(min_value=0.0, max_value=1.0)
-_KINDS = [TEXT_VALUES, st.integers(), MONEY_VALUES, TRUTH_VALUES, st.dates()]
-VALUES = st.one_of(
-    *_KINDS, st.sampled_from(_KINDS).flatmap(lambda kind: st.lists(kind, max_size=3).map(tuple))
-)
+
+
+def _texts(exclude_categories: tuple[str, ...]) -> st.SearchStrategy[str]:
+    return st.text(st.one_of(st.characters(exclude_categories=exclude_categories), st.sampled_from(ESCAPED_CHARACTERS)))
+
+
+def _values(text: st.SearchStrategy[str]) -> st.SearchStrategy:
+    kinds = [text, st.integers(), MONEY_VALUES, TRUTH_VALUES, st.dates()]
+    return st.one_of(*kinds, st.sampled_from(kinds).flatmap(lambda kind: st.lists(kind, max_size=3).map(tuple)))
+
+
+TEXT_VALUES = _texts(())
+VALUES = _values(TEXT_VALUES)
+# What of these the model admits (`check_value`, `ValueMap`): text that UTF-8
+# can encode, so no lone surrogate.
+MODEL_TEXT_VALUES = _texts(("Cs",))
+MODEL_VALUES = _values(MODEL_TEXT_VALUES)
 
 
 class Label(str):
@@ -319,7 +329,7 @@ def corpora(draw, distributed: bool = False) -> Corpus:
 
     With `distributed`, the corpus is one that `validate_corpus` accepts and
     that the distributed layout carries (see `_PLAIN_HEADS`), so
-    `write_distributed` and `import_corpus` give it back."""
+    `layouts.write_distributed` and `import_corpus` give it back."""
     names = _PLAIN_TOKENS if distributed else _TOKENS
     heads = draw(st.lists(_PLAIN_HEADS if distributed else _HEADS, max_size=4, unique=True))
     params = {head: draw(st.lists(names, max_size=3, unique=True)) for head in heads}
@@ -327,8 +337,8 @@ def corpora(draw, distributed: bool = False) -> Corpus:
     if distributed:
         ids, labels = heads + draw(st.lists(_PLAIN_HEADS, max_size=3)), st.nothing()
         texts = _SECTION_TEXTS.map(lambda t: t.replace("\r", "\n"))
-        descriptions = TEXT_VALUES.map(_one_line).filter(lambda d: not _BLOCK_LINE.fullmatch(d))
-        keys, values = TEXT_VALUES.map(lambda k: _one_line(k.replace("=", ""))), VALUES
+        descriptions = MODEL_TEXT_VALUES.map(_one_line).filter(lambda d: not _BLOCK_LINE.fullmatch(d))
+        keys, values = MODEL_TEXT_VALUES.map(lambda k: _one_line(k.replace("=", ""))), MODEL_VALUES
         queries = st.sampled_from(heads) if heads else st.nothing()
         case_ids, splits = _CASE_IDS, st.sampled_from(["train", "test"])
     else:
@@ -336,7 +346,7 @@ def corpora(draw, distributed: bool = False) -> Corpus:
         ids += draw(st.lists(st.one_of(_SUBSECTION_IDS, _ANY_TEXT), max_size=3))
         texts, labels = st.one_of(_SECTION_TEXTS, _ANY_TEXT.filter(bool)), st.one_of(st.none(), _ANY_TEXT)
         descriptions = queries = keys = _ANY_TEXT
-        values = st.one_of(VALUES, _ANY_TEXT)
+        values = st.one_of(MODEL_VALUES, _ANY_TEXT)
         case_ids, splits = st.one_of(_CASE_IDS, _ANY_TEXT), _SPLITS
 
     subsections = {}
@@ -372,81 +382,3 @@ def corpora(draw, distributed: bool = False) -> Corpus:
 def corpus_fields(corpus: Corpus) -> tuple:
     """Everything a corpus holds but its manifest."""
     return tuple(getattr(corpus, name) for name in Corpus.__slots__[1:])
-
-
-def _section_files(corpus: Corpus) -> tuple[dict[str, str], list[tuple[str, str, int, int]]]:
-    """Each section file's text, and (id, file, start, end) per subsection in
-    corpus order: the subsections dealt out to the files in turn, their
-    texts one after another."""
-    texts = dict.fromkeys(corpus.section_files, "")
-    rows = []
-    for k, subsection in enumerate(corpus.subsections.values()):
-        name = corpus.section_files[k % len(corpus.section_files)]
-        rows.append((subsection.id, name, len(texts[name]), len(texts[name]) + len(subsection.text)))
-        texts[name] += subsection.text
-    return texts, rows
-
-
-def _write(root: Path, files: dict[str, str]) -> None:
-    for name, text in files.items():
-        path = root / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(text.encode("utf-8"))
-
-
-def write_corpus(corpus: Corpus, root: Path) -> Path:
-    """Write `corpus` in the canonical format under `root`, each section
-    file holding its subsections one after another; its manifest's path."""
-    layers = list(corpus.layers.values())
-    files = {
-        "spans.txt": serialize_spans(layers),
-        "coref.txt": serialize_coref(layers),
-        "structure.txt": "".join(print_rule(rule) + "\n" for rule in corpus.program.rules.values()),
-    }
-    texts, rows = _section_files(corpus)
-    files.update((f"statutes/{name}", text) for name, text in texts.items())
-    files["statutes/offsets.txt"] = "".join(
-        f"{sid} file={records.write_text(name)} start={start} end={end}\n" for sid, name, start, end in rows
-    )
-    for split in dict.fromkeys(case.split for case in corpus.cases):
-        files[f"cases/{split}.cases"] = serialize_cases(corpus.cases_of(split))
-    manifest = "statutes=statutes\nspans=spans.txt\ncoref=coref.txt\nstructure=structure.txt\ncases=cases\n"
-    if corpus.silver:
-        files["silver/silver.cases"] = serialize_cases(corpus.silver)
-        manifest += "silver=silver\n"
-    files["manifest.txt"] = manifest
-    (root / "cases").mkdir(parents=True)
-    _write(root, files)
-    return root / "manifest.txt"
-
-
-def write_distributed(corpus: Corpus, root: Path) -> None:
-    """Write `corpus` in the distributed layout that `import_corpus` reads,
-    each section file holding its subsections one after another."""
-    files = {"structure.txt": "".join(print_rule(rule) + "\n" for rule in corpus.program.rules.values())}
-    texts, rows = _section_files(corpus)
-    for name, text in texts.items():
-        files[f"statutes/{name}"] = text
-        files[f"statutes/{Path(name).with_suffix('.offsets')}"] = "".join(
-            f"{sid} {start} {end}\n" for sid, file, start, end in rows if file == name
-        )
-    for sid, layer in corpus.layers.items():
-        stem = sid.removeprefix("§").replace(")(", "_").replace("(", "_").replace(")", "")
-        files[f"spans/{stem}"] = "".join(f"{s.start} {s.end}\n" for s in layer.spans)
-        cluster_of = {i: k for k, cluster in enumerate(layer.clusters) for i in cluster}
-        files[f"coref/{stem}"] = "".join(
-            " ".join("1" if cluster_of[i] == cluster_of[j] else "0" for j in range(len(layer.spans))) + "\n"
-            for i in range(len(layer.spans))
-        )
-        files[f"coref/{stem}.names"] = "".join(
-            f"{k} {name}\n" for k, name in enumerate(layer.cluster_names) if name is not None
-        )
-    for case in corpus.cases + corpus.silver:
-        blocks = {"Text": case.description, "Question": case.query}
-        for block, values in (("Input", case.inputs), ("Output", case.expected)):
-            blocks[block] = "\n".join(f"{name}={records.write_value(value)}" for name, value in values.items())
-        directory = "silver" if case.split == "silver" else "cases"
-        files[f"{directory}/{case.id}"] = "".join(f"% {block}\n{text}\n" for block, text in blocks.items())
-    for split in ("train", "test"):
-        files[f"splits/{split}.txt"] = "".join(f"{case.id}\n" for case in corpus.cases_of(split))
-    _write(root, files)

@@ -19,7 +19,8 @@ from statreason.corpus import (
 )
 from statreason.cli import main
 
-from generators import corpora, corpus_fields, write_corpus
+from generators import corpora, corpus_fields
+from layouts import write_corpus
 
 FIXTURES = Path(__file__).parent / "fixtures" / "corpus"
 
@@ -86,6 +87,25 @@ class TestLoadStatutes:
         with pytest.raises(CorpusError) as exc:
             load_statutes(tmp_path)
         assert "malformed" in str(exc.value)
+
+    def test_a_malformed_id_is_reported_after_its_file_and_offsets(self, tmp_path):
+        # `Subsection` checks the id together with the text it is given, so a
+        # line whose file or offsets are wrong as well reports those.
+        (tmp_path / "s.txt").write_text("short", encoding="utf-8")
+        (tmp_path / "offsets.txt").write_text(
+            '§1(a(b) file="t.txt" start=0 end=4\n'
+            '§1(c(d) file="s.txt" start=0 end=99\n'
+            '§1(e(f) file="s.txt" start=0 end=4\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(CorpusError) as exc:
+            load_statutes(tmp_path)
+        index = tmp_path / "offsets.txt"
+        assert [str(e) for e in exc.value.errors] == [
+            f"{index}:1: section file not found: t.txt",
+            f"{index}:2: offsets (0, 99) out of bounds for s.txt of length 5",
+            f"{index}:3: malformed subsection id '§1(e(f)'",
+        ]
 
 
 class TestLoadLayers:

@@ -33,7 +33,7 @@ from statreason.engine import (
 from statreason.model import ArgumentLayer, Case, Money, Span, Subsection, TRUTH_KEY, ValueMap
 from statreason.rules import OpNode, Program, Rule, SubsectionNode, build_dependency_tree, parse_program
 
-from generators import SUBCLASSED_VALUES, VALUES, random_nested_program, random_value_map, texts_with_layers
+from generators import MODEL_VALUES, SUBCLASSED_VALUES, random_nested_program, random_value_map, texts_with_layers
 
 
 def make_layer(text, mentions):
@@ -122,7 +122,7 @@ class TestInsertValues:
         # Truth values on both sides of the threshold, and on it.
         near = st.sampled_from([threshold, math.nextafter(threshold, 0.0), math.nextafter(threshold, 1.0)])
         names = [n for n in layer.cluster_names if n is not None] + ["Unmentioned"]
-        values = data.draw(st.dictionaries(st.sampled_from(names), st.one_of(VALUES, near)))
+        values = data.draw(st.dictionaries(st.sampled_from(names), st.one_of(MODEL_VALUES, near)))
         assert SubsectionPlan(layer, text, threshold).ground(values) == oracles.insert_values(
             text, layer, values, threshold
         )
@@ -773,7 +773,7 @@ class TestOneWalk:
         for head in rng.sample(sorted(texts), rng.randrange(len(texts))):
             del texts[head]
         root = next(iter(program.rules))
-        values = st.dictionaries(st.sampled_from(program.rules[root].params), VALUES)
+        values = st.dictionaries(st.sampled_from(program.rules[root].params), MODEL_VALUES)
         n_cases = data.draw(st.integers(1, 3))
         cases = [oracle_case(f"c{i}", root, data.draw(values), data.draw(values)) for i in range(n_cases)]
         config = EngineConfig(data.draw(st.integers(1, 4)), insert_gold=data.draw(st.booleans()))

@@ -9,7 +9,7 @@ import oracles
 from statreason import records
 from statreason.model import Money, Span, ValueMap
 
-from generators import ESCAPED_CHARACTERS, MONEY_VALUES, TEXT_VALUES, TRUTH_VALUES, VALUES
+from generators import ESCAPED_CHARACTERS, MODEL_TEXT_VALUES, MONEY_VALUES, TEXT_VALUES, TRUTH_VALUES, VALUES
 
 
 class TestScanning:
@@ -127,7 +127,9 @@ class TestWriting:
         parsed = records.parse_value_literal(records.write_clusters(clusters, names))
         assert parsed == [c if name is None else {name: c} for name, c in zip(names, clusters)]
 
-    @given(st.lists(st.one_of(TEXT_VALUES, st.from_regex(records._KEY_RE, fullmatch=True)), max_size=4, unique=True))
+    @given(
+        st.lists(st.one_of(MODEL_TEXT_VALUES, st.from_regex(records._KEY_RE, fullmatch=True)), max_size=4, unique=True)
+    )
     @example(["Tax'p", "Tax", "1e-05", "true", "a b", "", "a=b", "@truth"])
     def test_every_value_map_key_round_trips(self, keys):
         values = ValueMap(dict.fromkeys(keys, 0.5))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
-from generators import MONEY_VALUES, TRUTH_VALUES, VALUES
+from generators import MODEL_VALUES, MONEY_VALUES, TRUTH_VALUES
 from statreason.baselines import (
     ConstantResolver,
     OracleResolver,
@@ -234,9 +234,9 @@ class TestAgainstOracles:
                     choice = st.one_of(st.just(gold), TRUTH_VALUES)
                 elif isinstance(gold, Money):
                     near = st.integers(-10_000, 10_000).map(lambda d, gold=gold: Money(gold.dollars + d))
-                    choice = st.one_of(st.just(gold), near, VALUES)
+                    choice = st.one_of(st.just(gold), near, MODEL_VALUES)
                 else:
-                    choice = st.one_of(st.just(gold), VALUES)
+                    choice = st.one_of(st.just(gold), MODEL_VALUES)
                 if data.draw(st.booleans()):
                     predicted[name] = data.draw(choice)
             error = data.draw(st.sampled_from([None, "resolver failed"]))

@@ -7,12 +7,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+from statreason import records
 from statreason.cli import main
 from statreason.corpus import load_corpus, validate_corpus
 from statreason.model import Money
 from statreason.sara_import import file_stem_to_id, import_corpus
 
-from generators import corpora, write_distributed
+from generators import corpora
+from layouts import write_distributed
 from test_corruption import corruptions, run
 
 
@@ -24,6 +26,24 @@ def write(path: Path, text: str) -> None:
 def malformed_id(name: str) -> str:
     """The model's message for an id that a record cannot carry bare."""
     return f"malformed id {name!r}: an id is non-empty, holds no whitespace and starts with no '#'"
+
+
+def write_distributed_fixture(corpus, root: Path) -> None:
+    """The fixture corpus in the distributed layout: its layers, cases and
+    splits as `write_distributed` writes them, and the fixture's own section
+    files, their offsets (which leave text between subsections) and its
+    commented `structure.txt`."""
+    write_distributed(corpus, root)
+    shutil.rmtree(root / "statutes")
+    fixture = corpus.manifest.base
+    offsets: dict[str, list[str]] = {}
+    for _, record in records.iter_records((fixture / "statutes" / "offsets.txt").read_text(encoding="utf-8")):
+        name = record.fields["file"]
+        offsets.setdefault(name, []).append(f"{record.id} {record.fields['start']} {record.fields['end']}\n")
+    for name, lines in offsets.items():
+        write(root / "statutes" / name, (fixture / "statutes" / name).read_text(encoding="utf-8"))
+        write(root / "statutes" / Path(name).with_suffix(".offsets"), "".join(lines))
+    shutil.copyfile(fixture / "structure.txt", root / "structure.txt")
 
 
 def make_distributed_tree(root: Path) -> None:
@@ -406,7 +426,10 @@ class TestImport:
 class TestFixtureRoundTrip:
     def test_the_fixture_imports_unchanged(self, corpus, tmp_path):
         source, dest = tmp_path / "dist", tmp_path / "canonical"
-        write_distributed(corpus, source)
+        write_distributed_fixture(corpus, source)
+        # What the real layout has and `write_distributed` does not write.
+        assert (source / "structure.txt").read_text(encoding="utf-8").startswith("%")
+        assert "§2(a)(1)(A) 174 270\n" in (source / "statutes" / "section2.offsets").read_text(encoding="utf-8")
         log = import_corpus(source, dest)
         assert log.skipped == []
         imported = load_corpus(dest / "manifest.txt")
@@ -443,7 +466,7 @@ class TestFixtureRoundTrip:
         # A corrupted tree imports (exit 0) into a corpus that validates, or
         # stops at a byte that is not UTF-8 (exit 1, path:line); never exit 2.
         source, dest = tmp_path / "dist", tmp_path / "canonical"
-        write_distributed(corpus, source)
+        write_distributed_fixture(corpus, source)
         failures = []
         for relative in self.CORRUPTED:
             target = source / relative
