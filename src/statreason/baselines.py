@@ -42,10 +42,11 @@ def normalize_placeholder(text: str) -> str:
     return " ".join(tokens)
 
 
-def string_match_coref(layer: ArgumentLayer, text: str) -> tuple[tuple[int, ...], ...]:
-    """Cluster spans whose normalized placeholder strings are identical."""
+def string_match_coref(spans: tuple[Span, ...], text: str) -> tuple[tuple[int, ...], ...]:
+    """Cluster the indices of spans whose normalized placeholder strings
+    are identical."""
     groups: dict[str, list[int]] = {}
-    for i, span in enumerate(layer.spans):
+    for i, span in enumerate(spans):
         groups.setdefault(normalize_placeholder(span.slice(text)), []).append(i)
     return canonical_partition(groups.values())
 

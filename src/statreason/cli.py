@@ -27,7 +27,7 @@ from .corpus import (
     load_spans,
     validate_corpus,
 )
-from .model import ArgumentLayer, Span
+from .model import Span
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -194,7 +194,7 @@ def cmd_eval_coref(args) -> int:
         }
     elif args.baseline == "string":
         predictions = {
-            sid: baselines.string_match_coref(layer, corpus.subsections[sid].text)
+            sid: baselines.string_match_coref(layer.spans, corpus.subsections[sid].text)
             for sid, layer in corpus.layers.items()
         }
     elif args.baseline.startswith("import:"):
@@ -245,8 +245,7 @@ def cmd_cascade(args) -> int:
     corpus = _load_validated(args.manifest)
     clusters_by_sid = {}
     for sid, spans in _predicted_spans(corpus, args.source).items():
-        layer = ArgumentLayer(sid, spans, tuple((i,) for i in range(len(spans))))
-        partition = baselines.string_match_coref(layer, corpus.subsections[sid].text)
+        partition = baselines.string_match_coref(spans, corpus.subsections[sid].text)
         clusters_by_sid[sid] = tuple(
             tuple((spans[i].start, spans[i].end) for i in cluster) for cluster in partition
         )
@@ -301,6 +300,8 @@ def cmd_import(args) -> int:
 
     log = sara_import.import_corpus(args.source, args.dest)
     for line in log.skipped:
+        # A file name that is not UTF-8 holds lone surrogates: escape them as stderr does.
+        line = line.encode("utf-8", "backslashreplace").decode("utf-8")
         print(f"skipped {line}", file=sys.stderr)
     print(f"imported {len(log.imported)} items, skipped {len(log.skipped)}")
     print(f"canonical corpus written to {args.dest}/manifest.txt")

@@ -56,7 +56,7 @@ class SubsectionPlan:
     """What grounding and resolving one subsection needs, worked out once:
     its layer, its source text, the text cut at its labelled mentions, the
     run's truth threshold by which a grounded truth score reads, and each
-    argument's placeholder text (read on first use)."""
+    labelled argument's placeholder text."""
 
     __slots__ = ("layer", "text", "threshold", "arguments", "_pieces", "_mentions", "_placeholders")
 
@@ -64,9 +64,10 @@ class SubsectionPlan:
         self.layer = layer
         self.text = text
         self.threshold = threshold
+        labelled = layer.labelled_clusters
         # Argument names in order of first mention, @truth excluded.
-        self.arguments = tuple(n for n, _ in layer.labelled_clusters if n != TRUTH_KEY)
-        names = {i: n for n, cluster in layer.labelled_clusters if n != TRUTH_KEY for i in cluster}
+        self.arguments = tuple(n for n, _ in labelled if n != TRUTH_KEY)
+        names = {i: n for n, cluster in labelled if n != TRUTH_KEY for i in cluster}
         # The text between labelled mentions alternates with the mentions;
         # `_mentions` pairs each mention's piece index with its argument.
         # Spans are sorted and disjoint (ArgumentLayer checks), so index order is text order.
@@ -81,7 +82,12 @@ class SubsectionPlan:
         pieces.append(text[pos:])
         self._pieces = tuple(pieces)
         self._mentions = tuple(mentions)
-        self._placeholders: dict[str, str | None] = {}
+        # Each labelled argument's mentions, cut as the pieces are, joined by
+        # spaces; none when there is no text.
+        spans = layer.spans
+        self._placeholders = {
+            name: " ".join([text[spans[i].start : spans[i].end] for i in cluster]) for name, cluster in labelled
+        } if text else {}
 
     def pieces(self, values: Mapping[str, Value]) -> list[str]:
         """The grounded text in pieces: the text between labelled mentions,
@@ -102,14 +108,7 @@ class SubsectionPlan:
     def placeholder(self, name: str) -> str | None:
         """The text of an argument's mentions joined by spaces; None when it
         has no mention or the subsection has no text."""
-        try:
-            return self._placeholders[name]
-        except KeyError:
-            spans = self.layer.spans_of(name)
-            text = self.text
-            surface = " ".join(span.slice(text) for span in spans) if spans and text else None
-            self._placeholders[name] = surface
-            return surface
+        return self._placeholders.get(name)
 
 
 class ResolveRequest:
@@ -370,6 +369,9 @@ def instantiate_full(resolver: Resolver, case: Case, context: RunContext) -> dic
             steps = context.programs[case.query] = compile_query(context, case.query)
         except ValueError as exc:  # a callee without a rule whose id no layer can have
             raise EngineError(f"case {case.id}: {exc}") from exc
+        except RecursionError:  # a tree deeper than building it can recurse
+            cap = context.config.depth_cap
+            raise EngineError(f"case {case.id}: query {case.query} is too deep to compile at depth cap {cap}") from None
     resolve, note, insert_gold = resolver.resolve, context.notes.append, context.config.insert_gold
     inputs = dict(case.inputs)
     envs: list[dict[str, Value]] = []

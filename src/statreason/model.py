@@ -16,6 +16,9 @@ from collections.abc import Iterable, Mapping
 from operator import attrgetter
 
 TRUTH_KEY = "@truth"
+# How deep a record value (lists, groups, entries) or a rule body (brackets,
+# NOTs) may nest: the readers refuse deeper input, which recursion could not take.
+MAX_NESTING = 100
 
 _set = object.__setattr__
 
@@ -197,13 +200,16 @@ _well_formed_id = re.compile(r"(?!\()(?:[^()]|\([^()]+\))*").fullmatch
 
 class Subsection(Frozen):
     """One subsection of a statute, the atomic natural-language predicate. Its text, a slice
-    of a section file, holds no "\\r", which reading with universal newlines makes "\\n"."""
+    of a section file, is not empty (an offsets record has start < end) and holds no "\\r",
+    which reading with universal newlines makes "\\n"."""
 
     __slots__ = ("id", "text")
 
     def __init__(self, id: str, text: str):
         if not _well_formed_id(check_id(id)):
             raise ValueError(f"malformed subsection id {id!r}")
+        if not text:
+            raise ValueError(f"subsection {id}: empty text, which no offsets record can slice")
         if "\r" in check_text(text):
             raise ValueError(f"subsection {id}: a section file cannot hold '\\r'")
         _set(self, "id", id)
@@ -258,22 +264,11 @@ class ArgumentLayer(Frozen):
         (clusters are sorted by first member)."""
         return tuple((n, c) for n, c in zip(self.cluster_names, self.clusters) if n is not None)
 
-    def spans_of(self, name: str) -> tuple[Span, ...]:
-        """The mention spans of a labelled argument; () for any other name."""
-        for label, cluster in self.labelled_clusters:
-            if label == name:
-                return tuple(self.spans[i] for i in cluster)
-        return ()
-
-
-def empty_layer(subsection_id: str) -> ArgumentLayer:
-    return ArgumentLayer(subsection_id, (), (), ())
-
 
 def layer_of(layers: Mapping[str, ArgumentLayer], subsection_id: str) -> ArgumentLayer:
     """A subsection's layer, or an empty one when it has no annotation."""
     layer = layers.get(subsection_id)
-    return layer if layer is not None else empty_layer(subsection_id)
+    return layer if layer is not None else ArgumentLayer(subsection_id, (), (), ())
 
 
 def canonical_partition(clusters: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
@@ -324,7 +319,9 @@ def components(n: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
 
 
 class Case(Frozen):
-    """A natural-language fact pattern with a query subsection and gold values."""
+    """A natural-language fact pattern with a query subsection and gold values. Its split
+    names the file `cases/<split>.cases`, so it is an id that holds no "/" or NUL, and
+    not "all", which means every split."""
 
     __slots__ = ("id", "description", "query", "inputs", "expected", "split")
 
@@ -336,6 +333,11 @@ class Case(Frozen):
         _set(self, "query", check_text(query))
         _set(self, "inputs", inputs)
         _set(self, "expected", expected)
+        try:
+            if "/" in check_id(split) or "\x00" in split or split == "all":
+                raise ValueError("it cannot name a cases file")
+        except ValueError as exc:
+            raise ValueError(f"split {split!r}: {exc}") from None
         _set(self, "split", split)
 
     @property

@@ -14,6 +14,7 @@ so one record always stays on one line.
 
 A list reads as a list, a "(start, end)" span as that tuple, a "key=value"
 item as the tuple (key, value) and a "Label:[...]" group as {label: items}.
+Lists, groups and entries nest at most `model.MAX_NESTING` (100) levels.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import datetime
 import re
 
-from .model import Frozen, Money, Value, ValueMap, value_kind
+from .model import MAX_NESTING, Frozen, Money, Value, ValueMap, value_kind
 
 
 class RecordError(ValueError):
@@ -133,8 +134,11 @@ def _no_atom(text: str, pos: int) -> RecordError:
     return _error(f"cannot type value {word.group(1)!r} (strings must be quoted)", word.end())
 
 
-def _list(text: str, pos: int) -> tuple[list, int]:
-    """The items of the list whose "[" ends before `pos`."""
+def _list(text: str, pos: int, depth: int) -> tuple[list, int]:
+    """The items of the list whose "[" ends before `pos`, which nests
+    `depth` levels deep."""
+    if depth > MAX_NESTING:
+        raise _error(f"nested deeper than {MAX_NESTING} levels", pos)
     n = len(text)
     while pos < n and text[pos] in " \t":
         pos += 1
@@ -142,7 +146,7 @@ def _list(text: str, pos: int) -> tuple[list, int]:
     if text.startswith("]", pos):
         return items, pos + 1
     while True:
-        item, pos = _item(text, pos)
+        item, pos = _item(text, pos, depth)
         items.append(item)
         while pos < n and text[pos] in " \t":
             pos += 1
@@ -154,8 +158,11 @@ def _list(text: str, pos: int) -> tuple[list, int]:
             raise _error("expected ']'", pos)
 
 
-def _item(text: str, pos: int) -> tuple[object, int]:
-    """The value, list or list item after the blanks at `pos`."""
+def _item(text: str, pos: int, depth: int = 0) -> tuple[object, int]:
+    """The value, list or list item after the blanks at `pos`, inside
+    `depth` lists and entries."""
+    if depth > MAX_NESTING:
+        raise _error(f"nested deeper than {MAX_NESTING} levels", pos)
     m = _ITEM_RE.match(text, pos)
     if m is None:
         raise _no_atom(text, pos)
@@ -165,15 +172,15 @@ def _item(text: str, pos: int) -> tuple[object, int]:
         return _typed(m, 8), pos
     if kind == 7:
         if m.group(7) == "=":
-            value, pos = _item(text, pos)
+            value, pos = _item(text, pos, depth + 1)
             return (m.group(6), value), pos
-        items, pos = _list(text, _take("[", text, pos))
+        items, pos = _list(text, _take("[", text, pos), depth + 1)
         return {m.group(6): items}, pos
     if kind == 4:
         return (int(m.group(3)), int(m.group(4))), pos
     if kind == 5:
         if m.group(5) == "[":
-            return _list(text, pos)
+            return _list(text, pos, depth + 1)
         atom_re = re.compile(r"[ \t]*" + _ATOM)  # re caches it; only a bad pair needs it
         for ch in ",)":  # a "(" that does not start a pair of two integers: find where
             atom = atom_re.match(text, pos)
@@ -189,10 +196,10 @@ def _item(text: str, pos: int) -> tuple[object, int]:
     while pos < len(text) and text[pos] in " \t":
         pos += 1
     if text.startswith(":", pos):
-        items, pos = _list(text, _take("[", text, pos + 1))
+        items, pos = _list(text, _take("[", text, pos + 1), depth + 1)
         return {value: items}, pos
     if text.startswith("=", pos):
-        entry, pos = _item(text, pos + 1)
+        entry, pos = _item(text, pos + 1, depth + 1)
         return (value, entry), pos
     return value, pos
 

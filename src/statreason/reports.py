@@ -72,23 +72,20 @@ class CorefReport(Frozen):
             _perfect_line(self.exact_match),
             "  (macro pools cluster counts over subsections with arguments;"
             " the equal-weight alternative is the avg column)",
+            "  standard metrics (P / R / F1, pooled mention universe)",
         ]
-        if self.standard:
-            lines.append("  standard metrics (P / R / F1, pooled mention universe)")
-            for name, value in self.standard.items():
-                lines.append(
-                    f"    {name:<8} {100 * value.precision:5.1f} / {100 * value.recall:5.1f} / {100 * value.f1:5.1f}"
-                )
+        for name, value in self.standard.items():
+            lines.append(
+                f"    {name:<8} {100 * value.precision:5.1f} / {100 * value.recall:5.1f} / {100 * value.f1:5.1f}"
+            )
         return "\n".join(lines)
 
 
 def coref_report(
-    corpus: Corpus,
-    predictions: dict[str, tuple[tuple[int, ...], ...]],
-    baseline: str,
-    standard: bool = True,
+    corpus: Corpus, predictions: dict[str, tuple[tuple[int, ...], ...]], baseline: str
 ) -> CorefReport:
-    """Score predicted index partitions (one per subsection) against gold."""
+    """Score predicted index partitions (one per subsection) against gold,
+    which must cover the same mentions: the standard metrics pool them."""
     from . import coref_metrics
 
     units = []
@@ -100,11 +97,8 @@ def coref_report(
         pred_universe.extend(frozenset(mention(i) for i in c) for c in pred)
         if layer.clusters:
             units.append((_clusters(layer.clusters), _clusters(pred)))
-    standard_scores = {}
-    if standard:
-        for name, fn in coref_metrics.COREF_METRICS.items():
-            standard_scores[name] = fn(gold_universe, pred_universe)
-    return CorefReport(baseline, exact_match(units), standard_scores)
+    standard = {name: fn(gold_universe, pred_universe) for name, fn in coref_metrics.COREF_METRICS.items()}
+    return CorefReport(baseline, exact_match(units), standard)
 
 
 # ---------------------------------------------------------------------------

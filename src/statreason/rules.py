@@ -15,14 +15,15 @@ groups belong to the section identifier (so "§63(c)(5)(A)()" is the
 identifier "§63(c)(5)(A)" called with no arguments). Identifiers may also be
 bare names such as "Tax". In a body argument list, "A=B" passes the caller's
 variable B as the callee's parameter A, and a bare name N abbreviates "N=N".
-"%" starts a comment that runs to the end of the line.
+"%" starts a comment that runs to the end of the line. Brackets and NOTs
+nest at most `model.MAX_NESTING` (100) levels in a body.
 """
 
 from __future__ import annotations
 
 import re
 
-from .model import TRUTH_KEY, Frozen, _set
+from .model import MAX_NESTING, TRUTH_KEY, Frozen, _set
 
 
 class RuleSyntaxError(ValueError):
@@ -207,28 +208,31 @@ class _Parser:
 
     # -- body expressions (NOT > AND > OR) -----------------------------------
 
-    def parse_body(self) -> BodyExpr:
-        children = [self._parse_and()]
+    def parse_body(self, depth: int = 0) -> BodyExpr:
+        """A body inside `depth` brackets and NOTs."""
+        children = [self._parse_and(depth)]
         while self.tokens[self.index] == "OR":
             self.index += 1
-            children.append(self._parse_and())
+            children.append(self._parse_and(depth))
         return children[0] if len(children) == 1 else Or(tuple(children))
 
-    def _parse_and(self) -> BodyExpr:
-        children = [self._parse_not()]
+    def _parse_and(self, depth: int) -> BodyExpr:
+        children = [self._parse_not(depth)]
         while self.tokens[self.index] == "AND":
             self.index += 1
-            children.append(self._parse_not())
+            children.append(self._parse_not(depth))
         return children[0] if len(children) == 1 else And(tuple(children))
 
-    def _parse_not(self) -> BodyExpr:
+    def _parse_not(self, depth: int) -> BodyExpr:
         token = self.tokens[self.index]
-        if token == "NOT":
+        if token == "NOT" or token == "[":
+            if depth == MAX_NESTING:
+                message = f"brackets and NOTs nest deeper than {MAX_NESTING} levels"
+                raise RuleSyntaxError(message, self.position(self.index))
             self.index += 1
-            return Not(self._parse_not())
-        if token == "[":
-            self.index += 1
-            body = self.parse_body()
+            if token == "NOT":
+                return Not(self._parse_not(depth + 1))
+            body = self.parse_body(depth + 1)
             self.expect("]")
             return body
         ident, items, start = self.parse_term()

@@ -205,7 +205,8 @@ _HEADS = st.builds(
 # Text of every code point, surrogates included, drawing whitespace, "#" and
 # what a writer must escape often: the model's constructors decide what of
 # it a corpus can hold.
-_ANY_TEXT = st.text(st.one_of(st.characters(exclude_categories=()), st.sampled_from(ESCAPED_CHARACTERS + " \t#")))
+_ANY_CHARACTER = st.one_of(st.characters(exclude_categories=()), st.sampled_from(ESCAPED_CHARACTERS + " \t#"))
+_ANY_TEXT = st.text(_ANY_CHARACTER)
 # Ids that the constructors should mostly accept, so that corpora have some.
 _ID_PIECES = _words(_chars("()"))
 _SUBSECTION_IDS = st.builds(
@@ -213,12 +214,16 @@ _SUBSECTION_IDS = st.builds(
     _ID_PIECES,
     st.lists(st.one_of(_ID_PIECES, _ID_PIECES.map("({})".format))),
 )
-# Case ids name files in the distributed layout; splits and section files
-# are file names.
+# Case ids name files in the distributed layout, and section files are file
+# names.
 _CASE_IDS = _words(_chars("/\x00"), 8).filter(lambda t: t[0] != "#" and t not in (".", ".."))
 _SECTION_FILES = _words(_chars("/\x00")).map(lambda name: name + ".txt").filter(lambda name: name != "offsets.txt")
-_SPLITS = _words(_chars("/\x00."), 5).filter(lambda split: split not in ("all", "silver"))
-# Subsection text: not empty, as offsets have start < end.
+# A gold split names its file, cases/<split>.cases: words that `Case` mostly
+# accepts, and text of every code point, of which `Case` refuses what that
+# file cannot carry. Short enough for any file system's names, and not
+# "silver", the split of the silver cases.
+_SPLITS = st.one_of(_words(_chars(), 5), st.text(_ANY_CHARACTER, max_size=40)).filter(lambda split: split != "silver")
+# Subsection text, not empty as `Subsection` requires.
 _SECTION_TEXTS = st.text(
     st.one_of(st.characters(exclude_categories=("Cs",)), st.sampled_from(ESCAPED_CHARACTERS)), min_size=1, max_size=12
 )
@@ -320,9 +325,9 @@ def corpora(draw, distributed: bool = False) -> Corpus:
     """A corpus of what the model's constructors accept, drawn from text of
     every code point, within the loader's own rules: each layer has a
     subsection, its spans lie in the subsection's text and cover more than
-    whitespace, subsection text is not empty, a case expects something (a
-    binary case, "@truth"), case ids are unique per cases directory, and a
-    split is a file stem other than "all" and "silver". Values are of every
+    whitespace, a case expects something (a binary case, "@truth"), case ids
+    are unique per cases directory, and no gold case is in the split
+    "silver". Values are of every
     kind, rules enter as parsed clause text, and queries, callees, bindings
     and labels name what exists or anything. The corpus comes without a
     manifest, its cases in the order the loader reads them.
@@ -344,7 +349,7 @@ def corpora(draw, distributed: bool = False) -> Corpus:
     else:
         ids = [h for h in heads if draw(st.booleans())]
         ids += draw(st.lists(st.one_of(_SUBSECTION_IDS, _ANY_TEXT), max_size=3))
-        texts, labels = st.one_of(_SECTION_TEXTS, _ANY_TEXT.filter(bool)), st.one_of(st.none(), _ANY_TEXT)
+        texts, labels = st.one_of(_SECTION_TEXTS, _ANY_TEXT), st.one_of(st.none(), _ANY_TEXT)
         descriptions = queries = keys = _ANY_TEXT
         values = st.one_of(MODEL_VALUES, _ANY_TEXT)
         case_ids, splits = st.one_of(_CASE_IDS, _ANY_TEXT), _SPLITS

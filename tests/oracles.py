@@ -260,8 +260,16 @@ def insert_values(
     return text
 
 
+def spans_of(layer: ArgumentLayer, name: str) -> tuple[Span, ...]:
+    """The mention spans of a labelled argument; () for any other name."""
+    for label, cluster in layer.labelled_clusters:
+        if label == name:
+            return tuple(layer.spans[i] for i in cluster)
+    return ()
+
+
 def wants_dollars(argument: str, layer: ArgumentLayer, source_text: str) -> bool:
-    spans = layer.spans_of(argument)
+    spans = spans_of(layer, argument)
     if spans and source_text:
         surface = " ".join(span.slice(source_text).lower() for span in spans)
     else:
@@ -276,7 +284,7 @@ def value_for(name: str, request) -> Value | None:
     """`HeuristicResolver._value_for` as first written."""
     description = request.case.description
     layer, text = request.subsection.layer, request.subsection.text
-    spans = layer.spans_of(name)
+    spans = spans_of(layer, name)
     if spans and text:
         surface = " ".join(s.slice(text) for s in spans).lower()
     else:
@@ -621,7 +629,6 @@ def coref_report(
     corpus: Corpus,
     predictions: dict[str, tuple[tuple[int, ...], ...]],
     baseline: str,
-    standard: bool = True,
 ) -> CorefReport:
     """Score predicted index partitions (one per subsection) against gold."""
     per_unit: list[PRF] = []
@@ -650,9 +657,8 @@ def coref_report(
             perfect += 1
     pooled = prf(correct, pred_total, correct, gold_total)
     standard_scores = {}
-    if standard:
-        for name, fn in coref_metrics.COREF_METRICS.items():
-            standard_scores[name] = fn(gold_universe, pred_universe)
+    for name, fn in coref_metrics.COREF_METRICS.items():
+        standard_scores[name] = fn(gold_universe, pred_universe)
     return CorefReport(
         baseline=baseline,
         exact_match=_aggregate(per_unit, pooled),

@@ -81,7 +81,7 @@ def test_criterion_1_oracle_closure_full_corpus(sara):
 
 def string_partitions(corpus):
     return {
-        sid: string_match_coref(layer, corpus.subsections[sid].text)
+        sid: string_match_coref(layer.spans, corpus.subsections[sid].text)
         for sid, layer in corpus.layers.items()
     }
 
@@ -101,11 +101,8 @@ def test_criterion_2_string_matching_on_fixture_subsections(corpus):
 
 @needs_sara
 def test_criterion_2_exact_match_vs_reported(sara):
-    string = coref_report(sara, string_partitions(sara), "string", standard=False)
-    single = coref_report(
-        sara, {sid: single_mention_coref(l) for sid, l in sara.layers.items()}, "single",
-        standard=False,
-    )
+    string = coref_report(sara, string_partitions(sara), "string")
+    single = coref_report(sara, {sid: single_mention_coref(l) for sid, l in sara.layers.items()}, "single")
     assert 100 * string.exact_match.macro.f1 == pytest.approx(87.4, abs=1.0)
     assert 100 * single.exact_match.macro.f1 == pytest.approx(74.8, abs=1.0)
     assert 100 * string.exact_match.perfectly_resolved == pytest.approx(80.8, abs=1.0)

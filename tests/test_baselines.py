@@ -27,7 +27,6 @@ from statreason.model import (
     Span,
     TRUTH_KEY,
     ValueMap,
-    empty_layer,
 )
 
 import oracles
@@ -77,29 +76,29 @@ class TestStringMatch:
     def test_merges_individual_mentions(self, corpus):
         layer = corpus.layers["§63(c)(5)"]
         text = corpus.subsections["§63(c)(5)"].text
-        pred = string_match_coref(layer, text)
+        pred = string_match_coref(layer.spans, text)
         assert (0, 5, 8, 9) in pred  # an/the/such/such individual
 
     def test_merges_a_taxable_year_with_taxable_year(self, corpus):
         layer = corpus.layers["§63(c)(5)"]
         text = corpus.subsections["§63(c)(5)"].text
-        pred = string_match_coref(layer, text)
+        pred = string_match_coref(layer.spans, text)
         assert (3, 6, 10) in pred  # diverges from gold, which separates span 3
 
     def test_invariant_under_span_reordering(self, corpus):
         layer = corpus.layers["§63(c)(5)"]
         text = corpus.subsections["§63(c)(5)"].text
-        expected = string_match_coref(layer, text)
+        expected = string_match_coref(layer.spans, text)
         # Partition identity does not depend on cluster bookkeeping order.
         relabelled = ArgumentLayer(
             layer.subsection_id, layer.spans, tuple(reversed(layer.clusters))
         )
-        assert string_match_coref(relabelled, text) == expected
+        assert string_match_coref(relabelled.spans, text) == expected
 
     def test_partition_is_exact(self, corpus):
         for sid, layer in corpus.layers.items():
             text = corpus.subsections[sid].text
-            pred = string_match_coref(layer, text)
+            pred = string_match_coref(layer.spans, text)
             members = sorted(i for c in pred for i in c)
             assert members == list(range(len(layer.spans)))
 
@@ -301,7 +300,8 @@ class TestConstantResolver:
 
     def test_truth_request(self):
         case = Case("x", "d", "§x", ValueMap(), ValueMap({"@truth": 1.0}))
-        assert ConstantResolver(self.PARAMS).resolve(request(empty_layer("§x"), "", case, TRUTH_KEY)) == 1.0
+        empty = ArgumentLayer("§x", (), (), ())
+        assert ConstantResolver(self.PARAMS).resolve(request(empty, "", case, TRUTH_KEY)) == 1.0
 
     def test_money_argument(self, corpus):
         layer = corpus.layers["Tax"]
@@ -375,7 +375,8 @@ class TestHeuristicResolver:
 
     def test_identical_texts_score_full_truth(self):
         case = Case("x", "the very same words", "§x", ValueMap(), ValueMap({"@truth": 1.0}))
-        assert HeuristicResolver().resolve(request(empty_layer("§x"), "the very same words", case, TRUTH_KEY)) == 1.0
+        empty = ArgumentLayer("§x", (), (), ())
+        assert HeuristicResolver().resolve(request(empty, "the very same words", case, TRUTH_KEY)) == 1.0
 
     # Text that meets its neighbours: token characters at either end,
     # letters that lowercase to a token character ("K" is the Kelvin sign)
@@ -403,7 +404,8 @@ class TestHeuristicResolver:
     def test_overlap_score_bounds(self):
         def truth(text, description):
             case = Case("x", description, "§x", ValueMap(), ValueMap({"@truth": 1.0}))
-            return HeuristicResolver().resolve(request(empty_layer("§x"), text, case, TRUTH_KEY))
+            empty = ArgumentLayer("§x", (), (), ())
+            return HeuristicResolver().resolve(request(empty, text, case, TRUTH_KEY))
 
         assert truth("", "anything") == 0.0
         assert 0.0 <= truth("some shared words", "shared words appear") <= 1.0
@@ -412,8 +414,9 @@ class TestHeuristicResolver:
 class TestOracleResolver:
     def test_other_subsections_get_nothing(self, corpus):
         case = next(c for c in corpus.cases if c.id == "tax-case-5")
-        assert OracleResolver().resolve(request(empty_layer("§1(d)(iv)"), "", case, "Tax")) is None
-        assert OracleResolver().resolve(request(empty_layer("§1(d)(iv)"), "", case, TRUTH_KEY)) == 0.0
+        empty = ArgumentLayer("§1(d)(iv)", (), (), ())
+        assert OracleResolver().resolve(request(empty, "", case, "Tax")) is None
+        assert OracleResolver().resolve(request(empty, "", case, TRUTH_KEY)) == 0.0
 
     def test_query_subsection_reads_gold(self, corpus):
         case = next(c for c in corpus.cases if c.id == "tax-case-5")

@@ -29,6 +29,7 @@ from pathlib import Path
 import pytest
 
 from statreason.cli import main
+from statreason.rules import parse_program
 
 FIXTURES = Path(__file__).parent / "fixtures" / "corpus"
 
@@ -223,6 +224,61 @@ def test_corrupt_prediction_import(writer, readers, tmp_path):
         target.write_bytes(data)
         for command, option in readers:
             check([command, "--manifest", manifest, option, f"import:{target}"], tmp_path)
+
+
+# Input nested past what recursion could read: a case value, a clause body
+# in brackets and a NOT chain 10,000 levels deep are refused at their line
+# with exit 1, and a depth cap whose tree is too deep to compile fails only
+# the cases that query it.
+
+DEEP = 10_000
+
+
+def _append(path: Path, line: str) -> tuple[str, int]:
+    """Append `line` to `path`: the text before it and its line number."""
+    original = path.read_text(encoding="utf-8")
+    path.write_text(original + line + "\n", encoding="utf-8")
+    return original, original.count("\n") + 1
+
+
+def test_a_case_value_nested_ten_thousand_levels(tmp_path):
+    root = tmp_path / "corpus"
+    shutil.copytree(FIXTURES, root)
+    path = root / "cases" / "test.cases"
+    head = 'deep query="Tax" description="d" inputs=[X='
+    _, lineno = _append(path, head + "[" * DEEP + "1" + "]" * DEEP + "] expected=[@truth=true]")
+    # Level 101 is the value's 99th bracket: inputs' list and X's entry are
+    # levels 1 and 2.
+    message = f"{path}:{lineno}: nested deeper than 100 levels (column {len(head) + 100})\n"
+    assert run(["validate", "--manifest", str(root / "manifest.txt")]) == (1, message)
+
+
+@pytest.mark.parametrize("nesting, width", [("[", 1), ("NOT ", 4)])
+def test_a_clause_body_nested_ten_thousand_levels(nesting, width, tmp_path):
+    root = tmp_path / "corpus"
+    shutil.copytree(FIXTURES, root)
+    path = root / "structure.txt"
+    head = "Deep(x) :- "
+    body = nesting * DEEP + "Tax(x)" + ("]" * DEEP if nesting == "[" else "")
+    original, lineno = _append(path, head + body + ".")
+    clauses = len(parse_program(original))
+    offset = len(original) + len(head) + 100 * width
+    message = f"clause {clauses + 1}: brackets and NOTs nest deeper than 100 levels (at offset {offset})"
+    assert run(["validate", "--manifest", str(root / "manifest.txt")]) == (1, f"{path}:{lineno}: {message}\n")
+
+
+def test_a_depth_cap_too_deep_to_compile_fails_its_cases(tmp_path):
+    root = tmp_path / "corpus"
+    shutil.copytree(FIXTURES, root)
+    path = root / "structure.txt"
+    text = path.read_text(encoding="utf-8")
+    recursive = "\n§1(d)(iv)(Tax, Taxinc) :- §1(d)(iv)(Tax, Taxinc).\n"
+    path.write_text(text.replace("\n§1(d)(iv)(Tax, Taxinc).\n", recursive), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["eval-inst", "--manifest", str(root / "manifest.txt"), "--resolver", "oracle", "--split", "all"]
+    assert run([*argv, "--depth-cap", "5000", "--out", str(out)]) == (0, "")
+    # The two Tax cases reach the recursive rule; the others still score.
+    assert "\n  case errors: 2\n" in (out / "eval-inst.report.txt").read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -877,6 +877,18 @@ class TestEvaluateRun:
             "case a: malformed id '#b': an id is non-empty, holds no whitespace and starts with no '#'", None
         ]
 
+    def test_a_tree_too_deep_to_compile_fails_its_cases(self):
+        # A rule that calls itself unrolls to the depth cap; at a cap of
+        # 5,000 building its tree overflows the stack, which fails the cases
+        # that query it, naming the query and the cap, and the run goes on.
+        program = parse_program("C(x) :- C(x).\nB(x).")
+        cases = tuple(Case(q.lower(), "", q, ValueMap(), ValueMap({TRUTH_KEY: 1.0}), "test") for q in "CB")
+        corpus = Corpus(None, {}, {}, program, cases, (), ())
+        results, notes = run_cases(OracleResolver(), corpus, config=EngineConfig(5000))
+        error = "case c: query C is too deep to compile at depth cap 5000"
+        assert [r.error for r in results] == [error, None]
+        assert notes[0] == ("c", None, error, "error")
+
     def test_known_is_a_read_only_view(self, corpus):
         # Assigning into `request.known` fails that case, naming the
         # argument, and leaves the run's other cases as they would be.

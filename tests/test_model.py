@@ -1,4 +1,5 @@
 import datetime
+import re
 
 import pytest
 from hypothesis import given
@@ -16,7 +17,6 @@ from statreason.model import (
     check_text,
     check_value,
     components,
-    empty_layer,
     layer_of,
     matrix_to_clusters,
     value_kind,
@@ -118,7 +118,7 @@ class TestArgumentLayer:
     def test_layer_of_falls_back_to_an_empty_layer(self):
         known = layer([(0, 1)], [(0,)], ["A"])
         assert layer_of({"§x": known}, "§x") is known
-        assert layer_of({"§x": known}, "§y") == empty_layer("§y")
+        assert layer_of({"§x": known}, "§y") == ArgumentLayer("§y", (), (), ())
 
 
 def coreference_matrix(n, clusters):
@@ -273,7 +273,7 @@ class TestWhatAFileCanHold:
             check_id,
             lambda n: Case(n, "d", "§1", ValueMap(), ValueMap({"@truth": 1.0})),
             lambda n: Subsection(n, "text"),
-            empty_layer,
+            lambda n: ArgumentLayer(n, (), (), ()),
         ):
             with pytest.raises(ValueError):
                 make(name)
@@ -307,6 +307,22 @@ class TestWhatAFileCanHold:
         with pytest.raises(ValueError, match="a section file cannot hold"):
             Subsection("§1", "a\rb")
         assert Subsection("§1", "a\nb\u2028").text == "a\nb\u2028"
+
+    def test_subsection_text_is_not_empty(self):
+        # An offsets record has start < end, so it cannot slice empty text.
+        with pytest.raises(ValueError, match=r"^subsection §1: empty text, which no offsets record can slice$"):
+            Subsection("§1", "")
+
+    @pytest.mark.parametrize("split", ["a/b", "/", "a\x00b", "all", "", "a b", "#a", "a\ud800"])
+    def test_splits_that_cannot_name_a_cases_file_are_refused(self, split):
+        # cases/<split>.cases carries the split back: a path separator, a
+        # NUL or "all" (every split) cannot, nor an id no record could hold.
+        with pytest.raises(ValueError, match=f"^split {re.escape(repr(split))}: "):
+            Case("c", "d", "§1", ValueMap(), ValueMap({"@truth": 1.0}), split)
+
+    def test_splits_keep_everything_else(self):
+        for split in ("train", "silver", "All", ".", "..", "a.b", "x.cases", "a#", "é"):
+            assert Case("c", "d", "§1", ValueMap(), ValueMap({"@truth": 1.0}), split).split == split
 
 
 class TestReprEqualityAndHash:

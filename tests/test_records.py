@@ -7,7 +7,7 @@ from hypothesis import example, given
 
 import oracles
 from statreason import records
-from statreason.model import Money, Span, ValueMap
+from statreason.model import MAX_NESTING, Money, Span, ValueMap
 
 from generators import ESCAPED_CHARACTERS, MODEL_TEXT_VALUES, MONEY_VALUES, TEXT_VALUES, TRUTH_VALUES, VALUES
 
@@ -289,6 +289,62 @@ class TestAgainstTheScannerObject:
                 return "error", str(exc)
 
         assert parse(records.parse_value_literal) == parse(oracles.parse_value_literal_by_scanner)
+
+
+# Leaves that open no level, even when edited: no "[", "=" or ":" anywhere.
+_FLAT = "[=:"
+FLAT_LEAVES = st.one_of(
+    st.text(st.characters(exclude_characters=_FLAT)), st.integers(), MONEY_VALUES, TRUTH_VALUES, st.dates()
+).map(records.write_value)
+
+
+@st.composite
+def nested_lines(draw, depths):
+    """A record line whose one field nests an edited leaf, which may be
+    empty, `depth` levels deep (a depth drawn from `depths`), each level a
+    list among sibling atoms, a labelled group or a key=value entry; and,
+    past the bound, the column of the error: just past the opener of level
+    MAX_NESTING + 1."""
+    depth = draw(depths)
+    line, column, close = "r f=", None, []
+    sibling = st.lists(st.sampled_from(["1", '"s"', "$2", "true", "(3, 4)"]), max_size=1)
+    for level in range(1, depth + 1):
+        kind = draw(st.sampled_from(["list", "group", "entry"]))
+        opener = "=" if kind == "entry" else "["
+        line += {"list": "", "group": f"{draw(KEYS)}:", "entry": draw(KEYS)}[kind] + opener
+        if level == MAX_NESTING + 1:
+            column = len(line) + 1
+        if kind != "entry":
+            line += "".join(f"{atom}, " for atom in draw(sibling))
+            close.append("".join(f", {atom}" for atom in draw(sibling)) + "]")
+    leaf = edited(draw, draw(FLAT_LEAVES), "".join(c for c in EDIT_CHARACTERS if c not in _FLAT))
+    return line + leaf + "".join(reversed(close)), column
+
+
+class TestNesting:
+    """Lists, groups and entries nest at most MAX_NESTING levels: up to the
+    bound, a line reads as the character scan reads it, item for item and
+    error for error; past it, even with nothing inside, it is a RecordError
+    at the opener of the first level too many."""
+
+    @given(nested_lines(st.integers(0, MAX_NESTING)))
+    def test_up_to_the_bound_as_the_character_scan(self, drawn):
+        line, _ = drawn
+        assert outcome(records.parse_record, line) == outcome(oracles.parse_record_by_chars, line)
+
+    @given(nested_lines(st.integers(MAX_NESTING + 1, MAX_NESTING + 30)))
+    @example(("r f=" + "[" * 101 + "]" * 101, len("r f=") + 102))
+    def test_past_the_bound_an_error_at_the_first_level_too_many(self, drawn):
+        line, column = drawn
+        assert outcome(records.parse_record, line) == ("error", f"nested deeper than 100 levels (column {column})")
+
+    @pytest.mark.parametrize("opener, closer", [("[", "]"), ("L:[", "]"), ('"L" :[', "]"), ("k=", ""), ('"k" =', "")])
+    def test_ten_thousand_levels(self, opener, closer):
+        line = "r f=" + opener * 10_000 + "1" + closer * 10_000
+        column = len("r f=") + 100 * len(opener) + len(opener) + 1
+        assert outcome(records.parse_record, line) == ("error", f"nested deeper than 100 levels (column {column})")
+        with pytest.raises(records.RecordError, match="nested deeper than 100 levels"):
+            records.parse_value_literal(opener * 10_000 + "1" + closer * 10_000)
 
 
 class TestItemClasses:

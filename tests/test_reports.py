@@ -24,7 +24,7 @@ from statreason.reports import (
 
 def string_predictions(corpus):
     return {
-        sid: string_match_coref(layer, corpus.subsections[sid].text)
+        sid: string_match_coref(layer.spans, corpus.subsections[sid].text)
         for sid, layer in corpus.layers.items()
     }
 
@@ -94,10 +94,10 @@ class TestArgIdReport:
 class TestCascadeReport:
     def test_gold_spans_match_coref_report(self, corpus):
         # A perfect first stage reduces the cascade to plain string matching.
-        coref = coref_report(corpus, string_predictions(corpus), "string", standard=False)
+        coref = coref_report(corpus, string_predictions(corpus), "string")
         clusters_by_sid = {}
         for sid, layer in corpus.layers.items():
-            partition = string_match_coref(layer, corpus.subsections[sid].text)
+            partition = string_match_coref(layer.spans, corpus.subsections[sid].text)
             clusters_by_sid[sid] = tuple(
                 tuple((layer.spans[i].start, layer.spans[i].end) for i in c) for c in partition
             )
@@ -171,21 +171,30 @@ class TestAgainstOracles:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_coref(self, corpus, data):
-        standard = data.draw(st.booleans())
+        whole = data.draw(st.booleans())
         predictions = {}
         for sid, layer in corpus.layers.items():
-            if standard:
-                # The standard metrics need the gold mention universe.
+            if whole:
                 members = range(len(layer.spans))
             elif data.draw(st.booleans()):
                 continue
             else:
                 members = [i for i in range(len(layer.spans)) if data.draw(st.booleans())]
             predictions[sid] = data.draw(st.one_of(st.just(layer.clusters), partitions(members)))
-        assert_same_report(
-            coref_report(corpus, predictions, "random", standard),
-            oracles.coref_report(corpus, predictions, "random", standard),
+        covered = all(
+            sorted(i for c in predictions.get(sid, ()) for i in c) == list(range(len(layer.spans)))
+            for sid, layer in corpus.layers.items()
         )
+        if covered:
+            assert_same_report(
+                coref_report(corpus, predictions, "random"), oracles.coref_report(corpus, predictions, "random")
+            )
+        else:
+            # The standard metrics pool one mention universe, so a prediction
+            # that leaves gold mentions out is refused.
+            for report in (coref_report, oracles.coref_report):
+                with pytest.raises(ValueError, match="cover different mentions"):
+                    report(corpus, predictions, "random")
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

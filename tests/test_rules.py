@@ -21,7 +21,7 @@ from statreason.rules import (
     SubsectionNode,
 )
 from statreason.engine import EngineConfig, RunContext, instantiate_full
-from statreason.model import TRUTH_KEY, Case, ValueMap
+from statreason.model import MAX_NESTING, TRUTH_KEY, Case, ValueMap
 
 import oracles
 from generators import random_clause, random_nested_program, random_program
@@ -310,3 +310,49 @@ class TestAgainstTheTokenParser:
     @example("§1(a)(x) :- §2(x, x).")
     def test_same_rule_or_error(self, text):
         assert parse_outcome(parse_rule, text) == parse_outcome(oracles.parse_rule_by_tokens, text)
+
+
+@st.composite
+def nested_clauses(draw, depths):
+    """Clauses whose first body nests a reference `depth` levels deep (a
+    depth drawn from `depths`), each level a NOT or brackets around an AND
+    or OR of the next level and sibling references; and, past the bound,
+    the offset of the opener of level MAX_NESTING + 1."""
+    depth = draw(depths)
+    text, offset, close = "A(x) :- ", None, []
+    sibling = st.lists(st.sampled_from(["B(x)", "C()"]), max_size=1)
+    for level in range(1, depth + 1):
+        if level == MAX_NESTING + 1:
+            offset = len(text)
+        if draw(st.booleans()):
+            text += "NOT "
+        else:
+            op = draw(st.sampled_from([" AND ", " OR "]))
+            text += "[" + "".join(s + op for s in draw(sibling))
+            close.append("".join(op + s for s in draw(sibling)) + "]")
+    return text + "B(x)" + "".join(reversed(close)) + ".\nB(x).\nC().", offset
+
+
+class TestNesting:
+    """Brackets and NOTs nest at most MAX_NESTING levels in a body: up to
+    the bound a structure text parses as the token parser parses it; past
+    it, the clause is a problem at the first level too many, and the
+    clauses after it still parse."""
+
+    @given(nested_clauses(st.integers(0, MAX_NESTING)))
+    def test_up_to_the_bound_as_the_token_parser(self, drawn):
+        text, _ = drawn
+        assert parse_outcome(parse_program, text) == parse_outcome(oracles.parse_program_by_tokens, text)
+
+    @given(nested_clauses(st.integers(MAX_NESTING + 1, MAX_NESTING + 30)))
+    def test_past_the_bound_a_problem_at_the_first_level_too_many(self, drawn):
+        text, offset = drawn
+        message = f"clause 1: brackets and NOTs nest deeper than 100 levels (at offset {offset})"
+        assert parse_outcome(parse_program, text) == ("problems", [(offset, message)])
+
+    @pytest.mark.parametrize("opener, closer", [("[", "]"), ("NOT ", "")])
+    def test_ten_thousand_levels(self, opener, closer):
+        text = "A(x) :- " + opener * 10_000 + "B(x)" + closer * 10_000 + ".\nB(x)."
+        offset = len("A(x) :- ") + 100 * len(opener)
+        message = f"clause 1: brackets and NOTs nest deeper than 100 levels (at offset {offset})"
+        assert parse_outcome(parse_program, text) == ("problems", [(offset, message)])

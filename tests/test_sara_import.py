@@ -152,6 +152,16 @@ class TestImport:
         assert log.skipped == [f"cases/case\udcff: {message}"]
         self.assert_validates(dest, capsys)
 
+    def test_skips_naming_files_that_are_not_utf8_reach_a_strict_stderr(self, tmp_path, capsys):
+        # capsys's stderr encodes strictly; the lone surrogate goes out
+        # backslash-escaped, as the interpreter's own stderr writes it.
+        source, dest = tmp_path / "dist", tmp_path / "canonical"
+        make_distributed_tree(source)
+        (source / "cases" / os.fsdecode(b"case\xff")).write_bytes((source / "cases" / "case-1-positive").read_bytes())
+        assert main(["import-sara", "--source", str(source), "--dest", str(dest)]) == 0
+        message = "'utf-8' codec can't encode character '\\udcff' in position 4: surrogates not allowed"
+        assert capsys.readouterr().err == f"skipped cases/case\\udcff: {message}\n"
+
     def test_subsection_ids_that_would_not_read_back_are_skipped(self, tmp_path):
         source, dest = tmp_path / "dist", tmp_path / "canonical"
         make_distributed_tree(source)
@@ -292,12 +302,34 @@ class TestImport:
         offsets = source / "statutes" / "section1.offsets"
         offsets.write_text(offsets.read_text(encoding="utf-8") + "§1(d)(v) 0 4000\n§1(d)(vi) 5 5\n", encoding="utf-8")
         log = import_corpus(source, dest)
+        # (5, 5) slices empty text, which the model refuses as it reads the
+        # offsets; (0, 4000) is refused by the loader when written.
         assert log.skipped == [
+            "statutes/section1.offsets:3: subsection §1(d)(vi): empty text, which no offsets record can slice",
             "statutes/section1.offsets:2: offsets (0, 4000) out of bounds for section1.txt of length 68",
-            "statutes/section1.offsets:3: offsets (5, 5) out of bounds for section1.txt of length 68",
         ]
         self.assert_validates(dest, capsys)
         assert list(load_corpus(dest / "manifest.txt").subsections) == ["§1(d)(iv)"]
+
+    def test_input_nested_too_deep_is_skipped(self, tmp_path, capsys):
+        # Past the nesting bound a case's value skips the case, and a clause
+        # the structure file, as any syntax error in it does; what needed
+        # that file's rules goes with it.
+        source, dest = tmp_path / "dist", tmp_path / "canonical"
+        make_distributed_tree(source)
+        case = source / "cases" / "case-1-positive"
+        deep = "Taxinc=" + "[" * 10_000 + "1" + "]" * 10_000
+        write(case, case.read_text(encoding="utf-8").replace("Taxinc=$150000", deep))
+        structure = source / "structure.txt"
+        head = structure.read_text(encoding="utf-8") + "§1(d)(v)(X) :- "
+        write(structure, head + "NOT " * 10_000 + "§1(d)(iv)(X).\n")
+        log = import_corpus(source, dest)
+        assert log.skipped == [
+            f"structure.txt: clause 2: brackets and NOTs nest deeper than 100 levels (at offset {len(head) + 400})",
+            "cases/case-1-positive: nested deeper than 100 levels (column 102)",
+            "spans/1_d_iv: layer §1(d)(iv): cluster 'Tax' named but no rule declares parameters",
+        ]
+        self.assert_validates(dest, capsys)
 
     def test_subsection_ids_listed_twice_are_skipped(self, tmp_path, capsys):
         source, dest = tmp_path / "dist", tmp_path / "canonical"
