@@ -20,7 +20,7 @@ from collections.abc import Mapping
 from pathlib import Path
 
 from . import records
-from .model import ArgumentLayer, Case, Frozen, Span, Subsection, TRUTH_KEY
+from .model import ArgumentLayer, Case, Frozen, Span, Subsection, TRUTH_KEY, check_split
 from .rules import ProgramSyntaxError, Rule, iter_refs, parse_program, reference_problems
 
 
@@ -69,7 +69,8 @@ class CorpusManifest(Frozen):
     @staticmethod
     def load(path: str | Path) -> "CorpusManifest":
         path = Path(path)
-        entries: dict[str, str] = {}
+        names = ("statutes", "spans", "coref", "structure", "cases", "silver")
+        entries: dict[str, tuple[str, int]] = {}  # key -> (value, line)
         for lineno, line in enumerate(_read(path).splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -77,19 +78,21 @@ class CorpusManifest(Frozen):
             if "=" not in line:
                 _fail(path, lineno, "manifest lines must be key=value")
             key, _, value = line.partition("=")
-            entries[key.strip()] = value.strip()
-        required = ("statutes", "spans", "coref", "structure", "cases")
-        missing = [k for k in required if k not in entries]
+            entries[key.strip()] = (value.strip(), lineno)
+        missing = [k for k in names[:-1] if k not in entries]
         if missing:
             _fail(path, None, f"manifest is missing keys: {', '.join(missing)}")
-        parts = {name: path.parent / entries[name] for name in (*required, "silver") if name in entries}
+        for key, (_, lineno) in entries.items():
+            if key not in names:
+                _fail(path, lineno, f"unknown manifest key {key!r}")
+        parts = {name: path.parent / entries[name][0] for name in names if name in entries}
         for name, part in parts.items():
             is_dir = name in ("statutes", "cases", "silver")
             if not part.exists():
                 _fail(path, None, f"{name} path does not exist: {part}")
             if not (part.is_dir() if is_dir else part.is_file()):
                 _fail(path, None, f"{name} path is not a {'directory' if is_dir else 'file'}: {part}")
-        return CorpusManifest(path.parent, *(parts.get(name) for name in (*required, "silver")))
+        return CorpusManifest(path.parent, *(parts.get(name) for name in names))
 
 
 class Corpus(Frozen):
@@ -236,17 +239,20 @@ def load_argument_layers(
 
 
 def load_cases(cases_dir: str | Path, split: str | None = None) -> list[Case]:
-    """Load every <name>.cases file; `split`, or else the file stem, names
-    the split. The stems `all` and `silver` are reserved."""
+    """Load every <name>.cases file; `split`, or else the file stem checked
+    once by `check_split`, names the split. The stem `silver` is reserved."""
     cases_dir = Path(cases_dir)
     errors: list[FileError] = []
     cases: list[Case] = []
     seen: set[str] = set()
     for path in sorted(cases_dir.glob("*.cases")):
-        if split is None and path.stem in ("all", "silver"):
-            errors.append(FileError(str(path), None, f"{path.stem!r} is reserved and cannot name a split"))
-            continue
         name = split or path.stem
+        try:
+            if split is None and check_split(name) == "silver":
+                raise ValueError("'silver' is reserved and cannot name a split")
+        except ValueError as exc:
+            errors.append(FileError(str(path), None, str(exc)))
+            continue
         for lineno, record in _iter_file(path):
             try:
                 query = record.require("query")

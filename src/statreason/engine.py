@@ -17,8 +17,9 @@ A run (`run_cases`) is one `RunContext`. It holds what the run fixes (the
 program, the argument layers, the subsection texts and the `EngineConfig`),
 what is built once from those and shared across cases (each subsection's
 `SubsectionPlan`, its text cut at its labelled mentions, and each query's
-program, its dependency tree at the run's depth cap compiled into a flat
-post-order list of `Step`s by `compile_query`), and the notes its cases add.
+program, its rules unrolled at the run's depth cap by `rules.unroll` and
+compiled into a flat post-order list of `Step`s by `compile_query`), and
+the notes its cases add.
 A case is one loop over its query's program with a stack of the values each
 open subsection's body sees and a stack of results. A request's grounded
 text is spliced from the plan only when a resolver first reads it, and a
@@ -33,7 +34,7 @@ from typing import Protocol
 
 from .model import ArgumentLayer, Case, Frozen, TRUTH_KEY, Value, _set, check_truth, check_value, layer_of
 from .records import write_value
-from .rules import OpNode, Program, TreeNode, build_dependency_tree
+from .rules import Program, unroll
 
 
 class EngineConfig(Frozen):
@@ -283,7 +284,7 @@ class Step(Frozen):
     """One instruction of a compiled query, at position `index` of its program.
 
     `op` is "open", "subsection" or an operator kind ("AND", "OR", "NOT"),
-    and `depth` is the tree depth of the subsection or operator it stands
+    and `depth` is the unrolled depth of the subsection or operator it stands
     for. An "open" step comes before the body of subsection `id` and pushes
     the values that body sees. A "subsection" step instantiates `id` with
     `plan`, after taking in its body's result when it has one (`body`).
@@ -326,38 +327,22 @@ class RunContext:
 
 
 def compile_query(context: RunContext, query: str) -> tuple[Step, ...]:
-    """The query's dependency tree at the run's depth cap as a flat program
-    in post order: each subsection step follows its body's steps and each
-    operator step its children's. Plans go into `context.plans`, shared
-    between queries."""
+    """The query's rules unrolled at the run's depth cap (`rules.unroll`)
+    as a flat program in post order: each subsection step follows its
+    body's steps and each operator step its operands'. Plans go into
+    `context.plans`, shared between queries."""
     texts, plans, threshold = context.texts, context.plans, context.config.truth_threshold
     steps: list[Step] = []
-
-    def step(op, id, depth, plan=None, bindings=(), body=False, no_text=False, arity=0) -> None:
-        steps.append(Step(len(steps), op, id, depth, plan, bindings, body, no_text, arity))
-
-    def walk(node: TreeNode) -> None:
-        if isinstance(node, OpNode):
-            for child in node.children:
-                walk(child)
-            step(node.kind, None, node.depth, arity=len(node.children))
-            return
-        sid, depth = node.id, node.depth
-        plan = plans.get(sid)
-        if plan is None:
-            plan = plans[sid] = SubsectionPlan(layer_of(context.layers, sid), texts.get(sid, ""), threshold)
-        body = node.child is not None
-        if body:
-            step("open", sid, depth, plan, node.bindings)
-            walk(node.child)
-        step("subsection", sid, depth, plan, node.bindings, body, sid not in texts)
-
-    walk(build_dependency_tree(context.program, query, context.config.depth_cap).root)
+    for op, sid, depth, bindings, body, arity in unroll(context.program, query, context.config.depth_cap):
+        if sid is not None and sid not in plans:
+            plans[sid] = SubsectionPlan(layer_of(context.layers, sid), texts.get(sid, ""), threshold)
+        no_text = op == "subsection" and sid not in texts
+        steps.append(Step(len(steps), op, sid, depth, plans.get(sid), bindings, body, no_text, arity))
     return tuple(steps)
 
 
 def instantiate_full(resolver: Resolver, case: Case, context: RunContext) -> dict[str, Value]:
-    """Instantiate a case's query subsection over its dependency tree: one
+    """Instantiate a case's query subsection over its unrolled rules: one
     loop over the query's program, compiled on its first case in `context`,
     with a stack of the values each open subsection's body sees and a stack
     of results. Notes go to `context.notes`."""
@@ -369,9 +354,6 @@ def instantiate_full(resolver: Resolver, case: Case, context: RunContext) -> dic
             steps = context.programs[case.query] = compile_query(context, case.query)
         except ValueError as exc:  # a callee without a rule whose id no layer can have
             raise EngineError(f"case {case.id}: {exc}") from exc
-        except RecursionError:  # a tree deeper than building it can recurse
-            cap = context.config.depth_cap
-            raise EngineError(f"case {case.id}: query {case.query} is too deep to compile at depth cap {cap}") from None
     resolve, note, insert_gold = resolver.resolve, context.notes.append, context.config.insert_gold
     inputs = dict(case.inputs)
     envs: list[dict[str, Value]] = []

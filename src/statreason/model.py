@@ -318,10 +318,20 @@ def components(n: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
     return list(groups.values())
 
 
+def check_split(split: str) -> str:
+    """Validate a split, returning it unchanged: it names `cases/<split>.cases`, so it is
+    an id that holds no "/" or NUL, and not "all", which means every split."""
+    try:
+        if "/" in check_id(split) or "\x00" in split or split == "all":
+            raise ValueError("it cannot name a cases file")
+    except ValueError as exc:
+        raise ValueError(f"split {split!r}: {exc}") from None
+    return split
+
+
 class Case(Frozen):
-    """A natural-language fact pattern with a query subsection and gold values. Its split
-    names the file `cases/<split>.cases`, so it is an id that holds no "/" or NUL, and
-    not "all", which means every split."""
+    """A natural-language fact pattern with a query subsection and gold values, in a split
+    that `check_split` accepts."""
 
     __slots__ = ("id", "description", "query", "inputs", "expected", "split")
 
@@ -333,12 +343,7 @@ class Case(Frozen):
         _set(self, "query", check_text(query))
         _set(self, "inputs", inputs)
         _set(self, "expected", expected)
-        try:
-            if "/" in check_id(split) or "\x00" in split or split == "all":
-                raise ValueError("it cannot name a cases file")
-        except ValueError as exc:
-            raise ValueError(f"split {split!r}: {exc}") from None
-        _set(self, "split", split)
+        _set(self, "split", check_split(split))
 
     @property
     def kind(self) -> str:

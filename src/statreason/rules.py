@@ -40,12 +40,14 @@ class _Unterminated(RuleSyntaxError):
 
 class ProgramSyntaxError(RuleSyntaxError):
     """Every problem of a structure file: `problems` holds a (position,
-    message) pair per bad clause, or one for text that does not tokenize."""
+    message) pair per bad clause, or one for text that does not tokenize,
+    and `rules` the rules of the clauses that parsed, by head."""
 
-    def __init__(self, problems: list[tuple[int, str]]):
+    def __init__(self, problems: list[tuple[int, str]], rules: dict[str, Rule]):
         ValueError.__init__(self, "; ".join(message for _, message in problems))
         self.position = problems[0][0]
         self.problems = problems
+        self.rules = rules
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +269,12 @@ def parse_program(text: str) -> Program:
 
     Syntax errors and duplicate heads are aggregated across clauses into
     one ProgramSyntaxError, each with its 1-based clause number and the
-    position it was found at.
+    position it was found at; the error keeps the rules that parsed.
     """
     try:
         parser = _Parser(text)
     except RuleSyntaxError as exc:
-        raise ProgramSyntaxError([(exc.position, str(exc))]) from None
+        raise ProgramSyntaxError([(exc.position, str(exc))], {}) from None
     rules: dict[str, Rule] = {}
     problems: list[tuple[int, str]] = []
     clause_no = 0
@@ -299,7 +301,7 @@ def parse_program(text: str) -> Program:
         else:
             rules[rule.head_id] = rule
     if problems:
-        raise ProgramSyntaxError(problems)
+        raise ProgramSyntaxError(problems, rules)
     return Program(rules)
 
 
@@ -365,26 +367,50 @@ def reference_problems(program: Program) -> list[tuple[Rule, str]]:
 
 
 # ---------------------------------------------------------------------------
-# Dependency trees
+# Unrolling
+
+
+def unroll(program: Program, root_id: str, depth_cap: int):
+    """The rule base unrolled below `root_id` with a stack of its own, so any
+    cap unrolls: its nodes in post order as (op, id, depth, bindings, body,
+    arity) tuples. The root is at depth 1, a callee one deeper than its
+    caller and an operator ("AND", "OR", "NOT") at its subsection's depth,
+    after its `arity` operands. A subsection at depth == depth_cap gets no
+    body, so a recursive rule unrolls until the cap, and a callee without a
+    rule is a leaf. A subsection with a body comes as "open" (`body` False)
+    before it and "subsection" after; `bindings` are its reference's (callee
+    param, caller var) pairs, empty for the root."""
+    todo: list = [(Ref(root_id, ()), 0)]  # tuples to yield and (expression, caller depth) pairs
+    while todo:
+        item = todo.pop()
+        if isinstance(item[0], str):
+            yield item
+        elif isinstance(item[0], Ref):
+            ref, depth = item[0], item[1] + 1
+            rule = program.get(ref.callee_id)
+            body = rule.body if rule is not None and depth < depth_cap else None
+            todo.append(("subsection", ref.callee_id, depth, ref.bindings, body is not None, 0))
+            if body is not None:
+                yield ("open", ref.callee_id, depth, ref.bindings, False, 0)
+                todo.append((body, depth))
+        else:
+            expr, depth = item
+            children = (expr.child,) if isinstance(expr, Not) else expr.children
+            kind = "NOT" if isinstance(expr, Not) else "AND" if isinstance(expr, And) else "OR"
+            todo.append((kind, None, depth, (), False, len(children)))
+            todo += [(child, depth) for child in reversed(children)]
 
 
 class SubsectionNode(Frozen):
-    """A subsection occurrence in an unrolled dependency tree.
-
-    `bindings` are the (callee param, caller var) pairs of the reference that
-    introduced this node; empty for the root.
-    """
+    """A subsection of an unrolled tree, as `unroll` gives it, and its body or None."""
 
     __slots__ = ("id", "depth", "bindings", "child")
 
 
 class OpNode(Frozen):
-    """An operator of an unrolled dependency tree: `kind` is "AND", "OR" or "NOT"."""
+    """An operator of an unrolled tree: `kind` is "AND", "OR" or "NOT"."""
 
     __slots__ = ("kind", "depth", "children")
-
-
-TreeNode = SubsectionNode | OpNode
 
 
 class DepTree(Frozen):
@@ -392,30 +418,16 @@ class DepTree(Frozen):
 
 
 def build_dependency_tree(program: Program, root_id: str, depth_cap: int) -> DepTree:
-    """Unroll the rule base into a tree below `root_id`.
-
-    A subsection node at depth == depth_cap gets no child even if its rule
-    has a body; recursive references simply unroll until the cap. Referenced
-    identifiers without a rule become leaves.
-    """
+    """`unroll`'s tuples below `root_id` folded into a tree of nodes, which
+    only the benchmark's tree probe reads; the engine compiles `unroll`'s."""
     if root_id not in program:
         raise KeyError(f"unknown rule: {root_id}")
     if depth_cap < 1:
         raise ValueError(f"depth cap must be >= 1, got {depth_cap}")
-
-    def subsection(sid: str, depth: int, bindings: tuple[tuple[str, str], ...]) -> SubsectionNode:
-        rule = program.get(sid)
-        child = None
-        if rule is not None and rule.body is not None and depth < depth_cap:
-            child = expand(rule.body, depth)
-        return SubsectionNode(sid, depth, bindings, child)
-
-    def expand(expr: BodyExpr, depth: int) -> TreeNode:
-        if isinstance(expr, Ref):
-            return subsection(expr.callee_id, depth + 1, expr.bindings)
-        if isinstance(expr, Not):
-            return OpNode("NOT", depth, (expand(expr.child, depth),))
-        kind = "AND" if isinstance(expr, And) else "OR"
-        return OpNode(kind, depth, tuple(expand(c, depth) for c in expr.children))
-
-    return DepTree(subsection(root_id, 1, ()), depth_cap)
+    nodes: list = []
+    for op, sid, depth, bindings, body, arity in unroll(program, root_id, depth_cap):
+        if op == "subsection":
+            nodes.append(SubsectionNode(sid, depth, bindings, nodes.pop() if body else None))
+        elif op != "open":
+            nodes[-arity:] = [OpNode(op, depth, tuple(nodes[-arity:]))]
+    return DepTree(nodes.pop(), depth_cap)

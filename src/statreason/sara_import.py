@@ -45,7 +45,7 @@ from .corpus import (
     CorpusError, FileError, _read, item_problems, load_corpus, serialize_cases, serialize_coref, serialize_spans,
 )
 from .model import ArgumentLayer, Case, Span, Subsection, ValueMap, matrix_to_clusters
-from .rules import parse_program, print_rule
+from .rules import ProgramSyntaxError, parse_program, print_rule
 
 
 class ImportLog:
@@ -222,20 +222,24 @@ def _clusters(source: Path, name: str, n_spans: int, log: ImportLog):
 
 
 def _rules(source: Path, log: ImportLog) -> list[_Item]:
-    """A rule per clause of `structure.txt`, in source order."""
+    """A rule per clause of `structure.txt` that parses, in source order;
+    each other clause is skipped at its line, as the loader reports it."""
     path = source / "structure.txt"
     if not path.exists():
         log.skip("structure.txt", "not present")
     if not _is_file(path, source, log):
         return []
+    text = _read(path)
     try:
-        program = parse_program(_read(path))
-    except ValueError as exc:
-        log.skip("structure.txt", str(exc))
-        return []
+        rules = parse_program(text).rules
+    except ProgramSyntaxError as exc:
+        for pos, message in exc.problems:
+            line = text.count("\n", 0, pos) + 1
+            log.skip(f"structure.txt:{line}", message)
+        rules = exc.rules
     return [
         _Item(f"structure.txt {rule.head_id}", rule, {"structure.txt": print_rule(rule) + "\n"})
-        for rule in program.rules.values()
+        for rule in rules.values()
     ]
 
 

@@ -15,9 +15,10 @@ its quoted-string scan one character at a time, and the structure parser
 over `_tokenize`'s token objects (`_Parser`), as first written, and
 `parse_rule`, one clause read with the library's parser, which the rule
 printer's round-trip tests use.
-`unified_accuracy` is the unified mean as the library once defined it, and
+`unified_accuracy` is the unified mean as the library once defined it,
+`build_dependency_tree` the recursive tree builder the library once had, and
 `instantiate_full` the engine's populate-then-resolve tree evaluation,
-recursive over a tree built for each case, with the per-subsection
+recursive over such a tree built for each case, with the per-subsection
 `_instantiate`, the operator combination (`do_operation`) and the value-map
 helpers it used (`merged`, `without`, `_translate`) over dicts.
 `tree_depth` is the dependency-tree depth the depth-cap tests measure with."""
@@ -97,10 +98,8 @@ from statreason.rules import (
     Rule,
     RuleSyntaxError,
     SubsectionNode,
-    TreeNode,
     _Parser as _TextParser,
     _Unterminated,
-    build_dependency_tree,
 )
 
 
@@ -363,6 +362,40 @@ def resolver_answer(resolver, request, text: str) -> Value | None:
     if name == TRUTH_KEY:
         return overlap_score(text, case.description)
     return value_for(name, request)
+
+
+TreeNode = SubsectionNode | OpNode
+
+
+def build_dependency_tree(program: Program, root_id: str, depth_cap: int) -> DepTree:
+    """The rule base unrolled into a tree below `root_id`, recursively, as
+    the library first built it.
+
+    A subsection node at depth == depth_cap gets no child even if its rule
+    has a body; recursive references simply unroll until the cap. Referenced
+    identifiers without a rule become leaves.
+    """
+    if root_id not in program:
+        raise KeyError(f"unknown rule: {root_id}")
+    if depth_cap < 1:
+        raise ValueError(f"depth cap must be >= 1, got {depth_cap}")
+
+    def subsection(sid: str, depth: int, bindings: tuple[tuple[str, str], ...]) -> SubsectionNode:
+        rule = program.get(sid)
+        child = None
+        if rule is not None and rule.body is not None and depth < depth_cap:
+            child = expand(rule.body, depth)
+        return SubsectionNode(sid, depth, bindings, child)
+
+    def expand(expr: BodyExpr, depth: int) -> TreeNode:
+        if isinstance(expr, Ref):
+            return subsection(expr.callee_id, depth + 1, expr.bindings)
+        if isinstance(expr, Not):
+            return OpNode("NOT", depth, (expand(expr.child, depth),))
+        kind = "AND" if isinstance(expr, And) else "OR"
+        return OpNode(kind, depth, tuple(expand(c, depth) for c in expr.children))
+
+    return DepTree(subsection(root_id, 1, ()), depth_cap)
 
 
 def tree_depth(tree: DepTree) -> int:
@@ -1319,7 +1352,7 @@ def parse_program_by_tokens(text: str) -> Program:
     try:
         parser = _Parser(text)
     except RuleSyntaxError as exc:
-        raise ProgramSyntaxError([(exc.position, str(exc))]) from None
+        raise ProgramSyntaxError([(exc.position, str(exc))], {}) from None
     rules: dict[str, Rule] = {}
     problems: list[tuple[int, str]] = []
     clause_no = 0
@@ -1343,5 +1376,5 @@ def parse_program_by_tokens(text: str) -> Program:
         else:
             rules[rule.head_id] = rule
     if problems:
-        raise ProgramSyntaxError(problems)
+        raise ProgramSyntaxError(problems, rules)
     return Program(rules)

@@ -1,4 +1,6 @@
+import importlib.util
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -18,11 +20,13 @@ from statreason.corpus import (
     validate_corpus,
 )
 from statreason.cli import main
+from statreason.model import TRUTH_KEY, Case, ValueMap
 
 from generators import corpora, corpus_fields
 from layouts import write_corpus
 
 FIXTURES = Path(__file__).parent / "fixtures" / "corpus"
+SCRIPTS = Path(__file__).parent.parent / "scripts"
 
 
 def copy_corpus(tmp_path: Path) -> Path:
@@ -33,6 +37,22 @@ def copy_corpus(tmp_path: Path) -> Path:
 
 def edit(path: Path, old: str, new: str) -> None:
     path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+
+
+class TestManifest:
+    def test_a_key_that_names_no_part_is_refused_at_its_line(self, tmp_path, capsys):
+        root = copy_corpus(tmp_path)
+        manifest = root / "manifest.txt"
+        manifest.write_text("# parts\n" + manifest.read_text(encoding="utf-8") + "glossary=cases\n", encoding="utf-8")
+        assert main(["validate", "--manifest", str(manifest)]) == 1
+        assert capsys.readouterr().err == f"{manifest}:8: unknown manifest key 'glossary'\n"
+
+    def test_missing_keys_are_reported_first(self, tmp_path, capsys):
+        root = copy_corpus(tmp_path)
+        manifest = root / "manifest.txt"
+        edit(manifest, "cases=cases", "case=cases")
+        assert main(["validate", "--manifest", str(manifest)]) == 1
+        assert capsys.readouterr().err == f"{manifest}: manifest is missing keys: cases\n"
 
 
 class TestLoadStatutes:
@@ -210,14 +230,31 @@ class TestLoadCases:
             load_corpus(root / "manifest.txt")
         assert str(exc.value).startswith(f"{path}:{lineno}: cannot type value 'nonsense'")
 
-    @pytest.mark.parametrize("stem", ["all", "silver"])
-    def test_reserved_split_names_rejected(self, tmp_path, capsys, stem):
-        # `--split all` and the silver series already mean something else.
+    @pytest.mark.parametrize(
+        "stem, message",
+        [("all", "split 'all': it cannot name a cases file"), ("silver", "'silver' is reserved and cannot name a split")],
+        ids=["all", "silver"],
+    )
+    def test_reserved_split_names_rejected(self, tmp_path, capsys, stem, message):
+        # `--split all` and the silver series already mean something else:
+        # `all` by the model's split rule, `silver` by the loader.
         root = copy_corpus(tmp_path)
         path = root / "cases" / f"{stem}.cases"
         (root / "cases" / "test.cases").rename(path)
         assert main(["stats", "--manifest", str(root / "manifest.txt")]) == 1
-        assert capsys.readouterr().err == f"{path}: {stem!r} is reserved and cannot name a split\n"
+        assert capsys.readouterr().err == f"{path}: {message}\n"
+
+    @pytest.mark.parametrize("stem", ["my split", "#test"])
+    def test_a_stem_that_cannot_be_a_split_gives_one_line(self, tmp_path, capsys, stem):
+        # The stem is checked once, with the model's split rule, and the
+        # file's records are not read.
+        root = copy_corpus(tmp_path)
+        path = root / "cases" / f"{stem}.cases"
+        (root / "cases" / "test.cases").rename(path)
+        with pytest.raises(ValueError) as exc:
+            Case("c", "d", "§1", ValueMap(), ValueMap({TRUTH_KEY: 1.0}), stem)
+        assert main(["validate", "--manifest", str(root / "manifest.txt")]) == 1
+        assert capsys.readouterr().err == f"{path}: {exc.value}\n"
 
     def test_binary_case_requires_truth(self, tmp_path):
         root = copy_corpus(tmp_path)
@@ -292,6 +329,23 @@ class TestValidation:
             (case, f"case {case.id}"),
             (corpus.layers["§1(d)(iv)"], "layer §1(d)(iv)"),
         ] + [(corpus.layers["§3306(c)"], "layer §3306(c)")] * 3  # one per named cluster
+
+
+def test_the_fixture_builder_writes_the_fixture(tmp_path, monkeypatch, capsys):
+    # scripts/build_fixture_corpus.py regenerates tests/fixtures/corpus byte
+    # for byte: the same files, the same bytes in each.
+    monkeypatch.setattr(sys, "path", [*sys.path])  # the script puts src/ on it
+    spec = importlib.util.spec_from_file_location("build_fixture_corpus", SCRIPTS / "build_fixture_corpus.py")
+    builder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(builder)
+    monkeypatch.setattr(builder, "OUT", tmp_path)
+    builder.main()
+    assert capsys.readouterr().out == f"fixture corpus written to {tmp_path}\n"
+
+    def files(root: Path) -> dict[str, bytes]:
+        return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+    assert files(tmp_path) == files(FIXTURES)
 
 
 class TestRoundTrip:

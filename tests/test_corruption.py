@@ -228,8 +228,7 @@ def test_corrupt_prediction_import(writer, readers, tmp_path):
 
 # Input nested past what recursion could read: a case value, a clause body
 # in brackets and a NOT chain 10,000 levels deep are refused at their line
-# with exit 1, and a depth cap whose tree is too deep to compile fails only
-# the cases that query it.
+# with exit 1. A recursive rule unrolls to any depth cap without recursing.
 
 DEEP = 10_000
 
@@ -267,7 +266,7 @@ def test_a_clause_body_nested_ten_thousand_levels(nesting, width, tmp_path):
     assert run(["validate", "--manifest", str(root / "manifest.txt")]) == (1, f"{path}:{lineno}: {message}\n")
 
 
-def test_a_depth_cap_too_deep_to_compile_fails_its_cases(tmp_path):
+def test_a_recursive_rule_runs_at_a_depth_cap_of_5000(tmp_path):
     root = tmp_path / "corpus"
     shutil.copytree(FIXTURES, root)
     path = root / "structure.txt"
@@ -277,8 +276,10 @@ def test_a_depth_cap_too_deep_to_compile_fails_its_cases(tmp_path):
     out = tmp_path / "out"
     argv = ["eval-inst", "--manifest", str(root / "manifest.txt"), "--resolver", "oracle", "--split", "all"]
     assert run([*argv, "--depth-cap", "5000", "--out", str(out)]) == (0, "")
-    # The two Tax cases reach the recursive rule; the others still score.
-    assert "\n  case errors: 2\n" in (out / "eval-inst.report.txt").read_text(encoding="utf-8")
+    # The two Tax cases unroll the recursive rule 5,000 levels and score
+    # like every other case.
+    report = (out / "eval-inst.report.txt").read_text(encoding="utf-8")
+    assert "case errors:" not in report and "\n    unified         100.0 +-  0.0   (n=14)\n" in report
 
 
 if __name__ == "__main__":

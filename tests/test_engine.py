@@ -31,7 +31,7 @@ from statreason.engine import (
     run_cases,
 )
 from statreason.model import ArgumentLayer, Case, Money, Span, Subsection, TRUTH_KEY, ValueMap
-from statreason.rules import OpNode, Program, Rule, SubsectionNode, build_dependency_tree, parse_program
+from statreason.rules import OpNode, Program, Rule, SubsectionNode, parse_program
 
 from generators import MODEL_VALUES, SUBCLASSED_VALUES, random_nested_program, random_value_map, texts_with_layers
 
@@ -587,23 +587,18 @@ class TestInstantiateFull:
         assert len({tuple(r.items()) for r in alone}) == len(cases)
 
     def test_tree_built_once_per_query(self, corpus, monkeypatch):
-        # Each query's tree is built, and compiled into its program, once.
-        built, compiled = Counter(), Counter()
-        real_build, real_compile = engine.build_dependency_tree, engine.compile_query
-
-        def building(program, root_id, depth_cap):
-            built[root_id] += 1
-            return real_build(program, root_id, depth_cap)
+        # Each query's rules are unrolled, and compiled into its program, once.
+        compiled = Counter()
+        real_compile = engine.compile_query
 
         def compiling(context, query):
             compiled[query] += 1
             return real_compile(context, query)
 
-        monkeypatch.setattr(engine, "build_dependency_tree", building)
         monkeypatch.setattr(engine, "compile_query", compiling)
         results, _ = run_cases(OracleResolver(), corpus, "all")
-        assert built == compiled == Counter({q: 1 for q in {c.query for c in corpus.cases}})
-        assert len(results) > len(built)
+        assert compiled == Counter({q: 1 for q in {c.query for c in corpus.cases}})
+        assert len(results) > len(compiled)
 
     def test_each_run_compiles_its_own_programs(self, corpus, monkeypatch):
         compiled = []
@@ -687,14 +682,15 @@ def post_order(node):
 
 
 class TestCompiledProgram:
-    """A query's program against the tree it was compiled from."""
+    """A query's program against the tree the recursive builder
+    (`oracles.build_dependency_tree`) unrolls."""
 
     @staticmethod
     def assert_compiles(program, query, depth_cap, layers, texts):
         context = RunContext(program, layers, texts, EngineConfig(depth_cap))
         steps = engine.compile_query(context, query)
         plans = context.plans
-        tree = build_dependency_tree(program, query, depth_cap)
+        tree = oracles.build_dependency_tree(program, query, depth_cap)
         assert [s.index for s in steps] == list(range(len(steps)))
         # Without its "open" steps the program is the tree in post order,
         # each node visited once; `node` pairs each step with its node.
@@ -789,38 +785,24 @@ class TestOneWalk:
                 _, _, requests = self.assert_same_run(make, corpus.program, corpus.layers, texts, corpus.cases, config)
                 assert requests
 
-    def test_nodes_are_built_only_with_each_query_tree(self, corpus, monkeypatch):
-        def size(node):
-            if isinstance(node, OpNode):
-                return 1 + sum(size(c) for c in node.children)
-            return 1 + (size(node.child) if node.child is not None else 0)
-
-        queries = {c.query for c in corpus.cases}
-        expected = sum(size(build_dependency_tree(corpus.program, q, 3).root) for q in queries)
-        building, built = [False], []
-        real_build = engine.build_dependency_tree
-
-        def build(*args):
-            building[0] = True
-            try:
-                return real_build(*args)
-            finally:
-                building[0] = False
+    def test_a_run_builds_no_tree_node(self, corpus, monkeypatch):
+        # The engine compiles from `rules.unroll`'s tuples; no tree is built.
+        built = []
 
         def counted(init):
             def construct(node, *args, **named):
-                assert building[0], f"{type(node).__name__} built outside build_dependency_tree"
                 built.append(node)
                 init(node, *args, **named)
 
             return construct
 
-        monkeypatch.setattr(engine, "build_dependency_tree", build)
         for cls in (SubsectionNode, OpNode):
             monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
         results, _ = run_cases(OracleResolver(), corpus, "all")
-        assert all(r.error is None for r in results) and len(results) > len(queries)
-        assert len(built) == expected
+        assert all(r.error is None for r in results) and len(results) > 1
+        assert built == []
+        oracles.build_dependency_tree(corpus.program, results[0].case.query, 3)
+        assert built  # the count sees the nodes a tree build makes
 
 
 class TestEngineInvariants:
@@ -877,17 +859,20 @@ class TestEvaluateRun:
             "case a: malformed id '#b': an id is non-empty, holds no whitespace and starts with no '#'", None
         ]
 
-    def test_a_tree_too_deep_to_compile_fails_its_cases(self):
-        # A rule that calls itself unrolls to the depth cap; at a cap of
-        # 5,000 building its tree overflows the stack, which fails the cases
-        # that query it, naming the query and the cap, and the run goes on.
+    def test_a_recursive_rule_compiles_at_any_cap(self):
+        # A rule that calls itself unrolls to the depth cap: at a cap of 5,000,
+        # far past the interpreter's recursion limit, its query compiles to
+        # one open and one subsection step per level above the cap and the
+        # leaf at the cap, and its cases score like any other.
         program = parse_program("C(x) :- C(x).\nB(x).")
         cases = tuple(Case(q.lower(), "", q, ValueMap(), ValueMap({TRUTH_KEY: 1.0}), "test") for q in "CB")
         corpus = Corpus(None, {}, {}, program, cases, (), ())
-        results, notes = run_cases(OracleResolver(), corpus, config=EngineConfig(5000))
-        error = "case c: query C is too deep to compile at depth cap 5000"
-        assert [r.error for r in results] == [error, None]
-        assert notes[0] == ("c", None, error, "error")
+        context = RunContext(program, {}, {}, EngineConfig(5000))
+        steps = engine.compile_query(context, "C")
+        assert len(steps) == 9999 and [s.op for s in steps].count("open") == 4999
+        results, report = evaluate_run(OracleResolver(), corpus, config=EngineConfig(5000))
+        assert [(r.error, r.predicted) for r in results] == [(None, {TRUTH_KEY: 1.0})] * 2
+        assert report.errors == () and report.unified.accuracy == 1.0
 
     def test_known_is_a_read_only_view(self, corpus):
         # Assigning into `request.known` fails that case, naming the

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 
 from statreason.rules import (
     And,
@@ -12,11 +12,13 @@ from statreason.rules import (
     Program,
     ProgramSyntaxError,
     Ref,
+    Rule,
     RuleSyntaxError,
     build_dependency_tree,
     parse_program,
     print_rule,
     reference_problems,
+    unroll,
     OpNode,
     SubsectionNode,
 )
@@ -187,6 +189,41 @@ class TestDependencyTree:
         tree = build_dependency_tree(program, "§1(a)", 4)
         assert tree_depth(tree) == 4
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    def test_the_fold_is_the_recursive_tree(self, seed, depth_cap):
+        rng = random.Random(seed)
+        program = random_nested_program(rng, rng.randrange(2, 7))
+        for head in program.rules:
+            assert build_dependency_tree(program, head, depth_cap) == oracles.build_dependency_tree(
+                program, head, depth_cap
+            )
+
+    def test_the_fold_is_the_recursive_tree_on_the_fixture(self):
+        program = parse_program(FIXTURE_STRUCTURE)
+        for head in program.rules:
+            for depth_cap in (1, 2, 3, 4):
+                assert build_dependency_tree(program, head, depth_cap) == oracles.build_dependency_tree(
+                    program, head, depth_cap
+                )
+
+    def test_a_recursive_rule_unrolls_at_any_cap(self):
+        # One open and one subsection per level above the cap, and the leaf
+        # at the cap: far deeper than the interpreter's recursion limit.
+        program = parse_program("C(x) :- C(x).")
+        nodes = list(unroll(program, "C", 5000))
+        assert len(nodes) == 9999
+        opens, leaf, closes = nodes[:4999], nodes[4999], nodes[5000:]
+        assert [n[:3] for n in opens] == [("open", "C", d) for d in range(1, 5000)]
+        assert leaf == ("subsection", "C", 5000, (("x", "x"),), False, 0)
+        assert [(n[2], n[4]) for n in closes] == [(d, True) for d in range(4999, 0, -1)]
+        assert closes[-1][3] == ()
+
+    def test_cap_below_one_rejected(self):
+        program = parse_program(CLAUSE_1DIV)
+        with pytest.raises(ValueError, match="depth cap must be >= 1, got 0"):
+            build_dependency_tree(program, "§1(d)(iv)", 0)
+
     def test_populate_through_bindings(self):
         # Without layers each subsection gets one request, for its truth
         # score, knowing exactly the values passed down to it.
@@ -286,7 +323,7 @@ def parse_outcome(parse, text: str):
     try:
         return repr(parse(text))
     except ProgramSyntaxError as exc:
-        return "problems", exc.problems
+        return "problems", exc.problems, exc.rules
     except RuleSyntaxError as exc:
         return "error", str(exc), exc.position
 
@@ -348,11 +385,12 @@ class TestNesting:
     def test_past_the_bound_a_problem_at_the_first_level_too_many(self, drawn):
         text, offset = drawn
         message = f"clause 1: brackets and NOTs nest deeper than 100 levels (at offset {offset})"
-        assert parse_outcome(parse_program, text) == ("problems", [(offset, message)])
+        rules = {"B": Rule("B", ("x",)), "C": Rule("C", ())}
+        assert parse_outcome(parse_program, text) == ("problems", [(offset, message)], rules)
 
     @pytest.mark.parametrize("opener, closer", [("[", "]"), ("NOT ", "")])
     def test_ten_thousand_levels(self, opener, closer):
         text = "A(x) :- " + opener * 10_000 + "B(x)" + closer * 10_000 + ".\nB(x)."
         offset = len("A(x) :- ") + 100 * len(opener)
         message = f"clause 1: brackets and NOTs nest deeper than 100 levels (at offset {offset})"
-        assert parse_outcome(parse_program, text) == ("problems", [(offset, message)])
+        assert parse_outcome(parse_program, text) == ("problems", [(offset, message)], {"B": Rule("B", ("x",))})

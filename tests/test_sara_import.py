@@ -313,8 +313,8 @@ class TestImport:
 
     def test_input_nested_too_deep_is_skipped(self, tmp_path, capsys):
         # Past the nesting bound a case's value skips the case, and a clause
-        # the structure file, as any syntax error in it does; what needed
-        # that file's rules goes with it.
+        # that clause, as any syntax error in it does; the file's other
+        # clauses, and what needs them, import.
         source, dest = tmp_path / "dist", tmp_path / "canonical"
         make_distributed_tree(source)
         case = source / "cases" / "case-1-positive"
@@ -325,11 +325,12 @@ class TestImport:
         write(structure, head + "NOT " * 10_000 + "§1(d)(iv)(X).\n")
         log = import_corpus(source, dest)
         assert log.skipped == [
-            f"structure.txt: clause 2: brackets and NOTs nest deeper than 100 levels (at offset {len(head) + 400})",
+            f"structure.txt:2: clause 2: brackets and NOTs nest deeper than 100 levels (at offset {len(head) + 400})",
             "cases/case-1-positive: nested deeper than 100 levels (column 102)",
-            "spans/1_d_iv: layer §1(d)(iv): cluster 'Tax' named but no rule declares parameters",
         ]
         self.assert_validates(dest, capsys)
+        corpus = load_corpus(dest / "manifest.txt")
+        assert list(corpus.program.rules) == list(corpus.layers) == ["§1(d)(iv)"]
 
     def test_subsection_ids_listed_twice_are_skipped(self, tmp_path, capsys):
         source, dest = tmp_path / "dist", tmp_path / "canonical"
@@ -409,11 +410,34 @@ class TestImport:
         write(source / "structure.txt", "§1(d)(iv)(Tax, Taxinc)\n")
         log = import_corpus(source, dest)
         assert log.skipped == [
-            "structure.txt: clause 1: expected '.', found 'end of input' (at offset 23)",
+            "structure.txt:2: clause 1: expected '.', found 'end of input' (at offset 23)",
             "cases/case-1-positive: case case-1-positive: query §1(d)(iv) has no structure rule",
             "spans/1_d_iv: layer §1(d)(iv): cluster 'Tax' named but no rule declares parameters",
         ]
         self.assert_validates(dest, capsys)
+
+    def test_a_bad_clause_between_good_ones_skips_only_itself(self, tmp_path, capsys):
+        # Each clause that does not parse is skipped at its line, with the
+        # loader's message; the clauses around it import, and what needs them.
+        source, dest = tmp_path / "dist", tmp_path / "canonical"
+        make_distributed_tree(source)
+        write(source / "statutes" / "section7.txt", "(a) Seven.")
+        write(source / "statutes" / "section7.offsets", "§7(a) 0 10\n")
+        structure = "§1(d)(iv)(Tax, Taxinc).\n§5(a)(X) :- [§1(d)(iv)(X).\n§7(a)().\n"
+        write(source / "structure.txt", structure)
+        log = import_corpus(source, dest)
+        message = "clause 2: expected ']', found '.' (at offset 49)"
+        assert log.skipped == [f"structure.txt:2: {message}"]
+        assert "structure.txt §1(d)(iv)" in log.imported and "structure.txt §7(a)" in log.imported
+        self.assert_validates(dest, capsys)
+        corpus = load_corpus(dest / "manifest.txt")
+        assert list(corpus.program.rules) == ["§1(d)(iv)", "§7(a)"]
+        assert list(corpus.layers) == ["§1(d)(iv)"] and [c.id for c in corpus.cases] == ["case-1-positive"]
+        # The loader reads the source's structure file the same way.
+        write(dest / "structure.txt", structure)
+        assert run(["validate", "--manifest", str(dest / "manifest.txt")]) == (
+            1, f"{dest / 'structure.txt'}:2: {message}\n"
+        )
 
     def test_a_skipped_offsets_line_drops_the_rule_of_its_subsection(self, tmp_path, capsys):
         source, dest = tmp_path / "dist", tmp_path / "canonical"
