@@ -78,16 +78,16 @@ def heuristic_argument_id(text: str) -> list[Span]:
     i = 0
     while i < len(tokens):
         if tokens[i][0].lower() in _DETERMINERS:
-            i = _absorb(text, tokens, i, tokens[i][1], spans)
+            i = _absorb(text, tokens, i, spans)
         else:
             i += 1
     return spans
 
 
-def _absorb(text: str, tokens, i: int, start: int, spans: list[Span]) -> int:
-    """Extend a phrase from token i+1 on; append completed spans. Returns the
-    next unconsumed token index."""
-    end = tokens[i][2]
+def _absorb(text: str, tokens, i: int, spans: list[Span]) -> int:
+    """Extend the phrase that token i starts from token i+1 on; append
+    completed spans. Returns the next unconsumed token index."""
+    start = tokens[i][1]
     absorbed = 0
     j = i + 1
     while j < len(tokens):
@@ -95,15 +95,16 @@ def _absorb(text: str, tokens, i: int, start: int, spans: list[Span]) -> int:
         lower = word.lower()
         if lower in _PHRASE_STOP or lower in _DETERMINERS:
             break
+        j += 1
         if lower.endswith("'s"):
             # Possessive: close at the stem, then start a fresh phrase after it.
             spans.append(Span(start, wend - 2))
-            if j + 1 < len(tokens) and _continues(tokens[j + 1][0]):
-                return _absorb(text, tokens, j, tokens[j + 1][1], spans)
-            return j + 1
+            if j == len(tokens) or not _continues(tokens[j][0]):
+                return j
+            start, absorbed = tokens[j][1], 0
+            continue
         end = wend
         absorbed += 1
-        j += 1
         if wend < len(text) and text[wend] in ".,;:!?":
             break
     if absorbed:

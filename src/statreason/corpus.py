@@ -20,8 +20,8 @@ from collections.abc import Mapping
 from pathlib import Path
 
 from . import records
-from .model import ArgumentLayer, Case, Frozen, Span, Subsection, TRUTH_KEY, check_split
-from .rules import ProgramSyntaxError, Rule, iter_refs, parse_program, reference_problems
+from .model import ArgumentLayer, Case, Frozen, Span, Subsection, check_split
+from .rules import Rule, iter_refs, parse_program, reference_problems
 
 
 class FileError(Frozen):
@@ -263,13 +263,8 @@ def load_cases(cases_dir: str | Path, split: str | None = None) -> list[Case]:
                 expected = records.as_value_map(record.require("expected"), "expected")
                 if record.id in seen:
                     raise records.RecordError(f"duplicate case id {record.id}")
-                if not expected:
-                    raise records.RecordError("expected values must be non-empty")
-                case = Case(record.id, description, query, inputs, expected, name)
-                if case.kind == "binary" and TRUTH_KEY not in expected:
-                    raise records.RecordError("binary cases must expect @truth")
+                cases.append(Case(record.id, description, query, inputs, expected, name))
                 seen.add(record.id)
-                cases.append(case)
             except (records.RecordError, ValueError) as exc:
                 errors.append(FileError(str(path), lineno, str(exc)))
     if errors:
@@ -290,14 +285,9 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
     manifest = CorpusManifest.load(manifest_path)
     subsections = {s.id: s for s in load_statutes(manifest.statutes)}
     layers = load_argument_layers(manifest.spans, manifest.coref, subsections)
-    structure = _read(manifest.structure)
-    try:
-        program = parse_program(structure)
-    except ProgramSyntaxError as exc:
-        where = str(manifest.structure)
-        raise CorpusError(
-            [FileError(where, structure.count("\n", 0, pos) + 1, message) for pos, message in exc.problems]
-        ) from None
+    program, problems = parse_program(_read(manifest.structure))
+    if problems:
+        raise CorpusError([FileError(str(manifest.structure), line, message) for line, message in problems])
     cases = load_cases(manifest.cases)
     silver = load_cases(manifest.silver, split="silver") if manifest.silver else []
     section_files = tuple(sorted({p.name for p in manifest.statutes.glob("*.txt") if p.is_file()} - {"offsets.txt"}))
@@ -324,7 +314,7 @@ def validate_corpus(corpus: Corpus) -> list[str]:
 def item_problems(corpus: Corpus) -> list[tuple[Rule | Case | ArgumentLayer, str]]:
     """`validate_corpus`'s diagnostics, each with the rule, case or layer it is about."""
     problems: list[tuple[Rule | Case | ArgumentLayer, str]] = reference_problems(corpus.program)
-    for rule_id, rule in corpus.program.rules.items():
+    for rule_id, rule in corpus.program.items():
         if rule_id not in corpus.subsections:
             problems.append((rule, f"structure: rule {rule_id} has no subsection text"))
     for case in (*corpus.cases, *corpus.silver):
@@ -483,8 +473,8 @@ def corpus_statistics(corpus: Corpus) -> CorpusStatistics:
         if layer:
             mention_counts.extend(len(c) for c in layer.clusters)
 
-    rule_args = [len(r.params) for r in corpus.program.rules.values()]
-    rule_deps = [len(list(iter_refs(r.body))) for r in corpus.program.rules.values()]
+    rule_args = [len(r.params) for r in corpus.program.values()]
+    rule_deps = [len(list(iter_refs(r.body))) for r in corpus.program.values()]
 
     def pair_series(which: str) -> dict[str, StatSeries]:
         groups: dict[str, list[int]] = {"train": [], "test": [], "all": [], "silver": []}

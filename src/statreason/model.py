@@ -331,19 +331,23 @@ def check_split(split: str) -> str:
 
 class Case(Frozen):
     """A natural-language fact pattern with a query subsection and gold values, in a split
-    that `check_split` accepts."""
+    that `check_split` accepts. Some value is expected, and a binary case expects @truth."""
 
     __slots__ = ("id", "description", "query", "inputs", "expected", "split")
 
     def __init__(
         self, id: str, description: str, query: str, inputs: ValueMap, expected: ValueMap, split: str = "train"
     ):
+        if not expected:
+            raise ValueError("expected values must be non-empty")
         _set(self, "id", check_id(id))
         _set(self, "description", check_text(description))
         _set(self, "query", check_text(query))
         _set(self, "inputs", inputs)
         _set(self, "expected", expected)
         _set(self, "split", check_split(split))
+        if self.kind == "binary" and TRUTH_KEY not in expected:
+            raise ValueError("binary cases must expect @truth")
 
     @property
     def kind(self) -> str:

@@ -73,6 +73,14 @@ def _error(message: str, pos: int) -> RecordError:
     return RecordError(f"{message} (column {pos + 1})")
 
 
+def _int(text: str, end: int) -> int:
+    """The integer `text`, which ends before `end`."""
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        raise _error(f"integer too long ({len(text)} characters)", end) from None
+
+
 def _take(ch: str, text: str, pos: int) -> int:
     while pos < len(text) and text[pos] in " \t":
         pos += 1
@@ -113,11 +121,11 @@ def _typed(m: re.Match, first: int) -> Value:
     kind = m.lastindex - first
     word = m.group(m.lastindex)
     if kind == 4:
-        return int(word)
+        return _int(word, m.end())
     if kind == 5:
         return float(word)
     if kind == 2:
-        return Money(int(word))
+        return Money(_int(word, m.end()))
     if kind == 3:
         try:
             return datetime.date(*map(int, word.split("-")))
@@ -177,7 +185,7 @@ def _item(text: str, pos: int, depth: int = 0) -> tuple[object, int]:
         items, pos = _list(text, _take("[", text, pos), depth + 1)
         return {m.group(6): items}, pos
     if kind == 4:
-        return (int(m.group(3)), int(m.group(4))), pos
+        return (_int(m.group(3), m.end(3)), _int(m.group(4), m.end(4))), pos
     if kind == 5:
         if m.group(5) == "[":
             return _list(text, pos, depth + 1)

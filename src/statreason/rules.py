@@ -17,6 +17,11 @@ bare names such as "Tax". In a body argument list, "A=B" passes the caller's
 variable B as the callee's parameter A, and a bare name N abbreviates "N=N".
 "%" starts a comment that runs to the end of the line. Brackets and NOTs
 nest at most `model.MAX_NESTING` (100) levels in a body.
+
+A parsed body is plain data: a `Ref`, or an `Op` whose `kind` ("AND", "OR"
+or "NOT") is the string `engine.do_operation` combines by. A program is a
+dict of `Rule`s by head; `parse_program` returns it with a (line, message)
+pair per problem.
 """
 
 from __future__ import annotations
@@ -36,18 +41,6 @@ class RuleSyntaxError(ValueError):
 
 class _Unterminated(RuleSyntaxError):
     """A clause that lacks only its final "."."""
-
-
-class ProgramSyntaxError(RuleSyntaxError):
-    """Every problem of a structure file: `problems` holds a (position,
-    message) pair per bad clause, or one for text that does not tokenize,
-    and `rules` the rules of the clauses that parsed, by head."""
-
-    def __init__(self, problems: list[tuple[int, str]], rules: dict[str, Rule]):
-        ValueError.__init__(self, "; ".join(message for _, message in problems))
-        self.position = problems[0][0]
-        self.problems = problems
-        self.rules = rules
 
 
 # ---------------------------------------------------------------------------
@@ -71,29 +64,25 @@ class Ref(Frozen):
         _set(self, "bindings", bindings)
 
 
-class And(Frozen):
-    __slots__ = ("children",)
+class Op(Frozen):
+    """An operator over body expressions: "AND" or "OR" over at least 2
+    children, or "NOT" over exactly 1."""
 
-    def __init__(self, children: tuple):
-        if len(children) < 2:
-            raise ValueError("AND needs at least 2 children")
+    __slots__ = ("kind", "children")
+
+    def __init__(self, kind: str, children: tuple):
+        if kind == "NOT":
+            if len(children) != 1:
+                raise ValueError("NOT needs exactly 1 child")
+        elif kind != "AND" and kind != "OR":
+            raise ValueError(f"unknown operator {kind!r}")
+        elif len(children) < 2:
+            raise ValueError(f"{kind} needs at least 2 children")
+        _set(self, "kind", kind)
         _set(self, "children", children)
 
 
-class Or(Frozen):
-    __slots__ = ("children",)
-
-    def __init__(self, children: tuple):
-        if len(children) < 2:
-            raise ValueError("OR needs at least 2 children")
-        _set(self, "children", children)
-
-
-class Not(Frozen):
-    __slots__ = ("child",)
-
-
-BodyExpr = Ref | And | Or | Not
+BodyExpr = Ref | Op
 
 
 class Rule(Frozen):
@@ -107,19 +96,7 @@ class Rule(Frozen):
         _set(self, "body", body)
 
 
-class Program(Frozen):
-    """The rule base: one rule per section identifier."""
-
-    __slots__ = ("rules",)
-
-    def __contains__(self, head_id: str) -> bool:
-        return head_id in self.rules
-
-    def get(self, head_id: str) -> Rule | None:
-        return self.rules.get(head_id)
-
-    def __len__(self) -> int:
-        return len(self.rules)
+Program = dict[str, Rule]  # the rule base: one rule per section identifier
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +193,14 @@ class _Parser:
         while self.tokens[self.index] == "OR":
             self.index += 1
             children.append(self._parse_and(depth))
-        return children[0] if len(children) == 1 else Or(tuple(children))
+        return children[0] if len(children) == 1 else Op("OR", tuple(children))
 
     def _parse_and(self, depth: int) -> BodyExpr:
         children = [self._parse_not(depth)]
         while self.tokens[self.index] == "AND":
             self.index += 1
             children.append(self._parse_not(depth))
-        return children[0] if len(children) == 1 else And(tuple(children))
+        return children[0] if len(children) == 1 else Op("AND", tuple(children))
 
     def _parse_not(self, depth: int) -> BodyExpr:
         token = self.tokens[self.index]
@@ -233,7 +210,7 @@ class _Parser:
                 raise RuleSyntaxError(message, self.position(self.index))
             self.index += 1
             if token == "NOT":
-                return Not(self._parse_not(depth + 1))
+                return Op("NOT", (self._parse_not(depth + 1),))
             body = self.parse_body(depth + 1)
             self.expect("]")
             return body
@@ -264,19 +241,17 @@ class _Parser:
             raise RuleSyntaxError(str(exc), self.position(start)) from exc
 
 
-def parse_program(text: str) -> Program:
-    """Parse a whole structure-annotation file.
-
-    Syntax errors and duplicate heads are aggregated across clauses into
-    one ProgramSyntaxError, each with its 1-based clause number and the
-    position it was found at; the error keeps the rules that parsed.
-    """
+def parse_program(text: str) -> tuple[Program, list[tuple[int, str]]]:
+    """Parse a whole structure-annotation file into the rules of the clauses
+    that parse, by head, and a (line, message) problem per clause that does
+    not or repeats a head, each message with its 1-based clause number, or
+    one problem for text that does not tokenize."""
     try:
         parser = _Parser(text)
     except RuleSyntaxError as exc:
-        raise ProgramSyntaxError([(exc.position, str(exc))], {}) from None
-    rules: dict[str, Rule] = {}
-    problems: list[tuple[int, str]] = []
+        return {}, [(text.count("\n", 0, exc.position) + 1, str(exc))]
+    rules: Program = {}
+    problems: list[tuple[int, str]] = []  # (position, message) pairs
     clause_no = 0
     tokens = parser.tokens
     while tokens[parser.index]:
@@ -300,9 +275,7 @@ def parse_program(text: str) -> Program:
             problems.append((parser.position(start), f"clause {clause_no}: duplicate rule for {rule.head_id}"))
         else:
             rules[rule.head_id] = rule
-    if problems:
-        raise ProgramSyntaxError(problems, rules)
-    return Program(rules)
+    return rules, [(text.count("\n", 0, position) + 1, message) for position, message in problems]
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +286,10 @@ def print_body(expr: BodyExpr, parent: str = "OR") -> str:
     if isinstance(expr, Ref):
         parts = [p if p == v else f"{p}={v}" for p, v in expr.bindings]
         return f"{expr.callee_id}({', '.join(parts)})"
-    if isinstance(expr, Not):
-        inner = print_body(expr.child, "NOT")
-        return f"NOT {inner}"
-    op = "AND" if isinstance(expr, And) else "OR"
+    op = expr.kind
     text = f" {op} ".join(print_body(c, op) for c in expr.children)
+    if op == "NOT":
+        return f"NOT {text}"
     # Brackets wherever re-parsing would otherwise regroup: under NOT, an OR
     # chain under AND, and same-operator nesting (parsing flattens chains).
     needs_brackets = (parent == "NOT") or (parent == "AND" and op == "OR") or parent == op
@@ -340,8 +312,6 @@ def iter_refs(body: BodyExpr | None):
     textual order."""
     if isinstance(body, Ref):
         yield body
-    elif isinstance(body, Not):
-        yield from iter_refs(body.child)
     elif body is not None:
         for child in body.children:
             yield from iter_refs(child)
@@ -351,7 +321,7 @@ def reference_problems(program: Program) -> list[tuple[Rule, str]]:
     """Dangling callees and bindings to undeclared variables, each with the
     rule it is about."""
     problems = []
-    for rule in program.rules.values():
+    for rule in program.values():
         params = set(rule.params)
         for ref in iter_refs(rule.body):
             if ref.callee_id not in program:
@@ -395,10 +365,8 @@ def unroll(program: Program, root_id: str, depth_cap: int):
                 todo.append((body, depth))
         else:
             expr, depth = item
-            children = (expr.child,) if isinstance(expr, Not) else expr.children
-            kind = "NOT" if isinstance(expr, Not) else "AND" if isinstance(expr, And) else "OR"
-            todo.append((kind, None, depth, (), False, len(children)))
-            todo += [(child, depth) for child in reversed(children)]
+            todo.append((expr.kind, None, depth, (), False, len(expr.children)))
+            todo += [(child, depth) for child in reversed(expr.children)]
 
 
 class SubsectionNode(Frozen):

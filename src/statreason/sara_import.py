@@ -45,7 +45,7 @@ from .corpus import (
     CorpusError, FileError, _read, item_problems, load_corpus, serialize_cases, serialize_coref, serialize_spans,
 )
 from .model import ArgumentLayer, Case, Span, Subsection, ValueMap, matrix_to_clusters
-from .rules import ProgramSyntaxError, parse_program, print_rule
+from .rules import parse_program, print_rule
 
 
 class ImportLog:
@@ -160,9 +160,9 @@ def _subsections(source: Path, dest: Path, log: ImportLog) -> list[_Item]:
                 if parts:
                     log.skip(where, "expected '<id> <start> <end>'")
                 continue
-            sid, start, end = parts[0], int(parts[1]), int(parts[2])
-            record = f"{sid} file={records.write_text(text_path.name)} start={start} end={end}\n"
             try:
+                sid, start, end = parts[0], int(parts[1]), int(parts[2])
+                record = f"{sid} file={records.write_text(text_path.name)} start={start} end={end}\n"
                 items.append(_Item(where, Subsection(sid, text[start:end]), {"statutes/offsets.txt": record}))
             except ValueError as exc:
                 log.skip(where, str(exc))
@@ -229,14 +229,9 @@ def _rules(source: Path, log: ImportLog) -> list[_Item]:
         log.skip("structure.txt", "not present")
     if not _is_file(path, source, log):
         return []
-    text = _read(path)
-    try:
-        rules = parse_program(text).rules
-    except ProgramSyntaxError as exc:
-        for pos, message in exc.problems:
-            line = text.count("\n", 0, pos) + 1
-            log.skip(f"structure.txt:{line}", message)
-        rules = exc.rules
+    rules, problems = parse_program(_read(path))
+    for line, message in problems:
+        log.skip(f"structure.txt:{line}", message)
     return [
         _Item(f"structure.txt {rule.head_id}", rule, {"structure.txt": print_rule(rule) + "\n"})
         for rule in rules.values()

@@ -12,7 +12,7 @@ import hypothesis.strategies as st
 
 from statreason.corpus import Corpus
 from statreason.model import TRUTH_KEY, ArgumentLayer, Case, Money, Span, Subsection, ValueMap
-from statreason.rules import And, Not, Or, Program, Ref, Rule, iter_refs, parse_program
+from statreason.rules import Op, Program, Ref, Rule, iter_refs, parse_program
 
 
 def random_partition(rng: random.Random, n: int, ensure_link: bool = False):
@@ -59,9 +59,9 @@ def _random_body(rng: random.Random, params: list[str], depth: int):
             bindings.append((param, caller))
         return Ref(_random_id(rng), tuple(bindings))
     if roll < 0.6:
-        return Not(_random_body(rng, params, depth + 1))
+        return Op("NOT", (_random_body(rng, params, depth + 1),))
     children = tuple(_random_body(rng, params, depth + 1) for _ in range(rng.randrange(2, 4)))
-    return And(children) if roll < 0.8 else Or(children)
+    return Op("AND" if roll < 0.8 else "OR", children)
 
 
 def random_program(rng: random.Random, n_rules: int, max_refs: int = 3) -> Program:
@@ -84,21 +84,21 @@ def random_program(rng: random.Random, n_rules: int, max_refs: int = 3) -> Progr
             if len(refs) == 1:
                 body = refs[0]
             else:
-                body = (And if rng.random() < 0.5 else Or)(tuple(refs))
+                body = Op("AND" if rng.random() < 0.5 else "OR", tuple(refs))
         rules[head] = Rule(head, params, body)
-    return Program(rules)
+    return rules
 
 
 def random_nested_program(rng: random.Random, n_rules: int) -> Program:
     """`random_program` with each body's references regrouped into a random
     nesting of AND, OR and NOT, one of them sometimes referenced twice."""
     rules: dict[str, Rule] = {}
-    for head, rule in random_program(rng, n_rules).rules.items():
+    for head, rule in random_program(rng, n_rules).items():
         refs = list(iter_refs(rule.body))
         if refs and rng.random() < 0.3:
             refs.append(rng.choice(refs))
         rules[head] = Rule(head, rule.params, _nest(rng, refs) if refs else None)
-    return Program(rules)
+    return rules
 
 
 def _nest(rng: random.Random, refs: list[Ref]):
@@ -106,8 +106,8 @@ def _nest(rng: random.Random, refs: list[Ref]):
         expr = refs[0]
     else:
         cut = rng.randrange(1, len(refs))
-        expr = (And if rng.random() < 0.5 else Or)((_nest(rng, refs[:cut]), _nest(rng, refs[cut:])))
-    return Not(expr) if rng.random() < 0.25 else expr
+        expr = Op("AND" if rng.random() < 0.5 else "OR", (_nest(rng, refs[:cut]), _nest(rng, refs[cut:])))
+    return Op("NOT", (expr,)) if rng.random() < 0.25 else expr
 
 
 def random_value_map(rng: random.Random, keys=("X", "Y", "Z")) -> ValueMap:
@@ -285,7 +285,9 @@ def _program(draw, heads: list[str], params: dict[str, list[str]], names, valid:
             )
             clause += f" :- {draw(body)}"
         clauses.append(clause + ".")
-    return parse_program("\n".join(clauses))
+    program, problems = parse_program("\n".join(clauses))
+    assert not problems, problems
+    return program
 
 
 def _layer(draw, sid: str, text: str, labels: st.SearchStrategy[str | None]) -> ArgumentLayer | None:

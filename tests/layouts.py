@@ -38,7 +38,7 @@ def write_corpus(corpus: Corpus, root: Path) -> Path:
     files = {
         "spans.txt": serialize_spans(layers),
         "coref.txt": serialize_coref(layers),
-        "structure.txt": "".join(print_rule(rule) + "\n" for rule in corpus.program.rules.values()),
+        "structure.txt": "".join(print_rule(rule) + "\n" for rule in corpus.program.values()),
     }
     texts, rows = _section_files(corpus)
     files.update((f"statutes/{name}", text) for name, text in texts.items())
@@ -60,7 +60,7 @@ def write_corpus(corpus: Corpus, root: Path) -> Path:
 def write_distributed(corpus: Corpus, root: Path) -> None:
     """Write `corpus` in the distributed layout that `import_corpus` reads,
     each section file holding its subsections one after another."""
-    files = {"structure.txt": "".join(print_rule(rule) + "\n" for rule in corpus.program.rules.values())}
+    files = {"structure.txt": "".join(print_rule(rule) + "\n" for rule in corpus.program.values())}
     texts, rows = _section_files(corpus)
     for name, text in texts.items():
         files[f"statutes/{name}"] = text

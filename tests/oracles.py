@@ -21,7 +21,9 @@ printer's round-trip tests use.
 recursive over such a tree built for each case, with the per-subsection
 `_instantiate`, the operator combination (`do_operation`) and the value-map
 helpers it used (`merged`, `without`, `_translate`) over dicts.
-`tree_depth` is the dependency-tree depth the depth-cap tests measure with."""
+`tree_depth` is the dependency-tree depth the depth-cap tests measure with,
+and `heuristic_argument_id` the argument-identification heuristic as first
+written, recursing once per possessive that starts a phrase."""
 
 from __future__ import annotations
 
@@ -40,7 +42,11 @@ from statreason.baselines import (
     ConstantResolver,
     HeuristicResolver,
     OracleResolver,
+    _DETERMINERS,
+    _PHRASE_STOP,
+    _TOKEN_RE as _PHRASE_TOKEN_RE,
     _CAPITALIZED_STOP,
+    _continues,
     _CASE_DATE_RE,
     _CASE_MONEY_RE,
     _CASE_NAME_RE,
@@ -86,14 +92,11 @@ from statreason.model import (
 from statreason.records import RecordError
 from statreason.reports import FamilyScore, InstantiationReport
 from statreason.rules import (
-    And,
     BodyExpr,
     DepTree,
-    Not,
+    Op,
     OpNode,
-    Or,
     Program,
-    ProgramSyntaxError,
     Ref,
     Rule,
     RuleSyntaxError,
@@ -239,6 +242,45 @@ def brute_force_constant(targets: list[int]) -> int:
     step = max(1, top // 200)
     candidates.update(range(0, top + 1, step))
     return min(sorted(candidates), key=lambda c: (hinge_loss(targets, c), c))
+
+
+def heuristic_argument_id(text: str) -> list[Span]:
+    """`baselines.heuristic_argument_id` as first written: a possessive that
+    a continuing word follows starts the next phrase by recursion, once per
+    possessive."""
+    tokens = [(m.group(), m.start(), m.end()) for m in _PHRASE_TOKEN_RE.finditer(text)]
+    spans: list[Span] = []
+    i = 0
+    while i < len(tokens):
+        if tokens[i][0].lower() in _DETERMINERS:
+            i = _absorb(text, tokens, i, tokens[i][1], spans)
+        else:
+            i += 1
+    return spans
+
+
+def _absorb(text: str, tokens, i: int, start: int, spans: list[Span]) -> int:
+    end = tokens[i][2]
+    absorbed = 0
+    j = i + 1
+    while j < len(tokens):
+        word, wstart, wend = tokens[j]
+        lower = word.lower()
+        if lower in _PHRASE_STOP or lower in _DETERMINERS:
+            break
+        if lower.endswith("'s"):
+            spans.append(Span(start, wend - 2))
+            if j + 1 < len(tokens) and _continues(tokens[j + 1][0]):
+                return _absorb(text, tokens, j, tokens[j + 1][1], spans)
+            return j + 1
+        end = wend
+        absorbed += 1
+        j += 1
+        if wend < len(text) and text[wend] in ".,;:!?":
+            break
+    if absorbed:
+        spans.append(Span(start, end))
+    return j
 
 
 def insert_values(
@@ -390,10 +432,7 @@ def build_dependency_tree(program: Program, root_id: str, depth_cap: int) -> Dep
     def expand(expr: BodyExpr, depth: int) -> TreeNode:
         if isinstance(expr, Ref):
             return subsection(expr.callee_id, depth + 1, expr.bindings)
-        if isinstance(expr, Not):
-            return OpNode("NOT", depth, (expand(expr.child, depth),))
-        kind = "AND" if isinstance(expr, And) else "OR"
-        return OpNode(kind, depth, tuple(expand(c, depth) for c in expr.children))
+        return OpNode(expr.kind, depth, tuple(expand(c, depth) for c in expr.children))
 
     return DepTree(subsection(root_id, 1, ()), depth_cap)
 
@@ -1281,19 +1320,19 @@ class _Parser:
         while self.peek().text == "OR":
             self.advance()
             children.append(self._parse_and())
-        return children[0] if len(children) == 1 else Or(tuple(children))
+        return children[0] if len(children) == 1 else Op("OR", tuple(children))
 
     def _parse_and(self) -> BodyExpr:
         children = [self._parse_not()]
         while self.peek().text == "AND":
             self.advance()
             children.append(self._parse_not())
-        return children[0] if len(children) == 1 else And(tuple(children))
+        return children[0] if len(children) == 1 else Op("AND", tuple(children))
 
     def _parse_not(self) -> BodyExpr:
         if self.peek().text == "NOT":
             self.advance()
-            return Not(self._parse_not())
+            return Op("NOT", (self._parse_not(),))
         if self.peek().text == "[":
             self.advance()
             body = self.parse_body()
@@ -1347,12 +1386,16 @@ def parse_rule_by_tokens(text: str) -> Rule:
     return rule
 
 
-def parse_program_by_tokens(text: str) -> Program:
+def parse_program_by_tokens(text: str) -> tuple[Program, list[tuple[int, str]]]:
     """`rules.parse_program` over the token objects of `_tokenize`."""
+
+    def lines(problems):
+        return [(text[:position].count("\n") + 1, message) for position, message in problems]
+
     try:
         parser = _Parser(text)
     except RuleSyntaxError as exc:
-        raise ProgramSyntaxError([(exc.position, str(exc))], {}) from None
+        return {}, lines([(exc.position, str(exc))])
     rules: dict[str, Rule] = {}
     problems: list[tuple[int, str]] = []
     clause_no = 0
@@ -1375,6 +1418,4 @@ def parse_program_by_tokens(text: str) -> Program:
             problems.append((start, f"clause {clause_no}: duplicate rule for {rule.head_id}"))
         else:
             rules[rule.head_id] = rule
-    if problems:
-        raise ProgramSyntaxError(problems, rules)
-    return Program(rules)
+    return rules, lines(problems)

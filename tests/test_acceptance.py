@@ -304,7 +304,7 @@ def test_criterion_6_depth_cap_monotonicity():
     checked = 0
     for _ in range(300):
         program = random_program(rng, rng.randrange(2, 6))
-        root = next(iter(program.rules))
+        root = next(iter(program))
         true_depth = tree_depth(build_dependency_tree(program, root, 50))
         for cap in range(true_depth, true_depth + 3):
             a = build_dependency_tree(program, root, cap)
@@ -318,11 +318,12 @@ def test_criterion_6_depth_cap_monotonicity():
 
 
 def test_criterion_7_round_trip_and_exact_shape(corpus, manifest_path):
-    from statreason.rules import And, Or, Ref
+    from statreason.rules import Op, Ref
 
     structure_text = (manifest_path.parent / "structure.txt").read_text(encoding="utf-8")
-    program = parse_program(structure_text)
-    for rule in program.rules.values():
+    program, problems = parse_program(structure_text)
+    assert problems == []
+    for rule in program.values():
         printed = print_rule(rule)
         assert parse_rule(printed) == rule
         assert print_rule(parse_rule(printed)) == printed
@@ -335,9 +336,11 @@ def test_criterion_7_round_trip_and_exact_shape(corpus, manifest_path):
         assert print_rule(parse_rule(printed)) == printed
 
     rule = program.get("§63(c)(5)")
-    assert rule.body == And(
+    assert rule.body == Op(
+        "AND",
         (
-            Or(
+            Op(
+                "OR",
                 (
                     Ref("§151(b)", (("Spouse", "Taxp"), ("Taxp", "S45"), ("Taxy", "Taxy"))),
                     Ref("§151(c)", (("S24A", "Taxp"), ("Taxp", "S45"), ("Taxy", "Taxy"))),

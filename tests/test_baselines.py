@@ -103,6 +103,14 @@ class TestStringMatch:
             assert members == list(range(len(layer.spans)))
 
 
+# Determiners, possessives, words that go on or stop a phrase, and the
+# punctuation that ends one, each with the blank or mark after it.
+PHRASE_WORDS = [
+    "the ", "a ", "An ", "his ", "b's ", "C's ", "d's", "'s ", "taxable ", "year ", "c ", "of ", "and ", "begins ",
+    ". ", ", ", ";", "x", "'", "é ",
+]
+
+
 class TestHeuristicArgumentId:
     def test_finds_the_taxable_income(self, corpus):
         text = corpus.subsections["§1(d)(iv)"].text
@@ -121,6 +129,18 @@ class TestHeuristicArgumentId:
         phrases = [s.slice(text) for s in heuristic_argument_id(text)]
         assert "the individual" in phrases
         assert "taxable year" in phrases
+
+    @given(st.lists(st.sampled_from(PHRASE_WORDS), max_size=300).map("".join))
+    @example("the a's b c's d's the e's of")
+    @example("an X's, Y's. the z")
+    def test_the_loop_finds_the_recursive_spans(self, text):
+        # Below the recursion limit: at most 300 possessives in a chain.
+        assert heuristic_argument_id(text) == oracles.heuristic_argument_id(text)
+
+    def test_a_possessive_chain_past_the_recursion_limit(self):
+        text = "the a's " + "b c's " * 2000 + "end"
+        spans = heuristic_argument_id(text)
+        assert [s.slice(text) for s in spans] == ["the a"] + ["b c"] * 2000
 
     def test_spans_are_ordered_and_disjoint(self, corpus):
         for sub in corpus.subsections.values():

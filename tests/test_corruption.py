@@ -24,12 +24,16 @@ import io
 import os
 import re
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
 
 from statreason.cli import main
 from statreason.rules import parse_program
+
+sys.path.insert(0, str(Path(__file__).parent.parent / "perfbench"))
+from workloads import STEPS, command_line  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures" / "corpus"
 
@@ -260,7 +264,7 @@ def test_a_clause_body_nested_ten_thousand_levels(nesting, width, tmp_path):
     head = "Deep(x) :- "
     body = nesting * DEEP + "Tax(x)" + ("]" * DEEP if nesting == "[" else "")
     original, lineno = _append(path, head + body + ".")
-    clauses = len(parse_program(original))
+    clauses = len(parse_program(original)[0])
     offset = len(original) + len(head) + 100 * width
     message = f"clause {clauses + 1}: brackets and NOTs nest deeper than 100 levels (at offset {offset})"
     assert run(["validate", "--manifest", str(root / "manifest.txt")]) == (1, f"{path}:{lineno}: {message}\n")
@@ -280,6 +284,48 @@ def test_a_recursive_rule_runs_at_a_depth_cap_of_5000(tmp_path):
     # like every other case.
     report = (out / "eval-inst.report.txt").read_text(encoding="utf-8")
     assert "case errors:" not in report and "\n    unified         100.0 +-  0.0   (n=14)\n" in report
+
+
+# Input that recursion or int() could not read gives exit 0 or a located
+# exit 1: a chain of 2,000 possessives in a subsection's text, and integers
+# past the interpreter's 4,300-digit conversion limit.
+
+
+def test_a_possessive_chain_runs_every_benchmark_step(tmp_path, monkeypatch):
+    root = tmp_path / "corpus"
+    shutil.copytree(FIXTURES, root)
+    section = root / "statutes" / "section1.txt"
+    text = section.read_text(encoding="utf-8")
+    chain = "the a's " + "b c's " * 2000 + "end"
+    section.write_text(text + chain, encoding="utf-8")
+    _append(root / "statutes" / "offsets.txt", f'§9(a) file="section1.txt" start={len(text)} end={len(text + chain)}')
+    # The heuristic reads the subsections that have a layer.
+    _append(root / "spans.txt", "§9(a) spans=[(0, 5)]")
+    _append(root / "coref.txt", "§9(a) clusters=[[0]]")
+    monkeypatch.chdir(tmp_path)
+    assert {label: run(command_line(label, Path("out") / label)) for label in STEPS} == dict.fromkeys(STEPS, (0, ""))
+
+
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "name, line",
+    [
+        ("statutes/offsets.txt", f'§9(a) file="section1.txt" start=0 end={NINES}'),
+        ("spans.txt", f"§1(d)(iv) spans=[(0, {NINES})]"),
+        ("coref.txt", f"§9(a) clusters=[[{NINES}]]"),
+        ("cases/test.cases", f'big query="Tax" description="d" inputs=[] expected=[Big={NINES}, @truth=true]'),
+        ("silver/silver.cases", f'big query="Tax" description="d" inputs=[Tax=${NINES}] expected=[@truth=true]'),
+    ],
+)
+def test_an_integer_past_the_digit_limit_in_each_record_file(name, line, tmp_path):
+    root = tmp_path / "corpus"
+    shutil.copytree(FIXTURES, root)
+    path = root / name
+    _, lineno = _append(path, line)
+    message = f"integer too long (5000 characters) (column {line.index(NINES) + 5001})"
+    assert run(["validate", "--manifest", str(root / "manifest.txt")]) == (1, f"{path}:{lineno}: {message}\n")
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from statreason.engine import (
     run_cases,
 )
 from statreason.model import ArgumentLayer, Case, Money, Span, Subsection, TRUTH_KEY, ValueMap
-from statreason.rules import OpNode, Program, Rule, SubsectionNode, parse_program
+from statreason.rules import OpNode, Rule, SubsectionNode, parse_program
 
 from generators import MODEL_VALUES, SUBCLASSED_VALUES, random_nested_program, random_value_map, texts_with_layers
 
@@ -134,7 +134,7 @@ def oracle_case(cid, query, inputs, expected):
 
 def one_rule_context(layer, text, case, config=EngineConfig()):
     """A run of the case's query subsection alone, on a one-rule program."""
-    program = Program({case.query: Rule(case.query, ())})
+    program = {case.query: Rule(case.query, ())}
     return RunContext(program, {case.query: layer}, {case.query: text}, config)
 
 
@@ -663,7 +663,7 @@ def rule_texts_and_layers(program):
     """A text per rule that mentions each parameter once, and a layer that
     labels each mention with its parameter."""
     texts, layers = {}, {}
-    for head, rule in program.rules.items():
+    for head, rule in program.items():
         text, spans = f"{head} holds", []
         for param in rule.params:
             text += " for "
@@ -734,7 +734,7 @@ class TestCompiledProgram:
         texts, layers = rule_texts_and_layers(program)
         for head in rng.sample(sorted(texts), rng.randrange(len(texts))):
             del texts[head]
-        for query in program.rules:
+        for query in program:
             self.assert_compiles(program, query, depth_cap, layers, texts)
 
     def test_fixture(self, corpus):
@@ -768,10 +768,12 @@ class TestOneWalk:
         texts, layers = rule_texts_and_layers(program)
         for head in rng.sample(sorted(texts), rng.randrange(len(texts))):
             del texts[head]
-        root = next(iter(program.rules))
-        values = st.dictionaries(st.sampled_from(program.rules[root].params), MODEL_VALUES)
+        root = next(iter(program))
+        values = st.dictionaries(st.sampled_from(program[root].params), MODEL_VALUES)
+        # A case expects @truth, which `Case` asks of a binary case.
+        expected = st.builds(lambda v, truth: {**v, TRUTH_KEY: truth}, values, st.floats(0.0, 1.0))
         n_cases = data.draw(st.integers(1, 3))
-        cases = [oracle_case(f"c{i}", root, data.draw(values), data.draw(values)) for i in range(n_cases)]
+        cases = [oracle_case(f"c{i}", root, data.draw(values), data.draw(expected)) for i in range(n_cases)]
         config = EngineConfig(data.draw(st.integers(1, 4)), insert_gold=data.draw(st.booleans()))
         self.assert_same_run(lambda: None, program, layers, texts, cases, config)
 
@@ -852,7 +854,7 @@ class TestEvaluateRun:
     def test_a_callee_whose_id_no_layer_can_have_fails_its_cases(self):
         # Only a program that validate rejects calls a subsection "#b"; the
         # cases that reach it are engine errors, and the run goes on.
-        program = parse_program("A(x) :- #b(x).\nB(x).")
+        program, _ = parse_program("A(x) :- #b(x).\nB(x).")
         cases = tuple(Case(q.lower(), "", q, ValueMap(), ValueMap({TRUTH_KEY: 1.0}), "test") for q in "AB")
         results, _ = run_cases(OracleResolver(), Corpus(None, {}, {}, program, cases, (), ()))
         assert [r.error for r in results] == [
@@ -864,7 +866,7 @@ class TestEvaluateRun:
         # far past the interpreter's recursion limit, its query compiles to
         # one open and one subsection step per level above the cap and the
         # leaf at the cap, and its cases score like any other.
-        program = parse_program("C(x) :- C(x).\nB(x).")
+        program, _ = parse_program("C(x) :- C(x).\nB(x).")
         cases = tuple(Case(q.lower(), "", q, ValueMap(), ValueMap({TRUTH_KEY: 1.0}), "test") for q in "CB")
         corpus = Corpus(None, {}, {}, program, cases, (), ())
         context = RunContext(program, {}, {}, EngineConfig(5000))
@@ -908,7 +910,7 @@ class TestEvaluateRun:
             start = text.index(phrase)
             layer = ArgumentLayer("§x", (Span(start, start + len(phrase)),), ((0,),), ("A",))
             case = Case("c", "Alice paid $5,000 in 2017.", "§x", ValueMap(), ValueMap({TRUTH_KEY: 1.0}), "test")
-            program = Program({"§x": Rule("§x", ("A",))})
+            program = {"§x": Rule("§x", ("A",))}
             return Corpus(None, {"§x": Subsection("§x", text)}, {"§x": layer}, program, (case,), (), ())
 
         dollars = corpus_of("§x holds for the income", "the income")

@@ -149,12 +149,17 @@ ARGUMENTS = {"truth": (TRUTH_KEY, 1.0, 0.0), "dollar": ("a", Money(100), Money(9
 
 def unified(items):
     """The report's unified accuracy over one case per score, each expecting
-    one argument of the score's family, predicted right when it scores 1."""
+    one argument of the score's family, predicted right when it scores 1. A
+    string argument's case is binary, so it also expects @truth, predicted
+    right."""
     results = []
     for i, item in enumerate(items):
         name, gold, wrong = ARGUMENTS[item.family]
-        case = Case(f"c{i}", "", "§x", ValueMap(), ValueMap({name: gold}), "test")
-        results.append(CaseResult(case, ValueMap({name: gold if item.score else wrong}), None))
+        expected, predicted = {name: gold}, {name: gold if item.score else wrong}
+        if item.family == "string":
+            expected[TRUTH_KEY] = predicted[TRUTH_KEY] = 1.0
+        case = Case(f"c{i}", "", "§x", ValueMap(), ValueMap(expected), "test")
+        results.append(CaseResult(case, ValueMap(predicted), None))
     return instantiation_report(results, EngineConfig()).unified
 
 
@@ -163,7 +168,9 @@ class TestUnifiedAccuracy:
         items = scores(*[("truth", 1)] * 6, *[("truth", 0)] * 4,
                        ("dollar", 1), *[("dollar", 0)] * 4,
                        *[("string", 0)] * 5)
-        assert unified(items) == FamilyScore(pytest.approx(0.35), 20)
+        # 6 of 10 truth, 1 of 5 dollar and 0 of 5 string scores, and the
+        # string cases' 5 right truth scores.
+        assert unified(items) == FamilyScore(pytest.approx(12 / 25), 25)
 
     def test_single_family(self):
         items = scores(("dollar", 1), ("dollar", 0))

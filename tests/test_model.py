@@ -261,6 +261,26 @@ class TestCase_:
         c = Case("tax-case-5", "d", "Tax", ValueMap(), ValueMap({"@truth": 1.0}))
         assert c.pair_id is None
 
+    def test_some_value_is_expected(self):
+        with pytest.raises(ValueError, match="^expected values must be non-empty$"):
+            Case("x", "d", "§1", ValueMap(), ValueMap())
+
+    def test_a_binary_case_expects_truth(self):
+        with pytest.raises(ValueError, match="^binary cases must expect @truth$"):
+            Case("x", "d", "§1", ValueMap(), ValueMap({"Spouse": "Bob"}))
+        assert Case("x", "d", "Tax", ValueMap(), ValueMap({"Tax": Money(1)})).kind == "numerical"
+
+    def test_checks_run_in_the_loaders_order(self):
+        # Non-empty first, then id, text and split, then @truth.
+        for expected, split, message in (
+            (ValueMap(), "a b", "^expected values must be non-empty$"),
+            (ValueMap({"Spouse": "Bob"}), "train", "^malformed id '#x'"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                Case("#x", "d", "§1", ValueMap(), expected, split)
+        with pytest.raises(ValueError, match="^split 'a b': "):
+            Case("x", "d", "§1", ValueMap(), ValueMap({"Spouse": "Bob"}), "a b")
+
 
 class TestWhatAFileCanHold:
     # Every character str.isspace accepts, which covers every separator

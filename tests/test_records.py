@@ -1,4 +1,5 @@
 import datetime
+import re
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -56,6 +57,16 @@ class TestScanning:
     def test_signed_money_and_exponent_truth_scores(self):
         r = records.parse_record("c1 a=$-5 b=1e-05 c=5e-324 d=2.5e-310 e=$0")
         assert r.fields == {"a": Money(-5), "b": 1e-05, "c": 5e-324, "d": 2.5e-310, "e": Money(0)}
+
+    @pytest.mark.parametrize("field", ["{}", "${}", "$-{}", "[Big={}]", "[({}, 3)]", "[(3, {})]", "({}, 3"])
+    def test_an_integer_past_the_digit_limit_is_an_error_at_its_column(self, field):
+        # int() converts at most sys.get_int_max_str_digits() (4,300) digits.
+        digits = "9" * 5000
+        line = "c1 a=" + field.format(digits)
+        end = line.index(digits) + len(digits) + 1
+        with pytest.raises(records.RecordError) as exc:
+            records.parse_record(line)
+        assert re.fullmatch(rf"integer too long \(500[01] characters\) \(column {end}\)", str(exc.value))
 
     def test_parse_error_carries_its_line(self):
         with pytest.raises(records.RecordError) as exc:

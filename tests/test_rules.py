@@ -6,11 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from statreason.rules import (
-    And,
-    Not,
-    Or,
-    Program,
-    ProgramSyntaxError,
+    Op,
     Ref,
     Rule,
     RuleSyntaxError,
@@ -56,9 +52,11 @@ class TestParseRule:
 
     def test_bracketed_or_inside_and(self):
         rule = parse_rule(CLAUSE_63C5)
-        assert rule.body == And(
+        assert rule.body == Op(
+            "AND",
             (
-                Or(
+                Op(
+                    "OR",
                     (
                         Ref("§151(b)", (("Spouse", "Taxp"), ("Taxp", "S45"), ("Taxy", "Taxy"))),
                         Ref("§151(c)", (("S24A", "Taxp"), ("Taxp", "S45"), ("Taxy", "Taxy"))),
@@ -75,8 +73,8 @@ class TestParseRule:
 
     def test_not_and_precedence(self):
         rule = parse_rule("§9(X) :- NOT §1(X) AND §2(X) OR §3(X).")
-        assert rule.body == Or((And((Not(Ref("§1", (("X", "X"),))), Ref("§2", (("X", "X"),)))),
-                               Ref("§3", (("X", "X"),))))
+        x = (("X", "X"),)
+        assert rule.body == Op("OR", (Op("AND", (Op("NOT", (Ref("§1", x),)), Ref("§2", x))), Ref("§3", x)))
 
     def test_errors_carry_position(self):
         with pytest.raises(RuleSyntaxError) as exc:
@@ -107,44 +105,72 @@ class TestParseRule:
             parse_rule("(X).")
 
 
+class TestOp:
+    REF = Ref("§1", ())
+
+    @pytest.mark.parametrize("kind", ["AND", "OR"])
+    def test_and_and_or_take_at_least_two_children(self, kind):
+        for n in (0, 1):
+            with pytest.raises(ValueError, match=f"^{kind} needs at least 2 children$"):
+                Op(kind, (self.REF,) * n)
+        for n in (2, 3):
+            assert Op(kind, (self.REF,) * n).children == (self.REF,) * n
+
+    def test_not_takes_exactly_one_child(self):
+        for n in (0, 2):
+            with pytest.raises(ValueError, match="^NOT needs exactly 1 child$"):
+                Op("NOT", (self.REF,) * n)
+        assert Op("NOT", (self.REF,)).children == (self.REF,)
+
+    @pytest.mark.parametrize("kind", ["XOR", "and", "", "subsection"])
+    def test_an_unknown_kind_is_refused(self, kind):
+        with pytest.raises(ValueError, match=f"^unknown operator {kind!r}$"):
+            Op(kind, (self.REF, self.REF))
+
+
 class TestParseProgram:
     def test_empty(self):
-        assert len(parse_program("")) == 0
+        assert parse_program("") == ({}, [])
 
     def test_three_appendix_clauses(self):
         text = "\n".join([CLAUSE_1DIV, CLAUSE_3306, CLAUSE_63C5])
-        program = parse_program(text)
-        assert len(program) == 3
+        program, problems = parse_program(text)
+        assert len(program) == 3 and problems == []
 
     def test_duplicate_heads_named(self):
-        with pytest.raises(RuleSyntaxError) as exc:
-            parse_program("§1(a)(X).\n§1(a)(Y).")
-        assert "§1(a)" in str(exc.value)
+        program, problems = parse_program("§1(a)(X).\n§1(a)(Y).")
+        assert program == {"§1(a)": Rule("§1(a)", ("X",))}
+        assert problems == [(2, "clause 2: duplicate rule for §1(a)")]
 
     def test_comments_ignored(self):
-        program = parse_program("% a comment\n§1(a)(X). % trailing\n")
+        program, _ = parse_program("% a comment\n§1(a)(X). % trailing\n")
         assert "§1(a)" in program
 
     def test_errors_aggregated_with_clause_numbers(self):
-        with pytest.raises(RuleSyntaxError) as exc:
-            parse_program("§1(a)(X).\n§2(b)(.\n§3(c)(Y).\n§3(c)(Z).")
-        message = str(exc.value)
-        assert "clause 2" in message and "clause 4" in message
+        program, problems = parse_program("§1(a)(X).\n§2(b)(.\n§3(c)(Y).\n§3(c)(Z).")
+        assert list(program) == ["§1(a)", "§3(c)"]
+        assert problems == [
+            (2, "clause 2: expected a name, found '.' (at offset 16)"),
+            (4, "clause 4: duplicate rule for §3(c)"),
+        ]
+
+    def test_text_that_does_not_tokenize_is_one_problem(self):
+        assert parse_program("§1(a)(X).\n§2(a:b).") == ({}, [(2, "unexpected character ':' (at offset 14)")])
 
 
 class TestCheckReferences:
     def test_undefined_callee(self):
-        program = parse_program(CLAUSE_3306)
+        program, _ = parse_program(CLAUSE_3306)
         [(rule, message)] = reference_problems(program)
         assert rule is program.get("§3306(a)(1)(B)")
         assert message == "§3306(a)(1)(B): reference to undefined rule §3306(c)"
 
     def test_clean_program(self):
-        program = parse_program(CLAUSE_3306 + "\n§3306(c)(Employee, Employer, Service).")
+        program, _ = parse_program(CLAUSE_3306 + "\n§3306(c)(Employee, Employer, Service).")
         assert reference_problems(program) == []
 
     def test_binding_to_unknown_variable(self):
-        program = parse_program("§1(a)(X) :- §2(b)(Spouse=Zzz).\n§2(b)(Spouse).")
+        program, _ = parse_program("§1(a)(X) :- §2(b)(Spouse=Zzz).\n§2(b)(Spouse).")
         [(rule, message)] = reference_problems(program)
         assert rule is program.get("§1(a)")
         assert message == "§1(a): binding Spouse=Zzz uses 'Zzz', which is not a parameter of §1(a)"
@@ -158,18 +184,18 @@ STUB_LEAVES = (
 
 class TestDependencyTree:
     def test_bodiless_rule_single_leaf(self):
-        program = parse_program(CLAUSE_1DIV)
+        program, _ = parse_program(CLAUSE_1DIV)
         tree = build_dependency_tree(program, "§1(d)(iv)", 5)
         assert tree.root.child is None
         assert tree_depth(tree) == 1
 
     def test_cap_one_prunes_body(self):
-        program = parse_program(CLAUSE_63C5 + STUB_LEAVES)
+        program, _ = parse_program(CLAUSE_63C5 + STUB_LEAVES)
         tree = build_dependency_tree(program, "§63(c)(5)", 1)
         assert tree.root.child is None
 
     def test_cap_two_expands_one_level(self):
-        program = parse_program(CLAUSE_63C5 + STUB_LEAVES)
+        program, _ = parse_program(CLAUSE_63C5 + STUB_LEAVES)
         tree = build_dependency_tree(program, "§63(c)(5)", 2)
         root = tree.root
         assert isinstance(root.child, OpNode) and root.child.kind == "AND"
@@ -182,10 +208,10 @@ class TestDependencyTree:
 
     def test_unknown_root_rejected(self):
         with pytest.raises(KeyError):
-            build_dependency_tree(parse_program(CLAUSE_1DIV), "§nowhere", 3)
+            build_dependency_tree(parse_program(CLAUSE_1DIV)[0], "§nowhere", 3)
 
     def test_cycles_unroll_to_cap(self):
-        program = parse_program("§1(a)(X) :- §2(b)(X).\n§2(b)(X) :- §1(a)(X).")
+        program, _ = parse_program("§1(a)(X) :- §2(b)(X).\n§2(b)(X) :- §1(a)(X).")
         tree = build_dependency_tree(program, "§1(a)", 4)
         assert tree_depth(tree) == 4
 
@@ -194,14 +220,14 @@ class TestDependencyTree:
     def test_the_fold_is_the_recursive_tree(self, seed, depth_cap):
         rng = random.Random(seed)
         program = random_nested_program(rng, rng.randrange(2, 7))
-        for head in program.rules:
+        for head in program:
             assert build_dependency_tree(program, head, depth_cap) == oracles.build_dependency_tree(
                 program, head, depth_cap
             )
 
     def test_the_fold_is_the_recursive_tree_on_the_fixture(self):
-        program = parse_program(FIXTURE_STRUCTURE)
-        for head in program.rules:
+        program, _ = parse_program(FIXTURE_STRUCTURE)
+        for head in program:
             for depth_cap in (1, 2, 3, 4):
                 assert build_dependency_tree(program, head, depth_cap) == oracles.build_dependency_tree(
                     program, head, depth_cap
@@ -210,7 +236,7 @@ class TestDependencyTree:
     def test_a_recursive_rule_unrolls_at_any_cap(self):
         # One open and one subsection per level above the cap, and the leaf
         # at the cap: far deeper than the interpreter's recursion limit.
-        program = parse_program("C(x) :- C(x).")
+        program, _ = parse_program("C(x) :- C(x).")
         nodes = list(unroll(program, "C", 5000))
         assert len(nodes) == 9999
         opens, leaf, closes = nodes[:4999], nodes[4999], nodes[5000:]
@@ -220,14 +246,14 @@ class TestDependencyTree:
         assert closes[-1][3] == ()
 
     def test_cap_below_one_rejected(self):
-        program = parse_program(CLAUSE_1DIV)
+        program, _ = parse_program(CLAUSE_1DIV)
         with pytest.raises(ValueError, match="depth cap must be >= 1, got 0"):
             build_dependency_tree(program, "§1(d)(iv)", 0)
 
     def test_populate_through_bindings(self):
         # Without layers each subsection gets one request, for its truth
         # score, knowing exactly the values passed down to it.
-        program = parse_program(CLAUSE_63C5 + STUB_LEAVES)
+        program, _ = parse_program(CLAUSE_63C5 + STUB_LEAVES)
         known = {}
 
         class Recording:
@@ -236,7 +262,7 @@ class TestDependencyTree:
                 return 1.0
 
         inputs = ValueMap({"Taxp": "Bob", "Taxy": "2017", "Bassd": "x"})
-        case = Case("c", "", "§63(c)(5)", inputs, ValueMap(), "test")
+        case = Case("c", "", "§63(c)(5)", inputs, ValueMap({TRUTH_KEY: 1.0}), "test")
         instantiate_full(Recording(), case, RunContext(program, {}, {}, EngineConfig(depth_cap=2)))
         assert known["§151(b)"] == {"Spouse": "Bob", "Taxy": "2017"}
         assert known["§63(c)(5)(A)"] == {}
@@ -266,7 +292,7 @@ def test_bodiless_programs_build_single_nodes():
         for _ in range(rng.randrange(1, 6)):
             rule = random_clause(rng, may_have_body=False)
             rules[rule.head_id] = rule
-        program = Program(rules)
+        program = rules
         for head in rules:
             for cap in (1, 3, 7):
                 tree = build_dependency_tree(program, head, cap)
@@ -277,7 +303,7 @@ def test_tree_depth_and_size_bounded():
     rng = random.Random(13)
     for _ in range(40):
         program = random_program(rng, rng.randrange(2, 7), max_refs=3)
-        root = next(iter(program.rules))
+        root = next(iter(program))
         cap = rng.randrange(1, 5)
         tree = build_dependency_tree(program, root, cap)
         assert tree_depth(tree) <= cap
@@ -306,7 +332,7 @@ def program_texts(draw):
     else:
         rng = random.Random(draw(st.integers(0, 2**32)))
         program = draw(st.sampled_from([random_program, random_nested_program]))(rng, draw(st.integers(1, 6)))
-        rules = [print_rule(rule) for rule in program.rules.values()]
+        rules = [print_rule(rule) for rule in program.values()]
         rules += [print_rule(random_clause(rng)) for _ in range(draw(st.integers(0, 2)))]
         text = "\n".join(rules) + draw(st.sampled_from(["", "\n", " % note\n"]))
     for _ in range(draw(st.integers(0, 3))):
@@ -322,16 +348,14 @@ def program_texts(draw):
 def parse_outcome(parse, text: str):
     try:
         return repr(parse(text))
-    except ProgramSyntaxError as exc:
-        return "problems", exc.problems, exc.rules
     except RuleSyntaxError as exc:
         return "error", str(exc), exc.position
 
 
 class TestAgainstTheTokenParser:
     """The parser over token texts reads every structure text as the parser
-    over token objects that it replaces did, or fails with the same problems
-    at the same positions."""
+    over token objects that it replaces did: the same rules and the same
+    problems at the same lines and offsets, or for one clause the same error."""
 
     @given(program_texts())
     @example("")
@@ -386,11 +410,11 @@ class TestNesting:
         text, offset = drawn
         message = f"clause 1: brackets and NOTs nest deeper than 100 levels (at offset {offset})"
         rules = {"B": Rule("B", ("x",)), "C": Rule("C", ())}
-        assert parse_outcome(parse_program, text) == ("problems", [(offset, message)], rules)
+        assert parse_program(text) == (rules, [(1, message)])
 
     @pytest.mark.parametrize("opener, closer", [("[", "]"), ("NOT ", "")])
     def test_ten_thousand_levels(self, opener, closer):
         text = "A(x) :- " + opener * 10_000 + "B(x)" + closer * 10_000 + ".\nB(x)."
         offset = len("A(x) :- ") + 100 * len(opener)
         message = f"clause 1: brackets and NOTs nest deeper than 100 levels (at offset {offset})"
-        assert parse_outcome(parse_program, text) == ("problems", [(offset, message)], {"B": Rule("B", ("x",))})
+        assert parse_program(text) == ({"B": Rule("B", ("x",))}, [(1, message)])

@@ -311,6 +311,23 @@ class TestImport:
         self.assert_validates(dest, capsys)
         assert list(load_corpus(dest / "manifest.txt").subsections) == ["§1(d)(iv)"]
 
+    def test_integers_past_the_digit_limit_are_skipped(self, tmp_path, capsys):
+        # int() converts at most 4,300 digits: an offsets line skips itself,
+        # and a case value its case, at the column the value ends.
+        source, dest = tmp_path / "dist", tmp_path / "canonical"
+        make_distributed_tree(source)
+        nines = "9" * 5000
+        offsets = source / "statutes" / "section1.offsets"
+        offsets.write_text(offsets.read_text(encoding="utf-8") + f"§1(d)(v) 0 {nines}\n", encoding="utf-8")
+        case = source / "cases" / "case-1-positive"
+        case.write_text(case.read_text(encoding="utf-8") + f"Big={nines}\n", encoding="utf-8")
+        log = import_corpus(source, dest)
+        [offsets_line, case_file] = log.skipped
+        assert offsets_line.startswith("statutes/section1.offsets:2: Exceeds the limit (4300 digits)")
+        assert case_file == "cases/case-1-positive: integer too long (5000 characters) (column 5001)"
+        self.assert_validates(dest, capsys)
+        assert list(load_corpus(dest / "manifest.txt").subsections) == ["§1(d)(iv)"]
+
     def test_input_nested_too_deep_is_skipped(self, tmp_path, capsys):
         # Past the nesting bound a case's value skips the case, and a clause
         # that clause, as any syntax error in it does; the file's other
@@ -330,7 +347,7 @@ class TestImport:
         ]
         self.assert_validates(dest, capsys)
         corpus = load_corpus(dest / "manifest.txt")
-        assert list(corpus.program.rules) == list(corpus.layers) == ["§1(d)(iv)"]
+        assert list(corpus.program) == list(corpus.layers) == ["§1(d)(iv)"]
 
     def test_subsection_ids_listed_twice_are_skipped(self, tmp_path, capsys):
         source, dest = tmp_path / "dist", tmp_path / "canonical"
@@ -388,7 +405,7 @@ class TestImport:
         log = import_corpus(source, dest)
         assert log.skipped == ["structure.txt §7(a): structure: rule §7(a) has no subsection text"]
         self.assert_validates(dest, capsys)
-        assert list(load_corpus(dest / "manifest.txt").program.rules) == ["§1(d)(iv)"]
+        assert list(load_corpus(dest / "manifest.txt").program) == ["§1(d)(iv)"]
 
     def test_dropping_a_rule_drops_its_callers_then_their_cases(self, tmp_path, capsys):
         source, dest = tmp_path / "dist", tmp_path / "canonical"
@@ -431,7 +448,7 @@ class TestImport:
         assert "structure.txt §1(d)(iv)" in log.imported and "structure.txt §7(a)" in log.imported
         self.assert_validates(dest, capsys)
         corpus = load_corpus(dest / "manifest.txt")
-        assert list(corpus.program.rules) == ["§1(d)(iv)", "§7(a)"]
+        assert list(corpus.program) == ["§1(d)(iv)", "§7(a)"]
         assert list(corpus.layers) == ["§1(d)(iv)"] and [c.id for c in corpus.cases] == ["case-1-positive"]
         # The loader reads the source's structure file the same way.
         write(dest / "structure.txt", structure)
