@@ -1,9 +1,9 @@
 """Command-line front end.
 
-One subcommand per evaluation; every command validates the corpus first and
-every run is deterministic, so rerunning with the same manifest produces
-byte-identical reports. Exit codes: 0 success, 1 validation or floor
-failure, 2 runtime or usage error.
+One subcommand per evaluation; `validate` checks every corpus file, and a
+report command the files it reads (`eval-coref`, `eval-argid` and `cascade`
+read no case). Runs are deterministic: the same manifest gives byte-identical
+reports. Exit codes: 0 success, 1 validation or floor failure, 2 runtime or usage error.
 
 Every command loads the corpus, so `records`, `model`, `rules` and `corpus`
 load with this module; each handler imports the other modules it runs.
@@ -114,9 +114,9 @@ def _floor(item: str) -> tuple[str, float]:
     raise argparse.ArgumentTypeError(f"expected NAME=VALUE with a numeric VALUE, got {item!r}")
 
 
-def _load_validated(manifest: str) -> Corpus:
-    """Load and validate a corpus; any problem is a CorpusError."""
-    corpus = load_corpus(manifest)
+def _load_validated(manifest: str, cases: bool = True) -> Corpus:
+    """Load and validate a corpus, its cases only if `cases`; any problem is a CorpusError."""
+    corpus = load_corpus(manifest, cases)
     problems = validate_corpus(corpus)
     if problems:
         raise CorpusError([FileError("corpus", None, p) for p in problems])
@@ -187,7 +187,7 @@ def cmd_stats(args) -> int:
 def cmd_eval_coref(args) -> int:
     from . import baselines, reports
 
-    corpus = _load_validated(args.manifest)
+    corpus = _load_validated(args.manifest, cases=False)
     if args.baseline == "single":
         predictions = {
             sid: baselines.single_mention_coref(layer) for sid, layer in corpus.layers.items()
@@ -228,7 +228,7 @@ def _predicted_spans(corpus: Corpus, source: str) -> dict[str, tuple[Span, ...]]
 def cmd_eval_argid(args) -> int:
     from . import reports
 
-    corpus = _load_validated(args.manifest)
+    corpus = _load_validated(args.manifest, cases=False)
     predicted = _predicted_spans(corpus, args.source)
     return _emit(
         args,
@@ -242,7 +242,7 @@ def cmd_eval_argid(args) -> int:
 def cmd_cascade(args) -> int:
     from . import baselines, reports
 
-    corpus = _load_validated(args.manifest)
+    corpus = _load_validated(args.manifest, cases=False)
     clusters_by_sid = {}
     for sid, spans in _predicted_spans(corpus, args.source).items():
         partition = baselines.string_match_coref(spans, corpus.subsections[sid].text)
@@ -272,6 +272,9 @@ def cmd_eval_inst(args) -> int:
         train = list(corpus.cases_of("train"))
         if args.with_silver:
             train += list(corpus.silver)
+        if not train:
+            message = f"{corpus.manifest.cases}: no case in the train split, which the constant resolver fits on"
+            raise CorpusError([FileError("corpus", None, message)])
         params = baselines.fit_constant_baseline(train)
         resolver = baselines.ConstantResolver(params)
     results, report = evaluate_run(resolver, corpus, args.split, config)

@@ -281,22 +281,24 @@ def _iter_file(path: Path):
         raise CorpusError([FileError(str(path), exc.line, str(exc))]) from exc
 
 
-def load_corpus(manifest_path: str | Path) -> Corpus:
+def load_corpus(manifest_path: str | Path, cases: bool = True) -> Corpus:
+    """The corpus a manifest describes; with `cases` False no cases file is
+    read, and the corpus has no gold or silver case."""
     manifest = CorpusManifest.load(manifest_path)
     subsections = {s.id: s for s in load_statutes(manifest.statutes)}
     layers = load_argument_layers(manifest.spans, manifest.coref, subsections)
     program, problems = parse_program(_read(manifest.structure))
     if problems:
         raise CorpusError([FileError(str(manifest.structure), line, message) for line, message in problems])
-    cases = load_cases(manifest.cases)
-    silver = load_cases(manifest.silver, split="silver") if manifest.silver else []
+    gold = load_cases(manifest.cases) if cases else []
+    silver = load_cases(manifest.silver, split="silver") if cases and manifest.silver else []
     section_files = tuple(sorted({p.name for p in manifest.statutes.glob("*.txt") if p.is_file()} - {"offsets.txt"}))
     return Corpus(
         manifest=manifest,
         subsections=subsections,
         layers={l.subsection_id: l for l in layers},
         program=program,
-        cases=tuple(cases),
+        cases=tuple(gold),
         silver=tuple(silver),
         section_files=section_files,
     )
@@ -321,8 +323,6 @@ def item_problems(corpus: Corpus) -> list[tuple[Rule | Case | ArgumentLayer, str
         if case.query not in corpus.program:
             problems.append((case, f"case {case.id}: query {case.query} has no structure rule"))
     for layer in corpus.layers.values():
-        if layer.subsection_id not in corpus.subsections:
-            problems.append((layer, f"layer {layer.subsection_id}: unknown subsection"))
         rule = corpus.program.get(layer.subsection_id)
         for name, _ in layer.labelled_clusters:
             if rule is None:

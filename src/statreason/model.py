@@ -12,10 +12,14 @@ from __future__ import annotations
 
 import datetime
 import re
+import sys
 from collections.abc import Iterable, Mapping
 from operator import attrgetter
 
 TRUTH_KEY = "@truth"
+# `int` reads and `str` writes an integer of at most this many digits (0: any).
+_DIGITS = sys.get_int_max_str_digits()
+_INT_BOUND = 10**_DIGITS if _DIGITS else float("inf")
 # How deep a record value (lists, groups, entries) or a rule body (brackets,
 # NOTs) may nest: the readers refuse deeper input, which recursion could not take.
 MAX_NESTING = 100
@@ -73,6 +77,8 @@ class Money(Frozen):
     def __init__(self, dollars: int):
         if not isinstance(dollars, int) or isinstance(dollars, bool):
             raise ValueError(f"money must be an integer dollar amount, got {dollars!r}")
+        if not -_INT_BOUND < dollars < _INT_BOUND:
+            raise ValueError(f"integer too long (more than {_DIGITS} digits)")
         _set(self, "dollars", dollars)
 
     def __str__(self) -> str:
@@ -121,6 +127,8 @@ def check_value(value: Value) -> Value:
         check_text(value)
     elif kind == "truth" and not 0.0 <= value <= 1.0:
         raise ValueError(f"truth score out of [0, 1]: {value}")
+    elif kind == "number" and not -_INT_BOUND < value < _INT_BOUND:
+        raise ValueError(f"integer too long (more than {_DIGITS} digits)")
     elif kind == "list":
         kinds = {value_kind(check_value(v)) for v in value}
         if len(kinds) > 1:

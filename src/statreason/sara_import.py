@@ -214,8 +214,12 @@ def _clusters(source: Path, name: str, n_spans: int, log: ImportLog):
     if _is_file(names_path, source, log):
         for lineno, line in enumerate(_read(names_path).splitlines(), 1):
             parts = line.split()
-            if len(parts) == 2 and parts[0].isdecimal() and int(parts[0]) < len(clusters):
-                names[int(parts[0])] = parts[1]
+            try:
+                index = int(parts[0]) if len(parts) == 2 and parts[0].isdecimal() else len(clusters)
+            except ValueError:  # more digits than `int` reads: out of range too
+                index = len(clusters)
+            if index < len(clusters):
+                names[index] = parts[1]
             elif parts:
                 log.skip(f"coref/{names_path.name}:{lineno}", "expected '<cluster_index> <name>'")
     return clusters, tuple(names)

@@ -390,6 +390,23 @@ class TestRoundTrip:
         assert corpus_fields(loaded) == corpus_fields(drawn)
         assert validate_corpus(loaded) == validate_corpus(drawn)
 
+    @staticmethod
+    def assert_loads_without_its_cases(manifest: Path) -> None:
+        whole, statutes = load_corpus(manifest), load_corpus(manifest, cases=False)
+        assert statutes.cases == statutes.silver == ()
+        for field in ("subsections", "layers", "program", "section_files"):
+            assert getattr(statutes, field) == getattr(whole, field)
+        assert corpus_hash(statutes) == corpus_hash(whole)
+
+    def test_the_fixture_loads_without_its_cases(self, manifest_path):
+        self.assert_loads_without_its_cases(manifest_path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(corpora())
+    def test_every_corpus_loads_without_its_cases(self, drawn):
+        with tempfile.TemporaryDirectory() as tmp:
+            self.assert_loads_without_its_cases(write_corpus(drawn, Path(tmp)))
+
     @settings(max_examples=200, deadline=None)
     @given(corpora())
     def test_every_loaded_corpus_serializes_to_its_files(self, drawn):

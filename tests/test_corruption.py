@@ -91,6 +91,57 @@ def test_corrupt_corpus_file(name, tmp_path):
     target.write_text(original, encoding="utf-8")
 
 
+# `validate` checks every file, and a report command the files it reads.
+# The coreference, identification and cascade commands read no case, so
+# whatever one corruption does to a cases file they write what they write
+# on the clean fixture, but for the corpus hash of the records' @run line;
+# `validate` and `eval-inst` still refuse it as pinned.
+COREF_FAMILY = (["eval-coref"], ["eval-argid", "--source", "heuristic"], ["cascade", "--source", "heuristic"])
+
+
+def _coref_family_outputs(manifest: str, out: Path) -> dict[str, str]:
+    """Every file the three commands write under `out`, the corpus hash cut."""
+    for command in COREF_FAMILY:
+        assert run([command[0], "--manifest", manifest, *command[1:], "--out", str(out)]) == (0, "")
+    return {p.name: re.sub(r' corpus="\w+"', "", p.read_text(encoding="utf-8")) for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("name", [name for name in FILES if name.endswith(".cases")])
+def test_a_corrupt_cases_file_leaves_the_coref_family_alone(name, tmp_path):
+    root = tmp_path / "corpus"
+    shutil.copytree(FIXTURES, root)
+    manifest = str(root / "manifest.txt")
+    clean = _coref_family_outputs(manifest, tmp_path / "clean")
+    assert len(clean) == 8  # a report and records per command, predictions for two
+    pinned = dict(re.findall(r"^== (.+) -> (\d)$", PINNED.read_text(encoding="utf-8"), re.MULTILINE))
+    target = root / name
+    original = target.read_text(encoding="utf-8")
+    for i, (what, data) in enumerate(corruptions(original)):
+        target.write_bytes(data)
+        assert _coref_family_outputs(manifest, tmp_path / f"out{i}") == clean, what
+        if pinned[f"{name} {what}"] == "1":
+            assert check(["validate", "--manifest", manifest], tmp_path) == 1, what
+            assert check(["eval-inst", "--manifest", manifest, "--split", "all"], tmp_path) == 1, what
+    target.write_text(original, encoding="utf-8")
+
+
+def test_the_constant_resolver_without_a_train_case_names_the_cases_directory(tmp_path):
+    # The corpus validates, but the constant resolver fits on the train
+    # split (and with --with-silver the silver cases too): with no case
+    # there it exits 1, not 2. The other resolvers fit nothing.
+    root = tmp_path / "corpus"
+    shutil.copytree(FIXTURES, root)
+    (root / "cases" / "train.cases").unlink()
+    manifest = str(root / "manifest.txt")
+    assert run(["validate", "--manifest", manifest]) == (0, "")
+    message = f"corpus: {root}/cases: no case in the train split, which the constant resolver fits on\n"
+    assert run(["eval-inst", "--manifest", manifest, "--resolver", "constant"]) == (1, message)
+    for flags in (["constant", "--with-silver"], ["oracle"], ["heuristic"]):
+        assert run(["eval-inst", "--manifest", manifest, "--resolver", *flags]) == (0, "")
+    (root / "silver" / "silver.cases").unlink()
+    assert run(["eval-inst", "--manifest", manifest, "--resolver", "constant", "--with-silver"]) == (1, message)
+
+
 def _printable(text: str) -> str:
     """`text` with backslashes and non-printable characters escaped."""
     return "".join(

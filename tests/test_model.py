@@ -1,10 +1,12 @@
 import datetime
 import re
+import sys
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from statreason.corpus import load_cases, serialize_cases
 from statreason.model import (
     ArgumentLayer,
     Case,
@@ -322,6 +324,23 @@ class TestWhatAFileCanHold:
         ):
             with pytest.raises(ValueError, match="can't encode"):
                 make()
+
+    def test_integers_past_the_digit_limit_are_refused(self, tmp_path):
+        # The reader reads and the writer writes at most
+        # sys.get_int_max_str_digits() digits, so a value holds no more.
+        digits = sys.get_int_max_str_digits()
+        assert digits, "the interpreter sets no limit"
+        longest = 10**digits - 1
+        for value in (longest, -longest):
+            check_value(value)
+            values = ValueMap({"X": value, "y": Money(value), "z": (value,), "@truth": 1.0})
+            case = Case("a", "d", "Q", ValueMap(), values, "test")
+            (tmp_path / "test.cases").write_text(serialize_cases([case]), encoding="utf-8")
+            assert load_cases(tmp_path) == [case]
+        for value in (longest + 1, -longest - 1, 10**5000):
+            for make in (check_value, lambda v: ValueMap({"X": v}), lambda v: ValueMap({"X": (1, v)}), Money):
+                with pytest.raises(ValueError, match=rf"^integer too long \(more than {digits} digits\)$"):
+                    make(value)
 
     def test_subsection_text_holds_no_carriage_return(self):
         with pytest.raises(ValueError, match="a section file cannot hold"):

@@ -328,6 +328,17 @@ class TestImport:
         self.assert_validates(dest, capsys)
         assert list(load_corpus(dest / "manifest.txt").subsections) == ["§1(d)(iv)"]
 
+    def test_a_cluster_index_past_the_digit_limit_skips_only_its_line(self, tmp_path, capsys):
+        # Like every other bad .names line, and not its layer.
+        source, dest = tmp_path / "dist", tmp_path / "canonical"
+        make_distributed_tree(source)
+        write(source / "coref" / "1_d_iv.names", f"0 Tax\n{'9' * 5000} Big\n1 Taxinc\n")
+        log = import_corpus(source, dest)
+        assert log.skipped == ["coref/1_d_iv.names:2: expected '<cluster_index> <name>'"]
+        assert "spans/1_d_iv" in log.imported
+        self.assert_validates(dest, capsys)
+        assert load_corpus(dest / "manifest.txt").layers["§1(d)(iv)"].cluster_names == ("Tax", "Taxinc")
+
     def test_input_nested_too_deep_is_skipped(self, tmp_path, capsys):
         # Past the nesting bound a case's value skips the case, and a clause
         # that clause, as any syntax error in it does; the file's other
