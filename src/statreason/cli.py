@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default="test", choices=["train", "test", "all"])
     p.add_argument("--depth-cap", type=int, default=3)
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--no-structure", action="store_true", help="ignore dependency trees")
+    p.add_argument("--no-structure", action="store_true", help="instantiate the query's subsection alone")
     p.add_argument("--with-silver", action="store_true", help="add silver cases to the training fit")
     p.add_argument("--insert-gold", action="store_true", help="ground text with gold values (teacher forcing)")
     p.set_defaults(handler=cmd_eval_inst)

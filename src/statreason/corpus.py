@@ -321,7 +321,9 @@ def item_problems(corpus: Corpus) -> list[tuple[Rule | Case | ArgumentLayer, str
             problems.append((rule, f"structure: rule {rule_id} has no subsection text"))
     for case in (*corpus.cases, *corpus.silver):
         if case.query not in corpus.program:
-            problems.append((case, f"case {case.id}: query {case.query} has no structure rule"))
+            # A query that is not an id names no rule; its repr keeps the problem on one line.
+            query = case.query if case.query.split() == [case.query] else repr(case.query)
+            problems.append((case, f"case {case.id}: query {query} has no structure rule"))
     for layer in corpus.layers.values():
         rule = corpus.program.get(layer.subsection_id)
         for name, _ in layer.labelled_clusters:

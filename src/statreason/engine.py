@@ -1,14 +1,15 @@
-"""Argument instantiation over subsection dependency trees.
+"""Argument instantiation over each query's rules, unrolled by `rules.unroll`.
 
 The engine owns the control flow; what a value "is" for a given argument is
 delegated to a pluggable resolver that is asked for one argument at a time
 against the partially grounded subsection text, and once more, for "@truth",
 for the subsection's truth score. Each answer is one value, or None for no
-answer. Tree evaluation is depth first: leaves are instantiated directly,
-operator nodes combine their children's results, and a subsection above a
-body absorbs the body's values (mapped back through the reference bindings)
-before being instantiated itself. Every node is resolved exactly once; there
-is no backtracking.
+answer. The engine runs `unroll`'s program as it is, in post order: a
+subsection without a body is instantiated directly, an operator combines
+its operands' results, and a subsection with a body absorbs the body's
+values (mapped back through the reference bindings) before being
+instantiated itself. Every node is resolved exactly once; there is no
+backtracking.
 
 Values enter the engine only as `Case.inputs` and checked resolver answers,
 so the engine keeps them in plain dicts.
@@ -17,9 +18,8 @@ A run (`run_cases`) is one `RunContext`. It holds what the run fixes (the
 program, the argument layers, the subsection texts and the `EngineConfig`),
 what is built once from those and shared across cases (each subsection's
 `SubsectionPlan`, its text cut at its labelled mentions, and each query's
-program, its rules unrolled at the run's depth cap by `rules.unroll` and
-compiled into a flat post-order list of `Step`s by `compile_query`), and
-the notes its cases add.
+program, the tuple of `rules.unroll`'s (op, id, depth, bindings, body,
+arity) tuples at the run's depth cap), and the notes its cases add.
 A case is one loop over its query's program with a stack of the values each
 open subsection's body sees and a stack of results. A request's grounded
 text is spliced from the plan only when a resolver first reads it, and a
@@ -156,7 +156,7 @@ class Resolver(Protocol):
     """Answers requests one at a time, each with the one value asked for or
     None for no answer; the engine validates every value it is given. A
     resolver is free to keep what it derives from a case or a subsection for
-    the length of a run; the engine itself compiles each query and builds
+    the length of a run; the engine itself unrolls each query and builds
     each subsection's plan once per run."""
 
     def resolve(self, request: ResolveRequest) -> Value | None: ...
@@ -280,33 +280,14 @@ def do_operation(kind: str, children: list[dict[str, Value]]) -> dict[str, Value
     raise EngineError(f"unknown operator {kind!r}")
 
 
-class Step(Frozen):
-    """One instruction of a compiled query, at position `index` of its program.
-
-    `op` is "open", "subsection" or an operator kind ("AND", "OR", "NOT"),
-    and `depth` is the unrolled depth of the subsection or operator it stands
-    for. An "open" step comes before the body of subsection `id` and pushes
-    the values that body sees. A "subsection" step instantiates `id` with
-    `plan`, after taking in its body's result when it has one (`body`).
-    `bindings` are the subsection's (callee param, caller var) pairs, read
-    downward when values enter and upward when its result leaves; the
-    query's own subsection, at depth 1, has none: it takes the case inputs
-    and returns its result as it is. `no_text` marks a subsection with no
-    text. An operator step has no `id` and no plan and combines the last
-    `arity` results.
-    """
-
-    __slots__ = ("index", "op", "id", "depth", "plan", "bindings", "body", "no_text", "arity")
-
-
 class RunContext:
     """One run of the engine. It holds what the run fixes: the rule program,
     the argument layers, the subsection texts by id and the config. It holds
     what is built once from those and shared by the run's cases: each
-    query's compiled program (`programs`) and each subsection's plan
-    (`plans`); neither holds a case's values, so cases only read them. And
-    it holds the notes the run's cases add, in order, as (case id,
-    subsection, argument, kind) tuples (see `note_text`)."""
+    query's program as `rules.unroll` gives it (`programs`) and each
+    subsection's plan (`plans`); neither holds a case's values, so cases
+    only read them. And it holds the notes the run's cases add, in order, as
+    (case id, subsection, argument, kind) tuples (see `note_text`)."""
 
     __slots__ = ("program", "layers", "texts", "config", "programs", "plans", "notes")
 
@@ -321,54 +302,46 @@ class RunContext:
         self.layers = layers
         self.texts = texts
         self.config = config
-        self.programs: dict[str, tuple[Step, ...]] = {}
+        self.programs: dict[str, tuple[tuple, ...]] = {}
         self.plans: dict[str, SubsectionPlan] = {}
         self.notes: list[tuple[str, str | None, str | None, str]] = []
 
 
-def compile_query(context: RunContext, query: str) -> tuple[Step, ...]:
-    """The query's rules unrolled at the run's depth cap (`rules.unroll`)
-    as a flat program in post order: each subsection step follows its
-    body's steps and each operator step its operands'. Plans go into
-    `context.plans`, shared between queries."""
-    texts, plans, threshold = context.texts, context.plans, context.config.truth_threshold
-    steps: list[Step] = []
-    for op, sid, depth, bindings, body, arity in unroll(context.program, query, context.config.depth_cap):
-        if sid is not None and sid not in plans:
-            plans[sid] = SubsectionPlan(layer_of(context.layers, sid), texts.get(sid, ""), threshold)
-        no_text = op == "subsection" and sid not in texts
-        steps.append(Step(len(steps), op, sid, depth, plans.get(sid), bindings, body, no_text, arity))
-    return tuple(steps)
-
-
 def instantiate_full(resolver: Resolver, case: Case, context: RunContext) -> dict[str, Value]:
     """Instantiate a case's query subsection over its unrolled rules: one
-    loop over the query's program, compiled on its first case in `context`,
-    with a stack of the values each open subsection's body sees and a stack
-    of results. Notes go to `context.notes`."""
-    steps = context.programs.get(case.query)
-    if steps is None:
+    loop over the query's program, unrolled on its first case in `context`
+    with a plan for each of its subsections, with a stack of the values each
+    open subsection's body sees and a stack of results. Notes go to
+    `context.notes`."""
+    texts, plans = context.texts, context.plans
+    program = context.programs.get(case.query)
+    if program is None:
         if case.query not in context.program:
             raise EngineError(f"case {case.id}: query {case.query} has no rule")
+        program = tuple(unroll(context.program, case.query, context.config.depth_cap))
+        layers, threshold = context.layers, context.config.truth_threshold
         try:
-            steps = context.programs[case.query] = compile_query(context, case.query)
+            for _, sid, *_ in program:
+                if sid is not None and sid not in plans:
+                    plans[sid] = SubsectionPlan(layer_of(layers, sid), texts.get(sid, ""), threshold)
         except ValueError as exc:  # a callee without a rule whose id no layer can have
             raise EngineError(f"case {case.id}: {exc}") from exc
+        context.programs[case.query] = program
     resolve, note, insert_gold = resolver.resolve, context.notes.append, context.config.insert_gold
     inputs = dict(case.inputs)
     envs: list[dict[str, Value]] = []
     results: list[dict[str, Value]] = []
-    for step in steps:
-        if step.plan is None:  # an operator
-            children = results[-step.arity :]
-            del results[-step.arity :]
-            results.append(do_operation(step.op, children))
+    for op, sid, depth, bindings, body, arity in program:
+        if sid is None:  # an operator
+            children = results[-arity:]
+            del results[-arity:]
+            results.append(do_operation(op, children))
             continue
-        if step.body:
+        if body:
             known = envs.pop()
-            body = results.pop()
-            known = {**known, **{k: v for k, v in body.items() if k not in known and k != TRUTH_KEY}}
-        elif step.depth == 1:
+            absorbed = results.pop()
+            known = {**known, **{k: v for k, v in absorbed.items() if k not in known and k != TRUTH_KEY}}
+        elif depth == 1:
             known = inputs
         else:
             # Values cross a reference by renaming: the callee's parameter
@@ -376,18 +349,18 @@ def instantiate_full(resolver: Resolver, case: Case, context: RunContext) -> dic
             # (Plain loops: in this loop they cost less than comprehensions.)
             outer = envs[-1]
             known = {}
-            for param, var in step.bindings:
+            for param, var in bindings:
                 if var in outer:
                     known[param] = outer[var]
-        if step.op == "open":
+        if op == "open":
             envs.append(known)
             continue
-        if step.no_text:
-            note((case.id, step.id, None, "no text"))
-        result = _instantiate(resolve, step.plan, known, case, insert_gold, note)
-        if step.depth > 1:
+        if sid not in texts:
+            note((case.id, sid, None, "no text"))
+        result = _instantiate(resolve, plans[sid], known, case, insert_gold, note)
+        if depth > 1:
             out = {}
-            for param, var in step.bindings:
+            for param, var in bindings:
                 if param in result:
                     out[var] = result[param]
             out[TRUTH_KEY] = result[TRUTH_KEY]

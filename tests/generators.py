@@ -7,6 +7,7 @@ import datetime
 import enum
 import random
 import re
+import sys
 
 import hypothesis.strategies as st
 
@@ -218,11 +219,22 @@ _SUBSECTION_IDS = st.builds(
 # names.
 _CASE_IDS = _words(_chars("/\x00"), 8).filter(lambda t: t[0] != "#" and t not in (".", ".."))
 _SECTION_FILES = _words(_chars("/\x00")).map(lambda name: name + ".txt").filter(lambda name: name != "offsets.txt")
-# A gold split names its file, cases/<split>.cases: words that `Case` mostly
-# accepts, and text of every code point, of which `Case` refuses what that
-# file cannot carry. Short enough for any file system's names, and not
+# A gold split names its file, cases/<split>.cases: three times in four
+# "train" or "test", which the commands read, and otherwise words that `Case`
+# mostly accepts, and text of every code point, of which `Case` refuses what
+# that file cannot carry. Short enough for any file system's names, and not
 # "silver", the split of the silver cases.
-_SPLITS = st.one_of(_words(_chars(), 5), st.text(_ANY_CHARACTER, max_size=40)).filter(lambda split: split != "silver")
+_OTHER_SPLITS = st.one_of(_words(_chars(), 5), st.text(_ANY_CHARACTER, max_size=40)).filter(
+    lambda split: split != "silver"
+)
+_SPLITS = st.integers(0, 3).flatmap(lambda k: _OTHER_SPLITS if k == 0 else st.sampled_from(["train", "test"]))
+# Numbers and dollar amounts of either sign at the interpreter's digit limit:
+# the model takes 10**limit - 2 and 10**limit - 1, of `limit` digits, and
+# refuses 10**limit, of one more (a dollar amount it refuses is drawn as
+# None, which a value map refuses in turn).
+_BOUND = 10 ** sys.get_int_max_str_digits()
+_LONG_INTEGERS = st.builds(lambda sign, d: sign * (_BOUND + d), st.sampled_from([1, -1]), st.integers(-2, 0))
+_LONG_VALUES = st.one_of(_LONG_INTEGERS, _LONG_INTEGERS.map(lambda n: _made(Money, n)))
 # Subsection text, not empty as `Subsection` requires.
 _SECTION_TEXTS = st.text(
     st.one_of(st.characters(exclude_categories=("Cs",)), st.sampled_from(ESCAPED_CHARACTERS)), min_size=1, max_size=12
@@ -329,8 +341,9 @@ def corpora(draw, distributed: bool = False) -> Corpus:
     subsection, its spans lie in the subsection's text and cover more than
     whitespace, a case expects something (a binary case, "@truth"), case ids
     are unique per cases directory, and no gold case is in the split
-    "silver". Values are of every
-    kind, rules enter as parsed clause text, and queries, callees, bindings
+    "silver". Gold cases are mostly in "train" or "test". Values are of
+    every kind, numbers and dollar amounts on both sides of the digit limit
+    among them, rules enter as parsed clause text, and queries, callees, bindings
     and labels name what exists or anything. The corpus comes without a
     manifest, its cases in the order the loader reads them.
 
@@ -345,7 +358,9 @@ def corpora(draw, distributed: bool = False) -> Corpus:
         ids, labels = heads + draw(st.lists(_PLAIN_HEADS, max_size=3)), st.nothing()
         texts = _SECTION_TEXTS.map(lambda t: t.replace("\r", "\n"))
         descriptions = MODEL_TEXT_VALUES.map(_one_line).filter(lambda d: not _BLOCK_LINE.fullmatch(d))
-        keys, values = MODEL_TEXT_VALUES.map(lambda k: _one_line(k.replace("=", ""))), MODEL_VALUES
+        keys = MODEL_TEXT_VALUES.map(lambda k: _one_line(k.replace("=", "")))
+        # One value in four is at the digit limit, so that most cases keep their values.
+        values = st.one_of(MODEL_VALUES, MODEL_VALUES, MODEL_VALUES, _LONG_VALUES)
         queries = st.sampled_from(heads) if heads else st.nothing()
         case_ids, splits = _CASE_IDS, st.sampled_from(["train", "test"])
     else:
@@ -353,7 +368,7 @@ def corpora(draw, distributed: bool = False) -> Corpus:
         ids += draw(st.lists(st.one_of(_SUBSECTION_IDS, _ANY_TEXT), max_size=3))
         texts, labels = st.one_of(_SECTION_TEXTS, _ANY_TEXT), st.one_of(st.none(), _ANY_TEXT)
         descriptions = queries = keys = _ANY_TEXT
-        values = st.one_of(MODEL_VALUES, _ANY_TEXT)
+        values = st.one_of(MODEL_VALUES, _ANY_TEXT, _LONG_VALUES)
         case_ids, splits = st.one_of(_CASE_IDS, _ANY_TEXT), _SPLITS
 
     subsections = {}

@@ -275,6 +275,15 @@ class TestValidation:
         problems = validate_corpus(load_corpus(root / "manifest.txt"))
         assert any("§999" in p for p in problems)
 
+    def test_a_query_that_is_not_an_id_reads_on_one_line(self, tmp_path):
+        # A quoted query can hold any line separator; no rule head can, and
+        # the problem reads as one line, the query as its repr.
+        root = copy_corpus(tmp_path)
+        case = '2(a)(1)-positive query='
+        edit(root / "cases" / "test.cases", case + '"§2(a)(1)"', case + '"§2\\u2028#"')
+        problems = validate_corpus(load_corpus(root / "manifest.txt"))
+        assert "case 2(a)(1)-positive: query '§2\\u2028#' has no structure rule" in problems
+
     def test_structure_errors_name_their_lines(self, tmp_path):
         root = copy_corpus(tmp_path)
         edit(root / "structure.txt", "§2(a)(1)(A)(Taxp, Taxy).", "§2(a)(1)(A)(Taxp, Taxy)")

@@ -31,7 +31,7 @@ from statreason.engine import (
     run_cases,
 )
 from statreason.model import ArgumentLayer, Case, Money, Span, Subsection, TRUTH_KEY, ValueMap
-from statreason.rules import OpNode, Rule, SubsectionNode, parse_program
+from statreason.rules import OpNode, Rule, SubsectionNode, parse_program, unroll
 
 from generators import MODEL_VALUES, SUBCLASSED_VALUES, random_nested_program, random_value_map, texts_with_layers
 
@@ -587,40 +587,40 @@ class TestInstantiateFull:
         assert len({tuple(r.items()) for r in alone}) == len(cases)
 
     def test_tree_built_once_per_query(self, corpus, monkeypatch):
-        # Each query's rules are unrolled, and compiled into its program, once.
-        compiled = Counter()
-        real_compile = engine.compile_query
+        # Each query's rules are unrolled into its program once.
+        unrolled = Counter()
+        real_unroll = engine.unroll
 
-        def compiling(context, query):
-            compiled[query] += 1
-            return real_compile(context, query)
+        def unrolling(program, query, depth_cap):
+            unrolled[query] += 1
+            return real_unroll(program, query, depth_cap)
 
-        monkeypatch.setattr(engine, "compile_query", compiling)
+        monkeypatch.setattr(engine, "unroll", unrolling)
         results, _ = run_cases(OracleResolver(), corpus, "all")
-        assert compiled == Counter({q: 1 for q in {c.query for c in corpus.cases}})
-        assert len(results) > len(compiled)
+        assert unrolled == Counter({q: 1 for q in {c.query for c in corpus.cases}})
+        assert len(results) > len(unrolled)
 
     def test_each_run_compiles_its_own_programs(self, corpus, monkeypatch):
-        compiled = []
-        real = engine.compile_query
+        unrolled = []
+        real = engine.unroll
 
-        def compiling(context, query):
-            compiled.append((query, context.config.depth_cap))
-            return real(context, query)
+        def unrolling(program, query, depth_cap):
+            unrolled.append((query, depth_cap))
+            return real(program, query, depth_cap)
 
-        monkeypatch.setattr(engine, "compile_query", compiling)
+        monkeypatch.setattr(engine, "unroll", unrolling)
         resolver, runs = Recording(), []
         for depth_cap in (3, 1):
             results, _ = run_cases(resolver, corpus, "all", EngineConfig(depth_cap))
             runs.append([list(r.predicted.items()) for r in results])
         queries = sorted({c.query for c in corpus.cases})
-        assert sorted(compiled) == sorted([(q, 3) for q in queries] + [(q, 1) for q in queries])
-        monkeypatch.setattr(engine, "compile_query", real)
+        assert sorted(unrolled) == sorted([(q, 3) for q in queries] + [(q, 1) for q in queries])
+        monkeypatch.setattr(engine, "unroll", real)
         fresh, _ = run_cases(Recording(), corpus, "all", EngineConfig(1))
         assert runs[1] == [list(r.predicted.items()) for r in fresh] != runs[0]
 
     def test_a_context_runs_at_its_own_config(self, corpus):
-        # What one run compiled never answers for another run's config: after
+        # What one run unrolled never answers for another run's config: after
         # a cap-3 run, a cap-1 run gives the single-subsection answer.
         case = next(c for c in corpus.cases if c.id == "63(c)(5)-negative")
         texts = {s.id: s.text for s in corpus.subsections.values()}
@@ -628,8 +628,8 @@ class TestInstantiateFull:
         results = [instantiate_full(HeuristicResolver(), case, context) for context in (deep, capped)]
         single = instantiate_one(HeuristicResolver(), corpus.layers[case.query], texts[case.query], case)
         assert results[1] == single != results[0]
-        assert {s.depth for s in capped.programs[case.query]} == {1}
-        assert max(s.depth for s in deep.programs[case.query]) > 1
+        assert {depth for _, _, depth, *_ in capped.programs[case.query]} == {1}
+        assert max(depth for _, _, depth, *_ in deep.programs[case.query]) > 1
 
     def test_determinism(self, corpus):
         config = EngineConfig()
@@ -682,49 +682,60 @@ def post_order(node):
 
 
 class TestCompiledProgram:
-    """A query's program against the tree the recursive builder
-    (`oracles.build_dependency_tree`) unrolls."""
+    """A query's program, as a run keeps it, against the tree the recursive
+    builder (`oracles.build_dependency_tree`) unrolls, with the plans and
+    notes of its subsections."""
 
     @staticmethod
-    def assert_compiles(program, query, depth_cap, layers, texts):
-        context = RunContext(program, layers, texts, EngineConfig(depth_cap))
-        steps = engine.compile_query(context, query)
-        plans = context.plans
-        tree = oracles.build_dependency_tree(program, query, depth_cap)
-        assert [s.index for s in steps] == list(range(len(steps)))
-        # Without its "open" steps the program is the tree in post order,
-        # each node visited once; `node` pairs each step with its node.
-        visits = [s for s in steps if s.op != "open"]
-        nodes = post_order(tree.root)
-        assert len(visits) == len(nodes)
-        node = {s.index: n for s, n in zip(visits, nodes)}
-        # An "open" step precedes exactly its subsection's body: opens and
-        # the subsection steps with a body nest like brackets.
-        opened = []
-        for s in steps:
-            if s.op == "open":
-                opened.append(s.index)
-            elif s.op == "subsection" and s.body:
-                node[opened[-1]] = node[s.index]
-                assert [node[t.index] for t in steps[opened.pop() + 1 : s.index] if t.op != "open"] == post_order(
-                    node[s.index].child
-                )
-        assert not opened
-        for s in steps:
-            n = node[s.index]
-            assert s.depth == n.depth
-            if isinstance(n, OpNode):
-                assert (s.op, s.id, s.arity, s.plan) == (n.kind, None, len(n.children), None)
-                continue
-            assert s.op in ("open", "subsection") and s.id == n.id and s.plan is plans[n.id]
-            assert (s.plan.layer.subsection_id, s.plan.text, s.plan.threshold) == (n.id, texts.get(n.id, ""), 0.5)
-            assert s.bindings == n.bindings and (n.depth > 1 or s.bindings == ())
-            if s.op == "subsection":
-                assert s.body == (n.child is not None) and s.no_text == (n.id not in texts)
-            else:
-                assert n.child is not None
-        assert {s.id for s in visits if s.op == "subsection"} == set(plans)
-        return steps
+    def assert_compiles(program, queries, depth_cap, layers, texts):
+        # One case per query, in one run, so the queries share its plans.
+        context, plans = RunContext(program, layers, texts, EngineConfig(depth_cap)), {}
+        for k, query in enumerate(queries):
+            case = oracle_case(f"c{k}", query, {}, {TRUTH_KEY: 1.0})
+            instantiate_full(Recording(), case, context)
+            steps = context.programs[query]
+            assert steps == tuple(unroll(program, query, depth_cap))
+            assert all(context.plans[sid] is plan for sid, plan in plans.items())
+            plans = dict(context.plans)
+            tree = oracles.build_dependency_tree(program, query, depth_cap)
+            # Without its "open" tuples the program is the tree in post
+            # order, each node visited once; `node` pairs each position with
+            # its node.
+            visits = [i for i, step in enumerate(steps) if step[0] != "open"]
+            nodes = post_order(tree.root)
+            assert len(visits) == len(nodes)
+            node = dict(zip(visits, nodes))
+            # An "open" tuple precedes exactly its subsection's body: opens
+            # and the subsections with a body nest like brackets.
+            opened = []
+            for i, (op, _, _, _, body, _) in enumerate(steps):
+                if op == "open":
+                    opened.append(i)
+                elif op == "subsection" and body:
+                    node[opened[-1]] = node[i]
+                    inside = [node[j] for j in range(opened.pop() + 1, i) if steps[j][0] != "open"]
+                    assert inside == post_order(node[i].child)
+            assert not opened
+            for i, (op, sid, depth, bindings, body, arity) in enumerate(steps):
+                n = node[i]
+                assert depth == n.depth
+                if isinstance(n, OpNode):
+                    assert (op, sid, arity) == (n.kind, None, len(n.children))
+                    continue
+                assert op in ("open", "subsection") and sid == n.id
+                plan = context.plans[sid]
+                assert (plan.layer.subsection_id, plan.text, plan.threshold) == (n.id, texts.get(n.id, ""), 0.5)
+                assert bindings == n.bindings and (n.depth > 1 or bindings == ())
+                if op == "subsection":
+                    assert body == (n.child is not None)
+                else:
+                    assert n.child is not None and not body
+            # Each subsection without text is noted as it is instantiated.
+            assert [note for note in context.notes if note[0] == case.id and note[3] == "no text"] == [
+                (case.id, sid, None, "no text") for op, sid, *_ in steps if op == "subsection" and sid not in texts
+            ]
+        # One plan per id of the run's programs.
+        assert set(context.plans) == {sid for q in queries for _, sid, *_ in context.programs[q]} - {None}
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
@@ -734,18 +745,17 @@ class TestCompiledProgram:
         texts, layers = rule_texts_and_layers(program)
         for head in rng.sample(sorted(texts), rng.randrange(len(texts))):
             del texts[head]
-        for query in program:
-            self.assert_compiles(program, query, depth_cap, layers, texts)
+        self.assert_compiles(program, list(program), depth_cap, layers, texts)
 
     def test_fixture(self, corpus):
         texts = {s.id: s.text for s in corpus.subsections.values()}
-        for query in sorted({c.query for c in corpus.cases}):
-            for depth_cap in (1, 2, 3, 4):
-                self.assert_compiles(corpus.program, query, depth_cap, corpus.layers, texts)
+        queries = sorted({c.query for c in corpus.cases})
+        for depth_cap in (1, 2, 3, 4):
+            self.assert_compiles(corpus.program, queries, depth_cap, corpus.layers, texts)
 
 
 class TestOneWalk:
-    """One loop per case over the compiled program against the
+    """One loop per case over the unrolled program against the
     populate-then-resolve evaluation it replaced (`oracles.instantiate_full`):
     the same predictions in the same order, the same notes and the same
     resolver requests."""
@@ -788,7 +798,7 @@ class TestOneWalk:
                 assert requests
 
     def test_a_run_builds_no_tree_node(self, corpus, monkeypatch):
-        # The engine compiles from `rules.unroll`'s tuples; no tree is built.
+        # The engine runs `rules.unroll`'s tuples; no tree is built.
         built = []
 
         def counted(init):
@@ -863,15 +873,16 @@ class TestEvaluateRun:
 
     def test_a_recursive_rule_compiles_at_any_cap(self):
         # A rule that calls itself unrolls to the depth cap: at a cap of 5,000,
-        # far past the interpreter's recursion limit, its query compiles to
-        # one open and one subsection step per level above the cap and the
-        # leaf at the cap, and its cases score like any other.
+        # far past the interpreter's recursion limit, its query's program is
+        # one "open" and one "subsection" tuple per level above the cap and
+        # the leaf at the cap, and its cases score like any other.
         program, _ = parse_program("C(x) :- C(x).\nB(x).")
         cases = tuple(Case(q.lower(), "", q, ValueMap(), ValueMap({TRUTH_KEY: 1.0}), "test") for q in "CB")
         corpus = Corpus(None, {}, {}, program, cases, (), ())
         context = RunContext(program, {}, {}, EngineConfig(5000))
-        steps = engine.compile_query(context, "C")
-        assert len(steps) == 9999 and [s.op for s in steps].count("open") == 4999
+        instantiate_full(OracleResolver(), cases[0], context)
+        steps = context.programs["C"]
+        assert len(steps) == 9999 and [op for op, *_ in steps].count("open") == 4999
         results, report = evaluate_run(OracleResolver(), corpus, config=EngineConfig(5000))
         assert [(r.error, r.predicted) for r in results] == [(None, {TRUTH_KEY: 1.0})] * 2
         assert report.errors == () and report.unified.accuracy == 1.0
