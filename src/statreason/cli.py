@@ -7,6 +7,7 @@ reports. Exit codes: 0 success, 1 validation or floor failure, 2 runtime or usag
 
 Every command loads the corpus, so `records`, `model`, `rules` and `corpus`
 load with this module; each handler imports the other modules it runs.
+`main` runs as `python -m statreason` and as the `statreason` script.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ def cmd_eval_coref(args) -> int:
         }
     elif args.baseline.startswith("import:"):
         layers = load_argument_layers(corpus.manifest.spans, args.baseline[len("import:") :], corpus.subsections)
-        predictions = {l.subsection_id: l.clusters for l in layers}
+        predictions = {sid: layer.clusters for sid, layer in layers.items()}
     else:
         raise ValueError(f"unknown baseline {args.baseline!r}")
     return _emit(
@@ -310,6 +311,3 @@ def cmd_import(args) -> int:
     print(f"canonical corpus written to {args.dest}/manifest.txt")
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

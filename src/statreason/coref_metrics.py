@@ -48,7 +48,7 @@ def _overlaps(gold: Partition, pred: Partition) -> Counter:
 
 def _scores(hit: int, n_pred: int, n_gold: int) -> PRF:
     """Precision, recall and F1 of `hit` matches; a 0/0 ratio scores 0."""
-    return prf(hit, n_pred, hit, n_gold) if n_pred or n_gold else PRF(0.0, 0.0, 0.0)
+    return prf(hit, n_pred, n_gold) if n_pred or n_gold else PRF(0.0, 0.0, 0.0)
 
 
 def muc(gold_clusters, pred_clusters) -> PRF:
@@ -111,11 +111,11 @@ def _best_assignment(weights: list[list[float]]) -> list[float]:
     return [weights[row_of[j] - 1][j - 1] for j in range(1, m + 1) if row_of[j]]
 
 
-def _ceaf(gold: Partition, pred: Partition, similarity) -> tuple[float, float, float]:
-    """(best total similarity, self-sim of pred, self-sim of gold).
-
-    `similarity(n, a, b)` scores clusters of sizes a and b sharing n mentions.
-    """
+def _ceaf(gold_clusters, pred_clusters, similarity) -> PRF:
+    """Precision and recall of the best one-to-one cluster alignment: its total
+    similarity over each side's self-similarity. `similarity(n, a, b)` scores
+    clusters of sizes a and b sharing n mentions."""
+    gold, pred = _partitions(gold_clusters, pred_clusters)
     self_sim = lambda side: sum(similarity(len(c), len(c), len(c)) for c in side)
     sim = {
         (i, j): similarity(n, len(gold[i]), len(pred[j]))
@@ -128,7 +128,7 @@ def _ceaf(gold: Partition, pred: Partition, similarity) -> tuple[float, float, f
             picked.append(max(sim[i, j] for i in rows for j in cols))
             continue
         picked.extend(_best_assignment([[sim.get((i, j), 0.0) for j in cols] for i in rows]))
-    return math.fsum(picked), self_sim(pred), self_sim(gold)
+    return prf(math.fsum(picked), self_sim(pred), self_sim(gold))
 
 
 def _overlap(n: int, a: int, b: int) -> float:
@@ -141,16 +141,12 @@ def _phi4(n: int, a: int, b: int) -> float:
 
 def ceaf_m(gold_clusters, pred_clusters) -> PRF:
     """Mention-based CEAF: optimal one-to-one cluster alignment, overlap similarity."""
-    gold, pred = _partitions(gold_clusters, pred_clusters)
-    best, p_den, r_den = _ceaf(gold, pred, _overlap)
-    return prf(best, p_den, best, r_den)
+    return _ceaf(gold_clusters, pred_clusters, _overlap)
 
 
 def ceaf_e(gold_clusters, pred_clusters) -> PRF:
     """Entity-based CEAF: optimal alignment under the normalized phi4 similarity."""
-    gold, pred = _partitions(gold_clusters, pred_clusters)
-    best, p_den, r_den = _ceaf(gold, pred, _phi4)
-    return prf(best, p_den, best, r_den)
+    return _ceaf(gold_clusters, pred_clusters, _phi4)
 
 
 def _pairs(n: int) -> int:

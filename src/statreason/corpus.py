@@ -111,8 +111,9 @@ class Corpus(Frozen):
 # Loaders
 
 
-def load_statutes(statutes_dir: str | Path) -> list[Subsection]:
-    """Read section files and slice subsections out per the offsets index."""
+def load_statutes(statutes_dir: str | Path) -> dict[str, Subsection]:
+    """Read section files and slice subsections out per the offsets index,
+    by id."""
     statutes_dir = Path(statutes_dir)
     index = statutes_dir / "offsets.txt"
     if not index.exists():
@@ -146,7 +147,7 @@ def load_statutes(statutes_dir: str | Path) -> list[Subsection]:
         errors.append(FileError(str(index), repeats[rid], f"duplicate subsection id {rid}"))
     if errors:
         raise CorpusError(errors)
-    return list(subsections.values())
+    return subsections
 
 
 def load_spans(
@@ -185,7 +186,7 @@ def load_spans(
                     raise records.RecordError(f"spans overlap or are out of order: {a}, {b}")
             spans[record.id] = tuple(out)
             lines[record.id] = lineno
-        except (records.RecordError, ValueError) as exc:
+        except ValueError as exc:
             errors.append(FileError(str(path), lineno, str(exc)))
     if errors:
         raise CorpusError(errors)
@@ -194,8 +195,8 @@ def load_spans(
 
 def load_argument_layers(
     spans_path: str | Path, coref_path: str | Path, subsections: Mapping[str, Subsection]
-) -> list[ArgumentLayer]:
-    """Join the spans and coref files into validated argument layers."""
+) -> dict[str, ArgumentLayer]:
+    """Join the spans and coref files into validated argument layers, by id."""
     spans_path, coref_path = Path(spans_path), Path(coref_path)
     spans, span_lines = load_spans(spans_path, subsections)
     errors: list[FileError] = []
@@ -228,14 +229,14 @@ def load_argument_layers(
                 clusters.append(tuple(members))
                 names.append(label)
             layers[record.id] = ArgumentLayer(record.id, spans[record.id], tuple(clusters), tuple(names))
-        except (records.RecordError, ValueError) as exc:
+        except ValueError as exc:
             errors.append(FileError(str(coref_path), lineno, str(exc)))
 
     for missing in sorted(set(spans) - set(layers)):
         errors.append(FileError(str(spans_path), span_lines[missing], f"no coref record for {missing}"))
     if errors:
         raise CorpusError(errors)
-    return list(layers.values())
+    return layers
 
 
 def load_cases(cases_dir: str | Path, split: str | None = None) -> list[Case]:
@@ -265,7 +266,7 @@ def load_cases(cases_dir: str | Path, split: str | None = None) -> list[Case]:
                     raise records.RecordError(f"duplicate case id {record.id}")
                 cases.append(Case(record.id, description, query, inputs, expected, name))
                 seen.add(record.id)
-            except (records.RecordError, ValueError) as exc:
+            except ValueError as exc:
                 errors.append(FileError(str(path), lineno, str(exc)))
     if errors:
         raise CorpusError(errors)
@@ -285,7 +286,7 @@ def load_corpus(manifest_path: str | Path, cases: bool = True) -> Corpus:
     """The corpus a manifest describes; with `cases` False no cases file is
     read, and the corpus has no gold or silver case."""
     manifest = CorpusManifest.load(manifest_path)
-    subsections = {s.id: s for s in load_statutes(manifest.statutes)}
+    subsections = load_statutes(manifest.statutes)
     layers = load_argument_layers(manifest.spans, manifest.coref, subsections)
     program, problems = parse_program(_read(manifest.structure))
     if problems:
@@ -296,7 +297,7 @@ def load_corpus(manifest_path: str | Path, cases: bool = True) -> Corpus:
     return Corpus(
         manifest=manifest,
         subsections=subsections,
-        layers={l.subsection_id: l for l in layers},
+        layers=layers,
         program=program,
         cases=tuple(gold),
         silver=tuple(silver),

@@ -229,14 +229,9 @@ def _instantiate(
             note((case.id, sid, name, "no value"))
             continue
         value = check_value(value)
-        shared = grounding is predictions
         predictions = {**predictions, name: value}
         known = MappingProxyType(predictions)
-        if insert_gold and name in case.expected:
-            grounding = {**grounding, name: case.expected[name]}
-        else:
-            # The grounding is the predictions until a gold value differs.
-            grounding = predictions if shared else {**grounding, name: value}
+        grounding = {**grounding, name: case.expected.get(name, value)} if insert_gold else predictions
 
     try:
         truth = resolve(ResolveRequest(plan, known, TRUTH_KEY, case, grounding))

@@ -27,11 +27,12 @@ class PRF(Frozen):
         return (self.precision, self.recall, self.f1)
 
 
-def prf(matched_p: float, total_pred: float, matched_r: float, total_gold: float) -> PRF:
+def prf(matched: float, total_pred: float, total_gold: float) -> PRF:
+    """Precision, recall and F1 of `matched` items; empty-vs-empty is perfect."""
     if total_pred == 0 and total_gold == 0:
         return PRF(1.0, 1.0, 1.0)
-    p = matched_p / total_pred if total_pred else 0.0
-    r = matched_r / total_gold if total_gold else 0.0
+    p = matched / total_pred if total_pred else 0.0
+    r = matched / total_gold if total_gold else 0.0
     f1 = 2 * p * r / (p + r) if p + r else 0.0
     return PRF(p, r, f1)
 
@@ -58,7 +59,7 @@ def exact_match(units) -> Aggregate:
     correct = pred_total = gold_total = perfect = 0
     for gold, pred in units:
         matched = len(gold & pred)
-        per_unit.append(prf(matched, len(pred), matched, len(gold)))
+        per_unit.append(prf(matched, len(pred), len(gold)))
         correct += matched
         pred_total += len(pred)
         gold_total += len(gold)
@@ -66,7 +67,7 @@ def exact_match(units) -> Aggregate:
     p_avg, p_std = _avg_std([u.precision for u in per_unit])
     r_avg, r_std = _avg_std([u.recall for u in per_unit])
     f_avg, f_std = _avg_std([u.f1 for u in per_unit])
-    pooled = prf(correct, pred_total, correct, gold_total)
+    pooled = prf(correct, pred_total, gold_total)
     share = perfect / len(per_unit) if per_unit else 0.0
     return Aggregate(PRF(p_avg, r_avg, f_avg), PRF(p_std, r_std, f_std), pooled, len(per_unit), share)
 

@@ -1,11 +1,11 @@
 """Core domain types: statute subsections, argument annotations, cases, values.
 
 Everything here is immutable after construction and carries no I/O; the
-one algorithm is `components`, the union-find behind coreference matrices
-and CEAF's alignment. Values are ordinary Python objects wherever that is
-unambiguous (str, int, float, datetime.date, tuple); only dollar amounts
-get a wrapper type so they stay distinguishable from plain integers. A
-`ValueMap`, the values of a case, is a dict that refuses changes.
+one algorithm is `components`, the union-find behind CEAF's alignment and
+the import's coreference matrices. Values are ordinary Python objects
+wherever that is unambiguous (str, int, float, datetime.date, tuple); only
+dollar amounts get a wrapper type so they stay distinguishable from plain
+integers. A `ValueMap`, the values of a case, is a dict that refuses changes.
 """
 
 from __future__ import annotations
@@ -283,27 +283,6 @@ def canonical_partition(clusters: Iterable[Iterable[int]]) -> tuple[tuple[int, .
     """Sort members within clusters and clusters by first member."""
     normal = tuple(tuple(sorted(c)) for c in clusters)
     return tuple(sorted(normal, key=lambda c: c[0]))
-
-
-def matrix_to_clusters(matrix: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    """Partition induced by a coreference matrix (connected components).
-
-    The matrix must be symmetric with a unit diagonal; transitive closure is
-    applied if the input is not already closed.
-    """
-    rows = [list(r) for r in matrix]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix is not square")
-    for i in range(n):
-        if rows[i][i] != 1:
-            raise ValueError(f"matrix diagonal is not 1 at index {i}")
-        for j in range(n):
-            if rows[i][j] != rows[j][i]:
-                raise ValueError(f"matrix is not symmetric at ({i}, {j})")
-
-    links = ((i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j])
-    return tuple(map(tuple, components(n, links)))
 
 
 def components(n: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:

@@ -1,5 +1,6 @@
 """Report assembly: score each report's units and render text tables. The
-exact-match table itself is `metrics.exact_match`.
+exact-match table is `metrics.exact_match`, which `ExactMatchReport` renders
+for the coreference, identification and cascade reports.
 
 Coreference numbers are aggregated two ways, as an average with population
 standard deviation across subsections that have at least one argument, and
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 from .corpus import Corpus
 from .metrics import (
-    Aggregate,
     ArgScore,
     binary_accuracy,
     confidence_interval,
@@ -24,52 +24,54 @@ from .metrics import (
 from .model import TRUTH_KEY, Frozen
 
 
-def _prf_table(title: str, scores: Aggregate) -> list[str]:
-    """The avg +- stddev and macro columns of precision, recall and F1."""
-    lines = [
-        f"  subsections scored: {scores.units}",
-        f"  {title:<23}avg +- stddev        macro",
-    ]
-    for label, avg, std, macro in zip(
-        ("precision", "recall", "F1"), scores.avg.as_tuple(), scores.std.as_tuple(), scores.macro.as_tuple()
-    ):
-        lines.append(f"    {label:<17}{100 * avg:6.1f} +- {100 * std:4.1f}       {100 * macro:6.1f}")
-    return lines
+class ExactMatchReport:
+    """`flat` and `render` of a report whose `scores` are an exact-match
+    `Aggregate`: its records are keyed by `PREFIX`, its text is titled
+    `TITLE` with `HEADING` over the table, and a class that names a
+    `PERFECT` record prints the perfectly resolved share too."""
 
+    __slots__ = ()
+    HEADING, PERFECT = "exact match", None
 
-def _perfect_line(scores: Aggregate) -> str:
-    share = 100 * scores.perfectly_resolved
-    return f"  perfectly resolved subsections: {share:.1f}% (of {scores.units} with arguments)"
+    def flat(self) -> dict[str, float]:
+        out = {f"{self.PREFIX}_f1_avg": self.scores.avg.f1, f"{self.PREFIX}_f1_macro": self.scores.macro.f1}
+        if self.PERFECT:
+            out[self.PERFECT] = self.scores.perfectly_resolved
+        return out
 
-
-def _clusters(clusters) -> set[frozenset]:
-    return {frozenset(c) for c in clusters}
+    def render(self) -> str:
+        scores = self.scores
+        lines = [
+            f"{self.TITLE} [{self.source}]",
+            f"  subsections scored: {scores.units}",
+            f"  {self.HEADING:<23}avg +- stddev        macro",
+        ]
+        for label, avg, std, macro in zip(
+            ("precision", "recall", "F1"), scores.avg.as_tuple(), scores.std.as_tuple(), scores.macro.as_tuple()
+        ):
+            lines.append(f"    {label:<17}{100 * avg:6.1f} +- {100 * std:4.1f}       {100 * macro:6.1f}")
+        if self.PERFECT:
+            share = 100 * scores.perfectly_resolved
+            lines.append(f"  perfectly resolved subsections: {share:.1f}% (of {scores.units} with arguments)")
+        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # Coreference evaluation
 
 
-class CorefReport(Frozen):
+class CorefReport(ExactMatchReport, Frozen):
     """Exact-match scores, and the standard metrics' P/R/F1 by name."""
 
-    __slots__ = ("baseline", "exact_match", "standard")
+    __slots__ = ("source", "scores", "standard")
+    TITLE, PREFIX, PERFECT = "argument coreference", "exact_match", "perfectly_resolved"
 
     def flat(self) -> dict[str, float]:
-        out = {
-            "exact_match_f1_avg": self.exact_match.avg.f1,
-            "exact_match_f1_macro": self.exact_match.macro.f1,
-            "perfectly_resolved": self.exact_match.perfectly_resolved,
-        }
-        for name, value in self.standard.items():
-            out[f"{name}_f1"] = value.f1
-        return out
+        return {**super().flat(), **{f"{name}_f1": value.f1 for name, value in self.standard.items()}}
 
     def render(self) -> str:
         lines = [
-            f"argument coreference [{self.baseline}]",
-            *_prf_table("exact match", self.exact_match),
-            _perfect_line(self.exact_match),
+            super().render(),
             "  (macro pools cluster counts over subsections with arguments;"
             " the equal-weight alternative is the avg column)",
             "  standard metrics (P / R / F1, pooled mention universe)",
@@ -91,12 +93,13 @@ def coref_report(
     units = []
     gold_universe, pred_universe = [], []
     for sid, layer in corpus.layers.items():
-        pred = predictions.get(sid, ())
         mention = lambda i: (sid, layer.spans[i].start, layer.spans[i].end)
-        gold_universe.extend(frozenset(mention(i) for i in c) for c in layer.clusters)
-        pred_universe.extend(frozenset(mention(i) for i in c) for c in pred)
-        if layer.clusters:
-            units.append((_clusters(layer.clusters), _clusters(pred)))
+        gold = [frozenset(map(mention, c)) for c in layer.clusters]
+        pred = [frozenset(map(mention, c)) for c in predictions.get(sid, ())]
+        gold_universe += gold
+        pred_universe += pred
+        if gold:
+            units.append((set(gold), set(pred)))
     standard = {name: fn(gold_universe, pred_universe) for name, fn in coref_metrics.COREF_METRICS.items()}
     return CorefReport(baseline, exact_match(units), standard)
 
@@ -105,17 +108,9 @@ def coref_report(
 # Argument identification evaluation
 
 
-class ArgIdReport(Frozen):
+class ArgIdReport(ExactMatchReport, Frozen):
     __slots__ = ("source", "scores")
-
-    def flat(self) -> dict[str, float]:
-        return {
-            "span_f1_avg": self.scores.avg.f1,
-            "span_f1_macro": self.scores.macro.f1,
-        }
-
-    def render(self) -> str:
-        return "\n".join([f"argument identification [{self.source}]", *_prf_table("", self.scores)])
+    TITLE, HEADING, PREFIX = "argument identification", "", "span"
 
 
 def argid_report(corpus: Corpus, predictions: dict[str, tuple], source: str) -> ArgIdReport:
@@ -128,24 +123,9 @@ def argid_report(corpus: Corpus, predictions: dict[str, tuple], source: str) -> 
 # Cascade (predicted spans, then coreference on them)
 
 
-class CascadeReport(Frozen):
-    __slots__ = ("source", "exact_match")
-
-    def flat(self) -> dict[str, float]:
-        return {
-            "cascade_f1_avg": self.exact_match.avg.f1,
-            "cascade_f1_macro": self.exact_match.macro.f1,
-            "cascade_perfectly_resolved": self.exact_match.perfectly_resolved,
-        }
-
-    def render(self) -> str:
-        return "\n".join(
-            [
-                f"identification + coreference cascade [{self.source}]",
-                *_prf_table("exact match", self.exact_match),
-                _perfect_line(self.exact_match),
-            ]
-        )
+class CascadeReport(ExactMatchReport, Frozen):
+    __slots__ = ("source", "scores")
+    TITLE, PREFIX, PERFECT = "identification + coreference cascade", "cascade", "cascade_perfectly_resolved"
 
 
 def cascade_report(
@@ -153,12 +133,14 @@ def cascade_report(
 ) -> CascadeReport:
     """Score predicted clusters given as groups of (start, end) pairs against
     gold clusters compared as span sets."""
-    units = []
-    for sid, layer in corpus.layers.items():
-        if layer.clusters:
-            gold = (((layer.spans[i].start, layer.spans[i].end) for i in c) for c in layer.clusters)
-            pred = ((tuple(s) for s in c) for c in clusters_by_sid.get(sid, ()))
-            units.append((_clusters(gold), _clusters(pred)))
+    units = (
+        (
+            {frozenset((layer.spans[i].start, layer.spans[i].end) for i in c) for c in layer.clusters},
+            {frozenset(map(tuple, c)) for c in clusters_by_sid.get(sid, ())},
+        )
+        for sid, layer in corpus.layers.items()
+        if layer.clusters
+    )
     return CascadeReport(source, exact_match(units))
 
 

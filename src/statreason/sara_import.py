@@ -19,6 +19,7 @@ nowhere else. The importer expects:
 
 Subsection ids appear in file names with "/" unusable, so "§63(c)(5)" is
 stored as "63_c_5" (leading "§" dropped, parenthesized parts joined by "_").
+A coreference matrix is read as the connected components of its links.
 
 This module reads that layout and nothing more: what a corpus can hold,
 the `model` constructors decide, and what a valid corpus is, `load_corpus`
@@ -38,13 +39,14 @@ byte that is not UTF-8 stops the import with its `path:line`.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import records
 from .corpus import (
     CorpusError, FileError, _read, item_problems, load_corpus, serialize_cases, serialize_coref, serialize_spans,
 )
-from .model import ArgumentLayer, Case, Span, Subsection, ValueMap, matrix_to_clusters
+from .model import ArgumentLayer, Case, Span, Subsection, ValueMap, components
 from .rules import parse_program, print_rule
 
 
@@ -223,6 +225,27 @@ def _clusters(source: Path, name: str, n_spans: int, log: ImportLog):
             elif parts:
                 log.skip(f"coref/{names_path.name}:{lineno}", "expected '<cluster_index> <name>'")
     return clusters, tuple(names)
+
+
+def matrix_to_clusters(matrix: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+    """Partition induced by a coreference matrix (connected components).
+
+    The matrix must be symmetric with a unit diagonal; transitive closure is
+    applied if the input is not already closed.
+    """
+    rows = [list(r) for r in matrix]
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix is not square")
+    for i in range(n):
+        if rows[i][i] != 1:
+            raise ValueError(f"matrix diagonal is not 1 at index {i}")
+        for j in range(n):
+            if rows[i][j] != rows[j][i]:
+                raise ValueError(f"matrix is not symmetric at ({i}, {j})")
+
+    links = ((i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j])
+    return tuple(map(tuple, components(n, links)))
 
 
 def _rules(source: Path, log: ImportLog) -> list[_Item]:

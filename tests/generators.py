@@ -248,7 +248,8 @@ _PLAIN_TOKENS = st.from_regex(r"[A-Za-z@][A-Za-z0-9@']{0,4}", fullmatch=True).fi
     lambda t: t not in ("AND", "OR", "NOT")
 )
 _PLAIN_HEADS = st.one_of(
-    st.from_regex(r"§[0-9]{1,3}(\([A-Za-z0-9]{1,2}\)){0,3}", fullmatch=True),
+    # "OR" is an operator, not an identifier group.
+    st.from_regex(r"§[0-9]{1,3}(\([A-Za-z0-9]{1,2}\)){0,3}", fullmatch=True).filter(lambda t: "(OR)" not in t),
     st.from_regex(r"[A-Za-z][A-Za-z0-9]{0,4}", fullmatch=True).filter(lambda t: t not in ("AND", "OR", "NOT")),
 )
 _BLOCK_LINE = re.compile(r"%\s*(Text|Question|Input|Output)\s*")
@@ -267,25 +268,33 @@ def _made(make, *args):
 
 
 @st.composite
-def _program(draw, heads: list[str], params: dict[str, list[str]], names, valid: bool) -> Program:
+def _program(draw, heads: list[str], params: dict[str, list[str]], names, valid: bool, calls: dict) -> Program:
     """A program parsed from clause text: a clause per head, its body an
-    AND/OR/NOT nesting of references. When `valid`, every callee has a rule
-    and every binding passes a parameter of the caller."""
+    AND/OR/NOT nesting of references, ANDed with the reference `calls` holds
+    for the head, if any. A binding passes a parameter of the callee, or a
+    name. When `valid`, every callee has a rule and every binding passes a
+    parameter of the caller."""
 
     def pick(pool: list[str]) -> st.SearchStrategy[str]:
         pool = st.sampled_from(pool) if pool else st.nothing()
         return pool if valid else st.one_of(pool, names)
 
+    def reference(head: str, callee: str) -> st.SearchStrategy[str]:
+        own = [p for p in params.get(callee, ()) if p != TRUTH_KEY]
+        passed = names.filter(lambda n: n != TRUTH_KEY)
+        passed = st.one_of(st.sampled_from(own), passed) if own else passed
+        return st.lists(
+            st.tuples(passed, pick(params[head])),
+            unique_by=lambda b: b[0],
+            max_size=3 if params[head] or not valid else 0,
+        ).map(lambda pairs: f"{callee}({', '.join(p if p == v else f'{p}={v}' for p, v in pairs)})")
+
     clauses = []
     for head in heads:
         clause = f"{head}({', '.join(params[head])})"
+        body = None
         if draw(st.booleans()):
-            bindings = st.lists(
-                st.tuples(names.filter(lambda n: n != TRUTH_KEY), pick(params[head])),
-                unique_by=lambda b: b[0],
-                max_size=3 if params[head] or not valid else 0,
-            ).map(lambda pairs: ", ".join(p if p == v else f"{p}={v}" for p, v in pairs))
-            ref = st.builds("{}({})".format, pick(heads), bindings)
+            ref = pick(heads).flatmap(lambda callee, head=head: reference(head, callee))
             body = st.recursive(
                 ref,
                 lambda inner: st.one_of(
@@ -295,19 +304,21 @@ def _program(draw, heads: list[str], params: dict[str, list[str]], names, valid:
                 ),
                 max_leaves=5,
             )
-            clause += f" :- {draw(body)}"
-        clauses.append(clause + ".")
+            body = draw(body)
+        if head in calls:
+            body = f"[{body} AND {calls[head]}]" if body else calls[head]
+        clauses.append(clause + (f" :- {body}." if body else "."))
     program, problems = parse_program("\n".join(clauses))
     assert not problems, problems
     return program
 
 
-def _layer(draw, sid: str, text: str, labels: st.SearchStrategy[str | None]) -> ArgumentLayer | None:
+def _layer(draw, sid: str, text: str, labels: st.SearchStrategy[str | None], min_size: int = 0) -> ArgumentLayer | None:
     """A layer over `text`, or None when the constructor refuses its labels:
-    sorted, disjoint spans that cover more than whitespace, grouped into
-    clusters that are labelled or not."""
+    sorted, disjoint spans (from at least `min_size` drawn) that cover more
+    than whitespace, grouped into clusters that are labelled or not."""
     spans, end = [], 0
-    starts = st.lists(st.tuples(st.integers(0, len(text) - 1), st.integers(1, 4)), max_size=5)
+    starts = st.lists(st.tuples(st.integers(0, len(text) - 1), st.integers(1, 4)), min_size=min_size, max_size=5)
     for start, length in sorted(draw(starts)):
         stop = min(start + length, len(text))
         if start >= end and text[start:stop].strip():
@@ -349,11 +360,23 @@ def corpora(draw, distributed: bool = False) -> Corpus:
 
     With `distributed`, the corpus is one that `validate_corpus` accepts and
     that the distributed layout carries (see `_PLAIN_HEADS`), so
-    `layouts.write_distributed` and `import_corpus` give it back."""
+    `layouts.write_distributed` and `import_corpus` give it back. Half of
+    those with a rule are drawn to send a value up through a binding: the
+    first rule calls a rule (itself, at times) binding the callee's
+    parameter P to its own parameter V, the callee's layer labels P and the
+    caller's does not label V, and the first two gold cases are a "train"
+    and a "test" case of the first rule, so that a constant resolver fits
+    and predicts V from P."""
     names = _PLAIN_TOKENS if distributed else _TOKENS
     heads = draw(st.lists(_PLAIN_HEADS if distributed else _HEADS, max_size=4, unique=True))
     params = {head: draw(st.lists(names, max_size=3, unique=True)) for head in heads}
-    program = draw(_program(heads, params, names, valid=distributed))
+    carry = distributed and bool(heads) and draw(st.booleans())
+    if carry:
+        query, callee = heads[0], draw(st.sampled_from(heads))
+        p, v = draw(st.lists(names.filter(lambda n: n != TRUTH_KEY), min_size=2, max_size=2, unique=True))
+        params[callee] = list(dict.fromkeys([*params[callee], p]))
+        params[query] = list(dict.fromkeys([*params[query], v]))
+    program = draw(_program(heads, params, names, distributed, {query: f"{callee}({p}={v})"} if carry else {}))
     if distributed:
         ids, labels = heads + draw(st.lists(_PLAIN_HEADS, max_size=3)), st.nothing()
         texts = _SECTION_TEXTS.map(lambda t: t.replace("\r", "\n"))
@@ -378,19 +401,23 @@ def corpora(draw, distributed: bool = False) -> Corpus:
             subsections[sid] = subsection
     layers = {}
     for sid, subsection in subsections.items():
-        if draw(st.booleans()):
-            rule_labels = st.sampled_from([None, *params.get(sid, ())])
-            layer = _layer(draw, sid, subsection.text, st.one_of(rule_labels, labels))
-            if layer is not None:
-                layers[sid] = layer
+        if carry and sid == callee:
+            layers[sid] = _layer(draw, sid, subsection.text, st.just(p), 1)
+        elif draw(st.booleans()):
+            rule_labels = st.sampled_from([None, *(n for n in params.get(sid, ()) if not (carry and n == v))])
+            layers[sid] = _layer(draw, sid, subsection.text, st.one_of(rule_labels, labels))
+    layers = {sid: layer for sid, layer in layers.items() if layer is not None}
 
     def cases(split: str | None) -> list[Case]:
         out = []
-        for cid in draw(st.lists(case_ids, max_size=3 if heads or not distributed else 0, unique=True)):
+        first = ["train", "test"] if carry and split is None else []
+        ids = st.lists(case_ids, min_size=len(first), max_size=3 if heads or not distributed else 0, unique=True)
+        for i, cid in enumerate(draw(ids)):
             inputs, expected = _value_map(draw, keys, values, False), _value_map(draw, keys, values, True)
-            case = inputs and expected and _made(
-                Case, cid, draw(descriptions), draw(st.one_of(st.sampled_from(heads or [""]), queries)), inputs,
-                expected, split or draw(splits),
+            case = inputs is not None and expected is not None and _made(
+                Case, cid, draw(descriptions),
+                query if i < len(first) else draw(st.one_of(st.sampled_from(heads or [""]), queries)), inputs,
+                expected, first[i] if i < len(first) else split or draw(splits),
             )
             if case:
                 out.append(case)

@@ -615,7 +615,7 @@ def span_prf(gold: list[Span] | tuple, pred: list[Span] | tuple) -> PRF:
     """Exact-boundary span matching."""
     gold_set, pred_set = set(gold), set(pred)
     matched = len(gold_set & pred_set)
-    return prf(matched, len(pred_set), matched, len(gold_set))
+    return prf(matched, len(pred_set), len(gold_set))
 
 
 def exact_match_coref(gold_clusters, pred_clusters) -> PRF:
@@ -627,7 +627,7 @@ def exact_match_coref(gold_clusters, pred_clusters) -> PRF:
     gold_sets = {frozenset(c) for c in gold_clusters}
     pred_sets = {frozenset(c) for c in pred_clusters}
     correct = len(gold_sets & pred_sets)
-    return prf(correct, len(pred_sets), correct, len(gold_sets))
+    return prf(correct, len(pred_sets), len(gold_sets))
 
 
 @dataclass(frozen=True)
@@ -727,7 +727,7 @@ def coref_report(
         gold_total += len(gold_sets)
         if gold_sets == pred_sets:
             perfect += 1
-    pooled = prf(correct, pred_total, correct, gold_total)
+    pooled = prf(correct, pred_total, gold_total)
     standard_scores = {}
     for name, fn in coref_metrics.COREF_METRICS.items():
         standard_scores[name] = fn(gold_universe, pred_universe)
@@ -786,7 +786,7 @@ def argid_report(corpus: Corpus, predictions: dict[str, tuple], source: str) -> 
         matched += len(both)
         pred_total += len(set(pred))
         gold_total += len(set(layer.spans))
-    pooled = prf(matched, pred_total, matched, gold_total)
+    pooled = prf(matched, pred_total, gold_total)
     return ArgIdReport(source, _aggregate(per_unit, pooled), per_subsection)
 
 
@@ -850,7 +850,7 @@ def cascade_report(
         gold_total += len(gold_sets)
         if gold_sets == pred_sets:
             perfect += 1
-    pooled = prf(correct, pred_total, correct, gold_total)
+    pooled = prf(correct, pred_total, gold_total)
     return CascadeReport(
         source=source,
         exact_match=_aggregate(per_unit, pooled),

@@ -103,10 +103,10 @@ def test_criterion_2_string_matching_on_fixture_subsections(corpus):
 def test_criterion_2_exact_match_vs_reported(sara):
     string = coref_report(sara, string_partitions(sara), "string")
     single = coref_report(sara, {sid: single_mention_coref(l) for sid, l in sara.layers.items()}, "single")
-    assert 100 * string.exact_match.macro.f1 == pytest.approx(87.4, abs=1.0)
-    assert 100 * single.exact_match.macro.f1 == pytest.approx(74.8, abs=1.0)
-    assert 100 * string.exact_match.perfectly_resolved == pytest.approx(80.8, abs=1.0)
-    assert 100 * single.exact_match.perfectly_resolved == pytest.approx(68.9, abs=1.0)
+    assert 100 * string.scores.macro.f1 == pytest.approx(87.4, abs=1.0)
+    assert 100 * single.scores.macro.f1 == pytest.approx(74.8, abs=1.0)
+    assert 100 * string.scores.perfectly_resolved == pytest.approx(80.8, abs=1.0)
+    assert 100 * single.scores.perfectly_resolved == pytest.approx(68.9, abs=1.0)
     ok(2, "exact-match coreference matches the reported corpus numbers")
 
 

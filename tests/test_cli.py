@@ -134,6 +134,19 @@ class TestEvalCommands:
     def test_unknown_baseline_is_runtime_error(self, capsys):
         assert main(["eval-coref", "--manifest", MANIFEST, "--baseline", "wat"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eval-argid", "--source", "bogus"], "unknown span source 'bogus'"),
+            (["eval-inst", "--depth-cap", "0"], "depth_cap must be >= 1"),
+            (["eval-inst", "--threshold", "1.5"], "truth_threshold must be in (0, 1)"),
+        ],
+        ids=["source", "depth-cap", "threshold"],
+    )
+    def test_a_value_out_of_range_is_a_runtime_error(self, argv, message, capsys):
+        assert main([argv[0], "--manifest", MANIFEST, *argv[1:]]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_stats_reports_counts(self, capsys):
         assert main(["stats", "--manifest", MANIFEST]) == 0
         out = capsys.readouterr().out

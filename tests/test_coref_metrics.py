@@ -42,6 +42,10 @@ class TestMUC:
         with pytest.raises(ValueError):
             muc([(0,)], [(1,)])
 
+    def test_clusters_sharing_a_mention_rejected(self):
+        with pytest.raises(ValueError, match="^clusters are not disjoint$"):
+            muc([(0, 1)], [(0,), (0, 1)])
+
 
 class TestCEAF:
     def test_mention_ceaf_singletons(self):

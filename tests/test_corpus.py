@@ -66,7 +66,7 @@ class TestLoadStatutes:
 
     def test_empty_dir(self, tmp_path):
         (tmp_path / "offsets.txt").write_text("", encoding="utf-8")
-        assert load_statutes(tmp_path) == []
+        assert load_statutes(tmp_path) == {}
 
     def test_offset_past_end_of_file(self, tmp_path):
         (tmp_path / "s.txt").write_text("short", encoding="utf-8")
@@ -87,7 +87,7 @@ class TestLoadStatutes:
     def test_newlines_read_as_in_text_mode(self, tmp_path):
         (tmp_path / "s.txt").write_bytes(b"ab\r\ncd\ref")
         (tmp_path / "offsets.txt").write_text('§1 file="s.txt" start=0 end=8\n', encoding="utf-8")
-        assert load_statutes(tmp_path)[0].text == "ab\ncd\nef"
+        assert load_statutes(tmp_path)["§1"].text == "ab\ncd\nef"
 
     @pytest.mark.parametrize("name", ["manifest.txt", "structure.txt", "statutes/section63.txt", "cases/test.cases"])
     def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, capsys, name):
@@ -176,15 +176,32 @@ class TestLoadLayers:
              "expected clusters like Name:[0, 1] or [0, 1], found PairLit(start=0, end=1)"),
             ("coref.txt", "clusters=[[0, A:[1]]]",
              "cluster members must be span indices, got [0, Labeled(label='A', items=[1])]"),
+            ("statutes/offsets.txt", "file=3", 'offsets need file="..." start=<int> end=<int>'),
+            ("cases/test.cases", "query=3", "query and description must be quoted strings"),
+            ("cases/test.cases", "inputs=[Zz=(1, 2)]", "inputs: unsupported value type: PairLit"),
+            ("cases/test.cases", "inputs=[Zz=L:[1]]", "inputs: unsupported value type: Labeled"),
         ],
     )
-    def test_fields_of_the_wrong_shape_name_their_line(self, tmp_path, file, value, message):
+    def test_fields_of_the_wrong_shape_name_their_line(self, tmp_path, capsys, file, value, message):
+        # The field as line 1 of its file holds it.
+        old = {
+            "spans": "spans=[(5, 50), (54, 72)]",
+            "clusters": "clusters=[Tax:[0], Taxinc:[1]]",
+            "file": 'file="section1.txt"',
+            "query": 'query="§63(c)(5)"',
+            "inputs": 'inputs=[Taxp="Bob", Taxy="2017", Bassd=$500]',
+        }[value.partition("=")[0]]
+        path = copy_corpus(tmp_path) / file
+        first, rest = path.read_text(encoding="utf-8").split("\n", 1)
+        assert old in first
+        path.write_text(first.replace(old, value) + "\n" + rest, encoding="utf-8")
+        assert main(["validate", "--manifest", str(tmp_path / "corpus" / "manifest.txt")]) == 1
+        assert capsys.readouterr().err.splitlines()[0] == f"{path}:1: {message}"
+
+    def test_blanks_inside_brackets_read_as_none(self, tmp_path, corpus):
         root = copy_corpus(tmp_path)
-        old = "spans=[(5, 50), (54, 72)]" if file == "spans.txt" else "clusters=[Tax:[0], Taxinc:[1]]"
-        edit(root / file, f"§1(d)(iv) {old}", f"§1(d)(iv) {value}")
-        with pytest.raises(CorpusError) as exc:
-            load_corpus(root / "manifest.txt")
-        assert str(exc.value.errors[0]) == f"{root / file}:1: {message}"
+        edit(root / "spans.txt", "§1(d)(iv) spans=[(5, 50), (54, 72)]", "§1(d)(iv) spans=[ (5, 50) , (54, 72)]")
+        assert load_corpus(root / "manifest.txt").layers == corpus.layers
 
     def test_missing_coref_record(self, tmp_path):
         root = copy_corpus(tmp_path)

@@ -909,6 +909,22 @@ class TestEvaluateRun:
             (r.case.id, dict(r.predicted)) for r in clean if r.case.id != "tax-case-4"
         ]
 
+    def test_a_resolver_failing_on_truth_fails_only_that_case(self, corpus):
+        class RaisesOnTruth(OracleResolver):
+            def resolve(self, request):
+                if request.case.id == "tax-case-4" and request.argument == TRUTH_KEY:
+                    raise RuntimeError("no score")
+                return super().resolve(request)
+
+        results, _ = run_cases(RaisesOnTruth(), corpus, "test")
+        clean, _ = run_cases(OracleResolver(), corpus, "test")
+        [failed] = [r for r in results if r.error]
+        assert failed.case.id == "tax-case-4" and not failed.predicted
+        assert re.fullmatch(r"resolver failed on @truth of \S+: no score", failed.error)
+        assert [(r.case.id, dict(r.predicted)) for r in results if not r.error] == [
+            (r.case.id, dict(r.predicted)) for r in clean if r.case.id != "tax-case-4"
+        ]
+
     @pytest.mark.parametrize(
         "make", [lambda: ConstantResolver(ConstantBaselineParams(1.0, 42000, "Bob")), HeuristicResolver],
         ids=["constant", "heuristic"],

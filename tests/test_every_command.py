@@ -11,6 +11,9 @@ the one the reference report functions give for the same predictions, and
 an `eval-inst` run predicts what the recursive tree evaluation
 (`oracles.instantiate_full`) predicts, so these tests gate the engine, the
 scorers and the commands on arbitrary programs, not only on the fixture.
+About one distributed draw in four sends a value up through a binding into
+the constant resolver's predictions (see `generators.corpora`), so an
+engine that drops such a value fails here too.
 """
 
 import contextlib

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from statreason.metrics import (
+    PRF,
     ArgScore,
     binary_accuracy,
     canonical_string,
@@ -188,6 +189,14 @@ class TestUnifiedAccuracy:
         assert unified(items) == unified(shuffled)
 
 
+class TestPRF:
+    def test_fields_are_set_by_position_or_name_and_all_of_them(self):
+        assert PRF(0.5, 0.25, f1=0.3) == PRF(precision=0.5, recall=0.25, f1=0.3)
+        for args, named in (((0.5,), {}), ((0.5, 0.25, 0.3, 0.1), {}), ((0.5, 0.25), {"f1": 0.3, "other": 1})):
+            with pytest.raises(TypeError, match=r"^PRF takes the fields precision, recall, f1$"):
+                PRF(*args, **named)
+
+
 class TestConfidenceInterval:
     def test_half_at_hundred(self):
         assert 100 * confidence_interval(0.5, 100) == pytest.approx(8.2, abs=0.05)
@@ -198,6 +207,10 @@ class TestConfidenceInterval:
 
     def test_matches_reported_interval(self):
         assert 100 * confidence_interval(0.583, 120) == pytest.approx(7.4, abs=0.1)
+
+    def test_no_cases_refused(self):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            confidence_interval(0.0, 0)
 
 
 def binary_case(cid, gold):

@@ -20,9 +20,9 @@ from statreason.model import (
     check_value,
     components,
     layer_of,
-    matrix_to_clusters,
     value_kind,
 )
+from statreason.sara_import import matrix_to_clusters
 
 from generators import SUBCLASSED_VALUES
 
@@ -106,6 +106,10 @@ class TestArgumentLayer:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             layer([(0, 1), (2, 3)], [(0,), (1,)], ["A", "A"])
+
+    def test_names_parallel_clusters(self):
+        with pytest.raises(ValueError, match="^cluster_names must parallel clusters$"):
+            layer([(0, 1), (2, 3)], [(0,), (1,)], ["A"])
 
     def test_named_clusters_first_mention_order(self):
         l = layer([(0, 1), (2, 3), (4, 5)], [(1,), (0, 2)], ["B", "A"])

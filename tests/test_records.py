@@ -201,11 +201,15 @@ KEYS = st.sampled_from(["a", "Taxp", "@truth", "S13A", "x.y-1", "0"])
 
 @st.composite
 def item_texts(draw, depth: int = 0) -> str:
-    """The text of an item: a value, an entry, a span pair, a group or a
-    list of items, each of any shape the scanner reads and a few it does not."""
-    kind = draw(st.sampled_from(["value", "value", "entry", "pair", "group"] + ["list"] * (depth < 2)))
+    """The text of an item: a value, an entry, a span pair, a group, a list
+    of items or a list of entries (a key at times repeated, a value at times
+    an item), each of any shape the scanner reads and a few it does not."""
+    kind = draw(st.sampled_from(["value", "value", "entry", "pair", "group"] + ["list", "entries"] * (depth < 2)))
     if kind == "value":
         return records.write_value(draw(VALUES))
+    if kind == "entries":
+        entries = draw(st.lists(st.tuples(KEYS, item_texts(depth + 1)), min_size=1, max_size=3))
+        return "[" + ", ".join(f"{key}={value}" for key, value in entries) + "]"
     if kind == "entry":
         return f"{draw(KEYS)}={draw(item_texts(depth + 1))}"
     if kind == "pair":
@@ -275,6 +279,7 @@ class TestAgainstTheScannerObject:
     @example("r a = 1 b =2 a=3")
     @example("r a=1 b")
     @example("r a=Taxp:\t[0] b=[,]")
+    @example("r a=[x=1, x=2, y=(1, 2)] b=[x=1, y=L:[1]]")
     def test_same_record_or_error(self, line):
         assert outcome(records.parse_record, line) == outcome(oracles.parse_record_by_scanner, line)
         try:

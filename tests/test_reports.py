@@ -36,26 +36,26 @@ def single_predictions(corpus):
 class TestCorefReport:
     def test_gold_predictions_are_perfect(self, corpus):
         report = coref_report(corpus, {sid: l.clusters for sid, l in corpus.layers.items()}, "gold")
-        assert report.exact_match.macro.as_tuple() == (1.0, 1.0, 1.0)
-        assert report.exact_match.perfectly_resolved == 1.0
+        assert report.scores.macro.as_tuple() == (1.0, 1.0, 1.0)
+        assert report.scores.perfectly_resolved == 1.0
         for value in report.standard.values():
             assert value.as_tuple() == (1.0, 1.0, 1.0)
 
     def test_string_matching_fixture_numbers(self, corpus):
         report = coref_report(corpus, string_predictions(corpus), "string")
         # 11 subsections have arguments; all but two resolve exactly.
-        assert report.exact_match.units == 11
-        assert report.exact_match.perfectly_resolved == pytest.approx(9 / 11)
-        assert report.exact_match.macro.precision == pytest.approx(37 / 40)
-        assert report.exact_match.macro.recall == pytest.approx(37 / 40)
-        assert report.exact_match.avg.f1 == pytest.approx((9 + 0.8 + 0.8) / 11)
+        assert report.scores.units == 11
+        assert report.scores.perfectly_resolved == pytest.approx(9 / 11)
+        assert report.scores.macro.precision == pytest.approx(37 / 40)
+        assert report.scores.macro.recall == pytest.approx(37 / 40)
+        assert report.scores.avg.f1 == pytest.approx((9 + 0.8 + 0.8) / 11)
         assert report.standard["muc"].precision == pytest.approx(7 / 8)
         assert report.standard["muc"].recall == pytest.approx(7 / 8)
         assert report.standard["ceaf_m"].precision == pytest.approx(46 / 48)
 
     def test_single_mention_fixture_numbers(self, corpus):
         report = coref_report(corpus, single_predictions(corpus), "single")
-        assert report.exact_match.perfectly_resolved == pytest.approx(6 / 11)
+        assert report.scores.perfectly_resolved == pytest.approx(6 / 11)
         assert report.standard["muc"].as_tuple() == (0.0, 0.0, 0.0)
         # 34 singleton arguments of 40 align one mention each; 48 mentions total.
         assert report.standard["ceaf_m"].precision == pytest.approx(40 / 48)
@@ -63,7 +63,7 @@ class TestCorefReport:
 
     def test_zero_argument_subsections_excluded(self, corpus):
         report = coref_report(corpus, string_predictions(corpus), "string")
-        assert report.exact_match.units == 11  # §63(c)(5)(A) is vacuous
+        assert report.scores.units == 11  # §63(c)(5)(A) is vacuous
 
 
 class TestArgIdReport:
@@ -102,13 +102,13 @@ class TestCascadeReport:
                 tuple((layer.spans[i].start, layer.spans[i].end) for i in c) for c in partition
             )
         cascade = cascade_report(corpus, clusters_by_sid, "gold-spans")
-        assert cascade.exact_match.macro.as_tuple() == coref.exact_match.macro.as_tuple()
-        assert cascade.exact_match.perfectly_resolved == coref.exact_match.perfectly_resolved
+        assert cascade.scores.macro.as_tuple() == coref.scores.macro.as_tuple()
+        assert cascade.scores.perfectly_resolved == coref.scores.perfectly_resolved
 
     def test_empty_spans_resolve_nothing(self, corpus):
         report = cascade_report(corpus, {}, "empty")
-        assert report.exact_match.perfectly_resolved == 0.0
-        assert report.exact_match.macro.recall == 0.0
+        assert report.scores.perfectly_resolved == 0.0
+        assert report.scores.macro.recall == 0.0
 
 
 class TestInstantiationReport:

@@ -243,6 +243,25 @@ class TestImport:
         assert f"skipped {relative}: not a file" in capsys.readouterr().err.splitlines()
         self.assert_validates(dest, capsys)
 
+    @pytest.mark.parametrize(
+        "relative, text, skipped",
+        [
+            ("statutes/section9.txt", "(a) Text.", "statutes/section9.txt: no .offsets companion"),
+            ("structure.txt", None, "structure.txt: not present"),
+        ],
+        ids=["no-offsets", "no-structure"],
+    )
+    def test_files_that_are_missing_are_skipped(self, tmp_path, capsys, relative, text, skipped):
+        source, dest = tmp_path / "dist", tmp_path / "canonical"
+        make_distributed_tree(source)
+        if text is None:
+            (source / relative).unlink()
+        else:
+            write(source / relative, text)
+        assert main(["import-sara", "--source", str(source), "--dest", str(dest)]) == 0
+        assert f"skipped {skipped}" in capsys.readouterr().err.splitlines()
+        self.assert_validates(dest, capsys)
+
     def test_cluster_names_that_are_not_record_keys_are_skipped(self, tmp_path, capsys):
         # The label reads back quoted, and then is no parameter of its rule.
         self.assert_layer_dropped(
@@ -284,7 +303,7 @@ class TestImport:
         source, dest = tmp_path / "dist", tmp_path / "canonical"
         make_distributed_tree(source)
         blocks = {"Input": "Taxinc=$1", "Output": "@truth=1.0"}
-        blocks[block] += "\n" + pair
+        blocks[block] += "\n\n" + pair  # a blank line inside a block is ignored
         write(source / "cases" / "odd-name", "% Text\nAlice.\n% Question\n§1(d)(iv)\n"
               + "".join(f"% {b}\n{blocks[b]}\n" for b in ("Input", "Output")))
         log = import_corpus(source, dest)
@@ -505,6 +524,13 @@ class TestImport:
         write(dest / "cases" / "dev.cases", 'old query="§9" description="x" inputs=[] expected=[@truth=true]\n')
         assert main(["import-sara", "--source", str(source), "--dest", str(dest)]) == 1
         assert capsys.readouterr().err == "corpus: case old: query §9 has no structure rule\n"
+
+    def test_a_destination_file_the_import_did_not_write_that_does_not_load_stops_it(self, tmp_path, capsys):
+        source, dest = tmp_path / "dist", tmp_path / "canonical"
+        make_distributed_tree(source)
+        write(dest / "cases" / "dev.cases", 'old query="§9"\n')
+        assert main(["import-sara", "--source", str(source), "--dest", str(dest)]) == 1
+        assert capsys.readouterr().err == f"{dest / 'cases' / 'dev.cases'}:1: missing field 'description'\n"
 
 
 class TestFixtureRoundTrip:
