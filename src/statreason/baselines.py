@@ -233,16 +233,20 @@ class _Argument:
         self.dollars = "$" in surface or not _MONEY_WORDS.isdisjoint(_WORD_RE.findall(surface))
 
 
-def _argument(arguments: dict[str, _Argument], request) -> _Argument:
-    """The argument the request asks for, kept in `arguments` by its text:
-    the same text always reads the same, so a resolver that serves several
-    runs answers each from its own text."""
-    name = request.argument
-    placeholder = request.subsection.placeholder(name)
-    text = name if placeholder is None else placeholder
-    argument = arguments.get(text)
+def _argument(arguments: dict[tuple, _Argument], request) -> _Argument:
+    """The argument the request asks for, read from its placeholder text (its
+    mentions' text joined by spaces) or from its name when it has no mention
+    or the subsection has no text. It is read once per (plan, argument) and
+    kept in `arguments`; each run has its own plans, so a resolver that
+    serves several runs answers each from its own text."""
+    key = (request.subsection, request.argument)
+    argument = arguments.get(key)
     if argument is None:
-        argument = arguments[text] = _Argument(text)
+        layer, text, name = request.subsection.layer, request.subsection.text, request.argument
+        cluster = dict(layer.labelled_clusters).get(name) if text else None
+        spans = layer.spans
+        placeholder = name if cluster is None else " ".join([text[spans[i].start : spans[i].end] for i in cluster])
+        argument = arguments[key] = _Argument(placeholder)
     return argument
 
 
@@ -254,7 +258,7 @@ class ConstantResolver:
 
     def __init__(self, params: ConstantBaselineParams):
         self.params = params
-        self._arguments: dict[str, _Argument] = {}
+        self._arguments: dict[tuple, _Argument] = {}
 
     def resolve(self, request) -> Value:
         if request.argument == TRUTH_KEY:
@@ -280,7 +284,7 @@ class OracleResolver:
 
 
 _CASE_DATE_RE = re.compile(r"\b([A-Z][a-z]{2,8})\.?\s+(\d{1,2})(?:st|nd|rd|th)?(?:,\s*\d{4})?")
-_CASE_MONEY_RE = re.compile(r"\$([\d,]+)")
+_CASE_MONEY_RE = re.compile(r"\$(,*\d[\d,]*)")
 _CASE_YEAR_RE = re.compile(r"\b(?:19|20)\d{2}\b")
 _CASE_NAME_RE = re.compile(r"\b[A-Z][a-z]+\b")
 _CAPITALIZED_STOP = frozenset(
@@ -309,10 +313,12 @@ class _CaseFeatures:
             if m.group(1).lower()[:3] in MONTHS
         ]
         dates += [(m.start(), m.group()) for m in _CASE_YEAR_RE.finditer(description)]
-        self.money = [
-            (m.start(), Money(int(m.group(1).replace(",", ""))))
-            for m in _CASE_MONEY_RE.finditer(description)
-        ]
+        self.money = []
+        for m in _CASE_MONEY_RE.finditer(description):
+            try:
+                self.money.append((m.start(), Money(int(m.group(1).replace(",", "")))))
+            except ValueError:  # more digits than `int` reads: no amount
+                pass
         self.names = [
             (m.start(), m.group())
             for m in _CASE_NAME_RE.finditer(description)
@@ -329,19 +335,18 @@ class HeuristicResolver:
     text (date, dollar amount, or person name by capitalization) and picks
     the candidate nearest to where the case description overlaps the
     placeholder wording; the truth score is the lexical overlap between the
-    grounded subsection and the description. What it reads from a case is
-    worked out once and kept while requests keep coming for it; the engine
-    asks about one case at a time, so that is once per case and only one
-    case's features are held.
+    request's grounded `text` and the description. What it reads from a
+    case is worked out once and kept while requests keep coming for it; the
+    engine asks about one case at a time, so that is once per case and only
+    one case's features are held.
     """
 
-    __slots__ = ("_case", "_features", "_arguments", "_pieces")
+    __slots__ = ("_case", "_features", "_arguments")
 
     def __init__(self) -> None:
         self._case: Case | None = None
         self._features: _CaseFeatures | None = None
-        self._arguments: dict[str, _Argument] = {}
-        self._pieces: dict[str, tuple[frozenset[str], bool, bool]] = {}
+        self._arguments: dict[tuple, _Argument] = {}
 
     def resolve(self, request) -> Value | None:
         case = request.case
@@ -349,7 +354,7 @@ class HeuristicResolver:
             self._case, self._features = case, _CaseFeatures(case)
         features = self._features
         if request.argument == TRUTH_KEY:
-            return _overlap(request, features.tokens, self._pieces)
+            return _overlap(request.text, features.tokens)
         argument = _argument(self._arguments, request)
         anchor = _anchor_position(argument.tokens, features.lowered)
         if argument.date:
@@ -371,42 +376,10 @@ def _nearest(candidates: list[tuple[int, Value]], anchor: int) -> Value | None:
     return min(candidates, key=lambda c: (abs(c[0] - anchor), c[0]))[1]
 
 
-_TOKEN_CHARACTERS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789$")
-
-
-def _piece_tokens(piece: str) -> tuple[frozenset[str], bool, bool]:
-    """The overlap tokens of a piece of grounded text, and whether its
-    lowered form starts and ends with a token character."""
-    lowered = piece.lower()
-    return (
-        frozenset(_OVERLAP_TOKEN_RE.findall(lowered)),
-        lowered[:1] in _TOKEN_CHARACTERS,
-        lowered[-1:] in _TOKEN_CHARACTERS,
-    )
-
-
-def _overlap(request, case_tokens: frozenset[str], pieces: dict[str, tuple[frozenset[str], bool, bool]]) -> float:
+def _overlap(grounded: str, case_tokens: frozenset[str]) -> float:
     """Fraction of the grounded subsection's distinct tokens that are among
-    the case description's tokens; 1.0 for identical texts.
-
-    The grounded text's tokens are its pieces' tokens taken together (each
-    piece read once and kept in `pieces`), as lowering reads one character
-    at a time and only the final sigma, which is no token character,
-    depends on its neighbours. Where a token could run across two pieces
-    the grounded text is read whole instead."""
-    sub: set[str] = set()
-    joins = False
-    for piece in request.subsection.pieces(request.grounding):
-        if piece:
-            read = pieces.get(piece)
-            if read is None:
-                read = pieces[piece] = _piece_tokens(piece)
-            tokens, starts, ends = read
-            if joins and starts:
-                sub = set(_OVERLAP_TOKEN_RE.findall(request.text.lower()))
-                break
-            sub |= tokens
-            joins = ends
+    the case description's tokens; 1.0 for identical texts."""
+    sub = set(_OVERLAP_TOKEN_RE.findall(grounded.lower()))
     if not sub:
         return 0.0
     return len(sub & case_tokens) / len(sub)

@@ -78,7 +78,10 @@ class CorpusManifest(Frozen):
             if "=" not in line:
                 _fail(path, lineno, "manifest lines must be key=value")
             key, _, value = line.partition("=")
-            entries[key.strip()] = (value.strip(), lineno)
+            key, value = key.strip(), value.strip()
+            if key in entries and entries[key][0] != value:
+                _fail(path, lineno, f"manifest key {key!r} given twice, also at line {entries[key][1]}")
+            entries[key] = (value, lineno)
         missing = [k for k in names[:-1] if k not in entries]
         if missing:
             _fail(path, None, f"manifest is missing keys: {', '.join(missing)}")
@@ -128,6 +131,8 @@ def load_statutes(statutes_dir: str | Path) -> dict[str, Subsection]:
             start, end = record.require("start"), record.require("end")
             if not (isinstance(fname, str) and isinstance(start, int) and isinstance(end, int)):
                 raise records.RecordError("offsets need file=\"...\" start=<int> end=<int>")
+            if "/" in fname or fname in ("", ".", ".."):
+                raise records.RecordError(f"section file must be named by a file name in statutes/, got {fname!r}")
             if fname not in texts:
                 fpath = statutes_dir / fname
                 if not fpath.exists():

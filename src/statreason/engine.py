@@ -54,12 +54,11 @@ class EngineConfig(Frozen):
 
 
 class SubsectionPlan:
-    """What grounding and resolving one subsection needs, worked out once:
-    its layer, its source text, the text cut at its labelled mentions, the
-    run's truth threshold by which a grounded truth score reads, and each
-    labelled argument's placeholder text."""
+    """What grounding one subsection needs, worked out once: its layer, its
+    source text, the text cut at its labelled mentions, and the run's truth
+    threshold by which a grounded truth score reads."""
 
-    __slots__ = ("layer", "text", "threshold", "arguments", "_pieces", "_mentions", "_placeholders")
+    __slots__ = ("layer", "text", "threshold", "arguments", "_pieces", "_mentions")
 
     def __init__(self, layer: ArgumentLayer, text: str, threshold: float):
         self.layer = layer
@@ -83,33 +82,15 @@ class SubsectionPlan:
         pieces.append(text[pos:])
         self._pieces = tuple(pieces)
         self._mentions = tuple(mentions)
-        # Each labelled argument's mentions, cut as the pieces are, joined by
-        # spaces; none when there is no text.
-        spans = layer.spans
-        self._placeholders = {
-            name: " ".join([text[spans[i].start : spans[i].end] for i in cluster]) for name, cluster in labelled
-        } if text else {}
-
-    def pieces(self, values: Mapping[str, Value]) -> list[str]:
-        """The grounded text in pieces: the text between labelled mentions,
-        and each mention or, where its argument has a value, the value's
-        surface form. The pieces of the text itself are the same strings on
-        every call."""
-        pieces = list(self._pieces)
-        for k, name in self._mentions:
-            if name in values:
-                pieces[k] = value_surface(values[name], self.threshold)
-        return pieces
 
     def ground(self, values: Mapping[str, Value]) -> str:
         """The text with every mention of a valued argument replaced by the
         value's surface form."""
-        return "".join(self.pieces(values))
-
-    def placeholder(self, name: str) -> str | None:
-        """The text of an argument's mentions joined by spaces; None when it
-        has no mention or the subsection has no text."""
-        return self._placeholders.get(name)
+        pieces = list(self._pieces)
+        for k, name in self._mentions:
+            if name in values:
+                pieces[k] = value_surface(values[name], self.threshold)
+        return "".join(pieces)
 
 
 class ResolveRequest:

@@ -38,7 +38,7 @@ from oracles import brute_force_constant, hinge_loss
 WORDS = ["the taxable year", "Tax", "income", "his $", "a deduction's", "week", "ΑΣ", "Σ'", "employee"]
 DESCRIPTIONS = st.lists(
     st.sampled_from(["Alice", "Bob", "In", "Jan 5, 2017", "Feb. 3rd", "2018", "$1,200", "$7",
-                     "income", "the", "year", "Σ", "paid", "Mar"]),
+                     "income", "the", "year", "Σ", "paid", "Mar", "$,"]),
     max_size=12,
 ).map(" ".join)
 
@@ -392,6 +392,23 @@ class TestHeuristicResolver:
         layer = corpus.layers["Tax"]
         text = corpus.subsections["Tax"].text
         assert HeuristicResolver().resolve(request(layer, text, case, "Tax")) is None
+
+    @pytest.mark.parametrize("description, expected", [
+        ("Alice paid $, then $1,200 in 2017.", Money(1200)),
+        ("Alice paid $,5 in 2017.", Money(5)),
+        ("Alice paid $,, in 2017.", None),
+    ])
+    def test_a_dollar_sign_without_a_digit_is_no_amount(self, corpus, description, expected):
+        case = Case("x", description, "Tax", ValueMap(), ValueMap({"@truth": 1.0}))
+        layer, text = corpus.layers["Tax"], corpus.subsections["Tax"].text
+        assert HeuristicResolver().resolve(request(layer, text, case, "Tax")) == expected
+
+    def test_an_amount_int_cannot_read_is_no_candidate(self, corpus):
+        layer, text = corpus.layers["Tax"], corpus.subsections["Tax"].text
+        too_long = "$" + "9" * 4301
+        for description, expected in ((too_long, None), (f"{too_long} and $7", Money(7))):
+            case = Case("x", description, "Tax", ValueMap(), ValueMap({"@truth": 1.0}))
+            assert HeuristicResolver().resolve(request(layer, text, case, "Tax")) == expected
 
     def test_identical_texts_score_full_truth(self):
         case = Case("x", "the very same words", "§x", ValueMap(), ValueMap({"@truth": 1.0}))

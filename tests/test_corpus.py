@@ -27,6 +27,7 @@ from layouts import write_corpus
 
 FIXTURES = Path(__file__).parent / "fixtures" / "corpus"
 SCRIPTS = Path(__file__).parent.parent / "scripts"
+NOT_A_FILE_NAME = "section file must be named by a file name in statutes/, got {}"
 
 
 def copy_corpus(tmp_path: Path) -> Path:
@@ -46,6 +47,14 @@ class TestManifest:
         manifest.write_text("# parts\n" + manifest.read_text(encoding="utf-8") + "glossary=cases\n", encoding="utf-8")
         assert main(["validate", "--manifest", str(manifest)]) == 1
         assert capsys.readouterr().err == f"{manifest}:8: unknown manifest key 'glossary'\n"
+
+    def test_a_key_given_twice_with_another_value_is_refused_at_its_line(self, tmp_path, capsys):
+        root = copy_corpus(tmp_path)
+        manifest = root / "manifest.txt"
+        shutil.copy(root / "spans.txt", root / "spans2.txt")
+        manifest.write_text(manifest.read_text(encoding="utf-8") + "spans=spans2.txt\n", encoding="utf-8")
+        assert main(["validate", "--manifest", str(manifest)]) == 1
+        assert capsys.readouterr().err == f"{manifest}:7: manifest key 'spans' given twice, also at line 2\n"
 
     def test_missing_keys_are_reported_first(self, tmp_path, capsys):
         root = copy_corpus(tmp_path)
@@ -177,6 +186,12 @@ class TestLoadLayers:
             ("coref.txt", "clusters=[[0, A:[1]]]",
              "cluster members must be span indices, got [0, Labeled(label='A', items=[1])]"),
             ("statutes/offsets.txt", "file=3", 'offsets need file="..." start=<int> end=<int>'),
+            ("statutes/offsets.txt", 'file="sub/inner.txt"', NOT_A_FILE_NAME.format("'sub/inner.txt'")),
+            ("statutes/offsets.txt", 'file="../outside.txt"', NOT_A_FILE_NAME.format("'../outside.txt'")),
+            ("statutes/offsets.txt", 'file="/statutes/section1.txt"', NOT_A_FILE_NAME.format("'/statutes/section1.txt'")),
+            ("statutes/offsets.txt", 'file=""', NOT_A_FILE_NAME.format("''")),
+            ("statutes/offsets.txt", 'file="."', NOT_A_FILE_NAME.format("'.'")),
+            ("statutes/offsets.txt", 'file=".."', NOT_A_FILE_NAME.format("'..'")),
             ("cases/test.cases", "query=3", "query and description must be quoted strings"),
             ("cases/test.cases", "inputs=[Zz=(1, 2)]", "inputs: unsupported value type: PairLit"),
             ("cases/test.cases", "inputs=[Zz=L:[1]]", "inputs: unsupported value type: Labeled"),

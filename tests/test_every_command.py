@@ -21,7 +21,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 
 import oracles
 from generators import corpora
@@ -159,7 +159,14 @@ def assert_every_step(corpus: Corpus) -> None:
                 assert lines == predictions, label
 
 
-SETTINGS = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# No shrinking: every shrink step runs every command again, so a failing draw
+# would take minutes to report; the first failing draw is reported as drawn.
+SETTINGS = settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
+)
 
 
 @SETTINGS

@@ -54,6 +54,11 @@ class TestScanning:
         with pytest.raises(records.RecordError):
             records.parse_record('c1 a="x" a="y"')
 
+    @pytest.mark.parametrize("line", ["", " \t"])
+    def test_a_line_without_an_id_is_an_empty_record(self, line):
+        with pytest.raises(records.RecordError, match="^empty record$"):
+            records.parse_record(line)
+
     def test_signed_money_and_exponent_truth_scores(self):
         r = records.parse_record("c1 a=$-5 b=1e-05 c=5e-324 d=2.5e-310 e=$0")
         assert r.fields == {"a": Money(-5), "b": 1e-05, "c": 5e-324, "d": 2.5e-310, "e": Money(0)}
