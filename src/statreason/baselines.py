@@ -10,6 +10,7 @@ lowercases; the word list is closed on purpose so scores stay reproducible.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
 
@@ -200,14 +201,11 @@ def fit_constant_baseline(train_cases: list[Case]) -> ConstantBaselineParams:
 
 
 def _mode(values, prefer=None):
-    counts: dict = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    best = max(counts.values())
-    winners = [v for v, n in counts.items() if n == best]
-    if prefer is not None and prefer in winners:
-        return prefer
-    return winners[0]
+    """The most common value: `prefer` when it ties for most, else the first
+    of those that do."""
+    counts = Counter(values)
+    first, best = counts.most_common(1)[0]
+    return prefer if counts[prefer] == best else first
 
 
 # Vocabulary that marks an argument as calling for a dollar amount, judged on

@@ -5,8 +5,9 @@ the same mention universe (mentions are given, not predicted). Degenerate
 0/0 ratios score 0, so a linkless prediction scored against a gold partition
 that has links comes out 0/0/0 under MUC.
 
-CEAF and BLANC work from the contingency counts |g & p| of the gold and
-predicted clusters that share a mention. CEAF's optimal alignment splits into the
+Each metric is a formula over the contingency counts: the sizes of the
+clusters on each side and the overlaps |g & p| of the gold and predicted
+clusters that share a mention (Luo 2005). CEAF's optimal alignment splits into the
 connected components of that overlap graph: similarity is zero between
 clusters that share no mention and never negative, so the best global
 alignment is exactly the sum of the best alignments of the components.
@@ -32,18 +33,16 @@ def _as_partition(clusters) -> Partition:
     return out
 
 
-def _partitions(gold_clusters, pred_clusters) -> tuple[Partition, Partition]:
-    """Both sides as partitions, checked to cover the same mentions."""
+def _contingency(gold_clusters, pred_clusters) -> tuple[list[int], list[int], Counter]:
+    """The gold cluster sizes, the predicted cluster sizes and the overlaps
+    |gold[i] & pred[j]| keyed by (i, j), for the pairs that share a mention;
+    both sides are checked to be partitions of the same mentions."""
     gold, pred = _as_partition(gold_clusters), _as_partition(pred_clusters)
-    if {m for c in gold for m in c} != {m for c in pred for m in c}:
-        raise ValueError("gold and predicted partitions cover different mentions")
-    return gold, pred
-
-
-def _overlaps(gold: Partition, pred: Partition) -> Counter:
-    """|gold[i] & pred[j]| keyed by (i, j), for the pairs that share a mention."""
     owner = {m: j for j, c in enumerate(pred) for m in c}
-    return Counter((i, owner[m]) for i, c in enumerate(gold) for m in c)
+    if owner.keys() != {m for c in gold for m in c}:
+        raise ValueError("gold and predicted partitions cover different mentions")
+    overlaps = Counter((i, owner[m]) for i, c in enumerate(gold) for m in c)
+    return [len(c) for c in gold], [len(c) for c in pred], overlaps
 
 
 def _scores(hit: int, n_pred: int, n_gold: int) -> PRF:
@@ -57,9 +56,9 @@ def muc(gold_clusters, pred_clusters) -> PRF:
 
     A cluster of size k split into q parts keeps k - q of its k - 1 links;
     summed over either side, the parts are the nonzero overlaps."""
-    gold, pred = _partitions(gold_clusters, pred_clusters)
-    n = sum(len(c) for c in gold)
-    kept = n - len(_overlaps(gold, pred))
+    gold, pred, overlaps = _contingency(gold_clusters, pred_clusters)
+    n = sum(gold)
+    kept = n - len(overlaps)
     return _scores(kept, n - len(pred), n - len(gold))
 
 
@@ -115,12 +114,9 @@ def _ceaf(gold_clusters, pred_clusters, similarity) -> PRF:
     """Precision and recall of the best one-to-one cluster alignment: its total
     similarity over each side's self-similarity. `similarity(n, a, b)` scores
     clusters of sizes a and b sharing n mentions."""
-    gold, pred = _partitions(gold_clusters, pred_clusters)
-    self_sim = lambda side: sum(similarity(len(c), len(c), len(c)) for c in side)
-    sim = {
-        (i, j): similarity(n, len(gold[i]), len(pred[j]))
-        for (i, j), n in _overlaps(gold, pred).items()
-    }
+    gold, pred, overlaps = _contingency(gold_clusters, pred_clusters)
+    self_sim = lambda sizes: sum(similarity(k, k, k) for k in sizes)
+    sim = {(i, j): similarity(n, gold[i], pred[j]) for (i, j), n in overlaps.items()}
     picked = []
     for rows, cols in _components(sim, len(gold), len(pred)):
         if len(rows) == 1 or len(cols) == 1:
@@ -161,11 +157,11 @@ def blanc(gold_clusters, pred_clusters) -> PRF:
     cluster of size k holds C(k, 2) links, and the links both sides share
     are the C(n, 2) within each gold-pred overlap of size n.
     """
-    gold, pred = _partitions(gold_clusters, pred_clusters)
-    all_pairs = _pairs(sum(len(c) for c in gold))
-    gold_coref = sum(_pairs(len(c)) for c in gold)
-    pred_coref = sum(_pairs(len(c)) for c in pred)
-    both_coref = sum(_pairs(n) for n in _overlaps(gold, pred).values())
+    gold, pred, overlaps = _contingency(gold_clusters, pred_clusters)
+    all_pairs = _pairs(sum(gold))
+    gold_coref = sum(map(_pairs, gold))
+    pred_coref = sum(map(_pairs, pred))
+    both_coref = sum(map(_pairs, overlaps.values()))
     gold_non, pred_non = all_pairs - gold_coref, all_pairs - pred_coref
     both_non = all_pairs - gold_coref - pred_coref + both_coref
 

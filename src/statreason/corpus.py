@@ -16,6 +16,7 @@ half-open character offsets into the decoded section file.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from pathlib import Path
 
@@ -61,10 +62,10 @@ def _read(path: Path) -> str:
 
 
 class CorpusManifest(Frozen):
-    """The corpus directory and the path of each part; `silver` is None
-    when the corpus has no silver cases."""
+    """The path of each part of a corpus; `silver` is None when the corpus
+    has no silver cases."""
 
-    __slots__ = ("base", "statutes", "spans", "coref", "structure", "cases", "silver")
+    __slots__ = ("statutes", "spans", "coref", "structure", "cases", "silver")
 
     @staticmethod
     def load(path: str | Path) -> "CorpusManifest":
@@ -95,7 +96,7 @@ class CorpusManifest(Frozen):
                 _fail(path, None, f"{name} path does not exist: {part}")
             if not (part.is_dir() if is_dir else part.is_file()):
                 _fail(path, None, f"{name} path is not a {'directory' if is_dir else 'file'}: {part}")
-        return CorpusManifest(path.parent, *(parts.get(name) for name in names))
+        return CorpusManifest(*(parts.get(name) for name in names))
 
 
 class Corpus(Frozen):
@@ -410,12 +411,9 @@ class StatSeries(Frozen):
             return StatSeries(name, {}, 0.0, 0.0, 0.0)
         import statistics  # here, so that only `stats` loads it
 
-        counts: dict[int, int] = {}
-        for v in values:
-            counts[v] = counts.get(v, 0) + 1
         return StatSeries(
             name,
-            dict(sorted(counts.items())),
+            dict(sorted(Counter(values).items())),
             statistics.fmean(values),
             statistics.pstdev(values),
             float(statistics.median(values)),

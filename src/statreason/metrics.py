@@ -18,6 +18,7 @@ import statistics as stats
 from fractions import Fraction
 
 from .model import Frozen, Money, TRUTH_KEY, Value, value_kind
+from .records import write_value
 
 
 class PRF(Frozen):
@@ -110,11 +111,9 @@ _DATEISH_RE = re.compile(
 
 
 def canonical_string(value: Value) -> str:
-    """Stable comparison form: dates to ISO, whitespace collapsed."""
-    if isinstance(value, datetime.date):
-        return value.isoformat()
-    if isinstance(value, Money):
-        return f"${value.dollars}"
+    """Stable comparison form: dates to ISO, dollars as records write them, whitespace collapsed."""
+    if isinstance(value, (datetime.date, Money)):
+        return write_value(value)
     if isinstance(value, tuple):
         return "[" + ", ".join(sorted(canonical_string(v) for v in value)) + "]"
     text = _WS_RE.sub(" ", str(value)).strip()

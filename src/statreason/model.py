@@ -81,9 +81,6 @@ class Money(Frozen):
             raise ValueError(f"integer too long (more than {_DIGITS} digits)")
         _set(self, "dollars", dollars)
 
-    def __str__(self) -> str:
-        return f"${self.dollars}"
-
 
 # A value bound to an argument. Floats are truth scores in [0, 1]; bare ints
 # are unitless numbers (week indices and the like); tuples are homogeneous
@@ -179,8 +176,7 @@ class ValueMap(dict):
 
 
 class Span(Frozen):
-    """A character range [start, end) within one subsection's text; spans
-    order by start, then end."""
+    """A character range [start, end) within one subsection's text."""
 
     __slots__ = ("start", "end")
 
@@ -189,11 +185,6 @@ class Span(Frozen):
             raise ValueError(f"invalid span ({start}, {end})")
         _set(self, "start", start)
         _set(self, "end", end)
-
-    def __lt__(self, other: "Span") -> bool:
-        if other.__class__ is Span:
-            return (self.start, self.end) < (other.start, other.end)
-        return NotImplemented
 
     def slice(self, text: str) -> str:
         if self.end > len(text):
@@ -256,7 +247,7 @@ class ArgumentLayer(Frozen):
             if b.start < a.end:
                 raise ValueError(f"{subsection_id}: spans out of order or overlapping: {a}, {b}")
         covered = [i for cluster in canonical for i in cluster]
-        if sorted(covered) != list(range(len(spans))) or len(covered) != len(set(covered)):
+        if sorted(covered) != list(range(len(spans))):
             raise ValueError(f"{subsection_id}: clusters are not a partition of span indices")
         labelled = [check_text(n) for n in names if n is not None]
         if len(labelled) != len(set(labelled)):

@@ -175,6 +175,19 @@ class TestHingeLossFit:
         ]
         assert fit_constant_baseline(cases).majority_string == "Bob"
 
+    def test_a_truth_tie_goes_to_true(self):
+        cases = [Case(f"c{i}", "d", "§1", ValueMap(), ValueMap({"@truth": truth}))
+                 for i, truth in enumerate((0.0, 1.0))]
+        assert fit_constant_baseline(cases).majority_truth == 1.0
+
+    def test_a_string_tie_goes_to_the_first_canonical_string(self):
+        # "Jan 5, 2017" reads as 2017-01-05, which sorts before "Eve".
+        cases = [
+            Case("a", "d", "§1", ValueMap(), ValueMap({"Spouse": "Eve", "@truth": 1.0})),
+            Case("b", "d", "§1", ValueMap(), ValueMap({"Spouse": "Jan 5, 2017", "@truth": 1.0})),
+        ]
+        assert fit_constant_baseline(cases).majority_string == "2017-01-05"
+
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):
             fit_constant_baseline([])

@@ -6,7 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from statreason import records
 from statreason.cli import main
+from statreason.corpus import load_corpus
+
+from oracles import oracle_ceaf_e, oracle_ceaf_m
 
 FIXTURES = Path(__file__).parent / "fixtures" / "corpus"
 MANIFEST = str(FIXTURES / "manifest.txt")
@@ -100,6 +104,43 @@ class TestEvalCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "100.0" in out
+
+    def test_eval_coref_aligns_clusters_as_the_oracle_does(self, tmp_path, capsys):
+        # Four layers keep the pooled universe small enough for the exhaustive
+        # oracle. Regrouping §2(a)(1)(B) puts 3 gold and 2 predicted clusters
+        # in one overlap component, which CEAF aligns by assignment search.
+        root = tmp_path / "corpus"
+        shutil.copytree(FIXTURES, root)
+        kept = ("§1(d)(iv)", "§2(a)(1)(B)", "§151(b)", "§3306(c)")
+        for name in ("spans.txt", "coref.txt"):
+            lines = (root / name).read_text(encoding="utf-8").splitlines(keepends=True)
+            (root / name).write_text("".join(l for l in lines if l.split(" ", 1)[0] in kept), encoding="utf-8")
+        layers = load_corpus(root / "manifest.txt").layers
+        assert layers["§2(a)(1)(B)"].clusters == ((0, 3), (1,), (2,), (4,))
+        gold = {sid: layer.clusters for sid, layer in layers.items()}
+        predicted = {**gold, "§2(a)(1)(B)": ((0, 1), (2, 3), (4,))}
+        imported = tmp_path / "predicted.txt"
+        imported.write_text(
+            "".join(f"{sid} clusters={records.write_clusters(c)}\n" for sid, c in predicted.items()), encoding="utf-8"
+        )
+        out = tmp_path / "out"
+        assert main(["eval-coref", "--manifest", str(root / "manifest.txt"),
+                     "--baseline", f"import:{imported}", "--out", str(out)]) == 0
+        capsys.readouterr()
+        lines = (out / "eval-coref.records.txt").read_text(encoding="utf-8").splitlines()[1:]
+        written = {name: float(value) for name, value in (line.split(" value=") for line in lines)}
+
+        def pooled(clusters_of):
+            return [
+                frozenset((sid, layer.spans[i].start, layer.spans[i].end) for i in cluster)
+                for sid, layer in layers.items()
+                for cluster in clusters_of[sid]
+            ]
+
+        universes = pooled(gold), pooled(predicted)
+        assert written["ceaf_m_f1"] == pytest.approx(oracle_ceaf_m(*universes)[2], abs=5e-7)
+        assert written["ceaf_e_f1"] == pytest.approx(oracle_ceaf_e(*universes)[2], abs=5e-7)
+        assert written["ceaf_m_f1"] < 1
 
     def test_eval_argid_gold_import_is_perfect(self, capsys):
         code = main([

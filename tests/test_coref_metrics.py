@@ -38,13 +38,31 @@ class TestMUC:
         assert result.precision == pytest.approx((3 - 3) / 2)
         assert result.recall == 0.0
 
-    def test_mention_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            muc([(0,)], [(1,)])
 
-    def test_clusters_sharing_a_mention_rejected(self):
+class Unread:
+    """Clusters that fail the test when a metric reads them."""
+
+    def __iter__(self):
+        raise AssertionError("the predicted clusters were read before the gold ones were rejected")
+
+
+@pytest.mark.parametrize("metric", COREF_METRICS.values(), ids=COREF_METRICS.keys())
+class TestInputChecks:
+    """Every metric rejects clusters that share a mention, gold before
+    predicted, and then two sides that cover different mentions."""
+
+    def test_mention_mismatch_rejected(self, metric):
+        with pytest.raises(ValueError, match="^gold and predicted partitions cover different mentions$"):
+            metric([(0,)], [(1,)])
+
+    @pytest.mark.parametrize(
+        "gold, pred",
+        [([(0, 1), (1,)], Unread()), ([(0, 1)], [(0,), (0, 2)])],
+        ids=["gold", "pred"],
+    )
+    def test_clusters_sharing_a_mention_rejected(self, metric, gold, pred):
         with pytest.raises(ValueError, match="^clusters are not disjoint$"):
-            muc([(0, 1)], [(0,), (0, 1)])
+            metric(gold, pred)
 
 
 class TestCEAF:

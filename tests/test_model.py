@@ -378,7 +378,6 @@ class TestReprEqualityAndHash:
         assert Money(5) == Money(5) and Money(5) != Money(6)
         assert Money(5) != (5,) and Money(5) != 5
         assert hash(Money(5)) == hash((5,))
-        assert str(Money(5)) == "$5"
 
     def test_money_message_and_truth_message(self):
         with pytest.raises(ValueError, match=r"^money must be an integer dollar amount, got 2\.5$"):
@@ -392,10 +391,6 @@ class TestReprEqualityAndHash:
         assert span == Span(1, 2) and span != Span(1, 3)
         assert span != (1, 2)
         assert hash(span) == hash((1, 2))
-        assert Span(1, 2) < Span(1, 3) and Span(0, 9) < Span(1, 2) and not Span(1, 2) < Span(1, 2)
-        assert sorted([Span(3, 4), Span(1, 5), Span(1, 2)]) == [Span(1, 2), Span(1, 5), Span(3, 4)]
-        with pytest.raises(TypeError):
-            Span(1, 2) < (1, 3)
 
     def test_span_in_layer_message(self):
         with pytest.raises(ValueError) as exc:

@@ -35,15 +35,15 @@ def write_distributed_fixture(corpus, root: Path) -> None:
     commented `structure.txt`."""
     write_distributed(corpus, root)
     shutil.rmtree(root / "statutes")
-    fixture = corpus.manifest.base
+    statutes = corpus.manifest.statutes
     offsets: dict[str, list[str]] = {}
-    for _, record in records.iter_records((fixture / "statutes" / "offsets.txt").read_text(encoding="utf-8")):
+    for _, record in records.iter_records((statutes / "offsets.txt").read_text(encoding="utf-8")):
         name = record.fields["file"]
         offsets.setdefault(name, []).append(f"{record.id} {record.fields['start']} {record.fields['end']}\n")
     for name, lines in offsets.items():
-        write(root / "statutes" / name, (fixture / "statutes" / name).read_text(encoding="utf-8"))
+        write(root / "statutes" / name, (statutes / name).read_text(encoding="utf-8"))
         write(root / "statutes" / Path(name).with_suffix(".offsets"), "".join(lines))
-    shutil.copyfile(fixture / "structure.txt", root / "structure.txt")
+    shutil.copyfile(corpus.manifest.structure, root / "structure.txt")
 
 
 def make_distributed_tree(root: Path) -> None:
