@@ -23,7 +23,9 @@ recursive over such a tree built for each case, with the per-subsection
 helpers it used (`merged`, `without`, `_translate`) over dicts.
 `tree_depth` is the dependency-tree depth the depth-cap tests measure with,
 and `heuristic_argument_id` the argument-identification heuristic as first
-written, recursing once per possessive that starts a phrase."""
+written, recursing once per possessive that starts a phrase. `load_statutes`,
+`load_spans`, `load_argument_layers` and `load_cases` are the corpus loaders
+as first written, each with its own loop over `_iter_file`."""
 
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from pathlib import Path
 from types import MappingProxyType
 
 from statreason.baselines import (
@@ -54,7 +57,7 @@ from statreason.baselines import (
     _MONEY_WORDS,
 )
 from statreason import coref_metrics, records
-from statreason.corpus import Corpus
+from statreason.corpus import Corpus, CorpusError, FileError, _fail, _read
 from statreason.engine import (
     CaseResult,
     EngineConfig,
@@ -83,8 +86,10 @@ from statreason.model import (
     Frozen,
     Money,
     Span,
+    Subsection,
     Value,
     ValueMap,
+    check_split,
     check_value,
     layer_of,
     value_kind,
@@ -1419,3 +1424,182 @@ def parse_program_by_tokens(text: str) -> tuple[Program, list[tuple[int, str]]]:
         else:
             rules[rule.head_id] = rule
     return rules, lines(problems)
+
+
+# ---------------------------------------------------------------------------
+# The corpus loaders as first written: each with its own error list and its
+# own loop over `_iter_file`, a generator that ends the file at a line that
+# does not parse.
+
+
+def load_statutes(statutes_dir: str | Path) -> dict[str, Subsection]:
+    """Read section files and slice subsections out per the offsets index,
+    by id."""
+    statutes_dir = Path(statutes_dir)
+    index = statutes_dir / "offsets.txt"
+    if not index.exists():
+        _fail(index, None, "offsets index not found")
+    texts: dict[str, str] = {}
+    subsections: dict[str, Subsection] = {}
+    repeats: dict[str, int] = {}  # id -> line of its second record
+    errors: list[FileError] = []
+    for lineno, record in _iter_file(index):
+        try:
+            fname = record.require("file")
+            start, end = record.require("start"), record.require("end")
+            if not (isinstance(fname, str) and isinstance(start, int) and isinstance(end, int)):
+                raise records.RecordError("offsets need file=\"...\" start=<int> end=<int>")
+            if "/" in fname or fname in ("", ".", ".."):
+                raise records.RecordError(f"section file must be named by a file name in statutes/, got {fname!r}")
+            if fname not in texts:
+                fpath = statutes_dir / fname
+                if not fpath.exists():
+                    raise records.RecordError(f"section file not found: {fname}")
+                texts[fname] = _read(fpath)
+            if not (0 <= start < end <= len(texts[fname])):
+                raise records.RecordError(
+                    f"offsets ({start}, {end}) out of bounds for {fname} of length {len(texts[fname])}"
+                )
+            if record.id in subsections:
+                repeats.setdefault(record.id, lineno)
+            else:
+                subsections[record.id] = Subsection(record.id, texts[fname][start:end])
+        except ValueError as exc:
+            errors.append(FileError(str(index), lineno, str(exc)))
+    for rid in sorted(repeats):
+        errors.append(FileError(str(index), repeats[rid], f"duplicate subsection id {rid}"))
+    if errors:
+        raise CorpusError(errors)
+    return subsections
+
+
+def load_spans(
+    path: str | Path, subsections: Mapping[str, Subsection]
+) -> tuple[dict[str, tuple[Span, ...]], dict[str, int]]:
+    """Each known subsection's spans from a spans file, checked to be sorted,
+    disjoint and inside its text, and the line of its record; any problem
+    is a CorpusError at path:line."""
+    path = Path(path)
+    errors: list[FileError] = []
+    spans: dict[str, tuple[Span, ...]] = {}
+    lines: dict[str, int] = {}
+    for lineno, record in _iter_file(path):
+        try:
+            items = record.require("spans")
+            if record.id not in subsections:
+                raise records.RecordError(f"unknown subsection {record.id}")
+            if record.id in spans:
+                raise records.RecordError(f"duplicate spans record for {record.id}")
+            if type(items) is not list:
+                raise records.RecordError("expected a [(start, end), ...] list")
+            out, text = [], subsections[record.id].text
+            for item in items:
+                if type(item) is not tuple or type(item[0]) is not int:
+                    raise records.RecordError(f"expected (start, end) pairs, found {records.item_repr(item)}")
+                span = Span(*item)
+                if span.end > len(text):
+                    raise records.RecordError(
+                        f"span ({span.start}, {span.end}) out of range for {record.id} of length {len(text)}"
+                    )
+                if not span.slice(text).strip():
+                    raise records.RecordError(f"span ({span.start}, {span.end}) covers only whitespace")
+                out.append(span)
+            for a, b in zip(out, out[1:]):
+                if b.start < a.end:
+                    raise records.RecordError(f"spans overlap or are out of order: {a}, {b}")
+            spans[record.id] = tuple(out)
+            lines[record.id] = lineno
+        except ValueError as exc:
+            errors.append(FileError(str(path), lineno, str(exc)))
+    if errors:
+        raise CorpusError(errors)
+    return spans, lines
+
+
+def load_argument_layers(
+    spans_path: str | Path, coref_path: str | Path, subsections: Mapping[str, Subsection]
+) -> dict[str, ArgumentLayer]:
+    """Join the spans and coref files into validated argument layers, by id."""
+    spans_path, coref_path = Path(spans_path), Path(coref_path)
+    spans, span_lines = load_spans(spans_path, subsections)
+    errors: list[FileError] = []
+
+    layers: dict[str, ArgumentLayer] = {}
+    for lineno, record in _iter_file(coref_path):
+        try:
+            items = record.require("clusters")
+            if record.id not in spans:
+                raise records.RecordError(f"{record.id} has no spans record")
+            if record.id in layers:
+                raise records.RecordError(f"duplicate coref record for {record.id}")
+            if type(items) is not list:
+                raise records.RecordError("expected a [Name:[0, 1], [2], ...] list")
+            clusters, names = [], []
+            for item in items:
+                if type(item) is dict:
+                    [(label, members)] = item.items()
+                elif type(item) is list:
+                    label, members = None, item
+                else:
+                    raise records.RecordError(
+                        f"expected clusters like Name:[0, 1] or [0, 1], found {records.item_repr(item)}"
+                    )
+                if not all(type(i) is int for i in members):
+                    raise records.RecordError(f"cluster members must be span indices, got {records.item_repr(members)}")
+                bad = [i for i in members if not 0 <= i < len(spans[record.id])]
+                if bad:
+                    raise records.RecordError(f"cluster index out of range: {bad[0]}")
+                clusters.append(tuple(members))
+                names.append(label)
+            layers[record.id] = ArgumentLayer(record.id, spans[record.id], tuple(clusters), tuple(names))
+        except ValueError as exc:
+            errors.append(FileError(str(coref_path), lineno, str(exc)))
+
+    for missing in sorted(set(spans) - set(layers)):
+        errors.append(FileError(str(spans_path), span_lines[missing], f"no coref record for {missing}"))
+    if errors:
+        raise CorpusError(errors)
+    return layers
+
+
+def load_cases(cases_dir: str | Path, split: str | None = None) -> list[Case]:
+    """Load every <name>.cases file; `split`, or else the file stem checked
+    once by `check_split`, names the split. The stem `silver` is reserved."""
+    cases_dir = Path(cases_dir)
+    errors: list[FileError] = []
+    cases: list[Case] = []
+    seen: set[str] = set()
+    for path in sorted(cases_dir.glob("*.cases")):
+        name = split or path.stem
+        try:
+            if split is None and check_split(name) == "silver":
+                raise ValueError("'silver' is reserved and cannot name a split")
+        except ValueError as exc:
+            errors.append(FileError(str(path), None, str(exc)))
+            continue
+        for lineno, record in _iter_file(path):
+            try:
+                query = record.require("query")
+                description = record.require("description")
+                if not isinstance(query, str) or not isinstance(description, str):
+                    raise records.RecordError("query and description must be quoted strings")
+                inputs = records.as_value_map(record.require("inputs"), "inputs")
+                expected = records.as_value_map(record.require("expected"), "expected")
+                if record.id in seen:
+                    raise records.RecordError(f"duplicate case id {record.id}")
+                cases.append(Case(record.id, description, query, inputs, expected, name))
+                seen.add(record.id)
+            except ValueError as exc:
+                errors.append(FileError(str(path), lineno, str(exc)))
+    if errors:
+        raise CorpusError(errors)
+    return cases
+
+
+def _iter_file(path: Path):
+    """`records.iter_records` over a file; a line that does not parse is a
+    CorpusError at path:line."""
+    try:
+        yield from records.iter_records(_read(path))
+    except records.RecordError as exc:
+        raise CorpusError([FileError(str(path), exc.line, str(exc))]) from exc

@@ -5,8 +5,10 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
+from statreason import corpus as loaders
 from statreason.corpus import (
     CorpusError,
     corpus_hash,
@@ -22,8 +24,10 @@ from statreason.corpus import (
 from statreason.cli import main
 from statreason.model import TRUTH_KEY, Case, ValueMap
 
+import oracles
 from generators import corpora, corpus_fields
 from layouts import write_corpus
+from test_corruption import corruptions
 
 FIXTURES = Path(__file__).parent / "fixtures" / "corpus"
 SCRIPTS = Path(__file__).parent.parent / "scripts"
@@ -135,6 +139,18 @@ class TestLoadStatutes:
             f"{index}:2: offsets (0, 99) out of bounds for s.txt of length 5",
             f"{index}:3: malformed subsection id '§1(e(f)'",
         ]
+
+    def test_a_section_file_that_is_a_directory_is_not_found_at_its_line(self, tmp_path, capsys):
+        # The offsets line names the file, and the file's other errors are kept.
+        root = copy_corpus(tmp_path)
+        (root / "statutes" / "sub").mkdir()
+        index = root / "statutes" / "offsets.txt"
+        edit(index, 'file="section1.txt"', 'file="sub"')
+        edit(index, 'file="tax.txt"', 'file="nosuch.txt"')
+        assert main(["validate", "--manifest", str(root / "manifest.txt")]) == 1
+        assert capsys.readouterr().err == (
+            f"{index}:1: section file not found: sub\n{index}:12: section file not found: nosuch.txt\n"
+        )
 
 
 class TestLoadLayers:
@@ -295,6 +311,124 @@ class TestLoadCases:
         with pytest.raises(CorpusError) as exc:
             load_corpus(root / "manifest.txt")
         assert "@truth" in str(exc.value)
+
+
+class TestReadingRule:
+    """How the loaders order the errors of a file, and which end it."""
+
+    def errors(self, root: Path) -> list[str]:
+        with pytest.raises(CorpusError) as exc:
+            load_corpus(root / "manifest.txt")
+        return [str(e).removeprefix(f"{root}/") for e in exc.value.errors]
+
+    def test_a_line_that_does_not_parse_ends_the_file_alone(self, tmp_path):
+        root = copy_corpus(tmp_path)
+        path = root / "spans.txt"
+        path.write_text("nosuch spans=[(0, 1)]\n" + path.read_text(encoding="utf-8") + "garbage =\n", encoding="utf-8")
+        assert self.errors(root) == ["spans.txt:14: expected a field key (column 9)"]
+
+    def test_case_files_report_in_sorted_order(self, tmp_path):
+        root = copy_corpus(tmp_path)
+        for name in ("train.cases", "test.cases"):
+            path = root / "cases" / name
+            text = path.read_text(encoding="utf-8")
+            path.write_text(text + text.split("\n", 1)[0] + "\n", encoding="utf-8")
+        assert self.errors(root) == [
+            "cases/test.cases:6: duplicate case id 63(c)(5)-negative",
+            "cases/train.cases:4: duplicate case id 3306(a)(1)(B)-positive",
+        ]
+
+    def test_a_case_reports_its_fields_before_its_duplicate_id(self, tmp_path):
+        root = copy_corpus(tmp_path)
+        path = root / "cases" / "test.cases"
+        text = path.read_text(encoding="utf-8")
+        first, old = text.split("\n", 1)[0], 'inputs=[Taxp="Bob", Taxy="2017", Bassd=$500]'
+        assert old in first
+        path.write_text(text + first.replace(old, "inputs=[Zz=(1, 2)]") + "\n", encoding="utf-8")
+        assert self.errors(root) == ["cases/test.cases:6: inputs: unsupported value type: PairLit"]
+
+    def test_a_case_id_is_unique_across_files(self, tmp_path):
+        root = copy_corpus(tmp_path)
+        first = (root / "cases" / "test.cases").read_text(encoding="utf-8").split("\n", 1)[0]
+        path = root / "cases" / "train.cases"
+        path.write_text(path.read_text(encoding="utf-8") + first + "\n", encoding="utf-8")
+        assert self.errors(root) == ["cases/train.cases:4: duplicate case id 63(c)(5)-negative"]
+
+    def test_offsets_duplicates_come_last_sorted_by_id(self, tmp_path):
+        # Each duplicate is reported at its id's second record. A record
+        # that fails its own checks is no first record: `§2(a)(1)` is first
+        # read whole at line 16.
+        root = copy_corpus(tmp_path)
+        index = root / "statutes" / "offsets.txt"
+        edit(index, '§2(a)(1) file="section2.txt" start=0 end=172', '§2(a)(1) file="section2.txt" start=0 end=9999')
+        index.write_text(
+            index.read_text(encoding="utf-8")
+            + '§1(d)(iv) file="section1.txt" start=0 end=5\n'
+            + 'Tax file="tax.txt" start=0 end=5\n'
+            + '§1(d)(iv) file="nosuch.txt" start=0 end=5\n'
+            + '§2(a)(1) file="section2.txt" start=0 end=172\n'
+            + 'Tax file="tax.txt" start=1 end=5\n',
+            encoding="utf-8",
+        )
+        assert self.errors(root) == [
+            "statutes/offsets.txt:2: offsets (0, 9999) out of bounds for section2.txt of length 402",
+            "statutes/offsets.txt:15: section file not found: nosuch.txt",
+            "statutes/offsets.txt:14: duplicate subsection id Tax",
+            "statutes/offsets.txt:13: duplicate subsection id §1(d)(iv)",
+        ]
+
+    def test_spans_errors_end_the_load_before_coref_is_read(self, tmp_path):
+        root = copy_corpus(tmp_path)
+        edit(root / "spans.txt", "§1(d)(iv) spans=[(5, 50), (54, 72)]", "§1(d)(iv) spans=5")
+        edit(root / "coref.txt", "§1(d)(iv) clusters=[Tax:[0], Taxinc:[1]]", "§1(d)(iv) clusters=5")
+        assert self.errors(root) == ["spans.txt:1: expected a [(start, end), ...] list"]
+
+    @staticmethod
+    def outcome(load, *args) -> tuple:
+        try:
+            return True, load(*args)
+        except CorpusError as exc:
+            return False, exc.errors
+
+    @classmethod
+    def assert_loaders_agree(cls, root: Path, data) -> None:
+        """The loaders and their first versions in `oracles` read the same
+        objects or errors after one to three one-line corruptions of the
+        files they read, each of the file edited last about half the time,
+        so that errors meet in one file; a file holding a byte that is not
+        UTF-8 is corrupted no further."""
+        files = [root / "spans.txt", root / "coref.txt", *sorted(root.glob("*/*"))]
+        path = None
+        for _ in range(data.draw(st.integers(1, 3))):
+            texts = {}
+            for file in files:
+                try:
+                    texts[file] = file.read_bytes().decode("utf-8")
+                except UnicodeDecodeError:
+                    pass
+            if path not in texts or data.draw(st.booleans()):
+                path = data.draw(st.sampled_from(sorted(texts)))
+            path.write_bytes(data.draw(st.sampled_from(list(corruptions(texts[path]))))[1])
+        ok, subsections = cls.outcome(loaders.load_statutes, root / "statutes")
+        assert (ok, subsections) == cls.outcome(oracles.load_statutes, root / "statutes")
+        if ok:
+            args = (root / "spans.txt", root / "coref.txt", subsections)
+            assert cls.outcome(loaders.load_argument_layers, *args) == cls.outcome(oracles.load_argument_layers, *args)
+        for args in ((root / "cases",), (root / "silver", "silver")):
+            assert cls.outcome(loaders.load_cases, *args) == cls.outcome(oracles.load_cases, *args)
+
+    # Each example writes a corpus, so a failure is reported as drawn, not shrunk.
+    @settings(max_examples=300, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(corpora(), st.data())
+    def test_drawn_corpora_load_as_first_written(self, drawn, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            self.assert_loaders_agree(write_corpus(drawn, Path(tmp)).parent, data)
+
+    @settings(max_examples=300, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(st.data())
+    def test_the_fixture_loads_as_first_written(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            self.assert_loaders_agree(copy_corpus(Path(tmp)), data)
 
 
 class TestValidation:

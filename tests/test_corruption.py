@@ -205,9 +205,8 @@ ENTRIES = {
     "statutes/offsets.txt": (
         "{0}/statutes/offsets.txt: not a file", "{0}/statutes/offsets.txt: offsets index not found"
     ),
-    "statutes/tax.txt": (
-        "{0}/statutes/tax.txt: not a file", "{0}/statutes/offsets.txt:12: section file not found: tax.txt"
-    ),
+    # A section file is found or not at the offsets line that names it.
+    "statutes/tax.txt": ("{0}/statutes/offsets.txt:12: section file not found: tax.txt",) * 2,
     "cases/test.cases": ("{0}/cases/test.cases: not a file", None),
     "silver/silver.cases": ("{0}/silver/silver.cases: not a file", None),
 }
