@@ -244,19 +244,17 @@ def cmd_cascade(args) -> int:
     from . import baselines, reports
 
     corpus = _load_validated(args.manifest, cases=False)
-    clusters_by_sid = {}
-    for sid, spans in _predicted_spans(corpus, args.source).items():
-        partition = baselines.string_match_coref(spans, corpus.subsections[sid].text)
-        clusters_by_sid[sid] = tuple(
-            tuple((spans[i].start, spans[i].end) for i in cluster) for cluster in partition
-        )
-    report = reports.cascade_report(corpus, clusters_by_sid, args.source)
+    predicted = {
+        sid: (spans, baselines.string_match_coref(spans, corpus.subsections[sid].text))
+        for sid, spans in _predicted_spans(corpus, args.source).items()
+    }
+    report = reports.cascade_report(corpus, predicted, args.source)
     return _emit(args, "cascade", report, _run_line(corpus, "cascade", source=args.source))
 
 
 def cmd_eval_inst(args) -> int:
-    from . import baselines
-    from .engine import EngineConfig, evaluate_run
+    from . import baselines, reports
+    from .engine import EngineConfig, run_cases
 
     corpus = _load_validated(args.manifest)
     config = EngineConfig(
@@ -278,7 +276,8 @@ def cmd_eval_inst(args) -> int:
             raise CorpusError([FileError("corpus", None, message)])
         params = baselines.fit_constant_baseline(train)
         resolver = baselines.ConstantResolver(params)
-    results, report = evaluate_run(resolver, corpus, args.split, config)
+    results, notes = run_cases(resolver, corpus, args.split, config)
+    report = reports.instantiation_report(results, config, notes)
 
     run_line = _run_line(
         corpus,

@@ -12,9 +12,10 @@ A corpus lives in a directory described by a manifest of key=value lines:
 
 All record files use the canonical format of `records`, read by one rule: a
 line that does not parse, or bytes that are not UTF-8, end the file with that
-one error; every other problem is collected at its line, in file order, and
-`offsets.txt` duplicates come last, sorted by id. Offsets are 0-based,
-half-open character offsets into the decoded section file.
+one error in place of the file's others; every other problem is collected at
+its line, in file order, and `offsets.txt` duplicates come last, sorted by
+id. Offsets are 0-based, half-open character offsets into the decoded section
+file.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class CorpusManifest(Frozen):
         path = Path(path)
         names = ("statutes", "spans", "coref", "structure", "cases", "silver")
         entries: dict[str, tuple[str, int]] = {}  # key -> (value, line)
-        for lineno, line in enumerate(_read(path).splitlines(), 1):
+        for lineno, line in enumerate(_read(path).split("\n"), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -118,18 +119,25 @@ class Corpus(Frozen):
 # Loaders
 
 
-def _records(path: Path, row, errors: list[FileError]) -> None:
+def _records(path: Path, row, errors: list[FileError]) -> bool:
     """Call `row(lineno, record)` on each record of the file at `path`, a
-    ValueError it raises a FileError at that line in `errors`. A line that
-    does not parse ends the file: a CorpusError holding that one error."""
+    ValueError it raises a FileError at that line in `errors`; whether the
+    file was read to its end. A line that does not parse, or bytes that are
+    not UTF-8, end it: that one error replaces its others in `errors`."""
+    mine = len(errors)
     try:
         for lineno, record in records.iter_records(_read(path)):
             try:
                 row(lineno, record)
             except ValueError as exc:
                 errors.append(FileError(str(path), lineno, str(exc)))
+        return True
     except records.RecordError as exc:
-        raise CorpusError([FileError(str(path), exc.line, str(exc))]) from exc
+        fatal = [FileError(str(path), exc.line, str(exc))]
+    except CorpusError as exc:
+        fatal = exc.errors
+    errors[mine:] = [e for e in errors[mine:] if e.path != str(path)] + fatal
+    return False
 
 
 def load_statutes(statutes_dir: str | Path) -> dict[str, Subsection]:
@@ -139,9 +147,10 @@ def load_statutes(statutes_dir: str | Path) -> dict[str, Subsection]:
     index = statutes_dir / "offsets.txt"
     if not index.exists():
         _fail(index, None, "offsets index not found")
-    texts: dict[str, str] = {}
+    texts: dict[str, str | None] = {}  # None for a file that is not UTF-8
     subsections: dict[str, Subsection] = {}
     repeats: dict[str, int] = {}  # id -> line of its second record
+    errors: list[FileError] = []
 
     def row(lineno: int, record: records.Record) -> None:
         fname = record.require("file")
@@ -153,8 +162,14 @@ def load_statutes(statutes_dir: str | Path) -> dict[str, Subsection]:
         if fname not in texts:
             if not (statutes_dir / fname).is_file():
                 raise records.RecordError(f"section file not found: {fname}")
-            texts[fname] = _read(statutes_dir / fname)
+            try:
+                texts[fname] = _read(statutes_dir / fname)
+            except CorpusError as exc:  # the file's one error, at the first line naming it
+                texts[fname] = None
+                errors.extend(exc.errors)
         text = texts[fname]
+        if text is None:
+            return
         if not (0 <= start < end <= len(text)):
             raise records.RecordError(f"offsets ({start}, {end}) out of bounds for {fname} of length {len(text)}")
         if record.id in subsections:
@@ -162,9 +177,8 @@ def load_statutes(statutes_dir: str | Path) -> dict[str, Subsection]:
         else:
             subsections[record.id] = Subsection(record.id, text[start:end])
 
-    errors: list[FileError] = []
-    _records(index, row, errors)
-    errors += (FileError(str(index), repeats[rid], f"duplicate subsection id {rid}") for rid in sorted(repeats))
+    if _records(index, row, errors):
+        errors += (FileError(str(index), repeats[rid], f"duplicate subsection id {rid}") for rid in sorted(repeats))
     if errors:
         raise CorpusError(errors)
     return subsections
@@ -247,9 +261,9 @@ def load_argument_layers(
         layers[record.id] = ArgumentLayer(record.id, spans[record.id], tuple(clusters), tuple(names))
 
     errors: list[FileError] = []
-    _records(Path(coref_path), row, errors)
-    for missing in sorted(set(spans) - set(layers)):
-        errors.append(FileError(str(Path(spans_path)), span_lines[missing], f"no coref record for {missing}"))
+    if _records(Path(coref_path), row, errors):
+        for missing in sorted(set(spans) - set(layers)):
+            errors.append(FileError(str(Path(spans_path)), span_lines[missing], f"no coref record for {missing}"))
     if errors:
         raise CorpusError(errors)
     return layers

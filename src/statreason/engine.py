@@ -23,7 +23,8 @@ arity) tuples at the run's depth cap), and the notes its cases add.
 A case is one loop over its query's program with a stack of the values each
 open subsection's body sees and a stack of results. A request's grounded
 text is spliced from the plan only when a resolver first reads it, and a
-note is kept as a tuple and rendered only when read.
+note is kept as a tuple and rendered only when read. The engine runs and
+does not score: `reports.instantiation_report` scores a run's results.
 """
 
 from __future__ import annotations
@@ -376,15 +377,3 @@ def run_cases(
             context.notes.append((case.id, None, str(exc), "error"))
     return results, context.notes
 
-
-def evaluate_run(
-    resolver: Resolver,
-    corpus,
-    split: str = "test",
-    config: EngineConfig = EngineConfig(),
-):
-    """Run a resolver over a split and score it: (results, report)."""
-    from .reports import instantiation_report
-
-    results, notes = run_cases(resolver, corpus, split, config)
-    return results, instantiation_report(results, config, notes)

@@ -1,16 +1,16 @@
 r"""Line-oriented record format used by corpus files and prediction dumps.
 
-One record per line: an identifier token followed by key=value fields.
-Values are typed by shape: quoted strings are text, "$123" or "$-5" is a
-dollar amount, bare integers such as "42" or "-3" are numbers,
-"true"/"false", decimals and exponent forms such as "1e-05" are truth
-scores, "2017-02-03" is a date, "(15, 27)" is a character span, and
+One record per line, a line ending at "\n" only: an identifier token
+followed by key=value fields. Values are typed by shape: quoted strings are
+text, "$123" or "$-5" is a dollar amount, bare integers such as "42" or "-3"
+are numbers, "true"/"false", decimals and exponent forms such as "1e-05" are
+truth scores, "2017-02-03" is a date, "(15, 27)" is a character span, and
 brackets hold lists, whose items may themselves be "key=value" pairs
 (a value map) or "Label:[...]" groups (a named cluster); a key or label
 that is not a bare record key is a quoted string. Lines starting
 with "#" are comments. Inside quoted text, a backslash escapes a quote, a
-backslash and "\n"; every other line separator is written as "\uXXXX",
-so one record always stays on one line.
+backslash and "\n"; every other `str.splitlines` line break is written as
+"\uXXXX", for tools that split lines there.
 
 A list reads as a list, a "(start, end)" span as that tuple, a "key=value"
 item as the tuple (key, value) and a "Label:[...]" group as {label: items}.
@@ -244,7 +244,7 @@ def parse_value_literal(text: str) -> object:
 def iter_records(text: str):
     """Yield (line_number, Record) for every non-comment, non-blank line. A
     line that does not parse raises RecordError with `line` set."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

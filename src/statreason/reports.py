@@ -5,9 +5,11 @@ for the coreference, identification and cascade reports.
 Coreference numbers are aggregated two ways, as an average with population
 standard deviation across subsections that have at least one argument, and
 as a pooled corpus-level count ("macro"); zero-argument subsections are
-vacuous and excluded from both. Standard coreference metrics treat the whole
-corpus as a single mention universe with mentions keyed by
-(subsection, start, end).
+vacuous and excluded from both. The coreference and cascade reports key a
+mention by (subsection, start, end) in one builder, `_cluster_units`, and
+the standard metrics treat the whole corpus as one mention universe.
+`instantiation_report` scores what `engine.run_cases` returns; this module
+imports nothing from the engine, and `engine.note_text` renders the notes.
 """
 
 from __future__ import annotations
@@ -83,6 +85,15 @@ class CorefReport(ExactMatchReport, Frozen):
         return "\n".join(lines)
 
 
+def _cluster_units(corpus: Corpus, predicted: dict[str, tuple[tuple, tuple[tuple[int, ...], ...]]]):
+    """Each layer's (gold, predicted) clusters, as lists in cluster order of
+    frozensets of mentions keyed (subsection, start, end); `predicted` maps
+    a subsection to its (spans, clusters of span indices)."""
+    for sid, layer in corpus.layers.items():
+        keyed = lambda spans, clusters: [frozenset((sid, spans[i].start, spans[i].end) for i in c) for c in clusters]
+        yield keyed(layer.spans, layer.clusters), keyed(*predicted.get(sid, ((), ())))
+
+
 def coref_report(
     corpus: Corpus, predictions: dict[str, tuple[tuple[int, ...], ...]], baseline: str
 ) -> CorefReport:
@@ -90,12 +101,9 @@ def coref_report(
     which must cover the same mentions: the standard metrics pool them."""
     from . import coref_metrics
 
-    units = []
-    gold_universe, pred_universe = [], []
-    for sid, layer in corpus.layers.items():
-        mention = lambda i: (sid, layer.spans[i].start, layer.spans[i].end)
-        gold = [frozenset(map(mention, c)) for c in layer.clusters]
-        pred = [frozenset(map(mention, c)) for c in predictions.get(sid, ())]
+    predicted = {sid: (layer.spans, predictions.get(sid, ())) for sid, layer in corpus.layers.items()}
+    units, gold_universe, pred_universe = [], [], []
+    for gold, pred in _cluster_units(corpus, predicted):
         gold_universe += gold
         pred_universe += pred
         if gold:
@@ -129,18 +137,11 @@ class CascadeReport(ExactMatchReport, Frozen):
 
 
 def cascade_report(
-    corpus: Corpus, clusters_by_sid: dict[str, tuple[tuple, ...]], source: str
+    corpus: Corpus, predicted: dict[str, tuple[tuple, tuple[tuple[int, ...], ...]]], source: str
 ) -> CascadeReport:
-    """Score predicted clusters given as groups of (start, end) pairs against
-    gold clusters compared as span sets."""
-    units = (
-        (
-            {frozenset((layer.spans[i].start, layer.spans[i].end) for i in c) for c in layer.clusters},
-            {frozenset(map(tuple, c)) for c in clusters_by_sid.get(sid, ())},
-        )
-        for sid, layer in corpus.layers.items()
-        if layer.clusters
-    )
+    """Score each subsection's predicted (spans, clusters of span indices)
+    against its gold clusters, with mentions compared by their spans."""
+    units = ((set(gold), set(pred)) for gold, pred in _cluster_units(corpus, predicted) if gold)
     return CascadeReport(source, exact_match(units))
 
 
@@ -165,13 +166,6 @@ class InstantiationReport(Frozen):
         "truth", "dollar", "string", "unified", "binary_cases", "numerical_cases", "pairs", "arg_scores", "errors",
         "note_records",
     )
-
-    @property
-    def notes(self) -> tuple[str, ...]:
-        """The run's notes as text, rendered from `note_records` on read."""
-        from .engine import note_text
-
-        return tuple(map(note_text, self.note_records))
 
     def flat(self) -> dict[str, float]:
         return {

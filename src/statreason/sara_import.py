@@ -32,8 +32,8 @@ that query it on a later pass. A layer's spans and coref records go
 together. Each skip is logged as "<source file or file:line>: <message>":
 the model's, the loader's or `validate`'s message, or what of the layout
 did not fit. Only regular files are read, as the loader reads them (UTF-8,
-universal newlines); any other entry is skipped as "not a file", and a
-byte that is not UTF-8 stops the import with its `path:line`.
+universal newlines, lines ending at "\\n" only); any other entry is skipped
+as "not a file"; a byte that is not UTF-8 stops the import at its `path:line`.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def _problems(dest: Path, files: list[str], items: list[_Item]) -> list[tuple[_I
     for item in items:
         for name, text in item.texts.items():
             texts[name].append(text)
-            owners[str(dest / name)] += [item] * len(text.splitlines())
+            owners[str(dest / name)] += [item] * text.count("\n")
     for name, parts in texts.items():
         (dest / name).write_text("".join(parts), encoding="utf-8")
     try:
@@ -156,7 +156,7 @@ def _subsections(source: Path, dest: Path, log: ImportLog) -> list[_Item]:
             continue
         text = _read(text_path)
         (dest / "statutes" / text_path.name).write_text(text, encoding="utf-8")
-        for lineno, line in enumerate(_read(offsets_path).splitlines(), 1):
+        for lineno, line in enumerate(_read(offsets_path).split("\n"), 1):
             where, parts = f"statutes/{offsets_path.name}:{lineno}", line.split()
             if len(parts) != 3 or not (parts[1].isdecimal() and parts[2].isdecimal()):
                 if parts:
@@ -191,7 +191,7 @@ def _layers(source: Path, log: ImportLog) -> list[_Item]:
 
 def _spans(path: Path) -> tuple[Span, ...]:
     spans = []
-    for line in _read(path).splitlines():
+    for line in _read(path).split("\n"):
         parts = line.split()
         if parts:
             if len(parts) != 2 or not all(p.isdecimal() for p in parts):
@@ -206,7 +206,7 @@ def _clusters(source: Path, name: str, n_spans: int, log: ImportLog):
     matrix_path = source / "coref" / name
     if not _is_file(matrix_path, source, log):
         return tuple((i,) for i in range(n_spans)), (None,) * n_spans
-    rows = [line.split() for line in _read(matrix_path).splitlines() if line.strip()]
+    rows = [line.split() for line in _read(matrix_path).split("\n") if line.strip()]
     for row in rows:
         if any(x not in ("0", "1") for x in row):
             raise ValueError(f"coref matrix entries must be 0 or 1, found row {' '.join(row)!r}")
@@ -214,7 +214,7 @@ def _clusters(source: Path, name: str, n_spans: int, log: ImportLog):
     names: list[str | None] = [None] * len(clusters)
     names_path = matrix_path.with_name(f"{name}.names")
     if _is_file(names_path, source, log):
-        for lineno, line in enumerate(_read(names_path).splitlines(), 1):
+        for lineno, line in enumerate(_read(names_path).split("\n"), 1):
             parts = line.split()
             try:
                 index = int(parts[0]) if len(parts) == 2 and parts[0].isdecimal() else len(clusters)
@@ -309,7 +309,7 @@ def _read_case(path: Path, split: str) -> Case:
 
 def _parse_pairs(block: str, where: str) -> ValueMap:
     entries = []
-    for line in block.splitlines():
+    for line in block.split("\n"):
         line = line.strip()
         if not line:
             continue

@@ -1429,7 +1429,8 @@ def parse_program_by_tokens(text: str) -> tuple[Program, list[tuple[int, str]]]:
 # ---------------------------------------------------------------------------
 # The corpus loaders as first written: each with its own error list and its
 # own loop over `_iter_file`, a generator that ends the file at a line that
-# does not parse.
+# does not parse. A file that ends so, or a section file that is not UTF-8,
+# keeps the errors of the files read before it.
 
 
 def load_statutes(statutes_dir: str | Path) -> dict[str, Subsection]:
@@ -1443,29 +1444,40 @@ def load_statutes(statutes_dir: str | Path) -> dict[str, Subsection]:
     subsections: dict[str, Subsection] = {}
     repeats: dict[str, int] = {}  # id -> line of its second record
     errors: list[FileError] = []
-    for lineno, record in _iter_file(index):
-        try:
-            fname = record.require("file")
-            start, end = record.require("start"), record.require("end")
-            if not (isinstance(fname, str) and isinstance(start, int) and isinstance(end, int)):
-                raise records.RecordError("offsets need file=\"...\" start=<int> end=<int>")
-            if "/" in fname or fname in ("", ".", ".."):
-                raise records.RecordError(f"section file must be named by a file name in statutes/, got {fname!r}")
-            if fname not in texts:
-                fpath = statutes_dir / fname
-                if not fpath.exists():
-                    raise records.RecordError(f"section file not found: {fname}")
-                texts[fname] = _read(fpath)
-            if not (0 <= start < end <= len(texts[fname])):
-                raise records.RecordError(
-                    f"offsets ({start}, {end}) out of bounds for {fname} of length {len(texts[fname])}"
-                )
-            if record.id in subsections:
-                repeats.setdefault(record.id, lineno)
-            else:
-                subsections[record.id] = Subsection(record.id, texts[fname][start:end])
-        except ValueError as exc:
-            errors.append(FileError(str(index), lineno, str(exc)))
+    try:
+        for lineno, record in _iter_file(index):
+            try:
+                fname = record.require("file")
+                start, end = record.require("start"), record.require("end")
+                if not (isinstance(fname, str) and isinstance(start, int) and isinstance(end, int)):
+                    raise records.RecordError("offsets need file=\"...\" start=<int> end=<int>")
+                if "/" in fname or fname in ("", ".", ".."):
+                    raise records.RecordError(
+                        f"section file must be named by a file name in statutes/, got {fname!r}"
+                    )
+                if fname not in texts:
+                    fpath = statutes_dir / fname
+                    if not fpath.exists():
+                        raise records.RecordError(f"section file not found: {fname}")
+                    try:
+                        texts[fname] = _read(fpath)
+                    except CorpusError as exc:  # reported once, and the offsets go on
+                        texts[fname] = None
+                        errors.extend(exc.errors)
+                if texts[fname] is None:
+                    continue
+                if not (0 <= start < end <= len(texts[fname])):
+                    raise records.RecordError(
+                        f"offsets ({start}, {end}) out of bounds for {fname} of length {len(texts[fname])}"
+                    )
+                if record.id in subsections:
+                    repeats.setdefault(record.id, lineno)
+                else:
+                    subsections[record.id] = Subsection(record.id, texts[fname][start:end])
+            except ValueError as exc:
+                errors.append(FileError(str(index), lineno, str(exc)))
+    except CorpusError as exc:  # the index ends: its one error replaces its others
+        raise CorpusError([e for e in errors if e.path != str(index)] + exc.errors) from exc
     for rid in sorted(repeats):
         errors.append(FileError(str(index), repeats[rid], f"duplicate subsection id {rid}"))
     if errors:
@@ -1577,20 +1589,24 @@ def load_cases(cases_dir: str | Path, split: str | None = None) -> list[Case]:
         except ValueError as exc:
             errors.append(FileError(str(path), None, str(exc)))
             continue
-        for lineno, record in _iter_file(path):
-            try:
-                query = record.require("query")
-                description = record.require("description")
-                if not isinstance(query, str) or not isinstance(description, str):
-                    raise records.RecordError("query and description must be quoted strings")
-                inputs = records.as_value_map(record.require("inputs"), "inputs")
-                expected = records.as_value_map(record.require("expected"), "expected")
-                if record.id in seen:
-                    raise records.RecordError(f"duplicate case id {record.id}")
-                cases.append(Case(record.id, description, query, inputs, expected, name))
-                seen.add(record.id)
-            except ValueError as exc:
-                errors.append(FileError(str(path), lineno, str(exc)))
+        mine = len(errors)
+        try:
+            for lineno, record in _iter_file(path):
+                try:
+                    query = record.require("query")
+                    description = record.require("description")
+                    if not isinstance(query, str) or not isinstance(description, str):
+                        raise records.RecordError("query and description must be quoted strings")
+                    inputs = records.as_value_map(record.require("inputs"), "inputs")
+                    expected = records.as_value_map(record.require("expected"), "expected")
+                    if record.id in seen:
+                        raise records.RecordError(f"duplicate case id {record.id}")
+                    cases.append(Case(record.id, description, query, inputs, expected, name))
+                    seen.add(record.id)
+                except ValueError as exc:
+                    errors.append(FileError(str(path), lineno, str(exc)))
+        except CorpusError as exc:  # the file ends: its one error replaces its others
+            errors[mine:] = exc.errors
     if errors:
         raise CorpusError(errors)
     return cases

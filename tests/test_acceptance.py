@@ -24,10 +24,10 @@ from statreason.baselines import (
 )
 from statreason.corpus import corpus_statistics, load_corpus
 from statreason.coref_metrics import COREF_METRICS, ceaf_e, ceaf_m
-from statreason.engine import do_operation, evaluate_run
+from statreason.engine import EngineConfig, do_operation, run_cases
 from statreason.metrics import ArgScore, numerical_accuracy
 from statreason.model import TRUTH_KEY, ValueMap
-from statreason.reports import coref_report
+from statreason.reports import coref_report, instantiation_report
 from statreason.rules import build_dependency_tree, parse_program, print_rule
 
 from generators import random_clause, random_partition, random_program
@@ -54,7 +54,8 @@ def ok(n: int, text: str) -> None:
 
 def test_criterion_1_oracle_closure(corpus):
     start = time.monotonic()
-    _, report = evaluate_run(OracleResolver(), corpus, "all")
+    results, notes = run_cases(OracleResolver(), corpus, "all")
+    report = instantiation_report(results, EngineConfig(), notes)
     elapsed = time.monotonic() - start
     assert report.truth.accuracy == 1.0
     assert report.dollar.accuracy == 1.0
@@ -69,7 +70,8 @@ def test_criterion_1_oracle_closure(corpus):
 @needs_sara
 def test_criterion_1_oracle_closure_full_corpus(sara):
     start = time.monotonic()
-    _, report = evaluate_run(OracleResolver(), sara, "all")
+    results, notes = run_cases(OracleResolver(), sara, "all")
+    report = instantiation_report(results, EngineConfig(), notes)
     elapsed = time.monotonic() - start
     assert report.unified.accuracy == 1.0
     assert elapsed < 10.0
@@ -171,7 +173,8 @@ def test_criterion_3_standard_metrics_vs_reported(sara):
 
 def test_criterion_4_constant_baseline_fixture_regression(corpus):
     params = fit_constant_baseline(list(corpus.cases_of("train")))
-    _, report = evaluate_run(ConstantResolver(params), corpus, "test")
+    results, notes = run_cases(ConstantResolver(params), corpus, "test")
+    report = instantiation_report(results, EngineConfig(), notes)
     assert report.truth.accuracy == pytest.approx(3 / 5)
     assert report.unified.accuracy == pytest.approx(3 / 6)
     assert report.pairs.identical == 2
@@ -184,14 +187,16 @@ def test_criterion_4_constant_baseline_fixture_regression(corpus):
 @needs_sara
 def test_criterion_4_constant_baseline_vs_reported(sara):
     params = fit_constant_baseline(list(sara.cases_of("train")))
-    _, report = evaluate_run(ConstantResolver(params), sara, "test")
+    results, notes = run_cases(ConstantResolver(params), sara, "test")
+    report = instantiation_report(results, EngineConfig(), notes)
     assert 100 * report.truth.accuracy == pytest.approx(58.3, abs=7.5)
     assert 100 * report.dollar.accuracy == pytest.approx(18.2, abs=11.5)
     assert 100 * report.string.accuracy == pytest.approx(4.4, abs=7.4)
     assert 100 * report.unified.accuracy == pytest.approx(43.3, abs=6.2)
     if sara.silver:
         silver_params = fit_constant_baseline(list(sara.cases_of("train")) + list(sara.silver))
-        _, silver_report = evaluate_run(ConstantResolver(silver_params), sara, "test")
+        results, notes = run_cases(ConstantResolver(silver_params), sara, "test")
+        silver_report = instantiation_report(results, EngineConfig(), notes)
         assert 100 * silver_report.dollar.accuracy == pytest.approx(39.4, abs=14.6)
     ok(4, "constant baseline matches the reported corpus numbers within their intervals")
 

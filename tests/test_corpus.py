@@ -60,6 +60,15 @@ class TestManifest:
         assert main(["validate", "--manifest", str(manifest)]) == 1
         assert capsys.readouterr().err == f"{manifest}:7: manifest key 'spans' given twice, also at line 2\n"
 
+    def test_a_line_ends_at_a_newline_only(self, tmp_path, capsys):
+        # The form feed stays in its comment line, so the bad key is at line 8.
+        root = copy_corpus(tmp_path)
+        manifest = root / "manifest.txt"
+        text = "# parts \x0c of the corpus\n" + manifest.read_text(encoding="utf-8") + "glossary=cases\n"
+        manifest.write_text(text, encoding="utf-8")
+        assert main(["validate", "--manifest", str(manifest)]) == 1
+        assert capsys.readouterr().err == f"{manifest}:8: unknown manifest key 'glossary'\n"
+
     def test_missing_keys_are_reported_first(self, tmp_path, capsys):
         root = copy_corpus(tmp_path)
         manifest = root / "manifest.txt"
@@ -326,6 +335,40 @@ class TestReadingRule:
         path = root / "spans.txt"
         path.write_text("nosuch spans=[(0, 1)]\n" + path.read_text(encoding="utf-8") + "garbage =\n", encoding="utf-8")
         assert self.errors(root) == ["spans.txt:14: expected a field key (column 9)"]
+
+    def test_a_line_ends_at_a_newline_only(self, tmp_path):
+        # A form feed in a comment neither ends it nor moves the lines after it.
+        root = copy_corpus(tmp_path)
+        path = root / "spans.txt"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[:0] = ["# a comment with a form feed \x0c here"]
+        lines[5:5] = ["nosuch spans=[(0, 1)]"]
+        path.write_text("\n".join(lines), encoding="utf-8")
+        assert self.errors(root) == ["spans.txt:6: unknown subsection nosuch"]
+
+    def test_a_section_file_that_is_not_utf8_keeps_the_errors_of_the_others(self, tmp_path):
+        # The section file's one error comes once, at the first offsets line
+        # naming it; an offsets line that does not parse keeps it too.
+        root = copy_corpus(tmp_path)
+        index = root / "statutes" / "offsets.txt"
+        edit(index, 'file="section1.txt"', 'file="nosuch.txt"')
+        section = root / "statutes" / "section63.txt"
+        section.write_bytes(section.read_bytes() + b"\xff")
+        not_utf8 = "statutes/section63.txt:6: not UTF-8: invalid start byte (byte 0xff)"
+        assert self.errors(root) == ["statutes/offsets.txt:1: section file not found: nosuch.txt", not_utf8]
+        index.write_text(index.read_text(encoding="utf-8") + "garbage =\n", encoding="utf-8")
+        assert self.errors(root) == [not_utf8, "statutes/offsets.txt:13: expected a field key (column 9)"]
+
+    def test_a_cases_file_that_does_not_parse_keeps_the_errors_of_the_files_before_it(self, tmp_path):
+        root = copy_corpus(tmp_path)
+        test = root / "cases" / "test.cases"
+        test.write_text(test.read_text(encoding="utf-8").replace("query=", "querx=", 1), encoding="utf-8")
+        train = root / "cases" / "train.cases"
+        train.write_text(train.read_text(encoding="utf-8") + "garbage =\n", encoding="utf-8")
+        assert self.errors(root) == [
+            "cases/test.cases:1: missing field 'query'",
+            "cases/train.cases:4: expected a field key (column 9)",
+        ]
 
     def test_case_files_report_in_sorted_order(self, tmp_path):
         root = copy_corpus(tmp_path)

@@ -25,12 +25,12 @@ from statreason.engine import (
     RunContext,
     SubsectionPlan,
     do_operation,
-    evaluate_run,
     instantiate_full,
     note_text,
     run_cases,
 )
 from statreason.model import ArgumentLayer, Case, Money, Span, Subsection, TRUTH_KEY, ValueMap
+from statreason.reports import instantiation_report
 from statreason.rules import OpNode, Rule, SubsectionNode, parse_program, unroll
 
 from generators import MODEL_VALUES, SUBCLASSED_VALUES, random_nested_program, random_value_map, texts_with_layers
@@ -838,14 +838,16 @@ class TestEngineInvariants:
 
 class TestEvaluateRun:
     def test_oracle_scores_everything(self, corpus):
-        _, report = evaluate_run(OracleResolver(), corpus, "all")
+        results, notes = run_cases(OracleResolver(), corpus, "all")
+        report = instantiation_report(results, EngineConfig(), notes)
         assert report.unified.accuracy == 1.0
         assert report.truth.accuracy == 1.0
         assert report.dollar.accuracy == 1.0
         assert report.string.accuracy == 1.0
 
     def test_empty_split_empty_report(self, corpus):
-        results, report = evaluate_run(OracleResolver(), corpus, "nope")
+        results, notes = run_cases(OracleResolver(), corpus, "nope")
+        report = instantiation_report(results, EngineConfig(), notes)
         assert results == []
         assert report.unified.n == 0
 
@@ -856,7 +858,8 @@ class TestEvaluateRun:
                     raise RuntimeError("bad case")
                 return 1.0 if request.argument == TRUTH_KEY else None
 
-        results, report = evaluate_run(Boom(), corpus, "test")
+        results, notes = run_cases(Boom(), corpus, "test")
+        report = instantiation_report(results, EngineConfig(), notes)
         assert len(results) == 5
         assert len(report.errors) == 1
         assert "tax-case-4" in report.errors[0]
@@ -883,7 +886,9 @@ class TestEvaluateRun:
         instantiate_full(OracleResolver(), cases[0], context)
         steps = context.programs["C"]
         assert len(steps) == 9999 and [op for op, *_ in steps].count("open") == 4999
-        results, report = evaluate_run(OracleResolver(), corpus, config=EngineConfig(5000))
+        config = EngineConfig(5000)
+        results, notes = run_cases(OracleResolver(), corpus, config=config)
+        report = instantiation_report(results, config, notes)
         assert [(r.error, r.predicted) for r in results] == [(None, {TRUTH_KEY: 1.0})] * 2
         assert report.errors == () and report.unified.accuracy == 1.0
 
@@ -950,11 +955,11 @@ class TestEvaluateRun:
 
     def test_constant_resolver_ignores_structure(self, corpus):
         params = ConstantBaselineParams(1.0, 42000, "Bob")
-        with_structure = evaluate_run(ConstantResolver(params), corpus, "test")[1]
-        without = evaluate_run(
-            ConstantResolver(params), corpus, "test", EngineConfig(depth_cap=1)
-        )[1]
-        assert with_structure.flat() == without.flat()
+        scored = []
+        for config in (EngineConfig(), EngineConfig(depth_cap=1)):
+            results, notes = run_cases(ConstantResolver(params), corpus, "test", config)
+            scored.append(instantiation_report(results, config, notes))
+        assert scored[0].flat() == scored[1].flat()
 
 
 class TestNotes:
@@ -981,9 +986,10 @@ class TestNotes:
             return real(note)
 
         monkeypatch.setattr(engine, "note_text", counting)
-        results, report = evaluate_run(OracleResolver(), corpus, "all")
+        results, notes = run_cases(OracleResolver(), corpus, "all")
+        report = instantiation_report(results, EngineConfig(), notes)
         assert rendered == [] and len(report.note_records) > len(results)
-        assert report.notes == tuple(real(n) for n in report.note_records)
+        assert tuple(map(engine.note_text, report.note_records)) == tuple(real(n) for n in report.note_records)
         assert rendered == list(report.note_records)
 
     def test_a_resolver_that_answers_nothing(self, corpus):

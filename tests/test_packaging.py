@@ -2,9 +2,10 @@
 in no numeric stack, and pyproject.toml declares no runtime dependency.
 The package root exports nothing, so importing one module loads only what
 that module needs, and each command loads only the modules it runs (and
-never `dataclasses`). Every name that the benchmark and the scripts import
-from the package exists, and so does every name that the benchmark traces
-and every name README's library table lists."""
+never `dataclasses`). No package module imports itself through others.
+Every name that the benchmark and the scripts import from the package
+exists, and so does every name that the benchmark traces and every name
+README's library table lists."""
 
 import ast
 import importlib
@@ -109,6 +110,37 @@ def _package_imports():
                 yield from ((where, a.name, None) for a in node.names if a.name.split(".")[0] == "statreason")
 
 
+def test_the_package_import_graph_has_no_cycle():
+    # Every relative import of a package module, at module level or inside a
+    # function, is an edge; a depth-first walk finds any cycle among them.
+    package = ROOT / "src" / "statreason"
+    modules = {path.stem for path in package.glob("*.py")}
+    graph = {}
+    for module in modules:
+        tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
+        graph[module] = {
+            target
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for target in ([node.module.split(".")[0]] if node.module else [a.name for a in node.names])
+            if target in modules
+        }
+    assert graph["reports"] and graph["engine"]  # the walk sees their imports
+    done, path = set(), []
+
+    def walk(module):
+        if module in path:
+            raise AssertionError("import cycle: " + " -> ".join(path[path.index(module) :] + [module]))
+        if module not in done:
+            path.append(module)
+            for target in sorted(graph[module]):
+                walk(target)
+            done.add(path.pop())
+
+    for module in sorted(graph):
+        walk(module)
+
+
 def test_benchmark_and_scripts_import_only_names_that_exist():
     imports = list(_package_imports())
     assert {where for where, _, _ in imports} >= {"perfbench/layers.py", "scripts/reproduce_tables.py"}
@@ -127,6 +159,7 @@ def test_benchmark_and_scripts_import_only_names_that_exist():
 GONE_FROM_THE_PACKAGE = {
     "rules.populate_values", "model.ValueMap.merged", "model.ValueMap.without", "metrics.exact_match_coref",
     "metrics.span_prf", "reports.report_records", "reports.render_stats", "rules.check_references",
+    "engine.evaluate_run",
 }
 
 

@@ -78,6 +78,14 @@ class TestScanning:
             list(records.iter_records('# header\nc1 a="x"\n\nc2 a=oops\n'))
         assert exc.value.line == 4
 
+    @pytest.mark.parametrize("separator", list(ESCAPED_CHARACTERS[3:]))
+    def test_a_line_ends_at_a_newline_only(self, separator):
+        # Every other character `str.splitlines` splits at stays in its line,
+        # written raw in a comment or inside a string.
+        text = f'# a comment {separator} here\nc1 d="a{separator}b"\n'
+        [(lineno, record)] = records.iter_records(text)
+        assert lineno == 2 and record.fields == {"d": "a" + separator + "b"}
+
     def test_comments_and_blanks_skipped(self):
         rows = list(records.iter_records('# header\n\nc1 a="x"\n'))
         assert len(rows) == 1 and rows[0][1].id == "c1"

@@ -12,7 +12,7 @@ from statreason.baselines import (
     string_match_coref,
 )
 from statreason.cli import check_floors, report_records
-from statreason.engine import CaseResult, EngineConfig, evaluate_run
+from statreason.engine import CaseResult, EngineConfig, run_cases
 from statreason.model import TRUTH_KEY, Case, Money, Span, ValueMap
 from statreason.reports import (
     argid_report,
@@ -94,14 +94,10 @@ class TestArgIdReport:
 class TestCascadeReport:
     def test_gold_spans_match_coref_report(self, corpus):
         # A perfect first stage reduces the cascade to plain string matching.
-        coref = coref_report(corpus, string_predictions(corpus), "string")
-        clusters_by_sid = {}
-        for sid, layer in corpus.layers.items():
-            partition = string_match_coref(layer.spans, corpus.subsections[sid].text)
-            clusters_by_sid[sid] = tuple(
-                tuple((layer.spans[i].start, layer.spans[i].end) for i in c) for c in partition
-            )
-        cascade = cascade_report(corpus, clusters_by_sid, "gold-spans")
+        predictions = string_predictions(corpus)
+        coref = coref_report(corpus, predictions, "string")
+        predicted = {sid: (layer.spans, predictions[sid]) for sid, layer in corpus.layers.items()}
+        cascade = cascade_report(corpus, predicted, "gold-spans")
         assert cascade.scores.macro.as_tuple() == coref.scores.macro.as_tuple()
         assert cascade.scores.perfectly_resolved == coref.scores.perfectly_resolved
 
@@ -114,7 +110,8 @@ class TestCascadeReport:
 class TestInstantiationReport:
     def test_constant_baseline_fixture_numbers(self, corpus):
         params = fit_constant_baseline(list(corpus.cases_of("train")))
-        _, report = evaluate_run(ConstantResolver(params), corpus, "test")
+        results, notes = run_cases(ConstantResolver(params), corpus, "test")
+        report = instantiation_report(results, EngineConfig(), notes)
         assert report.truth.accuracy == pytest.approx(3 / 5)
         assert report.dollar == report.dollar.__class__(0.0, 1)
         assert report.string.n == 0
@@ -124,13 +121,15 @@ class TestInstantiationReport:
         assert (report.pairs.identical, report.pairs.fully_correct, report.pairs.split) == (2, 0, 0)
 
     def test_oracle_pairs_fully_correct(self, corpus):
-        _, report = evaluate_run(OracleResolver(), corpus, "all")
+        results, notes = run_cases(OracleResolver(), corpus, "all")
+        report = instantiation_report(results, EngineConfig(), notes)
         assert report.pairs.identical == 0
         assert report.pairs.fully_correct == 3
         assert report.pairs.unpaired == ("tax-case-4", "tax-case-5")
 
     def test_render_mentions_every_family(self, corpus):
-        _, report = evaluate_run(OracleResolver(), corpus, "test")
+        results, notes = run_cases(OracleResolver(), corpus, "test")
+        report = instantiation_report(results, EngineConfig(), notes)
         text = report.render()
         for label in ("@truth", "dollar amount", "string", "unified", "binary", "numerical"):
             assert label in text
@@ -211,17 +210,20 @@ class TestAgainstOracles:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_cascade(self, corpus, data):
-        clusters_by_sid = {}
+        predicted = {}
         for sid, layer in corpus.layers.items():
             if not data.draw(st.integers(0, 5)):
                 continue
             spans = data.draw(predicted_spans(layer, corpus.subsections[sid].text))
-            gold_pairs = [(s.start, s.end) for s in layer.spans]
-            gold = tuple(tuple(gold_pairs[i] for i in c) for c in layer.clusters)
-            pairs = [(s.start, s.end) for s in spans]
-            clusters_by_sid[sid] = data.draw(st.one_of(st.just(gold), partitions(pairs)))
+            indexed = partitions(range(len(spans))).map(lambda clusters: (spans, clusters))
+            predicted[sid] = data.draw(st.one_of(st.just((layer.spans, layer.clusters)), indexed))
+        # The oracle takes each cluster as its (start, end) pairs.
+        clusters_by_sid = {
+            sid: tuple(tuple((spans[i].start, spans[i].end) for i in c) for c in clusters)
+            for sid, (spans, clusters) in predicted.items()
+        }
         assert_same_report(
-            cascade_report(corpus, clusters_by_sid, "random"),
+            cascade_report(corpus, predicted, "random"),
             oracles.cascade_report(corpus, clusters_by_sid, "random"),
         )
 

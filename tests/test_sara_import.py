@@ -516,6 +516,18 @@ class TestImport:
         assert capsys.readouterr().err == f"skipped {skipped}\n"
         self.assert_validates(dest, capsys)
 
+    @pytest.mark.parametrize("relative", ["statutes/section1.offsets", "coref/1_d_iv.names"])
+    def test_a_line_ends_at_a_newline_only(self, tmp_path, capsys, relative):
+        # A form feed is no line end: the line after it is line 3, not 4.
+        source, dest = tmp_path / "dist", tmp_path / "canonical"
+        make_distributed_tree(source)
+        path = source / relative
+        path.write_text("\x0c\n" + path.read_text(encoding="utf-8").replace("\n", "\nx\n", 1), encoding="utf-8")
+        assert main(["import-sara", "--source", str(source), "--dest", str(dest)]) == 0
+        expected = "<cluster_index> <name>" if relative.endswith(".names") else "<id> <start> <end>"
+        assert capsys.readouterr().err == f"skipped {relative}:3: expected '{expected}'\n"
+        self.assert_validates(dest, capsys)
+
     def test_a_destination_file_the_import_did_not_write_stops_it(self, tmp_path, capsys):
         # A stale split file in the destination is loaded with the import;
         # what validate rejects there is no imported item to drop.
