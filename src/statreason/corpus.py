@@ -51,8 +51,9 @@ def _fail(path: Path, line: int | None, message: str):
 
 def _read(path: Path) -> str:
     """A file's text as `Path.read_text` gives it: UTF-8 with universal
-    newlines. A path that is not a regular file is a CorpusError, and a
-    byte that is not UTF-8 one at its line."""
+    newlines. A path that is not a regular file is a CorpusError, a byte
+    that is not UTF-8 one at its line, and a leading U+FEFF one at line 1:
+    no written file starts with it, so it would be read as text."""
     if not path.is_file():
         _fail(path, None, "not a file")
     data = path.read_bytes()
@@ -62,6 +63,8 @@ def _read(path: Path) -> str:
         head = data[: exc.start]
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         _fail(path, line, f"not UTF-8: {exc.reason} (byte 0x{data[exc.start]:02x})")
+    if text[:1] == "\ufeff":
+        _fail(path, 1, "starts with a byte order mark (U+FEFF)")
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 

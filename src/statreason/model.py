@@ -111,9 +111,12 @@ def check_text(text: str) -> str:
 
 def check_id(name: str) -> str:
     """Validate an id that a record carries bare, returning it unchanged: text with no character
-    `str.isspace` accepts (so no line separator), not empty and not starting a comment with "#"."""
+    `str.isspace` accepts (so no line separator), not empty, not starting a comment with "#" and
+    not starting with U+FEFF, which a file cannot start with."""
     if name.split() != [name] or name[0] == "#":
         raise ValueError(f"malformed id {name!r}: an id is non-empty, holds no whitespace and starts with no '#'")
+    if name[0] == "\ufeff":
+        raise ValueError(f"malformed id {name!r}: an id starts with no byte order mark (U+FEFF)")
     return check_text(name)
 
 
@@ -199,8 +202,9 @@ _well_formed_id = re.compile(r"(?!\()(?:[^()]|\([^()]+\))*").fullmatch
 
 class Subsection(Frozen):
     """One subsection of a statute, the atomic natural-language predicate. Its text, a slice
-    of a section file, is not empty (an offsets record has start < end) and holds no "\\r",
-    which reading with universal newlines makes "\\n"."""
+    of a section file, is not empty (an offsets record has start < end), holds no "\\r",
+    which reading with universal newlines makes "\\n", and does not start with U+FEFF, which
+    a section file cannot start with."""
 
     __slots__ = ("id", "text")
 
@@ -209,6 +213,8 @@ class Subsection(Frozen):
             raise ValueError(f"malformed subsection id {id!r}")
         if not text:
             raise ValueError(f"subsection {id}: empty text, which no offsets record can slice")
+        if text[0] == "\ufeff":
+            raise ValueError(f"subsection {id}: text starts with a byte order mark (U+FEFF)")
         if "\r" in check_text(text):
             raise ValueError(f"subsection {id}: a section file cannot hold '\\r'")
         _set(self, "id", id)

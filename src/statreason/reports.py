@@ -1,6 +1,9 @@
 """Report assembly: score each report's units and render text tables. The
-exact-match table is `metrics.exact_match`, which `ExactMatchReport` renders
-for the coreference, identification and cascade reports.
+exact-match table is `metrics.exact_match`; `coref_report`, `argid_report`
+and `cascade_report` each return one `ExactMatchReport`, which holds its
+title, heading, record names and scores, and which renders the standard
+metrics only where it has them (coreference). The instantiation report's
+families are listed once, in `_FAMILIES`, for its records and its text.
 
 Coreference numbers are aggregated two ways, as an average with population
 standard deviation across subsections that have at least one argument, and
@@ -25,59 +28,46 @@ from .metrics import (
 )
 from .model import TRUTH_KEY, Frozen
 
+# ---------------------------------------------------------------------------
+# Exact-match reports: coreference, argument identification and the cascade
+# (predicted spans, then coreference on them)
 
-class ExactMatchReport:
-    """`flat` and `render` of a report whose `scores` are an exact-match
-    `Aggregate`: its records are keyed by `PREFIX`, its text is titled
-    `TITLE` with `HEADING` over the table, and a class that names a
-    `PERFECT` record prints the perfectly resolved share too."""
 
-    __slots__ = ()
-    HEADING, PERFECT = "exact match", None
+class ExactMatchReport(Frozen):
+    """The exact-match `Aggregate` `scores` of `source`'s predictions: its
+    records are keyed by `prefix`, its text is titled `title` with `heading`
+    over the table, and a report that names a `perfect` record prints the
+    perfectly resolved share too. `standard` holds the standard metrics'
+    P/R/F1 by name, which only the coreference report has."""
+
+    __slots__ = ("title", "heading", "prefix", "perfect", "source", "scores", "standard")
 
     def flat(self) -> dict[str, float]:
-        out = {f"{self.PREFIX}_f1_avg": self.scores.avg.f1, f"{self.PREFIX}_f1_macro": self.scores.macro.f1}
-        if self.PERFECT:
-            out[self.PERFECT] = self.scores.perfectly_resolved
-        return out
+        out = {f"{self.prefix}_f1_avg": self.scores.avg.f1, f"{self.prefix}_f1_macro": self.scores.macro.f1}
+        if self.perfect:
+            out[self.perfect] = self.scores.perfectly_resolved
+        return out | {f"{name}_f1": value.f1 for name, value in self.standard.items()}
 
     def render(self) -> str:
         scores = self.scores
         lines = [
-            f"{self.TITLE} [{self.source}]",
+            f"{self.title} [{self.source}]",
             f"  subsections scored: {scores.units}",
-            f"  {self.HEADING:<23}avg +- stddev        macro",
+            f"  {self.heading:<23}avg +- stddev        macro",
         ]
         for label, avg, std, macro in zip(
             ("precision", "recall", "F1"), scores.avg.as_tuple(), scores.std.as_tuple(), scores.macro.as_tuple()
         ):
             lines.append(f"    {label:<17}{100 * avg:6.1f} +- {100 * std:4.1f}       {100 * macro:6.1f}")
-        if self.PERFECT:
+        if self.perfect:
             share = 100 * scores.perfectly_resolved
             lines.append(f"  perfectly resolved subsections: {share:.1f}% (of {scores.units} with arguments)")
-        return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Coreference evaluation
-
-
-class CorefReport(ExactMatchReport, Frozen):
-    """Exact-match scores, and the standard metrics' P/R/F1 by name."""
-
-    __slots__ = ("source", "scores", "standard")
-    TITLE, PREFIX, PERFECT = "argument coreference", "exact_match", "perfectly_resolved"
-
-    def flat(self) -> dict[str, float]:
-        return {**super().flat(), **{f"{name}_f1": value.f1 for name, value in self.standard.items()}}
-
-    def render(self) -> str:
-        lines = [
-            super().render(),
-            "  (macro pools cluster counts over subsections with arguments;"
-            " the equal-weight alternative is the avg column)",
-            "  standard metrics (P / R / F1, pooled mention universe)",
-        ]
+        if self.standard:
+            lines += [
+                "  (macro pools cluster counts over subsections with arguments;"
+                " the equal-weight alternative is the avg column)",
+                "  standard metrics (P / R / F1, pooled mention universe)",
+            ]
         for name, value in self.standard.items():
             lines.append(
                 f"    {name:<8} {100 * value.precision:5.1f} / {100 * value.recall:5.1f} / {100 * value.f1:5.1f}"
@@ -96,7 +86,7 @@ def _cluster_units(corpus: Corpus, predicted: dict[str, tuple[tuple, tuple[tuple
 
 def coref_report(
     corpus: Corpus, predictions: dict[str, tuple[tuple[int, ...], ...]], baseline: str
-) -> CorefReport:
+) -> ExactMatchReport:
     """Score predicted index partitions (one per subsection) against gold,
     which must cover the same mentions: the standard metrics pool them."""
     from . import coref_metrics
@@ -109,40 +99,28 @@ def coref_report(
         if gold:
             units.append((set(gold), set(pred)))
     standard = {name: fn(gold_universe, pred_universe) for name, fn in coref_metrics.COREF_METRICS.items()}
-    return CorefReport(baseline, exact_match(units), standard)
+    return ExactMatchReport(
+        "argument coreference", "exact match", "exact_match", "perfectly_resolved", baseline, exact_match(units),
+        standard,
+    )
 
 
-# ---------------------------------------------------------------------------
-# Argument identification evaluation
-
-
-class ArgIdReport(ExactMatchReport, Frozen):
-    __slots__ = ("source", "scores")
-    TITLE, HEADING, PREFIX = "argument identification", "", "span"
-
-
-def argid_report(corpus: Corpus, predictions: dict[str, tuple], source: str) -> ArgIdReport:
+def argid_report(corpus: Corpus, predictions: dict[str, tuple], source: str) -> ExactMatchReport:
     """Score predicted spans against gold spans, by exact boundaries."""
     units = ((set(layer.spans), set(predictions.get(sid, ()))) for sid, layer in corpus.layers.items())
-    return ArgIdReport(source, exact_match(units))
-
-
-# ---------------------------------------------------------------------------
-# Cascade (predicted spans, then coreference on them)
-
-
-class CascadeReport(ExactMatchReport, Frozen):
-    __slots__ = ("source", "scores")
-    TITLE, PREFIX, PERFECT = "identification + coreference cascade", "cascade", "cascade_perfectly_resolved"
+    return ExactMatchReport("argument identification", "", "span", None, source, exact_match(units), {})
 
 
 def cascade_report(
     corpus: Corpus, predicted: dict[str, tuple[tuple, tuple[tuple[int, ...], ...]]], source: str
-) -> CascadeReport:
+) -> ExactMatchReport:
     """Score each subsection's predicted (spans, clusters of span indices)
     against its gold clusters, with mentions compared by their spans."""
     units = ((set(gold), set(pred)) for gold, pred in _cluster_units(corpus, predicted) if gold)
-    return CascadeReport(source, exact_match(units))
+    return ExactMatchReport(
+        "identification + coreference cascade", "exact match", "cascade", "cascade_perfectly_resolved", source,
+        exact_match(units), {},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +139,18 @@ def _mean(scores: list[int]) -> FamilyScore:
     return FamilyScore(sum(scores) / len(scores), len(scores)) if scores else FamilyScore(0.0, 0)
 
 
+# The instantiation report's families in report order: (field, record name,
+# row label); the case-level accuracies are the last two.
+_FAMILIES = (
+    ("truth", "truth", "@truth"),
+    ("dollar", "dollar", "dollar amount"),
+    ("string", "string", "string"),
+    ("unified", "unified", "unified"),
+    ("binary_cases", "binary", "binary"),
+    ("numerical_cases", "numerical", "numerical"),
+)
+
+
 class InstantiationReport(Frozen):
     __slots__ = (
         "truth", "dollar", "string", "unified", "binary_cases", "numerical_cases", "pairs", "arg_scores", "errors",
@@ -168,28 +158,18 @@ class InstantiationReport(Frozen):
     )
 
     def flat(self) -> dict[str, float]:
-        return {
-            "truth": self.truth.accuracy,
-            "dollar": self.dollar.accuracy,
-            "string": self.string.accuracy,
-            "unified": self.unified.accuracy,
-            "binary": self.binary_cases.accuracy,
-            "numerical": self.numerical_cases.accuracy,
-        }
+        return {name: getattr(self, field).accuracy for field, name, _ in _FAMILIES}
 
     def render(self) -> str:
-        def row(label: str, score: FamilyScore) -> str:
-            return f"    {label:<14} {100 * score.accuracy:6.1f} +- {100 * score.ci:4.1f}   (n={score.n})"
-
+        rows = []
+        for field, _, label in _FAMILIES:
+            score = getattr(self, field)
+            rows.append(f"    {label:<14} {100 * score.accuracy:6.1f} +- {100 * score.ci:4.1f}   (n={score.n})")
         lines = [
             "argument instantiation (accuracy %, 90% confidence half-width)",
-            row("@truth", self.truth),
-            row("dollar amount", self.dollar),
-            row("string", self.string),
-            row("unified", self.unified),
+            *rows[:4],
             "  case-level accuracies",
-            row("binary", self.binary_cases),
-            row("numerical", self.numerical_cases),
+            *rows[4:],
             "  positive/negative pairs: "
             f"{self.pairs.identical} answered identically, {self.pairs.fully_correct} fully correct, "
             f"{self.pairs.split} split, {len(self.pairs.unpaired)} unpaired",

@@ -86,9 +86,13 @@ BodyExpr = Ref | Op
 
 
 class Rule(Frozen):
+    """A clause, its head not starting with U+FEFF, which no file starts with."""
+
     __slots__ = ("head_id", "params", "body")
 
     def __init__(self, head_id: str, params: tuple[str, ...], body: BodyExpr | None = None):
+        if head_id[:1] == "\ufeff":
+            raise ValueError(f"rule head {head_id!r} starts with a byte order mark (U+FEFF)")
         if len(params) != len(set(params)):
             raise ValueError(f"{head_id}: duplicate parameter names")
         _set(self, "head_id", head_id)

@@ -369,6 +369,7 @@ def corpora(draw, distributed: bool = False) -> Corpus:
     and predicts V from P."""
     names = _PLAIN_TOKENS if distributed else _TOKENS
     heads = draw(st.lists(_PLAIN_HEADS if distributed else _HEADS, max_size=4, unique=True))
+    heads = [head for head in heads if _made(Rule, head, ()) is not None]
     params = {head: draw(st.lists(names, max_size=3, unique=True)) for head in heads}
     carry = distributed and bool(heads) and draw(st.booleans())
     if carry:

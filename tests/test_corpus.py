@@ -359,6 +359,16 @@ class TestReadingRule:
         index.write_text(index.read_text(encoding="utf-8") + "garbage =\n", encoding="utf-8")
         assert self.errors(root) == [not_utf8, "statutes/offsets.txt:13: expected a field key (column 9)"]
 
+    @pytest.mark.parametrize("name", ["cases/test.cases", "statutes/section2.txt", "manifest.txt"])
+    def test_a_file_that_starts_with_a_byte_order_mark_is_refused(self, tmp_path, capsys, name):
+        # Read as text, U+FEFF would become part of the first id, subsection
+        # text or key; no writer starts a file with it.
+        root = copy_corpus(tmp_path)
+        path = root / name
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert main(["validate", "--manifest", str(root / "manifest.txt")]) == 1
+        assert capsys.readouterr().err == f"{path}:1: starts with a byte order mark (U+FEFF)\n"
+
     def test_a_cases_file_that_does_not_parse_keeps_the_errors_of_the_files_before_it(self, tmp_path):
         root = copy_corpus(tmp_path)
         test = root / "cases" / "test.cases"

@@ -17,7 +17,10 @@ engine that drops such a value fails here too.
 """
 
 import contextlib
+import importlib.util
 import os
+import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -38,8 +41,10 @@ from statreason.baselines import (
 from statreason.corpus import Corpus, validate_corpus
 from statreason.engine import CaseResult, EngineConfig, EngineError, RunContext
 from test_corruption import check
-from workloads import MANIFEST, STEPS, command_line
+from workloads import MANIFEST, STEPS, WORKLOADS, command_line
 
+FIXTURES = Path(__file__).parent / "fixtures" / "corpus"
+SCRIPTS = Path(__file__).parent.parent / "scripts"
 # Commands that read no case, so only the other corpus files decide their exit.
 READS_NO_CASE = ("eval-coref", "eval-argid", "cascade")
 
@@ -180,3 +185,30 @@ def test_every_command_on_any_corpus(drawn):
 def test_every_command_on_a_corpus_that_validates(drawn):
     assert not validate_corpus(drawn)
     assert_every_step(drawn)
+
+
+def test_reproduce_tables_runs_the_fixture_battery(tmp_path, monkeypatch):
+    # The fixture-battery workload is the scripts/reproduce_tables.py step
+    # list: its commands, without their --manifest and --out pairs, are the
+    # workload's steps in order.
+    monkeypatch.setattr(sys, "path", [*sys.path])  # the script puts src/ on it
+    spec = importlib.util.spec_from_file_location("reproduce_tables", SCRIPTS / "reproduce_tables.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    shutil.copytree(FIXTURES, tmp_path / "corpus")
+    monkeypatch.chdir(tmp_path)
+    recorded = []
+    monkeypatch.setattr(script, "cli", lambda args: recorded.append(args) or 0)
+    monkeypatch.setattr(sys, "argv", ["reproduce_tables.py", "--manifest", MANIFEST])
+    assert script.main() == 0
+
+    def without_paths(args: list[str]) -> list[str]:
+        kept, rest = [], iter(args)
+        for arg in rest:
+            if arg in ("--manifest", "--out"):
+                next(rest)  # the path
+            else:
+                kept.append(arg)
+        return kept
+
+    assert [without_paths(args) for args in recorded] == [STEPS[label] for label in WORKLOADS["fixture-battery"]]

@@ -293,7 +293,7 @@ class TestWhatAFileCanHold:
     # str.splitlines splits on.
     SPACES = [chr(c) for c in range(0x110000) if chr(c).isspace()]
 
-    @pytest.mark.parametrize("name", ["", "#a", "a b", *(f"a{space}b" for space in SPACES), "a\ud800"])
+    @pytest.mark.parametrize("name", ["", "#a", "\ufeffa", "a b", *(f"a{space}b" for space in SPACES), "a\ud800"])
     def test_ids_a_record_cannot_carry_are_refused(self, name):
         for make in (
             check_id,
@@ -305,7 +305,7 @@ class TestWhatAFileCanHold:
                 make(name)
 
     def test_ids_keep_everything_else(self):
-        for name in ("a#", "§1(a)", "a=b", '"a"', "\x00", "é"):
+        for name in ("a#", "§1(a)", "a=b", '"a"', "\x00", "é", "a\ufeff"):
             assert check_id(name) == name
 
     def test_subsection_ids_keep_their_shape_rule(self):
@@ -350,6 +350,12 @@ class TestWhatAFileCanHold:
         with pytest.raises(ValueError, match="a section file cannot hold"):
             Subsection("§1", "a\rb")
         assert Subsection("§1", "a\nb\u2028").text == "a\nb\u2028"
+
+    def test_subsection_text_starts_with_no_byte_order_mark(self):
+        # The first subsection of a section file starts it.
+        with pytest.raises(ValueError, match=r"^subsection §1: text starts with a byte order mark \(U\+FEFF\)$"):
+            Subsection("§1", "\ufeffa")
+        assert Subsection("§1", "a\ufeff").text == "a\ufeff"
 
     def test_subsection_text_is_not_empty(self):
         # An offsets record has start < end, so it cannot slice empty text.

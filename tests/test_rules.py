@@ -104,6 +104,14 @@ class TestParseRule:
         with pytest.raises(RuleSyntaxError):
             parse_rule("(X).")
 
+    def test_a_head_starting_with_a_byte_order_mark_is_refused(self):
+        # A structure file cannot start with U+FEFF, which the first head would.
+        with pytest.raises(ValueError, match=r"^rule head '\\ufeff§1' starts with a byte order mark \(U\+FEFF\)$"):
+            Rule("\ufeff§1", ("X",))
+        with pytest.raises(RuleSyntaxError):
+            parse_rule("\ufeff§1(X).")
+        assert Rule("§1\ufeff", ()).head_id == "§1\ufeff"
+
 
 class TestOp:
     REF = Ref("§1", ())
