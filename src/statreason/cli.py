@@ -26,7 +26,6 @@ from .corpus import (
     load_argument_layers,
     load_corpus,
     load_spans,
-    validate_corpus,
 )
 from .model import Span
 
@@ -115,17 +114,8 @@ def _floor(item: str) -> tuple[str, float]:
     raise argparse.ArgumentTypeError(f"expected NAME=VALUE with a numeric VALUE, got {item!r}")
 
 
-def _load_validated(manifest: str, cases: bool = True) -> Corpus:
-    """Load and validate a corpus, its cases only if `cases`; any problem is a CorpusError."""
-    corpus = load_corpus(manifest, cases)
-    problems = validate_corpus(corpus)
-    if problems:
-        raise CorpusError([FileError("corpus", None, p) for p in problems])
-    return corpus
-
-
 def cmd_validate(args) -> int:
-    corpus = _load_validated(args.manifest)
+    corpus = load_corpus(args.manifest)
     print(
         f"corpus ok: {len(corpus.section_files)} section files, "
         f"{len(corpus.subsections)} subsections, {len(corpus.layers)} layers, "
@@ -181,14 +171,14 @@ def _run_line(corpus: Corpus, command: str, **settings) -> str:
 
 
 def cmd_stats(args) -> int:
-    corpus = _load_validated(args.manifest)
+    corpus = load_corpus(args.manifest)
     return _emit(args, "stats", corpus_statistics(corpus), _run_line(corpus, "stats"))
 
 
 def cmd_eval_coref(args) -> int:
     from . import baselines, reports
 
-    corpus = _load_validated(args.manifest, cases=False)
+    corpus = load_corpus(args.manifest, cases=False)
     if args.baseline == "single":
         predictions = {
             sid: baselines.single_mention_coref(layer) for sid, layer in corpus.layers.items()
@@ -199,7 +189,8 @@ def cmd_eval_coref(args) -> int:
             for sid, layer in corpus.layers.items()
         }
     elif args.baseline.startswith("import:"):
-        layers = load_argument_layers(corpus.manifest.spans, args.baseline[len("import:") :], corpus.subsections)
+        path = args.baseline[len("import:") :]
+        layers = load_argument_layers(corpus.manifest.spans, path, corpus.subsections, corpus.program)
         predictions = {sid: layer.clusters for sid, layer in layers.items()}
     else:
         raise ValueError(f"unknown baseline {args.baseline!r}")
@@ -229,7 +220,7 @@ def _predicted_spans(corpus: Corpus, source: str) -> dict[str, tuple[Span, ...]]
 def cmd_eval_argid(args) -> int:
     from . import reports
 
-    corpus = _load_validated(args.manifest, cases=False)
+    corpus = load_corpus(args.manifest, cases=False)
     predicted = _predicted_spans(corpus, args.source)
     return _emit(
         args,
@@ -243,7 +234,7 @@ def cmd_eval_argid(args) -> int:
 def cmd_cascade(args) -> int:
     from . import baselines, reports
 
-    corpus = _load_validated(args.manifest, cases=False)
+    corpus = load_corpus(args.manifest, cases=False)
     predicted = {
         sid: (spans, baselines.string_match_coref(spans, corpus.subsections[sid].text))
         for sid, spans in _predicted_spans(corpus, args.source).items()
@@ -256,7 +247,7 @@ def cmd_eval_inst(args) -> int:
     from . import baselines, reports
     from .engine import EngineConfig, run_cases
 
-    corpus = _load_validated(args.manifest)
+    corpus = load_corpus(args.manifest)
     config = EngineConfig(
         # --no-structure is a depth cap of 1; min() still rejects a bad --depth-cap.
         depth_cap=min(args.depth_cap, 1) if args.no_structure else args.depth_cap,
@@ -272,8 +263,8 @@ def cmd_eval_inst(args) -> int:
         if args.with_silver:
             train += list(corpus.silver)
         if not train:
-            message = f"{corpus.manifest.cases}: no case in the train split, which the constant resolver fits on"
-            raise CorpusError([FileError("corpus", None, message)])
+            message = "no case in the train split, which the constant resolver fits on"
+            raise CorpusError([FileError(str(corpus.manifest.cases), None, message)])
         params = baselines.fit_constant_baseline(train)
         resolver = baselines.ConstantResolver(params)
     results, notes = run_cases(resolver, corpus, args.split, config)

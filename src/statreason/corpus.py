@@ -13,9 +13,12 @@ A corpus lives in a directory described by a manifest of key=value lines:
 All record files use the canonical format of `records`, read by one rule: a
 line that does not parse, or bytes that are not UTF-8, end the file with that
 one error in place of the file's others; every other problem is collected at
-its line, in file order, and `offsets.txt` duplicates come last, sorted by
-id. Offsets are 0-based, half-open character offsets into the decoded section
-file.
+its line, in file order, a duplicate at each repeat. A reference to another
+file is checked where it is made: a rule's head and callees at its clause,
+a cluster label at its coref record, a query at its case; so `load_corpus`
+reads the statutes, the structure, the spans and coref, then the cases, and
+stops after the first file with a problem. Offsets are 0-based, half-open
+character offsets into the decoded section file.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from pathlib import Path
 
 from . import records
 from .model import ArgumentLayer, Case, Frozen, Span, Subsection, check_split
-from .rules import Rule, iter_refs, parse_program, reference_problems
+from .rules import Program, iter_refs, parse_program
 
 
 class FileError(Frozen):
@@ -152,7 +155,6 @@ def load_statutes(statutes_dir: str | Path) -> dict[str, Subsection]:
         _fail(index, None, "offsets index not found")
     texts: dict[str, str | None] = {}  # None for a file that is not UTF-8
     subsections: dict[str, Subsection] = {}
-    repeats: dict[str, int] = {}  # id -> line of its second record
     errors: list[FileError] = []
 
     def row(lineno: int, record: records.Record) -> None:
@@ -176,12 +178,10 @@ def load_statutes(statutes_dir: str | Path) -> dict[str, Subsection]:
         if not (0 <= start < end <= len(text)):
             raise records.RecordError(f"offsets ({start}, {end}) out of bounds for {fname} of length {len(text)}")
         if record.id in subsections:
-            repeats.setdefault(record.id, lineno)
-        else:
-            subsections[record.id] = Subsection(record.id, text[start:end])
+            raise records.RecordError(f"duplicate subsection id {record.id}")
+        subsections[record.id] = Subsection(record.id, text[start:end])
 
-    if _records(index, row, errors):
-        errors += (FileError(str(index), repeats[rid], f"duplicate subsection id {rid}") for rid in sorted(repeats))
+    _records(index, row, errors)
     if errors:
         raise CorpusError(errors)
     return subsections
@@ -230,13 +230,16 @@ def load_spans(
 
 
 def load_argument_layers(
-    spans_path: str | Path, coref_path: str | Path, subsections: Mapping[str, Subsection]
+    spans_path: str | Path, coref_path: str | Path, subsections: Mapping[str, Subsection], program: Program
 ) -> dict[str, ArgumentLayer]:
-    """Join the spans and coref files into validated argument layers, by id."""
+    """Join the spans and coref files into validated argument layers, by id;
+    each cluster label names a parameter of its subsection's rule."""
     spans, span_lines = load_spans(spans_path, subsections)
     layers: dict[str, ArgumentLayer] = {}
+    read: set[str] = set()  # the ids that a coref record names, loaded or not
 
     def row(lineno: int, record: records.Record) -> None:
+        read.add(record.id)
         items = record.require("clusters")
         if record.id not in spans:
             raise records.RecordError(f"{record.id} has no spans record")
@@ -261,20 +264,28 @@ def load_argument_layers(
                 raise records.RecordError(f"cluster index out of range: {bad[0]}")
             clusters.append(tuple(members))
             names.append(label)
-        layers[record.id] = ArgumentLayer(record.id, spans[record.id], tuple(clusters), tuple(names))
+        layer = ArgumentLayer(record.id, spans[record.id], tuple(clusters), tuple(names))
+        rule = program.get(record.id)
+        for name, _ in layer.labelled_clusters:
+            if rule is None:
+                raise records.RecordError(f"layer {record.id}: cluster {name!r} named but no rule declares parameters")
+            if name not in rule.params:
+                raise records.RecordError(f"layer {record.id}: cluster {name!r} is not a parameter of its rule")
+        layers[record.id] = layer
 
     errors: list[FileError] = []
     if _records(Path(coref_path), row, errors):
-        for missing in sorted(set(spans) - set(layers)):
+        for missing in sorted(set(spans) - read):
             errors.append(FileError(str(Path(spans_path)), span_lines[missing], f"no coref record for {missing}"))
     if errors:
         raise CorpusError(errors)
     return layers
 
 
-def load_cases(cases_dir: str | Path, split: str | None = None) -> list[Case]:
-    """Load every <name>.cases file; `split`, or else the file stem checked
-    once by `check_split`, names the split. The stem `silver` is reserved."""
+def load_cases(cases_dir: str | Path, program: Program, split: str | None = None) -> list[Case]:
+    """Load every <name>.cases file, each query the head of a rule of
+    `program`; `split`, or else the file stem checked once by `check_split`,
+    names the split. The stem `silver` is reserved."""
     cases: dict[str, Case] = {}
 
     def row(lineno: int, record: records.Record) -> None:
@@ -286,7 +297,12 @@ def load_cases(cases_dir: str | Path, split: str | None = None) -> list[Case]:
         expected = records.as_value_map(record.require("expected"), "expected")
         if record.id in cases:
             raise records.RecordError(f"duplicate case id {record.id}")
-        cases[record.id] = Case(record.id, description, query, inputs, expected, name)
+        case = Case(record.id, description, query, inputs, expected, name)
+        if query not in program:
+            # A query that is not an id names no rule; its repr keeps the problem on one line.
+            shown = query if query.split() == [query] else repr(query)
+            raise records.RecordError(f"case {record.id}: query {shown} has no structure rule")
+        cases[record.id] = case
 
     errors: list[FileError] = []
     for path in sorted(Path(cases_dir).glob("*.cases")):
@@ -308,12 +324,12 @@ def load_corpus(manifest_path: str | Path, cases: bool = True) -> Corpus:
     read, and the corpus has no gold or silver case."""
     manifest = CorpusManifest.load(manifest_path)
     subsections = load_statutes(manifest.statutes)
-    layers = load_argument_layers(manifest.spans, manifest.coref, subsections)
-    program, problems = parse_program(_read(manifest.structure))
+    program, problems = parse_program(_read(manifest.structure), subsections)
     if problems:
         raise CorpusError([FileError(str(manifest.structure), line, message) for line, message in problems])
-    gold = load_cases(manifest.cases) if cases else []
-    silver = load_cases(manifest.silver, split="silver") if cases and manifest.silver else []
+    layers = load_argument_layers(manifest.spans, manifest.coref, subsections, program)
+    gold = load_cases(manifest.cases, program) if cases else []
+    silver = load_cases(manifest.silver, program, split="silver") if cases and manifest.silver else []
     section_files = tuple(sorted({p.name for p in manifest.statutes.glob("*.txt") if p.is_file()} - {"offsets.txt"}))
     return Corpus(
         manifest=manifest,
@@ -324,40 +340,6 @@ def load_corpus(manifest_path: str | Path, cases: bool = True) -> Corpus:
         silver=tuple(silver),
         section_files=section_files,
     )
-
-
-# ---------------------------------------------------------------------------
-# Corpus-wide validation
-
-
-def validate_corpus(corpus: Corpus) -> list[str]:
-    """Cross-file diagnostics; empty means the corpus is coherent."""
-    return [message for _, message in item_problems(corpus)]
-
-
-def item_problems(corpus: Corpus) -> list[tuple[Rule | Case | ArgumentLayer, str]]:
-    """`validate_corpus`'s diagnostics, each with the rule, case or layer it is about."""
-    problems: list[tuple[Rule | Case | ArgumentLayer, str]] = reference_problems(corpus.program)
-    for rule_id, rule in corpus.program.items():
-        if rule_id not in corpus.subsections:
-            problems.append((rule, f"structure: rule {rule_id} has no subsection text"))
-    for case in (*corpus.cases, *corpus.silver):
-        if case.query not in corpus.program:
-            # A query that is not an id names no rule; its repr keeps the problem on one line.
-            query = case.query if case.query.split() == [case.query] else repr(case.query)
-            problems.append((case, f"case {case.id}: query {query} has no structure rule"))
-    for layer in corpus.layers.values():
-        rule = corpus.program.get(layer.subsection_id)
-        for name, _ in layer.labelled_clusters:
-            if rule is None:
-                problems.append(
-                    (layer, f"layer {layer.subsection_id}: cluster {name!r} named but no rule declares parameters")
-                )
-            elif name not in rule.params:
-                problems.append(
-                    (layer, f"layer {layer.subsection_id}: cluster {name!r} is not a parameter of its rule")
-                )
-    return problems
 
 
 def corpus_hash(corpus: Corpus) -> str:

@@ -21,12 +21,13 @@ nest at most `model.MAX_NESTING` (100) levels in a body.
 A parsed body is plain data: a `Ref`, or an `Op` whose `kind` ("AND", "OR"
 or "NOT") is the string `engine.do_operation` combines by. A program is a
 dict of `Rule`s by head; `parse_program` returns it with a (line, message)
-pair per problem.
+pair per clause that does not parse or refers to what does not exist.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Container
 
 from .model import MAX_NESTING, TRUTH_KEY, Frozen, _set
 
@@ -245,16 +246,21 @@ class _Parser:
             raise RuleSyntaxError(str(exc), self.position(start)) from exc
 
 
-def parse_program(text: str) -> tuple[Program, list[tuple[int, str]]]:
-    """Parse a whole structure-annotation file into the rules of the clauses
-    that parse, by head, and a (line, message) problem per clause that does
-    not or repeats a head, each message with its 1-based clause number, or
-    one problem for text that does not tokenize."""
+def parse_program(text: str, subsections: Container[str]) -> tuple[Program, list[tuple[int, str]]]:
+    """Parse a whole structure-annotation file into the rules of its sound
+    clauses, by head, and a (line, message) problem per other clause, in
+    file order, each message with its 1-based clause number; or one problem
+    for text that does not tokenize. A clause is sound when it parses, does
+    not repeat a head, its head is one of `subsections`, and each reference
+    calls a rule of the file and binds only parameters of the head. While a
+    clause does not parse, the file's rules are not known, and no call is
+    reported as one to an undefined rule."""
     try:
         parser = _Parser(text)
     except RuleSyntaxError as exc:
         return {}, [(text.count("\n", 0, exc.position) + 1, str(exc))]
-    rules: Program = {}
+    first: dict[str, tuple[int, int, Rule]] = {}  # head -> (clause number, first token, rule) of its first clause
+    defined: Container[str] | None = first  # None once a clause does not parse
     problems: list[tuple[int, str]] = []  # (position, message) pairs
     clause_no = 0
     tokens = parser.tokens
@@ -264,6 +270,7 @@ def parse_program(text: str) -> tuple[Program, list[tuple[int, str]]]:
         try:
             rule = parser.parse_clause()
         except RuleSyntaxError as exc:
+            defined = None
             problems.append((exc.position, f"clause {clause_no}: {exc}"))
             # A clause that lacks only its "." ends where the next line
             # begins; resume there. Otherwise skip to just past the next ".".
@@ -275,10 +282,18 @@ def parse_program(text: str) -> tuple[Program, list[tuple[int, str]]]:
                 if tokens[parser.index - 1] == ".":
                     break
             continue
-        if rule.head_id in rules:
+        if rule.head_id in first:
             problems.append((parser.position(start), f"clause {clause_no}: duplicate rule for {rule.head_id}"))
         else:
+            first[rule.head_id] = (clause_no, start, rule)
+    rules: Program = {}
+    for clause_no, start, rule in first.values():
+        problem = _reference_problem(rule, defined, subsections)
+        if problem is None:
             rules[rule.head_id] = rule
+        else:
+            problems.append((parser.position(start), f"clause {clause_no}: {problem}"))
+    problems.sort(key=lambda problem: problem[0])  # stable: a clause's parse error before the next clause
     return rules, [(text.count("\n", 0, position) + 1, message) for position, message in problems]
 
 
@@ -321,23 +336,19 @@ def iter_refs(body: BodyExpr | None):
             yield from iter_refs(child)
 
 
-def reference_problems(program: Program) -> list[tuple[Rule, str]]:
-    """Dangling callees and bindings to undeclared variables, each with the
-    rule it is about."""
-    problems = []
-    for rule in program.values():
-        params = set(rule.params)
-        for ref in iter_refs(rule.body):
-            if ref.callee_id not in program:
-                problems.append((rule, f"{rule.head_id}: reference to undefined rule {ref.callee_id}"))
-            for callee_param, caller_var in ref.bindings:
-                if caller_var not in params:
-                    problems.append((
-                        rule,
-                        f"{rule.head_id}: binding {callee_param}={caller_var} uses {caller_var!r}, "
-                        f"which is not a parameter of {rule.head_id}",
-                    ))
-    return problems
+def _reference_problem(rule: Rule, defined: Container[str] | None, subsections: Container[str]) -> str | None:
+    """The first of a rule's head naming no subsection, a reference to a
+    rule not `defined` (unless that is None) and a binding to a variable its
+    head does not declare, or None."""
+    if rule.head_id not in subsections:
+        return f"rule {rule.head_id} has no subsection text"
+    for ref in iter_refs(rule.body):
+        if defined is not None and ref.callee_id not in defined:
+            return f"{rule.head_id}: reference to undefined rule {ref.callee_id}"
+        for param, var in ref.bindings:
+            if var not in rule.params:
+                return f"{rule.head_id}: binding {param}={var} uses {var!r}, which is not a parameter of {rule.head_id}"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -22,18 +22,18 @@ stored as "63_c_5" (leading "§" dropped, parenthesized parts joined by "_").
 A coreference matrix is read as the connected components of its links.
 
 This module reads that layout and nothing more: what a corpus can hold,
-the `model` constructors decide, and what a valid corpus is, `load_corpus`
-and `validate_corpus`. The importer writes each subsection, layer, rule
-and case it could read in canonical form (`structure.txt` printed rule by
-rule with `rules.print_rule`, in source order and without comments), loads
-and validates what it wrote, drops the item behind each problem found, and
-repeats until both pass; so a dropped rule takes its callers and the cases
-that query it on a later pass. A layer's spans and coref records go
+the `model` constructors decide, and what a valid corpus is, `load_corpus`.
+The importer writes each subsection, layer, rule and case it could read in
+canonical form (`structure.txt` printed rule by rule with
+`rules.print_rule`, in source order and without comments), loads what it
+wrote, drops the item it wrote at the line of each problem found, and
+repeats until the load passes; so a dropped rule takes its callers and the
+cases that query it on a later pass. A layer's spans and coref records go
 together. Each skip is logged as "<source file or file:line>: <message>":
-the model's, the loader's or `validate`'s message, or what of the layout
-did not fit. Only regular files are read, as the loader reads them (UTF-8,
-universal newlines, lines ending at "\\n" only); any other entry is skipped
-as "not a file"; a byte that is not UTF-8 stops the import at its `path:line`.
+the model's or the loader's message, or what of the layout did not fit.
+Only regular files are read, as the loader reads them (UTF-8, universal
+newlines, lines ending at "\\n" only); any other entry is skipped as "not a
+file"; a byte that is not UTF-8 stops the import at its `path:line`.
 """
 
 from __future__ import annotations
@@ -43,9 +43,7 @@ from collections.abc import Iterable
 from pathlib import Path
 
 from . import records
-from .corpus import (
-    CorpusError, FileError, _read, item_problems, load_corpus, serialize_cases, serialize_coref, serialize_spans,
-)
+from .corpus import CorpusError, _read, load_corpus, serialize_cases, serialize_coref, serialize_spans
 from .model import ArgumentLayer, Case, Span, Subsection, ValueMap, components
 from .rules import parse_program, print_rule
 
@@ -82,7 +80,7 @@ def file_stem_to_id(stem: str) -> str:
 
 def import_corpus(source: str | Path, dest: str | Path) -> ImportLog:
     """Convert a distributed tree into a canonical corpus under `dest` that
-    holds exactly the items that `load_corpus` and `validate_corpus` accept."""
+    holds exactly the items that `load_corpus` accepts."""
     source, dest = Path(source), Path(dest)
     log = ImportLog()
     files = ["statutes/offsets.txt", "spans.txt", "coref.txt", "structure.txt", "cases/train.cases", "cases/test.cases"]
@@ -94,7 +92,8 @@ def import_corpus(source: str | Path, dest: str | Path) -> ImportLog:
         (dest / name).parent.mkdir(parents=True, exist_ok=True)
     (dest / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="utf-8")
 
-    items = _subsections(source, dest, log) + _layers(source, log) + _rules(source, log) + _cases(source, log)
+    subsections, layers = _subsections(source, dest, log), _layers(source, log)
+    items = subsections + layers + _rules(source, log, {i.value.id for i in subsections}) + _cases(source, log)
     while problems := _problems(dest, files, items):
         dropped: dict[_Item, str] = {}
         for item, message in problems:
@@ -107,10 +106,9 @@ def import_corpus(source: str | Path, dest: str | Path) -> ImportLog:
 
 
 def _problems(dest: Path, files: list[str], items: list[_Item]) -> list[tuple[_Item, str]]:
-    """Write `items` under `dest`, then load and validate what was written;
-    each problem found, with the item it is about. A problem that is about
-    no written item (a file in `dest` that the importer did not write) is
-    raised."""
+    """Write `items` under `dest`, then load what was written; each problem
+    found, with the item written at its line. A problem at no written line
+    (a file in `dest` that the importer did not write) is raised."""
     texts: dict[str, list[str]] = {name: [] for name in files}
     owners: dict[str, list[_Item]] = {str(dest / name): [] for name in files}  # by the loader's line
     for item in items:
@@ -120,17 +118,13 @@ def _problems(dest: Path, files: list[str], items: list[_Item]) -> list[tuple[_I
     for name, parts in texts.items():
         (dest / name).write_text("".join(parts), encoding="utf-8")
     try:
-        corpus = load_corpus(dest / "manifest.txt")
+        load_corpus(dest / "manifest.txt")
     except CorpusError as exc:
         problems = [(owners[e.path][e.line - 1], e.message) for e in exc.errors if e.path in owners and e.line]
         if not problems:
             raise
         return problems
-    by_value = {item.value: item for item in items}
-    problems = [(by_value.get(value), message) for value, message in item_problems(corpus)]
-    if any(item is None for item, _ in problems):
-        raise CorpusError([FileError("corpus", None, message) for item, message in problems if item is None])
-    return problems
+    return []
 
 
 def _is_file(path: Path, source: Path, log: ImportLog) -> bool:
@@ -248,15 +242,16 @@ def matrix_to_clusters(matrix: Iterable[Iterable[int]]) -> tuple[tuple[int, ...]
     return tuple(map(tuple, components(n, links)))
 
 
-def _rules(source: Path, log: ImportLog) -> list[_Item]:
-    """A rule per clause of `structure.txt` that parses, in source order;
-    each other clause is skipped at its line, as the loader reports it."""
+def _rules(source: Path, log: ImportLog, subsections: set[str]) -> list[_Item]:
+    """A rule per sound clause of `structure.txt`, one whose head is one of
+    `subsections`, in source order; each other clause is skipped at its
+    line, as the loader reports it."""
     path = source / "structure.txt"
     if not path.exists():
         log.skip("structure.txt", "not present")
     if not _is_file(path, source, log):
         return []
-    rules, problems = parse_program(_read(path))
+    rules, problems = parse_program(_read(path), subsections)
     for line, message in problems:
         log.skip(f"structure.txt:{line}", message)
     return [

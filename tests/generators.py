@@ -267,13 +267,21 @@ def _made(make, *args):
         return None
 
 
+_REFERENCE_PROBLEM = re.compile(
+    r"clause \d+: .+: (reference to undefined rule .+|binding .+, which is not a parameter of .+)", re.DOTALL
+)
+
+
 @st.composite
 def _program(draw, heads: list[str], params: dict[str, list[str]], names, valid: bool, calls: dict) -> Program:
-    """A program parsed from clause text: a clause per head, its body an
-    AND/OR/NOT nesting of references, ANDed with the reference `calls` holds
-    for the head, if any. A binding passes a parameter of the callee, or a
-    name. When `valid`, every callee has a rule and every binding passes a
-    parameter of the caller."""
+    """A program parsed from clause text, every head a subsection: a clause
+    per head, its body an AND/OR/NOT nesting of references, ANDed with the
+    reference `calls` holds for the head, if any. A binding passes a
+    parameter of the callee, or a name. When `valid`, every callee has a
+    rule and every binding passes a parameter of the caller; otherwise the
+    parser leaves out each clause that calls a name that heads no clause or
+    binds a name its head does not declare, and its callers keep their
+    references to it."""
 
     def pick(pool: list[str]) -> st.SearchStrategy[str]:
         pool = st.sampled_from(pool) if pool else st.nothing()
@@ -308,8 +316,11 @@ def _program(draw, heads: list[str], params: dict[str, list[str]], names, valid:
         if head in calls:
             body = f"[{body} AND {calls[head]}]" if body else calls[head]
         clauses.append(clause + (f" :- {body}." if body else "."))
-    program, problems = parse_program("\n".join(clauses))
-    assert not problems, problems
+    program, problems = parse_program("\n".join(clauses), heads)
+    assert not (valid and problems), problems
+    # Every clause parses and every head is a subsection: a clause has a rule or a reference problem.
+    assert len(program) + len(problems) == len(heads), problems
+    assert all(_REFERENCE_PROBLEM.fullmatch(message) for _, message in problems), problems
     return program
 
 
@@ -354,12 +365,17 @@ def corpora(draw, distributed: bool = False) -> Corpus:
     are unique per cases directory, and no gold case is in the split
     "silver". Gold cases are mostly in "train" or "test". Values are of
     every kind, numbers and dollar amounts on both sides of the digit limit
-    among them, rules enter as parsed clause text, and queries, callees, bindings
-    and labels name what exists or anything. The corpus comes without a
-    manifest, its cases in the order the loader reads them.
+    among them, and rules enter as parsed clause text. In three corpora in
+    four the references from file to file hold, so that `load_corpus`
+    accepts the corpus as `layouts.write_corpus` writes it: every rule head
+    has a subsection, callees have rules, bindings pass the caller's
+    parameters, labels name parameters of the layer's rule and queries name
+    rules. In the others, queries, callees, bindings and labels name what
+    exists or anything. The corpus comes without a manifest, its cases in
+    the order the loader reads them.
 
-    With `distributed`, the corpus is one that `validate_corpus` accepts and
-    that the distributed layout carries (see `_PLAIN_HEADS`), so
+    With `distributed`, the references hold, and the corpus is one that the
+    distributed layout carries (see `_PLAIN_HEADS`), so
     `layouts.write_distributed` and `import_corpus` give it back. Half of
     those with a rule are drawn to send a value up through a binding: the
     first rule calls a rule (itself, at times) binding the callee's
@@ -368,8 +384,11 @@ def corpora(draw, distributed: bool = False) -> Corpus:
     and a "test" case of the first rule, so that a constant resolver fits
     and predicts V from P."""
     names = _PLAIN_TOKENS if distributed else _TOKENS
+    sound = distributed or draw(st.sampled_from([True, True, True, False]))
     heads = draw(st.lists(_PLAIN_HEADS if distributed else _HEADS, max_size=4, unique=True))
     heads = [head for head in heads if _made(Rule, head, ()) is not None]
+    if sound:  # every head has a subsection
+        heads = [head for head in heads if _made(Subsection, head, "-") is not None]
     params = {head: draw(st.lists(names, max_size=3, unique=True)) for head in heads}
     carry = distributed and bool(heads) and draw(st.booleans())
     if carry:
@@ -377,10 +396,12 @@ def corpora(draw, distributed: bool = False) -> Corpus:
         p, v = draw(st.lists(names.filter(lambda n: n != TRUTH_KEY), min_size=2, max_size=2, unique=True))
         params[callee] = list(dict.fromkeys([*params[callee], p]))
         params[query] = list(dict.fromkeys([*params[query], v]))
-    program = draw(_program(heads, params, names, distributed, {query: f"{callee}({p}={v})"} if carry else {}))
+    program = draw(_program(heads, params, names, sound, {query: f"{callee}({p}={v})"} if carry else {}))
+    # Text that `Subsection` accepts: it holds no "\r" and starts with no U+FEFF.
+    head_texts = _SECTION_TEXTS.map(lambda t: t.replace("\r", "\n")).filter(lambda t: t[0] != "\ufeff")
     if distributed:
         ids, labels = heads + draw(st.lists(_PLAIN_HEADS, max_size=3)), st.nothing()
-        texts = _SECTION_TEXTS.map(lambda t: t.replace("\r", "\n"))
+        texts = head_texts
         descriptions = MODEL_TEXT_VALUES.map(_one_line).filter(lambda d: not _BLOCK_LINE.fullmatch(d))
         keys = MODEL_TEXT_VALUES.map(lambda k: _one_line(k.replace("=", "")))
         # One value in four is at the digit limit, so that most cases keep their values.
@@ -388,16 +409,20 @@ def corpora(draw, distributed: bool = False) -> Corpus:
         queries = st.sampled_from(heads) if heads else st.nothing()
         case_ids, splits = _CASE_IDS, st.sampled_from(["train", "test"])
     else:
-        ids = [h for h in heads if draw(st.booleans())]
+        ids = [h for h in heads if sound or draw(st.booleans())]
         ids += draw(st.lists(st.one_of(_SUBSECTION_IDS, _ANY_TEXT), max_size=3))
-        texts, labels = st.one_of(_SECTION_TEXTS, _ANY_TEXT), st.one_of(st.none(), _ANY_TEXT)
-        descriptions = queries = keys = _ANY_TEXT
+        texts = st.one_of(_SECTION_TEXTS, _ANY_TEXT)
+        labels = st.nothing() if sound else st.one_of(st.none(), _ANY_TEXT)
+        descriptions = keys = _ANY_TEXT
+        queries = st.nothing() if sound else _ANY_TEXT
         values = st.one_of(MODEL_VALUES, _ANY_TEXT, _LONG_VALUES)
         case_ids, splits = st.one_of(_CASE_IDS, _ANY_TEXT), _SPLITS
 
     subsections = {}
     for sid in dict.fromkeys(ids):
         subsection = _made(Subsection, sid, draw(texts))
+        if subsection is None and sound and sid in heads:
+            subsection = Subsection(sid, draw(head_texts))
         if subsection is not None:
             subsections[sid] = subsection
     layers = {}
@@ -412,7 +437,7 @@ def corpora(draw, distributed: bool = False) -> Corpus:
     def cases(split: str | None) -> list[Case]:
         out = []
         first = ["train", "test"] if carry and split is None else []
-        ids = st.lists(case_ids, min_size=len(first), max_size=3 if heads or not distributed else 0, unique=True)
+        ids = st.lists(case_ids, min_size=len(first), max_size=3 if heads or not sound else 0, unique=True)
         for i, cid in enumerate(draw(ids)):
             inputs, expected = _value_map(draw, keys, values, False), _value_map(draw, keys, values, True)
             case = inputs is not None and expected is not None and _made(

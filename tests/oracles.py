@@ -25,7 +25,10 @@ helpers it used (`merged`, `without`, `_translate`) over dicts.
 and `heuristic_argument_id` the argument-identification heuristic as first
 written, recursing once per possessive that starts a phrase. `load_statutes`,
 `load_spans`, `load_argument_layers` and `load_cases` are the corpus loaders
-as first written, each with its own loop over `_iter_file`."""
+as first written, each with its own loop over `_iter_file`, and with the
+label and query checks that a second pass over the loaded corpus once made
+in the rows of the records they are about; `load_corpus` puts them
+together."""
 
 from __future__ import annotations
 
@@ -57,7 +60,7 @@ from statreason.baselines import (
     _MONEY_WORDS,
 )
 from statreason import coref_metrics, records
-from statreason.corpus import Corpus, CorpusError, FileError, _fail, _read
+from statreason.corpus import Corpus, CorpusError, CorpusManifest, FileError, _fail, _read
 from statreason.engine import (
     CaseResult,
     EngineConfig,
@@ -108,6 +111,7 @@ from statreason.rules import (
     SubsectionNode,
     _Parser as _TextParser,
     _Unterminated,
+    iter_refs,
 )
 
 
@@ -1391,8 +1395,11 @@ def parse_rule_by_tokens(text: str) -> Rule:
     return rule
 
 
-def parse_program_by_tokens(text: str) -> tuple[Program, list[tuple[int, str]]]:
-    """`rules.parse_program` over the token objects of `_tokenize`."""
+def parse_program_by_tokens(text: str, subsections) -> tuple[Program, list[tuple[int, str]]]:
+    """`rules.parse_program` over the token objects of `_tokenize`, each
+    clause that parses then checked with every problem the library's
+    `reference_problems` once found in a program (no undefined callee while
+    a clause does not parse), and its first reported."""
 
     def lines(problems):
         return [(text[:position].count("\n") + 1, message) for position, message in problems]
@@ -1401,14 +1408,14 @@ def parse_program_by_tokens(text: str) -> tuple[Program, list[tuple[int, str]]]:
         parser = _Parser(text)
     except RuleSyntaxError as exc:
         return {}, lines([(exc.position, str(exc))])
-    rules: dict[str, Rule] = {}
+    clauses: list[tuple[int, int, Rule]] = []
     problems: list[tuple[int, str]] = []
     clause_no = 0
     while not parser.at_end():
         clause_no += 1
         start = parser.peek().pos
         try:
-            rule = parser.parse_clause()
+            clauses.append((clause_no, start, parser.parse_clause()))
         except RuleSyntaxError as exc:
             problems.append((exc.position, f"clause {clause_no}: {exc}"))
             # A clause that lacks only its "." ends where the next line
@@ -1418,12 +1425,31 @@ def parse_program_by_tokens(text: str) -> tuple[Program, list[tuple[int, str]]]:
                 continue
             while not parser.at_end() and parser.advance().text != ".":
                 pass
-            continue
-        if rule.head_id in rules:
-            problems.append((start, f"clause {clause_no}: duplicate rule for {rule.head_id}"))
+    defined = {rule.head_id for _, _, rule in clauses}
+    heads: set[str] = set()
+    syntax_ok = not problems
+    rules: dict[str, Rule] = {}
+    for clause_no, start, rule in clauses:
+        found = []
+        if rule.head_id in heads:
+            found.append(f"duplicate rule for {rule.head_id}")
+        elif rule.head_id not in subsections:
+            found.append(f"rule {rule.head_id} has no subsection text")
+        heads.add(rule.head_id)
+        for ref in iter_refs(rule.body):
+            if syntax_ok and ref.callee_id not in defined:
+                found.append(f"{rule.head_id}: reference to undefined rule {ref.callee_id}")
+            for callee_param, caller_var in ref.bindings:
+                if caller_var not in rule.params:
+                    found.append(
+                        f"{rule.head_id}: binding {callee_param}={caller_var} uses {caller_var!r}, "
+                        f"which is not a parameter of {rule.head_id}"
+                    )
+        if found:
+            problems.append((start, f"clause {clause_no}: {found[0]}"))
         else:
             rules[rule.head_id] = rule
-    return rules, lines(problems)
+    return rules, lines(sorted(problems, key=lambda problem: problem[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -1442,7 +1468,6 @@ def load_statutes(statutes_dir: str | Path) -> dict[str, Subsection]:
         _fail(index, None, "offsets index not found")
     texts: dict[str, str] = {}
     subsections: dict[str, Subsection] = {}
-    repeats: dict[str, int] = {}  # id -> line of its second record
     errors: list[FileError] = []
     try:
         for lineno, record in _iter_file(index):
@@ -1471,15 +1496,12 @@ def load_statutes(statutes_dir: str | Path) -> dict[str, Subsection]:
                         f"offsets ({start}, {end}) out of bounds for {fname} of length {len(texts[fname])}"
                     )
                 if record.id in subsections:
-                    repeats.setdefault(record.id, lineno)
-                else:
-                    subsections[record.id] = Subsection(record.id, texts[fname][start:end])
+                    raise records.RecordError(f"duplicate subsection id {record.id}")
+                subsections[record.id] = Subsection(record.id, texts[fname][start:end])
             except ValueError as exc:
                 errors.append(FileError(str(index), lineno, str(exc)))
     except CorpusError as exc:  # the index ends: its one error replaces its others
         raise CorpusError([e for e in errors if e.path != str(index)] + exc.errors) from exc
-    for rid in sorted(repeats):
-        errors.append(FileError(str(index), repeats[rid], f"duplicate subsection id {rid}"))
     if errors:
         raise CorpusError(errors)
     return subsections
@@ -1529,15 +1551,18 @@ def load_spans(
 
 
 def load_argument_layers(
-    spans_path: str | Path, coref_path: str | Path, subsections: Mapping[str, Subsection]
+    spans_path: str | Path, coref_path: str | Path, subsections: Mapping[str, Subsection], program: Program
 ) -> dict[str, ArgumentLayer]:
-    """Join the spans and coref files into validated argument layers, by id."""
+    """Join the spans and coref files into validated argument layers, by id,
+    each label a parameter of its subsection's rule."""
     spans_path, coref_path = Path(spans_path), Path(coref_path)
     spans, span_lines = load_spans(spans_path, subsections)
     errors: list[FileError] = []
 
     layers: dict[str, ArgumentLayer] = {}
+    named: list[str] = []  # the id of every coref record
     for lineno, record in _iter_file(coref_path):
+        named.append(record.id)
         try:
             items = record.require("clusters")
             if record.id not in spans:
@@ -1563,20 +1588,29 @@ def load_argument_layers(
                     raise records.RecordError(f"cluster index out of range: {bad[0]}")
                 clusters.append(tuple(members))
                 names.append(label)
-            layers[record.id] = ArgumentLayer(record.id, spans[record.id], tuple(clusters), tuple(names))
+            layer = ArgumentLayer(record.id, spans[record.id], tuple(clusters), tuple(names))
+            for name, _ in layer.labelled_clusters:
+                if record.id not in program:
+                    raise records.RecordError(
+                        f"layer {record.id}: cluster {name!r} named but no rule declares parameters"
+                    )
+                if name not in program[record.id].params:
+                    raise records.RecordError(f"layer {record.id}: cluster {name!r} is not a parameter of its rule")
+            layers[record.id] = layer
         except ValueError as exc:
             errors.append(FileError(str(coref_path), lineno, str(exc)))
 
-    for missing in sorted(set(spans) - set(layers)):
+    for missing in sorted(set(spans) - set(named)):
         errors.append(FileError(str(spans_path), span_lines[missing], f"no coref record for {missing}"))
     if errors:
         raise CorpusError(errors)
     return layers
 
 
-def load_cases(cases_dir: str | Path, split: str | None = None) -> list[Case]:
-    """Load every <name>.cases file; `split`, or else the file stem checked
-    once by `check_split`, names the split. The stem `silver` is reserved."""
+def load_cases(cases_dir: str | Path, program: Program, split: str | None = None) -> list[Case]:
+    """Load every <name>.cases file, each query a rule of `program`; `split`,
+    or else the file stem checked once by `check_split`, names the split.
+    The stem `silver` is reserved."""
     cases_dir = Path(cases_dir)
     errors: list[FileError] = []
     cases: list[Case] = []
@@ -1601,7 +1635,11 @@ def load_cases(cases_dir: str | Path, split: str | None = None) -> list[Case]:
                     expected = records.as_value_map(record.require("expected"), "expected")
                     if record.id in seen:
                         raise records.RecordError(f"duplicate case id {record.id}")
-                    cases.append(Case(record.id, description, query, inputs, expected, name))
+                    case = Case(record.id, description, query, inputs, expected, name)
+                    if query not in program:
+                        shown = query if query.split() == [query] else repr(query)
+                        raise records.RecordError(f"case {record.id}: query {shown} has no structure rule")
+                    cases.append(case)
                     seen.add(record.id)
                 except ValueError as exc:
                     errors.append(FileError(str(path), lineno, str(exc)))
@@ -1610,6 +1648,22 @@ def load_cases(cases_dir: str | Path, split: str | None = None) -> list[Case]:
     if errors:
         raise CorpusError(errors)
     return cases
+
+
+def load_corpus(manifest_path: str | Path, cases: bool) -> Corpus:
+    """`corpus.load_corpus` composed of the loaders above and
+    `parse_program_by_tokens`."""
+    manifest = CorpusManifest.load(manifest_path)
+    subsections = load_statutes(manifest.statutes)
+    program, problems = parse_program_by_tokens(_read(manifest.structure), subsections)
+    if problems:
+        raise CorpusError([FileError(str(manifest.structure), line, message) for line, message in problems])
+    layers = load_argument_layers(manifest.spans, manifest.coref, subsections, program)
+    gold = load_cases(manifest.cases, program) if cases else []
+    silver = load_cases(manifest.silver, program, "silver") if cases and manifest.silver else []
+    texts = [p.name for p in manifest.statutes.glob("*.txt") if p.is_file() and p.name != "offsets.txt"]
+    section_files = tuple(sorted(texts))
+    return Corpus(manifest, subsections, layers, program, tuple(gold), tuple(silver), section_files)
 
 
 def _iter_file(path: Path):

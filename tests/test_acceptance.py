@@ -326,7 +326,7 @@ def test_criterion_7_round_trip_and_exact_shape(corpus, manifest_path):
     from statreason.rules import Op, Ref
 
     structure_text = (manifest_path.parent / "structure.txt").read_text(encoding="utf-8")
-    program, problems = parse_program(structure_text)
+    program, problems = parse_program(structure_text, corpus.subsections)
     assert problems == []
     for rule in program.values():
         printed = print_rule(rule)

@@ -82,7 +82,7 @@ class TestValidate:
         eval_inst = capsys.readouterr()
         assert validate.out == eval_inst.out == ""
         assert validate.err == eval_inst.err
-        assert validate.err.startswith("corpus: ") and "§404" in validate.err
+        assert validate.err.startswith(f"{cases}:3: ") and "§404" in validate.err
 
     def test_eval_commands_enforce_validation(self, tmp_path, capsys):
         root = tmp_path / "corpus"
@@ -220,6 +220,23 @@ class TestImports:
                 assert a.startswith("@run ") and b.startswith("@run ")
                 a, b = a.split("\n", 1)[1], b.split("\n", 1)[1]
             assert a == b.replace(f"[{imported}]", f"[{label}]")
+
+    def test_a_coref_import_labels_only_parameters_of_the_rule(self, tmp_path, capsys):
+        # An imported coref file is held to the corpus's own rule for labels;
+        # the unlabelled clusters of eval-coref's own dump need none.
+        coref = tmp_path / "coref.txt"
+        lines = (FIXTURES / "coref.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = lines[1].replace("Taxy:[2]", "Nope:[2]")
+        coref.write_text("".join(lines), encoding="utf-8")
+        assert main(["eval-coref", "--manifest", MANIFEST, "--baseline", f"import:{coref}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{coref}:2: layer §2(a)(1): cluster 'Nope' is not a parameter of its rule\n"
+        dump = tmp_path / "dump"
+        assert main(["eval-coref", "--manifest", MANIFEST, "--baseline", "single", "--out", str(dump)]) == 0
+        imported = f"import:{dump / 'eval-coref.predictions.txt'}"
+        assert main(["eval-coref", "--manifest", MANIFEST, "--baseline", imported]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("command", ["eval-argid", "cascade"])
     @pytest.mark.parametrize(

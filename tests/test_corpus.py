@@ -13,16 +13,15 @@ from statreason.corpus import (
     CorpusError,
     corpus_hash,
     corpus_statistics,
-    item_problems,
     load_corpus,
     load_statutes,
     serialize_cases,
     serialize_coref,
     serialize_spans,
-    validate_corpus,
 )
 from statreason.cli import main
 from statreason.model import TRUTH_KEY, Case, ValueMap
+from statreason.rules import parse_program
 
 import oracles
 from generators import corpora, corpus_fields
@@ -243,6 +242,13 @@ class TestLoadLayers:
         edit(root / "spans.txt", "§1(d)(iv) spans=[(5, 50), (54, 72)]", "§1(d)(iv) spans=[ (5, 50) , (54, 72)]")
         assert load_corpus(root / "manifest.txt").layers == corpus.layers
 
+    def test_a_coref_record_with_a_problem_is_not_also_missing(self, tmp_path):
+        root = copy_corpus(tmp_path)
+        edit(root / "coref.txt", "clusters=[Tax:[0], Taxinc:[1]]", "clusters=[Tax:[99], Taxinc:[1]]")
+        with pytest.raises(CorpusError) as exc:
+            load_corpus(root / "manifest.txt")
+        assert [str(e) for e in exc.value.errors] == [f"{root / 'coref.txt'}:1: cluster index out of range: 99"]
+
     def test_missing_coref_record(self, tmp_path):
         root = copy_corpus(tmp_path)
         edit(root / "coref.txt", "§1(d)(iv) clusters=[Tax:[0], Taxinc:[1]]\n", "")
@@ -407,10 +413,11 @@ class TestReadingRule:
         path.write_text(path.read_text(encoding="utf-8") + first + "\n", encoding="utf-8")
         assert self.errors(root) == ["cases/train.cases:4: duplicate case id 63(c)(5)-negative"]
 
-    def test_offsets_duplicates_come_last_sorted_by_id(self, tmp_path):
-        # Each duplicate is reported at its id's second record. A record
-        # that fails its own checks is no first record: `§2(a)(1)` is first
-        # read whole at line 16.
+    def test_offsets_duplicates_come_at_each_repeat_in_file_order(self, tmp_path):
+        # Each duplicate is reported at every record of its id after the
+        # first, in file order with the other problems. A record that fails
+        # its own checks is no first record: `§2(a)(1)` is first read whole
+        # at line 16.
         root = copy_corpus(tmp_path)
         index = root / "statutes" / "offsets.txt"
         edit(index, '§2(a)(1) file="section2.txt" start=0 end=172', '§2(a)(1) file="section2.txt" start=0 end=9999')
@@ -425,9 +432,10 @@ class TestReadingRule:
         )
         assert self.errors(root) == [
             "statutes/offsets.txt:2: offsets (0, 9999) out of bounds for section2.txt of length 402",
-            "statutes/offsets.txt:15: section file not found: nosuch.txt",
-            "statutes/offsets.txt:14: duplicate subsection id Tax",
             "statutes/offsets.txt:13: duplicate subsection id §1(d)(iv)",
+            "statutes/offsets.txt:14: duplicate subsection id Tax",
+            "statutes/offsets.txt:15: section file not found: nosuch.txt",
+            "statutes/offsets.txt:17: duplicate subsection id Tax",
         ]
 
     def test_spans_errors_end_the_load_before_coref_is_read(self, tmp_path):
@@ -464,10 +472,11 @@ class TestReadingRule:
             path.write_bytes(data.draw(st.sampled_from(list(corruptions(texts[path]))))[1])
         ok, subsections = cls.outcome(loaders.load_statutes, root / "statutes")
         assert (ok, subsections) == cls.outcome(oracles.load_statutes, root / "statutes")
+        program, _ = parse_program((root / "structure.txt").read_text(encoding="utf-8"), subsections if ok else {})
         if ok:
-            args = (root / "spans.txt", root / "coref.txt", subsections)
+            args = (root / "spans.txt", root / "coref.txt", subsections, program)
             assert cls.outcome(loaders.load_argument_layers, *args) == cls.outcome(oracles.load_argument_layers, *args)
-        for args in ((root / "cases",), (root / "silver", "silver")):
+        for args in ((root / "cases", program), (root / "silver", program, "silver")):
             assert cls.outcome(loaders.load_cases, *args) == cls.outcome(oracles.load_cases, *args)
 
     # Each example writes a corpus, so a failure is reported as drawn, not shrunk.
@@ -485,14 +494,23 @@ class TestReadingRule:
 
 
 class TestValidation:
-    def test_fixture_is_clean(self, corpus):
-        assert validate_corpus(corpus) == []
+    """A reference from one corpus file to another is checked at the line
+    that makes it: a rule's head and callees at its clause, a cluster label
+    at its coref record, a query at its case."""
+
+    errors = TestReadingRule.errors
+
+    def test_fixture_is_clean(self, manifest_path, capsys):
+        assert main(["validate", "--manifest", str(manifest_path)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_unknown_case_query(self, tmp_path):
         root = copy_corpus(tmp_path)
         edit(root / "cases" / "test.cases", 'query="§2(a)(1)"', 'query="§999"')
-        problems = validate_corpus(load_corpus(root / "manifest.txt"))
-        assert any("§999" in p for p in problems)
+        assert self.errors(root) == [
+            "cases/test.cases:3: case 2(a)(1)-positive: query §999 has no structure rule",
+            "cases/test.cases:4: case 2(a)(1)-negative: query §999 has no structure rule",
+        ]
 
     def test_a_query_that_is_not_an_id_reads_on_one_line(self, tmp_path):
         # A quoted query can hold any line separator; no rule head can, and
@@ -500,10 +518,12 @@ class TestValidation:
         root = copy_corpus(tmp_path)
         case = '2(a)(1)-positive query='
         edit(root / "cases" / "test.cases", case + '"§2(a)(1)"', case + '"§2\\u2028#"')
-        problems = validate_corpus(load_corpus(root / "manifest.txt"))
-        assert "case 2(a)(1)-positive: query '§2\\u2028#' has no structure rule" in problems
+        assert self.errors(root) == [
+            "cases/test.cases:3: case 2(a)(1)-positive: query '§2\\u2028#' has no structure rule"
+        ]
 
     def test_structure_errors_name_their_lines(self, tmp_path):
+        # Clause 3 does not parse, so clause 2's call to it is no problem of its own.
         root = copy_corpus(tmp_path)
         edit(root / "structure.txt", "§2(a)(1)(A)(Taxp, Taxy).", "§2(a)(1)(A)(Taxp, Taxy)")
         edit(root / "structure.txt", "§63(c)(5)(A)().", "§63(c)(5)(A)().\n\n§1(d)(iv)(Tax).")
@@ -531,32 +551,52 @@ class TestValidation:
     def test_undefined_structure_callee(self, tmp_path):
         root = copy_corpus(tmp_path)
         edit(root / "structure.txt", "\n§3306(c)(Employee, Employer, Service).", "")
-        problems = validate_corpus(load_corpus(root / "manifest.txt"))
-        assert any("§3306(c)" in p for p in problems)
+        assert self.errors(root) == [
+            "structure.txt:7: clause 5: §3306(a)(1)(B): reference to undefined rule §3306(c)"
+        ]
 
     def test_cluster_name_not_a_rule_param(self, tmp_path):
         root = copy_corpus(tmp_path)
         edit(root / "coref.txt", "§1(d)(iv) clusters=[Tax:[0], Taxinc:[1]]",
              "§1(d)(iv) clusters=[Tax:[0], Oops:[1]]")
-        problems = validate_corpus(load_corpus(root / "manifest.txt"))
-        assert any("Oops" in p for p in problems)
+        assert self.errors(root) == ["coref.txt:1: layer §1(d)(iv): cluster 'Oops' is not a parameter of its rule"]
+
+    def test_a_cluster_named_where_no_rule_declares_parameters(self, tmp_path):
+        root = copy_corpus(tmp_path)
+        edit(root / "structure.txt", "\n§3306(c)(Employee, Employer, Service).", "")
+        edit(root / "structure.txt", "\n§3306(a)(1)(B)(", "\n% §3306(a)(1)(B)(")
+        assert self.errors(root) == [
+            "coref.txt:10: layer §3306(a)(1)(B): cluster 'Workday' named but no rule declares parameters",
+            "coref.txt:11: layer §3306(c): cluster 'Service' named but no rule declares parameters",
+        ]
 
     def test_each_problem_comes_with_its_rule_case_or_layer(self, tmp_path):
+        # Each problem is at the line of the rule, layer or case it is
+        # about; the load stops after the first file that has one.
         root = copy_corpus(tmp_path)
+        originals = {name: (root / name).read_text(encoding="utf-8") for name in ("structure.txt", "coref.txt")}
         edit(root / "cases" / "test.cases", '2(a)(1)-positive query="§2(a)(1)"', '2(a)(1)-positive query="§999"')
         edit(root / "structure.txt", "\n§3306(c)(Employee, Employer, Service).", "")
         edit(root / "structure.txt", "\n§63(c)(5)(A)().", "\n§63(c)(5)(A)().\n§7(a)().")
         edit(root / "coref.txt", "§1(d)(iv) clusters=[Tax:[0], Taxinc:[1]]", "§1(d)(iv) clusters=[Tax:[0], Oops:[1]]")
-        corpus = load_corpus(root / "manifest.txt")
-        problems = item_problems(corpus)
-        assert [message for _, message in problems] == validate_corpus(corpus)
-        [case] = [c for c in corpus.cases if c.query == "§999"]
-        assert [(item, message.partition(":")[0]) for item, message in problems] == [
-            (corpus.program.get("§3306(a)(1)(B)"), "§3306(a)(1)(B)"),
-            (corpus.program.get("§7(a)"), "structure"),
-            (case, f"case {case.id}"),
-            (corpus.layers["§1(d)(iv)"], "layer §1(d)(iv)"),
-        ] + [(corpus.layers["§3306(c)"], "layer §3306(c)")] * 3  # one per named cluster
+        assert self.errors(root) == [
+            "structure.txt:7: clause 5: §3306(a)(1)(B): reference to undefined rule §3306(c)",
+            "structure.txt:10: clause 8: rule §7(a) has no subsection text",
+        ]
+        (root / "structure.txt").write_text(originals["structure.txt"], encoding="utf-8")
+        assert self.errors(root) == ["coref.txt:1: layer §1(d)(iv): cluster 'Oops' is not a parameter of its rule"]
+        (root / "coref.txt").write_text(originals["coref.txt"], encoding="utf-8")
+        assert self.errors(root) == ["cases/test.cases:3: case 2(a)(1)-positive: query §999 has no structure rule"]
+
+    def test_a_structure_problem_stops_the_load_before_the_cases(self, tmp_path, capsys):
+        # The bad query is not reported: the load stops at structure.txt.
+        root = copy_corpus(tmp_path)
+        edit(root / "structure.txt", ":- §3306(c)(Employee", ":- §3306(d)(Employee")
+        edit(root / "cases" / "test.cases", 'query="§2(a)(1)"', 'query="§999"')
+        assert main(["validate", "--manifest", str(root / "manifest.txt")]) == 1
+        where = root / "structure.txt"
+        message = "clause 5: §3306(a)(1)(B): reference to undefined rule §3306(d)"
+        assert capsys.readouterr().err == f"{where}:7: {message}\n"
 
 
 def test_the_fixture_builder_writes_the_fixture(tmp_path, monkeypatch, capsys):
@@ -604,7 +644,6 @@ class TestRoundTrip:
             (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
             (tmp_path / name).write_text(text, encoding="utf-8")
         corpus = load_corpus(tmp_path / "manifest.txt")
-        assert validate_corpus(corpus) == []
         assert serialize_coref(list(corpus.layers.values())) == files["coref.txt"]
 
     def test_hash_stable(self, corpus, manifest_path):
@@ -613,15 +652,32 @@ class TestRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(corpora())
     def test_every_corpus_loads_as_written(self, drawn):
+        # A drawn corpus keeps the loader's rules for each file, but its
+        # references from file to file may fail: then the load refuses it
+        # as the loader composed of `oracles`' first versions does.
         with tempfile.TemporaryDirectory() as tmp:
-            loaded = load_corpus(write_corpus(drawn, Path(tmp)))
-        assert corpus_fields(loaded) == corpus_fields(drawn)
-        assert validate_corpus(loaded) == validate_corpus(drawn)
+            manifest = write_corpus(drawn, Path(tmp))
+            outcome = TestReadingRule.outcome(load_corpus, manifest)
+            assert outcome == TestReadingRule.outcome(oracles.load_corpus, manifest, True)
+            subsections = load_statutes(manifest.parent / "statutes")
+            spans, _ = loaders.load_spans(manifest.parent / "spans.txt", subsections)
+        assert subsections == drawn.subsections
+        assert spans == {sid: layer.spans for sid, layer in drawn.layers.items()}
+        if outcome[0]:
+            assert corpus_fields(outcome[1]) == corpus_fields(drawn)
 
     @staticmethod
     def assert_loads_without_its_cases(manifest: Path) -> None:
-        whole, statutes = load_corpus(manifest), load_corpus(manifest, cases=False)
+        # A corpus refused for its cases alone loads without them.
+        outcomes = [TestReadingRule.outcome(load_corpus, manifest, cases) for cases in (True, False)]
+        (ok, whole), (statutes_ok, statutes) = outcomes
+        if not statutes_ok:
+            assert (ok, whole) == (statutes_ok, statutes)
+            return
         assert statutes.cases == statutes.silver == ()
+        if not ok:
+            assert all(error.path.endswith(".cases") for error in whole)
+            return
         for field in ("subsections", "layers", "program", "section_files"):
             assert getattr(statutes, field) == getattr(whole, field)
         assert corpus_hash(statutes) == corpus_hash(whole)
@@ -640,7 +696,9 @@ class TestRoundTrip:
     def test_every_loaded_corpus_serializes_to_its_files(self, drawn):
         with tempfile.TemporaryDirectory() as tmp:
             first, second = Path(tmp) / "first", Path(tmp) / "second"
-            loaded = load_corpus(write_corpus(drawn, first))
+            ok, loaded = TestReadingRule.outcome(load_corpus, write_corpus(drawn, first))
+            if not ok:
+                return  # refused for a reference from file to file, as the test above checks
             again = load_corpus(write_corpus(loaded, second))
             files = [{p.relative_to(r): p.read_bytes() for p in r.rglob("*") if p.is_file()} for r in (first, second)]
             assert files[0] == files[1]

@@ -5,10 +5,11 @@ cut by its last character, garbled in the middle, or given a byte that is
 not UTF-8 in the middle. Every command must
 answer with exit 0 (the damage left a coherent corpus) or exit 1, never a
 runtime error (exit 2), and every message it prints must name the file and
-line it found the problem at (`path:line: ...`; a manifest problem, a
-missing key or path, is `manifest.txt: ...`) or be a cross-file
-`corpus: ...` problem. Commands run in process, so the whole battery
-takes seconds.
+line it found the problem at (`path:line: ...`), a reference to another
+file among them; a manifest problem, a missing key or path, is
+`manifest.txt: ...`, and a cases directory with no case for the constant
+resolver to fit on is `cases: ...`. Commands run in process, so the whole
+battery takes seconds.
 
 `validate`'s exit code and stderr for every corruption of every fixture
 file are pinned in `fixtures/corruption_battery.txt`; after a deliberate
@@ -30,7 +31,7 @@ from pathlib import Path
 import pytest
 
 from statreason.cli import main
-from statreason.rules import parse_program
+from statreason.corpus import load_corpus
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "perfbench"))
 from workloads import STEPS, command_line  # noqa: E402
@@ -70,7 +71,7 @@ def run(argv: list[str]) -> tuple[int, str]:
 def check(argv: list[str], root) -> int:
     code, err = run(argv)
     assert code in (0, 1), (argv, code, err)
-    named = re.compile(re.escape(str(root)) + r"/(\S+?/manifest\.txt|\S+?:\d+): |corpus: ")
+    named = re.compile(re.escape(str(root)) + r"/(\S+?/manifest\.txt|\S+?/cases|\S+?:\d+): ")
     for line in err.splitlines():
         assert named.match(line), (argv, line)
     return code
@@ -134,7 +135,7 @@ def test_the_constant_resolver_without_a_train_case_names_the_cases_directory(tm
     (root / "cases" / "train.cases").unlink()
     manifest = str(root / "manifest.txt")
     assert run(["validate", "--manifest", manifest]) == (0, "")
-    message = f"corpus: {root}/cases: no case in the train split, which the constant resolver fits on\n"
+    message = f"{root}/cases: no case in the train split, which the constant resolver fits on\n"
     assert run(["eval-inst", "--manifest", manifest, "--resolver", "constant"]) == (1, message)
     for flags in (["constant", "--with-silver"], ["oracle"], ["heuristic"]):
         assert run(["eval-inst", "--manifest", manifest, "--resolver", *flags]) == (0, "")
@@ -314,7 +315,7 @@ def test_a_clause_body_nested_ten_thousand_levels(nesting, width, tmp_path):
     head = "Deep(x) :- "
     body = nesting * DEEP + "Tax(x)" + ("]" * DEEP if nesting == "[" else "")
     original, lineno = _append(path, head + body + ".")
-    clauses = len(parse_program(original)[0])
+    clauses = len(load_corpus(FIXTURES / "manifest.txt").program)
     offset = len(original) + len(head) + 100 * width
     message = f"clause {clauses + 1}: brackets and NOTs nest deeper than 100 levels (at offset {offset})"
     assert run(["validate", "--manifest", str(root / "manifest.txt")]) == (1, f"{path}:{lineno}: {message}\n")

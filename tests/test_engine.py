@@ -31,7 +31,7 @@ from statreason.engine import (
 )
 from statreason.model import ArgumentLayer, Case, Money, Span, Subsection, TRUTH_KEY, ValueMap
 from statreason.reports import instantiation_report
-from statreason.rules import OpNode, Rule, SubsectionNode, parse_program, unroll
+from statreason.rules import OpNode, Ref, Rule, SubsectionNode, parse_program, unroll
 
 from generators import MODEL_VALUES, SUBCLASSED_VALUES, random_nested_program, random_value_map, texts_with_layers
 
@@ -865,9 +865,9 @@ class TestEvaluateRun:
         assert "tax-case-4" in report.errors[0]
 
     def test_a_callee_whose_id_no_layer_can_have_fails_its_cases(self):
-        # Only a program that validate rejects calls a subsection "#b"; the
-        # cases that reach it are engine errors, and the run goes on.
-        program, _ = parse_program("A(x) :- #b(x).\nB(x).")
+        # Only a program that the loader rejects calls a subsection "#b";
+        # the cases that reach it are engine errors, and the run goes on.
+        program = {"A": Rule("A", ("x",), Ref("#b", (("x", "x"),))), "B": Rule("B", ("x",))}
         cases = tuple(Case(q.lower(), "", q, ValueMap(), ValueMap({TRUTH_KEY: 1.0}), "test") for q in "AB")
         results, _ = run_cases(OracleResolver(), Corpus(None, {}, {}, program, cases, (), ()))
         assert [r.error for r in results] == [
@@ -879,7 +879,7 @@ class TestEvaluateRun:
         # far past the interpreter's recursion limit, its query's program is
         # one "open" and one "subsection" tuple per level above the cap and
         # the leaf at the cap, and its cases score like any other.
-        program, _ = parse_program("C(x) :- C(x).\nB(x).")
+        program, _ = parse_program("C(x) :- C(x).\nB(x).", {"B", "C"})
         cases = tuple(Case(q.lower(), "", q, ValueMap(), ValueMap({TRUTH_KEY: 1.0}), "test") for q in "CB")
         corpus = Corpus(None, {}, {}, program, cases, (), ())
         context = RunContext(program, {}, {}, EngineConfig(5000))

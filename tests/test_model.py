@@ -22,6 +22,7 @@ from statreason.model import (
     layer_of,
     value_kind,
 )
+from statreason.rules import Rule
 from statreason.sara_import import matrix_to_clusters
 
 from generators import SUBCLASSED_VALUES
@@ -340,7 +341,7 @@ class TestWhatAFileCanHold:
             values = ValueMap({"X": value, "y": Money(value), "z": (value,), "@truth": 1.0})
             case = Case("a", "d", "Q", ValueMap(), values, "test")
             (tmp_path / "test.cases").write_text(serialize_cases([case]), encoding="utf-8")
-            assert load_cases(tmp_path) == [case]
+            assert load_cases(tmp_path, {"Q": Rule("Q", ())}) == [case]
         for value in (longest + 1, -longest - 1, 10**5000):
             for make in (check_value, lambda v: ValueMap({"X": v}), lambda v: ValueMap({"X": (1, v)}), Money):
                 with pytest.raises(ValueError, match=rf"^integer too long \(more than {digits} digits\)$"):

@@ -160,6 +160,7 @@ GONE_FROM_THE_PACKAGE = {
     "rules.populate_values", "model.ValueMap.merged", "model.ValueMap.without", "metrics.exact_match_coref",
     "metrics.span_prf", "reports.report_records", "reports.render_stats", "rules.check_references",
     "engine.evaluate_run", "reports.CorefReport.render", "reports.ArgIdReport.render", "reports.CascadeReport.render",
+    "corpus.validate_corpus",
 }
 
 

@@ -13,7 +13,6 @@ from statreason.rules import (
     build_dependency_tree,
     parse_program,
     print_rule,
-    reference_problems,
     unroll,
     OpNode,
     SubsectionNode,
@@ -35,6 +34,22 @@ CLAUSE_63C5 = (
     "[§151(b)(Spouse=Taxp, Taxp=S45, Taxy) OR §151(c)(S24A=Taxp, Taxp=S45, Taxy)] AND "
     "§63(c)(5)(A)() AND §63(c)(5)(B)(Grossinc, Taxp)."
 )
+
+
+class EveryId:
+    """A container that holds every id: the subsections of a structure text
+    whose rules are checked for their references alone."""
+
+    def __contains__(self, _) -> bool:
+        return True
+
+
+EVERY_ID = EveryId()
+
+
+def parse(text: str):
+    """The rules of a structure text's sound clauses, every head a subsection."""
+    return parse_program(text, EVERY_ID)[0]
 
 
 class TestParseRule:
@@ -138,24 +153,24 @@ class TestOp:
 
 class TestParseProgram:
     def test_empty(self):
-        assert parse_program("") == ({}, [])
+        assert parse_program("", set()) == ({}, [])
 
     def test_three_appendix_clauses(self):
-        text = "\n".join([CLAUSE_1DIV, CLAUSE_3306, CLAUSE_63C5])
-        program, problems = parse_program(text)
-        assert len(program) == 3 and problems == []
+        text = "\n".join([CLAUSE_1DIV, CLAUSE_3306, CLAUSE_63C5, CALLEE_3306]) + STUB_LEAVES
+        program, problems = parse_program(text, EVERY_ID)
+        assert len(program) == 8 and problems == []
 
     def test_duplicate_heads_named(self):
-        program, problems = parse_program("§1(a)(X).\n§1(a)(Y).")
+        program, problems = parse_program("§1(a)(X).\n§1(a)(Y).", {"§1(a)"})
         assert program == {"§1(a)": Rule("§1(a)", ("X",))}
         assert problems == [(2, "clause 2: duplicate rule for §1(a)")]
 
     def test_comments_ignored(self):
-        program, _ = parse_program("% a comment\n§1(a)(X). % trailing\n")
+        program = parse("% a comment\n§1(a)(X). % trailing\n")
         assert "§1(a)" in program
 
     def test_errors_aggregated_with_clause_numbers(self):
-        program, problems = parse_program("§1(a)(X).\n§2(b)(.\n§3(c)(Y).\n§3(c)(Z).")
+        program, problems = parse_program("§1(a)(X).\n§2(b)(.\n§3(c)(Y).\n§3(c)(Z).", EVERY_ID)
         assert list(program) == ["§1(a)", "§3(c)"]
         assert problems == [
             (2, "clause 2: expected a name, found '.' (at offset 16)"),
@@ -163,27 +178,69 @@ class TestParseProgram:
         ]
 
     def test_text_that_does_not_tokenize_is_one_problem(self):
-        assert parse_program("§1(a)(X).\n§2(a:b).") == ({}, [(2, "unexpected character ':' (at offset 14)")])
+        problem = (2, "unexpected character ':' (at offset 14)")
+        assert parse_program("§1(a)(X).\n§2(a:b).", EVERY_ID) == ({}, [problem])
 
 
 class TestCheckReferences:
+    """A clause that parses is a problem at its line when its head names no
+    subsection, a reference calls no rule of the file or a binding passes a
+    variable its head does not declare; only the rules of the other clauses
+    are returned."""
+
     def test_undefined_callee(self):
-        program, _ = parse_program(CLAUSE_3306)
-        [(rule, message)] = reference_problems(program)
-        assert rule is program.get("§3306(a)(1)(B)")
-        assert message == "§3306(a)(1)(B): reference to undefined rule §3306(c)"
+        assert parse_program(CLAUSE_3306, EVERY_ID) == (
+            {}, [(1, "clause 1: §3306(a)(1)(B): reference to undefined rule §3306(c)")]
+        )
 
     def test_clean_program(self):
-        program, _ = parse_program(CLAUSE_3306 + "\n§3306(c)(Employee, Employer, Service).")
-        assert reference_problems(program) == []
+        program, problems = parse_program(CLAUSE_3306 + "\n" + CALLEE_3306, {"§3306(a)(1)(B)", "§3306(c)"})
+        assert list(program) == ["§3306(a)(1)(B)", "§3306(c)"] and problems == []
 
     def test_binding_to_unknown_variable(self):
-        program, _ = parse_program("§1(a)(X) :- §2(b)(Spouse=Zzz).\n§2(b)(Spouse).")
-        [(rule, message)] = reference_problems(program)
-        assert rule is program.get("§1(a)")
-        assert message == "§1(a): binding Spouse=Zzz uses 'Zzz', which is not a parameter of §1(a)"
+        program, problems = parse_program("§1(a)(X) :- §2(b)(Spouse=Zzz).\n§2(b)(Spouse).", EVERY_ID)
+        assert program == {"§2(b)": Rule("§2(b)", ("Spouse",))}
+        assert problems == [(1, "clause 1: §1(a): binding Spouse=Zzz uses 'Zzz', which is not a parameter of §1(a)")]
+
+    def test_a_head_that_names_no_subsection(self):
+        program, problems = parse_program("§1(a)(X) :- §2(b)(X).\n§2(b)(X).", {"§2(b)"})
+        assert program == {"§2(b)": Rule("§2(b)", ("X",))}
+        assert problems == [(1, "clause 1: rule §1(a) has no subsection text")]
+
+    def test_a_clause_reports_its_first_problem_only(self):
+        text = "§1(a)(X) :- §2(b)(Y=Zzz) AND §9(X).\n§2(b)(Y)."
+        assert parse_program(text, {"§2(b)"})[1] == [(1, "clause 1: rule §1(a) has no subsection text")]
+        assert parse_program(text, EVERY_ID)[1] == [
+            (1, "clause 1: §1(a): binding Y=Zzz uses 'Zzz', which is not a parameter of §1(a)")
+        ]
+
+    def test_a_call_to_a_rule_with_a_problem_is_no_problem(self):
+        # The callee is defined in the file; only its own clause is reported.
+        program, problems = parse_program("§1(a)(X) :- §2(b)(X).\n§2(b)(X) :- §3(X).", EVERY_ID)
+        assert list(program) == ["§1(a)"]
+        assert problems == [(2, "clause 2: §2(b): reference to undefined rule §3")]
+
+    def test_no_call_is_undefined_while_a_clause_does_not_parse(self):
+        # The clause that does not parse may be the callee's.
+        program, problems = parse_program("§1(a)(X) :- §2(b)(X) AND §9(X).\n§2(b)(.", EVERY_ID)
+        assert list(program) == ["§1(a)"]
+        assert problems == [(2, "clause 2: expected a name, found '.' (at offset 38)")]
+
+    def test_problems_come_in_file_order(self):
+        # A clause's binding problem and the next clause's syntax error,
+        # and a duplicate head, each at its own line.
+        text = "§1(a)(X) :- §4(Y).\n§2(b)(.\n§1(a)(Y).\n§4(Y)."
+        assert parse_program(text, EVERY_ID) == (
+            {"§4": Rule("§4", ("Y",))},
+            [
+                (1, "clause 1: §1(a): binding Y=Y uses 'Y', which is not a parameter of §1(a)"),
+                (2, "clause 2: expected a name, found '.' (at offset 25)"),
+                (3, "clause 3: duplicate rule for §1(a)"),
+            ],
+        )
 
 
+CALLEE_3306 = "§3306(c)(Employee, Employer, Service)."
 STUB_LEAVES = (
     "\n§151(b)(Spouse, Taxp, Taxy).\n§151(c)(S24A, Taxp, Taxy).\n"
     "§63(c)(5)(A)().\n§63(c)(5)(B)(Grossinc, Taxp).\n"
@@ -192,18 +249,18 @@ STUB_LEAVES = (
 
 class TestDependencyTree:
     def test_bodiless_rule_single_leaf(self):
-        program, _ = parse_program(CLAUSE_1DIV)
+        program = parse(CLAUSE_1DIV)
         tree = build_dependency_tree(program, "§1(d)(iv)", 5)
         assert tree.root.child is None
         assert tree_depth(tree) == 1
 
     def test_cap_one_prunes_body(self):
-        program, _ = parse_program(CLAUSE_63C5 + STUB_LEAVES)
+        program = parse(CLAUSE_63C5 + STUB_LEAVES)
         tree = build_dependency_tree(program, "§63(c)(5)", 1)
         assert tree.root.child is None
 
     def test_cap_two_expands_one_level(self):
-        program, _ = parse_program(CLAUSE_63C5 + STUB_LEAVES)
+        program = parse(CLAUSE_63C5 + STUB_LEAVES)
         tree = build_dependency_tree(program, "§63(c)(5)", 2)
         root = tree.root
         assert isinstance(root.child, OpNode) and root.child.kind == "AND"
@@ -216,10 +273,10 @@ class TestDependencyTree:
 
     def test_unknown_root_rejected(self):
         with pytest.raises(KeyError):
-            build_dependency_tree(parse_program(CLAUSE_1DIV)[0], "§nowhere", 3)
+            build_dependency_tree(parse(CLAUSE_1DIV), "§nowhere", 3)
 
     def test_cycles_unroll_to_cap(self):
-        program, _ = parse_program("§1(a)(X) :- §2(b)(X).\n§2(b)(X) :- §1(a)(X).")
+        program = parse("§1(a)(X) :- §2(b)(X).\n§2(b)(X) :- §1(a)(X).")
         tree = build_dependency_tree(program, "§1(a)", 4)
         assert tree_depth(tree) == 4
 
@@ -234,7 +291,7 @@ class TestDependencyTree:
             )
 
     def test_the_fold_is_the_recursive_tree_on_the_fixture(self):
-        program, _ = parse_program(FIXTURE_STRUCTURE)
+        program = parse(FIXTURE_STRUCTURE)
         for head in program:
             for depth_cap in (1, 2, 3, 4):
                 assert build_dependency_tree(program, head, depth_cap) == oracles.build_dependency_tree(
@@ -244,7 +301,7 @@ class TestDependencyTree:
     def test_a_recursive_rule_unrolls_at_any_cap(self):
         # One open and one subsection per level above the cap, and the leaf
         # at the cap: far deeper than the interpreter's recursion limit.
-        program, _ = parse_program("C(x) :- C(x).")
+        program = parse("C(x) :- C(x).")
         nodes = list(unroll(program, "C", 5000))
         assert len(nodes) == 9999
         opens, leaf, closes = nodes[:4999], nodes[4999], nodes[5000:]
@@ -254,14 +311,14 @@ class TestDependencyTree:
         assert closes[-1][3] == ()
 
     def test_cap_below_one_rejected(self):
-        program, _ = parse_program(CLAUSE_1DIV)
+        program = parse(CLAUSE_1DIV)
         with pytest.raises(ValueError, match="depth cap must be >= 1, got 0"):
             build_dependency_tree(program, "§1(d)(iv)", 0)
 
     def test_populate_through_bindings(self):
         # Without layers each subsection gets one request, for its truth
         # score, knowing exactly the values passed down to it.
-        program, _ = parse_program(CLAUSE_63C5 + STUB_LEAVES)
+        program = parse(CLAUSE_63C5 + STUB_LEAVES)
         known = {}
 
         class Recording:
@@ -353,11 +410,19 @@ def program_texts(draw):
     return text
 
 
-def parse_outcome(parse, text: str):
+def parse_outcome(parse, *args):
     try:
-        return repr(parse(text))
+        return repr(parse(*args))
     except RuleSyntaxError as exc:
         return "error", str(exc), exc.position
+
+
+def assert_parsers_agree(text: str) -> None:
+    """The two parsers read `text` alike with every id a subsection, and
+    with only every other head of its sound clauses one."""
+    for subsections in (EVERY_ID, set(sorted(parse(text))[::2])):
+        ours = parse_outcome(parse_program, text, subsections)
+        assert ours == parse_outcome(oracles.parse_program_by_tokens, text, subsections)
 
 
 class TestAgainstTheTokenParser:
@@ -371,8 +436,9 @@ class TestAgainstTheTokenParser:
     @example("§1(a)(x) :- §2(y=)\n§3(AND).\n§4(a)(b=c)(x).")
     @example("§1(a)(x).\n§4(a:b).")
     @example("§1(a)(x, y=z).\n§2(a)(b)(c)(x) :- §3\n§5(a)(x) :- [§6(x)")
+    @example("§1(a)(x) :- §2(b)(x) AND §3(y=w).\n§2(b)(x) :- §9(x).\n§3(y).\n§1(a)(y).")
     def test_same_program_or_problems(self, text):
-        assert parse_outcome(parse_program, text) == parse_outcome(oracles.parse_program_by_tokens, text)
+        assert_parsers_agree(text)
 
     @given(program_texts())
     @example("§1(a)(x). §2(b)(y).")
@@ -411,18 +477,18 @@ class TestNesting:
     @given(nested_clauses(st.integers(0, MAX_NESTING)))
     def test_up_to_the_bound_as_the_token_parser(self, drawn):
         text, _ = drawn
-        assert parse_outcome(parse_program, text) == parse_outcome(oracles.parse_program_by_tokens, text)
+        assert_parsers_agree(text)
 
     @given(nested_clauses(st.integers(MAX_NESTING + 1, MAX_NESTING + 30)))
     def test_past_the_bound_a_problem_at_the_first_level_too_many(self, drawn):
         text, offset = drawn
         message = f"clause 1: brackets and NOTs nest deeper than 100 levels (at offset {offset})"
         rules = {"B": Rule("B", ("x",)), "C": Rule("C", ())}
-        assert parse_program(text) == (rules, [(1, message)])
+        assert parse_program(text, {"A", "B", "C"}) == (rules, [(1, message)])
 
     @pytest.mark.parametrize("opener, closer", [("[", "]"), ("NOT ", "")])
     def test_ten_thousand_levels(self, opener, closer):
         text = "A(x) :- " + opener * 10_000 + "B(x)" + closer * 10_000 + ".\nB(x)."
         offset = len("A(x) :- ") + 100 * len(opener)
         message = f"clause 1: brackets and NOTs nest deeper than 100 levels (at offset {offset})"
-        assert parse_program(text) == ({"B": Rule("B", ("x",))}, [(1, message)])
+        assert parse_program(text, {"A", "B"}) == ({"B": Rule("B", ("x",))}, [(1, message)])

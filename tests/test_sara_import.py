@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 from statreason import records
 from statreason.cli import main
-from statreason.corpus import load_corpus, validate_corpus
+from statreason.corpus import load_corpus
 from statreason.model import Money
 from statreason.sara_import import file_stem_to_id, import_corpus
 
@@ -85,7 +85,6 @@ class TestImport:
         log = import_corpus(source, dest)
         assert not log.skipped
         corpus = load_corpus(dest / "manifest.txt")
-        assert validate_corpus(corpus) == []
         assert corpus.layers["§1(d)(iv)"].cluster_names == ("Tax", "Taxinc")
         case = corpus.cases[0]
         assert case.split == "train"
@@ -138,7 +137,6 @@ class TestImport:
         assert log.skipped == [f"cases/{name}: {malformed_id(name)}"]
         assert f"cases/{name}" not in log.imported
         corpus = load_corpus(dest / "manifest.txt")
-        assert validate_corpus(corpus) == []
         assert [c.id for c in corpus.cases] == ["case-1-positive"]
 
     def test_case_files_whose_names_are_not_utf8_are_skipped(self, tmp_path, capsys):
@@ -176,7 +174,6 @@ class TestImport:
             f"statutes/section1.offsets:2: {malformed_id('#Tax')}",
         ]
         corpus = load_corpus(dest / "manifest.txt")
-        assert validate_corpus(corpus) == []
         assert list(corpus.layers) == list(corpus.subsections) == ["§1(d)(iv)"]
 
     def test_cli_wrapper(self, tmp_path, capsys):
@@ -433,7 +430,7 @@ class TestImport:
         make_distributed_tree(source)
         write(source / "structure.txt", "§1(d)(iv)(Tax, Taxinc).\n§7(a)(X).\n")
         log = import_corpus(source, dest)
-        assert log.skipped == ["structure.txt §7(a): structure: rule §7(a) has no subsection text"]
+        assert log.skipped == ["structure.txt:2: clause 2: rule §7(a) has no subsection text"]
         self.assert_validates(dest, capsys)
         assert list(load_corpus(dest / "manifest.txt").program) == ["§1(d)(iv)"]
 
@@ -443,10 +440,10 @@ class TestImport:
         write(source / "structure.txt", "§1(d)(iv)(Tax, Taxinc) :- §7(a)(X=Tax).\n§7(a)(X).\n")
         log = import_corpus(source, dest)
         assert log.skipped == [
-            "structure.txt §7(a): structure: rule §7(a) has no subsection text",
-            "structure.txt §1(d)(iv): §1(d)(iv): reference to undefined rule §7(a)",
-            "cases/case-1-positive: case case-1-positive: query §1(d)(iv) has no structure rule",
+            "structure.txt:2: clause 2: rule §7(a) has no subsection text",
+            "structure.txt §1(d)(iv): clause 1: §1(d)(iv): reference to undefined rule §7(a)",
             "spans/1_d_iv: layer §1(d)(iv): cluster 'Tax' named but no rule declares parameters",
+            "cases/case-1-positive: case case-1-positive: query §1(d)(iv) has no structure rule",
         ]
         self.assert_validates(dest, capsys)
         assert log.imported == ["statutes/section1.offsets:1"]
@@ -458,8 +455,8 @@ class TestImport:
         log = import_corpus(source, dest)
         assert log.skipped == [
             "structure.txt:2: clause 1: expected '.', found 'end of input' (at offset 23)",
-            "cases/case-1-positive: case case-1-positive: query §1(d)(iv) has no structure rule",
             "spans/1_d_iv: layer §1(d)(iv): cluster 'Tax' named but no rule declares parameters",
+            "cases/case-1-positive: case case-1-positive: query §1(d)(iv) has no structure rule",
         ]
         self.assert_validates(dest, capsys)
 
@@ -493,8 +490,8 @@ class TestImport:
         log = import_corpus(source, dest)
         assert log.skipped == [
             "statutes/section1.offsets:1: offsets (0, 4000) out of bounds for section1.txt of length 68",
+            "structure.txt §1(d)(iv): clause 1: rule §1(d)(iv) has no subsection text",
             "spans/1_d_iv: unknown subsection §1(d)(iv)",
-            "structure.txt §1(d)(iv): structure: rule §1(d)(iv) has no subsection text",
             "cases/case-1-positive: case case-1-positive: query §1(d)(iv) has no structure rule",
         ]
         self.assert_validates(dest, capsys)
@@ -530,12 +527,13 @@ class TestImport:
 
     def test_a_destination_file_the_import_did_not_write_stops_it(self, tmp_path, capsys):
         # A stale split file in the destination is loaded with the import;
-        # what validate rejects there is no imported item to drop.
+        # what the loader rejects there is no imported item to drop.
         source, dest = tmp_path / "dist", tmp_path / "canonical"
         make_distributed_tree(source)
         write(dest / "cases" / "dev.cases", 'old query="§9" description="x" inputs=[] expected=[@truth=true]\n')
         assert main(["import-sara", "--source", str(source), "--dest", str(dest)]) == 1
-        assert capsys.readouterr().err == "corpus: case old: query §9 has no structure rule\n"
+        dev = dest / "cases" / "dev.cases"
+        assert capsys.readouterr().err == f"{dev}:1: case old: query §9 has no structure rule\n"
 
     def test_a_destination_file_the_import_did_not_write_that_does_not_load_stops_it(self, tmp_path, capsys):
         source, dest = tmp_path / "dist", tmp_path / "canonical"
@@ -570,7 +568,6 @@ class TestFixtureRoundTrip:
             log = import_corpus(source, dest)
             imported = load_corpus(dest / "manifest.txt")
         assert log.skipped == []
-        assert validate_corpus(imported) == []
         for name in ("subsections", "layers", "program", "section_files"):
             assert getattr(imported, name) == getattr(drawn, name)
         for name in ("cases", "silver"):
