@@ -5,10 +5,11 @@
 
 Extracts REV with `git archive REV | tar -x` into a temporary directory,
 then runs the same commands with each tree's `src/` on the same corpora:
-the bundled fixture and the `perfbench/gencorpus.py` corpora of seeds 0
-and 3 at scale `sara`, each written once, in the canonical format and in
-the distributed layout that `import-sara` reads (`tests/layouts.py`'s
-`write_distributed`). The commands are every step of
+the bundled fixture, the `perfbench/gencorpus.py` corpora of seeds 0 and 3
+at scale `sara`, and the fixture with no silver cases and a third split,
+`dev` (`tests/layouts.py`'s `write_dev_split`), each written once, in the
+canonical format and in the distributed layout that `import-sara` reads
+(`write_distributed`). The commands are every step of
 `perfbench/workloads.STEPS`, `scripts/reproduce_tables.py`, 31 `eval-inst`
 flag sets (each resolver with no flag, `--no-structure`, depth caps, a
 threshold, `--split all` and `--insert-gold`; the constant resolver with
@@ -36,7 +37,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO / "src"), str(REPO / "perfbench"), str(REPO / "tests")]
 
 import gencorpus  # noqa: E402
-from layouts import write_distributed  # noqa: E402
+from layouts import write_dev_split, write_distributed  # noqa: E402
 from statreason.corpus import load_corpus  # noqa: E402
 from workloads import STEPS, command_line  # noqa: E402
 
@@ -82,6 +83,8 @@ def write_corpora(root: Path) -> dict[str, Path]:
     for seed in SEEDS:
         work[f"sara-{seed}"] = root / f"sara-{seed}"
         gencorpus.generate(work[f"sara-{seed}"] / "corpus", seed, "sara")
+    work["fixture-dev"] = root / "fixture-dev"
+    write_dev_split(load_corpus(FIXTURE / "manifest.txt"), work["fixture-dev"] / "corpus")
     for directory in work.values():
         write_distributed(load_corpus(directory / MANIFEST), directory / DISTRIBUTED)
     return work

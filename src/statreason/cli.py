@@ -267,8 +267,8 @@ def cmd_eval_inst(args) -> int:
             raise CorpusError([FileError(str(corpus.manifest.cases), None, message)])
         params = baselines.fit_constant_baseline(train)
         resolver = baselines.ConstantResolver(params)
-    results, notes = run_cases(resolver, corpus, args.split, config)
-    report = reports.instantiation_report(results, config, notes)
+    results, notes = run_cases(resolver, corpus, args.split, config)  # no output holds the notes yet
+    report = reports.instantiation_report(results, config)
 
     run_line = _run_line(
         corpus,

@@ -396,28 +396,27 @@ def serialize_cases(cases: list[Case]) -> str:
 class StatSeries(Frozen):
     """A histogram over per-unit integer counts plus summary statistics."""
 
-    __slots__ = ("name", "counts", "mean", "stddev", "median")
+    __slots__ = ("counts", "mean", "stddev", "median")
 
     @property
     def units(self) -> int:
         return sum(self.counts.values())
 
     @staticmethod
-    def from_values(name: str, values: list[int]) -> "StatSeries":
+    def from_values(values: list[int]) -> "StatSeries":
         if not values:
-            return StatSeries(name, {}, 0.0, 0.0, 0.0)
+            return StatSeries({}, 0.0, 0.0, 0.0)
         import statistics  # here, so that only `stats` loads it
 
         return StatSeries(
-            name,
             dict(sorted(Counter(values).items())),
             statistics.fmean(values),
             statistics.pstdev(values),
             float(statistics.median(values)),
         )
 
-    def table(self) -> list[str]:
-        lines = [f"  {self.name}"]
+    def table(self, name: str) -> list[str]:
+        lines = [f"  {name}"]
         for count, units in self.counts.items():
             lines.append(f"    {count:>4}  {units}")
         lines.append(f"    total units {self.units}")
@@ -426,16 +425,13 @@ class StatSeries(Frozen):
 
 
 class CorpusStatistics(Frozen):
-    """The `stats` report: per-unit count series and corpus sizes."""
+    """The `stats` report: the corpus sizes, and `series`, each `StatSeries`
+    by its printed name in print order (see `corpus_statistics`)."""
 
-    __slots__ = (
-        "placeholders_per_subsection", "arguments_per_subsection", "mentions_per_argument", "rule_arguments",
-        "rule_dependencies", "input_pairs", "output_pairs", "section_file_count", "subsection_count",
-        "case_count", "silver_count",
-    )
+    __slots__ = ("section_file_count", "subsection_count", "case_count", "silver_count", "series")
 
     def render(self) -> str:
-        """The statistics as text tables."""
+        """The sizes, then each series' table; a silver series only when it has units."""
         lines = [
             "corpus statistics",
             f"  section files: {self.section_file_count}"
@@ -443,62 +439,45 @@ class CorpusStatistics(Frozen):
             f"   gold cases: {self.case_count}"
             f"   silver cases: {self.silver_count}",
         ]
-        for series in (
-            self.placeholders_per_subsection, self.arguments_per_subsection, self.mentions_per_argument,
-            self.rule_arguments, self.rule_dependencies,
-        ):
-            lines += series.table()
-        for per_split in (self.input_pairs, self.output_pairs):
-            for split in ("train", "test", "all", "silver"):
-                series = per_split[split]
-                if series.units or split in ("train", "test", "all"):
-                    lines += series.table()
+        for name, series in self.series.items():
+            if series.units or not name.endswith("[silver]"):
+                lines += series.table(name)
         return "\n".join(lines)
 
     def flat(self) -> dict[str, float]:
+        placeholders = self.series["placeholders per subsection"]
         return {
             "subsections": float(self.subsection_count),
             "gold_cases": float(self.case_count),
             "silver_cases": float(self.silver_count),
-            "placeholders_mean": self.placeholders_per_subsection.mean,
-            "placeholders_stddev": self.placeholders_per_subsection.stddev,
-            "arguments_mean": self.arguments_per_subsection.mean,
-            "mentions_mean": self.mentions_per_argument.mean,
+            "placeholders_mean": placeholders.mean,
+            "placeholders_stddev": placeholders.stddev,
+            "arguments_mean": self.series["arguments per subsection"].mean,
+            "mentions_mean": self.series["mentions per argument"].mean,
         }
 
 
 def corpus_statistics(corpus: Corpus) -> CorpusStatistics:
-    span_counts, cluster_counts, mention_counts = [], [], []
-    for sid in corpus.subsections:
-        layer = corpus.layers.get(sid)
-        span_counts.append(len(layer.spans) if layer else 0)
-        cluster_counts.append(len(layer.clusters) if layer else 0)
-        if layer:
-            mention_counts.extend(len(c) for c in layer.clusters)
-
-    rule_args = [len(r.params) for r in corpus.program.values()]
-    rule_deps = [len(list(iter_refs(r.body))) for r in corpus.program.values()]
-
-    def pair_series(which: str) -> dict[str, StatSeries]:
-        groups: dict[str, list[int]] = {"train": [], "test": [], "all": [], "silver": []}
-        for case in (*corpus.cases, *corpus.silver):
-            n = len(getattr(case, which))
-            if case.split in groups:
-                groups[case.split].append(n)
-            if case.split != "silver":
-                groups["all"].append(n)
-        return {split: StatSeries.from_values(f"{which}[{split}]", v) for split, v in groups.items()}
-
+    """The corpus sizes and its series: placeholders and arguments per
+    subsection, mentions per argument, arguments and dependencies per rule,
+    then the input and the expected pairs per case of the train and test
+    splits, of every gold split ("all") and of the silver cases."""
+    layers = [corpus.layers.get(sid) for sid in corpus.subsections]
+    values = {
+        "placeholders per subsection": [len(layer.spans) if layer else 0 for layer in layers],
+        "arguments per subsection": [len(layer.clusters) if layer else 0 for layer in layers],
+        "mentions per argument": [len(c) for layer in layers if layer for c in layer.clusters],
+        "rule arguments": [len(r.params) for r in corpus.program.values()],
+        "rule dependencies": [len(list(iter_refs(r.body))) for r in corpus.program.values()],
+    }
+    for which in ("inputs", "expected"):
+        for split in ("train", "test", "all", "silver"):
+            cases = corpus.silver if split == "silver" else corpus.cases_of(split)
+            values[f"{which}[{split}]"] = [len(getattr(case, which)) for case in cases]
     return CorpusStatistics(
-        placeholders_per_subsection=StatSeries.from_values("placeholders per subsection", span_counts),
-        arguments_per_subsection=StatSeries.from_values("arguments per subsection", cluster_counts),
-        mentions_per_argument=StatSeries.from_values("mentions per argument", mention_counts),
-        rule_arguments=StatSeries.from_values("rule arguments", rule_args),
-        rule_dependencies=StatSeries.from_values("rule dependencies", rule_deps),
-        input_pairs=pair_series("inputs"),
-        output_pairs=pair_series("expected"),
         section_file_count=len(corpus.section_files),
         subsection_count=len(corpus.subsections),
         case_count=len(corpus.cases),
         silver_count=len(corpus.silver),
+        series={name: StatSeries.from_values(v) for name, v in values.items()},
     )

@@ -257,17 +257,18 @@ def iter_records(text: str):
 
 
 def item_repr(item: object) -> str:
-    """An item as error messages print it: as an Entry, PairLit or Labeled."""
+    """An item as the record syntax writes it, so that `parse_value_literal`
+    reads it back: `a=$5`, `(0, 1)`, `A:[1]`, `[0, A:[1]]`."""
     if type(item) is tuple:
         if type(item[0]) is str:
-            return f"Entry(key={item[0]!r}, value={item_repr(item[1])})"
-        return f"PairLit(start={item[0]!r}, end={item[1]!r})"
+            return f"{write_name(item[0])}={item_repr(item[1])}"
+        return f"({item[0]}, {item[1]})"
     if type(item) is dict:
         [(label, items)] = item.items()
-        return f"Labeled(label={label!r}, items={item_repr(items)})"
+        return f"{write_name(label)}:{item_repr(items)}"
     if type(item) is list:
         return "[" + ", ".join(map(item_repr, item)) + "]"
-    return repr(item)
+    return write_value(item)
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +339,10 @@ def as_value_map(items: object, where: str = "") -> ValueMap:
         pairs.append(item)
     try:
         if item_at is not None:
+            name, item = pairs[item_at]
             # The value map's checks of the entries before, and of this key.
-            ValueMap(pairs[:item_at] + [(pairs[item_at][0], 1.0)])
-            raise ValueError(f"unsupported value type: {item_repr(pairs[item_at][1]).partition('(')[0]}")
+            ValueMap(pairs[:item_at] + [(name, 1.0)])
+            raise ValueError(f"argument {write_name(name)} holds {item_repr(item)}, which is not a value")
         return ValueMap(pairs)
     except ValueError as exc:
         raise RecordError(f"{where}: {exc}") from exc

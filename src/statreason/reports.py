@@ -11,8 +11,8 @@ as a pooled corpus-level count ("macro"); zero-argument subsections are
 vacuous and excluded from both. The coreference and cascade reports key a
 mention by (subsection, start, end) in one builder, `_cluster_units`, and
 the standard metrics treat the whole corpus as one mention universe.
-`instantiation_report` scores what `engine.run_cases` returns; this module
-imports nothing from the engine, and `engine.note_text` renders the notes.
+`instantiation_report` scores the results of `engine.run_cases`, not its
+notes; this module imports nothing from the engine.
 """
 
 from __future__ import annotations
@@ -154,7 +154,6 @@ _FAMILIES = (
 class InstantiationReport(Frozen):
     __slots__ = (
         "truth", "dollar", "string", "unified", "binary_cases", "numerical_cases", "pairs", "arg_scores", "errors",
-        "note_records",
     )
 
     def flat(self) -> dict[str, float]:
@@ -179,10 +178,10 @@ class InstantiationReport(Frozen):
         return "\n".join(lines)
 
 
-def instantiation_report(results, config, notes=()) -> InstantiationReport:
-    """Score a run: `results` are its `engine.CaseResult`s, `config` its
-    `engine.EngineConfig` and `notes` its note tuples, which the report
-    keeps."""
+def instantiation_report(results, config) -> InstantiationReport:
+    """Score a run: `results` are its `engine.CaseResult`s and `config` its
+    `engine.EngineConfig`. The run's notes are not scored; they stay with
+    whoever ran it."""
     scores: list[ArgScore] = []
     decisions: dict[str, bool | None] = {}
     truth_correct: dict[str, int] = {}
@@ -214,5 +213,4 @@ def instantiation_report(results, config, notes=()) -> InstantiationReport:
         pairs=pair_consistency([r.case for r in results], decisions, truth_correct),
         arg_scores=tuple(scores),
         errors=tuple(f"{r.case.id}: {r.error}" for r in results if r.error),
-        note_records=tuple(notes),
     )

@@ -8,6 +8,7 @@ from pathlib import Path
 
 from statreason import records
 from statreason.corpus import Corpus, serialize_cases, serialize_coref, serialize_spans
+from statreason.model import Case
 from statreason.rules import print_rule
 
 
@@ -55,6 +56,17 @@ def write_corpus(corpus: Corpus, root: Path) -> Path:
     (root / "cases").mkdir(parents=True)
     _write(root, files)
     return root / "manifest.txt"
+
+
+def write_dev_split(corpus: Corpus, root: Path) -> Path:
+    """Write `corpus` as `write_corpus` does, but with no silver cases and
+    its last two test cases in a third split, `dev`; its manifest's path."""
+    dev = {case.id for case in corpus.cases_of("test")[-2:]}
+    cases = tuple(
+        Case(c.id, c.description, c.query, c.inputs, c.expected, "dev") if c.id in dev else c for c in corpus.cases
+    )
+    fields = (corpus.manifest, corpus.subsections, corpus.layers, corpus.program, cases, (), corpus.section_files)
+    return write_corpus(Corpus(*fields), root)
 
 
 def write_distributed(corpus: Corpus, root: Path) -> None:

@@ -927,7 +927,6 @@ def instantiation_report(
         pairs=pairs,
         arg_scores=tuple(scores),
         errors=tuple(f"{r.case.id}: {r.error}" for r in results if r.error),
-        note_records=(),
     )
 
 
@@ -1151,7 +1150,7 @@ def as_value_map(items: object, where: str = "") -> ValueMap:
     pairs = []
     for item in items:
         if not isinstance(item, Entry):
-            raise RecordError(f"{where}: expected key=value entries, found {item!r}")
+            raise RecordError(f"{where}: expected key=value entries, found {records.item_repr(item_shapes(item))}")
         value = item.value
         if isinstance(value, list):
             value = tuple(_plain(v, where) for v in value)
@@ -1159,12 +1158,17 @@ def as_value_map(items: object, where: str = "") -> ValueMap:
     try:
         return ValueMap(pairs)
     except ValueError as exc:
-        raise RecordError(f"{where}: {exc}") from exc
+        message = str(exc)
+        if message.startswith("unsupported value type: "):  # the first structured value, which no check passes
+            key, value = next((k, v) for k, v in pairs if isinstance(v, (Entry, Labeled, PairLit)))
+            shown = records.item_repr(item_shapes(value))
+            message = f"argument {records.write_name(key)} holds {shown}, which is not a value"
+        raise RecordError(f"{where}: {message}") from exc
 
 
 def _plain(item: object, where: str) -> Value:
     if isinstance(item, (Entry, Labeled, PairLit)):
-        raise RecordError(f"{where}: unexpected structured item {item!r} in a value list")
+        raise RecordError(f"{where}: unexpected structured item {records.item_repr(item_shapes(item))} in a value list")
     if isinstance(item, list):
         return tuple(_plain(v, where) for v in item)
     return item

@@ -54,8 +54,8 @@ def ok(n: int, text: str) -> None:
 
 def test_criterion_1_oracle_closure(corpus):
     start = time.monotonic()
-    results, notes = run_cases(OracleResolver(), corpus, "all")
-    report = instantiation_report(results, EngineConfig(), notes)
+    results, _ = run_cases(OracleResolver(), corpus, "all")
+    report = instantiation_report(results, EngineConfig())
     elapsed = time.monotonic() - start
     assert report.truth.accuracy == 1.0
     assert report.dollar.accuracy == 1.0
@@ -70,8 +70,8 @@ def test_criterion_1_oracle_closure(corpus):
 @needs_sara
 def test_criterion_1_oracle_closure_full_corpus(sara):
     start = time.monotonic()
-    results, notes = run_cases(OracleResolver(), sara, "all")
-    report = instantiation_report(results, EngineConfig(), notes)
+    results, _ = run_cases(OracleResolver(), sara, "all")
+    report = instantiation_report(results, EngineConfig())
     elapsed = time.monotonic() - start
     assert report.unified.accuracy == 1.0
     assert elapsed < 10.0
@@ -173,8 +173,8 @@ def test_criterion_3_standard_metrics_vs_reported(sara):
 
 def test_criterion_4_constant_baseline_fixture_regression(corpus):
     params = fit_constant_baseline(list(corpus.cases_of("train")))
-    results, notes = run_cases(ConstantResolver(params), corpus, "test")
-    report = instantiation_report(results, EngineConfig(), notes)
+    results, _ = run_cases(ConstantResolver(params), corpus, "test")
+    report = instantiation_report(results, EngineConfig())
     assert report.truth.accuracy == pytest.approx(3 / 5)
     assert report.unified.accuracy == pytest.approx(3 / 6)
     assert report.pairs.identical == 2
@@ -187,16 +187,16 @@ def test_criterion_4_constant_baseline_fixture_regression(corpus):
 @needs_sara
 def test_criterion_4_constant_baseline_vs_reported(sara):
     params = fit_constant_baseline(list(sara.cases_of("train")))
-    results, notes = run_cases(ConstantResolver(params), sara, "test")
-    report = instantiation_report(results, EngineConfig(), notes)
+    results, _ = run_cases(ConstantResolver(params), sara, "test")
+    report = instantiation_report(results, EngineConfig())
     assert 100 * report.truth.accuracy == pytest.approx(58.3, abs=7.5)
     assert 100 * report.dollar.accuracy == pytest.approx(18.2, abs=11.5)
     assert 100 * report.string.accuracy == pytest.approx(4.4, abs=7.4)
     assert 100 * report.unified.accuracy == pytest.approx(43.3, abs=6.2)
     if sara.silver:
         silver_params = fit_constant_baseline(list(sara.cases_of("train")) + list(sara.silver))
-        results, notes = run_cases(ConstantResolver(silver_params), sara, "test")
-        silver_report = instantiation_report(results, EngineConfig(), notes)
+        results, _ = run_cases(ConstantResolver(silver_params), sara, "test")
+        silver_report = instantiation_report(results, EngineConfig())
         assert 100 * silver_report.dollar.accuracy == pytest.approx(39.4, abs=14.6)
     ok(4, "constant baseline matches the reported corpus numbers within their intervals")
 
@@ -365,14 +365,14 @@ def test_criterion_7_round_trip_and_exact_shape(corpus, manifest_path):
 def test_criterion_8_fixture_statistics_exact(corpus):
     s = corpus_statistics(corpus)
     assert s.case_count == 8
-    assert s.placeholders_per_subsection.counts == {0: 1, 2: 3, 3: 3, 4: 2, 5: 1, 8: 1, 12: 1}
-    assert s.placeholders_per_subsection.mean == pytest.approx(4.0)
+    assert s.series["placeholders per subsection"].counts == {0: 1, 2: 3, 3: 3, 4: 2, 5: 1, 8: 1, 12: 1}
+    assert s.series["placeholders per subsection"].mean == pytest.approx(4.0)
     # Counts are [0, 2,2,2, 3,3,3, 4,4, 5, 8, 12]: population variance 112/12.
-    assert s.placeholders_per_subsection.stddev == pytest.approx((112 / 12) ** 0.5)
-    assert s.placeholders_per_subsection.median == 3
-    assert s.mentions_per_argument.counts == {1: 34, 2: 5, 4: 1}
-    assert s.input_pairs["all"].units == 8
-    assert s.output_pairs["silver"].counts == {2: 2}
+    assert s.series["placeholders per subsection"].stddev == pytest.approx((112 / 12) ** 0.5)
+    assert s.series["placeholders per subsection"].median == 3
+    assert s.series["mentions per argument"].counts == {1: 34, 2: 5, 4: 1}
+    assert s.series["inputs[all]"].units == 8
+    assert s.series["expected[silver]"].counts == {2: 2}
     ok(8, "fixture corpus statistics are integer-exact against hand counts")
 
 
@@ -382,16 +382,16 @@ def test_criterion_8_statistics_vs_reported(sara):
     assert s.case_count == 376
     assert len(sara.cases_of("train")) == 256
     assert len(sara.cases_of("test")) == 120
-    assert s.placeholders_per_subsection.counts == {
+    assert s.series["placeholders per subsection"].counts == {
         0: 33, 1: 39, 2: 34, 3: 32, 4: 13, 5: 11, 6: 7, 7: 4, 8: 10, 9: 5,
         10: 2, 11: 2, 12: 1, 14: 1,
     }
-    assert round(s.placeholders_per_subsection.mean, 1) == 3.0
-    assert round(s.placeholders_per_subsection.stddev, 1) == 2.8
-    assert s.placeholders_per_subsection.median == 2
-    assert s.arguments_per_subsection.counts == {
+    assert round(s.series["placeholders per subsection"].mean, 1) == 3.0
+    assert round(s.series["placeholders per subsection"].stddev, 1) == 2.8
+    assert s.series["placeholders per subsection"].median == 2
+    assert s.series["arguments per subsection"].counts == {
         0: 33, 1: 40, 2: 44, 3: 30, 4: 15, 5: 10, 6: 13, 7: 5, 8: 4,
     }
-    assert s.mentions_per_argument.counts == {1: 391, 2: 70, 3: 6, 4: 6}
-    assert round(s.mentions_per_argument.mean, 1) == 1.2
+    assert s.series["mentions per argument"].counts == {1: 391, 2: 70, 3: 6, 4: 6}
+    assert round(s.series["mentions per argument"].mean, 1) == 1.2
     ok(8, "corpus statistics reproduce the reported tables integer-exactly")

@@ -25,7 +25,7 @@ from statreason.rules import parse_program
 
 import oracles
 from generators import corpora, corpus_fields
-from layouts import write_corpus
+from layouts import write_corpus, write_dev_split
 from test_corruption import corruptions
 
 FIXTURES = Path(__file__).parent / "fixtures" / "corpus"
@@ -202,13 +202,13 @@ class TestLoadLayers:
             ("spans.txt", "spans=5", "expected a [(start, end), ...] list"),
             ("spans.txt", "spans=a=1", "expected a [(start, end), ...] list"),
             ("spans.txt", "spans=(5, 50)", "expected a [(start, end), ...] list"),
-            ("spans.txt", "spans=[(5, 50), a=1]", "expected (start, end) pairs, found Entry(key='a', value=1)"),
+            ("spans.txt", "spans=[(5, 50), a=1]", "expected (start, end) pairs, found a=1"),
             ("coref.txt", "clusters=A:[0]", "expected a [Name:[0, 1], [2], ...] list"),
             ("coref.txt", 'clusters=""', "expected a [Name:[0, 1], [2], ...] list"),
             ("coref.txt", "clusters=[(0, 1)]",
-             "expected clusters like Name:[0, 1] or [0, 1], found PairLit(start=0, end=1)"),
+             "expected clusters like Name:[0, 1] or [0, 1], found (0, 1)"),
             ("coref.txt", "clusters=[[0, A:[1]]]",
-             "cluster members must be span indices, got [0, Labeled(label='A', items=[1])]"),
+             "cluster members must be span indices, got [0, A:[1]]"),
             ("statutes/offsets.txt", "file=3", 'offsets need file="..." start=<int> end=<int>'),
             ("statutes/offsets.txt", 'file="sub/inner.txt"', NOT_A_FILE_NAME.format("'sub/inner.txt'")),
             ("statutes/offsets.txt", 'file="../outside.txt"', NOT_A_FILE_NAME.format("'../outside.txt'")),
@@ -217,8 +217,8 @@ class TestLoadLayers:
             ("statutes/offsets.txt", 'file="."', NOT_A_FILE_NAME.format("'.'")),
             ("statutes/offsets.txt", 'file=".."', NOT_A_FILE_NAME.format("'..'")),
             ("cases/test.cases", "query=3", "query and description must be quoted strings"),
-            ("cases/test.cases", "inputs=[Zz=(1, 2)]", "inputs: unsupported value type: PairLit"),
-            ("cases/test.cases", "inputs=[Zz=L:[1]]", "inputs: unsupported value type: Labeled"),
+            ("cases/test.cases", "inputs=[Zz=(1, 2)]", "inputs: argument Zz holds (1, 2), which is not a value"),
+            ("cases/test.cases", "inputs=[Zz=L:[1]]", "inputs: argument Zz holds L:[1], which is not a value"),
         ],
     )
     def test_fields_of_the_wrong_shape_name_their_line(self, tmp_path, capsys, file, value, message):
@@ -404,7 +404,7 @@ class TestReadingRule:
         first, old = text.split("\n", 1)[0], 'inputs=[Taxp="Bob", Taxy="2017", Bassd=$500]'
         assert old in first
         path.write_text(text + first.replace(old, "inputs=[Zz=(1, 2)]") + "\n", encoding="utf-8")
-        assert self.errors(root) == ["cases/test.cases:6: inputs: unsupported value type: PairLit"]
+        assert self.errors(root) == ["cases/test.cases:6: inputs: argument Zz holds (1, 2), which is not a value"]
 
     def test_a_case_id_is_unique_across_files(self, tmp_path):
         root = copy_corpus(tmp_path)
@@ -708,21 +708,41 @@ class TestRoundTrip:
 class TestStatistics:
     def test_fixture_histograms(self, corpus):
         s = corpus_statistics(corpus)
-        assert s.placeholders_per_subsection.counts == {0: 1, 2: 3, 3: 3, 4: 2, 5: 1, 8: 1, 12: 1}
-        assert s.placeholders_per_subsection.mean == pytest.approx(4.0)
-        assert s.placeholders_per_subsection.median == 3
-        assert s.arguments_per_subsection.counts == {0: 1, 2: 4, 3: 3, 4: 2, 7: 1, 8: 1}
-        assert s.mentions_per_argument.counts == {1: 34, 2: 5, 4: 1}
-        assert s.mentions_per_argument.mean == pytest.approx(48 / 40)
-        assert s.rule_dependencies.counts == {0: 8, 1: 2, 2: 1, 4: 1}
+        assert s.series["placeholders per subsection"].counts == {0: 1, 2: 3, 3: 3, 4: 2, 5: 1, 8: 1, 12: 1}
+        assert s.series["placeholders per subsection"].mean == pytest.approx(4.0)
+        assert s.series["placeholders per subsection"].median == 3
+        assert s.series["arguments per subsection"].counts == {0: 1, 2: 4, 3: 3, 4: 2, 7: 1, 8: 1}
+        assert s.series["mentions per argument"].counts == {1: 34, 2: 5, 4: 1}
+        assert s.series["mentions per argument"].mean == pytest.approx(48 / 40)
+        assert s.series["rule dependencies"].counts == {0: 8, 1: 2, 2: 1, 4: 1}
         assert s.case_count == 8 and s.silver_count == 2
 
     def test_pair_counts_by_split(self, corpus):
         s = corpus_statistics(corpus)
-        assert s.input_pairs["train"].counts == {2: 3}
-        assert s.input_pairs["silver"].counts == {1: 2}
-        assert s.output_pairs["train"].counts == {1: 1, 2: 1, 5: 1}
-        assert s.output_pairs["all"].units == 8
+        assert s.series["inputs[train]"].counts == {2: 3}
+        assert s.series["inputs[silver]"].counts == {1: 2}
+        assert s.series["expected[train]"].counts == {1: 1, 2: 1, 5: 1}
+        assert s.series["expected[all]"].units == 8
+
+    def test_a_third_split_and_no_silver(self, corpus, tmp_path, capsys):
+        # "all" is every gold case, those of `dev` too, and a corpus without
+        # silver cases prints no silver series.
+        manifest = write_dev_split(corpus, tmp_path / "corpus")
+        s, fixture = corpus_statistics(load_corpus(manifest)), corpus_statistics(corpus)
+        assert (s.case_count, s.silver_count) == (8, 0)
+        assert s.series["inputs[train]"] == fixture.series["inputs[train]"]
+        assert s.series["inputs[test]"].units == 3 and fixture.series["inputs[test]"].units == 5
+        assert s.series["inputs[all]"] == fixture.series["inputs[all]"] and s.series["inputs[all]"].units == 8
+        assert s.series["expected[all]"] == fixture.series["expected[all]"]
+        assert s.series["inputs[silver]"].units == s.series["expected[silver]"].units == 0
+        assert "[silver]" not in s.render() and "inputs[silver]" in fixture.render()
+
+        out = tmp_path / "out"
+        assert main(["stats", "--manifest", str(manifest), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == s.render() + "\n"
+        assert (out / "stats.report.txt").read_text(encoding="utf-8") == s.render() + "\n"
+        written = (out / "stats.records.txt").read_text(encoding="utf-8").splitlines()[1:]
+        assert written == [f"{name} value={value:.6f}" for name, value in s.flat().items()]
 
     def test_empty_corpus_all_zero(self, tmp_path):
         (tmp_path / "statutes").mkdir()
@@ -737,5 +757,5 @@ class TestStatistics:
         )
         s = corpus_statistics(load_corpus(tmp_path / "manifest.txt"))
         assert s.subsection_count == 0 and s.case_count == 0
-        assert s.placeholders_per_subsection.counts == {}
-        assert s.placeholders_per_subsection.mean == 0.0
+        assert s.series["placeholders per subsection"].counts == {}
+        assert s.series["placeholders per subsection"].mean == 0.0

@@ -838,16 +838,16 @@ class TestEngineInvariants:
 
 class TestEvaluateRun:
     def test_oracle_scores_everything(self, corpus):
-        results, notes = run_cases(OracleResolver(), corpus, "all")
-        report = instantiation_report(results, EngineConfig(), notes)
+        results, _ = run_cases(OracleResolver(), corpus, "all")
+        report = instantiation_report(results, EngineConfig())
         assert report.unified.accuracy == 1.0
         assert report.truth.accuracy == 1.0
         assert report.dollar.accuracy == 1.0
         assert report.string.accuracy == 1.0
 
     def test_empty_split_empty_report(self, corpus):
-        results, notes = run_cases(OracleResolver(), corpus, "nope")
-        report = instantiation_report(results, EngineConfig(), notes)
+        results, _ = run_cases(OracleResolver(), corpus, "nope")
+        report = instantiation_report(results, EngineConfig())
         assert results == []
         assert report.unified.n == 0
 
@@ -858,8 +858,8 @@ class TestEvaluateRun:
                     raise RuntimeError("bad case")
                 return 1.0 if request.argument == TRUTH_KEY else None
 
-        results, notes = run_cases(Boom(), corpus, "test")
-        report = instantiation_report(results, EngineConfig(), notes)
+        results, _ = run_cases(Boom(), corpus, "test")
+        report = instantiation_report(results, EngineConfig())
         assert len(results) == 5
         assert len(report.errors) == 1
         assert "tax-case-4" in report.errors[0]
@@ -887,8 +887,8 @@ class TestEvaluateRun:
         steps = context.programs["C"]
         assert len(steps) == 9999 and [op for op, *_ in steps].count("open") == 4999
         config = EngineConfig(5000)
-        results, notes = run_cases(OracleResolver(), corpus, config=config)
-        report = instantiation_report(results, config, notes)
+        results, _ = run_cases(OracleResolver(), corpus, config=config)
+        report = instantiation_report(results, config)
         assert [(r.error, r.predicted) for r in results] == [(None, {TRUTH_KEY: 1.0})] * 2
         assert report.errors == () and report.unified.accuracy == 1.0
 
@@ -957,8 +957,8 @@ class TestEvaluateRun:
         params = ConstantBaselineParams(1.0, 42000, "Bob")
         scored = []
         for config in (EngineConfig(), EngineConfig(depth_cap=1)):
-            results, notes = run_cases(ConstantResolver(params), corpus, "test", config)
-            scored.append(instantiation_report(results, config, notes))
+            results, _ = run_cases(ConstantResolver(params), corpus, "test", config)
+            scored.append(instantiation_report(results, config))
         assert scored[0].flat() == scored[1].flat()
 
 
@@ -987,10 +987,9 @@ class TestNotes:
 
         monkeypatch.setattr(engine, "note_text", counting)
         results, notes = run_cases(OracleResolver(), corpus, "all")
-        report = instantiation_report(results, EngineConfig(), notes)
-        assert rendered == [] and len(report.note_records) > len(results)
-        assert tuple(map(engine.note_text, report.note_records)) == tuple(real(n) for n in report.note_records)
-        assert rendered == list(report.note_records)
+        assert rendered == [] and len(notes) > len(results)
+        assert tuple(map(engine.note_text, notes)) == tuple(real(n) for n in notes)
+        assert rendered == list(notes)
 
     def test_a_resolver_that_answers_nothing(self, corpus):
         # Every argument a case's query subsection does not get as input is

@@ -378,26 +378,35 @@ class TestNesting:
 
 class TestItemClasses:
     """The scanner's items as the loaders get them, tuples and one-key dicts,
-    and how error messages print them: by the names of the item classes that
-    they replace."""
+    and how error messages print them: as the record syntax writes them."""
 
     def test_pair_literal(self):
         pair = records.parse_value_literal("(15, 27)")
         assert pair == (15, 27) and pair != Span(15, 27)
-        assert records.item_repr(pair) == "PairLit(start=15, end=27)"
+        assert records.item_repr(pair) == "(15, 27)"
 
     def test_entry(self):
         entry = records.parse_value_literal("Tax=$5")
         assert entry == ("Tax", Money(5))
-        assert records.item_repr(entry) == "Entry(key='Tax', value=Money(dollars=5))"
+        assert records.item_repr(entry) == "Tax=$5"
 
     def test_labeled(self):
         labeled = records.parse_value_literal('A:[0, 1]')
         assert labeled == {"A": [0, 1]} == records.parse_value_literal('"A" :[0, 1]')
-        assert records.item_repr(labeled) == "Labeled(label='A', items=[0, 1])"
-        assert records.item_repr([labeled, ("k", [(1, 2)]), "s"]) == (
-            "[Labeled(label='A', items=[0, 1]), Entry(key='k', value=[PairLit(start=1, end=2)]), 's']"
-        )
+        assert records.item_repr(labeled) == "A:[0, 1]"
+        assert records.item_repr([labeled, ("k", [(1, 2)]), "s"]) == '[A:[0, 1], k=[(1, 2)], "s"]'
+        assert records.item_repr({"a b": [("@truth", 2017)]}) == '"a b":[@truth=2017]'
+
+    @given(st.one_of(item_texts(), edited_items()))
+    @example('[0, A:[1]]')
+    @example('"a b"=[2017-02-03, "x", (-3, 4), L:[true, 0.25, 2.5, $-5]]')
+    def test_every_item_reads_back_from_its_repr(self, text):
+        # By repr, which tells 1 from 1.0 and 1.0 from True.
+        try:
+            item = records.parse_value_literal(text)
+        except records.RecordError:
+            return
+        assert repr(records.parse_value_literal(records.item_repr(item))) == repr(item)
 
     def test_items_are_immutable(self):
         with pytest.raises(AttributeError, match="cannot assign to field 'id'"):
@@ -408,7 +417,10 @@ class TestItemClasses:
     def test_reprs_in_error_messages(self):
         with pytest.raises(records.RecordError) as exc:
             records.as_value_map(records.parse_value_literal('[a=[b=1]]'), "inputs")
-        assert str(exc.value) == "inputs: unexpected structured item Entry(key='b', value=1) in a value list"
+        assert str(exc.value) == "inputs: unexpected structured item b=1 in a value list"
         with pytest.raises(records.RecordError) as exc:
             records.as_value_map(records.parse_value_literal('[A:[0, 1]]'), "inputs")
-        assert str(exc.value) == "inputs: expected key=value entries, found Labeled(label='A', items=[0, 1])"
+        assert str(exc.value) == "inputs: expected key=value entries, found A:[0, 1]"
+        with pytest.raises(records.RecordError) as exc:
+            records.as_value_map(records.parse_value_literal('[a=1, "b c"=d=$5]'), "inputs")
+        assert str(exc.value) == 'inputs: argument "b c" holds d=$5, which is not a value'

@@ -110,8 +110,8 @@ class TestCascadeReport:
 class TestInstantiationReport:
     def test_constant_baseline_fixture_numbers(self, corpus):
         params = fit_constant_baseline(list(corpus.cases_of("train")))
-        results, notes = run_cases(ConstantResolver(params), corpus, "test")
-        report = instantiation_report(results, EngineConfig(), notes)
+        results, _ = run_cases(ConstantResolver(params), corpus, "test")
+        report = instantiation_report(results, EngineConfig())
         assert report.truth.accuracy == pytest.approx(3 / 5)
         assert report.dollar == report.dollar.__class__(0.0, 1)
         assert report.string.n == 0
@@ -121,15 +121,15 @@ class TestInstantiationReport:
         assert (report.pairs.identical, report.pairs.fully_correct, report.pairs.split) == (2, 0, 0)
 
     def test_oracle_pairs_fully_correct(self, corpus):
-        results, notes = run_cases(OracleResolver(), corpus, "all")
-        report = instantiation_report(results, EngineConfig(), notes)
+        results, _ = run_cases(OracleResolver(), corpus, "all")
+        report = instantiation_report(results, EngineConfig())
         assert report.pairs.identical == 0
         assert report.pairs.fully_correct == 3
         assert report.pairs.unpaired == ("tax-case-4", "tax-case-5")
 
     def test_render_mentions_every_family(self, corpus):
-        results, notes = run_cases(OracleResolver(), corpus, "test")
-        report = instantiation_report(results, EngineConfig(), notes)
+        results, _ = run_cases(OracleResolver(), corpus, "test")
+        report = instantiation_report(results, EngineConfig())
         text = report.render()
         for label in ("@truth", "dollar amount", "string", "unified", "binary", "numerical"):
             assert label in text
