@@ -233,15 +233,15 @@ class _Argument:
 
 def _argument(arguments: dict[tuple, _Argument], request) -> _Argument:
     """The argument the request asks for, read from its placeholder text (its
-    mentions' text joined by spaces) or from its name when it has no mention
-    or the subsection has no text. It is read once per (plan, argument) and
-    kept in `arguments`; each run has its own plans, so a resolver that
-    serves several runs answers each from its own text."""
+    mentions' text joined by spaces) or from its name when it has no mention.
+    It is read once per (plan, argument) and kept in `arguments`; each run
+    has its own plans, so a resolver that serves several runs answers each
+    from its own text."""
     key = (request.subsection, request.argument)
     argument = arguments.get(key)
     if argument is None:
         layer, text, name = request.subsection.layer, request.subsection.text, request.argument
-        cluster = dict(layer.labelled_clusters).get(name) if text else None
+        cluster = dict(layer.labelled_clusters).get(name)
         spans = layer.spans
         placeholder = name if cluster is None else " ".join([text[spans[i].start : spans[i].end] for i in cluster])
         argument = arguments[key] = _Argument(placeholder)

@@ -160,14 +160,9 @@ def check_floors(flat: dict[str, float], floors: dict[str, float]) -> list[str]:
 
 
 def _run_line(corpus: Corpus, command: str, **settings) -> str:
-    parts = [f"@run command={records.write_text(command)}"]
-    for key, value in settings.items():
-        if isinstance(value, str):
-            parts.append(f"{key}={records.write_text(value)}")
-        else:
-            parts.append(f"{key}={str(value).lower() if isinstance(value, bool) else value}")
-    parts.append(f"corpus={records.write_text(corpus_hash(corpus))}")
-    return " ".join(parts)
+    settings = {"command": command, **settings, "corpus": corpus_hash(corpus)}
+    parts = [f"{k}={str(v).lower() if isinstance(v, bool) else records.write_value(v)}" for k, v in settings.items()]
+    return " ".join(["@run", *parts])
 
 
 def cmd_stats(args) -> int:

@@ -15,8 +15,8 @@ Values enter the engine only as `Case.inputs` and checked resolver answers,
 so the engine keeps them in plain dicts.
 
 A run (`run_cases`) is one `RunContext`. It holds what the run fixes (the
-program, the argument layers, the subsection texts and the `EngineConfig`),
-what is built once from those and shared across cases (each subsection's
+corpus, as `load_corpus` gives it, and the `EngineConfig`), what is built
+once from those and shared across cases (each subsection's
 `SubsectionPlan`, its text cut at its labelled mentions, and each query's
 program, the tuple of `rules.unroll`'s (op, id, depth, bindings, body,
 arity) tuples at the run's depth cap), and the notes its cases add.
@@ -35,7 +35,7 @@ from typing import Protocol
 
 from .model import ArgumentLayer, Case, Frozen, TRUTH_KEY, Value, _set, check_truth, check_value, layer_of
 from .records import write_value
-from .rules import Program, unroll
+from .rules import unroll
 
 
 class EngineConfig(Frozen):
@@ -166,7 +166,6 @@ def value_surface(value: Value, threshold: float) -> str:
 _NOTE_TEXT = {
     "no value": "{0}: no value for {2!r} of {1}",
     "no truth": "{0}: resolver gave no @truth for {1}; defaulting to 0.0",
-    "no text": "{0}: no text for {1}; grounding over empty text",
     "error": "{0}: {2}",
 }
 
@@ -226,7 +225,8 @@ def _instantiate(
 
 
 def do_operation(kind: str, children: list[dict[str, Value]]) -> dict[str, Value]:
-    """Combine children's values at a logical-operator node.
+    """Combine children's values at a logical-operator node, whose shape
+    `rules.Op` checked: "NOT" over one child, "AND" or "OR" over two or more.
 
     NOT keeps only the negated truth score. OR adopts the entire value map of
     the child with the highest truth score. AND pools all children's values
@@ -234,50 +234,36 @@ def do_operation(kind: str, children: list[dict[str, Value]]) -> dict[str, Value
     the child with the lower truth score.
     """
     if kind == "NOT":
-        if len(children) != 1:
-            raise EngineError(f"NOT takes exactly 1 child, got {len(children)}")
-        child_truth = float(children[0].get(TRUTH_KEY, 0.0))
-        return {TRUTH_KEY: 1.0 - child_truth}
-    if len(children) < 2:
-        raise EngineError(f"{kind} takes at least 2 children, got {len(children)}")
+        return {TRUTH_KEY: 1.0 - float(children[0].get(TRUTH_KEY, 0.0))}
     truths = [float(c.get(TRUTH_KEY, 0.0)) for c in children]
     if kind == "OR":
         winner = truths.index(max(truths))  # the first of the highest
         return {**children[winner], TRUTH_KEY: truths[winner]}
-    if kind == "AND":
-        # Lower-truth children win conflicts, so merge in descending-truth
-        # order (a stable sort keeps ties in child order) and let later
-        # (lower) children overwrite.
-        merged: dict[str, Value] = {}
-        for i in sorted(range(len(children)), key=truths.__getitem__, reverse=True):
-            merged.update(children[i])
-        merged.pop(TRUTH_KEY, None)
-        merged[TRUTH_KEY] = min(truths)
-        return merged
-    raise EngineError(f"unknown operator {kind!r}")
+    # AND: lower-truth children win conflicts, so merge in descending-truth
+    # order (a stable sort keeps ties in child order) and let later (lower)
+    # children overwrite.
+    merged: dict[str, Value] = {}
+    for i in sorted(range(len(children)), key=truths.__getitem__, reverse=True):
+        merged.update(children[i])
+    merged.pop(TRUTH_KEY, None)
+    merged[TRUTH_KEY] = min(truths)
+    return merged
 
 
 class RunContext:
-    """One run of the engine. It holds what the run fixes: the rule program,
-    the argument layers, the subsection texts by id and the config. It holds
-    what is built once from those and shared by the run's cases: each
-    query's program as `rules.unroll` gives it (`programs`) and each
-    subsection's plan (`plans`); neither holds a case's values, so cases
-    only read them. And it holds the notes the run's cases add, in order, as
-    (case id, subsection, argument, kind) tuples (see `note_text`)."""
+    """One run of the engine. It holds what the run fixes: the corpus, as
+    `load_corpus` returns it (so every query has a rule and every id its
+    rules name has a subsection), and the config. It holds what is built
+    once from those and shared by the run's cases: each query's program as
+    `rules.unroll` gives it (`programs`) and each subsection's plan
+    (`plans`); neither holds a case's values, so cases only read them. And
+    it holds the notes the run's cases add, in order, as (case id,
+    subsection, argument, kind) tuples (see `note_text`)."""
 
-    __slots__ = ("program", "layers", "texts", "config", "programs", "plans", "notes")
+    __slots__ = ("corpus", "config", "programs", "plans", "notes")
 
-    def __init__(
-        self,
-        program: Program,
-        layers: Mapping[str, ArgumentLayer],
-        texts: Mapping[str, str],
-        config: EngineConfig = EngineConfig(),
-    ):
-        self.program = program
-        self.layers = layers
-        self.texts = texts
+    def __init__(self, corpus, config: EngineConfig = EngineConfig()):
+        self.corpus = corpus
         self.config = config
         self.programs: dict[str, tuple[tuple, ...]] = {}
         self.plans: dict[str, SubsectionPlan] = {}
@@ -288,21 +274,19 @@ def instantiate_full(resolver: Resolver, case: Case, context: RunContext) -> dic
     """Instantiate a case's query subsection over its unrolled rules: one
     loop over the query's program, unrolled on its first case in `context`
     with a plan for each of its subsections, with a stack of the values each
-    open subsection's body sees and a stack of results. Notes go to
+    open subsection's body sees and a stack of results. The context's corpus
+    is a loaded one (see `RunContext`), so the query has a rule and every id
+    of its program a subsection; neither is checked again here. Notes go to
     `context.notes`."""
-    texts, plans = context.texts, context.plans
+    plans = context.plans
     program = context.programs.get(case.query)
     if program is None:
-        if case.query not in context.program:
-            raise EngineError(f"case {case.id}: query {case.query} has no rule")
-        program = tuple(unroll(context.program, case.query, context.config.depth_cap))
-        layers, threshold = context.layers, context.config.truth_threshold
-        try:
-            for _, sid, *_ in program:
-                if sid is not None and sid not in plans:
-                    plans[sid] = SubsectionPlan(layer_of(layers, sid), texts.get(sid, ""), threshold)
-        except ValueError as exc:  # a callee without a rule whose id no layer can have
-            raise EngineError(f"case {case.id}: {exc}") from exc
+        corpus, config = context.corpus, context.config
+        program = tuple(unroll(corpus.program, case.query, config.depth_cap))
+        for _, sid, *_ in program:
+            if sid is not None and sid not in plans:
+                text = corpus.subsections[sid].text
+                plans[sid] = SubsectionPlan(layer_of(corpus.layers, sid), text, config.truth_threshold)
         context.programs[case.query] = program
     resolve, note, insert_gold = resolver.resolve, context.notes.append, context.config.insert_gold
     inputs = dict(case.inputs)
@@ -332,8 +316,6 @@ def instantiate_full(resolver: Resolver, case: Case, context: RunContext) -> dic
         if op == "open":
             envs.append(known)
             continue
-        if sid not in texts:
-            note((case.id, sid, None, "no text"))
         result = _instantiate(resolve, plans[sid], known, case, insert_gold, note)
         if depth > 1:
             out = {}
@@ -366,8 +348,7 @@ def run_cases(
     """Instantiate every case of a split in corpus order, in one
     `RunContext`: (results, the run's notes). Per-case errors are recorded
     and the run continues."""
-    texts = {s.id: s.text for s in corpus.subsections.values()}
-    context = RunContext(corpus.program, corpus.layers, texts, config)
+    context = RunContext(corpus, config)
     results = []
     for case in corpus.cases_of(split):
         try:

@@ -457,3 +457,12 @@ def corpora(draw, distributed: bool = False) -> Corpus:
 def corpus_fields(corpus: Corpus) -> tuple:
     """Everything a corpus holds but its manifest."""
     return tuple(getattr(corpus, name) for name in Corpus.__slots__[1:])
+
+
+def corpus_of(program: Program, layers: dict[str, ArgumentLayer], texts: dict[str, str], cases=()) -> Corpus:
+    """A corpus made from parts: a subsection per text, the layers and the
+    program as given, the gold cases and one section file, which
+    `layouts.write_corpus` writes; no manifest and no silver case. Like a
+    loaded corpus, it should give every id that the program names a text."""
+    subsections = {sid: Subsection(sid, text) for sid, text in texts.items()}
+    return Corpus(None, subsections, layers, program, tuple(cases), (), ("statute.txt",))

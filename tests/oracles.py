@@ -581,22 +581,18 @@ def _instantiate(
 
 def instantiate_full(resolver: Resolver, case: Case, context: RunContext) -> dict[str, Value]:
     """Instantiate a case's query subsection over its dependency tree, built
-    afresh for the case; `context` lends its inputs, its plans and its
-    notes list."""
-    program, layers, subsections = context.program, context.layers, context.texts
-    config, notes = context.config, context.notes
-    if case.query not in program:
-        raise EngineError(f"case {case.id}: query {case.query} has no rule")
-    tree = build_dependency_tree(program, case.query, config.depth_cap)
+    afresh for the case; `context` lends its corpus, its config, its plans
+    and its notes list."""
+    corpus, config, notes = context.corpus, context.config, context.notes
+    tree = build_dependency_tree(corpus.program, case.query, config.depth_cap)
     values = populate_values(tree, dict(case.inputs))
     plans = context.plans
 
     def plan_of(sid: str) -> SubsectionPlan:
-        if sid not in subsections:
-            notes.append((case.id, sid, None, "no text"))
         plan = plans.get(sid)
         if plan is None:
-            plan = SubsectionPlan(layer_of(layers, sid), subsections.get(sid, ""), config.truth_threshold)
+            text = corpus.subsections[sid].text
+            plan = SubsectionPlan(layer_of(corpus.layers, sid), text, config.truth_threshold)
             plans[sid] = plan
         return plan
 

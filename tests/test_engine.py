@@ -1,12 +1,14 @@
 import math
 import random
 import re
+import tempfile
 import zlib
 from collections import Counter
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, given, settings
 
 import oracles
 from statreason import engine
@@ -18,7 +20,7 @@ from statreason.baselines import (
     fit_constant_baseline,
 )
 from statreason.cli import main
-from statreason.corpus import Corpus
+from statreason.corpus import CorpusError, load_corpus
 from statreason.engine import (
     EngineConfig,
     EngineError,
@@ -29,11 +31,20 @@ from statreason.engine import (
     note_text,
     run_cases,
 )
-from statreason.model import ArgumentLayer, Case, Money, Span, Subsection, TRUTH_KEY, ValueMap
+from statreason.model import ArgumentLayer, Case, Money, Span, TRUTH_KEY, ValueMap
 from statreason.reports import instantiation_report
 from statreason.rules import OpNode, Ref, Rule, SubsectionNode, parse_program, unroll
 
-from generators import MODEL_VALUES, SUBCLASSED_VALUES, random_nested_program, random_value_map, texts_with_layers
+from generators import (
+    MODEL_VALUES,
+    SUBCLASSED_VALUES,
+    corpora,
+    corpus_of,
+    random_nested_program,
+    random_value_map,
+    texts_with_layers,
+)
+from layouts import write_corpus
 
 
 def make_layer(text, mentions):
@@ -135,7 +146,7 @@ def oracle_case(cid, query, inputs, expected):
 def one_rule_context(layer, text, case, config=EngineConfig()):
     """A run of the case's query subsection alone, on a one-rule program."""
     program = {case.query: Rule(case.query, ())}
-    return RunContext(program, {case.query: layer}, {case.query: text}, config)
+    return RunContext(corpus_of(program, {case.query: layer}, {case.query: text}), config)
 
 
 def instantiate_one(resolver, layer, text, case, config=EngineConfig()):
@@ -461,29 +472,22 @@ class TestDoOperation:
         )
         assert dict(out) == {"X": "a", "Y": "b", TRUTH_KEY: 0.4}
 
-    def test_arity_enforced(self):
-        with pytest.raises(EngineError):
-            do_operation("NOT", [ValueMap(), ValueMap()])
-        with pytest.raises(EngineError):
-            do_operation("AND", [ValueMap()])
-
     # Few names and truths, so children share names and tie on truth; a
     # child may lack a truth score or hold the negative zero.
-    CHILDREN = st.lists(
-        st.dictionaries(st.sampled_from(["X", "Y", "Z", TRUTH_KEY]), st.sampled_from([0.0, -0.0, 0.5, 1.0, "a", "b"]))
-        .map(lambda d: {k: v for k, v in d.items() if (k == TRUTH_KEY) == isinstance(v, float)}),
-        max_size=5,
-    )
+    CHILD = st.dictionaries(
+        st.sampled_from(["X", "Y", "Z", TRUTH_KEY]), st.sampled_from([0.0, -0.0, 0.5, 1.0, "a", "b"])
+    ).map(lambda d: {k: v for k, v in d.items() if (k == TRUTH_KEY) == isinstance(v, float)})
 
-    @given(st.sampled_from(["AND", "OR", "NOT", "XOR"]), CHILDREN)
-    def test_as_first_written(self, kind, children):
-        try:
-            expected = oracles.do_operation(kind, children)
-        except EngineError as exc:
-            with pytest.raises(EngineError, match=f"^{re.escape(str(exc))}$"):
-                do_operation(kind, children)
-            return
-        got = do_operation(kind, children)
+    # The shapes `rules.Op` admits, which are all the engine runs.
+    @given(
+        st.one_of(
+            st.tuples(st.just("NOT"), st.lists(CHILD, min_size=1, max_size=1)),
+            st.tuples(st.sampled_from(["AND", "OR"]), st.lists(CHILD, min_size=2, max_size=5)),
+        )
+    )
+    def test_as_first_written(self, shape):
+        kind, children = shape
+        got, expected = do_operation(kind, children), oracles.do_operation(kind, children)
         assert list(got.items()) == list(expected.items())
         assert [math.copysign(1, v) for v in got.values() if isinstance(v, float)] == [
             math.copysign(1, v) for v in expected.values() if isinstance(v, float)
@@ -507,12 +511,10 @@ class TestDoOperation:
 class TestInstantiateFull:
     def test_bodiless_rule_equals_single(self, corpus):
         case = next(c for c in corpus.cases if c.id == "3306(a)(1)(B)-negative")
-        texts = {s.id: s.text for s in corpus.subsections.values()}
         # §3306(a)(1)(B) has a body; cap 1 must reduce to the single-subsection run.
-        capped = instantiate_full(
-            OracleResolver(), case, RunContext(corpus.program, corpus.layers, texts, EngineConfig(depth_cap=1))
-        )
-        single = instantiate_one(OracleResolver(), corpus.layers[case.query], texts[case.query], case)
+        capped = instantiate_full(OracleResolver(), case, RunContext(corpus, EngineConfig(depth_cap=1)))
+        text = corpus.subsections[case.query].text
+        single = instantiate_one(OracleResolver(), corpus.layers[case.query], text, case)
         assert dict(capped) == dict(single)
 
     def test_no_structure_flag_matches_cap_one(self, manifest_path, tmp_path, capsys):
@@ -535,20 +537,13 @@ class TestInstantiateFull:
 
     def test_surviving_spouse_case_over_tree(self, corpus):
         case = next(c for c in corpus.cases if c.id == "2(a)(1)-positive")
-        texts = {s.id: s.text for s in corpus.subsections.values()}
-        result = instantiate_full(OracleResolver(), case, RunContext(corpus.program, corpus.layers, texts))
+        result = instantiate_full(OracleResolver(), case, RunContext(corpus))
         assert result[TRUTH_KEY] == 1.0
-
-    def test_unknown_query_rejected(self, corpus):
-        case = oracle_case("x", "§nowhere", {}, {"@truth": 1.0})
-        with pytest.raises(EngineError):
-            instantiate_full(OracleResolver(), case, RunContext(corpus.program, corpus.layers, {}))
 
     def test_child_values_flow_back_through_bindings(self, corpus):
         # A scripted resolver fills Grossinc at §63(c)(5)(B); the root then
         # sees it through the (Grossinc, Grossinc) binding and keeps it.
         case = next(c for c in corpus.cases if c.id == "63(c)(5)-negative")
-        texts = {s.id: s.text for s in corpus.subsections.values()}
 
         class Scripted:
             def resolve(self, request):
@@ -556,7 +551,7 @@ class TestInstantiateFull:
                     return Money(3200)
                 return 0.5 if request.argument == TRUTH_KEY else None
 
-        result = instantiate_full(Scripted(), case, RunContext(corpus.program, corpus.layers, texts))
+        result = instantiate_full(Scripted(), case, RunContext(corpus))
         assert result["Grossinc"] == Money(3200)
 
     def test_shared_tree_keeps_cases_apart(self, corpus):
@@ -576,13 +571,10 @@ class TestInstantiateFull:
             Case("63(c)(5)-empty", base[1].description, base[1].query, ValueMap(), base[1].expected, base[1].split),
         ]
         assert len({c.inputs for c in cases}) == len(cases) == 4
-        with_cases = Corpus(
-            corpus.manifest, corpus.subsections, corpus.layers, corpus.program, tuple(cases), corpus.silver,
-            corpus.section_files,
-        )
+        texts = {sid: s.text for sid, s in corpus.subsections.items()}
+        with_cases = corpus_of(corpus.program, corpus.layers, texts, cases)
         shared, _ = run_cases(Echo(), with_cases, "all")
-        texts = {s.id: s.text for s in corpus.subsections.values()}
-        alone = [instantiate_full(Echo(), c, RunContext(corpus.program, corpus.layers, texts)) for c in cases]
+        alone = [instantiate_full(Echo(), c, RunContext(corpus)) for c in cases]
         assert [r.predicted for r in shared] == alone
         assert len({tuple(r.items()) for r in alone}) == len(cases)
 
@@ -623,10 +615,10 @@ class TestInstantiateFull:
         # What one run unrolled never answers for another run's config: after
         # a cap-3 run, a cap-1 run gives the single-subsection answer.
         case = next(c for c in corpus.cases if c.id == "63(c)(5)-negative")
-        texts = {s.id: s.text for s in corpus.subsections.values()}
-        deep, capped = (RunContext(corpus.program, corpus.layers, texts, EngineConfig(cap)) for cap in (3, 1))
+        deep, capped = (RunContext(corpus, EngineConfig(cap)) for cap in (3, 1))
         results = [instantiate_full(HeuristicResolver(), case, context) for context in (deep, capped)]
-        single = instantiate_one(HeuristicResolver(), corpus.layers[case.query], texts[case.query], case)
+        text = corpus.subsections[case.query].text
+        single = instantiate_one(HeuristicResolver(), corpus.layers[case.query], text, case)
         assert results[1] == single != results[0]
         assert {depth for _, _, depth, *_ in capped.programs[case.query]} == {1}
         assert max(depth for _, _, depth, *_ in deep.programs[case.query]) > 1
@@ -659,9 +651,10 @@ class Recording:
         return None if digest % 4 == 0 else f"v{digest % 7}"
 
 
-def rule_texts_and_layers(program):
-    """A text per rule that mentions each parameter once, and a layer that
-    labels each mention with its parameter."""
+def rule_corpus(program):
+    """A corpus of `program`, whose callees all have rules: a text per rule
+    that mentions each parameter once, and a layer that labels each mention
+    with its parameter."""
     texts, layers = {}, {}
     for head, rule in program.items():
         text, spans = f"{head} holds", []
@@ -671,7 +664,7 @@ def rule_texts_and_layers(program):
             text += param
         texts[head] = text
         layers[head] = ArgumentLayer(head, tuple(spans), tuple((i,) for i in range(len(spans))), rule.params)
-    return texts, layers
+    return corpus_of(program, layers, texts)
 
 
 def post_order(node):
@@ -683,13 +676,14 @@ def post_order(node):
 
 class TestCompiledProgram:
     """A query's program, as a run keeps it, against the tree the recursive
-    builder (`oracles.build_dependency_tree`) unrolls, with the plans and
-    notes of its subsections."""
+    builder (`oracles.build_dependency_tree`) unrolls, with the plans of its
+    subsections."""
 
     @staticmethod
-    def assert_compiles(program, queries, depth_cap, layers, texts):
+    def assert_compiles(corpus, queries, depth_cap):
         # One case per query, in one run, so the queries share its plans.
-        context, plans = RunContext(program, layers, texts, EngineConfig(depth_cap)), {}
+        program = corpus.program
+        context, plans = RunContext(corpus, EngineConfig(depth_cap)), {}
         for k, query in enumerate(queries):
             case = oracle_case(f"c{k}", query, {}, {TRUTH_KEY: 1.0})
             instantiate_full(Recording(), case, context)
@@ -724,16 +718,13 @@ class TestCompiledProgram:
                     continue
                 assert op in ("open", "subsection") and sid == n.id
                 plan = context.plans[sid]
-                assert (plan.layer.subsection_id, plan.text, plan.threshold) == (n.id, texts.get(n.id, ""), 0.5)
+                text = corpus.subsections[n.id].text
+                assert (plan.layer.subsection_id, plan.text, plan.threshold) == (n.id, text, 0.5)
                 assert bindings == n.bindings and (n.depth > 1 or bindings == ())
                 if op == "subsection":
                     assert body == (n.child is not None)
                 else:
                     assert n.child is not None and not body
-            # Each subsection without text is noted as it is instantiated.
-            assert [note for note in context.notes if note[0] == case.id and note[3] == "no text"] == [
-                (case.id, sid, None, "no text") for op, sid, *_ in steps if op == "subsection" and sid not in texts
-            ]
         # One plan per id of the run's programs.
         assert set(context.plans) == {sid for q in queries for _, sid, *_ in context.programs[q]} - {None}
 
@@ -742,16 +733,12 @@ class TestCompiledProgram:
     def test_generated_programs(self, seed, depth_cap):
         rng = random.Random(seed)
         program = random_nested_program(rng, rng.randrange(2, 7))
-        texts, layers = rule_texts_and_layers(program)
-        for head in rng.sample(sorted(texts), rng.randrange(len(texts))):
-            del texts[head]
-        self.assert_compiles(program, list(program), depth_cap, layers, texts)
+        self.assert_compiles(rule_corpus(program), list(program), depth_cap)
 
     def test_fixture(self, corpus):
-        texts = {s.id: s.text for s in corpus.subsections.values()}
         queries = sorted({c.query for c in corpus.cases})
         for depth_cap in (1, 2, 3, 4):
-            self.assert_compiles(corpus.program, queries, depth_cap, corpus.layers, texts)
+            self.assert_compiles(corpus, queries, depth_cap)
 
 
 class TestOneWalk:
@@ -761,10 +748,10 @@ class TestOneWalk:
     resolver requests."""
 
     @staticmethod
-    def assert_same_run(make_resolver, program, layers, texts, cases, config):
+    def assert_same_run(make_resolver, corpus, cases, config):
         runs = []
         for instantiate in (instantiate_full, oracles.instantiate_full):
-            resolver, context = Recording(make_resolver()), RunContext(program, layers, texts, config)
+            resolver, context = Recording(make_resolver()), RunContext(corpus, config)
             predicted = [list(instantiate(resolver, case, context).items()) for case in cases]
             runs.append((predicted, context.notes, resolver.requests))
         assert runs[0] == runs[1]
@@ -775,9 +762,7 @@ class TestOneWalk:
     def test_generated_programs(self, data):
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
         program = random_nested_program(rng, rng.randrange(2, 7))
-        texts, layers = rule_texts_and_layers(program)
-        for head in rng.sample(sorted(texts), rng.randrange(len(texts))):
-            del texts[head]
+        corpus = rule_corpus(program)
         root = next(iter(program))
         values = st.dictionaries(st.sampled_from(program[root].params), MODEL_VALUES)
         # A case expects @truth, which `Case` asks of a binary case.
@@ -785,16 +770,15 @@ class TestOneWalk:
         n_cases = data.draw(st.integers(1, 3))
         cases = [oracle_case(f"c{i}", root, data.draw(values), data.draw(expected)) for i in range(n_cases)]
         config = EngineConfig(data.draw(st.integers(1, 4)), insert_gold=data.draw(st.booleans()))
-        self.assert_same_run(lambda: None, program, layers, texts, cases, config)
+        self.assert_same_run(lambda: None, corpus, cases, config)
 
     @pytest.mark.parametrize("resolver", ["recording", "oracle", "heuristic", "constant"])
     def test_fixture(self, corpus, resolver):
-        texts = {s.id: s.text for s in corpus.subsections.values()}
         make = (lambda: None) if resolver == "recording" else (lambda: fixture_resolvers(corpus)[resolver])
         for depth_cap in (1, 2, 3, 4):
             for insert_gold in (False, True):
                 config = EngineConfig(depth_cap, insert_gold=insert_gold)
-                _, _, requests = self.assert_same_run(make, corpus.program, corpus.layers, texts, corpus.cases, config)
+                _, _, requests = self.assert_same_run(make, corpus, corpus.cases, config)
                 assert requests
 
     def test_a_run_builds_no_tree_node(self, corpus, monkeypatch):
@@ -817,6 +801,48 @@ class TestOneWalk:
         assert built  # the count sees the nodes a tree build makes
 
 
+def one_case_corpus(program, query):
+    """A corpus of `program` with a text for its first rule only and one
+    case, of `query`."""
+    head = next(iter(program))
+    case = Case("c", "d", query, ValueMap(), ValueMap({TRUTH_KEY: 1.0}), "test")
+    return corpus_of(program, {}, {head: f"{head} holds"}, [case])
+
+
+class TestLoadedCorpus:
+    """What the engine takes from `load_corpus` without checking it again:
+    every gold and silver case's query is a rule, and every id that a rule
+    unrolls to, at any depth cap, is a subsection's."""
+
+    @staticmethod
+    def assert_runnable(corpus):
+        assert all(case.query in corpus.program for case in (*corpus.cases, *corpus.silver))
+        for head in corpus.program:
+            for depth_cap in (1, 2, 3, 4):
+                ids = {sid for _, sid, *_ in unroll(corpus.program, head, depth_cap)} - {None}
+                assert ids <= corpus.subsections.keys()
+
+    def test_the_fixture(self, corpus):
+        self.assert_runnable(corpus)
+
+    # Each example writes a corpus, so a failure is reported as drawn, not
+    # shrunk. The loader refuses the two explicit corpora: in one a case's
+    # query is no rule, and in the other a rule calls an id that has neither
+    # a rule nor a subsection, which no draw does, as every drawn callee
+    # names a subsection.
+    @settings(max_examples=200, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(corpora())
+    @example(one_case_corpus({"A": Rule("A", ())}, "B"))
+    @example(one_case_corpus({"A": Rule("A", (), Ref("B", ()))}, "A"))
+    def test_every_loaded_corpus(self, drawn):
+        with tempfile.TemporaryDirectory() as tmp:
+            try:
+                loaded = load_corpus(write_corpus(drawn, Path(tmp)))
+            except CorpusError:
+                return
+        self.assert_runnable(loaded)
+
+
 class TestEngineInvariants:
     def test_output_shape_for_every_resolver(self, corpus):
         from statreason.baselines import (
@@ -826,10 +852,9 @@ class TestEngineInvariants:
         )
 
         params = fit_constant_baseline(list(corpus.cases_of("train")))
-        texts = {s.id: s.text for s in corpus.subsections.values()}
         for resolver in (OracleResolver(), CR(params), HeuristicResolver()):
             for case in corpus.cases:
-                result = instantiate_full(resolver, case, RunContext(corpus.program, corpus.layers, texts))
+                result = instantiate_full(resolver, case, RunContext(corpus))
                 assert TRUTH_KEY in result
                 allowed = set(corpus.program.get(case.query).params)
                 allowed |= set(case.inputs) | {TRUTH_KEY}
@@ -864,16 +889,6 @@ class TestEvaluateRun:
         assert len(report.errors) == 1
         assert "tax-case-4" in report.errors[0]
 
-    def test_a_callee_whose_id_no_layer_can_have_fails_its_cases(self):
-        # Only a program that the loader rejects calls a subsection "#b";
-        # the cases that reach it are engine errors, and the run goes on.
-        program = {"A": Rule("A", ("x",), Ref("#b", (("x", "x"),))), "B": Rule("B", ("x",))}
-        cases = tuple(Case(q.lower(), "", q, ValueMap(), ValueMap({TRUTH_KEY: 1.0}), "test") for q in "AB")
-        results, _ = run_cases(OracleResolver(), Corpus(None, {}, {}, program, cases, (), ()))
-        assert [r.error for r in results] == [
-            "case a: malformed id '#b': an id is non-empty, holds no whitespace and starts with no '#'", None
-        ]
-
     def test_a_recursive_rule_compiles_at_any_cap(self):
         # A rule that calls itself unrolls to the depth cap: at a cap of 5,000,
         # far past the interpreter's recursion limit, its query's program is
@@ -881,8 +896,8 @@ class TestEvaluateRun:
         # the leaf at the cap, and its cases score like any other.
         program, _ = parse_program("C(x) :- C(x).\nB(x).", {"B", "C"})
         cases = tuple(Case(q.lower(), "", q, ValueMap(), ValueMap({TRUTH_KEY: 1.0}), "test") for q in "CB")
-        corpus = Corpus(None, {}, {}, program, cases, (), ())
-        context = RunContext(program, {}, {}, EngineConfig(5000))
+        corpus = corpus_of(program, {}, {"B": "B holds", "C": "C holds"}, cases)
+        context = RunContext(corpus, EngineConfig(5000))
         instantiate_full(OracleResolver(), cases[0], context)
         steps = context.programs["C"]
         assert len(steps) == 9999 and [op for op, *_ in steps].count("open") == 4999
@@ -938,15 +953,14 @@ class TestEvaluateRun:
         # Two corpora give §x's argument different placeholder text, one a
         # dollar word and one not; what a resolver keeps from one run must
         # not answer for the other.
-        def corpus_of(text, phrase):
+        def corpus_x(text, phrase):
             start = text.index(phrase)
             layer = ArgumentLayer("§x", (Span(start, start + len(phrase)),), ((0,),), ("A",))
             case = Case("c", "Alice paid $5,000 in 2017.", "§x", ValueMap(), ValueMap({TRUTH_KEY: 1.0}), "test")
-            program = {"§x": Rule("§x", ("A",))}
-            return Corpus(None, {"§x": Subsection("§x", text)}, {"§x": layer}, program, (case,), (), ())
+            return corpus_of({"§x": Rule("§x", ("A",))}, {"§x": layer}, {"§x": text}, [case])
 
-        dollars = corpus_of("§x holds for the income", "the income")
-        person = corpus_of("§x holds for the spouse", "the spouse")
+        dollars = corpus_x("§x holds for the income", "the income")
+        person = corpus_x("§x holds for the spouse", "the spouse")
         resolver = make()
         shared = [run_cases(resolver, c)[0][0].predicted["A"] for c in (dollars, person, dollars, person)]
         fresh = [run_cases(make(), c)[0][0].predicted["A"] for c in (dollars, person, dollars, person)]
@@ -967,13 +981,11 @@ class TestNotes:
         notes = [
             ("c1", "§2(a)", "O'Neil", "no value"),
             ("c1", "§2(a)", None, "no truth"),
-            ("c1", "§9", None, "no text"),
             ("c1", None, "resolver failed on @truth of §2(a): boom", "error"),
         ]
         assert [note_text(note) for note in notes] == [
             "c1: no value for \"O'Neil\" of §2(a)",
             "c1: resolver gave no @truth for §2(a); defaulting to 0.0",
-            "c1: no text for §9; grounding over empty text",
             "c1: resolver failed on @truth of §2(a): boom",
         ]
 
@@ -999,8 +1011,7 @@ class TestNotes:
                 return None
 
         case = next(c for c in corpus.cases if c.id == "63(c)(5)-negative")
-        texts = {s.id: s.text for s in corpus.subsections.values()}
-        context = RunContext(corpus.program, corpus.layers, texts, EngineConfig(1))
+        context = RunContext(corpus, EngineConfig(1))
         instantiate_full(Nothing(), case, context)
         sid, layer = case.query, corpus.layers[case.query]
         missing = [n for n, _ in layer.labelled_clusters if n not in case.inputs and n != TRUTH_KEY]

@@ -97,8 +97,7 @@ def instantiation_run(corpus: Corpus, args: list[str]):
         resolver = HeuristicResolver()
     else:
         resolver = ConstantResolver(fit_constant_baseline(training_cases(corpus, args)))
-    texts = {s.id: s.text for s in corpus.subsections.values()}
-    context = RunContext(corpus.program, corpus.layers, texts, config)
+    context = RunContext(corpus, config)
     results = []
     for case in corpus.cases_of(option(args, "--split", "test")):
         try:

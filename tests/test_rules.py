@@ -21,7 +21,7 @@ from statreason.engine import EngineConfig, RunContext, instantiate_full
 from statreason.model import MAX_NESTING, TRUTH_KEY, Case, ValueMap
 
 import oracles
-from generators import random_clause, random_nested_program, random_program
+from generators import corpus_of, random_clause, random_nested_program, random_program
 from oracles import parse_rule, tree_depth
 
 CLAUSE_1DIV = "§1(d)(iv)(Tax, Taxinc)."
@@ -328,7 +328,8 @@ class TestDependencyTree:
 
         inputs = ValueMap({"Taxp": "Bob", "Taxy": "2017", "Bassd": "x"})
         case = Case("c", "", "§63(c)(5)", inputs, ValueMap({TRUTH_KEY: 1.0}), "test")
-        instantiate_full(Recording(), case, RunContext(program, {}, {}, EngineConfig(depth_cap=2)))
+        corpus = corpus_of(program, {}, {head: f"{head} holds" for head in program})
+        instantiate_full(Recording(), case, RunContext(corpus, EngineConfig(depth_cap=2)))
         assert known["§151(b)"] == {"Spouse": "Bob", "Taxy": "2017"}
         assert known["§63(c)(5)(A)"] == {}
 
