@@ -24,8 +24,7 @@ from statreason.model import TRUTH_KEY, Case, ValueMap
 from statreason.rules import parse_program
 
 import oracles
-from generators import corpora, corpus_fields
-from layouts import write_corpus, write_dev_split
+from layouts import write_dev_split
 from test_corruption import corruptions
 
 FIXTURES = Path(__file__).parent / "fixtures" / "corpus"
@@ -41,6 +40,58 @@ def copy_corpus(tmp_path: Path) -> Path:
 
 def edit(path: Path, old: str, new: str) -> None:
     path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+
+
+def outcome(load, *args) -> tuple:
+    try:
+        return True, load(*args)
+    except CorpusError as exc:
+        return False, exc.errors
+
+
+def assert_loaders_agree(root: Path, data) -> None:
+    """The loaders and their first versions in `oracles` read the same
+    objects or errors after one to three one-line corruptions of the files
+    under `root`, each of the file edited last about half the time, so that
+    errors meet in one file; a file holding a byte that is not UTF-8 is
+    corrupted no further. It edits the files, so a drawn corpus's other
+    properties (`test_drawn_corpora.py`) run before it."""
+    files = [root / "spans.txt", root / "coref.txt", *sorted(root.glob("*/*"))]
+    path = None
+    for _ in range(data.draw(st.integers(1, 3))):
+        texts = {}
+        for file in files:
+            try:
+                texts[file] = file.read_bytes().decode("utf-8")
+            except UnicodeDecodeError:
+                pass
+        if path not in texts or data.draw(st.booleans()):
+            path = data.draw(st.sampled_from(sorted(texts)))
+        path.write_bytes(data.draw(st.sampled_from(list(corruptions(texts[path]))))[1])
+    ok, subsections = outcome(loaders.load_statutes, root / "statutes")
+    assert (ok, subsections) == outcome(oracles.load_statutes, root / "statutes")
+    program, _ = parse_program((root / "structure.txt").read_text(encoding="utf-8"), subsections if ok else {})
+    if ok:
+        args = (root / "spans.txt", root / "coref.txt", subsections, program)
+        assert outcome(loaders.load_argument_layers, *args) == outcome(oracles.load_argument_layers, *args)
+    for args in ((root / "cases", program), (root / "silver", program, "silver")):
+        assert outcome(loaders.load_cases, *args) == outcome(oracles.load_cases, *args)
+
+
+def assert_loads_without_its_cases(manifest: Path, loaded: tuple) -> None:
+    """A corpus refused for its cases alone loads without them; `loaded` is
+    `outcome(load_corpus, manifest)`."""
+    (ok, whole), (statutes_ok, statutes) = loaded, outcome(load_corpus, manifest, False)
+    if not statutes_ok:
+        assert (ok, whole) == (statutes_ok, statutes)
+        return
+    assert statutes.cases == statutes.silver == ()
+    if not ok:
+        assert all(error.path.endswith(".cases") for error in whole)
+        return
+    for field in ("subsections", "layers", "program", "section_files"):
+        assert getattr(statutes, field) == getattr(whole, field)
+    assert corpus_hash(statutes) == corpus_hash(whole)
 
 
 class TestManifest:
@@ -444,53 +495,11 @@ class TestReadingRule:
         edit(root / "coref.txt", "§1(d)(iv) clusters=[Tax:[0], Taxinc:[1]]", "§1(d)(iv) clusters=5")
         assert self.errors(root) == ["spans.txt:1: expected a [(start, end), ...] list"]
 
-    @staticmethod
-    def outcome(load, *args) -> tuple:
-        try:
-            return True, load(*args)
-        except CorpusError as exc:
-            return False, exc.errors
-
-    @classmethod
-    def assert_loaders_agree(cls, root: Path, data) -> None:
-        """The loaders and their first versions in `oracles` read the same
-        objects or errors after one to three one-line corruptions of the
-        files they read, each of the file edited last about half the time,
-        so that errors meet in one file; a file holding a byte that is not
-        UTF-8 is corrupted no further."""
-        files = [root / "spans.txt", root / "coref.txt", *sorted(root.glob("*/*"))]
-        path = None
-        for _ in range(data.draw(st.integers(1, 3))):
-            texts = {}
-            for file in files:
-                try:
-                    texts[file] = file.read_bytes().decode("utf-8")
-                except UnicodeDecodeError:
-                    pass
-            if path not in texts or data.draw(st.booleans()):
-                path = data.draw(st.sampled_from(sorted(texts)))
-            path.write_bytes(data.draw(st.sampled_from(list(corruptions(texts[path]))))[1])
-        ok, subsections = cls.outcome(loaders.load_statutes, root / "statutes")
-        assert (ok, subsections) == cls.outcome(oracles.load_statutes, root / "statutes")
-        program, _ = parse_program((root / "structure.txt").read_text(encoding="utf-8"), subsections if ok else {})
-        if ok:
-            args = (root / "spans.txt", root / "coref.txt", subsections, program)
-            assert cls.outcome(loaders.load_argument_layers, *args) == cls.outcome(oracles.load_argument_layers, *args)
-        for args in ((root / "cases", program), (root / "silver", program, "silver")):
-            assert cls.outcome(loaders.load_cases, *args) == cls.outcome(oracles.load_cases, *args)
-
-    # Each example writes a corpus, so a failure is reported as drawn, not shrunk.
-    @settings(max_examples=300, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
-    @given(corpora(), st.data())
-    def test_drawn_corpora_load_as_first_written(self, drawn, data):
-        with tempfile.TemporaryDirectory() as tmp:
-            self.assert_loaders_agree(write_corpus(drawn, Path(tmp)).parent, data)
-
     @settings(max_examples=300, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
     @given(st.data())
     def test_the_fixture_loads_as_first_written(self, data):
         with tempfile.TemporaryDirectory() as tmp:
-            self.assert_loaders_agree(copy_corpus(Path(tmp)), data)
+            assert_loaders_agree(copy_corpus(Path(tmp)), data)
 
 
 class TestValidation:
@@ -649,60 +658,8 @@ class TestRoundTrip:
     def test_hash_stable(self, corpus, manifest_path):
         assert corpus_hash(corpus) == corpus_hash(load_corpus(manifest_path))
 
-    @settings(max_examples=200, deadline=None)
-    @given(corpora())
-    def test_every_corpus_loads_as_written(self, drawn):
-        # A drawn corpus keeps the loader's rules for each file, but its
-        # references from file to file may fail: then the load refuses it
-        # as the loader composed of `oracles`' first versions does.
-        with tempfile.TemporaryDirectory() as tmp:
-            manifest = write_corpus(drawn, Path(tmp))
-            outcome = TestReadingRule.outcome(load_corpus, manifest)
-            assert outcome == TestReadingRule.outcome(oracles.load_corpus, manifest, True)
-            subsections = load_statutes(manifest.parent / "statutes")
-            spans, _ = loaders.load_spans(manifest.parent / "spans.txt", subsections)
-        assert subsections == drawn.subsections
-        assert spans == {sid: layer.spans for sid, layer in drawn.layers.items()}
-        if outcome[0]:
-            assert corpus_fields(outcome[1]) == corpus_fields(drawn)
-
-    @staticmethod
-    def assert_loads_without_its_cases(manifest: Path) -> None:
-        # A corpus refused for its cases alone loads without them.
-        outcomes = [TestReadingRule.outcome(load_corpus, manifest, cases) for cases in (True, False)]
-        (ok, whole), (statutes_ok, statutes) = outcomes
-        if not statutes_ok:
-            assert (ok, whole) == (statutes_ok, statutes)
-            return
-        assert statutes.cases == statutes.silver == ()
-        if not ok:
-            assert all(error.path.endswith(".cases") for error in whole)
-            return
-        for field in ("subsections", "layers", "program", "section_files"):
-            assert getattr(statutes, field) == getattr(whole, field)
-        assert corpus_hash(statutes) == corpus_hash(whole)
-
     def test_the_fixture_loads_without_its_cases(self, manifest_path):
-        self.assert_loads_without_its_cases(manifest_path)
-
-    @settings(max_examples=100, deadline=None)
-    @given(corpora())
-    def test_every_corpus_loads_without_its_cases(self, drawn):
-        with tempfile.TemporaryDirectory() as tmp:
-            self.assert_loads_without_its_cases(write_corpus(drawn, Path(tmp)))
-
-    @settings(max_examples=200, deadline=None)
-    @given(corpora())
-    def test_every_loaded_corpus_serializes_to_its_files(self, drawn):
-        with tempfile.TemporaryDirectory() as tmp:
-            first, second = Path(tmp) / "first", Path(tmp) / "second"
-            ok, loaded = TestReadingRule.outcome(load_corpus, write_corpus(drawn, first))
-            if not ok:
-                return  # refused for a reference from file to file, as the test above checks
-            again = load_corpus(write_corpus(loaded, second))
-            files = [{p.relative_to(r): p.read_bytes() for p in r.rglob("*") if p.is_file()} for r in (first, second)]
-            assert files[0] == files[1]
-            assert corpus_hash(loaded) == corpus_hash(again) == corpus_hash(load_corpus(first / "manifest.txt"))
+        assert_loads_without_its_cases(manifest_path, outcome(load_corpus, manifest_path))
 
 
 class TestStatistics:

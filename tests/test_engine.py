@@ -1,14 +1,12 @@
 import math
 import random
 import re
-import tempfile
 import zlib
 from collections import Counter
-from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import Phase, example, given, settings
+from hypothesis import given, settings
 
 import oracles
 from statreason import engine
@@ -20,7 +18,6 @@ from statreason.baselines import (
     fit_constant_baseline,
 )
 from statreason.cli import main
-from statreason.corpus import CorpusError, load_corpus
 from statreason.engine import (
     EngineConfig,
     EngineError,
@@ -33,18 +30,16 @@ from statreason.engine import (
 )
 from statreason.model import ArgumentLayer, Case, Money, Span, TRUTH_KEY, ValueMap
 from statreason.reports import instantiation_report
-from statreason.rules import OpNode, Ref, Rule, SubsectionNode, parse_program, unroll
+from statreason.rules import OpNode, Rule, SubsectionNode, parse_program, unroll
 
 from generators import (
     MODEL_VALUES,
     SUBCLASSED_VALUES,
-    corpora,
     corpus_of,
     random_nested_program,
     random_value_map,
     texts_with_layers,
 )
-from layouts import write_corpus
 
 
 def make_layer(text, mentions):
@@ -801,46 +796,23 @@ class TestOneWalk:
         assert built  # the count sees the nodes a tree build makes
 
 
-def one_case_corpus(program, query):
-    """A corpus of `program` with a text for its first rule only and one
-    case, of `query`."""
-    head = next(iter(program))
-    case = Case("c", "d", query, ValueMap(), ValueMap({TRUTH_KEY: 1.0}), "test")
-    return corpus_of(program, {}, {head: f"{head} holds"}, [case])
-
-
-class TestLoadedCorpus:
+def assert_runnable(corpus):
     """What the engine takes from `load_corpus` without checking it again:
     every gold and silver case's query is a rule, and every id that a rule
     unrolls to, at any depth cap, is a subsection's."""
+    assert all(case.query in corpus.program for case in (*corpus.cases, *corpus.silver))
+    for head in corpus.program:
+        for depth_cap in (1, 2, 3, 4):
+            ids = {sid for _, sid, *_ in unroll(corpus.program, head, depth_cap)} - {None}
+            assert ids <= corpus.subsections.keys()
 
-    @staticmethod
-    def assert_runnable(corpus):
-        assert all(case.query in corpus.program for case in (*corpus.cases, *corpus.silver))
-        for head in corpus.program:
-            for depth_cap in (1, 2, 3, 4):
-                ids = {sid for _, sid, *_ in unroll(corpus.program, head, depth_cap)} - {None}
-                assert ids <= corpus.subsections.keys()
+
+class TestLoadedCorpus:
+    """`assert_runnable` on the fixture. `test_drawn_corpora.py` checks it
+    on every drawn corpus that loads and on two that the loader refuses."""
 
     def test_the_fixture(self, corpus):
-        self.assert_runnable(corpus)
-
-    # Each example writes a corpus, so a failure is reported as drawn, not
-    # shrunk. The loader refuses the two explicit corpora: in one a case's
-    # query is no rule, and in the other a rule calls an id that has neither
-    # a rule nor a subsection, which no draw does, as every drawn callee
-    # names a subsection.
-    @settings(max_examples=200, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
-    @given(corpora())
-    @example(one_case_corpus({"A": Rule("A", ())}, "B"))
-    @example(one_case_corpus({"A": Rule("A", (), Ref("B", ()))}, "A"))
-    def test_every_loaded_corpus(self, drawn):
-        with tempfile.TemporaryDirectory() as tmp:
-            try:
-                loaded = load_corpus(write_corpus(drawn, Path(tmp)))
-            except CorpusError:
-                return
-        self.assert_runnable(loaded)
+        assert_runnable(corpus)
 
 
 class TestEngineInvariants:

@@ -144,7 +144,10 @@ def loads(manifest: Path, cases: bool) -> bool:
     return True
 
 
-def assert_every_step(corpus: Corpus) -> None:
+def assert_every_step(corpus: Corpus) -> bool:
+    """Run every step on `corpus`, written in a temporary working
+    directory, and check each exit, report and prediction; whether the
+    reference loader accepts the corpus with its cases."""
     with tempfile.TemporaryDirectory() as tmp, working_directory(Path(tmp)):
         manifest = write_corpus(corpus, Path(MANIFEST).parent)
         valid, statutes_valid = loads(manifest, True), loads(manifest, False)
@@ -171,6 +174,7 @@ def assert_every_step(corpus: Corpus) -> None:
             if predictions is not None:
                 lines = (out / f"{name}.predictions.txt").read_text(encoding="utf-8").splitlines()[1:]
                 assert lines == predictions, label
+    return valid
 
 
 # No shrinking: every shrink step runs every command again, so a failing draw
@@ -192,9 +196,7 @@ def test_every_command_on_any_corpus(drawn):
 @SETTINGS
 @given(corpora(distributed=True))
 def test_every_command_on_a_corpus_that_validates(drawn):
-    with tempfile.TemporaryDirectory() as tmp:
-        assert loads(write_corpus(drawn, Path(tmp)), True)
-    assert_every_step(drawn)
+    assert assert_every_step(drawn)
 
 
 def test_reproduce_tables_runs_the_fixture_battery(tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ that module needs, and each command loads only the modules it runs (and
 never `dataclasses`). No package module imports itself through others.
 Every name that the benchmark and the scripts import from the package
 exists, and so does every name that the benchmark traces and every name
-README's library table lists."""
+README's library table lists. No test module imports a test class."""
 
 import ast
 import importlib
@@ -197,3 +197,18 @@ def test_readme_library_table_names_exist():
             if not any(hasattr(owner, name) for owner in owners):
                 missing.append(f"{modules.strip()} has no {name or '(empty)'}")
     assert missing == []
+
+
+def test_no_test_module_imports_a_test_class():
+    # pytest collects a `Test*` class in every module whose namespace holds
+    # it, so a class imported from another test module runs twice there; a
+    # star import may bring one in unnamed.
+    imported = [
+        f"{path.name}: {alias.name}"
+        for path in sorted((ROOT / "tests").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if (alias.asname or alias.name).startswith("Test") or alias.name == "*"
+    ]
+    assert imported == []
