@@ -466,3 +466,20 @@ def corpus_of(program: Program, layers: dict[str, ArgumentLayer], texts: dict[st
     loaded corpus, it should give every id that the program names a text."""
     subsections = {sid: Subsection(sid, text) for sid, text in texts.items()}
     return Corpus(None, subsections, layers, program, tuple(cases), (), ("statute.txt",))
+
+
+def one_case_corpus(program: Program, query: str) -> Corpus:
+    """A corpus of `program` with a text for its first rule only and one
+    case, of `query`."""
+    head = next(iter(program))
+    case = Case("c", "d", query, ValueMap(), ValueMap({TRUTH_KEY: 1.0}), "test")
+    return corpus_of(program, {}, {head: f"{head} holds"}, [case])
+
+
+# Corpora that every drawn-corpus property also checks by name: one the
+# loader reads, one it refuses as a case's query is no rule, and one it
+# refuses as a rule calls an id that is neither a rule nor a subsection.
+ONE_RULE = one_case_corpus({"A": Rule("A", ())}, "A")
+QUERY_NOT_A_RULE = one_case_corpus({"A": Rule("A", ())}, "B")
+CALLEE_UNDEFINED = one_case_corpus({"A": Rule("A", (), Ref("B", ()))}, "A")
+EXPLICIT_CORPORA = (ONE_RULE, QUERY_NOT_A_RULE, CALLEE_UNDEFINED)

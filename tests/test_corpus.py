@@ -24,7 +24,8 @@ from statreason.model import TRUTH_KEY, Case, ValueMap
 from statreason.rules import parse_program
 
 import oracles
-from layouts import write_dev_split
+from generators import EXPLICIT_CORPORA, corpus_fields
+from layouts import write_corpus, write_dev_split
 from test_corruption import corruptions
 
 FIXTURES = Path(__file__).parent / "fixtures" / "corpus"
@@ -92,6 +93,45 @@ def assert_loads_without_its_cases(manifest: Path, loaded: tuple) -> None:
     for field in ("subsections", "layers", "program", "section_files"):
         assert getattr(statutes, field) == getattr(whole, field)
     assert corpus_hash(statutes) == corpus_hash(whole)
+
+
+def each_written(corpora, root: Path):
+    """Each of `corpora`, written in a directory of its own under `root`,
+    with its manifest and `outcome(load_corpus, manifest)`: the arguments
+    of a drawn-corpus property."""
+    for i, drawn in enumerate(corpora):
+        manifest = write_corpus(drawn, root / str(i) / "drawn")
+        yield drawn, manifest, outcome(load_corpus, manifest)
+
+
+# Properties of a drawn corpus: `test_drawn_corpora.py` runs each on every
+# draw, and `TestRoundTrip` on the fixture and `EXPLICIT_CORPORA`.
+def loads_as_written(drawn, manifest, loaded):
+    # A drawn corpus keeps the loader's rules for each file, but its
+    # references from file to file may fail: then the load refuses it
+    # as the loader composed of `oracles`' first versions does.
+    assert loaded == outcome(oracles.load_corpus, manifest, True)
+    subsections = load_statutes(manifest.parent / "statutes")
+    spans, _ = loaders.load_spans(manifest.parent / "spans.txt", subsections)
+    assert subsections == drawn.subsections
+    assert spans == {sid: layer.spans for sid, layer in drawn.layers.items()}
+    if loaded[0]:
+        assert corpus_fields(loaded[1]) == corpus_fields(drawn)
+
+
+def loads_without_its_cases(drawn, manifest, loaded):
+    assert_loads_without_its_cases(manifest, loaded)
+
+
+def serializes_to_its_files(drawn, manifest, loaded):
+    ok, corpus = loaded
+    if not ok:
+        return  # refused for a reference from file to file, as `loads_as_written` checks
+    first, second = manifest.parent, manifest.parent.with_name("again")
+    again = load_corpus(write_corpus(corpus, second))
+    files = [{p.relative_to(r): p.read_bytes() for p in r.rglob("*") if p.is_file()} for r in (first, second)]
+    assert files[0] == files[1]
+    assert corpus_hash(corpus) == corpus_hash(again) == corpus_hash(load_corpus(manifest))
 
 
 class TestManifest:
@@ -501,6 +541,13 @@ class TestReadingRule:
         with tempfile.TemporaryDirectory() as tmp:
             assert_loaders_agree(copy_corpus(Path(tmp)), data)
 
+    # `test_drawn_corpora.py` runs this differential on every drawn corpus.
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(EXPLICIT_CORPORA), st.data())
+    def test_drawn_corpora_load_as_first_written(self, drawn, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            assert_loaders_agree(write_corpus(drawn, Path(tmp)).parent, data)
+
 
 class TestValidation:
     """A reference from one corpus file to another is checked at the line
@@ -660,6 +707,18 @@ class TestRoundTrip:
 
     def test_the_fixture_loads_without_its_cases(self, manifest_path):
         assert_loads_without_its_cases(manifest_path, outcome(load_corpus, manifest_path))
+
+    def test_every_corpus_loads_as_written(self, corpus, tmp_path):
+        for written in each_written((corpus, *EXPLICIT_CORPORA), tmp_path):
+            loads_as_written(*written)
+
+    def test_every_corpus_loads_without_its_cases(self, corpus, tmp_path):
+        for written in each_written((corpus, *EXPLICIT_CORPORA), tmp_path):
+            loads_without_its_cases(*written)
+
+    def test_every_loaded_corpus_serializes_to_its_files(self, corpus, tmp_path):
+        for written in each_written((corpus, *EXPLICIT_CORPORA), tmp_path):
+            serializes_to_its_files(*written)
 
 
 class TestStatistics:

@@ -5,9 +5,10 @@ once and `load_corpus` loads it once; then each function in `PROPERTIES`
 checks what it holds of the draw, its files and that load, and the
 corruption differential (`test_corpus.assert_loaders_agree`) runs last, as
 it edits the files. Drawing costs most of an example, so a new property of
-a drawn corpus is appended to `PROPERTIES` rather than given a test of its
-own, and runs on every example. The test records the shapes of its draws
-with `hypothesis.event`:
+a drawn corpus is appended to `PROPERTIES` rather than given a draw of its
+own, and runs on every example; the test of its module that bears its name
+runs it on `generators.EXPLICIT_CORPORA`. The test records the shapes of
+its draws with `hypothesis.event`:
 
     pytest tests/test_drawn_corpora.py --hypothesis-show-statistics
 """
@@ -18,50 +19,18 @@ from pathlib import Path
 from hypothesis import Phase, event, example, given, note, settings
 from hypothesis import strategies as st
 
-import oracles
-from generators import corpora, corpus_fields, corpus_of
+from generators import CALLEE_UNDEFINED, ONE_RULE, QUERY_NOT_A_RULE, corpora
 from layouts import write_corpus
-from statreason import corpus as loaders
-from statreason.corpus import corpus_hash, load_corpus, load_statutes
-from statreason.model import TRUTH_KEY, Case, ValueMap
-from statreason.rules import Ref, Rule, iter_refs, unroll
-from test_corpus import assert_loaders_agree, assert_loads_without_its_cases, outcome
-from test_engine import assert_runnable
-
-
-def loads_as_written(drawn, manifest, loaded):
-    # A drawn corpus keeps the loader's rules for each file, but its
-    # references from file to file may fail: then the load refuses it
-    # as the loader composed of `oracles`' first versions does.
-    assert loaded == outcome(oracles.load_corpus, manifest, True)
-    subsections = load_statutes(manifest.parent / "statutes")
-    spans, _ = loaders.load_spans(manifest.parent / "spans.txt", subsections)
-    assert subsections == drawn.subsections
-    assert spans == {sid: layer.spans for sid, layer in drawn.layers.items()}
-    if loaded[0]:
-        assert corpus_fields(loaded[1]) == corpus_fields(drawn)
-
-
-def loads_without_its_cases(drawn, manifest, loaded):
-    assert_loads_without_its_cases(manifest, loaded)
-
-
-def serializes_to_its_files(drawn, manifest, loaded):
-    ok, corpus = loaded
-    if not ok:
-        return  # refused for a reference from file to file, as `loads_as_written` checks
-    first, second = manifest.parent, manifest.parent.with_name("again")
-    again = load_corpus(write_corpus(corpus, second))
-    files = [{p.relative_to(r): p.read_bytes() for p in r.rglob("*") if p.is_file()} for r in (first, second)]
-    assert files[0] == files[1]
-    assert corpus_hash(corpus) == corpus_hash(again) == corpus_hash(load_corpus(manifest))
-
-
-def runs_on_the_engine(drawn, manifest, loaded):
-    ok, corpus = loaded
-    if ok:
-        assert_runnable(corpus)
-
+from statreason.corpus import load_corpus
+from statreason.rules import iter_refs, unroll
+from test_corpus import (
+    assert_loaders_agree,
+    loads_as_written,
+    loads_without_its_cases,
+    outcome,
+    serializes_to_its_files,
+)
+from test_engine import runs_on_the_engine
 
 # Each takes the drawn corpus, its manifest and `outcome(load_corpus, manifest)`.
 PROPERTIES = [loads_as_written, loads_without_its_cases, serializes_to_its_files, runs_on_the_engine]
@@ -86,22 +55,14 @@ def record_shapes(drawn, manifest, loaded) -> None:
     event("a callee names neither a rule nor a subsection", "yes" if undefined else "no")
 
 
-def one_case_corpus(program, query):
-    """A corpus of `program` with a text for its first rule only and one
-    case, of `query`."""
-    head = next(iter(program))
-    case = Case("c", "d", query, ValueMap(), ValueMap({TRUTH_KEY: 1.0}), "test")
-    return corpus_of(program, {}, {head: f"{head} holds"}, [case])
-
-
 # Each example writes a corpus, so a failure is reported as drawn, not
-# shrunk. The loader refuses the two explicit corpora: in one a case's query
-# is no rule, and in the other a rule calls an id that is neither a rule nor
-# a subsection. They come without `data`, so no corruption follows them.
+# shrunk. The explicit corpora come without `data`, so no corruption
+# follows them.
 @settings(max_examples=300, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(corpora(), st.data())
-@example(one_case_corpus({"A": Rule("A", ())}, "B"), None)
-@example(one_case_corpus({"A": Rule("A", (), Ref("B", ()))}, "A"), None)
+@example(ONE_RULE, None)
+@example(QUERY_NOT_A_RULE, None)
+@example(CALLEE_UNDEFINED, None)
 def test_every_property_of_a_drawn_corpus(drawn, data):
     with tempfile.TemporaryDirectory() as tmp:
         manifest = write_corpus(drawn, Path(tmp) / "drawn")

@@ -33,6 +33,7 @@ from statreason.reports import instantiation_report
 from statreason.rules import OpNode, Rule, SubsectionNode, parse_program, unroll
 
 from generators import (
+    EXPLICIT_CORPORA,
     MODEL_VALUES,
     SUBCLASSED_VALUES,
     corpus_of,
@@ -40,6 +41,7 @@ from generators import (
     random_value_map,
     texts_with_layers,
 )
+from test_corpus import each_written
 
 
 def make_layer(text, mentions):
@@ -807,12 +809,25 @@ def assert_runnable(corpus):
             assert ids <= corpus.subsections.keys()
 
 
+def runs_on_the_engine(drawn, manifest, loaded):
+    """A property of a drawn corpus (`test_drawn_corpora.py`)."""
+    ok, corpus = loaded
+    if ok:
+        assert_runnable(corpus)
+
+
 class TestLoadedCorpus:
-    """`assert_runnable` on the fixture. `test_drawn_corpora.py` checks it
-    on every drawn corpus that loads and on two that the loader refuses."""
+    """`assert_runnable` on the fixture, and on the corpora of
+    `EXPLICIT_CORPORA` that load: the loader refuses two of them, so the
+    engine never sees their undefined query or callee.
+    `test_drawn_corpora.py` checks it on every drawn corpus that loads."""
 
     def test_the_fixture(self, corpus):
         assert_runnable(corpus)
+
+    def test_every_loaded_corpus(self, tmp_path):
+        for written in each_written(EXPLICIT_CORPORA, tmp_path):
+            runs_on_the_engine(*written)
 
 
 class TestEngineInvariants:
