@@ -10,7 +10,8 @@ Runs pytest in this process, with the given arguments, under a
 executable lines are the `co_lines()` of its compiled code, nested code
 objects included. Code that tests run in a subprocess (`python -m
 statreason`, scripts) is not traced, so its lines count as unreached.
-Exits with pytest's exit code.
+Hypothesis runs derandomized and without its example database, so the same
+tests reach the same lines on every run. Exits with pytest's exit code.
 """
 
 from __future__ import annotations
@@ -31,6 +32,20 @@ def executable_lines(path: Path) -> set[int]:
         lines.update(line for _, _, line in code.co_lines() if line)  # module code starts at line 0
         stack.extend(const for const in code.co_consts if isinstance(const, types.CodeType))
     return lines
+
+
+class Derandomized:
+    """A pytest plugin that loads a Hypothesis profile with no randomness
+    and no example database as pytest starts, before any test module (and
+    so any `@settings`) is loaded. Importing Hypothesis here rather than
+    before `pytest.main` leaves pytest free to rewrite its asserts."""
+
+    @staticmethod
+    def pytest_configure(config) -> None:
+        from hypothesis import settings
+
+        settings.register_profile("line-census", derandomize=True, database=None)
+        settings.load_profile("line-census")
 
 
 def main(args: list[str]) -> int:
@@ -55,7 +70,7 @@ def main(args: list[str]) -> int:
     threading.settrace(trace)
     sys.settrace(trace)
     try:
-        code = pytest.main(args)
+        code = pytest.main(args, plugins=[Derandomized()])
     finally:
         sys.settrace(None)
         threading.settrace(None)

@@ -348,7 +348,7 @@ def corpus_hash(corpus: Corpus) -> str:
 
     manifest = corpus.manifest
     paths = [manifest.spans, manifest.coref, manifest.structure]
-    paths += sorted(Path(manifest.statutes).glob("*"))
+    paths += sorted(manifest.statutes / name for name in ("offsets.txt", *corpus.section_files))
     paths += sorted(Path(manifest.cases).glob("*.cases"))
     if manifest.silver:
         paths += sorted(Path(manifest.silver).glob("*.cases"))

@@ -161,12 +161,11 @@ def value_surface(value: Value, threshold: float) -> str:
 
 
 # Note kinds and how each reads. A note is kept as a (case id, subsection,
-# argument, kind) tuple and rendered only when read; an "error" note keeps
-# the error's message where the argument goes.
+# argument, kind) tuple and rendered only when read. A case's error is not
+# a note: it stays in the case's `CaseResult`.
 _NOTE_TEXT = {
     "no value": "{0}: no value for {2!r} of {1}",
     "no truth": "{0}: resolver gave no @truth for {1}; defaulting to 0.0",
-    "error": "{0}: {2}",
 }
 
 
@@ -346,8 +345,8 @@ def run_cases(
     config: EngineConfig = EngineConfig(),
 ) -> tuple[list[CaseResult], list[tuple[str, str | None, str | None, str]]]:
     """Instantiate every case of a split in corpus order, in one
-    `RunContext`: (results, the run's notes). Per-case errors are recorded
-    and the run continues."""
+    `RunContext`: (results, the run's notes). A case's error goes into its
+    `CaseResult`, and the run continues."""
     context = RunContext(corpus, config)
     results = []
     for case in corpus.cases_of(split):
@@ -355,6 +354,5 @@ def run_cases(
             results.append(CaseResult(case, instantiate_full(resolver, case, context), None))
         except EngineError as exc:
             results.append(CaseResult(case, {}, str(exc)))
-            context.notes.append((case.id, None, str(exc), "error"))
     return results, context.notes
 

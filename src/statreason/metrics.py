@@ -188,15 +188,12 @@ class PairReport(Frozen):
     __slots__ = ("identical", "fully_correct", "split", "unpaired")
 
 
-def pair_consistency(
-    cases, decisions: dict[str, bool | None], correctness: dict[str, int]
-) -> PairReport:
+def pair_consistency(cases, decisions: dict[str, bool], correctness: dict[str, int]) -> PairReport:
     """Group positive/negative case pairs and compare their answers.
 
-    `decisions` holds each case's thresholded truth answer (None counts as
-    False), `correctness` its binary score. Pairs answered identically get
-    exactly one side right; pairs answered differently are either fully
-    correct or split (both wrong).
+    `decisions` holds each case's thresholded truth answer and `correctness`
+    its binary score. Pairs answered identically get exactly one side right;
+    pairs answered differently are either fully correct or split (both wrong).
     """
     groups: dict[str, list] = {}
     unpaired = []
@@ -212,7 +209,7 @@ def pair_consistency(
             unpaired.extend(c.id for c in members)
             continue
         a, b = members
-        if bool(decisions.get(a.id)) == bool(decisions.get(b.id)):
+        if decisions[a.id] == decisions[b.id]:
             identical += 1
         elif correctness.get(a.id, 0) and correctness.get(b.id, 0):
             fully += 1

@@ -3,7 +3,7 @@ exact-match table is `metrics.exact_match`; `coref_report`, `argid_report`
 and `cascade_report` each return one `ExactMatchReport`, which holds its
 title, heading, record names and scores, and which renders the standard
 metrics only where it has them (coreference). The instantiation report's
-families are listed once, in `_FAMILIES`, for its records and its text.
+families are one table, `InstantiationReport.families`, in report order.
 
 Coreference numbers are aggregated two ways, as an average with population
 standard deviation across subsections that have at least one argument, and
@@ -139,42 +139,37 @@ def _mean(scores: list[int]) -> FamilyScore:
     return FamilyScore(sum(scores) / len(scores), len(scores)) if scores else FamilyScore(0.0, 0)
 
 
-# The instantiation report's families in report order: (field, record name,
-# row label); the case-level accuracies are the last two.
-_FAMILIES = (
-    ("truth", "truth", "@truth"),
-    ("dollar", "dollar", "dollar amount"),
-    ("string", "string", "string"),
-    ("unified", "unified", "unified"),
-    ("binary_cases", "binary", "binary"),
-    ("numerical_cases", "numerical", "numerical"),
-)
+# How a family's row reads where its record name does not.
+_LABELS = {"truth": "@truth", "dollar": "dollar amount"}
 
 
 class InstantiationReport(Frozen):
-    __slots__ = (
-        "truth", "dollar", "string", "unified", "binary_cases", "numerical_cases", "pairs", "arg_scores", "errors",
-    )
+    """A run's scores: `families`, each `FamilyScore` by its record name in
+    report order (the argument families, their unified mean, then the two
+    case-level accuracies), the pairs, each argument's score and how many
+    cases failed."""
+
+    __slots__ = ("families", "pairs", "arg_scores", "case_errors")
 
     def flat(self) -> dict[str, float]:
-        return {name: getattr(self, field).accuracy for field, name, _ in _FAMILIES}
+        return {name: score.accuracy for name, score in self.families.items()}
 
     def render(self) -> str:
-        rows = []
-        for field, _, label in _FAMILIES:
-            score = getattr(self, field)
-            rows.append(f"    {label:<14} {100 * score.accuracy:6.1f} +- {100 * score.ci:4.1f}   (n={score.n})")
+        rows = [
+            f"    {_LABELS.get(name, name):<14} {100 * score.accuracy:6.1f} +- {100 * score.ci:4.1f}   (n={score.n})"
+            for name, score in self.families.items()
+        ]
         lines = [
             "argument instantiation (accuracy %, 90% confidence half-width)",
-            *rows[:4],
+            *rows[:-2],
             "  case-level accuracies",
-            *rows[4:],
+            *rows[-2:],
             "  positive/negative pairs: "
             f"{self.pairs.identical} answered identically, {self.pairs.fully_correct} fully correct, "
             f"{self.pairs.split} split, {len(self.pairs.unpaired)} unpaired",
         ]
-        if self.errors:
-            lines.append(f"  case errors: {len(self.errors)}")
+        if self.case_errors:
+            lines.append(f"  case errors: {self.case_errors}")
         return "\n".join(lines)
 
 
@@ -183,7 +178,7 @@ def instantiation_report(results, config) -> InstantiationReport:
     `engine.EngineConfig`. The run's notes are not scored; they stay with
     whoever ran it."""
     scores: list[ArgScore] = []
-    decisions: dict[str, bool | None] = {}
+    decisions: dict[str, bool] = {}
     truth_correct: dict[str, int] = {}
     binary_scores, numerical_scores = [], []
     for result in results:
@@ -192,7 +187,7 @@ def instantiation_report(results, config) -> InstantiationReport:
         scores.extend(case_scores)
         truth = predicted.get(TRUTH_KEY)
         truth = None if truth is None else float(truth)
-        decisions[case.id] = None if truth is None else truth >= config.truth_threshold
+        decisions[case.id] = truth is not None and truth >= config.truth_threshold
         gold = float(case.expected.get(TRUTH_KEY, 1.0))
         truth_correct[case.id] = binary_accuracy(gold, truth, config.truth_threshold)
         if case.kind == "binary":
@@ -200,17 +195,11 @@ def instantiation_report(results, config) -> InstantiationReport:
         else:
             numerical_scores.append(min((s.score for s in case_scores if s.family == "dollar"), default=1))
 
-    def family(name: str) -> FamilyScore:
-        return _mean([s.score for s in scores if s.family == name])
-
+    members = {name: [s.score for s in scores if s.family == name] for name in ("truth", "dollar", "string")}
+    members |= {"unified": [s.score for s in scores], "binary": binary_scores, "numerical": numerical_scores}
     return InstantiationReport(
-        truth=family("truth"),
-        dollar=family("dollar"),
-        string=family("string"),
-        unified=_mean([s.score for s in scores]),
-        binary_cases=_mean(binary_scores),
-        numerical_cases=_mean(numerical_scores),
+        families={name: _mean(member) for name, member in members.items()},
         pairs=pair_consistency([r.case for r in results], decisions, truth_correct),
         arg_scores=tuple(scores),
-        errors=tuple(f"{r.case.id}: {r.error}" for r in results if r.error),
+        case_errors=sum(1 for r in results if r.error),
     )

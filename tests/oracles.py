@@ -876,14 +876,14 @@ def instantiation_report(
     config: EngineConfig = EngineConfig(),
 ) -> InstantiationReport:
     scores: list[ArgScore] = []
-    decisions: dict[str, bool | None] = {}
+    decisions: dict[str, bool] = {}
     truth_correct: dict[str, int] = {}
     binary_scores, numerical_scores = [], []
     for result in results:
         case, predicted = result.case, result.predicted
         scores.extend(score_arguments(case.expected, predicted, case.id, config.truth_threshold))
         truth = predicted.get(TRUTH_KEY)
-        decisions[case.id] = None if truth is None else float(truth) >= config.truth_threshold
+        decisions[case.id] = truth is not None and float(truth) >= config.truth_threshold
         gold = float(case.expected.get(TRUTH_KEY, 1.0))
         truth_correct[case.id] = binary_accuracy(
             gold, None if truth is None else float(truth), config.truth_threshold
@@ -909,20 +909,22 @@ def instantiation_report(
 
     pairs = pair_consistency([r.case for r in results], decisions, truth_correct)
     return InstantiationReport(
-        truth=family("truth"),
-        dollar=family("dollar"),
-        string=family("string"),
-        unified=FamilyScore(unified_accuracy(scores), len(scores)) if scores else FamilyScore(0.0, 0),
-        binary_cases=FamilyScore(
-            sum(binary_scores) / len(binary_scores) if binary_scores else 0.0, len(binary_scores)
-        ),
-        numerical_cases=FamilyScore(
-            sum(numerical_scores) / len(numerical_scores) if numerical_scores else 0.0,
-            len(numerical_scores),
-        ),
+        families={
+            "truth": family("truth"),
+            "dollar": family("dollar"),
+            "string": family("string"),
+            "unified": FamilyScore(unified_accuracy(scores), len(scores)) if scores else FamilyScore(0.0, 0),
+            "binary": FamilyScore(
+                sum(binary_scores) / len(binary_scores) if binary_scores else 0.0, len(binary_scores)
+            ),
+            "numerical": FamilyScore(
+                sum(numerical_scores) / len(numerical_scores) if numerical_scores else 0.0,
+                len(numerical_scores),
+            ),
+        },
         pairs=pairs,
         arg_scores=tuple(scores),
-        errors=tuple(f"{r.case.id}: {r.error}" for r in results if r.error),
+        case_errors=sum(1 for r in results if r.error),
     )
 
 

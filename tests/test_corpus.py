@@ -705,6 +705,21 @@ class TestRoundTrip:
     def test_hash_stable(self, corpus, manifest_path):
         assert corpus_hash(corpus) == corpus_hash(load_corpus(manifest_path))
 
+    def test_the_hash_covers_the_corpus_files_only(self, corpus, tmp_path):
+        # An editor's swap and backup files in statutes/ are not section
+        # files: the digest does not change. A stray .txt file is one, so
+        # the section-file count and the digest change together.
+        root = copy_corpus(tmp_path)
+        for name in (".swp", "section1.txt~"):
+            (root / "statutes" / name).write_text("stray\n", encoding="utf-8")
+        stray = load_corpus(root / "manifest.txt")
+        assert stray.section_files == corpus.section_files
+        assert corpus_hash(stray) == corpus_hash(corpus)
+        (root / "statutes" / "stray.txt").write_text("stray\n", encoding="utf-8")
+        extra = load_corpus(root / "manifest.txt")
+        assert extra.section_files == tuple(sorted((*corpus.section_files, "stray.txt")))
+        assert corpus_hash(extra) != corpus_hash(corpus)
+
     def test_the_fixture_loads_without_its_cases(self, manifest_path):
         assert_loads_without_its_cases(manifest_path, outcome(load_corpus, manifest_path))
 

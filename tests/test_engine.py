@@ -852,16 +852,14 @@ class TestEvaluateRun:
     def test_oracle_scores_everything(self, corpus):
         results, _ = run_cases(OracleResolver(), corpus, "all")
         report = instantiation_report(results, EngineConfig())
-        assert report.unified.accuracy == 1.0
-        assert report.truth.accuracy == 1.0
-        assert report.dollar.accuracy == 1.0
-        assert report.string.accuracy == 1.0
+        for name in ("unified", "truth", "dollar", "string"):
+            assert report.families[name].accuracy == 1.0, name
 
     def test_empty_split_empty_report(self, corpus):
         results, _ = run_cases(OracleResolver(), corpus, "nope")
         report = instantiation_report(results, EngineConfig())
         assert results == []
-        assert report.unified.n == 0
+        assert report.families["unified"].n == 0
 
     def test_errors_recorded_run_continues(self, corpus):
         class Boom:
@@ -870,11 +868,15 @@ class TestEvaluateRun:
                     raise RuntimeError("bad case")
                 return 1.0 if request.argument == TRUTH_KEY else None
 
-        results, _ = run_cases(Boom(), corpus, "test")
+        results, notes = run_cases(Boom(), corpus, "test")
         report = instantiation_report(results, EngineConfig())
         assert len(results) == 5
-        assert len(report.errors) == 1
-        assert "tax-case-4" in report.errors[0]
+        assert report.case_errors == 1
+        assert [r.case.id for r in results if r.error] == ["tax-case-4"]
+        # The error is kept once, in its result: the case failed at its
+        # first request, and no note repeats the error.
+        assert [note for note in notes if note[0] == "tax-case-4"] == []
+        assert report.render().splitlines()[-1] == "  case errors: 1"
 
     def test_a_recursive_rule_compiles_at_any_cap(self):
         # A rule that calls itself unrolls to the depth cap: at a cap of 5,000,
@@ -892,7 +894,7 @@ class TestEvaluateRun:
         results, _ = run_cases(OracleResolver(), corpus, config=config)
         report = instantiation_report(results, config)
         assert [(r.error, r.predicted) for r in results] == [(None, {TRUTH_KEY: 1.0})] * 2
-        assert report.errors == () and report.unified.accuracy == 1.0
+        assert report.case_errors == 0 and report.families["unified"].accuracy == 1.0
 
     def test_known_is_a_read_only_view(self, corpus):
         # Assigning into `request.known` fails that case, naming the
@@ -968,12 +970,10 @@ class TestNotes:
         notes = [
             ("c1", "§2(a)", "O'Neil", "no value"),
             ("c1", "§2(a)", None, "no truth"),
-            ("c1", None, "resolver failed on @truth of §2(a): boom", "error"),
         ]
         assert [note_text(note) for note in notes] == [
             "c1: no value for \"O'Neil\" of §2(a)",
             "c1: resolver gave no @truth for §2(a); defaulting to 0.0",
-            "c1: resolver failed on @truth of §2(a): boom",
         ]
 
     def test_notes_are_rendered_only_when_read(self, corpus, monkeypatch):

@@ -161,7 +161,7 @@ def unified(items):
             expected[TRUTH_KEY] = predicted[TRUTH_KEY] = 1.0
         case = Case(f"c{i}", "", "§x", ValueMap(), ValueMap(expected), "test")
         results.append(CaseResult(case, ValueMap(predicted), None))
-    return instantiation_report(results, EngineConfig()).unified
+    return instantiation_report(results, EngineConfig()).families["unified"]
 
 
 class TestUnifiedAccuracy:

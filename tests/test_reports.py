@@ -15,6 +15,7 @@ from statreason.cli import check_floors, report_records
 from statreason.engine import CaseResult, EngineConfig, run_cases
 from statreason.model import TRUTH_KEY, Case, Money, Span, ValueMap
 from statreason.reports import (
+    FamilyScore,
     argid_report,
     cascade_report,
     coref_report,
@@ -112,12 +113,13 @@ class TestInstantiationReport:
         params = fit_constant_baseline(list(corpus.cases_of("train")))
         results, _ = run_cases(ConstantResolver(params), corpus, "test")
         report = instantiation_report(results, EngineConfig())
-        assert report.truth.accuracy == pytest.approx(3 / 5)
-        assert report.dollar == report.dollar.__class__(0.0, 1)
-        assert report.string.n == 0
-        assert report.unified.accuracy == pytest.approx(3 / 6)
-        assert report.binary_cases.accuracy == pytest.approx(2 / 4)
-        assert report.numerical_cases.accuracy == 0.0
+        families = report.families
+        assert families["truth"].accuracy == pytest.approx(3 / 5)
+        assert families["dollar"] == FamilyScore(0.0, 1)
+        assert families["string"].n == 0
+        assert families["unified"].accuracy == pytest.approx(3 / 6)
+        assert families["binary"].accuracy == pytest.approx(2 / 4)
+        assert families["numerical"].accuracy == 0.0
         assert (report.pairs.identical, report.pairs.fully_correct, report.pairs.split) == (2, 0, 0)
 
     def test_oracle_pairs_fully_correct(self, corpus):
@@ -133,6 +135,16 @@ class TestInstantiationReport:
         text = report.render()
         for label in ("@truth", "dollar amount", "string", "unified", "binary", "numerical"):
             assert label in text
+
+    def test_records_and_rows_follow_the_families(self, corpus):
+        results, _ = run_cases(OracleResolver(), corpus, "test")
+        report = instantiation_report(results, EngineConfig())
+        names = ["truth", "dollar", "string", "unified", "binary", "numerical"]
+        assert list(report.families) == list(report.flat()) == names
+        lines = report.render().splitlines()
+        labels = [line[4:18].rstrip() for line in lines if line.startswith("    ")]
+        assert labels == ["@truth", "dollar amount", *names[2:]]
+        assert lines[5] == "  case-level accuracies"
 
 
 @st.composite
