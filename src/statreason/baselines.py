@@ -252,17 +252,18 @@ class ConstantResolver:
     """Answers from the three fitted parameters (`params`), ignoring the
     case entirely."""
 
-    __slots__ = ("params", "_arguments")
+    __slots__ = ("params", "_arguments", "_dollars")
 
     def __init__(self, params: ConstantBaselineParams):
         self.params = params
         self._arguments: dict[tuple, _Argument] = {}
+        self._dollars = Money(params.constant_dollars)  # a Money cannot be changed, so answers share it
 
     def resolve(self, request) -> Value:
         if request.argument == TRUTH_KEY:
             return self.params.majority_truth
         if _argument(self._arguments, request).dollars:
-            return Money(self.params.constant_dollars)
+            return self._dollars
         return self.params.majority_string
 
 

@@ -2,7 +2,7 @@
 
 A corpus lives in a directory described by a manifest of key=value lines:
 
-    statutes=statutes        directory of section text files plus offsets.txt
+    statutes=statutes        directory of offsets.txt and the section files it names
     spans=spans.txt          argument placeholder spans per subsection
     coref=coref.txt          span-index clusters per subsection, optionally
                              labelled with the rule's argument names
@@ -146,13 +146,10 @@ def _records(path: Path, row, errors: list[FileError]) -> bool:
     return False
 
 
-def load_statutes(statutes_dir: str | Path) -> dict[str, Subsection]:
-    """Read section files and slice subsections out per the offsets index,
-    by id."""
+def load_statutes(statutes_dir: str | Path) -> tuple[dict[str, Subsection], tuple[str, ...]]:
+    """The subsections that the offsets index slices out of the section
+    files, by id, and the sorted names of the section files: those it names."""
     statutes_dir = Path(statutes_dir)
-    index = statutes_dir / "offsets.txt"
-    if not index.exists():
-        _fail(index, None, "offsets index not found")
     texts: dict[str, str | None] = {}  # None for a file that is not UTF-8
     subsections: dict[str, Subsection] = {}
     errors: list[FileError] = []
@@ -164,6 +161,8 @@ def load_statutes(statutes_dir: str | Path) -> dict[str, Subsection]:
             raise records.RecordError("offsets need file=\"...\" start=<int> end=<int>")
         if "/" in fname or fname in ("", ".", ".."):
             raise records.RecordError(f"section file must be named by a file name in statutes/, got {fname!r}")
+        if fname == "offsets.txt":
+            raise records.RecordError("offsets.txt is the offsets index, not a section file")
         if fname not in texts:
             if not (statutes_dir / fname).is_file():
                 raise records.RecordError(f"section file not found: {fname}")
@@ -181,10 +180,10 @@ def load_statutes(statutes_dir: str | Path) -> dict[str, Subsection]:
             raise records.RecordError(f"duplicate subsection id {record.id}")
         subsections[record.id] = Subsection(record.id, text[start:end])
 
-    _records(index, row, errors)
+    _records(statutes_dir / "offsets.txt", row, errors)
     if errors:
         raise CorpusError(errors)
-    return subsections
+    return subsections, tuple(sorted(texts))
 
 
 def load_spans(
@@ -323,14 +322,13 @@ def load_corpus(manifest_path: str | Path, cases: bool = True) -> Corpus:
     """The corpus a manifest describes; with `cases` False no cases file is
     read, and the corpus has no gold or silver case."""
     manifest = CorpusManifest.load(manifest_path)
-    subsections = load_statutes(manifest.statutes)
+    subsections, section_files = load_statutes(manifest.statutes)
     program, problems = parse_program(_read(manifest.structure), subsections)
     if problems:
         raise CorpusError([FileError(str(manifest.structure), line, message) for line, message in problems])
     layers = load_argument_layers(manifest.spans, manifest.coref, subsections, program)
     gold = load_cases(manifest.cases, program) if cases else []
     silver = load_cases(manifest.silver, program, split="silver") if cases and manifest.silver else []
-    section_files = tuple(sorted({p.name for p in manifest.statutes.glob("*.txt") if p.is_file()} - {"offsets.txt"}))
     return Corpus(
         manifest=manifest,
         subsections=subsections,
@@ -343,7 +341,7 @@ def load_corpus(manifest_path: str | Path, cases: bool = True) -> Corpus:
 
 
 def corpus_hash(corpus: Corpus) -> str:
-    """Stable digest of every corpus file, for run manifests."""
+    """Stable digest of the corpus files, the section files offsets.txt names among them, for run manifests."""
     import hashlib  # here, so that `validate` does not load it
 
     manifest = corpus.manifest

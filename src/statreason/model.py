@@ -138,7 +138,7 @@ def check_value(value: Value) -> Value:
 
 def check_truth(value: Value) -> float:
     """Validate a value held under "@truth", returning it unchanged."""
-    if value_kind(check_value(value)) != "truth":
+    if type(check_value(value)) is not float:  # the kind "truth"
         raise ValueError(f"{TRUTH_KEY} must hold a truth score, got {value!r}")
     return value
 

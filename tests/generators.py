@@ -349,7 +349,10 @@ def _value_map(draw, keys: st.SearchStrategy[str], values: st.SearchStrategy, ex
     """A value map over `keys` and "@truth", which holds a truth score, or
     None when the constructor refuses it. An `expected` map expects
     something, and "@truth" unless it expects an amount."""
-    names = draw(st.lists(st.one_of(keys, st.just(TRUTH_KEY)), unique=True, max_size=3))
+    truth = draw(st.booleans())
+    names = draw(st.lists(keys.filter(lambda key: key != TRUTH_KEY), unique=True, max_size=3 - truth))
+    if truth:
+        names.insert(draw(st.integers(0, len(names))), TRUTH_KEY)
     pairs = [(name, draw(TRUTH_VALUES if name == TRUTH_KEY else values)) for name in names]
     if expected and TRUTH_KEY not in names and all(type(v) is not Money for _, v in pairs):
         pairs.append((TRUTH_KEY, draw(TRUTH_VALUES)))
@@ -450,7 +453,9 @@ def corpora(draw, distributed: bool = False) -> Corpus:
         return out
 
     gold = sorted(cases(None), key=lambda case: f"{case.split}.cases")
-    section_files = tuple(sorted(draw(st.lists(_SECTION_FILES, min_size=1, max_size=3, unique=True))))
+    # At most one section file per subsection, so that the offsets index names each.
+    files = st.lists(_SECTION_FILES, min_size=min(1, len(subsections)), max_size=min(3, len(subsections)), unique=True)
+    section_files = tuple(sorted(draw(files)))
     return Corpus(None, subsections, layers, program, tuple(gold), tuple(cases("silver")), section_files)
 
 

@@ -69,7 +69,7 @@ def assert_loaders_agree(root: Path, data) -> None:
         if path not in texts or data.draw(st.booleans()):
             path = data.draw(st.sampled_from(sorted(texts)))
         path.write_bytes(data.draw(st.sampled_from(list(corruptions(texts[path]))))[1])
-    ok, subsections = outcome(loaders.load_statutes, root / "statutes")
+    ok, subsections = outcome(lambda statutes: loaders.load_statutes(statutes)[0], root / "statutes")
     assert (ok, subsections) == outcome(oracles.load_statutes, root / "statutes")
     program, _ = parse_program((root / "structure.txt").read_text(encoding="utf-8"), subsections if ok else {})
     if ok:
@@ -111,9 +111,9 @@ def loads_as_written(drawn, manifest, loaded):
     # references from file to file may fail: then the load refuses it
     # as the loader composed of `oracles`' first versions does.
     assert loaded == outcome(oracles.load_corpus, manifest, True)
-    subsections = load_statutes(manifest.parent / "statutes")
+    subsections, section_files = load_statutes(manifest.parent / "statutes")
     spans, _ = loaders.load_spans(manifest.parent / "spans.txt", subsections)
-    assert subsections == drawn.subsections
+    assert (subsections, section_files) == (drawn.subsections, drawn.section_files)
     assert spans == {sid: layer.spans for sid, layer in drawn.layers.items()}
     if loaded[0]:
         assert corpus_fields(loaded[1]) == corpus_fields(drawn)
@@ -178,7 +178,7 @@ class TestLoadStatutes:
 
     def test_empty_dir(self, tmp_path):
         (tmp_path / "offsets.txt").write_text("", encoding="utf-8")
-        assert load_statutes(tmp_path) == {}
+        assert load_statutes(tmp_path) == ({}, ())
 
     def test_offset_past_end_of_file(self, tmp_path):
         (tmp_path / "s.txt").write_text("short", encoding="utf-8")
@@ -199,7 +199,7 @@ class TestLoadStatutes:
     def test_newlines_read_as_in_text_mode(self, tmp_path):
         (tmp_path / "s.txt").write_bytes(b"ab\r\ncd\ref")
         (tmp_path / "offsets.txt").write_text('§1 file="s.txt" start=0 end=8\n', encoding="utf-8")
-        assert load_statutes(tmp_path)["§1"].text == "ab\ncd\nef"
+        assert load_statutes(tmp_path)[0]["§1"].text == "ab\ncd\nef"
 
     @pytest.mark.parametrize("name", ["manifest.txt", "structure.txt", "statutes/section63.txt", "cases/test.cases"])
     def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, capsys, name):
@@ -307,6 +307,7 @@ class TestLoadLayers:
             ("statutes/offsets.txt", 'file=""', NOT_A_FILE_NAME.format("''")),
             ("statutes/offsets.txt", 'file="."', NOT_A_FILE_NAME.format("'.'")),
             ("statutes/offsets.txt", 'file=".."', NOT_A_FILE_NAME.format("'..'")),
+            ("statutes/offsets.txt", 'file="offsets.txt"', "offsets.txt is the offsets index, not a section file"),
             ("cases/test.cases", "query=3", "query and description must be quoted strings"),
             ("cases/test.cases", "inputs=[Zz=(1, 2)]", "inputs: argument Zz holds (1, 2), which is not a value"),
             ("cases/test.cases", "inputs=[Zz=L:[1]]", "inputs: argument Zz holds L:[1], which is not a value"),
@@ -705,20 +706,36 @@ class TestRoundTrip:
     def test_hash_stable(self, corpus, manifest_path):
         assert corpus_hash(corpus) == corpus_hash(load_corpus(manifest_path))
 
-    def test_the_hash_covers_the_corpus_files_only(self, corpus, tmp_path):
-        # An editor's swap and backup files in statutes/ are not section
-        # files: the digest does not change. A stray .txt file is one, so
-        # the section-file count and the digest change together.
+    def test_the_hash_covers_the_corpus_files_only(self, corpus, tmp_path, capsys):
+        # An entry of statutes/ that offsets.txt does not name is no section
+        # file, whatever its name: the section files, `validate`'s line and
+        # the digest are the clean copy's.
         root = copy_corpus(tmp_path)
-        for name in (".swp", "section1.txt~"):
+        manifest = root / "manifest.txt"
+        assert main(["validate", "--manifest", str(manifest)]) == 0
+        clean = capsys.readouterr().out
+        for name in ("stray.txt", ".swp", "section1.txt~"):
             (root / "statutes" / name).write_text("stray\n", encoding="utf-8")
-        stray = load_corpus(root / "manifest.txt")
+        (root / "statutes" / "extra.txt").mkdir()
+        stray = load_corpus(manifest)
         assert stray.section_files == corpus.section_files
         assert corpus_hash(stray) == corpus_hash(corpus)
-        (root / "statutes" / "stray.txt").write_text("stray\n", encoding="utf-8")
-        extra = load_corpus(root / "manifest.txt")
-        assert extra.section_files == tuple(sorted((*corpus.section_files, "stray.txt")))
-        assert corpus_hash(extra) != corpus_hash(corpus)
+        assert main(["validate", "--manifest", str(manifest)]) == 0
+        assert capsys.readouterr().out == clean
+
+    def test_a_section_file_is_a_file_that_offsets_names(self, corpus, tmp_path, capsys):
+        # Whatever its name: a renamed section file is counted and digested.
+        root = copy_corpus(tmp_path)
+        statutes, manifest = root / "statutes", root / "manifest.txt"
+        (statutes / "section1.txt").rename(statutes / "section1.dat")
+        edit(statutes / "offsets.txt", 'file="section1.txt"', 'file="section1.dat"')
+        assert main(["validate", "--manifest", str(manifest)]) == 0
+        assert capsys.readouterr().out.startswith("corpus ok: 6 section files, ")
+        renamed = load_corpus(manifest)
+        assert renamed.subsections == corpus.subsections
+        digest = corpus_hash(renamed)
+        edit(statutes / "section1.dat", "$31,172", "$31,173")
+        assert corpus_hash(load_corpus(manifest)) != digest
 
     def test_the_fixture_loads_without_its_cases(self, manifest_path):
         assert_loads_without_its_cases(manifest_path, outcome(load_corpus, manifest_path))

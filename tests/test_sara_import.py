@@ -388,6 +388,22 @@ class TestImport:
         self.assert_validates(dest, capsys)
         assert load_corpus(dest / "manifest.txt").subsections["§1(d)(iv)"].text.startswith("(iv) $31,172")
 
+    def test_a_section_file_named_as_the_offsets_index_is_skipped(self, tmp_path, capsys):
+        # The importer writes its index to statutes/offsets.txt, so a record
+        # into a source file of that name would slice the index.
+        make_distributed_tree(tmp_path / "plain")
+        before = import_corpus(tmp_path / "plain", tmp_path / "plain-canonical")
+        source, dest = tmp_path / "dist", tmp_path / "canonical"
+        make_distributed_tree(source)
+        write(source / "statutes" / "offsets.txt", "§61(a) file=\"offsets.txt\" start=0 end=20\n")
+        write(source / "statutes" / "offsets.offsets", "§61(a) 0 20\n")
+        assert main(["import-sara", "--source", str(source), "--dest", str(dest)]) == 0
+        skip = "statutes/offsets.offsets:1: offsets.txt is the offsets index, not a section file"
+        assert capsys.readouterr().err == f"skipped {skip}\n"
+        log = import_corpus(source, tmp_path / "again")
+        assert (log.imported, log.skipped) == (before.imported, [skip])
+        self.assert_validates(dest, capsys)
+
     @pytest.mark.parametrize(
         "line, first, problem",
         [
