@@ -10,13 +10,14 @@ at scale `sara`, and the fixture with no silver cases and a third split,
 `dev` (`tests/layouts.py`'s `write_dev_split`), each written once, in the
 canonical format and in the distributed layout that `import-sara` reads
 (`write_distributed`). The commands are every step of
-`perfbench/workloads.STEPS`, `scripts/reproduce_tables.py`, 31 `eval-inst`
-flag sets (each resolver with no flag, `--no-structure`, depth caps, a
-threshold, `--split all` and `--insert-gold`; the constant resolver with
-`--with-silver`; and three invalid flag sets) and `import-sara` of the
+`perfbench/workloads.STEPS`, `scripts/reproduce_tables.py`, 27 more
+`eval-inst` flag sets (each resolver with no flag, `--no-structure`, depth
+caps, a threshold, `--split all`, `--split dev` and `--insert-gold`; the
+constant resolver with `--with-silver`; and three invalid flag sets; less
+the 7 that a step of STEPS runs already) and `import-sara` of the
 distributed layout, whose canonical tree is compared as an output. Each
-runs in its corpus's working directory with relative paths, one process at
-a time.
+distinct command runs once per corpus, in its corpus's working directory
+with relative paths, one process at a time.
 
 Every file written, every stdout and stderr and every exit code is
 compared, and the first differing line of each difference is printed.
@@ -47,10 +48,11 @@ MANIFEST = "corpus/manifest.txt"
 DISTRIBUTED = "distributed"
 OUT = "out"
 
-# eval-inst flag sets beyond the benchmark's steps; the last three are invalid.
+# eval-inst flag sets, of which `commands` skips those that a step of STEPS runs;
+# the last three are invalid.
 EVERY_RESOLVER = [
     [], ["--no-structure"], ["--no-structure", "--depth-cap", "5"], ["--depth-cap", "1"], ["--depth-cap", "2"],
-    ["--depth-cap", "4"], ["--threshold", "0.3"], ["--split", "all"], ["--insert-gold"],
+    ["--depth-cap", "4"], ["--threshold", "0.3"], ["--split", "all"], ["--split", "dev"], ["--insert-gold"],
 ]
 FLAG_SETS = [
     *(["--resolver", resolver, *flags] for resolver in ("oracle", "constant", "heuristic") for flags in EVERY_RESOLVER),
@@ -69,6 +71,8 @@ def commands(tree: Path) -> dict[str, list[str]]:
         str(tree / "scripts" / "reproduce_tables.py"), "--manifest", MANIFEST, "--out", f"{OUT}/reproduce-tables"
     ]
     for flags in FLAG_SETS:
+        if ["eval-inst", *flags] in STEPS.values():
+            continue
         label = "eval-inst" + "".join(f"_{flag.lstrip('-')}" for flag in flags)
         runs[label] = ["-m", "statreason", "eval-inst", "--manifest", MANIFEST, *flags, "--out", f"{OUT}/{label}"]
     runs["import-sara"] = ["-m", "statreason", "import-sara", "--source", DISTRIBUTED, "--dest", f"{OUT}/import-sara"]

@@ -14,7 +14,7 @@ from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .metrics import MONTHS, canonical_string, dollar_band, family_of
+from .metrics import MONTHS, canonical_string, dollar_band
 from .model import (
     ArgumentLayer,
     Case,
@@ -24,6 +24,7 @@ from .model import (
     TRUTH_KEY,
     Value,
     canonical_partition,
+    family_of,
 )
 
 # ---------------------------------------------------------------------------
@@ -184,7 +185,7 @@ def fit_constant_baseline(train_cases: list[Case]) -> ConstantBaselineParams:
         for name, value in case.expected.items():
             family = family_of(name, value)
             if family == "truth":
-                truths.append(float(value))
+                truths.append(value)
             elif family == "dollar":
                 dollars.append(value.dollars)
             else:

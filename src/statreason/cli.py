@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-inst", help="run argument instantiation and score it")
     common(p)
     p.add_argument("--resolver", default="constant", choices=["oracle", "heuristic", "constant"])
-    p.add_argument("--split", default="test", choices=["train", "test", "all"])
+    p.add_argument("--split", default="test", help="a split of the gold cases, or all")
     p.add_argument("--depth-cap", type=int, default=3)
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--no-structure", action="store_true", help="instantiate the query's subsection alone")

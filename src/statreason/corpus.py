@@ -28,7 +28,7 @@ from collections.abc import Mapping
 from pathlib import Path
 
 from . import records
-from .model import ArgumentLayer, Case, Frozen, Span, Subsection, check_split
+from .model import ArgumentLayer, Case, Frozen, Span, Subsection, check_split, layer_of
 from .rules import Program, iter_refs, parse_program
 
 
@@ -456,15 +456,15 @@ class CorpusStatistics(Frozen):
 
 
 def corpus_statistics(corpus: Corpus) -> CorpusStatistics:
-    """The corpus sizes and its series: placeholders and arguments per
-    subsection, mentions per argument, arguments and dependencies per rule,
-    then the input and the expected pairs per case of the train and test
+    """The corpus sizes and its series: placeholders and arguments per subsection (each read
+    through `layer_of`, so one with no annotation has none), mentions per argument, arguments and
+    dependencies per rule, then the input and the expected pairs per case of the train and test
     splits, of every gold split ("all") and of the silver cases."""
-    layers = [corpus.layers.get(sid) for sid in corpus.subsections]
+    layers = [layer_of(corpus.layers, sid) for sid in corpus.subsections]
     values = {
-        "placeholders per subsection": [len(layer.spans) if layer else 0 for layer in layers],
-        "arguments per subsection": [len(layer.clusters) if layer else 0 for layer in layers],
-        "mentions per argument": [len(c) for layer in layers if layer for c in layer.clusters],
+        "placeholders per subsection": [len(layer.spans) for layer in layers],
+        "arguments per subsection": [len(layer.clusters) for layer in layers],
+        "mentions per argument": [len(c) for layer in layers for c in layer.clusters],
         "rule arguments": [len(r.params) for r in corpus.program.values()],
         "rule dependencies": [len(list(iter_refs(r.body))) for r in corpus.program.values()],
     }

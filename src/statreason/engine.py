@@ -226,6 +226,7 @@ def _instantiate(
 def do_operation(kind: str, children: list[dict[str, Value]]) -> dict[str, Value]:
     """Combine children's values at a logical-operator node, whose shape
     `rules.Op` checked: "NOT" over one child, "AND" or "OR" over two or more.
+    Each child holds a truth score, as every result the engine builds does.
 
     NOT keeps only the negated truth score. OR adopts the entire value map of
     the child with the highest truth score. AND pools all children's values
@@ -233,8 +234,8 @@ def do_operation(kind: str, children: list[dict[str, Value]]) -> dict[str, Value
     the child with the lower truth score.
     """
     if kind == "NOT":
-        return {TRUTH_KEY: 1.0 - float(children[0].get(TRUTH_KEY, 0.0))}
-    truths = [float(c.get(TRUTH_KEY, 0.0)) for c in children]
+        return {TRUTH_KEY: 1.0 - children[0][TRUTH_KEY]}
+    truths = [c[TRUTH_KEY] for c in children]
     if kind == "OR":
         winner = truths.index(max(truths))  # the first of the highest
         return {**children[winner], TRUTH_KEY: truths[winner]}

@@ -1,7 +1,8 @@
 """Scoring: the exact-match table, the three accuracy families, pair analysis.
 
 `exact_match` is the one definition of the table that the coreference,
-argument-identification and cascade reports print.
+argument-identification and cascade reports print. `model.family_of` names an
+argument's family, and a truth score is read as the model keeps it: a float.
 
 Conventions that the formulas leave open are pinned here once: the binary
 threshold is inclusive at 0.5, a missing prediction scores 0 in its family
@@ -17,7 +18,7 @@ import re
 import statistics as stats
 from fractions import Fraction
 
-from .model import Frozen, Money, TRUTH_KEY, Value, value_kind
+from .model import Frozen, Money, Value, family_of, value_kind
 from .records import write_value
 
 
@@ -141,14 +142,6 @@ def string_accuracy(gold: Value, pred: Value | None) -> int:
     return 1 if canonical_string(gold) == canonical_string(pred) else 0
 
 
-def family_of(name: str, gold_value: Value) -> str:
-    if name == TRUTH_KEY:
-        return "truth"
-    if value_kind(gold_value) == "money":
-        return "dollar"
-    return "string"
-
-
 class ArgScore(Frozen):
     __slots__ = ("case_id", "argument", "family", "score")
 
@@ -162,7 +155,7 @@ def score_arguments(
         pred = predicted.get(name)
         family = family_of(name, gold)
         if family == "truth":
-            score = binary_accuracy(float(gold), None if pred is None else float(pred), threshold)
+            score = binary_accuracy(gold, pred, threshold)
         elif family == "dollar":
             score = 0 if pred is None or value_kind(pred) not in ("money", "number") else numerical_accuracy(gold, pred)
         else:
@@ -211,7 +204,7 @@ def pair_consistency(cases, decisions: dict[str, bool], correctness: dict[str, i
         a, b = members
         if decisions[a.id] == decisions[b.id]:
             identical += 1
-        elif correctness.get(a.id, 0) and correctness.get(b.id, 0):
+        elif correctness[a.id] and correctness[b.id]:
             fully += 1
         else:
             split += 1

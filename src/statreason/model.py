@@ -102,6 +102,13 @@ def value_kind(value: Value) -> str:
     raise ValueError(f"unsupported value type: {type(value).__name__}")
 
 
+def family_of(name: str, gold_value: Value) -> str:
+    """An argument's scoring family: "truth" for "@truth", else "dollar" for money, else "string"."""
+    if name == TRUTH_KEY:
+        return "truth"
+    return "dollar" if value_kind(gold_value) == "money" else "string"
+
+
 def check_text(text: str) -> str:
     """Validate text that a corpus file can hold (UTF-8 can encode it), returning it unchanged."""
     if not text.isascii():
@@ -335,11 +342,8 @@ class Case(Frozen):
 
     @property
     def kind(self) -> str:
-        """"numerical" when a non-@truth dollar amount is expected, else "binary"."""
-        for name, value in self.expected.items():
-            if name != TRUTH_KEY and value_kind(value) == "money":
-                return "numerical"
-        return "binary"
+        """"numerical" when an expected value is in the dollar family (`family_of`), else "binary"."""
+        return "numerical" if any(family_of(*item) == "dollar" for item in self.expected.items()) else "binary"
 
     @property
     def pair_id(self) -> str | None:

@@ -186,9 +186,8 @@ def instantiation_report(results, config) -> InstantiationReport:
         case_scores = score_arguments(case.expected, predicted, case.id, config.truth_threshold)
         scores.extend(case_scores)
         truth = predicted.get(TRUTH_KEY)
-        truth = None if truth is None else float(truth)
         decisions[case.id] = truth is not None and truth >= config.truth_threshold
-        gold = float(case.expected.get(TRUTH_KEY, 1.0))
+        gold = case.expected.get(TRUTH_KEY, 1.0)
         truth_correct[case.id] = binary_accuracy(gold, truth, config.truth_threshold)
         if case.kind == "binary":
             binary_scores.append(truth_correct[case.id])

@@ -350,7 +350,8 @@ def _value_map(draw, keys: st.SearchStrategy[str], values: st.SearchStrategy, ex
     None when the constructor refuses it. An `expected` map expects
     something, and "@truth" unless it expects an amount."""
     truth = draw(st.booleans())
-    names = draw(st.lists(keys.filter(lambda key: key != TRUTH_KEY), unique=True, max_size=3 - truth))
+    # The first of each name, so that no draw is retried to make them unique.
+    names = [name for name in dict.fromkeys(draw(st.lists(keys, max_size=3 - truth))) if name != TRUTH_KEY]
     if truth:
         names.insert(draw(st.integers(0, len(names))), TRUTH_KEY)
     pairs = [(name, draw(TRUTH_VALUES if name == TRUTH_KEY else values)) for name in names]
@@ -440,8 +441,10 @@ def corpora(draw, distributed: bool = False) -> Corpus:
     def cases(split: str | None) -> list[Case]:
         out = []
         first = ["train", "test"] if carry and split is None else []
-        ids = st.lists(case_ids, min_size=len(first), max_size=3 if heads or not sound else 0, unique=True)
-        for i, cid in enumerate(draw(ids)):
+        ids = draw(st.lists(case_ids, min_size=len(first), max_size=3 if heads or not sound else 0))
+        if first and ids[0] == ids[1]:  # the carry's two cases, each with its own id
+            ids[1] += "2"
+        for i, cid in enumerate(dict.fromkeys(ids)):  # the first of each id
             inputs, expected = _value_map(draw, keys, values, False), _value_map(draw, keys, values, True)
             case = inputs is not None and expected is not None and _made(
                 Case, cid, draw(descriptions),
@@ -454,8 +457,8 @@ def corpora(draw, distributed: bool = False) -> Corpus:
 
     gold = sorted(cases(None), key=lambda case: f"{case.split}.cases")
     # At most one section file per subsection, so that the offsets index names each.
-    files = st.lists(_SECTION_FILES, min_size=min(1, len(subsections)), max_size=min(3, len(subsections)), unique=True)
-    section_files = tuple(sorted(draw(files)))
+    files = st.lists(_SECTION_FILES, min_size=min(1, len(subsections)), max_size=min(3, len(subsections)))
+    section_files = tuple(sorted(set(draw(files))))
     return Corpus(None, subsections, layers, program, tuple(gold), tuple(cases("silver")), section_files)
 
 

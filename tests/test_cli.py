@@ -10,6 +10,7 @@ from statreason import records
 from statreason.cli import main
 from statreason.corpus import load_corpus
 
+from layouts import write_dev_split
 from oracles import oracle_ceaf_e, oracle_ceaf_m
 
 FIXTURES = Path(__file__).parent / "fixtures" / "corpus"
@@ -155,6 +156,24 @@ class TestEvalCommands:
             "eval-inst", "--manifest", MANIFEST, "--resolver", "oracle",
             "--split", "all", "--floor", "unified=0.999",
         ]) == 0
+
+    @pytest.mark.parametrize("split, n", [("dev", 2), ("nosuch", 0)])
+    def test_eval_inst_scores_any_split_the_corpus_holds(self, split, n, tmp_path, capsys):
+        # The fixture with its last two test cases in a `dev` split; a name
+        # that no case holds scores nothing.
+        corpus = load_corpus(MANIFEST)
+        manifest = write_dev_split(corpus, tmp_path / "corpus")
+        held = [case.id for case in corpus.cases_of("test")[-2:]] if n else []
+        out = tmp_path / "out"
+        argv = ["eval-inst", "--manifest", str(manifest), "--resolver", "oracle", "--split", split, "--out", str(out)]
+        assert main(argv) == 0
+        truth_row = next(line for line in capsys.readouterr().out.splitlines() if "@truth" in line)
+        assert truth_row.endswith(f"(n={n})")
+        run_line = (out / "eval-inst.records.txt").read_text(encoding="utf-8").splitlines()[0]
+        assert f' split="{split}" ' in run_line
+        predictions = (out / "eval-inst.predictions.txt").read_text(encoding="utf-8").splitlines()
+        assert predictions[0] == run_line
+        assert sorted({line.split()[0] for line in predictions[1:]}) == sorted(held)
 
     def test_floor_failure_exits_nonzero(self, capsys):
         assert main([

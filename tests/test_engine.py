@@ -469,11 +469,15 @@ class TestDoOperation:
         )
         assert dict(out) == {"X": "a", "Y": "b", TRUTH_KEY: 0.4}
 
-    # Few names and truths, so children share names and tie on truth; a
-    # child may lack a truth score or hold the negative zero.
-    CHILD = st.dictionaries(
-        st.sampled_from(["X", "Y", "Z", TRUTH_KEY]), st.sampled_from([0.0, -0.0, 0.5, 1.0, "a", "b"])
-    ).map(lambda d: {k: v for k, v in d.items() if (k == TRUTH_KEY) == isinstance(v, float)})
+    # Few names and truths, so children share names and tie on truth. Every
+    # child holds a truth score, as every child the engine builds does, at
+    # any position among its names; it may be the negative zero.
+    CHILD = st.builds(
+        lambda items, at, truth: dict([*items[:at], (TRUTH_KEY, truth), *items[at:]]),
+        st.dictionaries(st.sampled_from(["X", "Y", "Z"]), st.sampled_from(["a", "b"])).map(lambda d: [*d.items()]),
+        st.integers(0, 3),
+        st.sampled_from([0.0, -0.0, 0.5, 1.0]),
+    )
 
     # The shapes `rules.Op` admits, which are all the engine runs.
     @given(
@@ -843,6 +847,7 @@ class TestEngineInvariants:
             for case in corpus.cases:
                 result = instantiate_full(resolver, case, RunContext(corpus))
                 assert TRUTH_KEY in result
+                assert type(result[TRUTH_KEY]) is float and 0.0 <= result[TRUTH_KEY] <= 1.0
                 allowed = set(corpus.program.get(case.query).params)
                 allowed |= set(case.inputs) | {TRUTH_KEY}
                 assert set(result) <= allowed

@@ -19,6 +19,7 @@ from statreason.model import (
     check_text,
     check_value,
     components,
+    family_of,
     layer_of,
     value_kind,
 )
@@ -45,6 +46,20 @@ class TestValues:
         assert value_kind(0.5) == "truth"
         assert value_kind(datetime.date(2017, 2, 3)) == "date"
         assert value_kind(("a", "b")) == "list"
+
+    @pytest.mark.parametrize(
+        "name, gold, family",
+        [
+            ("@truth", 1.0, "truth"),
+            ("Tax", Money(500), "dollar"),
+            ("Week", 42, "string"),
+            ("Date", datetime.date(2017, 2, 3), "string"),
+            ("Spouse", "Alice", "string"),
+            ("Children", ("Bob", "Cat"), "string"),
+        ],
+    )
+    def test_family_of(self, name, gold, family):
+        assert family_of(name, gold) == family
 
     def test_truth_range_enforced(self):
         with pytest.raises(ValueError):
