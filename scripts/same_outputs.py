@@ -10,10 +10,10 @@ at scale `sara`, and the fixture with no silver cases and a third split,
 `dev` (`tests/layouts.py`'s `write_dev_split`), each written once, in the
 canonical format and in the distributed layout that `import-sara` reads
 (`write_distributed`). The commands are every step of
-`perfbench/workloads.STEPS`, `scripts/reproduce_tables.py`, 27 more
+`perfbench/workloads.STEPS`, `scripts/reproduce_tables.py`, 28 more
 `eval-inst` flag sets (each resolver with no flag, `--no-structure`, depth
 caps, a threshold, `--split all`, `--split dev` and `--insert-gold`; the
-constant resolver with `--with-silver`; and three invalid flag sets; less
+constant resolver with `--with-silver`; and four invalid flag sets; less
 the 7 that a step of STEPS runs already) and `import-sara` of the
 distributed layout, whose canonical tree is compared as an output. Each
 distinct command runs once per corpus, in its corpus's working directory
@@ -49,7 +49,7 @@ DISTRIBUTED = "distributed"
 OUT = "out"
 
 # eval-inst flag sets, of which `commands` skips those that a step of STEPS runs;
-# the last three are invalid.
+# the last four are invalid.
 EVERY_RESOLVER = [
     [], ["--no-structure"], ["--no-structure", "--depth-cap", "5"], ["--depth-cap", "1"], ["--depth-cap", "2"],
     ["--depth-cap", "4"], ["--threshold", "0.3"], ["--split", "all"], ["--split", "dev"], ["--insert-gold"],
@@ -60,6 +60,7 @@ FLAG_SETS = [
     ["--depth-cap", "0"],
     ["--no-structure", "--depth-cap", "0"],
     ["--threshold", "1.5"],
+    ["--split", ""],
 ]
 
 

@@ -27,7 +27,7 @@ from .corpus import (
     load_corpus,
     load_spans,
 )
-from .model import Span
+from .model import Span, check_split
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-inst", help="run argument instantiation and score it")
     common(p)
     p.add_argument("--resolver", default="constant", choices=["oracle", "heuristic", "constant"])
-    p.add_argument("--split", default="test", help="a split of the gold cases, or all")
+    p.add_argument("--split", default="test", type=_split, help="a split of the gold cases, or all")
     p.add_argument("--depth-cap", type=int, default=3)
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--no-structure", action="store_true", help="instantiate the query's subsection alone")
@@ -114,6 +114,15 @@ def _floor(item: str) -> tuple[str, float]:
     raise argparse.ArgumentTypeError(f"expected NAME=VALUE with a numeric VALUE, got {item!r}")
 
 
+def _split(name: str) -> str:
+    """A --split value: all, or a name that `model.check_split` accepts, the rule for
+    the name of a cases file; any other, "" or one holding "/", is a usage error."""
+    try:
+        return name if name == "all" else check_split(name)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def cmd_validate(args) -> int:
     corpus = load_corpus(args.manifest)
     print(
@@ -126,15 +135,18 @@ def cmd_validate(args) -> int:
 
 
 def _emit(args, name: str, report, run_line: str, predictions: list[str] | None = None) -> int:
-    """Print a report, write its files under --out and check the floors."""
+    """Print a report, write its files under --out and check the floors. Each output is
+    encoded to UTF-8 before any is printed or written, so a command writes all or none."""
     text, flat = report.render(), report.flat()
+    outputs = {"report": text + "\n", "records": report_records(flat, run_line)}
+    if predictions is not None:
+        outputs["predictions"] = "\n".join(predictions) + "\n"
+    encoded = {kind: output.encode("utf-8") for kind, output in outputs.items()}
     print(text)
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / f"{name}.report.txt").write_text(text + "\n", encoding="utf-8")
-        (args.out / f"{name}.records.txt").write_text(report_records(flat, run_line), encoding="utf-8")
-        if predictions is not None:
-            (args.out / f"{name}.predictions.txt").write_text("\n".join(predictions) + "\n", encoding="utf-8")
+        for kind, data in encoded.items():
+            (args.out / f"{name}.{kind}.txt").write_bytes(data)
     failures = check_floors(flat, dict(args.floor))
     for failure in failures:
         print(failure, file=sys.stderr)

@@ -1,3 +1,4 @@
+import io
 import os
 import shutil
 import subprocess
@@ -175,6 +176,19 @@ class TestEvalCommands:
         assert predictions[0] == run_line
         assert sorted({line.split()[0] for line in predictions[1:]}) == sorted(held)
 
+    @pytest.mark.parametrize("split", ["\udcff", "", "a/b"], ids=["surrogate", "empty", "slash"])
+    def test_a_split_that_names_no_cases_file_is_a_usage_error(self, split, tmp_path, capsys):
+        # The model's split rule, checked before the corpus loads: a lone
+        # surrogate (an undecodable argument byte), "" and a name holding "/".
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["eval-inst", "--manifest", MANIFEST, "--split", split, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument --split: split {split!r}: " in err
+        assert not out.exists()
+
     def test_floor_failure_exits_nonzero(self, capsys):
         assert main([
             "eval-inst", "--manifest", MANIFEST, "--resolver", "constant",
@@ -256,6 +270,19 @@ class TestImports:
         imported = f"import:{dump / 'eval-coref.predictions.txt'}"
         assert main(["eval-coref", "--manifest", MANIFEST, "--baseline", imported]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_an_output_that_utf8_cannot_hold_is_neither_printed_nor_written(self, tmp_path, monkeypatch, capsys):
+        # An undecodable byte in the import path reaches the report's title. A
+        # stdout that escapes it, as in the POSIX locale, gets no report either.
+        spans = tmp_path / "spans\udcff.txt"
+        shutil.copyfile(FIXTURES / "spans.txt", spans)
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="surrogateescape", write_through=True)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        out = tmp_path / "out"
+        assert main(["eval-argid", "--manifest", MANIFEST, "--source", f"import:{spans}", "--out", str(out)]) == 2
+        assert stdout.buffer.getvalue() == b""
+        assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't encode character '\\udcff'")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval-argid", "cascade"])
     @pytest.mark.parametrize(

@@ -1,6 +1,4 @@
-import importlib.util
 import shutil
-import sys
 import tempfile
 from pathlib import Path
 
@@ -29,7 +27,6 @@ from layouts import write_corpus, write_dev_split
 from test_corruption import corruptions
 
 FIXTURES = Path(__file__).parent / "fixtures" / "corpus"
-SCRIPTS = Path(__file__).parent.parent / "scripts"
 NOT_A_FILE_NAME = "section file must be named by a file name in statutes/, got {}"
 
 
@@ -656,23 +653,6 @@ class TestValidation:
         assert capsys.readouterr().err == f"{where}:7: {message}\n"
 
 
-def test_the_fixture_builder_writes_the_fixture(tmp_path, monkeypatch, capsys):
-    # scripts/build_fixture_corpus.py regenerates tests/fixtures/corpus byte
-    # for byte: the same files, the same bytes in each.
-    monkeypatch.setattr(sys, "path", [*sys.path])  # the script puts src/ on it
-    spec = importlib.util.spec_from_file_location("build_fixture_corpus", SCRIPTS / "build_fixture_corpus.py")
-    builder = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(builder)
-    monkeypatch.setattr(builder, "OUT", tmp_path)
-    builder.main()
-    assert capsys.readouterr().out == f"fixture corpus written to {tmp_path}\n"
-
-    def files(root: Path) -> dict[str, bytes]:
-        return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
-
-    assert files(tmp_path) == files(FIXTURES)
-
-
 class TestRoundTrip:
     def test_serialize_is_byte_identical(self, corpus, manifest_path):
         root = manifest_path.parent
@@ -685,6 +665,7 @@ class TestRoundTrip:
         assert serialize_cases(list(corpus.cases_of("test"))) == (
             root / "cases" / "test.cases"
         ).read_text(encoding="utf-8")
+        assert serialize_cases(list(corpus.silver)) == (root / "silver" / "silver.cases").read_text(encoding="utf-8")
 
     def test_labels_that_are_not_record_keys_round_trip(self, tmp_path):
         files = {
