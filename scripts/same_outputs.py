@@ -80,12 +80,13 @@ def commands(tree: Path) -> dict[str, list[str]]:
     return runs
 
 
-def write_corpora(root: Path) -> dict[str, Path]:
+def write_corpora(root: Path, seeds=SEEDS) -> dict[str, Path]:
     """The working directory of each corpus, its corpus in `corpus/` and in
-    the distributed layout in `distributed/`."""
+    the distributed layout in `distributed/`: the fixture, the generated
+    corpus of each of `seeds` and the fixture with a dev split."""
     work = {"fixture": root / "fixture"}
     shutil.copytree(FIXTURE, work["fixture"] / "corpus")
-    for seed in SEEDS:
+    for seed in seeds:
         work[f"sara-{seed}"] = root / f"sara-{seed}"
         gencorpus.generate(work[f"sara-{seed}"] / "corpus", seed, "sara")
     work["fixture-dev"] = root / "fixture-dev"
@@ -123,9 +124,14 @@ def _first_difference(old: bytes, new: bytes) -> str:
     return "the same lines in different bytes"
 
 
-def differences(old_runs: dict, new_runs: dict, old_dir: Path, new_dir: Path) -> list[str]:
+def files_under(directory: Path) -> dict[str, bytes]:
+    """The bytes of every file under `directory`, by its relative path."""
+    return {p.relative_to(directory).as_posix(): p.read_bytes() for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+def differences(old_runs: dict, new_runs: dict, old_files: dict[str, bytes], new_files: dict[str, bytes]) -> list[str]:
     """One line per difference: a run's exit code, stdout or stderr, or a
-    file under the two output directories."""
+    file's bytes by its path."""
     found = []
     for key in sorted(old_runs.keys() | new_runs.keys()):
         if key not in old_runs or key not in new_runs:
@@ -137,15 +143,11 @@ def differences(old_runs: dict, new_runs: dict, old_dir: Path, new_dir: Path) ->
         for stream, old, new in zip(("stdout", "stderr"), old_streams, new_streams):
             if old != new:
                 found.append(f"{key}: {stream} {_first_difference(old, new)}")
-    old_files = {p.relative_to(old_dir) for p in old_dir.rglob("*") if p.is_file()}
-    new_files = {p.relative_to(new_dir) for p in new_dir.rglob("*") if p.is_file()}
-    for path in sorted(old_files | new_files):
+    for path in sorted(old_files.keys() | new_files.keys()):
         if path not in old_files or path not in new_files:
-            found.append(f"{path.as_posix()}: only in the {'old' if path in old_files else 'new'} tree")
-            continue
-        old, new = (old_dir / path).read_bytes(), (new_dir / path).read_bytes()
-        if old != new:
-            found.append(f"{path.as_posix()}: {_first_difference(old, new)}")
+            found.append(f"{path}: only in the {'old' if path in old_files else 'new'} tree")
+        elif old_files[path] != new_files[path]:
+            found.append(f"{path}: {_first_difference(old_files[path], new_files[path])}")
     return found
 
 
@@ -165,11 +167,11 @@ def main() -> int:
         corpora = write_corpora(root / "work")
         old_runs = run_tree(old_tree, corpora, root / "outputs" / "old")
         new_runs = run_tree(REPO, corpora, root / "outputs" / "new")
-        found = differences(old_runs, new_runs, root / "outputs" / "old", root / "outputs" / "new")
-        files = sum(1 for p in (root / "outputs" / "new").rglob("*") if p.is_file())
+        new_files = files_under(root / "outputs" / "new")
+        found = differences(old_runs, new_runs, files_under(root / "outputs" / "old"), new_files)
     for line in found:
         print(line)
-    print(f"{len(found)} differences in {len(new_runs)} runs ({len(corpora)} corpora) and {files} files")
+    print(f"{len(found)} differences in {len(new_runs)} runs ({len(corpora)} corpora) and {len(new_files)} files")
     return 1 if found else 0
 
 

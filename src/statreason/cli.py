@@ -13,6 +13,7 @@ load with this module; each handler imports the other modules it runs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -50,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--manifest", required=True, help="corpus manifest file")
-        p.add_argument("--out", type=Path, help="directory for report + record files")
+        p.add_argument("--out", type=_out, help="directory for report + record files")
         p.add_argument(
             "--floor",
             action="append",
@@ -70,17 +71,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval-coref", help="score a coreference baseline against gold")
     common(p)
-    p.add_argument("--baseline", default="string", help="single, string, or import:<path>")
+    p.add_argument("--baseline", default="string", type=_utf8, help="single, string, or import:<path>")
     p.set_defaults(handler=cmd_eval_coref)
 
     p = sub.add_parser("eval-argid", help="score argument identification against gold spans")
     common(p)
-    p.add_argument("--source", default="heuristic", help="heuristic or import:<path>")
+    p.add_argument("--source", default="heuristic", type=_utf8, help="heuristic or import:<path>")
     p.set_defaults(handler=cmd_eval_argid)
 
     p = sub.add_parser("cascade", help="identification followed by string-matching coreference")
     common(p)
-    p.add_argument("--source", default="heuristic", help="heuristic or import:<path>")
+    p.add_argument("--source", default="heuristic", type=_utf8, help="heuristic or import:<path>")
     p.set_defaults(handler=cmd_cascade)
 
     p = sub.add_parser("eval-inst", help="run argument instantiation and score it")
@@ -123,6 +124,25 @@ def _split(name: str) -> str:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _out(path: str) -> Path:
+    """An --out value: a directory, or a path where nothing is yet; anything
+    else, a file among them, is a usage error."""
+    if os.path.lexists(path) and not os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path!r} exists and is not a directory")
+    return Path(path)
+
+
+def _utf8(value: str) -> str:
+    """A --source or --baseline value, which the report's title and records
+    echo; one that UTF-8 cannot encode (a lone surrogate from an undecodable
+    byte of the command line) is a usage error."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise argparse.ArgumentTypeError(f"{value!r} holds a character that UTF-8 cannot encode") from None
+    return value
+
+
 def cmd_validate(args) -> int:
     corpus = load_corpus(args.manifest)
     print(
@@ -135,22 +155,41 @@ def cmd_validate(args) -> int:
 
 
 def _emit(args, name: str, report, run_line: str, predictions: list[str] | None = None) -> int:
-    """Print a report, write its files under --out and check the floors. Each output is
-    encoded to UTF-8 before any is printed or written, so a command writes all or none."""
+    """Write a report's files under --out, then print it and check the floors. Each
+    output is encoded to UTF-8 before any is written, and the files are written
+    all or none, so a command that fails has printed and written nothing."""
     text, flat = report.render(), report.flat()
     outputs = {"report": text + "\n", "records": report_records(flat, run_line)}
     if predictions is not None:
         outputs["predictions"] = "\n".join(predictions) + "\n"
-    encoded = {kind: output.encode("utf-8") for kind, output in outputs.items()}
-    print(text)
+    encoded = {f"{name}.{kind}.txt": output.encode("utf-8") for kind, output in outputs.items()}
     if args.out:
-        args.out.mkdir(parents=True, exist_ok=True)
-        for kind, data in encoded.items():
-            (args.out / f"{name}.{kind}.txt").write_bytes(data)
+        _write_all(args.out, encoded)
+    print(text)
     failures = check_floors(flat, dict(args.floor))
     for failure in failures:
         print(failure, file=sys.stderr)
     return 1 if failures else 0
+
+
+def _write_all(out: Path, files: dict[str, bytes]) -> None:
+    """Write each of `files` into `out` under a temporary name, and move them
+    into place once every one is written; a name that is a directory is
+    refused before any is written."""
+    for name in files:
+        if (out / name).is_dir():
+            raise IsADirectoryError(f"--out: {out / name} is a directory")
+    out.mkdir(parents=True, exist_ok=True)
+    temporary = {out / f".{name}.{os.getpid()}.tmp": out / name for name in files}
+    try:
+        for path, data in zip(temporary, files.values()):
+            path.write_bytes(data)
+        for path, target in temporary.items():
+            path.replace(target)
+    except BaseException:
+        for path in temporary:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def report_records(flat: dict[str, float], run_line: str) -> str:

@@ -16,7 +16,8 @@ over `_tokenize`'s token objects (`_Parser`), as first written, and
 `parse_rule`, one clause read with the library's parser, which the rule
 printer's round-trip tests use.
 `unified_accuracy` is the unified mean as the library once defined it,
-`build_dependency_tree` the recursive tree builder the library once had, and
+`build_dependency_tree` the recursive tree builder the library once had, over
+node classes of its own, `unrolled` such a tree as `rules.unroll` gives it, and
 `instantiate_full` the engine's populate-then-resolve tree evaluation,
 recursive over such a tree built for each case, with the per-subsection
 `_instantiate`, the operator combination (`do_operation`) and the value-map
@@ -101,14 +102,11 @@ from statreason.records import RecordError
 from statreason.reports import FamilyScore, InstantiationReport
 from statreason.rules import (
     BodyExpr,
-    DepTree,
     Op,
-    OpNode,
     Program,
     Ref,
     Rule,
     RuleSyntaxError,
-    SubsectionNode,
     _Parser as _TextParser,
     _Unterminated,
     iter_refs,
@@ -415,6 +413,31 @@ def resolver_answer(resolver, request, text: str) -> Value | None:
     return value_for(name, request)
 
 
+@dataclass(frozen=True)
+class SubsectionNode:
+    """A subsection of a dependency tree, and its body or None."""
+
+    id: str
+    depth: int
+    bindings: tuple[tuple[str, str], ...]
+    child: "TreeNode | None"
+
+
+@dataclass(frozen=True)
+class OpNode:
+    """An operator of a dependency tree: `kind` is "AND", "OR" or "NOT"."""
+
+    kind: str
+    depth: int
+    children: tuple["TreeNode", ...]
+
+
+@dataclass(frozen=True)
+class DepTree:
+    root: SubsectionNode
+    depth_cap: int
+
+
 TreeNode = SubsectionNode | OpNode
 
 
@@ -444,6 +467,18 @@ def build_dependency_tree(program: Program, root_id: str, depth_cap: int) -> Dep
         return OpNode(expr.kind, depth, tuple(expand(c, depth) for c in expr.children))
 
     return DepTree(subsection(root_id, 1, ()), depth_cap)
+
+
+def unrolled(node: TreeNode) -> list[tuple]:
+    """The tree below `node` as `rules.unroll` gives it: in post order, as
+    (op, id, depth, bindings, body, arity) tuples, a subsection with a body
+    also as an "open" tuple before it."""
+    if isinstance(node, OpNode):
+        steps = [step for child in node.children for step in unrolled(child)]
+        return steps + [(node.kind, None, node.depth, (), False, len(node.children))]
+    body = node.child is not None
+    opened = [("open", node.id, node.depth, node.bindings, False, 0), *unrolled(node.child)] if body else []
+    return opened + [("subsection", node.id, node.depth, node.bindings, body, 0)]
 
 
 def tree_depth(tree: DepTree) -> int:

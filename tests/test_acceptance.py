@@ -28,7 +28,7 @@ from statreason.engine import EngineConfig, do_operation, run_cases
 from statreason.metrics import ArgScore, numerical_accuracy
 from statreason.model import TRUTH_KEY, ValueMap
 from statreason.reports import coref_report, instantiation_report
-from statreason.rules import build_dependency_tree, parse_program, print_rule
+from statreason.rules import parse_program, print_rule, unroll
 
 from generators import random_clause, random_partition, random_program
 from oracles import brute_force_ceaf, overlap, parse_rule, phi4, unified_accuracy
@@ -354,19 +354,15 @@ def test_criterion_6_operator_semantics_over_random_trees():
 
 def test_criterion_6_depth_cap_monotonicity():
     rng = random.Random(67)
-    from oracles import tree_depth
-
     checked = 0
     for _ in range(300):
         program = random_program(rng, rng.randrange(2, 6))
         root = next(iter(program))
-        true_depth = tree_depth(build_dependency_tree(program, root, 50))
+        true_depth = max(depth for _, _, depth, *_ in unroll(program, root, 50))
         for cap in range(true_depth, true_depth + 3):
-            a = build_dependency_tree(program, root, cap)
-            b = build_dependency_tree(program, root, cap + 1)
-            assert a.root == b.root
+            assert list(unroll(program, root, cap)) == list(unroll(program, root, cap + 1))
             checked += 1
-    ok(6, f"raising the depth cap never changes fully unrolled trees ({checked} comparisons)")
+    ok(6, f"raising the depth cap never changes fully unrolled rules ({checked} comparisons)")
 
 
 # -- 7. Parser round-trip ------------------------------------------------------

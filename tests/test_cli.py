@@ -189,6 +189,47 @@ class TestEvalCommands:
         assert f"argument --split: split {split!r}: " in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["stats", "eval-coref", "eval-argid", "cascade", "eval-inst"])
+    def test_an_out_that_is_a_file_is_a_usage_error(self, command, tmp_path, capsys):
+        # Refused before the corpus loads, so nothing is printed.
+        out = tmp_path / "out"
+        out.write_bytes(b"kept")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--manifest", MANIFEST, "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage:")
+        assert f"argument --out: {str(out)!r} exists and is not a directory\n" in captured.err
+        assert out.read_bytes() == b"kept"
+
+    @pytest.mark.parametrize("kind", ["report", "records", "predictions"])
+    def test_an_output_that_is_a_directory_leaves_nothing_written(self, kind, tmp_path, capsys):
+        # The command writes all of its files or none, and prints its report
+        # only once they are in place.
+        out = tmp_path / "out"
+        (out / f"eval-inst.{kind}.txt").mkdir(parents=True)
+        assert main(["eval-inst", "--manifest", MANIFEST, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: --out: {out}/eval-inst.{kind}.txt is a directory\n")
+        assert [p.name for p in out.iterdir()] == [f"eval-inst.{kind}.txt"]
+        assert not any((out / f"eval-inst.{kind}.txt").iterdir())
+
+    def test_a_failed_write_leaves_nothing_written(self, tmp_path, monkeypatch, capsys):
+        # A write that fails after another succeeded (a full disk, say) takes
+        # the files already written with it.
+        write_bytes, written = Path.write_bytes, []
+
+        def fail_second(path, data):
+            if written:
+                raise OSError(28, "No space left on device")
+            written.append(path)
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", fail_second)
+        out = tmp_path / "out"
+        assert main(["eval-inst", "--manifest", MANIFEST, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
+        assert written and list(out.iterdir()) == []
+
     def test_floor_failure_exits_nonzero(self, capsys):
         assert main([
             "eval-inst", "--manifest", MANIFEST, "--resolver", "constant",
@@ -272,16 +313,33 @@ class TestImports:
         assert capsys.readouterr().err == ""
 
     def test_an_output_that_utf8_cannot_hold_is_neither_printed_nor_written(self, tmp_path, monkeypatch, capsys):
-        # An undecodable byte in the import path reaches the report's title. A
-        # stdout that escapes it, as in the POSIX locale, gets no report either.
+        # An undecodable byte in the import path, which the report's title would
+        # echo, is a usage error. A stdout that escapes it, as in the POSIX
+        # locale, gets no report either.
         spans = tmp_path / "spans\udcff.txt"
         shutil.copyfile(FIXTURES / "spans.txt", spans)
         stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="surrogateescape", write_through=True)
         monkeypatch.setattr(sys, "stdout", stdout)
         out = tmp_path / "out"
-        assert main(["eval-argid", "--manifest", MANIFEST, "--source", f"import:{spans}", "--out", str(out)]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["eval-argid", "--manifest", MANIFEST, "--source", f"import:{spans}", "--out", str(out)])
+        assert exc.value.code == 2
         assert stdout.buffer.getvalue() == b""
-        assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't encode character '\\udcff'")
+        message = f"argument --source: {f'import:{spans}'!r} holds a character that UTF-8 cannot encode\n"
+        assert capsys.readouterr().err.endswith(message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, option", [("eval-coref", "--baseline"), ("cascade", "--source")])
+    def test_an_import_path_utf8_cannot_encode_is_a_usage_error(self, command, option, tmp_path, capsys):
+        # As for eval-argid above: checked before the corpus loads, naming the option.
+        source = f"import:{tmp_path}/gold\udcff.txt"
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--manifest", MANIFEST, option, source, "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage:")
+        assert f"argument {option}: {source!r} holds a character that UTF-8 cannot encode\n" in captured.err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval-argid", "cascade"])

@@ -30,7 +30,7 @@ from statreason.engine import (
 )
 from statreason.model import ArgumentLayer, Case, Money, Span, TRUTH_KEY, ValueMap
 from statreason.reports import instantiation_report
-from statreason.rules import OpNode, Rule, SubsectionNode, parse_program, unroll
+from statreason.rules import Rule, parse_program, unroll
 
 from generators import (
     EXPLICIT_CORPORA,
@@ -670,7 +670,7 @@ def rule_corpus(program):
 
 def post_order(node):
     """The nodes under `node`, itself included, children first."""
-    if isinstance(node, OpNode):
+    if isinstance(node, oracles.OpNode):
         return [n for c in node.children for n in post_order(c)] + [node]
     return (post_order(node.child) if node.child is not None else []) + [node]
 
@@ -714,7 +714,7 @@ class TestCompiledProgram:
             for i, (op, sid, depth, bindings, body, arity) in enumerate(steps):
                 n = node[i]
                 assert depth == n.depth
-                if isinstance(n, OpNode):
+                if isinstance(n, oracles.OpNode):
                     assert (op, sid, arity) == (n.kind, None, len(n.children))
                     continue
                 assert op in ("open", "subsection") and sid == n.id
@@ -783,23 +783,18 @@ class TestOneWalk:
                 assert requests
 
     def test_a_run_builds_no_tree_node(self, corpus, monkeypatch):
-        # The engine runs `rules.unroll`'s tuples; no tree is built.
-        built = []
+        # The engine runs `rules.unroll`'s tuples as they come, unrolled once
+        # per query of a run; no tree is built from them.
+        unrolled = []
 
-        def counted(init):
-            def construct(node, *args, **named):
-                built.append(node)
-                init(node, *args, **named)
+        def counted(program, root_id, depth_cap):
+            unrolled.append(root_id)
+            return unroll(program, root_id, depth_cap)
 
-            return construct
-
-        for cls in (SubsectionNode, OpNode):
-            monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+        monkeypatch.setattr(engine, "unroll", counted)
         results, _ = run_cases(OracleResolver(), corpus, "all")
-        assert all(r.error is None for r in results) and len(results) > 1
-        assert built == []
-        oracles.build_dependency_tree(corpus.program, results[0].case.query, 3)
-        assert built  # the count sees the nodes a tree build makes
+        assert all(r.error is None for r in results) and len(results) > len(unrolled) > 1
+        assert sorted(unrolled) == sorted({r.case.query for r in results})
 
 
 def assert_runnable(corpus):

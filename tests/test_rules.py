@@ -10,19 +10,16 @@ from statreason.rules import (
     Ref,
     Rule,
     RuleSyntaxError,
-    build_dependency_tree,
     parse_program,
     print_rule,
     unroll,
-    OpNode,
-    SubsectionNode,
 )
 from statreason.engine import EngineConfig, RunContext, instantiate_full
 from statreason.model import MAX_NESTING, TRUTH_KEY, Case, ValueMap
 
 import oracles
 from generators import corpus_of, random_clause, random_nested_program, random_program
-from oracles import parse_rule, tree_depth
+from oracles import parse_rule
 
 CLAUSE_1DIV = "§1(d)(iv)(Tax, Taxinc)."
 CLAUSE_3306 = (
@@ -247,38 +244,47 @@ STUB_LEAVES = (
 )
 
 
+def leaf(sid: str) -> tuple:
+    """`unroll`'s one tuple for a root subsection that gets no body."""
+    return ("subsection", sid, 1, (), False, 0)
+
+
+def assert_unrolls_the_recursive_tree(program, head: str, depth_cap: int) -> None:
+    tree = oracles.build_dependency_tree(program, head, depth_cap)
+    assert list(unroll(program, head, depth_cap)) == oracles.unrolled(tree.root)
+
+
 class TestDependencyTree:
     def test_bodiless_rule_single_leaf(self):
         program = parse(CLAUSE_1DIV)
-        tree = build_dependency_tree(program, "§1(d)(iv)", 5)
-        assert tree.root.child is None
-        assert tree_depth(tree) == 1
+        assert list(unroll(program, "§1(d)(iv)", 5)) == [leaf("§1(d)(iv)")]
 
     def test_cap_one_prunes_body(self):
         program = parse(CLAUSE_63C5 + STUB_LEAVES)
-        tree = build_dependency_tree(program, "§63(c)(5)", 1)
-        assert tree.root.child is None
+        assert list(unroll(program, "§63(c)(5)", 1)) == [leaf("§63(c)(5)")]
 
     def test_cap_two_expands_one_level(self):
+        # (op, id, depth, body, arity): the four callees are leaves one level down.
         program = parse(CLAUSE_63C5 + STUB_LEAVES)
-        tree = build_dependency_tree(program, "§63(c)(5)", 2)
-        root = tree.root
-        assert isinstance(root.child, OpNode) and root.child.kind == "AND"
-        or_node, leaf_a, leaf_b = root.child.children
-        assert isinstance(or_node, OpNode) and or_node.kind == "OR"
-        leaves = [*or_node.children, leaf_a, leaf_b]
-        assert all(isinstance(l, SubsectionNode) and l.child is None for l in leaves)
-        assert [l.id for l in leaves] == ["§151(b)", "§151(c)", "§63(c)(5)(A)", "§63(c)(5)(B)"]
-        assert all(l.depth == 2 for l in leaves)
+        steps = [step[:3] + step[4:] for step in unroll(program, "§63(c)(5)", 2)]
+        assert steps == [
+            ("open", "§63(c)(5)", 1, False, 0),
+            ("subsection", "§151(b)", 2, False, 0),
+            ("subsection", "§151(c)", 2, False, 0),
+            ("OR", None, 1, False, 2),
+            ("subsection", "§63(c)(5)(A)", 2, False, 0),
+            ("subsection", "§63(c)(5)(B)", 2, False, 0),
+            ("AND", None, 1, False, 3),
+            ("subsection", "§63(c)(5)", 1, True, 0),
+        ]
 
     def test_unknown_root_rejected(self):
         with pytest.raises(KeyError):
-            build_dependency_tree(parse(CLAUSE_1DIV), "§nowhere", 3)
+            oracles.build_dependency_tree(parse(CLAUSE_1DIV), "§nowhere", 3)
 
     def test_cycles_unroll_to_cap(self):
         program = parse("§1(a)(X) :- §2(b)(X).\n§2(b)(X) :- §1(a)(X).")
-        tree = build_dependency_tree(program, "§1(a)", 4)
-        assert tree_depth(tree) == 4
+        assert max(depth for _, _, depth, *_ in unroll(program, "§1(a)", 4)) == 4
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
@@ -286,17 +292,13 @@ class TestDependencyTree:
         rng = random.Random(seed)
         program = random_nested_program(rng, rng.randrange(2, 7))
         for head in program:
-            assert build_dependency_tree(program, head, depth_cap) == oracles.build_dependency_tree(
-                program, head, depth_cap
-            )
+            assert_unrolls_the_recursive_tree(program, head, depth_cap)
 
     def test_the_fold_is_the_recursive_tree_on_the_fixture(self):
         program = parse(FIXTURE_STRUCTURE)
         for head in program:
             for depth_cap in (1, 2, 3, 4):
-                assert build_dependency_tree(program, head, depth_cap) == oracles.build_dependency_tree(
-                    program, head, depth_cap
-                )
+                assert_unrolls_the_recursive_tree(program, head, depth_cap)
 
     def test_a_recursive_rule_unrolls_at_any_cap(self):
         # One open and one subsection per level above the cap, and the leaf
@@ -313,7 +315,7 @@ class TestDependencyTree:
     def test_cap_below_one_rejected(self):
         program = parse(CLAUSE_1DIV)
         with pytest.raises(ValueError, match="depth cap must be >= 1, got 0"):
-            build_dependency_tree(program, "§1(d)(iv)", 0)
+            oracles.build_dependency_tree(program, "§1(d)(iv)", 0)
 
     def test_populate_through_bindings(self):
         # Without layers each subsection gets one request, for its truth
@@ -361,8 +363,7 @@ def test_bodiless_programs_build_single_nodes():
         program = rules
         for head in rules:
             for cap in (1, 3, 7):
-                tree = build_dependency_tree(program, head, cap)
-                assert tree.root.child is None
+                assert list(unroll(program, head, cap)) == [leaf(head)]
 
 
 def test_tree_depth_and_size_bounded():
@@ -371,15 +372,9 @@ def test_tree_depth_and_size_bounded():
         program = random_program(rng, rng.randrange(2, 7), max_refs=3)
         root = next(iter(program))
         cap = rng.randrange(1, 5)
-        tree = build_dependency_tree(program, root, cap)
-        assert tree_depth(tree) <= cap
-
-        def count(node):
-            if isinstance(node, OpNode):
-                return sum(count(c) for c in node.children)
-            return 1 + (count(node.child) if node.child else 0)
-
-        assert count(tree.root) <= 4 ** cap
+        steps = list(unroll(program, root, cap))
+        assert max(depth for _, _, depth, *_ in steps) <= cap
+        assert sum(op == "subsection" for op, *_ in steps) <= 4**cap
 
 
 # What steers the tokenizer and the parser: punctuation, the neck, the

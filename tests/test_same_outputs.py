@@ -26,7 +26,8 @@ def test_a_one_byte_change_to_a_report_is_reported(tmp_path):
         same_outputs.run_tree(tree, corpora, tmp_path / "outputs" / tree.name, ["validate", "stats"])
         for tree in (old, new)
     ]
-    found = same_outputs.differences(*runs, tmp_path / "outputs" / "old", tmp_path / "outputs" / "new")
+    files = [same_outputs.files_under(tmp_path / "outputs" / tree) for tree in ("old", "new")]
+    found = same_outputs.differences(*runs, *files)
     assert found == [
         "fixture stats: stdout line 11: '    total units 12' != '    total Units 12'",
         "fixture/stats/stats.report.txt: line 11: '    total units 12' != '    total Units 12'",
